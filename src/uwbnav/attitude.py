@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .liegroup import NavState, cross3
+from .liegroup import NavState, _unchecked, cross3
 
 if TYPE_CHECKING:
     from .sim import NoiseSpec
@@ -54,10 +54,14 @@ def _default_magnetic() -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReferenceEnvironment:
-    """Inertial-frame reference vectors: gravity (NED, z down) and magnetic field."""
+    """Inertial-frame reference vectors: gravity (NED, z down) and magnetic field.
+
+    ``r_triad`` is the reference side of :func:`build_triads`, computed once.
+    """
 
     g_vec: np.ndarray = field(default_factory=_default_gravity)
     m_r: np.ndarray = field(default_factory=_default_magnetic)
+    r_triad: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g_vec, dtype=float)
@@ -73,6 +77,11 @@ class ReferenceEnvironment:
             raise ValueError("gravity and magnetic references are collinear")
         object.__setattr__(self, "g_vec", g)
         object.__setattr__(self, "m_r", m)
+        r1 = _unit(-g, "gravity reference")
+        r2 = _unit(m, "magnetic reference")
+        r_triad = np.stack([r1, r2, _unit(cross3(r1, r2), "reference cross product")])
+        r_triad.flags.writeable = False  # shared by every TriadSet build_triads returns
+        object.__setattr__(self, "r_triad", r_triad)
 
 
 @dataclass(frozen=True)
@@ -109,20 +118,31 @@ class TriadSet:
     def __post_init__(self) -> None:
         v = np.asarray(self.v, dtype=float)
         r = np.asarray(self.r, dtype=float)
-        s = np.asarray(self.s, dtype=float)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be 3x3 (rows are the triad vectors)")
-        if np.abs(np.linalg.norm(v, axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("measured triad rows must be unit vectors")
-        if np.abs(np.linalg.norm(r, axis=1) - 1.0).max() > 1e-9:
+        _check_measured(v)
+        if not np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("reference triad rows must be unit vectors")
-        if s.shape != (3,) or np.any(s < 0.0) or abs(s.sum() - 3.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 3")
-        if max(abs(v[2] @ v[0]), abs(v[2] @ v[1])) > 1e-9:
-            raise ValueError("third measured vector must be orthogonal to the first two")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _weights(self.s))
+
+
+def _check_measured(v: np.ndarray) -> None:
+    """Measured triad rows must be unit and the third orthogonal to the first two."""
+    (g00, _, _), (_, g11, _), (g20, g21, g22) = (v @ v.T).tolist()
+    if not all(abs(math.sqrt(g) - 1.0) <= 1e-9 for g in (g00, g11, g22)):
+        raise ValueError("measured triad rows must be unit vectors")
+    if not (abs(g20) <= 1e-9 and abs(g21) <= 1e-9):
+        raise ValueError("third measured vector must be orthogonal to the first two")
+
+
+def _weights(s) -> np.ndarray:
+    """Triad confidence weights as an array: three nonnegative values summing to 3."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (3,) or not (min(s.tolist()) >= 0.0 and abs(sum(s.tolist()) - 3.0) <= 1e-9):
+        raise ValueError("weights must be 3 nonnegative values summing to 3")
+    return s
 
 
 def measure_imu(
@@ -180,7 +200,9 @@ def build_triads(
 
     Pairs the normalized accelerometer with the downward gravity direction
     ``-g/||g||``, the normalized magnetometer with the field direction, and
-    closes with the normalized cross products on both sides.
+    closes with the normalized cross products on both sides.  The reference
+    side is ``env.r_triad``; the measured side and the weights are checked
+    here, so the TriadSet constructor is not run again.
 
     Raises
     ------
@@ -188,15 +210,11 @@ def build_triads(
         If a measurement or a cross product has norm at or below
         ``EPS_DEGENERATE``.
     """
-    a_m = np.asarray(a_m, dtype=float)
-    m_m = np.asarray(m_m, dtype=float)
-    v1 = _unit(a_m, "accelerometer sample")
-    v2 = _unit(m_m, "magnetometer sample")
-    v3 = _unit(cross3(v1, v2), "measured cross product")
-    r1 = _unit(-env.g_vec, "gravity reference")
-    r2 = _unit(env.m_r, "magnetic reference")
-    r3 = _unit(cross3(r1, r2), "reference cross product")
-    return TriadSet(v=np.stack([v1, v2, v3]), r=np.stack([r1, r2, r3]), s=np.asarray(s, dtype=float))
+    v1 = _unit(np.asarray(a_m, dtype=float), "accelerometer sample")
+    v2 = _unit(np.asarray(m_m, dtype=float), "magnetometer sample")
+    v = np.array([v1, v2, _unit(cross3(v1, v2), "measured cross product")])
+    _check_measured(v)
+    return _unchecked(TriadSet, v=v, r=env.r_triad, s=_weights(s))
 
 
 def weighting_matrices(triads: TriadSet) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ conversions used by the quaternion filter variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,19 +72,21 @@ def skew(v: np.ndarray) -> np.ndarray:
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors by direct indexing.
+    """Cross product of two 3-vectors in scalar arithmetic.
 
     Equivalent to ``np.cross(a, b)`` for shape-(3,) inputs; avoids the
     general-axis machinery, which dominates the per-step cost of the
     filter loop.
     """
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    (a0, a1, a2), (b0, b1, b2) = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def _unchecked(cls, **fields):
+    """Frozen value-class instance built without its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def vex(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
@@ -145,7 +148,7 @@ def _rodrigues_coefficients(theta: float) -> tuple[float, float, float, float]:
             1.0 / 24.0 - t2 / 720.0,
         )
     t2 = theta * theta
-    s, c = np.sin(theta), np.cos(theta)
+    s, c = math.sin(theta), math.cos(theta)
     return (
         s / theta,
         (1.0 - c) / t2,
@@ -197,6 +200,35 @@ def tangent_matrix(u: TangentInput) -> np.ndarray:
     return m
 
 
+def _se23_blocks(omega, v, a, eps: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocks ``(R, t_p, t_v)`` of :func:`se23_exp` from finite 3-vector arrays.
+
+    Scalar evaluation with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``);
+    raises ValueError on a non-finite input component.
+    """
+    (wx, wy, wz), (vx, vy, vz), (ax, ay, az) = (omega * dt).tolist(), v.tolist(), a.tolist()
+    if not all(map(math.isfinite, (wx, wy, wz, vx, vy, vz, ax, ay, az))):
+        raise ValueError("tangent input must be finite")
+    theta = math.hypot(wx, wy, wz)
+    t2 = theta * theta
+    a_c, b_c, c_c, d_c = _rodrigues_coefficients(theta)
+
+    def series(x, y, z, k0, k1, k2):  # (k0 I + k1 S + k2 S^2) [x, y, z]
+        d, k0 = k2 * (wx * x + wy * y + wz * z), k0 - k2 * t2
+        return (k0 * x + k1 * (wy * z - wz * y) + d * wx, k0 * y + k1 * (wz * x - wx * z) + d * wy,
+                k0 * z + k1 * (wx * y - wy * x) + d * wz)
+
+    j1v = series(vx * dt, vy * dt, vz * dt, 1.0, b_c, c_c)
+    j2a = series(ax, ay, az, 0.5, c_c, d_c)
+    k = eps * dt * dt
+    c0, bx, by, bz = 1.0 - b_c * t2, b_c * wx, b_c * wy, b_c * wz
+    rot = np.array([[c0 + bx * wx, bx * wy - a_c * wz, bx * wz + a_c * wy],
+                    [bx * wy + a_c * wz, c0 + by * wy, by * wz - a_c * wx],
+                    [bx * wz - a_c * wy, by * wz + a_c * wx, c0 + bz * wz]])
+    t_p = np.array([j1v[0] + k * j2a[0], j1v[1] + k * j2a[1], j1v[2] + k * j2a[2]])
+    return rot, t_p, np.array(series(ax * dt, ay * dt, az * dt, 1.0, b_c, c_c))
+
+
 def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
     """Closed-form matrix exponential ``expm(tangent_matrix(u) * dt)``.
 
@@ -208,20 +240,8 @@ def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
     tangent matrix beyond the second vanish outside the rotation block, which
     is what collapses the series to these four coefficients.
     """
-    w = u.omega * dt
-    theta = float(np.linalg.norm(w))
-    a_c, b_c, c_c, d_c = _rodrigues_coefficients(theta)
-    s = skew(w)
-    s2 = s @ s
-    eye = np.eye(3)
-    rot = eye + a_c * s + b_c * s2
-    j1 = eye + b_c * s + c_c * s2
-    j2 = 0.5 * eye + c_c * s + d_c * s2
-
     out = np.eye(5)
-    out[:3, :3] = rot
-    out[:3, 3] = j1 @ (u.v * dt) + (u.eps * dt * dt) * (j2 @ u.a)
-    out[:3, 4] = j1 @ (u.a * dt)
+    out[:3, :3], out[:3, 3], out[:3, 4] = _se23_blocks(u.omega, u.v, u.a, u.eps, dt)
     out[4, 3] = u.eps * dt
     return out
 
@@ -279,11 +299,11 @@ def nav_from_matrix(m: np.ndarray, tol: float = GROUP_TOL) -> NavState:
     if m.shape != (5, 5):
         raise NotInGroup("expected a 5x5 matrix")
     bottom = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-    if np.abs(m[3:, :] - bottom).max() > tol:
+    if not np.abs(m[3:, :] - bottom).max() <= tol:
         raise NotInGroup("bottom rows deviate from the group pattern")
     r = m[:3, :3]
     drift = np.linalg.norm(r.T @ r - np.eye(3))
-    if drift > tol:
+    if not drift <= tol:
         raise NotInGroup("rotation block is not orthonormal")
     if drift > REORTHONORMALIZE_THRESHOLD:
         r = project_rotation(r)
@@ -298,8 +318,8 @@ def compose(x: np.ndarray, y: np.ndarray) -> NavState:
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Rescale a quaternion to unit norm."""
     q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q)
-    if n == 0.0 or not np.isfinite(n):
+    n = math.sqrt(q @ q)
+    if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
     return q / n
 
@@ -310,9 +330,12 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     Uses ``(q0^2 - ||qv||^2) I + 2 qv qv.T + 2 q0 skew(qv)`` which maps the
     quaternion product to a rotation product (Hamilton convention).
     """
-    q = np.asarray(q, dtype=float)
-    q0, qv = q[0], q[1:]
-    return (q0 * q0 - qv @ qv) * np.eye(3) + 2.0 * np.outer(qv, qv) + 2.0 * q0 * skew(qv)
+    w, x, y, z = np.asarray(q, dtype=float).tolist()
+    d, xy, xz, yz = w * w - (x * x + y * y + z * z), 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
+    wx, wy, wz = 2.0 * w * x, 2.0 * w * y, 2.0 * w * z
+    return np.array([[d + 2.0 * x * x, xy - wz, xz + wy],
+                     [xy + wz, d + 2.0 * y * y, yz - wx],
+                     [xz - wy, yz + wx, d + 2.0 * z * z]])
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
@@ -353,23 +376,20 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
     """Hamilton quaternion product ``q1 * q2``."""
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    w1, v1 = q1[0], q1[1:]
-    w2, v2 = q2[0], q2[1:]
-    return np.concatenate(
-        [[w1 * w2 - v1 @ v2], w1 * v2 + w2 * v1 + np.cross(v1, v2)]
-    )
+    w1, x1, y1, z1 = np.asarray(q1, dtype=float).tolist()
+    w2, x2, y2, z2 = np.asarray(q2, dtype=float).tolist()
+    return np.array([w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2), w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+                     w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2), w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)])
 
 
 def quat_from_rotvec(w: np.ndarray) -> np.ndarray:
     """Unit quaternion of a rotation vector; satisfies quat_to_rot == so3_exp."""
-    w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
+    x, y, z = np.asarray(w, dtype=float).tolist()
+    theta = math.hypot(x, y, z)
     half = 0.5 * theta
     if theta < SMALL_ANGLE:
         # sin(t/2)/t to second order
         scale = 0.5 - theta * theta / 48.0
     else:
-        scale = np.sin(half) / theta
-    return np.concatenate([[np.cos(half)], scale * w])
+        scale = math.sin(half) / theta
+    return np.array([math.cos(half), scale * x, scale * y, scale * z])

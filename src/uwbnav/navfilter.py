@@ -16,24 +16,33 @@ variants track each other to round-off.
 The continuous right-hand side (for external integrators and consistency
 checks) keeps gravity in the velocity law instead of folding it into W;
 the two conventions encode identical dynamics.
+
+Validation: inputs are checked once, by their constructors (FilterState,
+FilterGains, ImuSample, ReferenceEnvironment, the range sets).  A step
+builds its intermediate values without those constructors and checks what
+it can break: the measured triad, finite corrections, unit quaternions and,
+once, the output state (``update`` gates its result, ``step`` the
+predict-only state of a dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, build_triads
+from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, _weights, build_triads
 from .liegroup import (
-    TangentInput,
+    _se23_blocks,
+    _unchecked,
     cross3,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
     quat_to_rot,
-    se23_exp,
+    se23_exp,  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
     skew,
 )
 from .uwb import AnchorSet, GeometryDegenerate, RangeSet, solve_fix
@@ -48,13 +57,14 @@ __all__ = [
     "predict",
     "update",
     "step",
-    "quaternion_step",
     "step_with_fix",
     "continuous_rhs",
 ]
 
 SIGMA_ALERT_FLOOR = -10.0
 ATTITUDE_GATE = 1e-6
+_EYE3 = np.eye(3)
+_ZERO3 = np.zeros(3)
 
 
 @dataclass(frozen=True)
@@ -79,10 +89,7 @@ class FilterGains:
         for name in ("k1", "kv", "ka", "gamma_sigma", "epsilon", "k_sigma"):
             if not float(getattr(self, name)) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        s = np.asarray(self.s, dtype=float)
-        if s.shape != (3,) or np.any(s < 0) or abs(s.sum() - 3.0) > 1e-9:
-            raise ValueError("s must be 3 nonnegative weights summing to 3")
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _weights(self.s))
 
 
 @dataclass(frozen=True)
@@ -102,31 +109,42 @@ class FilterState:
 
     def __post_init__(self) -> None:
         att = np.asarray(self.attitude, dtype=float)
-        if att.shape == (3, 3):
-            drift = np.linalg.norm(att.T @ att - np.eye(3))
-            if drift > ATTITUDE_GATE:
-                raise ValueError(f"attitude is not orthonormal (drift {drift:.2e})")
-        elif att.shape == (4,):
-            if abs(np.linalg.norm(att) - 1.0) > ATTITUDE_GATE:
-                raise ValueError("quaternion attitude is not unit norm")
-        else:
+        if att.shape not in ((3, 3), (4,)):
             raise ValueError("attitude must be a 3x3 matrix or a 4-vector quaternion")
+        object.__setattr__(self, "attitude", att)
         for name in ("p_hat", "v_hat", "sigma_hat"):
             vec = np.asarray(getattr(self, name), dtype=float)
             if vec.shape != (3,):
                 raise ValueError(f"{name} must be a 3-vector")
             object.__setattr__(self, name, vec)
-        object.__setattr__(self, "attitude", att)
+        _gate(self)
 
     @property
     def variant(self) -> str:
         return "matrix" if self.attitude.shape == (3, 3) else "quaternion"
 
+    @cached_property
+    def _rotation(self) -> np.ndarray:
+        return self.attitude if self.variant == "matrix" else quat_to_rot(self.attitude)
+
     def rotation(self) -> np.ndarray:
-        """Attitude as a rotation matrix regardless of variant."""
-        if self.variant == "matrix":
-            return self.attitude
-        return quat_to_rot(self.attitude)
+        """Attitude as a rotation matrix regardless of variant (computed once per state)."""
+        return self._rotation
+
+
+def _gate(state: FilterState) -> FilterState:
+    """Reject a state whose attitude left the group or whose values are not finite."""
+    att = state.attitude
+    if att.shape == (3, 3):
+        err = att.T @ att - _EYE3
+        drift = math.sqrt(np.vdot(err, err))
+        if not drift <= ATTITUDE_GATE:
+            raise ValueError(f"attitude is not orthonormal (drift {drift:.2e})")
+    elif not abs(math.sqrt(att @ att) - 1.0) <= ATTITUDE_GATE:
+        raise ValueError("quaternion attitude is not unit norm")
+    if not all(map(math.isfinite, state.p_hat.tolist() + state.v_hat.tolist() + state.sigma_hat.tolist())):
+        raise ValueError("state must be finite")
+    return state
 
 
 @dataclass(frozen=True)
@@ -194,32 +212,27 @@ def correction_terms(
     when it assembles the update exponential.
     """
     r_hat = state.rotation()
-    p_y = np.asarray(p_y, dtype=float)
     s = triads.s
-
-    cross = np.zeros(3)
-    residual = np.zeros((3, 3))
-    for si, vi, ri in zip(s, triads.v, triads.r):
-        v_hat_i = r_hat.T @ ri
-        cross += si * cross3(vi, v_hat_i)
-        residual += si * (np.outer(ri, ri) - r_hat @ np.outer(v_hat_i, vi) @ r_hat.T)
-    e_r = 0.25 * float(np.trace(residual))
-    d_v = np.diag(cross)
+    # m = sum s_i v_hat_i v_i^T, so vex(m - m^T) = sum s_i v_i x v_hat_i and the
+    # subtracted trace is Tr(R_hat m R_hat^T)
+    m = (triads.r @ r_hat).T @ (s[:, None] * triads.v)
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
+    cross = np.array([m21 - m12, m02 - m20, m10 - m01])
+    e_r = 0.25 * float(s @ (triads.r * triads.r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
 
     g = gains
     sigma_dot = (
-        g.gamma_sigma * (e_r + 2.0) / 8.0 * np.exp(e_r) * (d_v @ cross)
+        g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
         - g.k_sigma * g.gamma_sigma * state.sigma_hat
     )
-    w_omega = (
-        -(g.k1 / 2.0) * (r_hat @ cross)
-        - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (r_hat @ (d_v @ state.sigma_hat))
+    w_omega = r_hat @ (
+        -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
     )
     innovation = p_y - state.p_hat
     w_v = -(g.kv / g.epsilon) * innovation - cross3(w_omega, state.p_hat)
     w_a = -g.ka * innovation - cross3(w_omega, state.v_hat)
-    return CorrectionTerms(
-        e_r=e_r, d_v=d_v, w_omega=w_omega, w_v=w_v, w_a=w_a, sigma_dot=sigma_dot
+    return _unchecked(
+        CorrectionTerms, e_r=e_r, d_v=np.diag(cross), w_omega=w_omega, w_v=w_v, w_a=w_a, sigma_dot=sigma_dot
     )
 
 
@@ -231,24 +244,23 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     pick up the epsilon-coupled position increment.  The product's scalar
     coupling entry (dt in the bottom block) is not representable in the
     state; :func:`update` restores it before applying the left exponential
-    so that a predict/update pair equals the full group product.
+    so that a predict/update pair equals the full group product.  The
+    result is a step's intermediate and is not gated.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    exp_u = se23_exp(
-        TangentInput(omega=imu.omega_m, v=np.zeros(3), a=imu.a_m, eps=1.0), dt
-    )
+    rot, t_p, t_v = _se23_blocks(imu.omega_m, _ZERO3, imu.a_m, 1.0, dt)
     r_hat = state.rotation()
-    p_new = state.p_hat + state.v_hat * dt + r_hat @ exp_u[:3, 3]
-    v_new = state.v_hat + r_hat @ exp_u[:3, 4]
+    p_new = state.p_hat + state.v_hat * dt + r_hat @ t_p
+    v_new = state.v_hat + r_hat @ t_v
     if state.variant == "matrix":
-        att = state.attitude @ exp_u[:3, :3]
+        att = state.attitude @ rot
     else:
         att = quat_normalize(
             quat_multiply(state.attitude, quat_from_rotvec(imu.omega_m * dt))
         )
-    return FilterState(
-        attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=state.sigma_hat, t=state.t + dt
+    return _unchecked(
+        FilterState, attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=state.sigma_hat, t=state.t + dt
     )
 
 
@@ -260,24 +272,23 @@ def update(state: FilterState, w: CorrectionTerms, dt: float) -> FilterState:
     product carries in its bottom block (dropping it would shift the
     position column by O(dt^2) per step and bias the closed loop).
     ``sigma_hat`` advances by one explicit Euler step of ``w.sigma_dot``.
+    The result passes the gate of :class:`FilterState`.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    exp_w = se23_exp(
-        TangentInput(omega=-w.w_omega, v=-w.w_v, a=-w.w_a, eps=-1.0), dt
-    )
-    r_e, t_p, t_v = exp_w[:3, :3], exp_w[:3, 3], exp_w[:3, 4]
+    # exp(-W dt) is exp(W t) at t = -dt
+    r_e, t_p, t_v = _se23_blocks(w.w_omega, w.w_v, w.w_a, 1.0, -dt)
     p_new = r_e @ state.p_hat + t_p + dt * t_v
     v_new = r_e @ state.v_hat + t_v
     if state.variant == "matrix":
         att = r_e @ state.attitude
     else:
         att = quat_normalize(
-            quat_multiply(quat_from_rotvec(-w.w_omega * dt), state.attitude)
+            quat_multiply(quat_from_rotvec(w.w_omega * -dt), state.attitude)
         )
     sigma_new = state.sigma_hat + dt * w.sigma_dot
-    return FilterState(
-        attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=sigma_new, t=state.t
+    return _gate(
+        _unchecked(FilterState, attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=sigma_new, t=state.t)
     )
 
 
@@ -296,15 +307,16 @@ def step_with_fix(
     acceleration correction.  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
+    p_y = np.asarray(p_y, dtype=float)
     triads = build_triads(imu.a_m, imu.m_m, env, s=gains.s)
     w = correction_terms(state, triads, p_y, gains)
-    folded = dataclasses.replace(w, w_a=w.w_a - env.g_vec)
+    folded = _unchecked(CorrectionTerms, **{**vars(w), "w_a": w.w_a - env.g_vec})
     new = update(predict(state, imu, dt), folded, dt)
     diag = Diagnostics(
         e_r=w.e_r,
-        innovation_norm=float(np.linalg.norm(np.asarray(p_y) - state.p_hat)),
+        innovation_norm=math.dist(p_y.tolist(), state.p_hat.tolist()),
         sigma_hat=new.sigma_hat,
-        sigma_alert=bool(np.any(new.sigma_hat < SIGMA_ALERT_FLOOR)),
+        sigma_alert=min(new.sigma_hat.tolist()) < SIGMA_ALERT_FLOOR,
     )
     return new, diag
 
@@ -328,7 +340,7 @@ def step(
         fix = solve_fix(anchors, ranges)
         return step_with_fix(state, imu, fix.p, env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
-        pred = predict(state, imu, dt)
+        pred = _gate(predict(state, imu, dt))
         diag = Diagnostics(
             e_r=float("nan"),
             innovation_norm=float("nan"),
@@ -337,26 +349,6 @@ def step(
             dropout_reason=f"{type(err).__name__}: {err}",
         )
         return pred, diag
-
-
-def quaternion_step(
-    state: FilterState,
-    imu: ImuSample,
-    ranges: RangeSet,
-    anchors: AnchorSet,
-    env: ReferenceEnvironment,
-    gains: FilterGains,
-    dt: float,
-) -> tuple[FilterState, Diagnostics]:
-    """Quaternion-attitude iteration; contract identical to :func:`step`.
-
-    The attitude advances by exact quaternion exponentials (gyro on the
-    right, correction on the left) and is renormalized; position and
-    velocity use the same translation block math as the matrix variant.
-    """
-    if state.variant != "quaternion":
-        raise ValueError("quaternion_step requires a quaternion-attitude state")
-    return step(state, imu, ranges, anchors, env, gains, dt)
 
 
 def continuous_rhs(

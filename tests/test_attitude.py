@@ -237,6 +237,10 @@ class TestTriadSetValidation:
         with pytest.raises(ValueError):
             TriadSet(v=v, r=np.eye(3))
 
+    def test_rejects_nan_rows(self):
+        with pytest.raises(ValueError):
+            TriadSet(v=np.full((3, 3), np.nan), r=np.full((3, 3), np.nan))
+
     def test_rejects_bad_weight_sum(self):
         with pytest.raises(ValueError):
             TriadSet(v=np.eye(3), r=np.eye(3), s=np.array([1.0, 1.0, 1.5]))

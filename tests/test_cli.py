@@ -102,6 +102,13 @@ class TestRunVerb:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_dataset_mode_with_toa_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"mode: dataset\ndataset_dir: {tmp_path}\ntopology: toa\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        assert "tdoa" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_incomplete_dataset_dir_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "ds"
         empty.mkdir()

@@ -168,6 +168,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="anchors_file"):
             RunConfig(anchors_file=str(tmp_path / "absent.csv"))
 
+    def test_dataset_mode_rejects_toa(self, tmp_path):
+        # the dataset layout carries TDOA rows only; replaying them under a
+        # toa label would mislabel the run
+        path = tmp_path / "run.yaml"
+        path.write_text(f"mode: dataset\ndataset_dir: {tmp_path}\ntopology: toa\n")
+        with pytest.raises(ConfigError, match="tdoa"):
+            load_config(path)
+
     def test_dataset_dir_must_exist(self, tmp_path):
         with pytest.raises(ConfigError, match="dataset_dir"):
             RunConfig(mode="dataset", dataset_dir=str(tmp_path / "absent"))
@@ -182,7 +190,8 @@ class TestMetricsRow:
         assert row.att_err == 0.2
 
     @pytest.mark.parametrize("field,value", [("att_err", 1.5), ("att_err", -0.1),
-                                             ("pos_err", -1.0), ("vel_err", -0.2)])
+                                             ("pos_err", -1.0), ("vel_err", -0.2),
+                                             ("pos_err", np.nan), ("vel_err", np.nan)])
     def test_rejects_out_of_range(self, field, value):
         kwargs = dict(t=0.0, att_err=0.1, pos_err=0.1, vel_err=0.1,
                       sigma_norm=0.0, e_r=0.0, py_residual=0.0)

@@ -180,6 +180,10 @@ class TestNavMatrix:
         out = lg.nav_from_matrix(m)
         assert np.linalg.norm(out.r.T @ out.r - np.eye(3)) < 1e-14
 
+    def test_rejects_nan_matrix(self):
+        with pytest.raises(lg.NotInGroup):
+            lg.nav_from_matrix(np.full((5, 5), np.nan))
+
     def test_keeps_clean_rotation_untouched(self, rng):
         r = lg.so3_exp([0.0, 0.0, 0.3])
         m = np.eye(5)

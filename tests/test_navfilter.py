@@ -5,8 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 from conftest import random_rotation
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from reference import closed_loop_rhs, correction_eval, rk4_closed_loop_step
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
 from uwbnav.attitude import ImuSample, ReferenceEnvironment, build_triads, measure_imu
 from uwbnav.liegroup import (
@@ -20,6 +24,7 @@ from uwbnav.liegroup import (
     tangent_matrix,
 )
 from uwbnav.navfilter import (
+    ATTITUDE_GATE,
     CorrectionTerms,
     Diagnostics,
     FilterGains,
@@ -27,7 +32,6 @@ from uwbnav.navfilter import (
     continuous_rhs,
     correction_terms,
     predict,
-    quaternion_step,
     step,
     step_with_fix,
     update,
@@ -87,6 +91,10 @@ class TestFilterGains:
         with pytest.raises(ValueError):
             FilterGains(s=np.array([1.0, 1.0, 2.0]))
 
+    def test_rejects_nan_weight(self):
+        with pytest.raises(ValueError):
+            FilterGains(s=np.array([np.nan, 1.0, 1.0]))
+
 
 class TestFilterState:
     def test_variant_dispatch(self):
@@ -103,6 +111,18 @@ class TestFilterState:
     def test_rejects_non_unit_quaternion(self):
         with pytest.raises(ValueError):
             FilterState(np.array([1.0, 0, 0, 0.1]), np.zeros(3), np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("attitude", [np.full((3, 3), np.nan), np.full(4, np.nan)])
+    def test_rejects_nan_attitude(self, attitude):
+        with pytest.raises(ValueError):
+            FilterState(attitude, np.zeros(3), np.zeros(3), np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["p_hat", "v_hat", "sigma_hat"])
+    def test_rejects_nan_vector(self, name):
+        vecs = {"p_hat": np.zeros(3), "v_hat": np.zeros(3), "sigma_hat": np.zeros(3)}
+        vecs[name] = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValueError):
+            FilterState(np.eye(3), **vecs)
 
 
 class TestCorrectionTerms:
@@ -379,12 +399,16 @@ class TestStep:
         assert diag.dropout
         assert "DegenerateTriads" in diag.dropout_reason
 
-    def test_quaternion_step_rejects_matrix_state(self):
+    @pytest.mark.parametrize("variant", ["matrix", "quaternion"])
+    def test_overflowing_gyro_raises_instead_of_returning_nan(self, variant):
+        # a finite but absurd rate overflows the exponential blocks; the
+        # output gate must refuse the non-finite state
         traj = generate_trajectory("hover", {"duration": 1.0, "rate": 100.0})
-        state = state_at(traj, 0)
+        state = state_at(traj, 0, variant=variant)
+        imu = dataclasses.replace(imu_at(traj, 0), omega_m=np.array([1e300, 0.0, 0.0]))
         ranges = toa_ranges(traj.p[0], BOX)
-        with pytest.raises(ValueError):
-            quaternion_step(state, imu_at(traj, 0), ranges, BOX, ENV, GAINS, traj.dt)
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            step(state, imu, ranges, BOX, ENV, GAINS, traj.dt)
 
     def test_variants_agree_closely(self):
         traj = generate_trajectory("circle", {"duration": 2.0, "rate": 100.0})
@@ -394,7 +418,7 @@ class TestStep:
             imu = imu_at(traj, i)
             ranges = tdoa_ranges(traj.p[i], BOX, topology="ring")
             m, _ = step(m, imu, ranges, BOX, ENV, GAINS, traj.dt)
-            q, _ = quaternion_step(q, imu, ranges, BOX, ENV, GAINS, traj.dt)
+            q, _ = step(q, imu, ranges, BOX, ENV, GAINS, traj.dt)
         assert np.linalg.norm(q.rotation() - m.attitude) < 1e-11
         assert np.linalg.norm(q.p_hat - m.p_hat) < 1e-11
         assert np.linalg.norm(q.v_hat - m.v_hat) < 1e-11
@@ -412,6 +436,106 @@ class TestStep:
             q, _ = step_with_fix(q, imu, p_y, ENV, GAINS, traj.dt)
         assert np.linalg.norm(m.attitude.T @ m.attitude - np.eye(3)) < 1e-12
         assert abs(np.linalg.norm(q.attitude) - 1.0) < 1e-14
+
+
+def _oracle_tangent(omega, v, a):
+    """5x5 tangent matrix u(skew(omega), v, a, 1), written out independently."""
+    m = np.zeros((5, 5))
+    m[:3, :3] = [[0.0, -omega[2], omega[1]], [omega[2], 0.0, -omega[0]], [-omega[1], omega[0], 0.0]]
+    m[:3, 3], m[:3, 4], m[4, 3] = v, a, 1.0
+    return m
+
+
+def _oracle_rotation(attitude):
+    if attitude.shape == (3, 3):
+        return attitude
+    return Rotation.from_quat(np.roll(attitude, -1)).as_matrix()
+
+
+class TestKernelAgainstExpmOracle:
+    """Each state the kernel produced, stepped once by an oracle that shares
+    no code with it: the straight-line correction block of reference.py and
+    scipy's expm of the 5x5 tangent matrices, exp(-W dt) X exp(U dt)."""
+
+    @pytest.mark.parametrize("variant", ["matrix", "quaternion"])
+    def test_noisy_steps_match_one_step_oracle(self, variant):
+        traj = generate_trajectory("circle", {"duration": 6.0, "rate": 100.0})
+        dt = traj.dt
+        noise = NoiseSpec(seed=23)
+        rng = noise.stream()
+        r0 = so3_exp(np.array([0.2, -0.1, 0.6]))
+        state = FilterState(
+            r0 if variant == "matrix" else rot_to_quat(r0),
+            traj.p[0] + np.array([-2.0, -3.0, 0.5]),
+            np.zeros(3),
+            np.array([0.3, -0.2, 0.1]),
+        )
+        worst = 0.0
+        for i in range(550):
+            imu = imu_at(traj, i, noise=noise, rng=rng)
+            p_y = traj.p[i] + rng.normal(0.0, noise.sigma_range, 3)
+            new, _ = step_with_fix(state, imu, p_y, ENV, GAINS, dt)
+
+            r = _oracle_rotation(state.attitude)
+            _, _, sigma_dot, w_omega, w_v, w_a = correction_eval(
+                r, state.p_hat, state.v_hat, state.sigma_hat, imu.omega_m, imu.a_m, imu.m_m,
+                p_y, ENV, GAINS,
+            )
+            x = np.eye(5)
+            x[:3, :3], x[:3, 3], x[:3, 4] = r, state.p_hat, state.v_hat
+            x_next = (
+                expm(-_oracle_tangent(w_omega, w_v, w_a - G) * dt)
+                @ x
+                @ expm(_oracle_tangent(imu.omega_m, np.zeros(3), imu.a_m) * dt)
+            )
+            worst = max(
+                worst,
+                np.abs(_oracle_rotation(new.attitude) - x_next[:3, :3]).max(),
+                np.abs(new.p_hat - x_next[:3, 3]).max(),
+                np.abs(new.v_hat - x_next[:3, 4]).max(),
+                np.abs(new.sigma_hat - (state.sigma_hat + dt * sigma_dot)).max(),
+            )
+            state = new
+        assert worst <= 1e-10
+
+
+_finite = st.floats(min_value=-1e200, max_value=1e200, allow_nan=False)
+
+
+@given(
+    variant=st.sampled_from(["matrix", "quaternion"]),
+    topology=st.sampled_from(["toa", "ring", "main"]),
+    rotvec=arrays(float, 3, elements=st.floats(-4.0, 4.0)),
+    p_hat=arrays(float, 3, elements=_finite),
+    v_hat=arrays(float, 3, elements=_finite),
+    sigma_hat=arrays(float, 3, elements=_finite),
+    imu=arrays(float, (3, 3), elements=_finite),
+    tag=arrays(float, 3, elements=_finite),
+    dt=st.floats(1e-4, 0.1),
+)
+def test_step_returns_a_finite_state_on_the_group_or_raises(
+    variant, topology, rotvec, p_hat, v_hat, sigma_hat, imu, tag, dt
+):
+    rot = Rotation.from_rotvec(rotvec)
+    attitude = rot.as_matrix() if variant == "matrix" else np.roll(rot.as_quat(), 1)
+    with np.errstate(all="ignore"):
+        state = FilterState(attitude, p_hat, v_hat, sigma_hat)
+        sample = ImuSample(omega_m=imu[0], a_m=imu[1], m_m=imu[2])
+        try:
+            ranges = toa_ranges(tag, BOX) if topology == "toa" else tdoa_ranges(tag, BOX, topology=topology)
+        except ValueError:
+            return  # the tag position overflows the ranges themselves
+        try:
+            new, _ = step(state, sample, ranges, BOX, ENV, GAINS, dt)
+        except ValueError:
+            return
+    for vec in (new.p_hat, new.v_hat, new.sigma_hat, new.attitude):
+        assert np.isfinite(vec).all()
+    att = new.attitude
+    if variant == "matrix":
+        assert np.linalg.norm(att.T @ att - np.eye(3)) <= ATTITUDE_GATE
+    else:
+        assert abs(np.linalg.norm(att) - 1.0) <= ATTITUDE_GATE
 
 
 class TestContinuousRhs:
