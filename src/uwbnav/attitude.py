@@ -165,22 +165,48 @@ def measure_imu(
     magnetometer), one triple per call; with ``noise`` None the sample is
     exact.
     """
-    omega = np.asarray(omega, dtype=float)
-    vdot = np.asarray(vdot, dtype=float)
-    rt = truth.r.T
-    if low_freq_accel:
-        accel = -(rt @ env.g_vec)
-    else:
-        accel = rt @ (vdot - env.g_vec)
-    mag = rt @ env.m_r
-    gyro = omega
+    z = sigmas = None
     if noise is not None:
         if rng is None:
             raise ValueError("a seeded generator is required when noise is given")
-        gyro = gyro + rng.normal(0.0, 1.0, 3) * noise.sigma_omega
-        accel = accel + rng.normal(0.0, 1.0, 3) * noise.sigma_a
-        mag = mag + rng.normal(0.0, noise.sigma_m, 3)
+        z, sigmas = rng.standard_normal(9), (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
+    gyro, accel, mag = _imu_block(
+        truth.r, np.asarray(omega, dtype=float), np.asarray(vdot, dtype=float), env, z, sigmas,
+        low_freq_accel,
+    )
     return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
+
+
+def _imu_block(rot, omega, vdot, env, z=None, sigmas=None, low_freq_accel=False):
+    """Gyro, accelerometer and magnetometer readings of :func:`measure_imu`, per row.
+
+    ``rot`` is ``(..., 3, 3)``, ``omega`` and ``vdot`` ``(..., 3)``.  With
+    standard normal draws ``z`` ``(..., 9)`` (gyro, accel, magnetometer) the
+    readings get ``z * sigma`` from ``sigmas = (sigma_omega, sigma_a,
+    sigma_m)``, each broadcast against the rows.
+    """
+    rt = np.swapaxes(rot, -1, -2)
+    accel = -(rt @ env.g_vec) if low_freq_accel else (rt @ (vdot - env.g_vec)[..., None])[..., 0]
+    mag = rt @ env.m_r
+    gyro = omega
+    if z is not None:
+        sigma_omega, sigma_a, sigma_m = sigmas
+        gyro = gyro + z[..., 0:3] * sigma_omega
+        accel = accel + z[..., 3:6] * sigma_a
+        mag = mag + (0.0 + sigma_m * z[..., 6:9])  # loc + scale * z, as Generator.normal
+    return gyro, accel, mag
+
+
+def _imu_rows(t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, mag: np.ndarray) -> list[ImuSample]:
+    """One ImuSample per row of ``(n, 3)`` blocks, with ImuSample's checks run once per block."""
+    bad = ~np.isfinite(np.stack([gyro, accel, mag], axis=1)).all(axis=2)
+    if bad.any():
+        name = ("omega_m", "a_m", "m_m")[np.argwhere(bad)[0][1]]
+        raise ValueError(f"{name} must be a finite 3-vector")
+    return [
+        _unchecked(ImuSample, omega_m=w, a_m=a, m_m=m, t=ti)
+        for w, a, m, ti in zip(gyro, accel, mag, np.asarray(t, dtype=float).tolist())
+    ]
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:

@@ -15,7 +15,6 @@ files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +22,8 @@ import numpy as np
 import yaml
 from scipy.spatial.transform import Rotation
 
-from .attitude import ImuSample, ReferenceEnvironment, measure_imu
+from .attitude import ImuSample, ReferenceEnvironment, _imu_block, _imu_rows
+from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import Diagnostics, FilterGains, FilterState, step
 from .sim import (
@@ -33,7 +33,7 @@ from .sim import (
     generate_trajectory,
     reconstruct_velocity,
 )
-from .uwb import MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+from .uwb import MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, _range_block, _range_rows
 
 __all__ = [
     "ConfigError",
@@ -197,6 +197,10 @@ class RunConfig:
             if val.shape != (3,):
                 raise ConfigError(f"{name} must be a scalar or 3-vector")
             setattr(self, name, val)
+        for name in ("sigma_omega", "sigma_a", "sigma_m", "sigma_range"):
+            val = np.asarray(getattr(self, name))
+            if not (np.isfinite(val).all() and (val >= 0).all()):
+                raise ConfigError(f"{name} must be finite and nonnegative")
         for name in ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s"):
             val = np.asarray(getattr(self, name), dtype=float)
             if val.shape != (3,):
@@ -302,10 +306,19 @@ class MetricsRow:
     py_residual: float
 
     def __post_init__(self) -> None:
-        if not (-1e-9 <= self.att_err <= 1.0 + 1e-9):
-            raise ValueError("att_err must lie in [0, 1]")
-        if not (self.pos_err >= 0 and self.vel_err >= 0):
-            raise ValueError("pos_err and vel_err must be nonnegative")
+        _check_metrics(self.att_err, self.pos_err, self.vel_err)
+
+
+def _check_metrics(att_err, pos_err, vel_err) -> None:
+    """MetricsRow's checks, on one row's values or on whole columns."""
+    if not np.all((-1e-9 <= att_err) & (att_err <= 1.0 + 1e-9)):
+        raise ValueError("att_err must lie in [0, 1]")
+    if not np.all((pos_err >= 0) & (vel_err >= 0)):
+        raise ValueError("pos_err and vel_err must be nonnegative")
+
+
+# ranging kind of each topology: None (absolute TOA ranges) or the TDOA scheme
+_RANGE_KIND = {"toa": None, "tdoa-main": MAIN_BS, "tdoa-ring": RING}
 
 
 def synthesize_measurements(
@@ -322,62 +335,51 @@ def synthesize_measurements(
     accelerometer, magnetometer, then one draw per transmitted range
     value), so a seed pins the entire stream.  ``tag_offset`` displaces
     the ranging tag from the vehicle reference point by a body-frame
-    lever arm.
+    lever arm.  Each stream is computed as one ``(n, ...)`` block and
+    checked once, then split into per-sample values.
     """
-    rng = noise.stream() if noise is not None else None
-    duration = float(traj.t[-1] - traj.t[0])
-    lever = None if tag_offset is None or not np.any(tag_offset) else tag_offset
-    imu_stream: list[ImuSample] = []
-    range_stream: list[ToaRanges | TdoaRanges] = []
-    for i in range(len(traj)):
-        t = float(traj.t[i])
-        scaled = noise.scaled(noise.scale_at(t, duration)) if noise is not None else None
-        vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu_stream.append(
-            measure_imu(
-                traj.state(i), traj.omega[i], vdot, env, noise=scaled, rng=rng, t=t
-            )
-        )
-        offset = None if lever is None else (traj.rot[i], lever)
-        if topology == "toa":
-            obs = toa_ranges(traj.p[i], anchors)
-            if lever is not None:
-                tag = traj.p[i] + traj.rot[i] @ lever
-                obs = ToaRanges(d=np.linalg.norm(anchors.anchors - tag, axis=1))
-            if scaled is not None:
-                obs = ToaRanges(d=obs.d + rng.normal(0.0, scaled.sigma_range, len(obs.d)))
-        else:
-            ring = "ring" if topology == "tdoa-ring" else MAIN_BS
-            obs = tdoa_ranges(traj.p[i], anchors, topology=ring, tag_offset=offset)
-            if scaled is not None:
-                obs = TdoaRanges(
-                    topology=obs.topology,
-                    diffs=obs.diffs + rng.normal(0.0, scaled.sigma_range, len(obs.diffs)),
-                )
-        range_stream.append(obs)
-    return imu_stream, range_stream
+    kind = _RANGE_KIND[topology]
+    vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
+    tag = traj.p
+    if tag_offset is not None and np.any(tag_offset):
+        tag = tag + traj.rot @ tag_offset
+    ranges = _range_block(tag, anchors, kind)
+    z = sigmas = None
+    if noise is not None:
+        z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
+        scale = noise.scale_at(traj.t, float(traj.t[-1] - traj.t[0]))[:, None]
+        sigmas = (noise.sigma_omega * scale, noise.sigma_a * scale, noise.sigma_m * scale)
+        ranges = ranges + (0.0 + noise.sigma_range * scale * z[:, 9:])  # as Generator.normal
+    gyro, accel, mag = _imu_block(traj.rot, traj.omega, vdot, env, z, sigmas)
+    return _imu_rows(traj.t, gyro, accel, mag), _range_rows(ranges, kind)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
+    """Header line, then one line per row of ``block`` from the ``%`` template ``row``.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    ``row`` defaults to ``%.17g`` for every column, which formats exactly as
+    ``format(x, ".17g")``: repr-round-trip precision.
+    """
+    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 _TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
+_IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
 
 
 def _write_truth(path: Path, traj: TruthTrajectory) -> None:
-    rows = []
-    for i in range(len(traj)):
-        q = rot_to_quat(traj.rot[i])
-        rows.append([_fmt(traj.t[i])] + [_fmt(x) for x in traj.p[i]] + [_fmt(x) for x in q])
-    _write_csv(path, _TRUTH_HEADER, rows)
+    _write_csv(path, _TRUTH_HEADER, np.column_stack([traj.t, traj.p, rot_to_quat(traj.rot)]))
+
+
+def _tdoa_pairs(anchors: AnchorSet, kind: str) -> np.ndarray:
+    """1-based ``(i, j)`` anchor pairs of one tick's differences, in topology order."""
+    ids = np.arange(1, len(anchors) + 1)
+    if kind == RING:
+        return np.column_stack([ids, anchors.ring_next + 1])
+    return np.column_stack([np.ones(len(ids) - 1, dtype=int), ids[1:]])
 
 
 def write_dataset(
@@ -396,41 +398,28 @@ def write_dataset(
     row per difference in topology order (ring: consecutive pairs plus the
     wraparound; main: pairs (1, j)).
     """
+    if not all(isinstance(obs, TdoaRanges) for obs in range_stream):
+        raise SchemaError("dataset export requires TDOA observations")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
-
-    imu_rows = [
-        [_fmt(s.t)]
-        + [_fmt(x) for x in s.omega_m]
-        + [_fmt(x) for x in s.a_m]
-        + [_fmt(x) for x in s.m_m]
-        for s in imu_stream
-    ]
-    _write_csv(
-        out / "imu.csv",
-        ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"],
-        imu_rows,
-    )
-
-    anchor_rows = [
-        [str(i + 1)] + [_fmt(x) for x in row] for i, row in enumerate(anchors.anchors)
-    ]
-    _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], anchor_rows)
-
-    n = len(anchors)
-    tdoa_rows = []
-    for k, obs in enumerate(range_stream):
-        if not isinstance(obs, TdoaRanges):
-            raise SchemaError("dataset export requires TDOA observations")
-        t = _fmt(traj.t[k])
-        if obs.topology == RING:
-            pairs = [(j + 1, (j + 1) % n + 1) for j in range(n)]
-        else:
-            pairs = [(1, j) for j in range(2, n + 1)]
-        for (i, j), d in zip(pairs, obs.diffs):
-            tdoa_rows.append([t, str(i), str(j), _fmt(d)])
-    _write_csv(out / "tdoa.csv", ["t", "i", "j", "d"], tdoa_rows)
+    imu = np.column_stack([
+        [s.t for s in imu_stream], [s.omega_m for s in imu_stream],
+        [s.a_m for s in imu_stream], [s.m_m for s in imu_stream],
+    ])
+    _write_csv(out / "imu.csv", _IMU_HEADER, imu)
+    ids = np.arange(1, len(anchors) + 1)
+    _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
+               "%d,%.17g,%.17g,%.17g")
+    pairs = _tdoa_pairs(anchors, range_stream[0].topology)
+    diffs = np.array([obs.diffs for obs in range_stream])
+    # each timestamp is formatted once and repeated over its tick's rows
+    t_text = np.array(("%.17g\n" * len(traj) % tuple(traj.t.tolist())).split(), dtype=object)
+    tdoa = np.column_stack([
+        np.repeat(t_text, len(pairs)), np.tile(pairs, (len(diffs), 1)).astype(object),
+        diffs.ravel().astype(object),
+    ])
+    _write_csv(out / "tdoa.csv", ["t", "i", "j", "d"], tdoa, "%s,%d,%d,%.17g")
     return out
 
 
@@ -453,23 +442,49 @@ def _read_csv(path: Path, columns: list[str]) -> np.ndarray:
     return data
 
 
+def _stride(rate: float, filter_rate: float) -> int:
+    """Integer decimation from a ``rate`` Hz sample clock down to ``filter_rate``.
+
+    Raises
+    ------
+    ConfigError
+        If no integer stride reaches ``filter_rate`` within 1%.
+    """
+    stride = max(1, int(round(rate / filter_rate)))
+    if abs(rate / stride - filter_rate) > 0.01 * filter_rate:
+        raise ConfigError(
+            f"filter rate {filter_rate} Hz is not an integer decimation of the "
+            f"{rate:.6g} Hz sample clock"
+        )
+    return stride
+
+
+def _nearest(times: np.ndarray, ticks: np.ndarray) -> np.ndarray:
+    """Index of the entry of increasing ``times`` nearest to each tick; ties go to the earlier."""
+    hi = np.minimum(np.searchsorted(times, ticks), len(times) - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(times[lo] - ticks) <= np.abs(times[hi] - ticks), lo, hi)
+
+
 def ingest_dataset(
     dataset_dir: str | Path,
     filter_rate: float,
     topology: str = "tdoa-ring",
+    g_vec: np.ndarray = (0.0, 0.0, 9.81),
 ) -> tuple[TruthTrajectory, AnchorSet, list[ImuSample], list[TdoaRanges]]:
     """Load a four-file dataset and align it to the filter clock.
 
     The IMU/truth clock is decimated by an integer stride down to
     ``filter_rate`` (500 Hz data at a 100 Hz filter keeps every 5th
     sample); ranging rows are grouped per timestamp and held to the
-    nearest decimated tick.  Truth velocity is reconstructed from the
-    full-rate positions before decimation; body rates and specific force
+    nearest decimated tick (a tie goes to the earlier group).  Truth
+    velocity is reconstructed from the full-rate positions before
+    decimation; body rates and specific force (against gravity ``g_vec``)
     are derived the same way, for replay only.
     """
     src = Path(dataset_dir)
     truth = _read_csv(src / "truth.csv", _TRUTH_HEADER)
-    imu = _read_csv(src / "imu.csv", ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"])
+    imu = _read_csv(src / "imu.csv", _IMU_HEADER)
     anchors_raw = _read_csv(src / "anchors.csv", ["id", "x", "y", "z"])
     tdoa = _read_csv(src / "tdoa.csv", ["t", "i", "j", "d"])
     if len(truth) < 2:
@@ -479,94 +494,72 @@ def ingest_dataset(
     t_full = truth[:, 0]
     if np.any(np.diff(t_full) <= 0):
         raise ClockError("timestamps must be strictly increasing")
+    if not len(tdoa):
+        raise SchemaError("tdoa.csv has no rows")
+    if np.any(np.diff(tdoa[:, 0]) < 0):
+        raise ClockError("tdoa.csv timestamps must be increasing")
 
     order = np.argsort(anchors_raw[:, 0])
     anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
 
     dt_full = float(np.median(np.diff(t_full)))
-    stride = max(1, int(round(1.0 / (filter_rate * dt_full))))
-    if abs(1.0 / (stride * dt_full) - filter_rate) > 0.01 * filter_rate:
-        raise ConfigError(
-            f"filter rate {filter_rate} Hz is not an integer decimation of the "
-            f"{1.0 / dt_full:.6g} Hz dataset clock"
-        )
+    stride = _stride(1.0 / dt_full, filter_rate)
+    keep = slice(None, None, stride)
 
     p_full = truth[:, 1:4]
     v_full = reconstruct_velocity(p_full, dt_full)
-    idx = np.arange(0, len(t_full), stride)
-    n = len(idx)
-    rot = np.empty((n, 3, 3))
-    for k, i in enumerate(idx):
-        rot[k] = quat_to_rot(truth[i, 4:8])
+    rot = quat_to_rot(truth[keep, 4:8])
     # body rates/specific force are derivative reconstructions kept only so
     # the replay satisfies the trajectory contract
-    dt_f = dt_full * stride
-    omega = np.zeros((n, 3))
-    for k in range(n - 1):
-        omega[k] = Rotation.from_matrix(rot[k].T @ rot[k + 1]).as_rotvec() / dt_f
+    omega = np.empty((len(rot), 3))
+    omega[:-1] = Rotation.from_matrix(rot[:-1].transpose(0, 2, 1) @ rot[1:]).as_rotvec() / (dt_full * stride)
     omega[-1] = omega[-2]
     vdot_full = reconstruct_velocity(v_full, dt_full)
-    g = np.array([0.0, 0.0, 9.81])
-    a = np.einsum("nij,nj->ni", rot.transpose(0, 2, 1), vdot_full[idx] - g)
+    g = np.asarray(g_vec, dtype=float)
+    a = np.einsum("nij,nj->ni", rot.transpose(0, 2, 1), vdot_full[keep] - g)
 
     traj = TruthTrajectory(
-        t=t_full[idx], rot=rot, p=p_full[idx], v=v_full[idx], omega=omega, a=a
+        t=t_full[keep], rot=rot, p=p_full[keep], v=v_full[keep], omega=omega, a=a
     )
+    ticks = imu[keep]
+    imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:4], ticks[:, 4:7], ticks[:, 7:10])
 
-    imu_stream = [
-        ImuSample(omega_m=imu[i, 1:4], a_m=imu[i, 4:7], m_m=imu[i, 7:10], t=float(imu[i, 0]))
-        for i in idx
-    ]
-
-    n_anchors = len(anchor_set)
-    per_tick = n_anchors if topology == "tdoa-ring" else n_anchors - 1
+    kind = _RANGE_KIND[topology]
+    if kind is None:
+        raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
+    pairs = _tdoa_pairs(anchor_set, kind)
+    per_tick = len(pairs)
     times, starts = np.unique(tdoa[:, 0], return_index=True)
-    if np.any(np.diff(times) <= 0):
-        raise ClockError("tdoa.csv timestamps must be increasing")
-    range_stream: list[TdoaRanges] = []
-    want = (
-        [(j + 1, (j + 1) % n_anchors + 1) for j in range(n_anchors)]
-        if topology == "tdoa-ring"
-        else [(1, j) for j in range(2, n_anchors + 1)]
-    )
-    for i in idx:
-        tick = t_full[i]
-        g_idx = int(np.argmin(np.abs(times - tick)))
-        lo = starts[g_idx]
-        hi = starts[g_idx + 1] if g_idx + 1 < len(starts) else len(tdoa)
-        block = tdoa[lo:hi]
-        if len(block) != per_tick:
+    group = _nearest(times, traj.t)
+    counts = np.diff(starts, append=len(tdoa))[group]
+    full = counts == per_tick
+    # a group of the wrong size points at its first row only; it is rejected below
+    rows = starts[group, None] + np.arange(per_tick) * full[:, None]
+    bad = ~full | (np.trunc(tdoa[rows, 1:3]) != pairs).any(axis=(1, 2))
+    if bad.any():
+        k = int(np.argmax(bad))
+        if not full[k]:
             raise SchemaError(
-                f"tdoa.csv: expected {per_tick} rows at t={times[g_idx]:.6g}, got {len(block)}"
+                f"tdoa.csv: expected {per_tick} rows at t={times[group[k]]:.6g}, got {counts[k]}"
             )
-        pairs = [(int(r[1]), int(r[2])) for r in block]
-        if pairs != want:
-            raise SchemaError(
-                f"tdoa.csv: anchor pairs at t={times[g_idx]:.6g} do not match "
-                f"the {topology} topology"
-            )
-        topo = RING if topology == "tdoa-ring" else MAIN_BS
-        range_stream.append(TdoaRanges(topology=topo, diffs=block[:, 3]))
-    return traj, anchor_set, imu_stream, range_stream
+        raise SchemaError(
+            f"tdoa.csv: anchor pairs at t={times[group[k]]:.6g} do not match "
+            f"the {topology} topology"
+        )
+    return traj, anchor_set, imu_stream, _range_rows(tdoa[rows, 3], kind)
 
 
-def _metrics_row(
-    t: float,
-    truth_rot: np.ndarray,
-    truth_p: np.ndarray,
-    truth_v: np.ndarray,
-    state: FilterState,
-    diag: Diagnostics,
-) -> MetricsRow:
-    return MetricsRow(
-        t=t,
-        att_err=float(attitude_distance(truth_rot @ state.rotation().T)),
-        pos_err=float(np.linalg.norm(truth_p - state.p_hat)),
-        vel_err=float(np.linalg.norm(truth_v - state.v_hat)),
-        sigma_norm=float(np.linalg.norm(state.sigma_hat)),
-        e_r=diag.e_r,
-        py_residual=diag.innovation_norm,
-    )
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``(n, 3)``, as ``numpy.linalg.norm`` of the row (a dot product)."""
+    return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _metrics_block(t, r_true, p_true, v_true, r_est, p_est, v_est, sigma, e_r, py_residual) -> np.ndarray:
+    """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, checked as MetricsRow."""
+    att = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
+    pos, vel = _norms(p_true - p_est), _norms(v_true - v_est)
+    _check_metrics(att, pos, vel)
+    return np.column_stack([t, att, pos, vel, _norms(sigma), e_r, py_residual])
 
 
 _ESTIMATE_HEADER = [
@@ -595,31 +588,21 @@ def run_experiment(cfg: RunConfig) -> dict:
         params.setdefault("duration", cfg.duration)
         params.setdefault("rate", cfg.rate)
         traj = generate_trajectory(cfg.trajectory, params, env)
-        stride = max(1, int(round(cfg.rate / cfg.filter_rate)))
-        if stride > 1:
-            traj = TruthTrajectory(
-                t=traj.t[::stride].copy(),
-                rot=traj.rot[::stride].copy(),
-                p=traj.p[::stride].copy(),
-                v=traj.v[::stride].copy(),
-                omega=traj.omega[::stride].copy(),
-                a=traj.a[::stride].copy(),
-            )
+        keep = slice(None, None, _stride(cfg.rate, cfg.filter_rate))
+        traj = TruthTrajectory(**{name: values[keep] for name, values in vars(traj).items()})
         imu_stream, range_stream = synthesize_measurements(
             traj, anchors, cfg.topology, cfg.noise(), env, cfg.tag_offset
         )
     else:
         traj, anchors, imu_stream, range_stream = ingest_dataset(
-            cfg.dataset_dir, cfg.filter_rate, cfg.topology
+            cfg.dataset_dir, cfg.filter_rate, cfg.topology, cfg.g_vec
         )
 
     state = cfg.initial_state()
     dt = cfg.dt
     n = len(traj) - 1
-    est_rows: list[list[str]] = []
-    metric_rows: list[MetricsRow] = []
-    dropouts = 0
-    sigma_alerts = 0
+    states: list[FilterState] = []
+    diags: list[Diagnostics] = []
     for i in range(n):
         try:
             state, diag = step(state, imu_stream[i], range_stream[i], anchors, env, gains, dt)
@@ -627,55 +610,50 @@ def run_experiment(cfg: RunConfig) -> dict:
             # config and data were validated up front, so a value error out
             # of the step math means the numerics ran away
             raise NumericalFailure(f"filter step failed at t={traj.t[i]:.3f}: {err}") from err
-        if diag.dropout:
-            dropouts += 1
-        if diag.sigma_alert:
-            sigma_alerts += 1
-        q = rot_to_quat(state.rotation())
-        est_rows.append(
-            [_fmt(traj.t[i + 1])]
-            + [_fmt(x) for x in state.p_hat]
-            + [_fmt(x) for x in state.v_hat]
-            + [_fmt(x) for x in q]
-            + [_fmt(x) for x in state.sigma_hat]
-            + [_fmt(diag.e_r), _fmt(diag.innovation_norm), str(int(diag.dropout))]
-        )
-        metric_rows.append(
-            _metrics_row(float(traj.t[i + 1]), traj.rot[i + 1], traj.p[i + 1], traj.v[i + 1], state, diag)
-        )
+        states.append(state)
+        diags.append(diag)
+    dropouts = sum(d.dropout for d in diags)
     if dropouts == n:
         raise NumericalFailure("every step dropped its measurement")
+
+    t = traj.t[1:]
+    rot = np.array([s.rotation() for s in states])
+    p_hat = np.array([s.p_hat for s in states])
+    v_hat = np.array([s.v_hat for s in states])
+    sigma_hat = np.array([s.sigma_hat for s in states])
+    e_r = np.array([d.e_r for d in diags])
+    residual = np.array([d.innovation_norm for d in diags])
+    metrics = _metrics_block(
+        t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual
+    )
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
-    _write_csv(out / "estimates.csv", _ESTIMATE_HEADER, est_rows)
-    _write_csv(
-        out / "metrics.csv",
-        _METRICS_HEADER,
-        (
-            [_fmt(r.t), _fmt(r.att_err), _fmt(r.pos_err), _fmt(r.vel_err),
-             _fmt(r.sigma_norm), _fmt(r.e_r), _fmt(r.py_residual)]
-            for r in metric_rows
-        ),
-    )
+    estimates = np.column_stack([
+        t, p_hat, v_hat, rot_to_quat(rot), sigma_hat, e_r, residual, [d.dropout for d in diags],
+    ])
+    _write_csv(out / "estimates.csv", _ESTIMATE_HEADER, estimates, ",".join(["%.17g"] * 16 + ["%d"]))
+    _write_csv(out / "metrics.csv", _METRICS_HEADER, metrics)
 
-    tail = metric_rows[len(metric_rows) // 2 :]
+    att, pos, vel = metrics[:, 1], metrics[:, 2], metrics[:, 3]
+    tail = slice(n // 2, None)
+    below = np.flatnonzero(pos <= 0.3)
     summary = {
         "steps": n,
         "dropouts": dropouts,
-        "sigma_alerts": sigma_alerts,
+        "sigma_alerts": sum(d.sigma_alert for d in diags),
         "final": {
-            "att_err": metric_rows[-1].att_err,
-            "pos_err": metric_rows[-1].pos_err,
-            "vel_err": metric_rows[-1].vel_err,
+            "att_err": float(att[-1]),
+            "pos_err": float(pos[-1]),
+            "vel_err": float(vel[-1]),
         },
         "steady_state_median": {
-            "att_err": float(np.median([r.att_err for r in tail])),
-            "pos_err": float(np.median([r.pos_err for r in tail])),
-            "vel_err": float(np.median([r.vel_err for r in tail])),
+            "att_err": float(np.median(att[tail])),
+            "pos_err": float(np.median(pos[tail])),
+            "vel_err": float(np.median(vel[tail])),
         },
-        "time_to_pos_below_0.3": _time_to_threshold(metric_rows, 0.3),
+        "time_to_pos_below_0.3": float(t[below[0]]) if below.size else None,
         "seed": cfg.seed,
         "topology": cfg.topology,
         "variant": cfg.variant,
@@ -684,18 +662,12 @@ def run_experiment(cfg: RunConfig) -> dict:
     return summary
 
 
-def _time_to_threshold(rows: list[MetricsRow], threshold: float) -> float | None:
-    for row in rows:
-        if row.pos_err <= threshold:
-            return row.t
-    return None
-
-
 def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_path: str | Path) -> int:
     """Rebuild metrics.csv from a saved estimate trace and a truth file.
 
     Truth rows are matched to estimate rows by timestamp (nearest sample,
-    tolerance half a truth interval).  Returns the number of rows written.
+    a tie going to the earlier one; tolerance half a truth interval).
+    Returns the number of rows written.
     """
     est_path = Path(estimates_path)
     if not est_path.exists():
@@ -705,6 +677,8 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
         if header != _ESTIMATE_HEADER:
             raise SchemaError(f"{est_path.name}: unexpected columns {header}")
         est = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not est.size:
+        est = np.empty((0, len(_ESTIMATE_HEADER)))
     truth = _read_csv(Path(truth_path), _TRUTH_HEADER)
     t_truth = truth[:, 0]
     if np.any(np.diff(t_truth) <= 0):
@@ -712,25 +686,14 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     dt_truth = float(np.median(np.diff(t_truth)))
     v_truth = reconstruct_velocity(truth[:, 1:4], dt_truth)
 
-    rows = []
-    for row in est:
-        i = int(np.argmin(np.abs(t_truth - row[0])))
-        if abs(t_truth[i] - row[0]) > 0.5 * dt_truth + 1e-9:
-            raise ClockError(f"no truth sample near t={row[0]:.6g}")
-        r_true = quat_to_rot(truth[i, 4:8])
-        r_est = quat_to_rot(row[7:11])
-        m = MetricsRow(
-            t=float(row[0]),
-            att_err=float(attitude_distance(r_true @ r_est.T)),
-            pos_err=float(np.linalg.norm(truth[i, 1:4] - row[1:4])),
-            vel_err=float(np.linalg.norm(v_truth[i] - row[4:7])),
-            sigma_norm=float(math.sqrt(row[11] ** 2 + row[12] ** 2 + row[13] ** 2)),
-            e_r=float(row[14]),
-            py_residual=float(row[15]),
-        )
-        rows.append(
-            [_fmt(m.t), _fmt(m.att_err), _fmt(m.pos_err), _fmt(m.vel_err),
-             _fmt(m.sigma_norm), _fmt(m.e_r), _fmt(m.py_residual)]
-        )
-    _write_csv(Path(out_path), _METRICS_HEADER, rows)
-    return len(rows)
+    t = est[:, 0]
+    i = _nearest(t_truth, t)
+    far = np.abs(t_truth[i] - t) > 0.5 * dt_truth + 1e-9
+    if far.any():
+        raise ClockError(f"no truth sample near t={t[np.argmax(far)]:.6g}")
+    metrics = _metrics_block(
+        t, quat_to_rot(truth[i, 4:8]), truth[i, 1:4], v_truth[i], quat_to_rot(est[:, 7:11]),
+        est[:, 1:4], est[:, 4:7], est[:, 11:14], est[:, 14], est[:, 15],
+    )
+    _write_csv(Path(out_path), _METRICS_HEADER, metrics)
+    return len(metrics)

@@ -63,12 +63,14 @@ class NotInGroup(ValueError):
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Map a 3-vector to its antisymmetric cross-product matrix.
+    """Map 3-vectors ``(..., 3)`` to their antisymmetric cross-product matrices ``(..., 3, 3)``.
 
     ``skew(v) @ y == np.cross(v, y)`` for all ``y``.
     """
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    o = np.zeros_like(x)
+    return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,14 +117,14 @@ def upsilon(m: np.ndarray) -> np.ndarray:
     return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
 
 
-def attitude_distance(r: np.ndarray) -> float:
-    """Normalized attitude distance ``tr(I - R) / 4`` in ``[0, 1]``.
+def attitude_distance(r: np.ndarray) -> float | np.ndarray:
+    """Normalized attitude distance ``tr(I - R) / 4`` in ``[0, 1]``, per matrix of ``(..., 3, 3)``.
 
     Equals ``||I - R||_F^2 / 8``; zero iff ``R`` is the identity, one at a
     half-turn.
     """
     r = np.asarray(r, dtype=float)
-    return float((3.0 - r.trace()) / 4.0)
+    return (3.0 - (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2])) / 4.0
 
 
 def weighted_distance(m: np.ndarray, r: np.ndarray) -> float:
@@ -158,10 +160,18 @@ def _rodrigues_coefficients(theta: float) -> tuple[float, float, float, float]:
 
 
 def so3_exp(w: np.ndarray) -> np.ndarray:
-    """Rotation-matrix exponential of a rotation vector (Rodrigues form)."""
+    """Rotation-matrix exponentials of rotation vectors ``(..., 3)`` (Rodrigues form).
+
+    ``I + A S + B S^2`` with the first two coefficients of
+    :func:`_rodrigues_coefficients`, evaluated elementwise.
+    """
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
-    a, b, _, _ = _rodrigues_coefficients(theta)
+    theta = np.sqrt(w[..., None, :] @ w[..., :, None])[..., 0, 0]
+    t2 = theta * theta
+    small = theta < SMALL_ANGLE
+    big = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0 - t2 / 6.0, np.sin(big) / big)[..., None, None]
+    b = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(big)) / (big * big))[..., None, None]
     s = skew(w)
     return np.eye(3) + a * s + b * (s @ s)
 
@@ -324,54 +334,58 @@ def quat_normalize(q: np.ndarray) -> np.ndarray:
     return q / n
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion ``[q0, qx, qy, qz]``.
-
-    Uses ``(q0^2 - ||qv||^2) I + 2 qv qv.T + 2 q0 skew(qv)`` which maps the
-    quaternion product to a rotation product (Hamilton convention).
-    """
-    w, x, y, z = np.asarray(q, dtype=float).tolist()
+def _quat_rot_rows(w, x, y, z):
+    """Rows of :func:`quat_to_rot` from components given as floats or equal-shape arrays."""
     d, xy, xz, yz = w * w - (x * x + y * y + z * z), 2.0 * x * y, 2.0 * x * z, 2.0 * y * z
     wx, wy, wz = 2.0 * w * x, 2.0 * w * y, 2.0 * w * z
-    return np.array([[d + 2.0 * x * x, xy - wz, xz + wy],
-                     [xy + wz, d + 2.0 * y * y, yz - wx],
-                     [xz - wy, yz + wx, d + 2.0 * z * z]])
+    return ([d + 2.0 * x * x, xy - wz, xz + wy],
+            [xy + wz, d + 2.0 * y * y, yz - wx],
+            [xz - wy, yz + wx, d + 2.0 * z * z])
+
+
+def quat_to_rot(q: np.ndarray) -> np.ndarray:
+    """Rotation matrices of unit quaternions ``[q0, qx, qy, qz]``, shape ``(..., 4)``.
+
+    Uses ``(q0^2 - ||qv||^2) I + 2 qv qv.T + 2 q0 skew(qv)`` which maps the
+    quaternion product to a rotation product (Hamilton convention).  A
+    single quaternion is evaluated on Python floats (the filter's step
+    path); a stack, componentwise on arrays, with the same arithmetic.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 1:
+        return np.array(_quat_rot_rows(*q.tolist()))
+    rows = _quat_rot_rows(*np.moveaxis(q, -1, 0))
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def rot_to_quat(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation matrix, scalar part non-negative.
+    """Unit quaternions of rotation matrices ``(..., 3, 3)``, scalar part non-negative.
 
     Largest-pivot (Shepperd) branch selection keeps every case away from the
-    small-divisor trap.
+    small-divisor trap: the pivot is the largest of ``tr R`` and the
+    diagonal, and fixes which component is ``s / 4`` with
+    ``s = 2 sqrt(1 + 2 pivot - tr R)``; the others are the antisymmetric
+    (``d``) or symmetric (``u``) off-diagonal sums over ``s``.
     """
     r = np.asarray(r, dtype=float)
-    t = r.trace()
-    candidates = np.array([t, r[0, 0], r[1, 1], r[2, 2]])
-    case = int(np.argmax(candidates))
-    if case == 0:
-        s = np.sqrt(1.0 + t) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif case == 1:
-        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif case == 2:
-        s = np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = quat_normalize(q)
-    if q[0] < 0.0:
-        q = -q
-    return q
+    flat = r.reshape(-1, 3, 3)
+    r00, r11, r22 = flat[:, 0, 0], flat[:, 1, 1], flat[:, 2, 2]
+    t = r00 + r11 + r22
+    case = np.argmax(np.stack([t, r00, r11, r22]), axis=0)
+    pivot = np.choose(case, [1.0 + t, 1.0 + r00 - r11 - r22, 1.0 - r00 + r11 - r22, 1.0 - r00 - r11 + r22])
+    s = np.sqrt(pivot) * 2.0
+    d0, d1, d2 = flat[:, 2, 1] - flat[:, 1, 2], flat[:, 0, 2] - flat[:, 2, 0], flat[:, 1, 0] - flat[:, 0, 1]
+    u0, u1, u2 = flat[:, 0, 1] + flat[:, 1, 0], flat[:, 0, 2] + flat[:, 2, 0], flat[:, 1, 2] + flat[:, 2, 1]
+    rows = np.arange(len(flat))
+    table = np.array([[s, d0, d1, d2], [d0, s, u0, u1], [d1, u0, s, u2], [d2, u1, u2, s]])
+    q = table[case, :, rows] / s[:, None]
+    q[rows, case] = 0.25 * s
+    norm = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    if not (np.isfinite(norm).all() and (norm != 0.0).all()):
+        raise ValueError("cannot normalize a zero or non-finite quaternion")
+    q = q / norm
+    q[q[:, 0] < 0.0] *= -1.0
+    return q.reshape(r.shape[:-2] + (4,))
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

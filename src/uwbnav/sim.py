@@ -68,8 +68,9 @@ class NoiseSpec:
         sa = np.asarray(self.sigma_a, dtype=float)
         if so.shape != (3,) or sa.shape != (3,):
             raise ValueError("sigma_omega and sigma_a must be 3-vectors")
-        if np.any(so < 0) or np.any(sa < 0) or self.sigma_m < 0 or self.sigma_range < 0:
-            raise ValueError("standard deviations must be nonnegative")
+        sigmas = np.concatenate([so, sa, [self.sigma_m, self.sigma_range]])
+        if not (np.isfinite(sigmas).all() and (sigmas >= 0).all()):
+            raise ValueError("standard deviations must be finite and nonnegative")
         if self.schedule not in ("constant", "ramp"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
         object.__setattr__(self, "sigma_omega", so)
@@ -79,11 +80,12 @@ class NoiseSpec:
         """Fresh generator for this spec's seed."""
         return np.random.default_rng(self.seed)
 
-    def scale_at(self, t: float, duration: float) -> float:
-        """Instantaneous sigma multiplier of the schedule."""
+    def scale_at(self, t: float | np.ndarray, duration: float) -> np.ndarray:
+        """Instantaneous sigma multiplier of the schedule at each time in ``t``."""
+        t = np.asarray(t, dtype=float)
         if self.schedule == "constant" or duration <= 0.0:
-            return 1.0
-        return 0.5 + 0.5 * min(max(t / duration, 0.0), 1.0)
+            return np.ones_like(t)
+        return 0.5 + 0.5 * np.clip(t / duration, 0.0, 1.0)
 
     def scaled(self, factor: float) -> "NoiseSpec":
         if factor == 1.0:
@@ -169,8 +171,11 @@ def propagate_truth(
     return nav_from_matrix(left @ nav_matrix(x) @ right)
 
 
-def _yaw(angle: float) -> np.ndarray:
-    return so3_exp(np.array([0.0, 0.0, angle]))
+def _yaw(angle: float | np.ndarray) -> np.ndarray:
+    """Rotations about z by each angle: ``so3_exp([0, 0, angle])``."""
+    w = np.zeros(np.shape(angle) + (3,))
+    w[..., 2] = angle
+    return so3_exp(w)
 
 
 _COMMON_KEYS = {"duration", "rate"}
@@ -243,11 +248,10 @@ def generate_trajectory(
     if p0.shape != (3,):
         raise BadParams("p0 must be a 3-vector")
 
-    rot = np.empty((n, 3, 3))
     if kind == "hover":
         yaw = float(params.get("yaw", 0.0))
         r = _yaw(yaw)
-        rot[:] = r
+        rot = np.tile(r, (n, 1, 1))
         p = np.tile(p0, (n, 1))
         v = np.zeros((n, 3))
         omega = np.zeros((n, 3))
@@ -267,11 +271,8 @@ def generate_trajectory(
         v = radius * w * np.stack([-sin, cos, np.zeros(n)], axis=1)
         vdot = -radius * w * w * np.stack([cos, sin, np.zeros(n)], axis=1)
         omega = np.tile([0.0, 0.0, w], (n, 1))
-        a = np.empty((n, 3))
-        for i in range(n):
-            rot[i] = _yaw(w * t[i] + yaw0)
-            a[i] = rot[i].T @ (vdot[i] - g)
-        return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=a)
+        rot = _yaw(w * t + yaw0)
+        return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
 
     amplitude = np.asarray(params.get("amplitude", [1.0, 0.8, 0.3]), dtype=float)
     frequency = np.asarray(params.get("frequency", [0.10, 0.15, 0.05]), dtype=float)
@@ -290,11 +291,13 @@ def generate_trajectory(
     psi = yaw_amplitude * np.sin(wy * t)
     psidot = yaw_amplitude * wy * np.cos(wy * t)
     omega = np.stack([np.zeros(n), np.zeros(n), psidot], axis=1)
-    a = np.empty((n, 3))
-    for i in range(n):
-        rot[i] = _yaw(psi[i])
-        a[i] = rot[i].T @ (vdot[i] - g)
-    return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=a)
+    rot = _yaw(psi)
+    return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
+
+
+def _body_force(rot: np.ndarray, vdot: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Body-frame specific force ``R^T (V_dot - g)`` per sample."""
+    return (rot.transpose(0, 2, 1) @ (vdot - g)[:, :, None])[:, :, 0]
 
 
 def reconstruct_velocity(

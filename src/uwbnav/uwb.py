@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgesdd
 
+from .liegroup import _unchecked
+
 __all__ = [
     "GeometryDegenerate",
     "AnchorSet",
@@ -98,8 +100,7 @@ class ToaRanges:
 
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or not np.isfinite(d).all() or (d < 0.0).any():
-            raise ValueError("ranges must be finite and non-negative")
+        _check_ranges(d, None)
         object.__setattr__(self, "d", d)
 
 
@@ -120,9 +121,25 @@ class TdoaRanges:
         if self.topology not in (MAIN_BS, RING):
             raise ValueError(f"unknown TDOA topology {self.topology!r}")
         d = np.asarray(self.diffs, dtype=float)
-        if d.ndim != 1 or not np.isfinite(d).all():
-            raise ValueError("diffs must be a finite 1-D array")
+        _check_ranges(d, self.topology)
         object.__setattr__(self, "diffs", d)
+
+
+def _check_ranges(d: np.ndarray, topology: str | None, ndim: int = 1) -> None:
+    """The ToaRanges (``topology`` None) or TdoaRanges value check, on one row or a block."""
+    if topology is None:
+        if d.ndim != ndim or not np.isfinite(d).all() or (d < 0.0).any():
+            raise ValueError("ranges must be finite and non-negative")
+    elif d.ndim != ndim or not np.isfinite(d).all():
+        raise ValueError("diffs must be a finite 1-D array")
+
+
+def _range_rows(block: np.ndarray, topology: str | None) -> list[ToaRanges] | list[TdoaRanges]:
+    """One ToaRanges (``topology`` None) or TdoaRanges per row of an ``(n, k)`` block, checked once."""
+    _check_ranges(block, topology, ndim=2)
+    if topology is None:
+        return [_unchecked(ToaRanges, d=row) for row in block]
+    return [_unchecked(TdoaRanges, topology=topology, diffs=row) for row in block]
 
 
 RangeSet = ToaRanges | TdoaRanges
@@ -155,8 +172,7 @@ class GeometryReport:
 
 def toa_ranges(p: np.ndarray, anchors: AnchorSet) -> ToaRanges:
     """Noise-free absolute ranges from position ``p`` to every anchor."""
-    p = np.asarray(p, dtype=float)
-    return ToaRanges(d=np.linalg.norm(anchors.anchors - p, axis=1))
+    return ToaRanges(d=_range_block(np.asarray(p, dtype=float), anchors, None))
 
 
 def tdoa_ranges(
@@ -175,14 +191,19 @@ def tdoa_ranges(
     if tag_offset is not None:
         rot, lever = tag_offset
         p = p + np.asarray(rot, dtype=float) @ np.asarray(lever, dtype=float)
-    d = np.linalg.norm(anchors.anchors - p, axis=1)
+    return TdoaRanges(topology=topology, diffs=_range_block(p, anchors, topology))
+
+
+def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
+    """Noise-free ranges (``topology`` None) or range differences for tag positions ``(..., 3)``."""
+    d = np.linalg.norm(anchors.anchors - p[..., None, :], axis=-1)
+    if topology is None:
+        return d
     if topology == MAIN_BS:
-        diffs = d[1:] - d[0]
-    elif topology == RING:
-        diffs = d[anchors.ring_next] - d
-    else:
-        raise ValueError(f"unknown TDOA topology {topology!r}")
-    return TdoaRanges(topology=topology, diffs=diffs)
+        return d[..., 1:] - d[..., :1]
+    if topology == RING:
+        return d[..., anchors.ring_next] - d
+    raise ValueError(f"unknown TDOA topology {topology!r}")
 
 
 def _svd_lstsq(a: np.ndarray, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarray, float]:

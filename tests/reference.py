@@ -4,9 +4,20 @@ Everything here re-derives the correction block and the continuous
 estimator dynamics from scratch (plain vector algebra, no calls into the
 module under test) so that the discrete implementation can be checked
 against an integrator it shares no code with.
+
+The per-sample oracles at the end are the one-value-at-a-time forms of
+code the package evaluates on whole arrays (measurement synthesis, the
+rotation exponential, rotation-to-quaternion); the array forms must give
+bit-identical results.
 """
 
+import math
+
 import numpy as np
+
+from uwbnav.attitude import measure_imu
+from uwbnav.liegroup import _rodrigues_coefficients
+from uwbnav.uwb import MAIN_BS, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
 
 
 def _skew(w):
@@ -83,3 +94,77 @@ def rk4_closed_loop_step(r, p, v, sigma, omega_m, a_m, m_m, p_y, env, gains, dt)
         x + (dt / 6.0) * (a + 2.0 * b + 2.0 * c + d)
         for x, a, b, c, d in zip(y0, k1, k2, k3, k4)
     )
+
+
+def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
+    """Measurement synthesis one sample at a time: a measure_imu call, then the range draws.
+
+    Noise comes from one generator in the per-sample order gyro,
+    accelerometer, magnetometer, ranges, with the schedule's sigma factor
+    applied per sample.
+    """
+    rng = noise.stream() if noise is not None else None
+    duration = float(traj.t[-1] - traj.t[0])
+    lever = None if tag_offset is None or not np.any(tag_offset) else tag_offset
+    imu_stream, range_stream = [], []
+    for i in range(len(traj)):
+        t = float(traj.t[i])
+        scaled = noise.scaled(noise.scale_at(t, duration)) if noise is not None else None
+        vdot = traj.rot[i] @ traj.a[i] + env.g_vec
+        imu_stream.append(
+            measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=scaled, rng=rng, t=t)
+        )
+        offset = None if lever is None else (traj.rot[i], lever)
+        if topology == "toa":
+            obs = toa_ranges(traj.p[i], anchors)
+            if lever is not None:
+                tag = traj.p[i] + traj.rot[i] @ lever
+                obs = ToaRanges(d=np.linalg.norm(anchors.anchors - tag, axis=1))
+            if scaled is not None:
+                obs = ToaRanges(d=obs.d + rng.normal(0.0, scaled.sigma_range, len(obs.d)))
+        else:
+            ring = "ring" if topology == "tdoa-ring" else MAIN_BS
+            obs = tdoa_ranges(traj.p[i], anchors, topology=ring, tag_offset=offset)
+            if scaled is not None:
+                obs = TdoaRanges(
+                    topology=obs.topology,
+                    diffs=obs.diffs + rng.normal(0.0, scaled.sigma_range, len(obs.diffs)),
+                )
+        range_stream.append(obs)
+    return imu_stream, range_stream
+
+
+def so3_exp_per_vector(w):
+    """Rodrigues exponential ``I + A S + B S^2`` of one rotation vector."""
+    w = np.asarray(w, dtype=float)
+    a, b, _, _ = _rodrigues_coefficients(float(np.linalg.norm(w)))
+    s = _skew(w)
+    return np.eye(3) + a * s + b * (s @ s)
+
+
+def rot_to_quat_per_matrix(r):
+    """Quaternion of one rotation matrix: Shepperd's largest pivot, then ``q0 >= 0``."""
+    t = r.trace()
+    case = int(np.argmax([t, r[0, 0], r[1, 1], r[2, 2]]))
+    if case == 0:
+        s = np.sqrt(1.0 + t) * 2.0
+        q = np.array(
+            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
+        )
+    elif case == 1:
+        s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
+        q = np.array(
+            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
+        )
+    elif case == 2:
+        s = np.sqrt(1.0 - r[0, 0] + r[1, 1] - r[2, 2]) * 2.0
+        q = np.array(
+            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
+        )
+    else:
+        s = np.sqrt(1.0 - r[0, 0] - r[1, 1] + r[2, 2]) * 2.0
+        q = np.array(
+            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
+        )
+    q = q / math.sqrt(q @ q)
+    return -q if q[0] < 0.0 else q

@@ -123,6 +123,14 @@ class TestRunVerb:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["sigma_m: .nan", "sigma_range: -.inf", "sigma_range: .inf"])
+    def test_bad_noise_sigma_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(":")[0] in err
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")

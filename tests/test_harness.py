@@ -1,8 +1,12 @@
 """Harness tests: config parsing, synthesis, dataset IO, experiment runs."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
+from uwbnav import harness
 from uwbnav.attitude import ReferenceEnvironment, measure_imu
 from uwbnav.harness import (
     ClockError,
@@ -21,6 +25,11 @@ from uwbnav.harness import (
 )
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+
+from reference import synthesize_per_sample
+
+REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
+REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
 
 
 def _traj(duration=2.0, rate=50.0, kind="circle", **params):
@@ -61,6 +70,11 @@ class TestRunConfig:
             {"filter_rate": 250.0},
             {"p_hat0": [1.0, 2.0]},
             {"sigma_omega": [0.1, 0.1]},
+            {"sigma_omega": [0.01, np.nan, 0.01]},
+            {"sigma_a": -0.05},
+            {"sigma_m": np.nan},
+            {"sigma_range": -np.inf},
+            {"sigma_range": np.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -255,6 +269,33 @@ class TestSynthesizeMeasurements:
         )
         assert all(np.array_equal(x.d, y.d) for x, y in zip(a[1], b[1]))
 
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
+    @pytest.mark.parametrize("schedule", ["constant", "ramp"])
+    @pytest.mark.parametrize("lever", [None, REPLAY_LEVER], ids=["no-lever", "replay-lever"])
+    def test_matches_per_sample_oracle(self, topology, schedule, lever):
+        traj = _traj(duration=2.0, rate=50.0)
+        anchors = default_anchors()
+        env = ReferenceEnvironment()
+        noise = NoiseSpec(seed=13, schedule=schedule)
+        imu, ranges = synthesize_measurements(traj, anchors, topology, noise, env, lever)
+        imu_ref, ranges_ref = synthesize_per_sample(traj, anchors, topology, noise, env, lever)
+        for name in ("omega_m", "a_m", "m_m", "t"):
+            got = np.array([getattr(s, name) for s in imu])
+            assert np.array_equal(got, np.array([getattr(s, name) for s in imu_ref])), name
+        values = "d" if topology == "toa" else "diffs"
+        got = np.array([getattr(r, values) for r in ranges])
+        assert np.array_equal(got, np.array([getattr(r, values) for r in ranges_ref]))
+        assert [type(r) for r in ranges] == [type(r) for r in ranges_ref]
+        if topology != "toa":
+            assert {r.topology for r in ranges} == {ranges_ref[0].topology}
+
+    def test_block_check_names_first_bad_field(self):
+        traj = _traj(duration=0.5)
+        traj.omega[3, 1] = np.inf
+        traj.a[2, 0] = np.nan
+        with pytest.raises(ValueError, match="a_m must be a finite 3-vector"):
+            synthesize_measurements(traj, default_anchors(), "toa", None, ReferenceEnvironment())
+
     def test_ramp_schedule_grows_range_noise(self):
         traj = _traj(duration=20.0, rate=20.0)
         anchors = default_anchors()
@@ -327,6 +368,10 @@ class TestDatasetRoundTrip:
         _, _, _, got = ingest_dataset(out, 50.0, topology="tdoa-main")
         assert np.allclose(got[3].diffs, ranges[3].diffs, atol=1e-15)
 
+    def test_toa_topology_rejected(self, dataset):
+        with pytest.raises(ConfigError, match="tdoa"):
+            ingest_dataset(dataset[0], 50.0, topology="toa")
+
     def test_missing_file_names_it(self, dataset):
         (dataset[0] / "imu.csv").unlink()
         with pytest.raises(SchemaError, match="imu.csv"):
@@ -377,6 +422,48 @@ class TestDatasetRoundTrip:
         lines[1] = ",".join(parts)
         (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="topology"):
+            ingest_dataset(out, 50.0)
+
+    def test_nearest_tick_hold(self, tmp_path):
+        # TDOA groups sit half a tick after the IMU clock and stop two ticks
+        # early: every tick is halfway between two groups (the earlier one
+        # wins), the first tick precedes every group, the last two follow them
+        traj = _traj(duration=2.0, rate=4.0)
+        anchors = default_anchors()
+        imu_stream, ranges = synthesize_measurements(
+            traj, anchors, "tdoa-ring", NoiseSpec(seed=2), ReferenceEnvironment()
+        )
+        out = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
+        k = len(anchors)
+        lines = (out / "tdoa.csv").read_text().splitlines()
+        header, rows = lines[0], lines[1:]
+        shifted = []
+        for g in range(len(traj) - 2):
+            for row in rows[g * k : (g + 1) * k]:
+                shifted.append(",".join([repr(g / 4 + 0.125)] + row.split(",")[1:]))
+        (out / "tdoa.csv").write_text("\n".join([header] + shifted) + "\n")
+        _, _, _, got = ingest_dataset(out, 4.0)
+        times = np.arange(len(traj) - 2) / 4 + 0.125
+        argmin_rule = [int(np.argmin(np.abs(times - tick))) for tick in traj.t]
+        assert argmin_rule == [0, 0, 1, 2, 3, 4, 5, 6, 6]
+        for tick, group in enumerate(argmin_rule):
+            assert np.array_equal(got[tick].diffs, ranges[group].diffs)
+
+    def test_unordered_tdoa_clock_rejected(self, dataset):
+        out = dataset[0]
+        lines = (out / "tdoa.csv").read_text().splitlines()
+        k = len(default_anchors())
+        lines[1 + k : 1 + 2 * k], lines[1 + 2 * k : 1 + 3 * k] = (
+            lines[1 + 2 * k : 1 + 3 * k], lines[1 + k : 1 + 2 * k]
+        )
+        (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ClockError, match="tdoa.csv"):
+            ingest_dataset(out, 50.0)
+
+    def test_empty_tdoa_rejected(self, dataset):
+        out = dataset[0]
+        (out / "tdoa.csv").write_text("t,i,j,d\n")
+        with pytest.raises(SchemaError, match="tdoa.csv"):
             ingest_dataset(out, 50.0)
 
     def test_short_tick_rejected(self, dataset):
@@ -452,6 +539,34 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert summary["steps"] == 100
 
+    def test_replay_uses_run_gravity(self, tmp_path, monkeypatch):
+        g = np.array([0.0, 0.0, 9.80665])
+        env = ReferenceEnvironment(g_vec=g)
+        traj = generate_trajectory(
+            "hover", {"p0": [0.5, -0.5, 1.5], "yaw": 0.4, "duration": 1.0, "rate": 50.0}, env
+        )
+        anchors = default_anchors()
+        imu_stream, ranges = synthesize_measurements(traj, anchors, "tdoa-ring", None, env)
+        ds = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
+        replayed = []
+        ingest = harness.ingest_dataset
+
+        def spy(*args, **kwargs):
+            result = ingest(*args, **kwargs)
+            replayed.append(result[0])
+            return result
+
+        monkeypatch.setattr(harness, "ingest_dataset", spy)
+        cfg = RunConfig(mode="dataset", dataset_dir=str(ds), rate=50.0, g_vec=g, out=str(tmp_path / "run"))
+        run_experiment(cfg)
+        got = replayed[0]
+        assert np.allclose(got.a, -(got.rot.transpose(0, 2, 1) @ g), atol=1e-9)
+
+    def test_non_integer_decimation_rejected(self, tmp_path):
+        cfg = RunConfig(duration=1.0, rate=100.0, filter_rate=30.0, topology="toa", out=str(tmp_path / "r"))
+        with pytest.raises(ConfigError, match="decimation"):
+            run_experiment(cfg)
+
     def test_runaway_gain_raises_numerical_failure(self, tmp_path):
         cfg = RunConfig(
             duration=2.0, topology="toa", seed=0, ka=1e12,
@@ -481,6 +596,44 @@ class TestRecomputeMetrics:
         assert np.allclose(orig[:, 2], redo[:, 2], atol=1e-15)
         assert np.allclose(orig[:, 1], redo[:, 1], atol=1e-12)
         assert np.allclose(orig[:, 3], redo[:, 3], atol=1e-3)
+
+    def test_sigma_norm_matches_run(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(RunConfig(duration=2.0, topology="tdoa-ring", seed=4, out=str(out)))
+        recompute_metrics(out / "estimates.csv", out / "truth.csv", out / "again.csv")
+        orig = np.loadtxt(out / "metrics.csv", delimiter=",", skiprows=1)
+        redo = np.loadtxt(out / "again.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(orig[:, 4], redo[:, 4])
+
+    def test_nearest_truth_sample(self, tmp_path):
+        # estimates halfway between truth samples take the earlier one;
+        # before the first and after the last, the end samples
+        t_truth = np.arange(9) / 4
+        truth = tmp_path / "truth.csv"
+        truth.write_text(
+            "t,px,py,pz,qw,qx,qy,qz\n"
+            + "".join(f"{t!r},{k}.0,0,0,1,0,0,0\n" for k, t in enumerate(t_truth.tolist()))
+        )
+        t_est = np.array([-0.1, 0.125, 0.375, 1.875, 2.1])
+        est = tmp_path / "estimates.csv"
+        est.write_text(
+            "t,px,py,pz,vx,vy,vz,qw,qx,qy,qz,s1,s2,s3,e_r,py_residual,dropout\n"
+            + "".join(f"{t!r},0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0\n" for t in t_est.tolist())
+        )
+        assert recompute_metrics(est, truth, tmp_path / "m.csv") == len(t_est)
+        pos = np.loadtxt(tmp_path / "m.csv", delimiter=",", skiprows=1)[:, 2]
+        argmin_rule = [int(np.argmin(np.abs(t_truth - t))) for t in t_est]
+        assert argmin_rule == [0, 0, 1, 7, 8]
+        assert np.array_equal(pos, np.array(argmin_rule, dtype=float))
+
+    def test_empty_estimates_give_header_only(self, tmp_path):
+        out = tmp_path / "run"
+        run_experiment(RunConfig(duration=1.0, topology="toa", seed=8, out=str(out)))
+        header = (out / "estimates.csv").read_text().splitlines()[0]
+        (out / "estimates.csv").write_text(header + "\n")
+        with pytest.warns(UserWarning):
+            assert recompute_metrics(out / "estimates.csv", out / "truth.csv", out / "m.csv") == 0
+        assert (out / "m.csv").read_text() == "t,att_err,pos_err,vel_err,sigma_norm,e_r,py_residual\n"
 
     def test_rejects_foreign_estimates_header(self, tmp_path):
         bad = tmp_path / "estimates.csv"

@@ -7,6 +7,7 @@ from scipy.spatial.transform import Rotation
 from uwbnav import liegroup as lg
 
 from conftest import random_rotation
+from reference import rot_to_quat_per_matrix, so3_exp_per_vector
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -88,6 +89,15 @@ class TestSo3Exp:
 
     def test_zero_gives_identity(self):
         assert np.array_equal(lg.so3_exp(np.zeros(3)), np.eye(3))
+
+    def test_stacked_matches_per_vector(self, rng):
+        w = rng.normal(size=(400, 3)) * rng.uniform(0, 4, (400, 1))
+        w[:50] *= 1e-8  # small-angle branch
+        w[50] = 0.0
+        expect = np.array([so3_exp_per_vector(x) for x in w])
+        assert np.array_equal(lg.so3_exp(w), expect)
+        assert np.array_equal(lg.so3_exp(w.reshape(4, 100, 3)), expect.reshape(4, 100, 3, 3))
+        assert np.array_equal(lg.so3_exp(w[7]), expect[7])
 
     def test_quarter_turn_about_z(self):
         r = lg.so3_exp([0.0, 0.0, np.pi / 2])
@@ -238,6 +248,30 @@ class TestQuaternions:
         r = Rotation.from_rotvec((np.pi - 1e-9) * axis).as_matrix()
         q = lg.rot_to_quat(r)
         assert np.allclose(lg.quat_to_rot(q), r, atol=1e-9)
+
+    def test_stacked_rot_to_quat_matches_per_matrix(self, rng):
+        # each Shepperd branch (trace, then each diagonal pivot), the latter
+        # with the scalar part coming out negative before the sign rule
+        rotvecs = [[0.1, -0.2, 0.3], [0.0, 0.0, 0.0]]
+        for axis in np.eye(3):
+            for sign in (1.0, -1.0):
+                rotvecs.append(sign * 2.8 * axis + 0.05)
+        stack = np.concatenate([Rotation.from_rotvec(rotvecs).as_matrix(),
+                                [random_rotation(rng) for _ in range(300)]])
+        diag = stack[:, [0, 1, 2], [0, 1, 2]]
+        case = np.argmax(np.column_stack([diag.sum(axis=1), diag]), axis=1)
+        assert set(case[: len(rotvecs)]) == {0, 1, 2, 3}
+        numerator = np.array([r[2, 1] - r[1, 2] for r in stack[:8]])
+        assert (numerator[case[:8] == 1] < 0).any()
+        expect = np.array([rot_to_quat_per_matrix(r) for r in stack])
+        assert np.array_equal(lg.rot_to_quat(stack), expect)
+        assert np.array_equal(lg.rot_to_quat(stack.reshape(2, -1, 3, 3)), expect.reshape(2, -1, 4))
+        assert np.array_equal(lg.rot_to_quat(stack[3]), expect[3])
+
+    def test_stacked_quat_to_rot_matches_single(self, rng):
+        q = rng.normal(size=(50, 4))
+        q /= np.linalg.norm(q, axis=1, keepdims=True)
+        assert np.array_equal(lg.quat_to_rot(q), np.array([lg.quat_to_rot(x) for x in q]))
 
     def test_sign_ambiguity_resolved(self, rng):
         r = random_rotation(rng)

@@ -15,6 +15,8 @@ from uwbnav.sim import (
     reconstruct_velocity,
 )
 
+from reference import so3_exp_per_vector
+
 ENV = ReferenceEnvironment()
 G = ENV.g_vec
 
@@ -72,6 +74,17 @@ class TestGenerateTrajectory:
         assert np.allclose(traj.p, [0, 0, 1])
         assert np.allclose(traj.v, 0.0)
         assert np.allclose(traj.a, -G)
+
+    @pytest.mark.parametrize("kind", ["circle", "lissajous"])
+    def test_yaw_rotations_match_per_sample_oracle(self, kind):
+        params = {"duration": 3.0, "rate": 50.0}
+        traj = generate_trajectory(kind, params, ENV)
+        if kind == "circle":
+            psi = 2.0 * np.pi / 10.0 * traj.t
+        else:
+            psi = 0.6 * np.sin(2.0 * np.pi * 0.05 * traj.t)
+        rot = np.array([so3_exp_per_vector([0.0, 0.0, x]) for x in psi])
+        assert np.array_equal(traj.rot, rot)
 
     def test_circle_closes_after_period(self):
         traj = generate_trajectory(
@@ -211,6 +224,15 @@ class TestNoiseSpec:
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             NoiseSpec(sigma_m=-0.1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"sigma_m": np.nan}, {"sigma_range": np.inf}, {"sigma_range": np.nan},
+         {"sigma_omega": [0.01, np.nan, 0.01]}, {"sigma_a": [np.inf, 0.05, 0.05]}],
+    )
+    def test_rejects_non_finite_sigma(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**kwargs)
 
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError):
