@@ -2,10 +2,9 @@
 
 A body-frame measurement of a known inertial reference vector gives one
 attitude constraint.  Three unit pairs ``(v_i, r_i)`` with ``v_i`` measured
-in the body frame and ``r_i`` fixed in the inertial frame are built either
-from accelerometer + magnetometer (gravity and magnetic-field references,
-the third pair from their cross product) or from a two-tag UWB baseline
-(gravity plus the inter-tag direction).  At zero noise every pair satisfies
+in the body frame and ``r_i`` fixed in the inertial frame are built from
+accelerometer + magnetometer (gravity and magnetic-field references, the
+third pair from their cross product).  At zero noise every pair satisfies
 ``v_i = R^T r_i``.  The accelerometer-based gravity pair relies on the
 low-acceleration approximation ``a_m ~ -R^T g``: it is exact at hover and
 degrades with ``||V_dot|| / g``.
@@ -31,8 +30,6 @@ __all__ = [
     "TriadSet",
     "measure_imu",
     "build_triads",
-    "weighting_matrices",
-    "two_tag_triads",
 ]
 
 # Vectors (or their cross products) with norm at or below this threshold
@@ -69,12 +66,12 @@ class ReferenceEnvironment:
         if g.shape != (3,) or m.shape != (3,):
             raise ValueError("g_vec and m_r must be 3-vectors")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(m))):
-            raise ValueError("reference vectors must be finite")
+            raise ValueError("g_vec and m_r must be finite")
         gn, mn = np.linalg.norm(g), np.linalg.norm(m)
         if gn <= EPS_DEGENERATE or mn <= EPS_DEGENERATE:
-            raise ValueError("reference vectors must be nonzero")
+            raise ValueError("g_vec and m_r must be nonzero")
         if np.linalg.norm(np.cross(g, m)) / (gn * mn) <= EPS_DEGENERATE:
-            raise ValueError("gravity and magnetic references are collinear")
+            raise ValueError("g_vec and m_r (gravity and magnetic references) are collinear")
         object.__setattr__(self, "g_vec", g)
         object.__setattr__(self, "m_r", m)
         r1 = _unit(-g, "gravity reference")
@@ -141,7 +138,7 @@ def _weights(s) -> np.ndarray:
     """Triad confidence weights as an array: three nonnegative values summing to 3."""
     s = np.asarray(s, dtype=float)
     if s.shape != (3,) or not (min(s.tolist()) >= 0.0 and abs(sum(s.tolist()) - 3.0) <= 1e-9):
-        raise ValueError("weights must be 3 nonnegative values summing to 3")
+        raise ValueError("s must be 3 nonnegative weights summing to 3")
     return s
 
 
@@ -153,17 +150,14 @@ def measure_imu(
     noise: "NoiseSpec | None" = None,
     rng: np.random.Generator | None = None,
     t: float = 0.0,
-    low_freq_accel: bool = False,
 ) -> ImuSample:
     """Simulate one IMU sample from the true state and its rates.
 
     The gyro reads the body rate, the accelerometer reads the specific
     force ``R^T (V_dot - g)``, and the magnetometer reads the body-frame
-    field ``R^T m_r``.  With ``low_freq_accel`` the accelerometer instead
-    returns the low-acceleration approximation ``-R^T g`` (plus noise).
-    Noise draws come from ``rng`` in a fixed order (gyro, accel,
-    magnetometer), one triple per call; with ``noise`` None the sample is
-    exact.
+    field ``R^T m_r``.  Noise draws come from ``rng`` in a fixed order
+    (gyro, accel, magnetometer), one triple per call; with ``noise`` None
+    the sample is exact.
     """
     z = sigmas = None
     if noise is not None:
@@ -171,13 +165,12 @@ def measure_imu(
             raise ValueError("a seeded generator is required when noise is given")
         z, sigmas = rng.standard_normal(9), (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
     gyro, accel, mag = _imu_block(
-        truth.r, np.asarray(omega, dtype=float), np.asarray(vdot, dtype=float), env, z, sigmas,
-        low_freq_accel,
+        truth.r, np.asarray(omega, dtype=float), np.asarray(vdot, dtype=float), env, z, sigmas
     )
     return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
 
 
-def _imu_block(rot, omega, vdot, env, z=None, sigmas=None, low_freq_accel=False):
+def _imu_block(rot, omega, vdot, env, z=None, sigmas=None):
     """Gyro, accelerometer and magnetometer readings of :func:`measure_imu`, per row.
 
     ``rot`` is ``(..., 3, 3)``, ``omega`` and ``vdot`` ``(..., 3)``.  With
@@ -186,7 +179,7 @@ def _imu_block(rot, omega, vdot, env, z=None, sigmas=None, low_freq_accel=False)
     sigma_m)``, each broadcast against the rows.
     """
     rt = np.swapaxes(rot, -1, -2)
-    accel = -(rt @ env.g_vec) if low_freq_accel else (rt @ (vdot - env.g_vec)[..., None])[..., 0]
+    accel = (rt @ (vdot - env.g_vec)[..., None])[..., 0]
     mag = rt @ env.m_r
     gyro = omega
     if z is not None:
@@ -241,50 +234,3 @@ def build_triads(
     v = np.array([v1, v2, _unit(cross3(v1, v2), "measured cross product")])
     _check_measured(v)
     return _unchecked(TriadSet, v=v, r=env.r_triad, s=_weights(s))
-
-
-def weighting_matrices(triads: TriadSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted outer-product sums ``(M_r, M_B)`` of the reference and body sides."""
-    m_r = np.zeros((3, 3))
-    m_b = np.zeros((3, 3))
-    for i in range(3):
-        m_r += triads.s[i] * np.outer(triads.r[i], triads.r[i])
-        m_b += triads.s[i] * np.outer(triads.v[i], triads.v[i])
-    return m_r, m_b
-
-
-def two_tag_triads(
-    g1: np.ndarray,
-    g2: np.ndarray,
-    a_m: np.ndarray,
-    s1_body: np.ndarray,
-    env: ReferenceEnvironment,
-    s: np.ndarray | tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> TriadSet:
-    """Triads from two tag positions and the body-frame baseline.
-
-    ``g1`` and ``g2`` are the reconstructed inertial positions of two tags
-    mounted on the vehicle and ``s1_body`` is the known body-frame vector
-    from the vehicle center to tag 1.  The center is the midpoint, the
-    inter-tag direction replaces the magnetometer pair, and gravity supplies
-    the first pair as in :func:`build_triads`.
-
-    Raises
-    ------
-    DegenerateTriads
-        If the tags coincide, the accelerometer is degenerate, or the
-        baseline is parallel to gravity.
-    """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    a_m = np.asarray(a_m, dtype=float)
-    s1_body = np.asarray(s1_body, dtype=float)
-    center = 0.5 * (g1 + g2)
-    baseline = g1 - center
-    v1 = _unit(a_m, "accelerometer sample")
-    r1 = _unit(-env.g_vec, "gravity reference")
-    v2 = _unit(s1_body, "body-frame tag baseline")
-    r2 = _unit(baseline, "inertial tag baseline")
-    v3 = _unit(np.cross(a_m, s1_body), "accelerometer x baseline")
-    r3 = _unit(np.cross(-env.g_vec, baseline), "gravity x baseline")
-    return TriadSet(v=np.stack([v1, v2, v3]), r=np.stack([r1, r2, r3]), s=np.asarray(s, dtype=float))

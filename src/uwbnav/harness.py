@@ -15,6 +15,7 @@ files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,7 +42,6 @@ __all__ = [
     "ClockError",
     "NumericalFailure",
     "RunConfig",
-    "MetricsRow",
     "load_config",
     "default_anchors",
     "synthesize_measurements",
@@ -104,7 +104,10 @@ class RunConfig:
 
     Defaults give a ready-to-run 100 Hz circular flight: ring-TDOA fixes,
     the stock gain set, a large initial position offset, and
-    representative sensor noise.
+    representative sensor noise.  Every value is checked, and the run's
+    gains, noise spec, references, anchor set and initial state are built,
+    once, at construction; a rejected value raises ConfigError naming its
+    key.
     """
 
     mode: str = "synthetic"
@@ -184,11 +187,11 @@ class RunConfig:
             raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}")
-        if self.duration <= 0 or self.rate <= 0:
-            raise ConfigError("duration and rate must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in (self.duration, self.rate)):
+            raise ConfigError("duration and rate must be finite and positive")
         if self.filter_rate is None:
             self.filter_rate = float(self.rate)
-        if self.filter_rate <= 0 or self.filter_rate > self.rate:
+        if not 0 < self.filter_rate <= self.rate:
             raise ConfigError("filter_rate must be positive and not above rate")
         for name in ("sigma_omega", "sigma_a"):
             val = np.asarray(getattr(self, name), dtype=float)
@@ -203,51 +206,50 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite and nonnegative")
         for name in ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s"):
             val = np.asarray(getattr(self, name), dtype=float)
-            if val.shape != (3,):
-                raise ConfigError(f"{name} must be a 3-vector")
+            if val.shape != (3,) or not np.isfinite(val).all():
+                raise ConfigError(f"{name} must be a finite 3-vector")
             setattr(self, name, val)
         self.anchors = np.asarray(self.anchors, dtype=float)
+        try:
+            self._gains = FilterGains(
+                k1=self.k1, kv=self.kv, ka=self.ka, gamma_sigma=self.gamma_sigma,
+                epsilon=self.epsilon, k_sigma=self.k_sigma, s=self.s,
+            )
+            self._noise = NoiseSpec(
+                sigma_omega=self.sigma_omega, sigma_a=self.sigma_a, sigma_m=self.sigma_m,
+                sigma_range=self.sigma_range, seed=self.seed, schedule=self.schedule,
+            )
+            self._env = ReferenceEnvironment(g_vec=self.g_vec, m_r=self.m_r)
+            self._anchor_set = AnchorSet(anchors=self.anchors)
+        except ValueError as err:  # each message names its field, which is the config key
+            raise ConfigError(str(err)) from err
+        r0 = so3_exp(self.r_hat0)
+        try:
+            self._initial_state = FilterState(
+                attitude=r0 if self.variant == "matrix" else rot_to_quat(r0),
+                p_hat=self.p_hat0, v_hat=self.v_hat0, sigma_hat=self.sigma_hat0,
+            )
+        except ValueError as err:
+            raise ConfigError(f"r_hat0: {err}") from err
 
     @property
     def dt(self) -> float:
         return 1.0 / float(self.filter_rate)
 
     def gains(self) -> FilterGains:
-        return FilterGains(
-            k1=self.k1,
-            kv=self.kv,
-            ka=self.ka,
-            gamma_sigma=self.gamma_sigma,
-            epsilon=self.epsilon,
-            k_sigma=self.k_sigma,
-            s=self.s,
-        )
+        return self._gains
 
     def noise(self) -> NoiseSpec:
-        return NoiseSpec(
-            sigma_omega=self.sigma_omega,
-            sigma_a=self.sigma_a,
-            sigma_m=self.sigma_m,
-            sigma_range=self.sigma_range,
-            seed=self.seed,
-            schedule=self.schedule,
-        )
+        return self._noise
 
     def env(self) -> ReferenceEnvironment:
-        return ReferenceEnvironment(g_vec=self.g_vec, m_r=self.m_r)
+        return self._env
 
     def anchor_set(self) -> AnchorSet:
-        return AnchorSet(anchors=self.anchors)
+        return self._anchor_set
 
     def initial_state(self) -> FilterState:
-        r0 = so3_exp(self.r_hat0)
-        attitude = r0 if self.variant == "matrix" else rot_to_quat(r0)
-        return FilterState(
-            attitude=attitude,
-            p_hat=self.p_hat0,
-            v_hat=self.v_hat0,
-            sigma_hat=self.sigma_hat0,
-        )
+        return self._initial_state
 
 
 def load_config(path: str | Path | None = None, overrides: dict | None = None) -> RunConfig:
@@ -273,12 +275,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if "dt" in raw:
         try:
             dt = float(raw.pop("dt"))
+            stated = None if raw.get("filter_rate") is None else float(raw["filter_rate"])
         except (TypeError, ValueError) as err:
-            raise ConfigError("dt must be a number") from err
-        if dt <= 0:
-            raise ConfigError("dt must be positive")
-        stated = raw.get("filter_rate")
-        if stated is not None and abs(float(stated) * dt - 1.0) > 1e-9:
+            raise ConfigError("dt and filter_rate must be numbers") from err
+        if not (math.isfinite(dt) and dt > 0):
+            raise ConfigError("dt must be finite and positive")
+        if stated is not None and abs(stated * dt - 1.0) > 1e-9:
             raise ConfigError("dt and filter_rate disagree; give one of them")
         raw["filter_rate"] = 1.0 / dt
 
@@ -293,24 +295,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         raise ConfigError(str(err)) from err
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """Per-step error metrics against truth."""
-
-    t: float
-    att_err: float
-    pos_err: float
-    vel_err: float
-    sigma_norm: float
-    e_r: float
-    py_residual: float
-
-    def __post_init__(self) -> None:
-        _check_metrics(self.att_err, self.pos_err, self.vel_err)
-
-
 def _check_metrics(att_err, pos_err, vel_err) -> None:
-    """MetricsRow's checks, on one row's values or on whole columns."""
+    """Range checks of metrics.csv values, on one row or on whole columns."""
     if not np.all((-1e-9 <= att_err) & (att_err <= 1.0 + 1e-9)):
         raise ValueError("att_err must lie in [0, 1]")
     if not np.all((pos_err >= 0) & (vel_err >= 0)):
@@ -424,6 +410,7 @@ def write_dataset(
 
 
 def _read_csv(path: Path, columns: list[str]) -> np.ndarray:
+    """Numeric table of ``path`` with header ``columns``; every cell must be a finite number."""
     if not path.exists():
         raise SchemaError(f"missing dataset file: {path.name}")
     with path.open() as fh:
@@ -439,6 +426,10 @@ def _read_csv(path: Path, columns: list[str]) -> np.ndarray:
             raise SchemaError(f"{path.name}: {err}") from err
     if data.size and data.shape[1] != len(columns):
         raise SchemaError(f"{path.name}: ragged rows")
+    bad = ~np.isfinite(data)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        raise SchemaError(f"{path.name}: non-finite value in column {columns[col]!r} (data row {row + 1})")
     return data
 
 
@@ -555,7 +546,7 @@ def _norms(x: np.ndarray) -> np.ndarray:
 
 
 def _metrics_block(t, r_true, p_true, v_true, r_est, p_est, v_est, sigma, e_r, py_residual) -> np.ndarray:
-    """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, checked as MetricsRow."""
+    """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, range-checked."""
     att = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
     pos, vel = _norms(p_true - p_est), _norms(v_true - v_est)
     _check_metrics(att, pos, vel)

@@ -6,9 +6,9 @@ matrix and ``P``, ``V`` column 3-vectors.  Inputs live on a tangent
 submanifold spanned by ``u(skew(omega), v, a, eps)`` whose exponential has a
 closed form (Rodrigues terms plus two Jacobian-like series for the
 translation columns).  This module provides the skew/vex pair, the
-antisymmetric projector, normalized attitude distances, the closed-form
-exponentials, group composition with re-orthonormalization, and quaternion
-conversions used by the quaternion filter variant.
+antisymmetric projector, the normalized attitude distance, the closed-form
+exponentials, and quaternion conversions used by the quaternion filter
+variant.
 """
 
 from __future__ import annotations
@@ -20,34 +20,21 @@ import numpy as np
 
 __all__ = [
     "NotAntisymmetric",
-    "NotInGroup",
     "TangentInput",
     "NavState",
     "skew",
     "cross3",
     "vex",
     "pa",
-    "upsilon",
     "attitude_distance",
-    "weighted_distance",
     "so3_exp",
     "se23_exp",
-    "tangent_matrix",
-    "nav_matrix",
-    "nav_from_matrix",
-    "compose",
-    "project_rotation",
     "quat_to_rot",
     "rot_to_quat",
     "quat_multiply",
     "quat_normalize",
     "quat_from_rotvec",
 ]
-
-# Frobenius drift above which a rotation block is re-orthonormalized, and
-# the hard ceiling beyond which a matrix is rejected as not a group element.
-REORTHONORMALIZE_THRESHOLD = 1e-12
-GROUP_TOL = 1e-9
 
 # Below this angle the Rodrigues coefficients switch to second-order Taylor
 # expansions to avoid 0/0.
@@ -56,10 +43,6 @@ SMALL_ANGLE = 1e-6
 
 class NotAntisymmetric(ValueError):
     """Input matrix is too far from antisymmetric for vex to be meaningful."""
-
-
-class NotInGroup(ValueError):
-    """A 5x5 matrix does not embed a navigation state."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -111,12 +94,6 @@ def pa(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m - m.T)
 
 
-def upsilon(m: np.ndarray) -> np.ndarray:
-    """Composition ``vex(pa(m))``, the axis of the antisymmetric part."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-
-
 def attitude_distance(r: np.ndarray) -> float | np.ndarray:
     """Normalized attitude distance ``tr(I - R) / 4`` in ``[0, 1]``, per matrix of ``(..., 3, 3)``.
 
@@ -125,13 +102,6 @@ def attitude_distance(r: np.ndarray) -> float | np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     return (3.0 - (r[..., 0, 0] + r[..., 1, 1] + r[..., 2, 2])) / 4.0
-
-
-def weighted_distance(m: np.ndarray, r: np.ndarray) -> float:
-    """Weighted attitude distance ``tr(M - M @ R) / 4`` for symmetric M."""
-    m = np.asarray(m, dtype=float)
-    r = np.asarray(r, dtype=float)
-    return float((m.trace() - (m @ r).trace()) / 4.0)
 
 
 def _rodrigues_coefficients(theta: float) -> tuple[float, float, float, float]:
@@ -200,16 +170,6 @@ class TangentInput:
                 raise ValueError(f"{name} must be a finite 3-vector")
 
 
-def tangent_matrix(u: TangentInput) -> np.ndarray:
-    """5x5 matrix embedding of a tangent input."""
-    m = np.zeros((5, 5))
-    m[:3, :3] = skew(u.omega)
-    m[:3, 3] = u.v
-    m[:3, 4] = u.a
-    m[4, 3] = u.eps
-    return m
-
-
 def _se23_blocks(omega, v, a, eps: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Blocks ``(R, t_p, t_v)`` of :func:`se23_exp` from finite 3-vector arrays.
 
@@ -240,7 +200,7 @@ def _se23_blocks(omega, v, a, eps: float, dt: float) -> tuple[np.ndarray, np.nda
 
 
 def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
-    """Closed-form matrix exponential ``expm(tangent_matrix(u) * dt)``.
+    """Closed-form ``expm(U dt)`` for the 5x5 embedding ``U`` of ``u`` (see :class:`TangentInput`).
 
     With ``S = skew(omega * dt)`` and ``theta = ||omega|| * dt``, the result
     has rotation block ``I + A S + B S^2``, velocity column ``J1 a dt``,
@@ -272,57 +232,6 @@ class NavState:
             raise ValueError("rotation must be 3x3")
         if self.p.shape != (3,) or self.v.shape != (3,):
             raise ValueError("position and velocity must be 3-vectors")
-
-
-def project_rotation(m: np.ndarray) -> np.ndarray:
-    """Nearest rotation matrix in Frobenius norm (polar decomposition)."""
-    u, _, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
-
-
-def nav_matrix(x: NavState) -> np.ndarray:
-    """5x5 group embedding of a navigation state."""
-    m = np.eye(5)
-    m[:3, :3] = x.r
-    m[:3, 3] = x.p
-    m[:3, 4] = x.v
-    return m
-
-
-def nav_from_matrix(m: np.ndarray, tol: float = GROUP_TOL) -> NavState:
-    """Extract a navigation state from a 5x5 embedding.
-
-    The two bottom rows must match ``[0 0 0 1 0]`` and ``[0 0 0 0 1]`` within
-    ``tol`` and the rotation block must be orthonormal within ``tol``;
-    rotation drift above ``REORTHONORMALIZE_THRESHOLD`` is repaired by polar
-    projection.
-
-    Raises
-    ------
-    NotInGroup
-        If either bottom row or the rotation block deviates beyond ``tol``.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (5, 5):
-        raise NotInGroup("expected a 5x5 matrix")
-    bottom = np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0]])
-    if not np.abs(m[3:, :] - bottom).max() <= tol:
-        raise NotInGroup("bottom rows deviate from the group pattern")
-    r = m[:3, :3]
-    drift = np.linalg.norm(r.T @ r - np.eye(3))
-    if not drift <= tol:
-        raise NotInGroup("rotation block is not orthonormal")
-    if drift > REORTHONORMALIZE_THRESHOLD:
-        r = project_rotation(r)
-    return NavState(r=r, p=m[:3, 3].copy(), v=m[:3, 4].copy())
-
-
-def compose(x: np.ndarray, y: np.ndarray) -> NavState:
-    """Group composition of two 5x5 embeddings, returned as a state."""
-    return nav_from_matrix(np.asarray(x, dtype=float) @ np.asarray(y, dtype=float))
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:

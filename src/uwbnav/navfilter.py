@@ -11,11 +11,9 @@ discrete path is a predict/update pair of exact group exponentials
 with correction terms computed from the pre-prediction state.  Both a
 rotation-matrix and a unit-quaternion attitude parametrization are
 supported; they share the translation block math exactly, so the two
-variants track each other to round-off.
-
-The continuous right-hand side (for external integrators and consistency
-checks) keeps gravity in the velocity law instead of folding it into W;
-the two conventions encode identical dynamics.
+variants track each other to round-off.  The continuous closed loop this
+discretizes keeps gravity in the velocity law instead of folding it into
+W; the two conventions encode identical dynamics.
 
 Validation: inputs are checked once, by their constructors (FilterState,
 FilterGains, ImuSample, ReferenceEnvironment, the range sets).  A step
@@ -43,7 +41,6 @@ from .liegroup import (
     quat_normalize,
     quat_to_rot,
     se23_exp,  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
-    skew,
 )
 from .uwb import AnchorSet, GeometryDegenerate, RangeSet, solve_fix
 
@@ -52,13 +49,11 @@ __all__ = [
     "FilterState",
     "CorrectionTerms",
     "Diagnostics",
-    "StateDerivative",
     "correction_terms",
     "predict",
     "update",
     "step",
     "step_with_fix",
-    "continuous_rhs",
 ]
 
 SIGMA_ALERT_FLOOR = -10.0
@@ -174,16 +169,6 @@ class Diagnostics:
     dropout: bool = False
     dropout_reason: str = ""
     sigma_alert: bool = False
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    """Time derivative of the continuous closed-loop estimator."""
-
-    r_dot: np.ndarray
-    p_dot: np.ndarray
-    v_dot: np.ndarray
-    sigma_dot: np.ndarray
 
 
 def correction_terms(
@@ -349,25 +334,3 @@ def step(
             dropout_reason=f"{type(err).__name__}: {err}",
         )
         return pred, diag
-
-
-def continuous_rhs(
-    state: FilterState,
-    imu: ImuSample,
-    w: CorrectionTerms,
-    env: ReferenceEnvironment,
-) -> StateDerivative:
-    """Continuous closed-loop derivative for external integrators.
-
-    ``R_dot = R skew(omega_m) - skew(w_omega) R``,
-    ``P_dot = V - skew(w_omega) P - w_v``,
-    ``V_dot = R a_m + g - skew(w_omega) V - w_a``; gravity stays in the
-    velocity law here (the discrete path folds it into the update
-    exponential instead).  ``r_dot`` is the derivative of the rotation
-    matrix regardless of the state's attitude variant.
-    """
-    r_hat = state.rotation()
-    r_dot = r_hat @ skew(imu.omega_m) - skew(w.w_omega) @ r_hat
-    p_dot = state.v_hat - skew(w.w_omega) @ state.p_hat - w.w_v
-    v_dot = r_hat @ imu.a_m + env.g_vec - skew(w.w_omega) @ state.v_hat - w.w_a
-    return StateDerivative(r_dot=r_dot, p_dot=p_dot, v_dot=v_dot, sigma_dot=w.sigma_dot)

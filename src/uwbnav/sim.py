@@ -1,12 +1,10 @@
-"""Ground-truth trajectory generation, exact propagation, noise handling.
+"""Ground-truth trajectory generation and noise handling.
 
 Truth follows the rigid-body kinematics ``R_dot = R skew(omega)``,
-``P_dot = V``, ``V_dot = R a + g``, advanced per sample by the exact
-group-exponential sandwich for piecewise-constant inputs (gravity on the
-left, body inputs on the right).  Analytic flight profiles (hover, circle,
-lissajous) supply trajectories whose body rates and specific forces are
-known in closed form.  Velocity ground truth for datasets that only log
-positions is reconstructed with a Savitzky-Golay differentiator.
+``P_dot = V``, ``V_dot = R a + g``.  Analytic flight profiles (hover,
+circle, lissajous) give it in closed form, body rates and specific forces
+included.  Velocity ground truth for datasets that only log positions is
+reconstructed with a Savitzky-Golay differentiator.
 
 Noise standard deviations are per-sample values at the generation rate; a
 continuous white-noise density maps to them by the usual Euler-Maruyama
@@ -16,14 +14,15 @@ Brownian increments).
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.signal import savgol_filter
 
-from .liegroup import NavState, TangentInput, nav_from_matrix, nav_matrix, se23_exp, so3_exp
+from .liegroup import NavState, so3_exp
+from .liegroup import se23_exp  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 
 if TYPE_CHECKING:
     from .attitude import ReferenceEnvironment
@@ -33,7 +32,6 @@ __all__ = [
     "TooFewSamples",
     "NoiseSpec",
     "TruthTrajectory",
-    "propagate_truth",
     "generate_trajectory",
     "reconstruct_velocity",
 ]
@@ -52,8 +50,8 @@ class NoiseSpec:
     """Per-sample sensor noise standard deviations and the stream seed.
 
     ``schedule`` selects the time profile of the sigmas: ``constant`` or a
-    linear ``ramp`` from half strength to full strength over a run, whose
-    supremum (the end value) is the sigma recorded for diagnostics.
+    linear ``ramp`` from half strength to full strength (the given sigmas)
+    over a run.
     """
 
     sigma_omega: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
@@ -86,21 +84,6 @@ class NoiseSpec:
         if self.schedule == "constant" or duration <= 0.0:
             return np.ones_like(t)
         return 0.5 + 0.5 * np.clip(t / duration, 0.0, 1.0)
-
-    def scaled(self, factor: float) -> "NoiseSpec":
-        if factor == 1.0:
-            return self
-        return dataclasses.replace(
-            self,
-            sigma_omega=self.sigma_omega * factor,
-            sigma_a=self.sigma_a * factor,
-            sigma_m=self.sigma_m * factor,
-            sigma_range=self.sigma_range * factor,
-        )
-
-    def sup_sigma(self) -> np.ndarray:
-        """Supremum of the gyro sigma schedule (diagnostic bound vector)."""
-        return self.sigma_omega.copy()
 
 
 @dataclass
@@ -148,29 +131,6 @@ def _gravity(env: "ReferenceEnvironment | None") -> np.ndarray:
     return env.g_vec
 
 
-def propagate_truth(
-    x: NavState,
-    omega: np.ndarray,
-    a: np.ndarray,
-    env: "ReferenceEnvironment | None",
-    dt: float,
-) -> NavState:
-    """Advance truth one interval of piecewise-constant body inputs.
-
-    Computes the exact flow of the compact kinematics ``X_dot = X U - G X``
-    as ``exp(-G dt) X exp(U dt)`` with ``U = u(skew(omega), 0, a, 1)`` and
-    ``G = u(0, 0, -g, 1)``; the left and right epsilon couplings cancel so
-    the result stays in the group.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    g = _gravity(env)
-    zero = np.zeros(3)
-    left = se23_exp(TangentInput(omega=zero, v=zero, a=g, eps=-1.0), dt)
-    right = se23_exp(TangentInput(omega=np.asarray(omega, dtype=float), v=zero, a=np.asarray(a, dtype=float), eps=1.0), dt)
-    return nav_from_matrix(left @ nav_matrix(x) @ right)
-
-
 def _yaw(angle: float | np.ndarray) -> np.ndarray:
     """Rotations about z by each angle: ``so3_exp([0, 0, angle])``."""
     w = np.zeros(np.shape(angle) + (3,))
@@ -196,6 +156,28 @@ _KIND_KEYS = {
 DEFAULT_START = np.array([-0.061, 1.244, 1.506])
 
 
+def _scalar(params: dict, name: str, default: float) -> float:
+    """Finite float parameter ``name`` of ``params``, else BadParams."""
+    try:
+        value = float(params.get(name, default))
+    except (TypeError, ValueError) as err:
+        raise BadParams(f"{name} must be a number") from err
+    if not math.isfinite(value):
+        raise BadParams(f"{name} must be finite")
+    return value
+
+
+def _vector(params: dict, name: str, default) -> np.ndarray:
+    """Finite 3-vector parameter ``name`` of ``params``, else BadParams."""
+    try:
+        value = np.asarray(params.get(name, default), dtype=float)
+    except (TypeError, ValueError) as err:
+        raise BadParams(f"{name} must be a 3-vector") from err
+    if value.shape != (3,) or not np.isfinite(value).all():
+        raise BadParams(f"{name} must be a finite 3-vector")
+    return value
+
+
 def generate_trajectory(
     kind: str,
     params: dict | None = None,
@@ -214,12 +196,13 @@ def generate_trajectory(
       + phase)`` around ``p0`` with a sinusoidal yaw sweep.
     - ``replay``: pass an existing trajectory through unchanged.
 
-    ``duration`` (s) and ``rate`` (Hz) apply to every generated kind.
+    ``duration`` (s) and ``rate`` (Hz) apply to every generated kind.  Every
+    parameter must be finite; lengths, periods and rates must be positive.
 
     Raises
     ------
     BadParams
-        On unknown kind, unknown or malformed parameters.
+        On unknown kind, unknown, malformed or non-finite parameters.
     """
     params = dict(params or {})
     if kind not in _KIND_KEYS:
@@ -234,9 +217,8 @@ def generate_trajectory(
             raise BadParams("replay requires a TruthTrajectory under 'trajectory'")
         return traj
 
-    duration = float(params.get("duration", 30.0))
-    rate = float(params.get("rate", 100.0))
-    if duration <= 0 or rate <= 0:
+    duration, rate = _scalar(params, "duration", 30.0), _scalar(params, "rate", 100.0)
+    if not (duration > 0 and rate > 0):
         raise BadParams("duration and rate must be positive")
     n = int(round(duration * rate)) + 1
     if n < 2:
@@ -244,12 +226,10 @@ def generate_trajectory(
     t = np.arange(n) / rate
     g = _gravity(env)
 
-    p0 = np.asarray(params.get("p0", DEFAULT_START), dtype=float)
-    if p0.shape != (3,):
-        raise BadParams("p0 must be a 3-vector")
+    p0 = _vector(params, "p0", DEFAULT_START)
 
     if kind == "hover":
-        yaw = float(params.get("yaw", 0.0))
+        yaw = _scalar(params, "yaw", 0.0)
         r = _yaw(yaw)
         rot = np.tile(r, (n, 1, 1))
         p = np.tile(p0, (n, 1))
@@ -259,10 +239,9 @@ def generate_trajectory(
         return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=a)
 
     if kind == "circle":
-        radius = float(params.get("radius", 2.0))
-        period = float(params.get("period", 10.0))
-        yaw0 = float(params.get("yaw0", 0.0))
-        if radius <= 0 or period <= 0:
+        radius, period = _scalar(params, "radius", 2.0), _scalar(params, "period", 10.0)
+        yaw0 = _scalar(params, "yaw0", 0.0)
+        if not (radius > 0 and period > 0):
             raise BadParams("radius and period must be positive")
         w = 2.0 * np.pi / period
         center = p0 - np.array([radius, 0.0, 0.0])
@@ -274,14 +253,11 @@ def generate_trajectory(
         rot = _yaw(w * t + yaw0)
         return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
 
-    amplitude = np.asarray(params.get("amplitude", [1.0, 0.8, 0.3]), dtype=float)
-    frequency = np.asarray(params.get("frequency", [0.10, 0.15, 0.05]), dtype=float)
-    phase = np.asarray(params.get("phase", [0.0, np.pi / 2, 0.0]), dtype=float)
-    yaw_amplitude = float(params.get("yaw_amplitude", 0.6))
-    yaw_frequency = float(params.get("yaw_frequency", 0.05))
-    for name, arr in (("amplitude", amplitude), ("frequency", frequency), ("phase", phase)):
-        if arr.shape != (3,):
-            raise BadParams(f"{name} must be a 3-vector")
+    amplitude = _vector(params, "amplitude", [1.0, 0.8, 0.3])
+    frequency = _vector(params, "frequency", [0.10, 0.15, 0.05])
+    phase = _vector(params, "phase", [0.0, np.pi / 2, 0.0])
+    yaw_amplitude = _scalar(params, "yaw_amplitude", 0.6)
+    yaw_frequency = _scalar(params, "yaw_frequency", 0.05)
     wv = 2.0 * np.pi * frequency
     arg = np.outer(t, wv) + phase
     p = p0 + amplitude * np.sin(arg)

@@ -27,7 +27,6 @@ __all__ = [
     "ToaRanges",
     "TdoaRanges",
     "PositionFix",
-    "GeometryReport",
     "RangeSet",
     "toa_ranges",
     "toa_solve",
@@ -35,7 +34,6 @@ __all__ = [
     "tdoa_solve_main_bs",
     "tdoa_solve_ring",
     "solve_fix",
-    "geometry_check",
 ]
 
 MIN_ANCHOR_SEPARATION = 1e-6
@@ -56,9 +54,8 @@ class AnchorSet:
 
     ``dim`` selects the positioning dimensionality: 3 solves for the full
     position, 2 restricts the solve to the x/y plane (planar deployments).
-    Anchor-count admissibility is reported by :func:`geometry_check` and
-    enforced by the solvers, so sets of any size can be constructed and
-    inspected.
+    Each solver enforces its own anchor-count floor and rank test, so sets
+    of any size can be constructed.
 
     ``sq_norms`` (squared anchor norms over the solved coordinates) and
     ``ring_next`` (index of each anchor's ring successor, wrapping to
@@ -75,7 +72,7 @@ class AnchorSet:
         if a.ndim != 2 or a.shape[1] != 3:
             raise ValueError("anchors must be an (N, 3) array")
         if not np.isfinite(a).all():
-            raise ValueError("anchor coordinates must be finite")
+            raise ValueError("anchors must be finite")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
         diffs = a[:, None, :] - a[None, :, :]
@@ -159,15 +156,6 @@ class PositionFix:
     condition_number: float
     aux_range: float | None = None
     aux_clamped: bool = False
-
-
-@dataclass(frozen=True)
-class GeometryReport:
-    anchor_count: int
-    rank: int
-    condition_number: float
-    admissible: bool
-    reason: str = ""
 
 
 def toa_ranges(p: np.ndarray, anchors: AnchorSet) -> ToaRanges:
@@ -372,37 +360,3 @@ def solve_fix(
     if obs.topology == MAIN_BS:
         return tdoa_solve_main_bs(anchors, obs, cond_ceiling)
     return tdoa_solve_ring(anchors, obs, cond_ceiling)
-
-
-_MIN_COUNT = {"toa": 1, "tdoa-main": 2, "tdoa-ring": 2}
-
-
-def geometry_check(
-    anchors: AnchorSet, mode: str, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> GeometryReport:
-    """Report whether the anchor geometry admits the requested solve.
-
-    ``mode`` is one of ``toa``, ``tdoa-main``, ``tdoa-ring``.  The report
-    combines the anchor-count floor (``dim + 1`` for TOA, ``dim + 2`` for
-    both TDOA topologies), the rank of the anchor-difference matrix, and
-    its condition number.
-    """
-    if mode not in _MIN_COUNT:
-        raise ValueError(f"unknown mode {mode!r}")
-    h = anchors.anchors[:, : anchors.dim]
-    n = len(anchors)
-    min_count = anchors.dim + _MIN_COUNT[mode]
-    diff = h[1:] - h[0]
-    rank = int(np.linalg.matrix_rank(diff)) if n > 1 else 0
-    if rank == anchors.dim:
-        sv = np.linalg.svd(diff, compute_uv=False)
-        cond = float(sv[0] / sv[anchors.dim - 1])
-    else:
-        cond = float("inf")
-    if n < min_count:
-        return GeometryReport(n, rank, cond, False, f"need at least {min_count} anchors")
-    if rank < anchors.dim:
-        return GeometryReport(n, rank, cond, False, "anchors do not span the solve space")
-    if cond > cond_ceiling:
-        return GeometryReport(n, rank, cond, False, "condition number above ceiling")
-    return GeometryReport(n, rank, cond, True)

@@ -5,18 +5,23 @@ estimator dynamics from scratch (plain vector algebra, no calls into the
 module under test) so that the discrete implementation can be checked
 against an integrator it shares no code with.
 
+The 5x5 group embeddings build the ``scipy.linalg.expm`` oracles of the
+exponential tests, and ``propagate_truth`` is the exact truth flow those
+tests vouch for (it runs on the package's closed-form ``se23_exp``).
+
 The per-sample oracles at the end are the one-value-at-a-time forms of
 code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
 bit-identical results.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
 from uwbnav.attitude import measure_imu
-from uwbnav.liegroup import _rodrigues_coefficients
+from uwbnav.liegroup import NavState, TangentInput, _rodrigues_coefficients, se23_exp
 from uwbnav.uwb import MAIN_BS, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
 
 
@@ -28,6 +33,64 @@ def _skew(w):
 
 def _unit(x):
     return x / np.linalg.norm(x)
+
+
+def tangent_matrix(u):
+    """5x5 embedding of a TangentInput: ``skew(omega)``, then the ``v`` and ``a`` columns, ``eps`` at (4, 3)."""
+    m = np.zeros((5, 5))
+    m[:3, :3] = _skew(u.omega)
+    m[:3, 3] = u.v
+    m[:3, 4] = u.a
+    m[4, 3] = u.eps
+    return m
+
+
+def nav_matrix(x):
+    """5x5 group embedding ``[[R, p, v], [0, 1, 0], [0, 0, 1]]`` of a NavState."""
+    m = np.eye(5)
+    m[:3, :3] = x.r
+    m[:3, 3] = x.p
+    m[:3, 4] = x.v
+    return m
+
+
+def propagate_truth(x, omega, a, env, dt):
+    """Advance truth one interval of piecewise-constant body inputs.
+
+    The exact flow of ``X_dot = X U - G X`` is ``exp(-G dt) X exp(U dt)``
+    with ``U = u(skew(omega), 0, a, 1)`` and ``G = u(0, 0, -g, 1)``; the left
+    and right epsilon couplings cancel, so the product stays in the group.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    zero = np.zeros(3)
+    left = se23_exp(TangentInput(omega=zero, v=zero, a=env.g_vec, eps=-1.0), dt)
+    right = se23_exp(TangentInput(omega=omega, v=zero, a=a, eps=1.0), dt)
+    m = left @ nav_matrix(x) @ right
+    return NavState(r=m[:3, :3], p=m[:3, 3], v=m[:3, 4])
+
+
+def weighting_matrices(triads):
+    """Weighted outer-product sums ``(M_r, M_B)`` of a triad set's reference and body sides."""
+    m_r = np.zeros((3, 3))
+    m_b = np.zeros((3, 3))
+    for i in range(3):
+        m_r += triads.s[i] * np.outer(triads.r[i], triads.r[i])
+        m_b += triads.s[i] * np.outer(triads.v[i], triads.v[i])
+    return m_r, m_b
+
+
+def scaled_noise(noise, factor):
+    """Copy of a NoiseSpec with every sigma times ``factor`` (the spec itself at 1)."""
+    if factor == 1.0:
+        return noise
+    return dataclasses.replace(
+        noise,
+        sigma_omega=noise.sigma_omega * factor,
+        sigma_a=noise.sigma_a * factor,
+        sigma_m=noise.sigma_m * factor,
+        sigma_range=noise.sigma_range * factor,
+    )
 
 
 def correction_eval(r_hat, p_hat, v_hat, sigma_hat, omega_m, a_m, m_m, p_y, env, gains):
@@ -109,7 +172,7 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
     imu_stream, range_stream = [], []
     for i in range(len(traj)):
         t = float(traj.t[i])
-        scaled = noise.scaled(noise.scale_at(t, duration)) if noise is not None else None
+        scaled = scaled_noise(noise, noise.scale_at(t, duration)) if noise is not None else None
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
         imu_stream.append(
             measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=scaled, rng=rng, t=t)

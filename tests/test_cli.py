@@ -131,6 +131,14 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and line.split(":")[0] in err
 
+    @pytest.mark.parametrize("line", ["k1: -1", "m_r: [0, 0, 9.81]", "radius: .nan"])
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(":")[0] in err
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")
@@ -152,6 +160,19 @@ class TestMetricsVerb:
         redone = np.loadtxt(out / "metrics.csv", delimiter=",", skiprows=1)
         first = np.loadtxt(original.splitlines()[1:], delimiter=",", ndmin=2)
         assert np.allclose(first[:, 2], redone[:, 2], atol=1e-15)
+
+    def test_non_finite_truth_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        lines = (out / "truth.csv").read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[1] = "nan"
+        lines[5] = ",".join(parts)
+        (out / "truth.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert "truth.csv: non-finite value in column 'px'" in capsys.readouterr().err
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("metrics", str(tmp_path / "absent")) == EXIT_DATA

@@ -11,7 +11,6 @@ from uwbnav.attitude import ReferenceEnvironment, measure_imu
 from uwbnav.harness import (
     ClockError,
     ConfigError,
-    MetricsRow,
     NumericalFailure,
     RunConfig,
     SchemaError,
@@ -75,6 +74,19 @@ class TestRunConfig:
             {"sigma_m": np.nan},
             {"sigma_range": -np.inf},
             {"sigma_range": np.inf},
+            {"schedule": "spike"},
+            {"duration": np.nan},
+            {"duration": np.inf},
+            {"filter_rate": np.nan},
+            {"k1": -1.0},
+            {"k1": np.nan},
+            {"s": [1.0, 1.0, np.nan]},
+            {"p_hat0": [np.nan, 0.0, 0.0]},
+            {"r_hat0": [np.nan, 0.0, 0.0]},
+            {"tag_offset": [np.nan, 0.0, 0.0]},
+            {"g_vec": [0.0, 0.0, np.nan]},
+            {"m_r": [0.0, 0.0, 9.81]},
+            {"anchors": [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 4.0]]},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -162,6 +174,8 @@ class TestLoadConfig:
         "text,match",
         [
             ("dt: 0.0\n", "positive"),
+            ("dt: .nan\n", "dt must be finite"),
+            ("dt: 0.01\nfilter_rate: abc\n", "numbers"),
             ("dt: 0.01\nfilter_rate: 50.0\n", "disagree"),
         ],
     )
@@ -196,22 +210,19 @@ class TestLoadConfig:
 
 
 class TestMetricsRow:
+    """Range checks of a metrics.csv row (``harness._check_metrics``)."""
+
     def test_accepts_valid_row(self):
-        row = MetricsRow(
-            t=1.0, att_err=0.2, pos_err=0.1, vel_err=0.3, sigma_norm=0.0,
-            e_r=0.05, py_residual=0.08,
-        )
-        assert row.att_err == 0.2
+        harness._check_metrics(att_err=0.2, pos_err=0.1, vel_err=0.3)
 
     @pytest.mark.parametrize("field,value", [("att_err", 1.5), ("att_err", -0.1),
                                              ("pos_err", -1.0), ("vel_err", -0.2),
                                              ("pos_err", np.nan), ("vel_err", np.nan)])
     def test_rejects_out_of_range(self, field, value):
-        kwargs = dict(t=0.0, att_err=0.1, pos_err=0.1, vel_err=0.1,
-                      sigma_norm=0.0, e_r=0.0, py_residual=0.0)
+        kwargs = dict(att_err=0.1, pos_err=0.1, vel_err=0.1)
         kwargs[field] = value
         with pytest.raises(ValueError):
-            MetricsRow(**kwargs)
+            harness._check_metrics(**kwargs)
 
 
 class TestSynthesizeMeasurements:
@@ -393,6 +404,20 @@ class TestDatasetRoundTrip:
         lines[3] = ",".join(parts)
         (out / "imu.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="imu.csv"):
+            ingest_dataset(out, 50.0)
+
+    @pytest.mark.parametrize(
+        "name,column",
+        [("imu.csv", "mx"), ("tdoa.csv", "d"), ("anchors.csv", "x"), ("truth.csv", "qw")],
+    )
+    def test_non_finite_cell_is_schema_error(self, dataset, name, column):
+        out = dataset[0]
+        lines = (out / name).read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[lines[0].split(",").index(column)] = "nan"
+        lines[3] = ",".join(parts)
+        (out / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"{name}: non-finite value in column '{column}'"):
             ingest_dataset(out, 50.0)
 
     def test_non_monotone_clock_rejected(self, dataset):

@@ -8,7 +8,14 @@ from conftest import random_rotation
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from reference import closed_loop_rhs, correction_eval, rk4_closed_loop_step
+from reference import (
+    closed_loop_rhs,
+    correction_eval,
+    nav_matrix,
+    propagate_truth,
+    rk4_closed_loop_step,
+    tangent_matrix,
+)
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
@@ -17,11 +24,9 @@ from uwbnav.liegroup import (
     NavState,
     TangentInput,
     attitude_distance,
-    nav_matrix,
     quat_to_rot,
     rot_to_quat,
     so3_exp,
-    tangent_matrix,
 )
 from uwbnav.navfilter import (
     ATTITUDE_GATE,
@@ -29,14 +34,13 @@ from uwbnav.navfilter import (
     Diagnostics,
     FilterGains,
     FilterState,
-    continuous_rhs,
     correction_terms,
     predict,
     step,
     step_with_fix,
     update,
 )
-from uwbnav.sim import NoiseSpec, generate_trajectory, propagate_truth
+from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import AnchorSet, tdoa_ranges, toa_ranges
 
 ENV = ReferenceEnvironment()
@@ -539,48 +543,27 @@ def test_step_returns_a_finite_state_on_the_group_or_raises(
 
 
 class TestContinuousRhs:
+    """The continuous closed loop that criterion 7 integrates (``reference.closed_loop_rhs``)."""
+
     def test_hover_velocity_derivative_vanishes(self):
         r = so3_exp(np.array([0.0, 0.0, 0.4]))
-        state = FilterState(r, np.array([1.0, 1.0, 1.0]), np.array([0.2, 0.0, 0.0]), np.zeros(3))
-        imu = ImuSample(omega_m=np.zeros(3), a_m=r.T @ (-G), m_m=r.T @ ENV.m_r)
-        d = continuous_rhs(state, imu, zero_corrections(), ENV)
-        assert np.allclose(d.v_dot, 0.0, atol=1e-14)
-        assert np.allclose(d.p_dot, state.v_hat)
-        assert np.allclose(d.r_dot, 0.0)
+        p, v = np.array([1.0, 1.0, 1.0]), np.array([0.2, 0.0, 0.0])
+        # aligned triads and a fix at the estimate: every correction vanishes
+        r_dot, p_dot, v_dot, _ = closed_loop_rhs(
+            r, p, v, np.zeros(3), np.zeros(3), r.T @ (-G), r.T @ ENV.m_r, p, ENV, GAINS
+        )
+        assert np.allclose(v_dot, 0.0, atol=1e-14)
+        assert np.allclose(p_dot, v)
+        assert np.allclose(r_dot, 0.0)
 
     def test_flow_is_tangent_to_the_group(self, rng):
         for _ in range(20):
             r = random_rotation(rng)
-            state = FilterState(r, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-            imu = ImuSample(omega_m=rng.normal(size=3), a_m=rng.normal(size=3), m_m=np.ones(3))
-            w = CorrectionTerms(
-                e_r=0.1,
-                d_v=np.diag(rng.normal(size=3)),
-                w_omega=rng.normal(size=3),
-                w_v=rng.normal(size=3),
-                w_a=rng.normal(size=3),
-                sigma_dot=rng.normal(size=3),
+            r_dot, _, _, _ = closed_loop_rhs(
+                r, rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), rng.normal(size=3),
+                rng.normal(size=3), rng.normal(size=3), rng.normal(size=3), ENV, GAINS,
             )
-            d = continuous_rhs(state, imu, w, ENV)
-            assert np.allclose(d.r_dot.T @ r + r.T @ d.r_dot, 0.0, atol=1e-12)
-
-    def test_matches_straight_line_expansion(self, rng):
-        r = random_rotation(rng)
-        r_true = random_rotation(rng)
-        p, v, sigma = rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)
-        p_y = rng.normal(size=3)
-        sample = measure_imu(NavState(r=r_true, p=p, v=v), rng.normal(size=3), rng.normal(size=3), ENV)
-        state = FilterState(r, p, v, sigma)
-        triads = build_triads(sample.a_m, sample.m_m, ENV)
-        w = correction_terms(state, triads, p_y, GAINS)
-        d = continuous_rhs(state, sample, w, ENV)
-        r_dot, p_dot, v_dot, sigma_dot = closed_loop_rhs(
-            r, p, v, sigma, sample.omega_m, sample.a_m, sample.m_m, p_y, ENV, GAINS
-        )
-        assert np.allclose(d.r_dot, r_dot, atol=1e-12)
-        assert np.allclose(d.p_dot, p_dot, atol=1e-12)
-        assert np.allclose(d.v_dot, v_dot, atol=1e-12)
-        assert np.allclose(d.sigma_dot, sigma_dot, atol=1e-12)
+            assert np.allclose(r_dot.T @ r + r.T @ r_dot, 0.0, atol=1e-12)
 
 
 def _endpoint_gap(dt: float, horizon: float = 1.0) -> float:

@@ -1,4 +1,8 @@
-"""Tests for truth propagation, flight profiles, and velocity reconstruction."""
+"""Tests for truth propagation, flight profiles, and velocity reconstruction.
+
+Truth propagation is the exact-flow oracle of ``tests/reference.py``; the
+profiles must match it.
+"""
 
 import numpy as np
 import pytest
@@ -11,11 +15,10 @@ from uwbnav.sim import (
     TooFewSamples,
     TruthTrajectory,
     generate_trajectory,
-    propagate_truth,
     reconstruct_velocity,
 )
 
-from reference import so3_exp_per_vector
+from reference import propagate_truth, scaled_noise, so3_exp_per_vector
 
 ENV = ReferenceEnvironment()
 G = ENV.g_vec
@@ -50,9 +53,7 @@ class TestPropagateTruth:
             p=rng.normal(size=3),
             v=rng.normal(size=3),
         )
-        from uwbnav.liegroup import project_rotation
-
-        x = NavState(r=project_rotation(x.r), p=x.p, v=x.v)
+        assert np.linalg.det(x.r) > 0.0  # a rotation, not a reflection
         omega = np.array([0.3, -0.1, 0.8])
         a = np.array([0.5, 0.2, -9.0])
         one = propagate_truth(x, omega, a, ENV, dt=0.02)
@@ -140,6 +141,19 @@ class TestGenerateTrajectory:
             ("hover", {"duration": -5.0}),
             ("hover", {"p0": [1, 2]}),
             ("replay", {"trajectory": "nope"}),
+            ("circle", {"radius": np.nan}),
+            ("circle", {"period": np.nan}),
+            ("circle", {"yaw0": np.inf}),
+            ("hover", {"duration": np.nan}),
+            ("hover", {"duration": np.inf}),
+            ("hover", {"rate": np.nan}),
+            ("hover", {"yaw": np.nan}),
+            ("hover", {"p0": [np.nan, 0.0, 1.0]}),
+            ("lissajous", {"amplitude": [1.0, np.nan, 0.3]}),
+            ("lissajous", {"frequency": [0.1, 0.15, np.inf]}),
+            ("lissajous", {"phase": [np.nan, 0.0, 0.0]}),
+            ("lissajous", {"yaw_amplitude": np.nan}),
+            ("lissajous", {"yaw_frequency": np.inf}),
         ],
     )
     def test_bad_params(self, kind, params):
@@ -215,11 +229,11 @@ class TestNoiseSpec:
 
     def test_scaled_copy(self):
         spec = NoiseSpec()
-        half = spec.scaled(0.5)
+        half = scaled_noise(spec, 0.5)
         assert np.allclose(half.sigma_omega, 0.005)
         assert np.allclose(half.sigma_a, 0.025)
         assert half.sigma_m == 0.1
-        assert spec.scaled(1.0) is spec
+        assert scaled_noise(spec, 1.0) is spec
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
@@ -237,7 +251,3 @@ class TestNoiseSpec:
     def test_rejects_unknown_schedule(self):
         with pytest.raises(ValueError):
             NoiseSpec(schedule="spike")
-
-    def test_sup_sigma_is_gyro_vector(self):
-        spec = NoiseSpec(sigma_omega=np.array([0.01, 0.02, 0.03]))
-        assert np.allclose(spec.sup_sigma(), [0.01, 0.02, 0.03])

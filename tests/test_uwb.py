@@ -281,41 +281,3 @@ class TestOverflowingRanges:
         assert np.all(np.isfinite(fix.p))
         assert np.isfinite(fix.condition_number)
         assert fix.aux_range is None or np.isfinite(fix.aux_range)
-
-
-class TestGeometryCheck:
-    def test_well_spread_admissible(self, anchors):
-        report = uwb.geometry_check(anchors, "toa")
-        assert report.admissible
-        assert report.rank == 3
-        assert report.condition_number < 100
-
-    def test_three_anchors_inadmissible_in_3d(self):
-        three = uwb.AnchorSet(anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]]))
-        report = uwb.geometry_check(three, "toa")
-        assert not report.admissible
-
-    def test_collinear_inadmissible(self):
-        line = uwb.AnchorSet(anchors=np.array([[float(i), 0, 0] for i in range(4)]))
-        report = uwb.geometry_check(line, "toa")
-        assert not report.admissible
-        assert report.rank < 3
-
-    def test_tdoa_count_floor(self):
-        four = uwb.AnchorSet(
-            anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
-        )
-        five = uwb.AnchorSet(
-            anchors=np.array(
-                [[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0], [4, 4, 2.0]]
-            )
-        )
-        assert not uwb.geometry_check(four, "tdoa-main").admissible
-        assert not uwb.geometry_check(four, "tdoa-ring").admissible
-        assert uwb.geometry_check(five, "tdoa-main").admissible
-        assert uwb.geometry_check(five, "tdoa-ring").admissible
-        assert uwb.geometry_check(four, "toa").admissible
-
-    def test_unknown_mode(self, anchors):
-        with pytest.raises(ValueError):
-            uwb.geometry_check(anchors, "aoa")
