@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.spatial.transform import Rotation
 
 from .attitude import ImuSample, ReferenceEnvironment, _imu_block, _imu_rows
 from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
-from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
+from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp, so3_log
 from .navfilter import Diagnostics, FilterGains, FilterState, step
 from .sim import (
     BadParams,
@@ -34,7 +33,7 @@ from .sim import (
     generate_trajectory,
     reconstruct_velocity,
 )
-from .uwb import MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, _range_block, _range_rows
+from .uwb import MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, _range_block, _range_rows, anchor_floor
 
 __all__ = [
     "ConfigError",
@@ -161,10 +160,10 @@ class RunConfig:
                 self.filter_rate = float(self.filter_rate)
             except (TypeError, ValueError) as err:
                 raise ConfigError("filter_rate must be a number") from err
-        try:
-            self.seed = int(self.seed)
-        except (TypeError, ValueError) as err:
-            raise ConfigError("seed must be an integer") from err
+        # an integer type only: int() would truncate 1.5 and read true as 1
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        self.seed = int(self.seed)
         if self.mode not in ("synthetic", "dataset"):
             raise ConfigError(f"mode must be synthetic or dataset, got {self.mode!r}")
         if self.mode == "dataset":
@@ -210,6 +209,11 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite 3-vector")
             setattr(self, name, val)
         self.anchors = np.asarray(self.anchors, dtype=float)
+        floor = anchor_floor(_RANGE_KIND[self.topology])
+        if self.anchors.ndim == 2 and len(self.anchors) < floor:  # AnchorSet rejects other shapes
+            raise ConfigError(
+                f"anchors: {self.topology} needs at least {floor} anchors, got {len(self.anchors)}"
+            )
         try:
             self._gains = FilterGains(
                 k1=self.k1, kv=self.kv, ka=self.ka, gamma_sigma=self.gamma_sigma,
@@ -490,6 +494,12 @@ def ingest_dataset(
     if np.any(np.diff(tdoa[:, 0]) < 0):
         raise ClockError("tdoa.csv timestamps must be increasing")
 
+    kind = _RANGE_KIND[topology]
+    if kind is None:
+        raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
+    floor = anchor_floor(kind)
+    if len(anchors_raw) < floor:
+        raise SchemaError(f"anchors.csv: {topology} needs at least {floor} anchors, got {len(anchors_raw)}")
     order = np.argsort(anchors_raw[:, 0])
     anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
 
@@ -503,7 +513,7 @@ def ingest_dataset(
     # body rates/specific force are derivative reconstructions kept only so
     # the replay satisfies the trajectory contract
     omega = np.empty((len(rot), 3))
-    omega[:-1] = Rotation.from_matrix(rot[:-1].transpose(0, 2, 1) @ rot[1:]).as_rotvec() / (dt_full * stride)
+    omega[:-1] = so3_log(rot[:-1].transpose(0, 2, 1) @ rot[1:]) / (dt_full * stride)
     omega[-1] = omega[-2]
     vdot_full = reconstruct_velocity(v_full, dt_full)
     g = np.asarray(g_vec, dtype=float)
@@ -515,9 +525,6 @@ def ingest_dataset(
     ticks = imu[keep]
     imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:4], ticks[:, 4:7], ticks[:, 7:10])
 
-    kind = _RANGE_KIND[topology]
-    if kind is None:
-        raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
     pairs = _tdoa_pairs(anchor_set, kind)
     per_tick = len(pairs)
     times, starts = np.unique(tdoa[:, 0], return_index=True)

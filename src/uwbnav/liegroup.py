@@ -7,8 +7,8 @@ submanifold spanned by ``u(skew(omega), v, a, eps)`` whose exponential has a
 closed form (Rodrigues terms plus two Jacobian-like series for the
 translation columns).  This module provides the skew/vex pair, the
 antisymmetric projector, the normalized attitude distance, the closed-form
-exponentials, and quaternion conversions used by the quaternion filter
-variant.
+exponentials, the rotation logarithm, and quaternion conversions used by
+the quaternion filter variant.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "pa",
     "attitude_distance",
     "so3_exp",
+    "so3_log",
     "se23_exp",
     "quat_to_rot",
     "rot_to_quat",
@@ -295,6 +296,23 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
     q = q / norm
     q[q[:, 0] < 0.0] *= -1.0
     return q.reshape(r.shape[:-2] + (4,))
+
+
+def so3_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vectors ``(..., 3)`` of rotation matrices ``(..., 3, 3)``: the inverse of :func:`so3_exp`.
+
+    Read off the unit quaternion of :func:`rot_to_quat` (Shepperd branches,
+    scalar part ``q_0 >= 0``, so the angle lies in ``[0, pi]``): the angle is
+    ``2 atan2(|q_v|, q_0)`` and ``w = angle / sin(angle / 2) q_v``.  Below
+    ``SMALL_ANGLE`` the ratio is its series ``2 + angle^2 / 12``.
+    """
+    q = rot_to_quat(r)
+    qv = q[..., 1:]
+    angle = 2.0 * np.arctan2(np.sqrt((qv[..., None, :] @ qv[..., :, None])[..., 0, 0]), q[..., 0])
+    small = angle < SMALL_ANGLE
+    half = np.where(small, 1.0, 0.5 * angle)
+    scale = np.where(small, 2.0 + angle * angle / 12.0, 2.0 * half / np.sin(half))
+    return scale[..., None] * qv
 
 
 def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.signal import savgol_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .liegroup import NavState, so3_exp
 from .liegroup import se23_exp  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
@@ -276,29 +276,42 @@ def _body_force(rot: np.ndarray, vdot: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (rot.transpose(0, 2, 1) @ (vdot - g)[:, :, None])[:, :, 0]
 
 
-def reconstruct_velocity(
-    positions: np.ndarray, dt: float, window: int = 11, order: int = 3
-) -> np.ndarray:
+SG_WINDOW, SG_ORDER = 11, 3  # Savitzky-Golay differentiator: window length, fit degree
+
+
+def reconstruct_velocity(positions: np.ndarray, dt: float) -> np.ndarray:
     """Savitzky-Golay differentiation of a uniformly sampled position series.
 
-    Interior samples get the smoothed central derivative; endpoints use the
-    one-sided polynomial fit of the boundary window.  For short series the
-    window shrinks to the largest odd length that fits.
+    Savitzky & Golay (Anal. Chem. 1964): a sample's derivative is the slope
+    of the least-squares polynomial of degree ``SG_ORDER`` through its
+    ``SG_WINDOW``-sample window, from one ``lstsq`` of the Vandermonde
+    matrix of the window offsets.  Interior samples take the slope at the
+    window centre; the first and last half-windows take the slopes of the
+    first and last windows' fits (``interp`` mode of scipy's
+    ``savgol_filter``).  For short series the window shrinks to the largest
+    odd length that fits.
 
     Raises
     ------
     TooFewSamples
         With fewer than 5 samples.
+    ValueError
+        If ``dt`` is not finite and positive.
     """
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
     if n < 5:
         raise TooFewSamples(f"need at least 5 samples, got {n}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if window > n:
-        window = n if n % 2 == 1 else n - 1
-    order = min(order, window - 1)
-    return savgol_filter(
-        positions, window_length=window, polyorder=order, deriv=1, delta=dt, axis=0, mode="interp"
-    )
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive")
+    window = min(SG_WINDOW, n if n % 2 else n - 1)
+    half = window // 2
+    offsets = np.arange(-half, half + 1.0)
+    fit = np.linalg.lstsq(offsets[:, None] ** np.arange(SG_ORDER + 1), np.eye(window), rcond=None)[0]
+    # row k: weights of the window samples in the fit's slope at offset k
+    slope = (np.arange(1, SG_ORDER + 1) * offsets[:, None] ** np.arange(SG_ORDER)) @ fit[1:] / dt
+    v = np.empty_like(positions)
+    v[half : n - half] = sliding_window_view(positions, window, axis=0) @ slope[half]
+    v[:half] = slope[:half] @ positions[:window]
+    v[n - half :] = slope[half + 1 :] @ positions[n - window :]
+    return v

@@ -28,6 +28,7 @@ __all__ = [
     "TdoaRanges",
     "PositionFix",
     "RangeSet",
+    "anchor_floor",
     "toa_ranges",
     "toa_solve",
     "tdoa_ranges",
@@ -54,8 +55,8 @@ class AnchorSet:
 
     ``dim`` selects the positioning dimensionality: 3 solves for the full
     position, 2 restricts the solve to the x/y plane (planar deployments).
-    Each solver enforces its own anchor-count floor and rank test, so sets
-    of any size can be constructed.
+    Each solver enforces the anchor-count floor of :func:`anchor_floor` and
+    its own rank test, so sets of any size can be constructed.
 
     ``sq_norms`` (squared anchor norms over the solved coordinates) and
     ``ring_next`` (index of each anchor's ring successor, wrapping to
@@ -194,6 +195,15 @@ def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.
     raise ValueError(f"unknown TDOA topology {topology!r}")
 
 
+def anchor_floor(topology: str | None, dim: int = 3) -> int:
+    """Fewest anchors a ``dim``-D solve needs under ``topology`` (None for TOA).
+
+    ``dim + 1`` for TOA; ``dim + 2`` for TDOA, whose systems carry the range
+    to anchor 1 as one more unknown.
+    """
+    return dim + 1 if topology is None else dim + 2
+
+
 def _svd_lstsq(a: np.ndarray, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarray, float]:
     """Least-squares solve of ``a x = b`` from one thin SVD ``a = U diag(s) V^T``.
 
@@ -249,8 +259,8 @@ def toa_solve(
     h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
-    if n < dim + 1:
-        raise GeometryDegenerate(f"need at least {dim + 1} anchors, got {n}")
+    if n < anchor_floor(None, dim):
+        raise GeometryDegenerate(f"need at least {anchor_floor(None, dim)} anchors, got {n}")
     d = ranges.d
     if d.shape != (n,):
         raise ValueError("range count does not match anchor count")
@@ -293,8 +303,8 @@ def tdoa_solve_main_bs(
     h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
-    if n < dim + 2:
-        raise GeometryDegenerate(f"need at least {dim + 2} anchors, got {n}")
+    if n < anchor_floor(MAIN_BS, dim):
+        raise GeometryDegenerate(f"need at least {anchor_floor(MAIN_BS, dim)} anchors, got {n}")
     diffs = ranges.diffs
     if diffs.shape != (n - 1,):
         raise ValueError("difference count does not match anchor count")
@@ -333,8 +343,8 @@ def tdoa_solve_ring(
     h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
-    if n < dim + 2:
-        raise GeometryDegenerate(f"need at least {dim + 2} anchors, got {n}")
+    if n < anchor_floor(RING, dim):
+        raise GeometryDegenerate(f"need at least {anchor_floor(RING, dim)} anchors, got {n}")
     diffs = ranges.diffs
     if diffs.shape != (n,):
         raise ValueError("difference count does not match anchor count")

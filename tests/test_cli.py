@@ -1,12 +1,15 @@
 """Command-line behavior: verbs, overrides, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uwbnav
 from uwbnav.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -131,13 +134,46 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and line.split(":")[0] in err
 
-    @pytest.mark.parametrize("line", ["k1: -1", "m_r: [0, 0, 9.81]", "radius: .nan"])
+    @pytest.mark.parametrize(
+        "line",
+        ["k1: -1", "m_r: [0, 0, 9.81]", "radius: .nan", "seed: 1.5", "seed: true", "seed: -1",
+         "anchors: [[0, 0, 0], [1, 0, 0]]"],
+    )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
         assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and line.split(":")[0] in err
+
+    @pytest.mark.parametrize("verb", ["run", "simulate"])
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, verb):
+        assert run_cli(verb, "--seed", "-1", "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_four_anchors_under_tdoa_main_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "duration: 1.0\ntopology: tdoa-main\n"
+            "anchors: [[-3, -3, 0], [-3, -3, 3], [-3, 3, 0], [3, -3, 0]]\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "anchors" in err
+
+    def test_dataset_with_too_few_anchors_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 1.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        rows = (ds / "anchors.csv").read_text().splitlines()
+        (ds / "anchors.csv").write_text("\n".join(rows[:5]) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert "anchors.csv: tdoa-main needs at least 5 anchors, got 4" in capsys.readouterr().err
 
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -195,3 +231,43 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout and "metrics" in proc.stdout
+
+
+# scipy subpackages that cost most of a cold start; the run path needs only
+# scipy.linalg's LAPACK bindings
+HEAVY_SCIPY = ("scipy.signal", "scipy.spatial", "scipy.stats", "scipy.interpolate", "scipy.ndimage")
+
+_ROUND_TRIP = """
+import contextlib, io, sys
+from pathlib import Path
+import uwbnav.cli
+work = Path(sys.argv[1])
+lever = "tag_offset: [-0.012, 0.001, 0.091]"
+(work / "sim.yaml").write_text(f"duration: 2.0\\nrate: 500.0\\n{lever}\\n")
+(work / "ds").mkdir()
+(work / "run.yaml").write_text(
+    f"mode: dataset\\ndataset_dir: {work / 'ds'}\\nrate: 500.0\\nfilter_rate: 100.0\\n{lever}\\n"
+)
+verbs = [
+    ["simulate", "--topology", "tdoa-main", "--config", str(work / "sim.yaml"), "--out", str(work / "ds")],
+    ["run", "--topology", "tdoa-main", "--config", str(work / "run.yaml"), "--out", str(work / "run")],
+    ["metrics", str(work / "run")],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in verbs:
+        assert uwbnav.cli.main(argv) == 0, argv
+heavy = sys.argv[2].split(",")
+print(" ".join(sorted(m for m in sys.modules if any(m == h or m.startswith(h + ".") for h in heavy))))
+"""
+
+
+class TestImportDiscipline:
+    def test_round_trip_loads_no_heavy_scipy(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(uwbnav.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _ROUND_TRIP, str(tmp_path), ",".join(HEAVY_SCIPY)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "run" / "metrics.csv").exists()
+        assert proc.stdout.split() == []

@@ -23,7 +23,7 @@ from uwbnav.harness import (
     write_dataset,
 )
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
 
 from reference import synthesize_per_sample
 
@@ -92,6 +92,26 @@ class TestRunConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, -1, "3", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert RunConfig(seed=np.int64(7)).noise().seed == 7
+
+    @pytest.mark.parametrize(
+        "topology,count", [("toa", 2), ("toa", 3), ("tdoa-main", 4), ("tdoa-ring", 4), ("toa", 0)]
+    )
+    def test_too_few_anchors_for_topology(self, topology, count):
+        with pytest.raises(ConfigError, match="anchors"):
+            RunConfig(topology=topology, anchors=default_anchors().anchors[:count])
+
+    @pytest.mark.parametrize("topology,count", [("toa", 4), ("tdoa-main", 5), ("tdoa-ring", 5)])
+    def test_anchor_floor_is_enough(self, topology, count):
+        anchors = default_anchors().anchors[[0, 1, 2, 4, 7][:count]]
+        assert len(RunConfig(topology=topology, anchors=anchors).anchor_set()) == count
 
     def test_component_builders(self):
         cfg = RunConfig(k1=2.5, seed=9, sigma_m=0.3, g_vec=[0.0, 0.0, 9.8])
@@ -188,7 +208,7 @@ class TestLoadConfig:
     def test_anchors_file_loads_and_sorts(self, tmp_path):
         table = tmp_path / "anchors.csv"
         table.write_text("id,x,y,z\n2,1,1,2\n1,0,0,0\n3,-1,2,3\n4,2,-2,1\n")
-        cfg = RunConfig(anchors_file=str(table))
+        cfg = RunConfig(anchors_file=str(table), topology="toa")
         assert cfg.anchors.shape == (4, 3)
         assert np.allclose(cfg.anchors[0], [0.0, 0.0, 0.0])
 
@@ -382,6 +402,18 @@ class TestDatasetRoundTrip:
     def test_toa_topology_rejected(self, dataset):
         with pytest.raises(ConfigError, match="tdoa"):
             ingest_dataset(dataset[0], 50.0, topology="toa")
+
+    def test_too_few_anchors_is_schema_error(self, tmp_path):
+        # a self-consistent main-topology dataset whose four anchors cannot
+        # support a fix
+        four = AnchorSet(anchors=default_anchors().anchors[[0, 1, 2, 4]])
+        traj = _traj(duration=0.5, rate=50.0)
+        imu_stream, ranges = synthesize_measurements(
+            traj, four, "tdoa-main", None, ReferenceEnvironment()
+        )
+        out = write_dataset(tmp_path / "ds", traj, four, imu_stream, ranges)
+        with pytest.raises(SchemaError, match="anchors.csv: tdoa-main needs at least 5 anchors, got 4"):
+            ingest_dataset(out, 50.0, topology="tdoa-main")
 
     def test_missing_file_names_it(self, dataset):
         (dataset[0] / "imu.csv").unlink()

@@ -6,6 +6,7 @@ profiles must match it.
 
 import numpy as np
 import pytest
+from scipy.signal import savgol_filter
 
 from uwbnav.attitude import ReferenceEnvironment
 from uwbnav.liegroup import NavState, attitude_distance
@@ -201,6 +202,25 @@ class TestReconstructVelocity:
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamples):
             reconstruct_velocity(np.zeros((4, 3)), 0.1)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            reconstruct_velocity(np.zeros((20, 3)), dt)
+
+    @pytest.mark.parametrize("dt", [0.002, 0.01, 0.1])
+    @pytest.mark.parametrize("n", [5, 6, 7, 10, 11, 12, 500])
+    def test_matches_scipy_savgol(self, n, dt):
+        # scipy's interp-mode Savitzky-Golay derivative with the same window
+        # shrink is the oracle, on a noisy curved flight
+        rng = np.random.default_rng(1000 * n + int(1 / dt))
+        t = np.arange(n) * dt
+        p = np.stack([2.0 * np.sin(0.6 * t), 2.0 * np.cos(0.6 * t), 1.5 + 0.1 * t], axis=1)
+        p += 1e-3 * rng.standard_normal((n, 3))
+        window = min(11, n if n % 2 else n - 1)
+        ref = savgol_filter(p, window, 3, deriv=1, delta=dt, axis=0, mode="interp")
+        got = reconstruct_velocity(p, dt)
+        assert np.abs(got - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 class TestNoiseSpec:

@@ -258,6 +258,20 @@ class TestTdoaSolvers:
             assert np.linalg.norm(fix.p - p) < 1e-8
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
+def test_solvers_enforce_anchor_floor(topology, dim):
+    # every solver rejects one anchor below anchor_floor, the floor the
+    # run configuration checks
+    floor = uwb.anchor_floor(topology, dim)
+    assert floor == dim + (1 if topology is None else 2)
+    few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1], dim=dim)
+    p = np.array([0.3, -0.2, 1.1])
+    obs = uwb.toa_ranges(p, few) if topology is None else uwb.tdoa_ranges(p, few, topology)
+    with pytest.raises(uwb.GeometryDegenerate, match=f"need at least {floor} anchors, got {floor - 1}"):
+        uwb.solve_fix(few, obs)
+
+
 class TestOverflowingRanges:
     # finite ranges whose squares overflow (or nearly overflow) float64:
     # each solver must refuse them by name or return a finite fix, never a
