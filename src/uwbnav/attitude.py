@@ -127,7 +127,7 @@ class TriadSet:
 
 def _check_measured(v: np.ndarray) -> None:
     """Measured triad rows must be unit and the third orthogonal to the first two."""
-    (g00, _, _), (_, g11, _), (g20, g21, g22) = (v @ v.T).tolist()
+    (g00, _, _), (_, g11, _), (g20, g21, g22) = v.dot(v.T).tolist()
     if not all(abs(math.sqrt(g) - 1.0) <= 1e-9 for g in (g00, g11, g22)):
         raise ValueError("measured triad rows must be unit vectors")
     if not (abs(g20) <= 1e-9 and abs(g21) <= 1e-9):
@@ -203,7 +203,7 @@ def _imu_rows(t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, mag: np.ndarra
 
 
 def _unit(vec: np.ndarray, what: str) -> np.ndarray:
-    n = math.sqrt(vec @ vec)
+    n = math.sqrt(vec.dot(vec))
     if n <= EPS_DEGENERATE:
         raise DegenerateTriads(f"{what} has near-zero norm")
     return vec / n

@@ -208,7 +208,10 @@ class RunConfig:
             if val.shape != (3,) or not np.isfinite(val).all():
                 raise ConfigError(f"{name} must be a finite 3-vector")
             setattr(self, name, val)
-        self.anchors = np.asarray(self.anchors, dtype=float)
+        try:
+            self.anchors = np.asarray(self.anchors, dtype=float)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"anchors must be an (N, 3) array of numbers: {err}") from err
         floor = anchor_floor(_RANGE_KIND[self.topology])
         if self.anchors.ndim == 2 and len(self.anchors) < floor:  # AnchorSet rejects other shapes
             raise ConfigError(
@@ -501,7 +504,10 @@ def ingest_dataset(
     if len(anchors_raw) < floor:
         raise SchemaError(f"anchors.csv: {topology} needs at least {floor} anchors, got {len(anchors_raw)}")
     order = np.argsort(anchors_raw[:, 0])
-    anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
+    try:
+        anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
+    except ValueError as err:
+        raise SchemaError(f"anchors.csv: {err}") from err
 
     dt_full = float(np.median(np.diff(t_full)))
     stride = _stride(1.0 / dt_full, filter_rate)

@@ -238,7 +238,7 @@ class NavState:
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     """Rescale a quaternion to unit norm."""
     q = np.asarray(q, dtype=float)
-    n = math.sqrt(q @ q)
+    n = math.sqrt(q.dot(q))
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
     return q / n

@@ -21,6 +21,15 @@ builds its intermediate values without those constructors and checks what
 it can break: the measured triad, finite corrections, unit quaternions and,
 once, the output state (``update`` gates its result, ``step`` the
 predict-only state of a dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
+The per-step values (corrections, diagnostics, the position fix) are built
+the same unchecked way, since their inputs passed those checks.
+
+Cost: a step runs once per IMU sample, so its 3x3 and 3-vector products
+are ``ndarray.dot`` calls.  ``@`` gives the same bits for these 2-D/1-D
+operands but dispatches through the generalized-ufunc machinery, which on
+operands this small costs two to four times the product itself.  Code that
+multiplies whole ``(n, 3, 3)`` stacks keeps ``@``, because ``dot`` does not
+broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -131,11 +140,11 @@ def _gate(state: FilterState) -> FilterState:
     """Reject a state whose attitude left the group or whose values are not finite."""
     att = state.attitude
     if att.shape == (3, 3):
-        err = att.T @ att - _EYE3
+        err = att.T.dot(att) - _EYE3
         drift = math.sqrt(np.vdot(err, err))
         if not drift <= ATTITUDE_GATE:
             raise ValueError(f"attitude is not orthonormal (drift {drift:.2e})")
-    elif not abs(math.sqrt(att @ att) - 1.0) <= ATTITUDE_GATE:
+    elif not abs(math.sqrt(att.dot(att)) - 1.0) <= ATTITUDE_GATE:
         raise ValueError("quaternion attitude is not unit norm")
     if not all(map(math.isfinite, state.p_hat.tolist() + state.v_hat.tolist() + state.sigma_hat.tolist())):
         raise ValueError("state must be finite")
@@ -200,24 +209,27 @@ def correction_terms(
     s = triads.s
     # m = sum s_i v_hat_i v_i^T, so vex(m - m^T) = sum s_i v_i x v_hat_i and the
     # subtracted trace is Tr(R_hat m R_hat^T)
-    m = (triads.r @ r_hat).T @ (s[:, None] * triads.v)
+    m = triads.r.dot(r_hat).T.dot(s[:, None] * triads.v)
     (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
-    cross = np.array([m21 - m12, m02 - m20, m10 - m01])
-    e_r = 0.25 * float(s @ (triads.r * triads.r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
+    c0, c1, c2 = m21 - m12, m02 - m20, m10 - m01
+    cross = np.array([c0, c1, c2])
+    d_v = np.zeros((3, 3))
+    d_v[0, 0], d_v[1, 1], d_v[2, 2] = c0, c1, c2
+    e_r = 0.25 * float(s.dot((triads.r * triads.r).sum(axis=1)) - np.vdot(r_hat.dot(m), r_hat))
 
     g = gains
     sigma_dot = (
         g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
         - g.k_sigma * g.gamma_sigma * state.sigma_hat
     )
-    w_omega = r_hat @ (
+    w_omega = r_hat.dot(
         -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
     )
     innovation = p_y - state.p_hat
     w_v = -(g.kv / g.epsilon) * innovation - cross3(w_omega, state.p_hat)
     w_a = -g.ka * innovation - cross3(w_omega, state.v_hat)
     return _unchecked(
-        CorrectionTerms, e_r=e_r, d_v=np.diag(cross), w_omega=w_omega, w_v=w_v, w_a=w_a, sigma_dot=sigma_dot
+        CorrectionTerms, e_r=e_r, d_v=d_v, w_omega=w_omega, w_v=w_v, w_a=w_a, sigma_dot=sigma_dot
     )
 
 
@@ -236,10 +248,10 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
         raise ValueError("dt must be positive")
     rot, t_p, t_v = _se23_blocks(imu.omega_m, _ZERO3, imu.a_m, 1.0, dt)
     r_hat = state.rotation()
-    p_new = state.p_hat + state.v_hat * dt + r_hat @ t_p
-    v_new = state.v_hat + r_hat @ t_v
+    p_new = state.p_hat + state.v_hat * dt + r_hat.dot(t_p)
+    v_new = state.v_hat + r_hat.dot(t_v)
     if state.variant == "matrix":
-        att = state.attitude @ rot
+        att = state.attitude.dot(rot)
     else:
         att = quat_normalize(
             quat_multiply(state.attitude, quat_from_rotvec(imu.omega_m * dt))
@@ -263,10 +275,10 @@ def update(state: FilterState, w: CorrectionTerms, dt: float) -> FilterState:
         raise ValueError("dt must be positive")
     # exp(-W dt) is exp(W t) at t = -dt
     r_e, t_p, t_v = _se23_blocks(w.w_omega, w.w_v, w.w_a, 1.0, -dt)
-    p_new = r_e @ state.p_hat + t_p + dt * t_v
-    v_new = r_e @ state.v_hat + t_v
+    p_new = r_e.dot(state.p_hat) + t_p + dt * t_v
+    v_new = r_e.dot(state.v_hat) + t_v
     if state.variant == "matrix":
-        att = r_e @ state.attitude
+        att = r_e.dot(state.attitude)
     else:
         att = quat_normalize(
             quat_multiply(quat_from_rotvec(w.w_omega * -dt), state.attitude)
@@ -297,10 +309,13 @@ def step_with_fix(
     w = correction_terms(state, triads, p_y, gains)
     folded = _unchecked(CorrectionTerms, **{**vars(w), "w_a": w.w_a - env.g_vec})
     new = update(predict(state, imu, dt), folded, dt)
-    diag = Diagnostics(
+    diag = _unchecked(
+        Diagnostics,
         e_r=w.e_r,
         innovation_norm=math.dist(p_y.tolist(), state.p_hat.tolist()),
         sigma_hat=new.sigma_hat,
+        dropout=False,
+        dropout_reason="",
         sigma_alert=min(new.sigma_hat.tolist()) < SIGMA_ALERT_FLOOR,
     )
     return new, diag
@@ -326,11 +341,13 @@ def step(
         return step_with_fix(state, imu, fix.p, env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
         pred = _gate(predict(state, imu, dt))
-        diag = Diagnostics(
+        diag = _unchecked(
+            Diagnostics,
             e_r=float("nan"),
             innovation_norm=float("nan"),
             sigma_hat=pred.sigma_hat,
             dropout=True,
             dropout_reason=f"{type(err).__name__}: {err}",
+            sigma_alert=False,
         )
         return pred, diag

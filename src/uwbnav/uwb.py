@@ -10,10 +10,19 @@ system matrix, which also yields the rank test and the condition number.
 Forming the normal equations would square the condition number, so it is
 avoided.  The TDOA systems carry the unknown distance to anchor 1 as a
 fourth state alongside the position.
+
+The TOA system matrix depends on the anchors alone, so :class:`AnchorSet`
+factors it once and a TOA solve is two small matrix-vector products; the
+TDOA matrices carry the measured differences in their last column and are
+factored per solve, from position blocks the anchor set also keeps.  A
+solve runs once per filter step, so its products use ``ndarray.dot``:
+``@`` costs several times as much in dispatch on operands this small, for
+the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,15 +67,24 @@ class AnchorSet:
     Each solver enforces the anchor-count floor of :func:`anchor_floor` and
     its own rank test, so sets of any size can be constructed.
 
-    ``sq_norms`` (squared anchor norms over the solved coordinates) and
-    ``ring_next`` (index of each anchor's ring successor, wrapping to
-    anchor 1) are derived once here for the solvers.
+    Derived once here for the solvers: ``sq_norms`` (squared anchor norms
+    over the solved coordinates), ``ring_next`` (index of each anchor's ring
+    successor, wrapping to anchor 1), ``toa_factors`` (the thin SVD
+    ``(U^T, s, V)`` of the TOA system ``h[1:] - h[0]`` with its
+    conditioning, see :func:`_factor`; None below the TOA anchor floor)
+    and ``main_system`` / ``ring_system`` (the TDOA system matrices with
+    their position blocks filled and the per-solve difference column left
+    zero).  Construction never raises on geometry: a rank-deficient TOA
+    system is recorded and reported by :func:`toa_solve`.
     """
 
     anchors: np.ndarray
     dim: int = 3
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
     ring_next: np.ndarray = field(init=False, repr=False, compare=False)
+    toa_factors: tuple | None = field(init=False, repr=False, compare=False)
+    main_system: np.ndarray = field(init=False, repr=False, compare=False)
+    ring_system: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.anchors, dtype=float)
@@ -81,10 +99,19 @@ class AnchorSet:
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= MIN_ANCHOR_SEPARATION:
             raise ValueError("anchors closer than the minimum separation")
+        dim, n = self.dim, a.shape[0]
+        nxt = (np.arange(n) + 1) % n
+        main = np.zeros((n - 1, dim + 1))
+        main[:, :dim] = a[0, :dim] - a[1:, :dim]
+        ring = np.zeros((n, dim + 1))
+        ring[:, :dim] = a[:, :dim] - a[nxt, :dim]
         object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "sq_norms", np.sum(a[:, : self.dim] ** 2, axis=1))
-        n = a.shape[0]
-        object.__setattr__(self, "ring_next", (np.arange(n) + 1) % n)
+        object.__setattr__(self, "sq_norms", np.sum(a[:, :dim] ** 2, axis=1))
+        object.__setattr__(self, "ring_next", nxt)
+        toa = _factor(a[1:, :dim] - a[0, :dim]) if n >= anchor_floor(None, dim) else None
+        object.__setattr__(self, "toa_factors", toa)
+        object.__setattr__(self, "main_system", main)
+        object.__setattr__(self, "ring_system", ring)
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
@@ -204,15 +231,33 @@ def anchor_floor(topology: str | None, dim: int = 3) -> int:
     return dim + 1 if topology is None else dim + 2
 
 
-def _svd_lstsq(a: np.ndarray, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarray, float]:
-    """Least-squares solve of ``a x = b`` from one thin SVD ``a = U diag(s) V^T``.
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | str]:
+    """Thin SVD ``a = U diag(s) V^T`` as ``(U^T, s, V, conditioning)``.
 
-    The singular values give the rank test and the condition number, and the
-    solution is ``V ((U^T b) / s)``; ``a`` is factored directly, so the
-    normal equations (which would square the condition number) are never
-    formed.  LAPACK ``gesdd`` is called directly because these systems are
-    tiny and per-call overhead dominates: the ``numpy.linalg.svd`` wrapper
-    costs about as much again as the factorization itself.
+    ``conditioning`` is the condition number ``s_max / s_min``, or, when
+    ``a`` is rank deficient (``s_min`` at or below ``s_max max(shape)
+    eps``), the message :func:`_solve` raises for it.  LAPACK ``gesdd`` is
+    called directly because these systems are tiny and per-call overhead
+    dominates: the ``numpy.linalg.svd`` wrapper costs about as much again as
+    the factorization itself.
+    """
+    u, s, vt, info = dgesdd(a, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
+    s_max, s_min = float(s[0]), float(s[-1])
+    tol = s_max * max(a.shape) * _EPS
+    if not s_min > tol:
+        return u.T, s, vt.T, f"system rank {int(np.count_nonzero(s > tol))} below {a.shape[1]} unknowns"
+    return u.T, s, vt.T, s_max / s_min
+
+
+def _solve(factors: tuple, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarray, float]:
+    """Least-squares solution ``V ((U^T b) / s)`` of ``a x = b`` from ``_factor(a)``, and its condition number.
+
+    ``a`` is factored directly, so the normal equations (which would square
+    the condition number) are never formed.  This is the one rank and
+    condition gate of every solver; ``not cond <= cond_ceiling`` also
+    rejects a NaN ceiling.
 
     Raises
     ------
@@ -223,19 +268,13 @@ def _svd_lstsq(a: np.ndarray, b: np.ndarray, cond_ceiling: float) -> tuple[np.nd
         If the solution is not finite (ranges so large that the squared-range
         right-hand side overflows).
     """
-    u, s, vt, info = dgesdd(a, full_matrices=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
-    s_max, s_min = float(s[0]), float(s[-1])
-    tol = s_max * max(a.shape) * _EPS
-    if not s_min > tol:
-        rank = int(np.count_nonzero(s > tol))
-        raise GeometryDegenerate(f"system rank {rank} below {a.shape[1]} unknowns")
-    cond = s_max / s_min
-    if cond > cond_ceiling:
+    ut, s, v, cond = factors
+    if isinstance(cond, str):
+        raise GeometryDegenerate(cond)
+    if not cond <= cond_ceiling:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {cond_ceiling:.3g}")
-    x = vt.T @ ((u.T @ b) / s)
-    if not np.isfinite(x).all():
+    x = v.dot(ut.dot(b) / s)
+    if not all(map(math.isfinite, x.tolist())):
         raise ValueError("position solve overflowed: ranges too large")
     return x, cond
 
@@ -248,7 +287,9 @@ def toa_solve(
     Differencing the squared-range identity ``d_i^2 = ||h_i||^2 + ||p||^2 -
     2 h_i . p`` against anchor 1 cancels ``||p||^2`` and leaves the linear
     system with rows ``(h_i - h_1) . p = (d_1^2 - d_i^2 + ||h_i||^2 -
-    ||h_1||^2) / 2``.
+    ||h_1||^2) / 2``.  The matrix of that system is the anchor set's, so
+    its factorization (``anchors.toa_factors``) is reused and a solve only
+    forms the right-hand side.
 
     Raises
     ------
@@ -256,7 +297,6 @@ def toa_solve(
         If fewer than ``dim + 1`` anchors, rank-deficient geometry, or
         conditioning above ``cond_ceiling``.
     """
-    h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
     if n < anchor_floor(None, dim):
@@ -265,12 +305,11 @@ def toa_solve(
     if d.shape != (n,):
         raise ValueError("range count does not match anchor count")
     hn2 = anchors.sq_norms
-    a = h[1:, :dim] - h[0, :dim]
     b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
-    x, cond = _svd_lstsq(a, b, cond_ceiling)
+    x, cond = _solve(anchors.toa_factors, b, cond_ceiling)
     p = np.zeros(3)
     p[:dim] = x
-    return PositionFix(p=p, condition_number=cond)
+    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=None, aux_clamped=False)
 
 
 def _finish_tdoa(x: np.ndarray, cond: float, dim: int) -> PositionFix:
@@ -280,7 +319,7 @@ def _finish_tdoa(x: np.ndarray, cond: float, dim: int) -> PositionFix:
     clamped = aux < 0.0
     if clamped:
         aux = 0.0
-    return PositionFix(p=p, condition_number=cond, aux_range=aux, aux_clamped=clamped)
+    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=aux, aux_clamped=clamped)
 
 
 def tdoa_solve_main_bs(
@@ -300,7 +339,6 @@ def tdoa_solve_main_bs(
     """
     if ranges.topology != MAIN_BS:
         raise ValueError("expected main-bs ranges")
-    h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
     if n < anchor_floor(MAIN_BS, dim):
@@ -309,11 +347,10 @@ def tdoa_solve_main_bs(
     if diffs.shape != (n - 1,):
         raise ValueError("difference count does not match anchor count")
     hn2 = anchors.sq_norms
-    a = np.empty((n - 1, dim + 1))
-    a[:, :dim] = h[0, :dim] - h[1:, :dim]
+    a = anchors.main_system.copy()
     a[:, dim] = -diffs
     b = 0.5 * (diffs**2 + hn2[0] - hn2[1:])
-    x, cond = _svd_lstsq(a, b, cond_ceiling)
+    x, cond = _solve(_factor(a), b, cond_ceiling)
     return _finish_tdoa(x, cond, dim)
 
 
@@ -340,7 +377,6 @@ def tdoa_solve_ring(
     """
     if ranges.topology != RING:
         raise ValueError("expected ring ranges")
-    h = anchors.anchors
     n = len(anchors)
     dim = anchors.dim
     if n < anchor_floor(RING, dim):
@@ -351,11 +387,10 @@ def tdoa_solve_ring(
     hn2 = anchors.sq_norms
     nxt = anchors.ring_next
     partial = np.concatenate([[0.0], np.cumsum(diffs[:-1])])
-    a = np.empty((n, dim + 1))
-    a[:, :dim] = h[:, :dim] - h[nxt, :dim]
+    a = anchors.ring_system.copy()
     a[:, dim] = -diffs
     b = 0.5 * (diffs**2 + hn2 - hn2[nxt] + 2.0 * diffs * partial)
-    x, cond = _svd_lstsq(a, b, cond_ceiling)
+    x, cond = _solve(_factor(a), b, cond_ceiling)
     return _finish_tdoa(x, cond, dim)
 
 

@@ -12,17 +12,20 @@ tests vouch for (it runs on the package's closed-form ``se23_exp``).
 The per-sample oracles at the end are the one-value-at-a-time forms of
 code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
-bit-identical results.
+bit-identical results.  ``toa_solve_per_call`` is likewise the TOA solve
+that factors its system matrix on every call, which the anchor set's
+one-time factorization must reproduce bit for bit.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+from scipy.linalg.lapack import dgesdd
 
 from uwbnav.attitude import measure_imu
 from uwbnav.liegroup import NavState, TangentInput, _rodrigues_coefficients, se23_exp
-from uwbnav.uwb import MAIN_BS, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+from uwbnav.uwb import MAIN_BS, GeometryDegenerate, PositionFix, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
 
 
 def _skew(w):
@@ -231,3 +234,30 @@ def rot_to_quat_per_matrix(r):
         )
     q = q / math.sqrt(q @ q)
     return -q if q[0] < 0.0 else q
+
+
+def toa_solve_per_call(anchors, ranges, cond_ceiling=1e8):
+    """TOA fix from a fresh thin SVD of the differenced system on every call.
+
+    Same rows, floor, rank and condition messages as ``uwb.toa_solve``; the
+    solution is ``V ((U^T b) / s)``.
+    """
+    h, n, dim = anchors.anchors, len(anchors), anchors.dim
+    if n < dim + 1:
+        raise GeometryDegenerate(f"need at least {dim + 1} anchors, got {n}")
+    d = ranges.d
+    hn2 = np.sum(h[:, :dim] ** 2, axis=1)
+    a = h[1:, :dim] - h[0, :dim]
+    b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
+    u, s, vt, info = dgesdd(a, full_matrices=0)
+    assert info == 0
+    s_max, s_min = float(s[0]), float(s[-1])
+    tol = s_max * max(a.shape) * np.finfo(float).eps
+    if not s_min > tol:
+        raise GeometryDegenerate(f"system rank {int(np.count_nonzero(s > tol))} below {a.shape[1]} unknowns")
+    cond = s_max / s_min
+    if not cond <= cond_ceiling:
+        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {cond_ceiling:.3g}")
+    p = np.zeros(3)
+    p[:dim] = vt.T @ ((u.T @ b) / s)
+    return PositionFix(p=p, condition_number=cond)

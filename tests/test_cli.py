@@ -137,7 +137,7 @@ class TestRunVerb:
     @pytest.mark.parametrize(
         "line",
         ["k1: -1", "m_r: [0, 0, 9.81]", "radius: .nan", "seed: 1.5", "seed: true", "seed: -1",
-         "anchors: [[0, 0, 0], [1, 0, 0]]"],
+         "anchors: [[0, 0, 0], [1, 0, 0]]", "anchors: abc"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.yaml"
@@ -174,6 +174,19 @@ class TestRunVerb:
         run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
         assert "anchors.csv: tdoa-main needs at least 5 anchors, got 4" in capsys.readouterr().err
+
+    def test_dataset_with_coincident_anchors_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 1.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        header, first, second, *rest = (ds / "anchors.csv").read_text().splitlines()
+        second = ",".join([second.split(",")[0]] + first.split(",")[1:])
+        (ds / "anchors.csv").write_text("\n".join([header, first, second, *rest]) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert "anchors.csv: anchors closer than the minimum separation" in capsys.readouterr().err
 
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reference import toa_solve_per_call
 from uwbnav import uwb
 from uwbnav.liegroup import so3_exp
 
@@ -147,6 +148,59 @@ class TestToaSolve:
         p = np.array([1.3, 2.1, 0.0])
         fix = uwb.toa_solve(flat, uwb.toa_ranges(p, flat))
         assert np.allclose(fix.p, p, atol=1e-9)
+
+
+def _outcome(solve, *args, **kwargs):
+    """A solve's fix as ``(p, condition_number)``, or the message it raised GeometryDegenerate with."""
+    try:
+        fix = solve(*args, **kwargs)
+    except uwb.GeometryDegenerate as err:
+        return str(err)
+    return fix.p, fix.condition_number
+
+
+class TestFactoredToaSolve:
+    # the anchor set factors the constant TOA system once; every solve must
+    # equal a fresh per-call factorization bit for bit, errors included
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_call_svd_bitwise(self, rng, dim):
+        for _ in range(200):
+            n = int(rng.integers(dim + 1, 12))
+            anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)), dim=dim)
+            p = rng.uniform(-4.0, 4.0, size=3)
+            obs = uwb.ToaRanges(d=np.abs(uwb.toa_ranges(p, anchors).d + rng.normal(0.0, 0.05, n)))
+            ref = _outcome(toa_solve_per_call, anchors, obs)
+            got = _outcome(uwb.toa_solve, anchors, obs)
+            if isinstance(ref, str):
+                assert got == ref
+                continue
+            assert np.array_equal(got[0], ref[0])
+            assert got[1] == ref[1]
+
+    @pytest.mark.parametrize(
+        "points, ceiling, message",
+        [
+            ([[float(i), 0.0, 0.0] for i in range(5)], 1e8, "system rank 1 below 3 unknowns"),
+            ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], 1e8, "need at least 4 anchors, got 3"),
+            (box_anchors().anchors, 1.0, "condition number 4.56 above ceiling 1"),
+        ],
+        ids=["collinear", "too-few", "ceiling"],
+    )
+    def test_degenerate_sets_construct_then_raise_at_solve(self, points, ceiling, message):
+        anchors = uwb.AnchorSet(anchors=np.array(points, dtype=float))
+        obs = uwb.ToaRanges(d=np.ones(len(anchors)))
+        assert _outcome(toa_solve_per_call, anchors, obs, cond_ceiling=ceiling) == message
+        assert _outcome(uwb.toa_solve, anchors, obs, cond_ceiling=ceiling) == message
+
+
+@pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
+def test_nan_condition_ceiling_is_rejected(anchors, topology):
+    # cond > nan is False, so a NaN ceiling must not switch the gate off
+    p = np.array([0.3, -0.2, 1.1])
+    obs = uwb.toa_ranges(p, anchors) if topology is None else uwb.tdoa_ranges(p, anchors, topology)
+    with pytest.raises(uwb.GeometryDegenerate, match="above ceiling nan"):
+        uwb.solve_fix(anchors, obs, cond_ceiling=float("nan"))
 
 
 class TestTdoaSolvers:
