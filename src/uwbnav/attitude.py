@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,12 +54,14 @@ def _default_magnetic() -> np.ndarray:
 class ReferenceEnvironment:
     """Inertial-frame reference vectors: gravity (NED, z down) and magnetic field.
 
-    ``r_triad`` is the reference side of :func:`build_triads`, computed once.
+    ``r_triad`` is the reference side of :func:`build_triads`, computed once,
+    and ``_reference`` its rows and their squared norms as floats.
     """
 
     g_vec: np.ndarray = field(default_factory=_default_gravity)
     m_r: np.ndarray = field(default_factory=_default_magnetic)
     r_triad: np.ndarray = field(init=False, repr=False, compare=False)
+    _reference: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g_vec, dtype=float)
@@ -74,11 +77,12 @@ class ReferenceEnvironment:
             raise ValueError("g_vec and m_r (gravity and magnetic references) are collinear")
         object.__setattr__(self, "g_vec", g)
         object.__setattr__(self, "m_r", m)
-        r1 = _unit(-g, "gravity reference")
-        r2 = _unit(m, "magnetic reference")
-        r_triad = np.stack([r1, r2, _unit(cross3(r1, r2), "reference cross product")])
+        r1 = _unit((-g).tolist(), "gravity reference")
+        r2 = _unit(m.tolist(), "magnetic reference")
+        r_triad = np.array([r1, r2, _unit(cross3(r1, r2), "reference cross product")])
         r_triad.flags.writeable = False  # shared by every TriadSet build_triads returns
         object.__setattr__(self, "r_triad", r_triad)
+        object.__setattr__(self, "_reference", _reference_floats(r_triad))
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,7 @@ class TriadSet:
         r = np.asarray(self.r, dtype=float)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be 3x3 (rows are the triad vectors)")
-        _check_measured(v)
+        _check_measured(*v.tolist())
         if not np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("reference triad rows must be unit vectors")
         object.__setattr__(self, "v", v)
@@ -125,19 +129,36 @@ class TriadSet:
         object.__setattr__(self, "s", _weights(self.s))
 
 
-def _check_measured(v: np.ndarray) -> None:
-    """Measured triad rows must be unit and the third orthogonal to the first two."""
-    (g00, _, _), (_, g11, _), (g20, g21, g22) = v.dot(v.T).tolist()
-    if not all(abs(math.sqrt(g) - 1.0) <= 1e-9 for g in (g00, g11, g22)):
+    @cached_property
+    def _reference(self) -> tuple:
+        """Rows of ``r`` and their squared norms as floats (:func:`build_triads` passes the environment's)."""
+        return _reference_floats(self.r)
+
+
+def _reference_floats(r: np.ndarray) -> tuple:
+    """``(rows, squared_norms)`` of a 3x3 reference triad, as float tuples."""
+    rows = tuple(map(tuple, r.tolist()))
+    return rows, tuple(x * x + y * y + z * z for x, y, z in rows)
+
+
+def _check_measured(v1, v2, v3) -> None:
+    """Measured triad rows (float 3-sequences) must be unit and the third orthogonal to the first two."""
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v1, v2, v3
+    if not (abs(math.sqrt(x1 * x1 + y1 * y1 + z1 * z1) - 1.0) <= 1e-9
+            and abs(math.sqrt(x2 * x2 + y2 * y2 + z2 * z2) - 1.0) <= 1e-9
+            and abs(math.sqrt(x3 * x3 + y3 * y3 + z3 * z3) - 1.0) <= 1e-9):
         raise ValueError("measured triad rows must be unit vectors")
-    if not (abs(g20) <= 1e-9 and abs(g21) <= 1e-9):
+    if not (abs(x3 * x1 + y3 * y1 + z3 * z1) <= 1e-9 and abs(x3 * x2 + y3 * y2 + z3 * z2) <= 1e-9):
         raise ValueError("third measured vector must be orthogonal to the first two")
 
 
 def _weights(s) -> np.ndarray:
     """Triad confidence weights as an array: three nonnegative values summing to 3."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (3,) or not (min(s.tolist()) >= 0.0 and abs(sum(s.tolist()) - 3.0) <= 1e-9):
+    if s.shape != (3,):
+        raise ValueError("s must be 3 nonnegative weights summing to 3")
+    s0, s1, s2 = s.tolist()
+    if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
         raise ValueError("s must be 3 nonnegative weights summing to 3")
     return s
 
@@ -202,11 +223,13 @@ def _imu_rows(t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, mag: np.ndarra
     ]
 
 
-def _unit(vec: np.ndarray, what: str) -> np.ndarray:
-    n = math.sqrt(vec.dot(vec))
+def _unit(vec, what: str) -> tuple[float, float, float]:
+    """A 3-sequence of floats scaled to unit norm, as a float tuple."""
+    x, y, z = vec
+    n = math.sqrt(x * x + y * y + z * z)
     if n <= EPS_DEGENERATE:
         raise DegenerateTriads(f"{what} has near-zero norm")
-    return vec / n
+    return x / n, y / n, z / n
 
 
 def build_triads(
@@ -229,8 +252,10 @@ def build_triads(
         If a measurement or a cross product has norm at or below
         ``EPS_DEGENERATE``.
     """
-    v1 = _unit(np.asarray(a_m, dtype=float), "accelerometer sample")
-    v2 = _unit(np.asarray(m_m, dtype=float), "magnetometer sample")
-    v = np.array([v1, v2, _unit(cross3(v1, v2), "measured cross product")])
-    _check_measured(v)
-    return _unchecked(TriadSet, v=v, r=env.r_triad, s=_weights(s))
+    v1 = _unit(np.asarray(a_m, dtype=float).tolist(), "accelerometer sample")
+    v2 = _unit(np.asarray(m_m, dtype=float).tolist(), "magnetometer sample")
+    v3 = _unit(cross3(v1, v2), "measured cross product")
+    _check_measured(v1, v2, v3)
+    return _unchecked(
+        TriadSet, v=np.array((*v1, *v2, *v3)).reshape(3, 3), r=env.r_triad, s=_weights(s), _reference=env._reference
+    )

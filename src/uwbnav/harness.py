@@ -25,7 +25,7 @@ import yaml
 from .attitude import ImuSample, ReferenceEnvironment, _imu_block, _imu_rows
 from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp, so3_log
-from .navfilter import Diagnostics, FilterGains, FilterState, step
+from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, step
 from .sim import (
     BadParams,
     NoiseSpec,
@@ -416,8 +416,13 @@ def write_dataset(
     return out
 
 
-def _read_csv(path: Path, columns: list[str]) -> np.ndarray:
-    """Numeric table of ``path`` with header ``columns``; every cell must be a finite number."""
+def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ()) -> np.ndarray:
+    """Numeric table of ``path`` with header ``columns``; every cell must be a finite number.
+
+    ``nan_columns`` may also hold NaN.  A cell that is not a number, a row
+    of the wrong length, or a non-finite value is a SchemaError naming the
+    file, the column and the data row.
+    """
     if not path.exists():
         raise SchemaError(f"missing dataset file: {path.name}")
     with path.open() as fh:
@@ -430,14 +435,36 @@ def _read_csv(path: Path, columns: list[str]) -> np.ndarray:
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
-            raise SchemaError(f"{path.name}: {err}") from err
-    if data.size and data.shape[1] != len(columns):
-        raise SchemaError(f"{path.name}: ragged rows")
+            raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or err}") from err
+    if not data.size:
+        return data
+    if data.shape[1] != len(columns):
+        raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or 'ragged rows'}")
     bad = ~np.isfinite(data)
+    if nan_columns:
+        bad &= ~(np.isnan(data) & np.isin(columns, nan_columns))
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise SchemaError(f"{path.name}: non-finite value in column {columns[col]!r} (data row {row + 1})")
     return data
+
+
+def _bad_cell(path: Path, columns: list[str]) -> str | None:
+    """The first non-numeric cell or wrong-length row of a CSV table, by column and data row."""
+    with path.open() as fh:
+        rows = [line for line in fh.read().splitlines()[1:] if line.strip()]
+    for k, line in enumerate(rows, 1):
+        cells = line.split(",")
+        for name, cell in zip(columns, cells):
+            try:
+                float(cell)
+            except ValueError:
+                return f"non-numeric value {cell!r} in column {name!r} (data row {k})"
+        if len(cells) < len(columns):
+            return f"no value for column {columns[len(cells)]!r} (data row {k})"
+        if len(cells) > len(columns):
+            return f"{len(cells)} values for {len(columns)} columns (data row {k})"
+    return None
 
 
 def _stride(rate: float, filter_rate: float) -> int:
@@ -666,6 +693,37 @@ def run_experiment(cfg: RunConfig) -> dict:
     return summary
 
 
+def _read_estimates(path: Path) -> np.ndarray:
+    """``estimates.csv`` as a table, checked as :func:`run_experiment` writes it.
+
+    Every cell is finite except ``e_r`` and ``py_residual``, which may be
+    NaN on a row with ``dropout`` 1; ``dropout`` is 0 or 1, and ``qw``..``qz``
+    is a unit quaternion (to ``ATTITUDE_GATE``).
+    """
+    est = _read_csv(path, _ESTIMATE_HEADER, nan_columns=("e_r", "py_residual"))
+    if not est.size:
+        return np.empty((0, len(_ESTIMATE_HEADER)))
+    dropout = est[:, 16]
+    bad = (dropout != 0.0) & (dropout != 1.0)
+    if bad.any():
+        raise SchemaError(f"{path.name}: column 'dropout' must be 0 or 1 (data row {np.argmax(bad) + 1})")
+    nan = np.isnan(est[:, 14:16]) & (dropout == 0.0)[:, None]
+    if nan.any():
+        row, col = np.argwhere(nan)[0]
+        raise SchemaError(
+            f"{path.name}: non-finite value in column {_ESTIMATE_HEADER[14 + col]!r} (data row {row + 1});"
+            " NaN is allowed there only with dropout 1"
+        )
+    norm = np.sqrt((est[:, 7:11] ** 2).sum(axis=1))
+    bad = ~(np.abs(norm - 1.0) <= ATTITUDE_GATE)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SchemaError(
+            f"{path.name}: columns 'qw'..'qz' are not a unit quaternion (data row {k + 1}): norm {norm[k]:.6g}"
+        )
+    return est
+
+
 def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_path: str | Path) -> int:
     """Rebuild metrics.csv from a saved estimate trace and a truth file.
 
@@ -676,13 +734,7 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     est_path = Path(estimates_path)
     if not est_path.exists():
         raise SchemaError(f"missing estimates file: {est_path}")
-    with est_path.open() as fh:
-        header = fh.readline().strip().split(",")
-        if header != _ESTIMATE_HEADER:
-            raise SchemaError(f"{est_path.name}: unexpected columns {header}")
-        est = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not est.size:
-        est = np.empty((0, len(_ESTIMATE_HEADER)))
+    est = _read_estimates(est_path)
     truth = _read_csv(Path(truth_path), _TRUTH_HEADER)
     t_truth = truth[:, 0]
     if np.any(np.diff(t_truth) <= 0):

@@ -57,15 +57,14 @@ def skew(v: np.ndarray) -> np.ndarray:
     return np.stack([o, -z, y, z, o, -x, -y, x, o], axis=-1).reshape(v.shape[:-1] + (3, 3))
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors in scalar arithmetic.
+def cross3(a, b) -> tuple[float, float, float]:
+    """Cross product of two 3-vectors (arrays or float sequences) in scalar arithmetic.
 
-    Equivalent to ``np.cross(a, b)`` for shape-(3,) inputs; avoids the
-    general-axis machinery, which dominates the per-step cost of the
-    filter loop.
+    Equals ``np.cross(a, b)`` for shape-(3,) inputs, returned as a tuple of
+    Python floats for the filter step (see ``navfilter``'s "Cost" note).
     """
-    (a0, a1, a2), (b0, b1, b2) = np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def _unchecked(cls, **fields):
@@ -171,13 +170,15 @@ class TangentInput:
                 raise ValueError(f"{name} must be a finite 3-vector")
 
 
-def _se23_blocks(omega, v, a, eps: float, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blocks ``(R, t_p, t_v)`` of :func:`se23_exp` from finite 3-vector arrays.
+def _se23_blocks(omega, v, a, eps: float, dt: float):
+    """Blocks ``(R, t_p, t_v)`` of :func:`se23_exp` from three 3-sequences of floats.
 
-    Scalar evaluation with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``);
-    raises ValueError on a non-finite input component.
+    Scalar evaluation with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``).
+    ``R`` comes back as three row tuples and ``t_p``, ``t_v`` as tuples, all
+    Python floats; raises ValueError on a non-finite input component.
     """
-    (wx, wy, wz), (vx, vy, vz), (ax, ay, az) = (omega * dt).tolist(), v.tolist(), a.tolist()
+    (ox, oy, oz), (vx, vy, vz), (ax, ay, az) = omega, v, a
+    wx, wy, wz = ox * dt, oy * dt, oz * dt
     if not all(map(math.isfinite, (wx, wy, wz, vx, vy, vz, ax, ay, az))):
         raise ValueError("tangent input must be finite")
     theta = math.hypot(wx, wy, wz)
@@ -193,11 +194,11 @@ def _se23_blocks(omega, v, a, eps: float, dt: float) -> tuple[np.ndarray, np.nda
     j2a = series(ax, ay, az, 0.5, c_c, d_c)
     k = eps * dt * dt
     c0, bx, by, bz = 1.0 - b_c * t2, b_c * wx, b_c * wy, b_c * wz
-    rot = np.array([[c0 + bx * wx, bx * wy - a_c * wz, bx * wz + a_c * wy],
-                    [bx * wy + a_c * wz, c0 + by * wy, by * wz - a_c * wx],
-                    [bx * wz - a_c * wy, by * wz + a_c * wx, c0 + bz * wz]])
-    t_p = np.array([j1v[0] + k * j2a[0], j1v[1] + k * j2a[1], j1v[2] + k * j2a[2]])
-    return rot, t_p, np.array(series(ax * dt, ay * dt, az * dt, 1.0, b_c, c_c))
+    rot = ((c0 + bx * wx, bx * wy - a_c * wz, bx * wz + a_c * wy),
+           (bx * wy + a_c * wz, c0 + by * wy, by * wz - a_c * wx),
+           (bx * wz - a_c * wy, by * wz + a_c * wx, c0 + bz * wz))
+    t_p = (j1v[0] + k * j2a[0], j1v[1] + k * j2a[1], j1v[2] + k * j2a[2])
+    return rot, t_p, series(ax * dt, ay * dt, az * dt, 1.0, b_c, c_c)
 
 
 def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
@@ -211,10 +212,14 @@ def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
     tangent matrix beyond the second vanish outside the rotation block, which
     is what collapses the series to these four coefficients.
     """
-    out = np.eye(5)
-    out[:3, :3], out[:3, 3], out[:3, 4] = _se23_blocks(u.omega, u.v, u.a, u.eps, dt)
-    out[4, 3] = u.eps * dt
-    return out
+    (r0, r1, r2), t_p, t_v = _se23_blocks(u.omega.tolist(), u.v.tolist(), u.a.tolist(), u.eps, dt)
+    return np.array([
+        [*r0, t_p[0], t_v[0]],
+        [*r1, t_p[1], t_v[1]],
+        [*r2, t_p[2], t_v[2]],
+        [0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, u.eps * dt, 1.0],
+    ])
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,13 @@ class NavState:
             raise ValueError("position and velocity must be 3-vectors")
 
 
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Rescale a quaternion to unit norm."""
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(q.dot(q))
+def quat_normalize(q) -> tuple[float, float, float, float]:
+    """Rescale a quaternion (array or float sequence) to unit norm, as a tuple of floats."""
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
     if n == 0.0 or not math.isfinite(n):
         raise ValueError("cannot normalize a zero or non-finite quaternion")
-    return q / n
+    return w / n, x / n, y / n, z / n
 
 
 def _quat_rot_rows(w, x, y, z):
@@ -315,17 +320,16 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     return scale[..., None] * qv
 
 
-def quat_multiply(q1: np.ndarray, q2: np.ndarray) -> np.ndarray:
-    """Hamilton quaternion product ``q1 * q2``."""
-    w1, x1, y1, z1 = np.asarray(q1, dtype=float).tolist()
-    w2, x2, y2, z2 = np.asarray(q2, dtype=float).tolist()
-    return np.array([w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2), w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
-                     w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2), w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2)])
+def quat_multiply(q1, q2) -> tuple[float, float, float, float]:
+    """Hamilton quaternion product ``q1 * q2`` of two arrays or float sequences, as a tuple of floats."""
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = q1, q2
+    return (w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2), w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+            w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2), w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2))
 
 
-def quat_from_rotvec(w: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation vector; satisfies quat_to_rot == so3_exp."""
-    x, y, z = np.asarray(w, dtype=float).tolist()
+def quat_from_rotvec(w) -> tuple[float, float, float, float]:
+    """Unit quaternion of a rotation vector, as a tuple of floats; satisfies quat_to_rot == so3_exp."""
+    x, y, z = w
     theta = math.hypot(x, y, z)
     half = 0.5 * theta
     if theta < SMALL_ANGLE:
@@ -333,4 +337,4 @@ def quat_from_rotvec(w: np.ndarray) -> np.ndarray:
         scale = 0.5 - theta * theta / 48.0
     else:
         scale = math.sin(half) / theta
-    return np.array([math.cos(half), scale * x, scale * y, scale * z])
+    return math.cos(half), scale * x, scale * y, scale * z

@@ -24,12 +24,13 @@ predict-only state of a dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
 The per-step values (corrections, diagnostics, the position fix) are built
 the same unchecked way, since their inputs passed those checks.
 
-Cost: a step runs once per IMU sample, so its 3x3 and 3-vector products
-are ``ndarray.dot`` calls.  ``@`` gives the same bits for these 2-D/1-D
-operands but dispatches through the generalized-ufunc machinery, which on
-operands this small costs two to four times the product itself.  Code that
-multiplies whole ``(n, 3, 3)`` stacks keeps ``@``, because ``dot`` does not
-broadcast over leading axes.
+Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
+a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
+arithmetic.  So each step layer reads its array inputs once with
+``tolist``, evaluates its products as scalar expressions on Python floats,
+and builds each array it returns once; the values that cross layers
+(states, corrections, triads) stay arrays.  Code that works on whole
+``(n, 3, 3)`` stacks stays in numpy.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ import numpy as np
 
 from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, _weights, build_triads
 from .liegroup import (
+    _quat_rot_rows,
     _se23_blocks,
     _unchecked,
     cross3,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
-    quat_to_rot,
     se23_exp,  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 )
 from .uwb import AnchorSet, GeometryDegenerate, RangeSet, solve_fix
@@ -67,8 +68,7 @@ __all__ = [
 
 SIGMA_ALERT_FLOOR = -10.0
 ATTITUDE_GATE = 1e-6
-_EYE3 = np.eye(3)
-_ZERO3 = np.zeros(3)
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -129,23 +129,40 @@ class FilterState:
 
     @cached_property
     def _rotation(self) -> np.ndarray:
-        return self.attitude if self.variant == "matrix" else quat_to_rot(self.attitude)
+        return self.attitude if self.variant == "matrix" else np.array(_rows(self))
 
     def rotation(self) -> np.ndarray:
         """Attitude as a rotation matrix regardless of variant (computed once per state)."""
         return self._rotation
 
 
+def _rows(state: FilterState) -> list:
+    """Rows of the state's attitude as a rotation matrix, as Python floats.
+
+    Not cached on the state: a run keeps every state it returns, and the
+    rows would add about 0.5 kB to each.
+    """
+    att = state.attitude.tolist()
+    return att if len(att) == 3 else _quat_rot_rows(*att)
+
+
 def _gate(state: FilterState) -> FilterState:
     """Reject a state whose attitude left the group or whose values are not finite."""
-    att = state.attitude
-    if att.shape == (3, 3):
-        err = att.T.dot(att) - _EYE3
-        drift = math.sqrt(np.vdot(err, err))
+    att = state.attitude.tolist()
+    if len(att) == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = att
+        # Frobenius norm of A^T A - I from the Gram entries of A's columns
+        g00, g11, g22 = a0 * a0 + b0 * b0 + c0 * c0, a1 * a1 + b1 * b1 + c1 * c1, a2 * a2 + b2 * b2 + c2 * c2
+        g01, g02, g12 = a0 * a1 + b0 * b1 + c0 * c1, a0 * a2 + b0 * b2 + c0 * c2, a1 * a2 + b1 * b2 + c1 * c2
+        drift = math.sqrt(
+            (g00 - 1.0) ** 2 + (g11 - 1.0) ** 2 + (g22 - 1.0) ** 2 + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12)
+        )
         if not drift <= ATTITUDE_GATE:
             raise ValueError(f"attitude is not orthonormal (drift {drift:.2e})")
-    elif not abs(math.sqrt(att.dot(att)) - 1.0) <= ATTITUDE_GATE:
-        raise ValueError("quaternion attitude is not unit norm")
+    else:
+        w, x, y, z = att
+        if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ATTITUDE_GATE:
+            raise ValueError("quaternion attitude is not unit norm")
     if not all(map(math.isfinite, state.p_hat.tolist() + state.v_hat.tolist() + state.sigma_hat.tolist())):
         raise ValueError("state must be finite")
     return state
@@ -180,6 +197,15 @@ class Diagnostics:
     sigma_alert: bool = False
 
 
+def _product(a, b) -> tuple:
+    """Row-major entries of the 3x3 product ``a b`` of two matrices given as float rows."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22,
+            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22,
+            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22)
+
+
 def correction_terms(
     state: FilterState, triads: TriadSet, p_y: np.ndarray, gains: FilterGains
 ) -> CorrectionTerms:
@@ -205,31 +231,45 @@ def correction_terms(
     Gravity is NOT folded into ``w_a`` here; the discrete step does that
     when it assembles the update exponential.
     """
-    r_hat = state.rotation()
-    s = triads.s
-    # m = sum s_i v_hat_i v_i^T, so vex(m - m^T) = sum s_i v_i x v_hat_i and the
-    # subtracted trace is Tr(R_hat m R_hat^T)
-    m = triads.r.dot(r_hat).T.dot(s[:, None] * triads.v)
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m.tolist()
+    r_hat = _rows(state)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
+    (s0, s1, s2), (ref, r_sq) = triads.s.tolist(), triads._reference
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v.tolist()
+    # the rows of (r R_hat) are v_hat_i = R_hat^T r_i, so m = (r R_hat)^T (s v)
+    # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
+    # subtracted trace Tr(R_hat m R_hat^T) is the inner product <R_hat m, R_hat>
+    h = _product(ref, r_hat)
+    m = _product(
+        (h[0::3], h[1::3], h[2::3]),
+        ((s0 * v00, s0 * v01, s0 * v02), (s1 * v10, s1 * v11, s1 * v12), (s2 * v20, s2 * v21, s2 * v22)),
+    )
+    _, m01, m02, m10, _, m12, m20, m21, _ = m
     c0, c1, c2 = m21 - m12, m02 - m20, m10 - m01
-    cross = np.array([c0, c1, c2])
-    d_v = np.zeros((3, 3))
-    d_v[0, 0], d_v[1, 1], d_v[2, 2] = c0, c1, c2
-    e_r = 0.25 * float(s.dot((triads.r * triads.r).sum(axis=1)) - np.vdot(r_hat.dot(m), r_hat))
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = _product(r_hat, (m[0:3], m[3:6], m[6:9]))
+    trace = (q00 * r00 + q01 * r01 + q02 * r02 + q10 * r10 + q11 * r11 + q12 * r12
+             + q20 * r20 + q21 * r21 + q22 * r22)
+    e_r = 0.25 * ((s0 * r_sq[0] + s1 * r_sq[1] + s2 * r_sq[2]) - trace)
 
     g = gains
-    sigma_dot = (
-        g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
-        - g.k_sigma * g.gamma_sigma * state.sigma_hat
-    )
-    w_omega = r_hat.dot(
-        -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
-    )
-    innovation = p_y - state.p_hat
-    w_v = -(g.kv / g.epsilon) * innovation - cross3(w_omega, state.p_hat)
-    w_a = -g.ka * innovation - cross3(w_omega, state.v_hat)
+    sg0, sg1, sg2 = state.sigma_hat.tolist()
+    k_cross, k_decay = g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r), g.k_sigma * g.gamma_sigma
+    sigma_dot = (k_cross * (c0 * c0) - k_decay * sg0, k_cross * (c1 * c1) - k_decay * sg1,
+                 k_cross * (c2 * c2) - k_decay * sg2)
+    k_att, k_adapt = -(g.k1 / 2.0), 0.125 * (e_r + 2.0) / (e_r + 1.0)
+    u0, u1, u2 = k_att * c0 - k_adapt * (c0 * sg0), k_att * c1 - k_adapt * (c1 * sg1), k_att * c2 - k_adapt * (c2 * sg2)
+    w_omega = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2, r20 * u0 + r21 * u1 + r22 * u2)
+    (o0, o1, o2), p_hat = np.asarray(p_y, dtype=float).tolist(), state.p_hat.tolist()
+    i0, i1, i2 = o0 - p_hat[0], o1 - p_hat[1], o2 - p_hat[2]
+    k_v, k_a = -(g.kv / g.epsilon), -g.ka
+    (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state.v_hat.tolist())
     return _unchecked(
-        CorrectionTerms, e_r=e_r, d_v=d_v, w_omega=w_omega, w_v=w_v, w_a=w_a, sigma_dot=sigma_dot
+        CorrectionTerms,
+        e_r=e_r,
+        d_v=np.array((c0, 0.0, 0.0, 0.0, c1, 0.0, 0.0, 0.0, c2)).reshape(3, 3),
+        w_omega=np.array(w_omega),
+        w_v=np.array([k_v * i0 - x0, k_v * i1 - x1, k_v * i2 - x2]),
+        w_a=np.array([k_a * i0 - z0, k_a * i1 - z1, k_a * i2 - z2]),
+        sigma_dot=np.array(sigma_dot),
     )
 
 
@@ -246,18 +286,24 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    rot, t_p, t_v = _se23_blocks(imu.omega_m, _ZERO3, imu.a_m, 1.0, dt)
-    r_hat = state.rotation()
-    p_new = state.p_hat + state.v_hat * dt + r_hat.dot(t_p)
-    v_new = state.v_hat + r_hat.dot(t_v)
+    omega = imu.omega_m.tolist()
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(omega, _ZERO3, imu.a_m.tolist(), 1.0, dt)
+    rows = _rows(state)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    (p0, p1, p2), (v0, v1, v2) = state.p_hat.tolist(), state.v_hat.tolist()
+    p_new = (p0 + v0 * dt + (r00 * tp0 + r01 * tp1 + r02 * tp2), p1 + v1 * dt + (r10 * tp0 + r11 * tp1 + r12 * tp2),
+             p2 + v2 * dt + (r20 * tp0 + r21 * tp1 + r22 * tp2))
+    v_new = (v0 + (r00 * tv0 + r01 * tv1 + r02 * tv2), v1 + (r10 * tv0 + r11 * tv1 + r12 * tv2),
+             v2 + (r20 * tv0 + r21 * tv1 + r22 * tv2))
     if state.variant == "matrix":
-        att = state.attitude.dot(rot)
+        att = np.array(_product(rows, rot)).reshape(3, 3)
     else:
-        att = quat_normalize(
-            quat_multiply(state.attitude, quat_from_rotvec(imu.omega_m * dt))
-        )
+        w0, w1, w2 = omega
+        turn = quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))
+        att = np.array(quat_normalize(quat_multiply(state.attitude.tolist(), turn)))
     return _unchecked(
-        FilterState, attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=state.sigma_hat, t=state.t + dt
+        FilterState, attitude=att, p_hat=np.array(p_new), v_hat=np.array(v_new),
+        sigma_hat=state.sigma_hat, t=state.t + dt,
     )
 
 
@@ -273,19 +319,29 @@ def update(state: FilterState, w: CorrectionTerms, dt: float) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
+    w_omega = w.w_omega.tolist()
     # exp(-W dt) is exp(W t) at t = -dt
-    r_e, t_p, t_v = _se23_blocks(w.w_omega, w.w_v, w.w_a, 1.0, -dt)
-    p_new = r_e.dot(state.p_hat) + t_p + dt * t_v
-    v_new = r_e.dot(state.v_hat) + t_v
-    if state.variant == "matrix":
-        att = r_e.dot(state.attitude)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w.w_v.tolist(), w.w_a.tolist(), 1.0, -dt)
+    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
+    (p0, p1, p2), (v0, v1, v2) = state.p_hat.tolist(), state.v_hat.tolist()
+    p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,
+             e20 * p0 + e21 * p1 + e22 * p2 + tp2 + dt * tv2)
+    v_new = (e00 * v0 + e01 * v1 + e02 * v2 + tv0, e10 * v0 + e11 * v1 + e12 * v2 + tv1,
+             e20 * v0 + e21 * v1 + e22 * v2 + tv2)
+    att = state.attitude.tolist()
+    if len(att) == 3:
+        att = np.array(_product(rot, att)).reshape(3, 3)
     else:
-        att = quat_normalize(
-            quat_multiply(quat_from_rotvec(w.w_omega * -dt), state.attitude)
-        )
-    sigma_new = state.sigma_hat + dt * w.sigma_dot
+        w0, w1, w2 = w_omega
+        turn = quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt))
+        att = np.array(quat_normalize(quat_multiply(turn, att)))
+    sg, sd = state.sigma_hat.tolist(), w.sigma_dot.tolist()
+    sigma_new = (sg[0] + dt * sd[0], sg[1] + dt * sd[1], sg[2] + dt * sd[2])
     return _gate(
-        _unchecked(FilterState, attitude=att, p_hat=p_new, v_hat=v_new, sigma_hat=sigma_new, t=state.t)
+        _unchecked(
+            FilterState, attitude=att, p_hat=np.array(p_new), v_hat=np.array(v_new),
+            sigma_hat=np.array(sigma_new), t=state.t,
+        )
     )
 
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import settings
 from scipy.spatial.transform import Rotation
 
+from uwbnav.attitude import _imu_block, _imu_rows
+
 # Numeric property tests routinely blow the default deadline on first-run
 # JIT-less numpy; disable it globally.
 settings.register_profile("default", deadline=None)
@@ -22,3 +24,20 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
 def random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def noisy_imu_and_fixes(traj, noise, env, n):
+    """IMU samples and noisy position fixes for the first ``n`` samples of ``traj``, drawn as one block.
+
+    Row ``i`` of a ``standard_normal((n, 12))`` draw holds what a
+    ``measure_imu`` call (gyro, accelerometer, magnetometer) followed by
+    ``rng.normal(0, sigma_range, 3)`` on the fix would draw for sample ``i``,
+    in that order; the readings go through the measurement synthesis block.
+    """
+    z = noise.stream().standard_normal((n, 12))
+    rot = traj.rot[:n]
+    vdot = (rot @ traj.a[:n, :, None])[:, :, 0] + env.g_vec
+    sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
+    gyro, accel, mag = _imu_block(rot, traj.omega[:n], vdot, env, z[:, :9], sigmas)
+    p_y = traj.p[:n] + (0.0 + noise.sigma_range * z[:, 9:])  # loc + scale * z, as Generator.normal
+    return _imu_rows(traj.t[:n], gyro, accel, mag), p_y

@@ -15,6 +15,10 @@ rotation exponential, rotation-to-quaternion); the array forms must give
 bit-identical results.  ``toa_solve_per_call`` is likewise the TOA solve
 that factors its system matrix on every call, which the anchor set's
 one-time factorization must reproduce bit for bit.
+
+The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
+is the filter step written with array products: the form the package
+evaluates on Python floats.  The two must agree to round-off.
 """
 
 import dataclasses
@@ -23,9 +27,19 @@ import math
 import numpy as np
 from scipy.linalg.lapack import dgesdd
 
-from uwbnav.attitude import measure_imu
-from uwbnav.liegroup import NavState, TangentInput, _rodrigues_coefficients, se23_exp
-from uwbnav.uwb import MAIN_BS, GeometryDegenerate, PositionFix, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, TriadSet, measure_imu
+from uwbnav.liegroup import SMALL_ANGLE, NavState, TangentInput, _rodrigues_coefficients, se23_exp
+from uwbnav.navfilter import CorrectionTerms, FilterState
+from uwbnav.uwb import (
+    MAIN_BS,
+    GeometryDegenerate,
+    PositionFix,
+    TdoaRanges,
+    ToaRanges,
+    solve_fix,
+    tdoa_ranges,
+    toa_ranges,
+)
 
 
 def _skew(w):
@@ -261,3 +275,128 @@ def toa_solve_per_call(anchors, ranges, cond_ceiling=1e8):
     p = np.zeros(3)
     p[:dim] = vt.T @ ((u.T @ b) / s)
     return PositionFix(p=p, condition_number=cond)
+
+
+def _unit_or_raise(vec, what):
+    n = math.sqrt(vec @ vec)
+    if n <= EPS_DEGENERATE:
+        raise DegenerateTriads(f"{what} has near-zero norm")
+    return vec / n
+
+
+def reference_triad(env):
+    """Rows ``-g/|g|``, ``m_r/|m_r|`` and their normalized cross product."""
+    r1 = _unit_or_raise(-env.g_vec, "gravity reference")
+    r2 = _unit_or_raise(env.m_r, "magnetic reference")
+    return np.array([r1, r2, _unit_or_raise(np.cross(r1, r2), "reference cross product")])
+
+
+def build_triads_numpy(a_m, m_m, env, s=(1.0, 1.0, 1.0)):
+    """Accelerometer/magnetometer triads with array normalization and cross products."""
+    v1 = _unit_or_raise(np.asarray(a_m, dtype=float), "accelerometer sample")
+    v2 = _unit_or_raise(np.asarray(m_m, dtype=float), "magnetometer sample")
+    v = np.array([v1, v2, _unit_or_raise(np.cross(v1, v2), "measured cross product")])
+    return TriadSet(v=v, r=reference_triad(env), s=s)
+
+
+def rotation_numpy(attitude):
+    """Rotation matrix of a 3x3 or scalar-first quaternion attitude: ``(q0^2 - |qv|^2) I + 2 qv qv^T + 2 q0 [qv]x``."""
+    if attitude.shape == (3, 3):
+        return attitude
+    q0, qv = attitude[0], attitude[1:]
+    return (q0 * q0 - qv @ qv) * np.eye(3) + 2.0 * np.outer(qv, qv) + 2.0 * q0 * _skew(qv)
+
+
+def quat_multiply_numpy(a, b):
+    """Hamilton product ``[a0 b0 - av.bv, a0 bv + b0 av + av x bv]``."""
+    return np.concatenate([[a[0] * b[0] - a[1:] @ b[1:]], a[0] * b[1:] + b[0] * a[1:] + np.cross(a[1:], b[1:])])
+
+
+def quat_from_rotvec_numpy(w):
+    """``[cos(t/2), sin(t/2) w / t]`` with ``t = |w|``; second-order series below SMALL_ANGLE."""
+    theta = float(np.linalg.norm(w))
+    scale = 0.5 - theta * theta / 48.0 if theta < SMALL_ANGLE else math.sin(0.5 * theta) / theta
+    return np.concatenate([[math.cos(0.5 * theta)], scale * w])
+
+
+def se23_blocks_numpy(omega, v, a, eps, dt):
+    """``(R, t_p, t_v)`` of ``expm(u(skew(omega), v, a, eps) dt)`` from the skew-matrix series.
+
+    ``R = I + A S + B S^2``, ``t_p = J1 v dt + eps dt^2 J2 a``, ``t_v = J1 a dt``
+    with ``J1 = I + B S + C S^2``, ``J2 = I/2 + C S + D S^2`` and ``S = skew(omega dt)``.
+    """
+    w = omega * dt
+    a_c, b_c, c_c, d_c = _rodrigues_coefficients(float(np.linalg.norm(w)))
+    s = _skew(w)
+    s2 = s @ s
+    eye = np.eye(3)
+    j1 = eye + b_c * s + c_c * s2
+    j2 = 0.5 * eye + c_c * s + d_c * s2
+    return eye + a_c * s + b_c * s2, j1 @ (v * dt) + eps * dt * dt * (j2 @ a), j1 @ (a * dt)
+
+
+def correction_terms_numpy(state, triads, p_y, gains):
+    """Correction block with array products: ``m = (r R)^T (s v)``, its vex, and the trace residual."""
+    r_hat = rotation_numpy(state.attitude)
+    s = triads.s
+    m = (triads.r @ r_hat).T @ (s[:, None] * triads.v)
+    cross = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    e_r = 0.25 * float(s @ (triads.r * triads.r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
+    g = gains
+    sigma_dot = (
+        g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
+        - g.k_sigma * g.gamma_sigma * state.sigma_hat
+    )
+    w_omega = r_hat @ (
+        -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
+    )
+    innovation = p_y - state.p_hat
+    return CorrectionTerms(
+        e_r=e_r,
+        d_v=np.diag(cross),
+        w_omega=w_omega,
+        w_v=-(g.kv / g.epsilon) * innovation - np.cross(w_omega, state.p_hat),
+        w_a=-g.ka * innovation - np.cross(w_omega, state.v_hat),
+        sigma_dot=sigma_dot,
+    )
+
+
+def predict_numpy(state, imu, dt):
+    """``X exp(u(skew(omega_m), 0, a_m, 1) dt)`` with array products."""
+    rot, t_p, t_v = se23_blocks_numpy(imu.omega_m, np.zeros(3), imu.a_m, 1.0, dt)
+    r_hat = rotation_numpy(state.attitude)
+    if state.attitude.shape == (3, 3):
+        att = state.attitude @ rot
+    else:
+        att = quat_multiply_numpy(state.attitude, quat_from_rotvec_numpy(imu.omega_m * dt))
+        att = att / np.linalg.norm(att)
+    return FilterState(
+        attitude=att, p_hat=state.p_hat + state.v_hat * dt + r_hat @ t_p, v_hat=state.v_hat + r_hat @ t_v,
+        sigma_hat=state.sigma_hat, t=state.t + dt,
+    )
+
+
+def update_numpy(state, w, dt):
+    """``exp(-W dt)`` applied to a predicted state, with array products."""
+    r_e, t_p, t_v = se23_blocks_numpy(w.w_omega, w.w_v, w.w_a, 1.0, -dt)
+    if state.attitude.shape == (3, 3):
+        att = r_e @ state.attitude
+    else:
+        att = quat_multiply_numpy(quat_from_rotvec_numpy(w.w_omega * -dt), state.attitude)
+        att = att / np.linalg.norm(att)
+    return FilterState(
+        attitude=att, p_hat=r_e @ state.p_hat + t_p + dt * t_v, v_hat=r_e @ state.v_hat + t_v,
+        sigma_hat=state.sigma_hat + dt * w.sigma_dot, t=state.t,
+    )
+
+
+def step_numpy(state, imu, ranges, anchors, env, gains, dt):
+    """One filter iteration from the numpy layers: the package's ``step``, dropout rule included."""
+    try:
+        p_y = solve_fix(anchors, ranges).p
+        triads = build_triads_numpy(imu.a_m, imu.m_m, env, s=gains.s)
+    except (GeometryDegenerate, DegenerateTriads):
+        return predict_numpy(state, imu, dt)
+    w = correction_terms_numpy(state, triads, p_y, gains)
+    folded = dataclasses.replace(w, w_a=w.w_a - env.g_vec)
+    return update_numpy(predict_numpy(state, imu, dt), folded, dt)

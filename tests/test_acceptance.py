@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import noisy_imu_and_fixes
 from scipy.spatial.transform import Rotation
 
 from uwbnav.attitude import ReferenceEnvironment, measure_imu
@@ -172,8 +173,7 @@ def test_criterion_4_group_preservation():
     traj = generate_trajectory(
         "circle", {"p0": [2.0, 0.0, 1.5], "duration": steps * 0.01, "rate": 100.0}, env
     )
-    noise = NoiseSpec(seed=404)
-    rng = noise.stream()
+    imu, p_y = noisy_imu_and_fixes(traj, NoiseSpec(seed=404), env, steps)
     gains = FilterGains()
     matrix = FilterState(
         attitude=np.eye(3), p_hat=np.zeros(3), v_hat=np.zeros(3), sigma_hat=np.zeros(3)
@@ -182,19 +182,13 @@ def test_criterion_4_group_preservation():
         attitude=np.array([1.0, 0.0, 0.0, 0.0]),
         p_hat=np.zeros(3), v_hat=np.zeros(3), sigma_hat=np.zeros(3),
     )
-    eye = np.eye(3)
-    worst_matrix = 0.0
-    worst_quat = 0.0
+    mats, quats = np.empty((steps, 3, 3)), np.empty((steps, 4))
     for i in range(steps):
-        vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu = measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=noise, rng=rng)
-        p_y = traj.p[i] + rng.normal(0.0, noise.sigma_range, 3)
-        matrix, _ = step_with_fix(matrix, imu, p_y, env, gains, 0.01)
-        quat, _ = step_with_fix(quat, imu, p_y, env, gains, 0.01)
-        worst_matrix = max(
-            worst_matrix, float(np.linalg.norm(matrix.attitude.T @ matrix.attitude - eye))
-        )
-        worst_quat = max(worst_quat, abs(float(np.linalg.norm(quat.attitude)) - 1.0))
+        matrix, _ = step_with_fix(matrix, imu[i], p_y[i], env, gains, 0.01)
+        quat, _ = step_with_fix(quat, imu[i], p_y[i], env, gains, 0.01)
+        mats[i], quats[i] = matrix.attitude, quat.attitude
+    worst_matrix = float(np.linalg.norm(mats.transpose(0, 2, 1) @ mats - np.eye(3), axis=(1, 2)).max())
+    worst_quat = float(np.abs(np.linalg.norm(quats, axis=1) - 1.0).max())
     ok = worst_matrix <= 1e-9 and worst_quat <= 1e-12
     _report(
         "criterion-4 group preservation",

@@ -223,6 +223,52 @@ class TestMetricsVerb:
         assert run_cli("metrics", str(out)) == EXIT_DATA
         assert "truth.csv: non-finite value in column 'px'" in capsys.readouterr().err
 
+    @staticmethod
+    def _edit_estimates(tmp_path, row, column, value):
+        """A short TOA run whose estimates.csv has ``column`` of data row ``row`` set to ``value``.
+
+        ``value`` None drops that cell and every cell after it from the row.
+        """
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        lines = (out / "estimates.csv").read_text().splitlines()
+        k = lines[0].split(",").index(column)
+        parts = lines[row].split(",")
+        parts = parts[:k] if value is None else parts[:k] + [value] + parts[k + 1:]
+        lines[row] = ",".join(parts)
+        (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+        return out
+
+    @pytest.mark.parametrize(
+        "column,value,message",
+        [
+            ("vx", "abc", "non-numeric value 'abc' in column 'vx' (data row 5)"),
+            ("dropout", None, "no value for column 'dropout' (data row 5)"),
+            ("qw", "5", "columns 'qw'..'qz' are not a unit quaternion (data row 5)"),
+            ("px", "inf", "non-finite value in column 'px' (data row 5)"),
+            ("e_r", "nan", "non-finite value in column 'e_r' (data row 5)"),
+            ("dropout", "2", "column 'dropout' must be 0 or 1 (data row 5)"),
+        ],
+    )
+    def test_malformed_estimates_is_data_error(self, tmp_path, capsys, column, value, message):
+        out = self._edit_estimates(tmp_path, 5, column, value)
+        before = (out / "metrics.csv").read_bytes()
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert f"estimates.csv: {message}" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
+
+    def test_dropout_row_may_carry_nan_residuals(self, tmp_path, capsys):
+        out = self._edit_estimates(tmp_path, 5, "dropout", "1")
+        lines = (out / "estimates.csv").read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[14:16] = ["nan", "nan"]
+        lines[5] = ",".join(parts)
+        (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("metrics", str(out)) == EXIT_OK
+        assert "100 rows" in capsys.readouterr().out
+
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("metrics", str(tmp_path / "absent")) == EXIT_DATA
         assert "data error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import random_rotation
+from conftest import noisy_imu_and_fixes, random_rotation
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -601,31 +601,42 @@ class TestBoundednessSurrogate:
     """Desk-scale proxy for mean-square ultimate boundedness: noisy runs
     settle into a bounded envelope instead of diverging."""
 
+    TRAJECTORY = {"p0": [2.0, 0.0, 1.5], "radius": 2.0, "period": 10.0, "rate": 100.0}
+
+    def test_block_draw_matches_per_sample_draw(self):
+        traj = generate_trajectory("circle", {**self.TRAJECTORY, "duration": 3.0})
+        n = len(traj) - 1
+        noise = NoiseSpec(seed=7)
+        imu, p_y = noisy_imu_and_fixes(traj, noise, ENV, n)
+        rng = noise.stream()
+        for i in range(n):
+            want = imu_at(traj, i, noise=noise, rng=rng)
+            for name in ("omega_m", "a_m", "m_m"):
+                assert np.array_equal(getattr(imu[i], name), getattr(want, name)), (i, name)
+            assert np.array_equal(p_y[i], traj.p[i] + rng.normal(0.0, noise.sigma_range, 3)), i
+
     def test_fifty_seeded_runs_stay_in_envelope(self):
-        traj = generate_trajectory(
-            "circle", {"p0": [2.0, 0.0, 1.5], "radius": 2.0, "period": 10.0, "duration": 60.0, "rate": 100.0}
-        )
+        traj = generate_trajectory("circle", {**self.TRAJECTORY, "duration": 60.0})
         n = len(traj) - 1
         for seed in range(50):
-            noise = NoiseSpec(seed=seed)
-            rng = noise.stream()
+            imu, p_y = noisy_imu_and_fixes(traj, NoiseSpec(seed=seed), ENV, n)
             state = FilterState(
                 np.eye(3),
                 traj.p[0] + np.array([-2.0, -3.0, 0.0]),
                 np.zeros(3),
                 np.zeros(3),
             )
-            series = np.empty((n, 4))
+            states = []
             for i in range(n):
-                imu = imu_at(traj, i, noise=noise, rng=rng)
-                p_y = traj.p[i] + rng.normal(0.0, noise.sigma_range, 3)
-                state, _ = step_with_fix(state, imu, p_y, ENV, GAINS, traj.dt)
-                series[i] = (
-                    attitude_distance(state.attitude @ traj.rot[i + 1].T),
-                    np.linalg.norm(traj.p[i + 1] - state.p_hat),
-                    np.linalg.norm(traj.v[i + 1] - state.v_hat),
-                    np.linalg.norm(state.sigma_hat),
-                )
+                state, _ = step_with_fix(state, imu[i], p_y[i], ENV, GAINS, traj.dt)
+                states.append(state)
+            att = np.array([s.attitude for s in states])
+            series = np.column_stack([
+                attitude_distance(att @ traj.rot[1:].transpose(0, 2, 1)),
+                np.linalg.norm(traj.p[1:] - np.array([s.p_hat for s in states]), axis=1),
+                np.linalg.norm(traj.v[1:] - np.array([s.v_hat for s in states]), axis=1),
+                np.linalg.norm(np.array([s.sigma_hat for s in states]), axis=1),
+            ])
             tail = series[n // 2 :]
             peaks = tail.max(axis=0)
             medians = np.median(tail, axis=0)
