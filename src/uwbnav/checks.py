@@ -43,7 +43,7 @@ def _random_scene(rng: np.random.Generator) -> tuple[AnchorSet, np.ndarray]:
 
 
 def check_multilateration(n_scenes: int = 300, seed: int = 0) -> CheckResult:
-    """Zero-noise position recovery through all three solvers."""
+    """Zero-noise position recovery for TOA and both TDOA topologies."""
     rng = np.random.default_rng(seed)
     worst_toa = 0.0
     worst_tdoa = 0.0

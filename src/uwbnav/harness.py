@@ -367,14 +367,6 @@ def _write_truth(path: Path, traj: TruthTrajectory) -> None:
     _write_csv(path, _TRUTH_HEADER, np.column_stack([traj.t, traj.p, rot_to_quat(traj.rot)]))
 
 
-def _tdoa_pairs(anchors: AnchorSet, kind: str) -> np.ndarray:
-    """1-based ``(i, j)`` anchor pairs of one tick's differences, in topology order."""
-    ids = np.arange(1, len(anchors) + 1)
-    if kind == RING:
-        return np.column_stack([ids, anchors.ring_next + 1])
-    return np.column_stack([np.ones(len(ids) - 1, dtype=int), ids[1:]])
-
-
 def write_dataset(
     out_dir: str | Path,
     traj: TruthTrajectory,
@@ -388,8 +380,8 @@ def write_dataset(
     ``imu.csv``: t, wx, wy, wz, ax, ay, az, mx, my, mz.
     ``anchors.csv``: id, x, y, z (1-based ids).
     ``tdoa.csv``: t, i, j, d with d = dist(anchor j) - dist(anchor i); one
-    row per difference in topology order (ring: consecutive pairs plus the
-    wraparound; main: pairs (1, j)).
+    row per difference, ``(i, j)`` the 1-based pairs of the topology's
+    anchor-pair list (``AnchorSet.tdoa``).
     """
     if not all(isinstance(obs, TdoaRanges) for obs in range_stream):
         raise SchemaError("dataset export requires TDOA observations")
@@ -404,7 +396,8 @@ def write_dataset(
     ids = np.arange(1, len(anchors) + 1)
     _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
                "%d,%.17g,%.17g,%.17g")
-    pairs = _tdoa_pairs(anchors, range_stream[0].topology)
+    pair_list = anchors.tdoa[range_stream[0].topology]
+    pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
     diffs = np.array([obs.diffs for obs in range_stream])
     # each timestamp is formatted once and repeated over its tick's rows
     t_text = np.array(("%.17g\n" * len(traj) % tuple(traj.t.tolist())).split(), dtype=object)
@@ -419,9 +412,11 @@ def write_dataset(
 def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ()) -> np.ndarray:
     """Numeric table of ``path`` with header ``columns``; every cell must be a finite number.
 
-    ``nan_columns`` may also hold NaN.  A cell that is not a number, a row
-    of the wrong length, or a non-finite value is a SchemaError naming the
-    file, the column and the data row.
+    ``nan_columns`` may also hold NaN.  Columns ``qw``..``qz``, where the
+    header has them (``truth.csv``, ``estimates.csv``), must hold a unit
+    quaternion to ``ATTITUDE_GATE``.  A cell that is not a number, a row of
+    the wrong length, a non-finite value or a non-unit quaternion is a
+    SchemaError naming the file, the column and the data row.
     """
     if not path.exists():
         raise SchemaError(f"missing dataset file: {path.name}")
@@ -446,6 +441,15 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     if bad.any():
         row, col = np.argwhere(bad)[0]
         raise SchemaError(f"{path.name}: non-finite value in column {columns[col]!r} (data row {row + 1})")
+    if "qw" in columns:
+        q = columns.index("qw")
+        norm = np.sqrt((data[:, q : q + 4] ** 2).sum(axis=1))
+        bad = ~(np.abs(norm - 1.0) <= ATTITUDE_GATE)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise SchemaError(
+                f"{path.name}: columns 'qw'..'qz' are not a unit quaternion (data row {k + 1}): norm {norm[k]:.6g}"
+            )
     return data
 
 
@@ -558,7 +562,8 @@ def ingest_dataset(
     ticks = imu[keep]
     imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:4], ticks[:, 4:7], ticks[:, 7:10])
 
-    pairs = _tdoa_pairs(anchor_set, kind)
+    pair_list = anchor_set.tdoa[kind]
+    pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
     per_tick = len(pairs)
     times, starts = np.unique(tdoa[:, 0], return_index=True)
     group = _nearest(times, traj.t)
@@ -698,7 +703,7 @@ def _read_estimates(path: Path) -> np.ndarray:
 
     Every cell is finite except ``e_r`` and ``py_residual``, which may be
     NaN on a row with ``dropout`` 1; ``dropout`` is 0 or 1, and ``qw``..``qz``
-    is a unit quaternion (to ``ATTITUDE_GATE``).
+    is a unit quaternion (checked by :func:`_read_csv`).
     """
     est = _read_csv(path, _ESTIMATE_HEADER, nan_columns=("e_r", "py_residual"))
     if not est.size:
@@ -713,13 +718,6 @@ def _read_estimates(path: Path) -> np.ndarray:
         raise SchemaError(
             f"{path.name}: non-finite value in column {_ESTIMATE_HEADER[14 + col]!r} (data row {row + 1});"
             " NaN is allowed there only with dropout 1"
-        )
-    norm = np.sqrt((est[:, 7:11] ** 2).sum(axis=1))
-    bad = ~(np.abs(norm - 1.0) <= ATTITUDE_GATE)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SchemaError(
-            f"{path.name}: columns 'qw'..'qz' are not a unit quaternion (data row {k + 1}): norm {norm[k]:.6g}"
         )
     return est
 

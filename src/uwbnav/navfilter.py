@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -127,13 +126,9 @@ class FilterState:
     def variant(self) -> str:
         return "matrix" if self.attitude.shape == (3, 3) else "quaternion"
 
-    @cached_property
-    def _rotation(self) -> np.ndarray:
-        return self.attitude if self.variant == "matrix" else np.array(_rows(self))
-
     def rotation(self) -> np.ndarray:
-        """Attitude as a rotation matrix regardless of variant (computed once per state)."""
-        return self._rotation
+        """Attitude as a rotation matrix regardless of variant."""
+        return self.attitude if self.variant == "matrix" else np.array(_rows(self))
 
 
 def _rows(state: FilterState) -> list:

@@ -150,7 +150,6 @@ _KIND_KEYS = {
         "yaw_amplitude",
         "yaw_frequency",
     },
-    "replay": {"trajectory"},
 }
 
 DEFAULT_START = np.array([-0.061, 1.244, 1.506])
@@ -194,9 +193,8 @@ def generate_trajectory(
       profile to round-off.
     - ``lissajous``: per-axis sinusoids ``amplitude * sin(2 pi frequency t
       + phase)`` around ``p0`` with a sinusoidal yaw sweep.
-    - ``replay``: pass an existing trajectory through unchanged.
 
-    ``duration`` (s) and ``rate`` (Hz) apply to every generated kind.  Every
+    ``duration`` (s) and ``rate`` (Hz) apply to every kind.  Every
     parameter must be finite; lengths, periods and rates must be positive.
 
     Raises
@@ -210,12 +208,6 @@ def generate_trajectory(
     unknown = set(params) - _KIND_KEYS[kind] - _COMMON_KEYS
     if unknown:
         raise BadParams(f"unknown parameters for {kind}: {sorted(unknown)}")
-
-    if kind == "replay":
-        traj = params.get("trajectory")
-        if not isinstance(traj, TruthTrajectory):
-            raise BadParams("replay requires a TruthTrajectory under 'trajectory'")
-        return traj
 
     duration, rate = _scalar(params, "duration", 30.0), _scalar(params, "rate", 100.0)
     if not (duration > 0 and rate > 0):

@@ -3,13 +3,18 @@
 Supports time-of-arrival ranging (one absolute distance per anchor) and two
 time-difference-of-arrival topologies: a main-base-station scheme where
 every difference is taken against anchor 1, and a ring scheme chaining
-consecutive anchors with a wraparound pair.  Each solver rewrites the
-squared-range identities as an overdetermined linear system and solves it
-in the least-squares sense from one thin singular value decomposition of the
-system matrix, which also yields the rank test and the condition number.
-Forming the normal equations would square the condition number, so it is
-avoided.  The TDOA systems carry the unknown distance to anchor 1 as a
-fourth state alongside the position.
+consecutive anchors with a wraparound pair.  Each TDOA topology is
+defined once, by the anchor-pair list :class:`AnchorSet` builds for it
+(``AnchorSet.tdoa``): difference k is the distance to the second anchor of
+pair k minus the distance to the first.  Range synthesis, the one TDOA
+solver and the dataset's ``i,j`` columns all read that list.
+
+Each solver rewrites the squared-range identities as an overdetermined
+linear system and solves it in the least-squares sense from one thin
+singular value decomposition of the system matrix, which also yields the
+rank test and the condition number.  Forming the normal equations would
+square the condition number, so it is avoided.  The TDOA systems carry the
+unknown distance to anchor 1 as a fourth state alongside the position.
 
 The TOA system matrix depends on the anchors alone, so :class:`AnchorSet`
 factors it once and a TOA solve is two small matrix-vector products; the
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgesdd
@@ -41,13 +47,12 @@ __all__ = [
     "toa_ranges",
     "toa_solve",
     "tdoa_ranges",
-    "tdoa_solve_main_bs",
-    "tdoa_solve_ring",
+    "tdoa_solve",
     "solve_fix",
 ]
 
 MIN_ANCHOR_SEPARATION = 1e-6
-DEFAULT_COND_CEILING = 1e8
+COND_CEILING = 1e8
 _EPS = float(np.finfo(float).eps)
 
 RING = "ring"
@@ -58,33 +63,45 @@ class GeometryDegenerate(RuntimeError):
     """Anchor geometry cannot support a well-posed position solve."""
 
 
+class PairList(NamedTuple):
+    """One TDOA topology over an anchor set, and the constant parts of its solve.
+
+    ``first`` and ``second`` are the 0-based anchor indices of each pair,
+    in topology order: difference k is dist(anchor ``second[k]``) -
+    dist(anchor ``first[k]``).  ``system`` is the solver matrix with rows
+    ``h[first] - h[second]`` and its last column, for the measured
+    differences, left zero.  ``sq_first`` and ``sq_second`` are the squared
+    norms of each pair's anchors.
+    """
+
+    first: np.ndarray
+    second: np.ndarray
+    system: np.ndarray
+    sq_first: np.ndarray
+    sq_second: np.ndarray
+
+
 @dataclass(frozen=True)
 class AnchorSet:
     """Fixed anchor positions in the inertial frame.
 
-    ``dim`` selects the positioning dimensionality: 3 solves for the full
-    position, 2 restricts the solve to the x/y plane (planar deployments).
     Each solver enforces the anchor-count floor of :func:`anchor_floor` and
     its own rank test, so sets of any size can be constructed.
 
-    Derived once here for the solvers: ``sq_norms`` (squared anchor norms
-    over the solved coordinates), ``ring_next`` (index of each anchor's ring
-    successor, wrapping to anchor 1), ``toa_factors`` (the thin SVD
-    ``(U^T, s, V)`` of the TOA system ``h[1:] - h[0]`` with its
-    conditioning, see :func:`_factor`; None below the TOA anchor floor)
-    and ``main_system`` / ``ring_system`` (the TDOA system matrices with
-    their position blocks filled and the per-solve difference column left
-    zero).  Construction never raises on geometry: a rank-deficient TOA
-    system is recorded and reported by :func:`toa_solve`.
+    Derived once here for the solvers: ``sq_norms`` (squared anchor
+    norms), ``toa_factors`` (the thin SVD ``(U^T, s, V)`` of the TOA system
+    ``h[1:] - h[0]`` with its conditioning, see :func:`_factor`; None below
+    the TOA anchor floor) and ``tdoa``, the :class:`PairList` of each TDOA
+    topology: main-bs pairs ``(0, j)`` for j = 1..N-1, ring pairs ``(j, j +
+    1)`` for j = 0..N-2 and the wraparound ``(N - 1, 0)``.  Construction
+    never raises on geometry: a rank-deficient TOA system is recorded and
+    reported by :func:`toa_solve`.
     """
 
     anchors: np.ndarray
-    dim: int = 3
     sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    ring_next: np.ndarray = field(init=False, repr=False, compare=False)
     toa_factors: tuple | None = field(init=False, repr=False, compare=False)
-    main_system: np.ndarray = field(init=False, repr=False, compare=False)
-    ring_system: np.ndarray = field(init=False, repr=False, compare=False)
+    tdoa: dict[str, PairList] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.anchors, dtype=float)
@@ -92,26 +109,26 @@ class AnchorSet:
             raise ValueError("anchors must be an (N, 3) array")
         if not np.isfinite(a).all():
             raise ValueError("anchors must be finite")
-        if self.dim not in (2, 3):
-            raise ValueError("dim must be 2 or 3")
         diffs = a[:, None, :] - a[None, :, :]
         dist = np.linalg.norm(diffs, axis=2)
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= MIN_ANCHOR_SEPARATION:
             raise ValueError("anchors closer than the minimum separation")
-        dim, n = self.dim, a.shape[0]
-        nxt = (np.arange(n) + 1) % n
-        main = np.zeros((n - 1, dim + 1))
-        main[:, :dim] = a[0, :dim] - a[1:, :dim]
-        ring = np.zeros((n, dim + 1))
-        ring[:, :dim] = a[:, :dim] - a[nxt, :dim]
+        n = a.shape[0]
+        ids = np.arange(n)
+        sq_norms = np.sum(a**2, axis=1)
+        tdoa = {}
+        for topology, first, second in (
+            (MAIN_BS, np.zeros(n - 1, dtype=int), ids[1:]),
+            (RING, ids, (ids + 1) % n),
+        ):
+            system = np.zeros((len(first), 4))
+            system[:, :3] = diffs[first, second]
+            tdoa[topology] = PairList(first, second, system, sq_norms[first], sq_norms[second])
         object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "sq_norms", np.sum(a[:, :dim] ** 2, axis=1))
-        object.__setattr__(self, "ring_next", nxt)
-        toa = _factor(a[1:, :dim] - a[0, :dim]) if n >= anchor_floor(None, dim) else None
-        object.__setattr__(self, "toa_factors", toa)
-        object.__setattr__(self, "main_system", main)
-        object.__setattr__(self, "ring_system", ring)
+        object.__setattr__(self, "sq_norms", sq_norms)
+        object.__setattr__(self, "toa_factors", _factor(a[1:] - a[0]) if n >= anchor_floor(None) else None)
+        object.__setattr__(self, "tdoa", tdoa)
 
     def __len__(self) -> int:
         return self.anchors.shape[0]
@@ -133,10 +150,10 @@ class ToaRanges:
 class TdoaRanges:
     """Range differences under one of the two supported topologies.
 
-    ``main-bs``: entry k is dist(anchor k+2) - dist(anchor 1), k = 0..N-2.
-    ``ring``: entry k is dist(anchor k+2) - dist(anchor k+1) for
-    k = 0..N-2 plus the wraparound dist(anchor 1) - dist(anchor N).
-    (1-based anchor numbering in both descriptions.)
+    Entry k is dist(second) - dist(first) for pair k of the topology's
+    anchor-pair list, ``AnchorSet.tdoa[topology]``.  In 1-based
+    anchor numbering, ``main-bs`` pairs are (1, k+2) for k = 0..N-2;
+    ``ring`` pairs are (k+1, k+2) for k = 0..N-2 plus the wraparound (N, 1).
     """
 
     topology: str
@@ -191,23 +208,9 @@ def toa_ranges(p: np.ndarray, anchors: AnchorSet) -> ToaRanges:
     return ToaRanges(d=_range_block(np.asarray(p, dtype=float), anchors, None))
 
 
-def tdoa_ranges(
-    p: np.ndarray,
-    anchors: AnchorSet,
-    topology: str,
-    tag_offset: tuple[np.ndarray, np.ndarray] | None = None,
-) -> TdoaRanges:
-    """Noise-free range differences for the requested topology.
-
-    ``tag_offset`` is an optional ``(rotation, lever_arm)`` pair placing the
-    tag at ``p + rotation @ lever_arm`` instead of ``p`` (tag mounted away
-    from the vehicle reference point).
-    """
-    p = np.asarray(p, dtype=float)
-    if tag_offset is not None:
-        rot, lever = tag_offset
-        p = p + np.asarray(rot, dtype=float) @ np.asarray(lever, dtype=float)
-    return TdoaRanges(topology=topology, diffs=_range_block(p, anchors, topology))
+def tdoa_ranges(p: np.ndarray, anchors: AnchorSet, topology: str) -> TdoaRanges:
+    """Noise-free range differences for the requested topology."""
+    return TdoaRanges(topology=topology, diffs=_range_block(np.asarray(p, dtype=float), anchors, topology))
 
 
 def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
@@ -215,20 +218,19 @@ def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.
     d = np.linalg.norm(anchors.anchors - p[..., None, :], axis=-1)
     if topology is None:
         return d
-    if topology == MAIN_BS:
-        return d[..., 1:] - d[..., :1]
-    if topology == RING:
-        return d[..., anchors.ring_next] - d
-    raise ValueError(f"unknown TDOA topology {topology!r}")
+    if topology not in anchors.tdoa:
+        raise ValueError(f"unknown TDOA topology {topology!r}")
+    pairs = anchors.tdoa[topology]
+    return d[..., pairs.second] - d[..., pairs.first]
 
 
-def anchor_floor(topology: str | None, dim: int = 3) -> int:
-    """Fewest anchors a ``dim``-D solve needs under ``topology`` (None for TOA).
+def anchor_floor(topology: str | None) -> int:
+    """Fewest anchors a solve needs under ``topology`` (None for TOA).
 
-    ``dim + 1`` for TOA; ``dim + 2`` for TDOA, whose systems carry the range
-    to anchor 1 as one more unknown.
+    4 for TOA; 5 for TDOA, whose systems carry the range to anchor 1 as a
+    fourth unknown.
     """
-    return dim + 1 if topology is None else dim + 2
+    return 4 if topology is None else 5
 
 
 def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | str]:
@@ -251,19 +253,19 @@ def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | 
     return u.T, s, vt.T, s_max / s_min
 
 
-def _solve(factors: tuple, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarray, float]:
+def _solve(factors: tuple, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares solution ``V ((U^T b) / s)`` of ``a x = b`` from ``_factor(a)``, and its condition number.
 
     ``a`` is factored directly, so the normal equations (which would square
     the condition number) are never formed.  This is the one rank and
-    condition gate of every solver; ``not cond <= cond_ceiling`` also
-    rejects a NaN ceiling.
+    condition gate of every solver; ``not cond <= COND_CEILING`` also
+    rejects a NaN condition number.
 
     Raises
     ------
     GeometryDegenerate
         If ``a`` is rank deficient or its condition number exceeds
-        ``cond_ceiling``.
+        ``COND_CEILING``.
     ValueError
         If the solution is not finite (ranges so large that the squared-range
         right-hand side overflows).
@@ -271,17 +273,15 @@ def _solve(factors: tuple, b: np.ndarray, cond_ceiling: float) -> tuple[np.ndarr
     ut, s, v, cond = factors
     if isinstance(cond, str):
         raise GeometryDegenerate(cond)
-    if not cond <= cond_ceiling:
-        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {cond_ceiling:.3g}")
+    if not cond <= COND_CEILING:
+        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {COND_CEILING:.3g}")
     x = v.dot(ut.dot(b) / s)
     if not all(map(math.isfinite, x.tolist())):
         raise ValueError("position solve overflowed: ranges too large")
     return x, cond
 
 
-def toa_solve(
-    anchors: AnchorSet, ranges: ToaRanges, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> PositionFix:
+def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     """Position from absolute ranges.
 
     Differencing the squared-range identity ``d_i^2 = ||h_i||^2 + ||p||^2 -
@@ -294,114 +294,65 @@ def toa_solve(
     Raises
     ------
     GeometryDegenerate
-        If fewer than ``dim + 1`` anchors, rank-deficient geometry, or
-        conditioning above ``cond_ceiling``.
+        If fewer than 4 anchors, rank-deficient geometry, or conditioning
+        above ``COND_CEILING``.
     """
     n = len(anchors)
-    dim = anchors.dim
-    if n < anchor_floor(None, dim):
-        raise GeometryDegenerate(f"need at least {anchor_floor(None, dim)} anchors, got {n}")
+    floor = anchor_floor(None)
+    if n < floor:
+        raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
     d = ranges.d
     if d.shape != (n,):
         raise ValueError("range count does not match anchor count")
     hn2 = anchors.sq_norms
     b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
-    x, cond = _solve(anchors.toa_factors, b, cond_ceiling)
-    p = np.zeros(3)
-    p[:dim] = x
+    p, cond = _solve(anchors.toa_factors, b)
     return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=None, aux_clamped=False)
 
 
-def _finish_tdoa(x: np.ndarray, cond: float, dim: int) -> PositionFix:
-    p = np.zeros(3)
-    p[:dim] = x[:dim]
-    aux = float(x[dim])
+def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
+    """Position from range differences, over the topology's anchor-pair list.
+
+    For pair (i, j) with difference ``d = dist_j - dist_i``, squaring
+    ``dist_j = d + dist_i`` gives the row ``(h_i - h_j) . p - d * dist_i =
+    (d^2 + ||h_i||^2 - ||h_j||^2) / 2``.  The unknowns are stacked as ``[p,
+    dist_1]``.  Under main-bs every pair starts at anchor 1, so ``dist_i``
+    is ``dist_1``.  Ring differences telescope: ``dist_i`` is ``dist_1``
+    plus the partial sum ``c_i`` of the differences before pair i, which
+    adds ``d c_i`` to the row's right-hand side (zero for the first pair;
+    the wraparound pair closes the ring with ``c_N``).
+
+    Raises
+    ------
+    GeometryDegenerate
+        If fewer than 5 anchors, rank deficiency, or conditioning above
+        ``COND_CEILING``.  The system has 4 unknowns; main-bs has ``N - 1``
+        rows, and the ring rows sum to zero by telescoping, so the ring
+        system rank is at most ``N - 1`` too.
+    """
+    n = len(anchors)
+    floor = anchor_floor(ranges.topology)
+    if n < floor:
+        raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
+    _, second, system, sq_first, sq_second = anchors.tdoa[ranges.topology]
+    diffs = ranges.diffs
+    if diffs.shape != second.shape:
+        raise ValueError("difference count does not match anchor count")
+    a = system.copy()
+    a[:, 3] = -diffs
+    b = diffs**2 + sq_first - sq_second
+    if ranges.topology == RING:
+        b += 2.0 * diffs * np.concatenate([[0.0], np.cumsum(diffs[:-1])])
+    x, cond = _solve(_factor(a), 0.5 * b)
+    aux = float(x[3])
     clamped = aux < 0.0
     if clamped:
         aux = 0.0
-    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=aux, aux_clamped=clamped)
+    return _unchecked(PositionFix, p=x[:3], condition_number=cond, aux_range=aux, aux_clamped=clamped)
 
 
-def tdoa_solve_main_bs(
-    anchors: AnchorSet, ranges: TdoaRanges, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> PositionFix:
-    """Position from main-base-station range differences.
-
-    With ``d_i1 = dist_i - dist_1``, squaring ``dist_i = d_i1 + dist_1``
-    gives rows ``(h_1 - h_i) . p - d_i1 * dist_1 = (d_i1^2 + ||h_1||^2 -
-    ||h_i||^2) / 2`` in the stacked unknown ``[p, dist_1]``.
-
-    Raises
-    ------
-    GeometryDegenerate
-        If fewer than ``dim + 2`` anchors (the system has ``dim + 1``
-        unknowns and ``N - 1`` rows), rank deficiency, or bad conditioning.
-    """
-    if ranges.topology != MAIN_BS:
-        raise ValueError("expected main-bs ranges")
-    n = len(anchors)
-    dim = anchors.dim
-    if n < anchor_floor(MAIN_BS, dim):
-        raise GeometryDegenerate(f"need at least {anchor_floor(MAIN_BS, dim)} anchors, got {n}")
-    diffs = ranges.diffs
-    if diffs.shape != (n - 1,):
-        raise ValueError("difference count does not match anchor count")
-    hn2 = anchors.sq_norms
-    a = anchors.main_system.copy()
-    a[:, dim] = -diffs
-    b = 0.5 * (diffs**2 + hn2[0] - hn2[1:])
-    x, cond = _solve(_factor(a), b, cond_ceiling)
-    return _finish_tdoa(x, cond, dim)
-
-
-def tdoa_solve_ring(
-    anchors: AnchorSet, ranges: TdoaRanges, cond_ceiling: float = DEFAULT_COND_CEILING
-) -> PositionFix:
-    """Position from ring range differences.
-
-    Consecutive differences telescope: dist to anchor j equals dist to
-    anchor 1 plus the partial sum ``c_j`` of the first ``j - 1`` differences.
-    Substituting into the squared-range identity for pair (j, j+1) yields
-    rows ``(h_j - h_{j+1}) . p - d * dist_1 = (d^2 + ||h_j||^2 -
-    ||h_{j+1}||^2 + 2 d c_j) / 2`` with ``d`` the pair's difference; the
-    first row has an empty partial sum and the wraparound pair (N, 1) closes
-    the ring with ``c_N``.
-
-    Raises
-    ------
-    GeometryDegenerate
-        If fewer than ``dim + 2`` anchors, rank deficiency, or bad
-        conditioning.  The ring rows sum to zero by telescoping, so the
-        system rank is at most ``N - 1`` and ``N`` rows only determine the
-        ``dim + 1`` unknowns once ``N >= dim + 2``.
-    """
-    if ranges.topology != RING:
-        raise ValueError("expected ring ranges")
-    n = len(anchors)
-    dim = anchors.dim
-    if n < anchor_floor(RING, dim):
-        raise GeometryDegenerate(f"need at least {anchor_floor(RING, dim)} anchors, got {n}")
-    diffs = ranges.diffs
-    if diffs.shape != (n,):
-        raise ValueError("difference count does not match anchor count")
-    hn2 = anchors.sq_norms
-    nxt = anchors.ring_next
-    partial = np.concatenate([[0.0], np.cumsum(diffs[:-1])])
-    a = anchors.ring_system.copy()
-    a[:, dim] = -diffs
-    b = 0.5 * (diffs**2 + hn2 - hn2[nxt] + 2.0 * diffs * partial)
-    x, cond = _solve(_factor(a), b, cond_ceiling)
-    return _finish_tdoa(x, cond, dim)
-
-
-def solve_fix(
-    anchors: AnchorSet,
-    obs: ToaRanges | TdoaRanges,
-    cond_ceiling: float = DEFAULT_COND_CEILING,
-) -> PositionFix:
-    """Dispatch an observation to the solver matching its topology."""
+def solve_fix(anchors: AnchorSet, obs: ToaRanges | TdoaRanges) -> PositionFix:
+    """Dispatch an observation to the TOA solver or, on its own topology, to the TDOA solver."""
     if isinstance(obs, ToaRanges):
-        return toa_solve(anchors, obs, cond_ceiling)
-    if obs.topology == MAIN_BS:
-        return tdoa_solve_main_bs(anchors, obs, cond_ceiling)
-    return tdoa_solve_ring(anchors, obs, cond_ceiling)
+        return toa_solve(anchors, obs)
+    return tdoa_solve(anchors, obs)

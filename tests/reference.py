@@ -14,7 +14,10 @@ code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
 bit-identical results.  ``toa_solve_per_call`` is likewise the TOA solve
 that factors its system matrix on every call, which the anchor set's
-one-time factorization must reproduce bit for bit.
+one-time factorization must reproduce bit for bit, and
+``tdoa_solve_main_bs`` / ``tdoa_solve_ring`` are one dedicated solver per
+TDOA topology, which the package's one solver over the topology's anchor-pair
+list must reproduce bit for bit.
 
 The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
 is the filter step written with array products: the form the package
@@ -185,7 +188,7 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
     """
     rng = noise.stream() if noise is not None else None
     duration = float(traj.t[-1] - traj.t[0])
-    lever = None if tag_offset is None or not np.any(tag_offset) else tag_offset
+    lever = None if tag_offset is None or not np.any(tag_offset) else np.asarray(tag_offset, dtype=float)
     imu_stream, range_stream = [], []
     for i in range(len(traj)):
         t = float(traj.t[i])
@@ -194,17 +197,14 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
         imu_stream.append(
             measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=scaled, rng=rng, t=t)
         )
-        offset = None if lever is None else (traj.rot[i], lever)
+        tag = traj.p[i] if lever is None else traj.p[i] + traj.rot[i] @ lever
         if topology == "toa":
-            obs = toa_ranges(traj.p[i], anchors)
-            if lever is not None:
-                tag = traj.p[i] + traj.rot[i] @ lever
-                obs = ToaRanges(d=np.linalg.norm(anchors.anchors - tag, axis=1))
+            obs = toa_ranges(tag, anchors)
             if scaled is not None:
                 obs = ToaRanges(d=obs.d + rng.normal(0.0, scaled.sigma_range, len(obs.d)))
         else:
             ring = "ring" if topology == "tdoa-ring" else MAIN_BS
-            obs = tdoa_ranges(traj.p[i], anchors, topology=ring, tag_offset=offset)
+            obs = tdoa_ranges(tag, anchors, topology=ring)
             if scaled is not None:
                 obs = TdoaRanges(
                     topology=obs.topology,
@@ -250,19 +250,8 @@ def rot_to_quat_per_matrix(r):
     return -q if q[0] < 0.0 else q
 
 
-def toa_solve_per_call(anchors, ranges, cond_ceiling=1e8):
-    """TOA fix from a fresh thin SVD of the differenced system on every call.
-
-    Same rows, floor, rank and condition messages as ``uwb.toa_solve``; the
-    solution is ``V ((U^T b) / s)``.
-    """
-    h, n, dim = anchors.anchors, len(anchors), anchors.dim
-    if n < dim + 1:
-        raise GeometryDegenerate(f"need at least {dim + 1} anchors, got {n}")
-    d = ranges.d
-    hn2 = np.sum(h[:, :dim] ** 2, axis=1)
-    a = h[1:, :dim] - h[0, :dim]
-    b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
+def _svd_solve(a, b):
+    """``V ((U^T b) / s)`` from a fresh thin SVD of ``a``, with the package's rank and condition messages."""
     u, s, vt, info = dgesdd(a, full_matrices=0)
     assert info == 0
     s_max, s_min = float(s[0]), float(s[-1])
@@ -270,11 +259,72 @@ def toa_solve_per_call(anchors, ranges, cond_ceiling=1e8):
     if not s_min > tol:
         raise GeometryDegenerate(f"system rank {int(np.count_nonzero(s > tol))} below {a.shape[1]} unknowns")
     cond = s_max / s_min
-    if not cond <= cond_ceiling:
-        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {cond_ceiling:.3g}")
-    p = np.zeros(3)
-    p[:dim] = vt.T @ ((u.T @ b) / s)
+    if not cond <= 1e8:
+        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {1e8:.3g}")
+    return vt.T @ ((u.T @ b) / s), cond
+
+
+def toa_solve_per_call(anchors, ranges):
+    """TOA fix from a fresh thin SVD of the differenced system on every call.
+
+    Same rows, floor, rank and condition messages as ``uwb.toa_solve``; the
+    solution is ``V ((U^T b) / s)``.
+    """
+    h, n = anchors.anchors, len(anchors)
+    if n < 4:
+        raise GeometryDegenerate(f"need at least 4 anchors, got {n}")
+    d = ranges.d
+    hn2 = np.sum(h**2, axis=1)
+    b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
+    p, cond = _svd_solve(h[1:] - h[0], b)
     return PositionFix(p=p, condition_number=cond)
+
+
+def _tdoa_fix(x, cond):
+    aux = float(x[3])
+    return PositionFix(p=x[:3], condition_number=cond, aux_range=max(aux, 0.0), aux_clamped=aux < 0.0)
+
+
+def tdoa_solve_main_bs(anchors, ranges):
+    """Main-base-station TDOA fix: rows ``(h_1 - h_i) . p - d_i1 dist_1 = (d_i1^2 + ||h_1||^2 - ||h_i||^2) / 2``.
+
+    Floor, count check and messages as ``uwb.tdoa_solve``; a fresh SVD per call.
+    """
+    h, n = anchors.anchors, len(anchors)
+    if n < 5:
+        raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
+    diffs = ranges.diffs
+    if diffs.shape != (n - 1,):
+        raise ValueError("difference count does not match anchor count")
+    hn2 = np.sum(h**2, axis=1)
+    a = np.zeros((n - 1, 4))
+    a[:, :3] = h[0] - h[1:]
+    a[:, 3] = -diffs
+    b = 0.5 * (diffs**2 + hn2[0] - hn2[1:])
+    return _tdoa_fix(*_svd_solve(a, b))
+
+
+def tdoa_solve_ring(anchors, ranges):
+    """Ring TDOA fix: rows ``(h_j - h_{j+1}) . p - d dist_1 = (d^2 + ||h_j||^2 - ||h_{j+1}||^2 + 2 d c_j) / 2``.
+
+    ``c_j`` is the partial sum of the differences before pair j; the
+    wraparound pair (N, 1) closes the ring.  Floor, count check and
+    messages as ``uwb.tdoa_solve``; a fresh SVD per call.
+    """
+    h, n = anchors.anchors, len(anchors)
+    if n < 5:
+        raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
+    diffs = ranges.diffs
+    if diffs.shape != (n,):
+        raise ValueError("difference count does not match anchor count")
+    hn2 = np.sum(h**2, axis=1)
+    nxt = (np.arange(n) + 1) % n
+    partial = np.concatenate([[0.0], np.cumsum(diffs[:-1])])
+    a = np.zeros((n, 4))
+    a[:, :3] = h - h[nxt]
+    a[:, 3] = -diffs
+    b = 0.5 * (diffs**2 + hn2 - hn2[nxt] + 2.0 * diffs * partial)
+    return _tdoa_fix(*_svd_solve(a, b))
 
 
 def _unit_or_raise(vec, what):

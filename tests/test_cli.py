@@ -137,7 +137,7 @@ class TestRunVerb:
     @pytest.mark.parametrize(
         "line",
         ["k1: -1", "m_r: [0, 0, 9.81]", "radius: .nan", "seed: 1.5", "seed: true", "seed: -1",
-         "anchors: [[0, 0, 0], [1, 0, 0]]", "anchors: abc"],
+         "anchors: [[0, 0, 0], [1, 0, 0]]", "anchors: abc", "trajectory: replay"],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, line):
         cfg = tmp_path / "run.yaml"
@@ -222,6 +222,19 @@ class TestMetricsVerb:
         (out / "truth.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("metrics", str(out)) == EXIT_DATA
         assert "truth.csv: non-finite value in column 'px'" in capsys.readouterr().err
+
+    def test_non_unit_truth_quaternion_is_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        lines = (out / "truth.csv").read_text().splitlines()
+        parts = lines[5].split(",")
+        parts[4] = "5"
+        lines[5] = ",".join(parts)
+        (out / "truth.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert "truth.csv: columns 'qw'..'qz' are not a unit quaternion (data row 5)" in capsys.readouterr().err
 
     @staticmethod
     def _edit_estimates(tmp_path, row, column, value):

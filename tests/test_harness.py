@@ -282,8 +282,7 @@ class TestSynthesizeMeasurements:
             traj, anchors, "tdoa-ring", None, env, tag_offset=lever
         )
         assert np.allclose(imu_a[3].a_m, imu_b[3].a_m, atol=1e-15)
-        expect = tdoa_ranges(traj.p[0], anchors, topology="ring",
-                             tag_offset=(traj.rot[0], lever))
+        expect = tdoa_ranges(traj.p[0] + traj.rot[0] @ lever, anchors, topology="ring")
         assert np.allclose(moved[0].diffs, expect.diffs, atol=1e-12)
         assert not np.allclose(moved[0].diffs, plain[0].diffs)
 
@@ -450,6 +449,16 @@ class TestDatasetRoundTrip:
         lines[3] = ",".join(parts)
         (out / name).write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match=f"{name}: non-finite value in column '{column}'"):
+            ingest_dataset(out, 50.0)
+
+    def test_non_unit_truth_quaternion_is_schema_error(self, dataset):
+        out = dataset[0]
+        lines = (out / "truth.csv").read_text().splitlines()
+        parts = lines[3].split(",")
+        parts[4] = "5"
+        lines[3] = ",".join(parts)
+        (out / "truth.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r"truth.csv: columns 'qw'..'qz' are not a unit quaternion \(data row 3\)"):
             ingest_dataset(out, 50.0)
 
     def test_non_monotone_clock_rejected(self, dataset):

@@ -128,11 +128,6 @@ class TestGenerateTrajectory:
         err = np.linalg.norm(v_est[20:-20] - traj.v[20:-20], axis=1)
         assert err.max() < 1e-5
 
-    def test_replay_passthrough(self):
-        traj = generate_trajectory("hover", {"duration": 1.0, "rate": 10.0})
-        again = generate_trajectory("replay", {"trajectory": traj})
-        assert again is traj
-
     @pytest.mark.parametrize(
         "kind,params",
         [
@@ -141,7 +136,7 @@ class TestGenerateTrajectory:
             ("circle", {"bogus": 1}),
             ("hover", {"duration": -5.0}),
             ("hover", {"p0": [1, 2]}),
-            ("replay", {"trajectory": "nope"}),
+            ("replay", {}),
             ("circle", {"radius": np.nan}),
             ("circle", {"period": np.nan}),
             ("circle", {"yaw0": np.inf}),

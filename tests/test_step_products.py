@@ -27,7 +27,7 @@ PER_STEP = {
         "cross3", "_rodrigues_coefficients", "_se23_blocks", "quat_normalize", "_quat_rot_rows", "quat_to_rot",
         "quat_multiply", "quat_from_rotvec",
     ),
-    "uwb": ("_factor", "_solve", "toa_solve", "_finish_tdoa", "tdoa_solve_main_bs", "tdoa_solve_ring", "solve_fix"),
+    "uwb": ("_factor", "_solve", "toa_solve", "tdoa_solve", "solve_fix"),
 }
 FLOAT_LAYERS = ("navfilter", "attitude", "liegroup")
 

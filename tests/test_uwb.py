@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from reference import toa_solve_per_call
+from reference import tdoa_solve_main_bs, tdoa_solve_ring, toa_solve_per_call
 from uwbnav import uwb
-from uwbnav.liegroup import so3_exp
 
 
 def box_anchors(scale=4.0, jitter=None):
@@ -16,6 +15,13 @@ def box_anchors(scale=4.0, jitter=None):
     if jitter is not None:
         a = a + jitter
     return uwb.AnchorSet(anchors=a)
+
+
+def near_coplanar_anchors():
+    """Eight anchors on a circle whose heights differ by ~1e-9 m: full rank, condition number ~1e9-1e10."""
+    ang = np.arange(8) * np.pi / 4
+    z = 1.5 + 1e-9 * np.random.default_rng(0).standard_normal(8)
+    return uwb.AnchorSet(anchors=np.column_stack([4.0 * np.cos(ang), 4.0 * np.sin(ang), z]))
 
 
 @pytest.fixture
@@ -40,10 +46,6 @@ class TestAnchorSet:
         with pytest.raises(ValueError):
             uwb.AnchorSet(anchors=np.zeros((4, 2)))
 
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            uwb.AnchorSet(anchors=np.eye(3) * 2, dim=4)
-
 
 class TestForwardRanges:
     def test_toa_matches_direct_norms(self, anchors, rng):
@@ -63,17 +65,6 @@ class TestForwardRanges:
         diffs = uwb.tdoa_ranges(p, anchors, uwb.RING).diffs
         assert len(diffs) == len(anchors)
         assert diffs.sum() == pytest.approx(0.0, abs=1e-12)
-
-    def test_tag_offset_matches_shifted_tag(self, anchors, rng):
-        # lever arm from a vehicle-mounted tag: offset ranges must equal
-        # plain ranges evaluated at the displaced tag position
-        lever = np.array([-0.012, 0.001, 0.091])
-        for _ in range(10):
-            p = rng.uniform(-2, 2, size=3)
-            rot = so3_exp(rng.normal(size=3))
-            with_offset = uwb.tdoa_ranges(p, anchors, uwb.RING, tag_offset=(rot, lever))
-            displaced = uwb.tdoa_ranges(p + rot @ lever, anchors, uwb.RING)
-            assert np.allclose(with_offset.diffs, displaced.diffs)
 
 
 @given(point, point)
@@ -135,81 +126,92 @@ class TestToaSolve:
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.toa_solve(line, d)
 
-    def test_condition_ceiling_enforced(self, anchors, rng):
-        p = rng.uniform(-2, 2, size=3)
-        d = uwb.toa_ranges(p, anchors)
-        with pytest.raises(uwb.GeometryDegenerate):
-            uwb.toa_solve(anchors, d, cond_ceiling=1.0)
-
-    def test_planar_solve(self, rng):
-        flat = uwb.AnchorSet(
-            anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0.0]]), dim=2
-        )
-        p = np.array([1.3, 2.1, 0.0])
-        fix = uwb.toa_solve(flat, uwb.toa_ranges(p, flat))
-        assert np.allclose(fix.p, p, atol=1e-9)
+    def test_condition_ceiling_enforced(self, rng):
+        flat = near_coplanar_anchors()
+        d = uwb.toa_ranges(rng.uniform(-2, 2, size=3), flat)
+        with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
+            uwb.toa_solve(flat, d)
 
 
-def _outcome(solve, *args, **kwargs):
-    """A solve's fix as ``(p, condition_number)``, or the message it raised GeometryDegenerate with."""
+def _outcome(solve, *args):
+    """A solve's fix as ``(p, condition_number, aux_range, aux_clamped)``, or the message it raised GeometryDegenerate with."""
     try:
-        fix = solve(*args, **kwargs)
+        fix = solve(*args)
     except uwb.GeometryDegenerate as err:
         return str(err)
-    return fix.p, fix.condition_number
+    return fix.p, fix.condition_number, fix.aux_range, fix.aux_clamped
+
+
+def _assert_same_outcome(got, ref):
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    assert np.array_equal(got[0], ref[0])
+    assert got[1:] == ref[1:]
 
 
 class TestFactoredToaSolve:
     # the anchor set factors the constant TOA system once; every solve must
     # equal a fresh per-call factorization bit for bit, errors included
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_matches_per_call_svd_bitwise(self, rng, dim):
+    def test_matches_per_call_svd_bitwise(self, rng):
         for _ in range(200):
-            n = int(rng.integers(dim + 1, 12))
-            anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)), dim=dim)
+            n = int(rng.integers(4, 12))
+            anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
             p = rng.uniform(-4.0, 4.0, size=3)
             obs = uwb.ToaRanges(d=np.abs(uwb.toa_ranges(p, anchors).d + rng.normal(0.0, 0.05, n)))
-            ref = _outcome(toa_solve_per_call, anchors, obs)
-            got = _outcome(uwb.toa_solve, anchors, obs)
-            if isinstance(ref, str):
-                assert got == ref
-                continue
-            assert np.array_equal(got[0], ref[0])
-            assert got[1] == ref[1]
+            _assert_same_outcome(_outcome(uwb.toa_solve, anchors, obs), _outcome(toa_solve_per_call, anchors, obs))
 
     @pytest.mark.parametrize(
-        "points, ceiling, message",
+        "points, message",
         [
-            ([[float(i), 0.0, 0.0] for i in range(5)], 1e8, "system rank 1 below 3 unknowns"),
-            ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], 1e8, "need at least 4 anchors, got 3"),
-            (box_anchors().anchors, 1.0, "condition number 4.56 above ceiling 1"),
+            ([[float(i), 0.0, 0.0] for i in range(5)], "system rank 1 below 3 unknowns"),
+            ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], "need at least 4 anchors, got 3"),
+            (near_coplanar_anchors().anchors, "condition number 9.4e+09 above ceiling 1e+08"),
         ],
         ids=["collinear", "too-few", "ceiling"],
     )
-    def test_degenerate_sets_construct_then_raise_at_solve(self, points, ceiling, message):
+    def test_degenerate_sets_construct_then_raise_at_solve(self, points, message):
         anchors = uwb.AnchorSet(anchors=np.array(points, dtype=float))
         obs = uwb.ToaRanges(d=np.ones(len(anchors)))
-        assert _outcome(toa_solve_per_call, anchors, obs, cond_ceiling=ceiling) == message
-        assert _outcome(uwb.toa_solve, anchors, obs, cond_ceiling=ceiling) == message
+        assert _outcome(toa_solve_per_call, anchors, obs) == message
+        assert _outcome(uwb.toa_solve, anchors, obs) == message
 
 
-@pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
-def test_nan_condition_ceiling_is_rejected(anchors, topology):
-    # cond > nan is False, so a NaN ceiling must not switch the gate off
-    p = np.array([0.3, -0.2, 1.1])
-    obs = uwb.toa_ranges(p, anchors) if topology is None else uwb.tdoa_ranges(p, anchors, topology)
-    with pytest.raises(uwb.GeometryDegenerate, match="above ceiling nan"):
-        uwb.solve_fix(anchors, obs, cond_ceiling=float("nan"))
+class TestPairListSolve:
+    # one solver over the topology's pair list must reproduce the dedicated
+    # per-topology solvers of tests/reference.py bit for bit, errors included:
+    # counts start below the anchor floor, and of every four sets one puts the
+    # tag on anchor 1 (clamped auxiliary range), one is coplanar (rank
+    # deficient) and one near-coplanar (condition gate)
+
+    @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
+    def test_matches_dedicated_solvers_bitwise(self, rng, topology):
+        oracle = tdoa_solve_main_bs if topology == uwb.MAIN_BS else tdoa_solve_ring
+        seen = set()
+        for k in range(300):
+            n = int(rng.integers(3, 12))
+            points = rng.uniform(-6.0, 6.0, size=(n, 3))
+            if k % 4 == 2:
+                points[:, 2] = 1.5
+            elif k % 4 == 3:
+                points[:, 2] = 1.5 + 1e-9 * rng.standard_normal(n)
+            anchors = uwb.AnchorSet(anchors=points)
+            tag = points[0] + 1e-4 if k % 4 == 1 else rng.uniform(-4.0, 4.0, size=3)
+            clean = uwb.tdoa_ranges(tag, anchors, topology).diffs
+            obs = uwb.TdoaRanges(topology, clean + rng.normal(0.0, 0.05, clean.shape))
+            ref = _outcome(oracle, anchors, obs)
+            _assert_same_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref)
+            seen.add(ref.split(" ")[0] if isinstance(ref, str) else ("clamped" if ref[3] else "fix"))
+        assert seen == {"fix", "clamped", "need", "system", "condition"}
 
 
 class TestTdoaSolvers:
     @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
     def test_recovers_position_and_aux(self, anchors, rng, topology):
-        solver = uwb.tdoa_solve_main_bs if topology == uwb.MAIN_BS else uwb.tdoa_solve_ring
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
-            fix = solver(anchors, uwb.tdoa_ranges(p, anchors, topology))
+            fix = uwb.tdoa_solve(anchors, uwb.tdoa_ranges(p, anchors, topology))
             assert np.linalg.norm(fix.p - p) < 1e-8
             assert fix.aux_range == pytest.approx(
                 np.linalg.norm(p - anchors.anchors[0]), abs=1e-8
@@ -225,8 +227,8 @@ class TestTdoaSolvers:
         ring[0] = main[0]
         ring[1:-1] = main[1:] - main[:-1]
         ring[-1] = -main[-1]
-        fix_m = uwb.tdoa_solve_main_bs(anchors, uwb.TdoaRanges(uwb.MAIN_BS, main))
-        fix_r = uwb.tdoa_solve_ring(anchors, uwb.TdoaRanges(uwb.RING, ring))
+        fix_m = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.MAIN_BS, main))
+        fix_r = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.RING, ring))
         assert np.linalg.norm(fix_m.p - fix_r.p) < 1e-6
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
@@ -242,7 +244,7 @@ class TestTdoaSolvers:
             b_rows.append(0.5 * (d * d + h[k] @ h[k] - h[j] @ h[j] + 2.0 * d * partial))
             partial += d
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
-        fix = uwb.tdoa_solve_ring(anchors, obs)
+        fix = uwb.tdoa_solve(anchors, obs)
         assert np.allclose(fix.p, ref[:3], atol=1e-9)
         assert fix.aux_range == pytest.approx(ref[3], abs=1e-9)
 
@@ -252,7 +254,7 @@ class TestTdoaSolvers:
         )
         obs = uwb.tdoa_ranges(np.ones(3), four, uwb.MAIN_BS)
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.tdoa_solve_main_bs(four, obs)
+            uwb.tdoa_solve(four, obs)
 
     def test_ring_rows_sum_to_zero(self, anchors, rng):
         # telescoping makes the ring rows linearly dependent, which is why
@@ -270,7 +272,7 @@ class TestTdoaSolvers:
         )
         obs = uwb.tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, uwb.RING)
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.tdoa_solve_ring(four, obs)
+            uwb.tdoa_solve(four, obs)
 
     def test_ring_works_with_five_anchors(self, rng):
         five = uwb.AnchorSet(
@@ -279,7 +281,7 @@ class TestTdoaSolvers:
             )
         )
         p = np.array([0.8, 1.1, 0.9])
-        fix = uwb.tdoa_solve_ring(five, uwb.tdoa_ranges(p, five, uwb.RING))
+        fix = uwb.tdoa_solve(five, uwb.tdoa_ranges(p, five, uwb.RING))
         assert np.linalg.norm(fix.p - p) < 1e-7
 
     def test_negative_aux_clamped(self, anchors, rng):
@@ -291,15 +293,17 @@ class TestTdoaSolvers:
         saw_clamp = False
         for _ in range(64):
             noisy = clean + rng.normal(0.0, 0.05, size=clean.shape)
-            fix = uwb.tdoa_solve_main_bs(anchors, uwb.TdoaRanges(uwb.MAIN_BS, noisy))
+            fix = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.MAIN_BS, noisy))
             assert fix.aux_range >= 0.0
             saw_clamp = saw_clamp or fix.aux_clamped
         assert saw_clamp
 
-    def test_topology_mismatch_rejected(self, anchors):
-        obs = uwb.tdoa_ranges(np.ones(3), anchors, uwb.RING)
-        with pytest.raises(ValueError):
-            uwb.tdoa_solve_main_bs(anchors, obs)
+    @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
+    def test_condition_ceiling_enforced(self, rng, topology):
+        flat = near_coplanar_anchors()
+        obs = uwb.tdoa_ranges(rng.uniform(-2, 2, size=3), flat, topology)
+        with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
+            uwb.tdoa_solve(flat, obs)
 
     def test_solve_fix_dispatch(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
@@ -312,14 +316,13 @@ class TestTdoaSolvers:
             assert np.linalg.norm(fix.p - p) < 1e-8
 
 
-@pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
-def test_solvers_enforce_anchor_floor(topology, dim):
+def test_solvers_enforce_anchor_floor(topology):
     # every solver rejects one anchor below anchor_floor, the floor the
     # run configuration checks
-    floor = uwb.anchor_floor(topology, dim)
-    assert floor == dim + (1 if topology is None else 2)
-    few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1], dim=dim)
+    floor = uwb.anchor_floor(topology)
+    assert floor == (4 if topology is None else 5)
+    few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1])
     p = np.array([0.3, -0.2, 1.1])
     obs = uwb.toa_ranges(p, few) if topology is None else uwb.tdoa_ranges(p, few, topology)
     with pytest.raises(uwb.GeometryDegenerate, match=f"need at least {floor} anchors, got {floor - 1}"):
