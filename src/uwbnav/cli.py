@@ -8,14 +8,12 @@ Verbs
 ``run``
     Execute a configured experiment (synthetic or dataset replay) and
     write estimates, metrics, and a summary.
-``check``
-    Run the built-in verification suites against the installation.
 ``metrics``
     Recompute the error metrics for a finished run from its saved
     estimate trace and a truth file.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-failure (including failed verification suites).
+failure.
 """
 
 from __future__ import annotations
@@ -69,7 +67,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwbnav",
-        description="UWB/IMU fusion navigation: simulate, run, verify, re-score.",
+        description="UWB/IMU fusion navigation: simulate, run, re-score.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -78,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a configured experiment")
     _add_common(p_run)
-
-    sub.add_parser("check", help="run built-in verification suites")
 
     p_met = sub.add_parser("metrics", help="recompute metrics for a finished run")
     p_met.add_argument("run_dir", help="directory holding estimates.csv")
@@ -127,17 +123,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_check() -> int:
-    from .checks import run_all
-
-    results = run_all()
-    for r in results:
-        print(f"{'ok  ' if r.passed else 'FAIL'} {r.name}: {r.detail}")
-    if any(not r.passed for r in results):
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
 def _cmd_metrics(args: argparse.Namespace) -> int:
     run_dir = args.run_dir.rstrip("/")
     truth = args.truth if args.truth else f"{run_dir}/truth.csv"
@@ -154,8 +139,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_simulate(args)
         if args.verb == "run":
             return _cmd_run(args)
-        if args.verb == "check":
-            return _cmd_check()
         return _cmd_metrics(args)
     except _CONFIG_ERRORS as err:
         print(f"config error: {err}", file=sys.stderr)

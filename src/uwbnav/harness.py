@@ -416,7 +416,8 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     header has them (``truth.csv``, ``estimates.csv``), must hold a unit
     quaternion to ``ATTITUDE_GATE``.  A cell that is not a number, a row of
     the wrong length, a non-finite value or a non-unit quaternion is a
-    SchemaError naming the file, the column and the data row.
+    SchemaError naming the file, the column and the data row.  A table with
+    no data rows comes back as an empty ``(0, len(columns))`` array.
     """
     if not path.exists():
         raise SchemaError(f"missing dataset file: {path.name}")
@@ -427,12 +428,14 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
             if missing:
                 raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
             raise SchemaError(f"{path.name}: expected columns {columns}, got {header}")
+        start = fh.tell()
+        if not any(line.strip() for line in fh):
+            return np.empty((0, len(columns)))
+        fh.seek(start)
         try:
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as err:
             raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or err}") from err
-    if not data.size:
-        return data
     if data.shape[1] != len(columns):
         raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or 'ragged rows'}")
     bad = ~np.isfinite(data)
@@ -706,8 +709,6 @@ def _read_estimates(path: Path) -> np.ndarray:
     is a unit quaternion (checked by :func:`_read_csv`).
     """
     est = _read_csv(path, _ESTIMATE_HEADER, nan_columns=("e_r", "py_residual"))
-    if not est.size:
-        return np.empty((0, len(_ESTIMATE_HEADER)))
     dropout = est[:, 16]
     bad = (dropout != 0.0) & (dropout != 1.0)
     if bad.any():

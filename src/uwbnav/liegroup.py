@@ -5,8 +5,8 @@ matrix group: ``X = [[R, P, V], [0, 1, 0], [0, 0, 1]]`` with ``R`` a rotation
 matrix and ``P``, ``V`` column 3-vectors.  Inputs live on a tangent
 submanifold spanned by ``u(skew(omega), v, a, eps)`` whose exponential has a
 closed form (Rodrigues terms plus two Jacobian-like series for the
-translation columns).  This module provides the skew/vex pair, the
-antisymmetric projector, the normalized attitude distance, the closed-form
+translation columns).  This module provides the skew map, the
+normalized attitude distance, the closed-form
 exponentials, the rotation logarithm, and quaternion conversions used by
 the quaternion filter variant.
 """
@@ -19,13 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "NotAntisymmetric",
     "TangentInput",
     "NavState",
     "skew",
     "cross3",
-    "vex",
-    "pa",
     "attitude_distance",
     "so3_exp",
     "so3_log",
@@ -40,10 +37,6 @@ __all__ = [
 # Below this angle the Rodrigues coefficients switch to second-order Taylor
 # expansions to avoid 0/0.
 SMALL_ANGLE = 1e-6
-
-
-class NotAntisymmetric(ValueError):
-    """Input matrix is too far from antisymmetric for vex to be meaningful."""
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -72,26 +65,6 @@ def _unchecked(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def vex(m: np.ndarray, tol: float = 1e-6) -> np.ndarray:
-    """Inverse of :func:`skew`.
-
-    Raises
-    ------
-    NotAntisymmetric
-        If ``||m + m.T||_F`` exceeds ``tol``.
-    """
-    m = np.asarray(m, dtype=float)
-    if np.linalg.norm(m + m.T) > tol:
-        raise NotAntisymmetric("vex input deviates from antisymmetry")
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
-
-
-def pa(m: np.ndarray) -> np.ndarray:
-    """Antisymmetric projection ``(m - m.T) / 2``."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (m - m.T)
 
 
 def attitude_distance(r: np.ndarray) -> float | np.ndarray:

@@ -302,21 +302,25 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     )
 
 
-def update(state: FilterState, w: CorrectionTerms, dt: float) -> FilterState:
+def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     """Left-translate a predicted state by the correction exponential.
 
-    Applies ``exp(-W dt)`` with ``W = u(skew(w_omega), w_v, w_a, 1)`` to
-    the predicted embedding, restoring the dt coupling entry the predict
+    Applies ``exp(-W dt)`` with ``W = u(skew(w_omega), w_v, w_a - g, 1)``
+    to the predicted embedding, restoring the dt coupling entry the predict
     product carries in its bottom block (dropping it would shift the
-    position column by O(dt^2) per step and bias the closed loop).
-    ``sigma_hat`` advances by one explicit Euler step of ``w.sigma_dot``.
-    The result passes the gate of :class:`FilterState`.
+    position column by O(dt^2) per step and bias the closed loop).  ``g``
+    is the gravity vector (three floats) the discrete step folds into the
+    acceleration correction.  ``sigma_hat`` advances by one explicit
+    Euler step of ``w.sigma_dot``.  The result passes the gate of
+    :class:`FilterState`.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     w_omega = w.w_omega.tolist()
+    (a0, a1, a2), (g0, g1, g2) = w.w_a.tolist(), g
     # exp(-W dt) is exp(W t) at t = -dt
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w.w_v.tolist(), w.w_a.tolist(), 1.0, -dt)
+    w_a = (a0 - g0, a1 - g1, a2 - g2)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w.w_v.tolist(), w_a, 1.0, -dt)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
     (p0, p1, p2), (v0, v1, v2) = state.p_hat.tolist(), state.v_hat.tolist()
     p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,
@@ -352,14 +356,13 @@ def step_with_fix(
 
     Order: build triads from the IMU sample, evaluate corrections at the
     pre-prediction state, predict, update with gravity folded into the
-    acceleration correction.  Raises DegenerateTriads if the vector
+    acceleration correction (``update``'s ``g``).  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
     p_y = np.asarray(p_y, dtype=float)
     triads = build_triads(imu.a_m, imu.m_m, env, s=gains.s)
     w = correction_terms(state, triads, p_y, gains)
-    folded = _unchecked(CorrectionTerms, **{**vars(w), "w_a": w.w_a - env.g_vec})
-    new = update(predict(state, imu, dt), folded, dt)
+    new = update(predict(state, imu, dt), w, dt, env.g_vec.tolist())
     diag = _unchecked(
         Diagnostics,
         e_r=w.e_r,

@@ -279,7 +279,7 @@ def reconstruct_velocity(positions: np.ndarray, dt: float) -> np.ndarray:
     ``SG_WINDOW``-sample window, from one ``lstsq`` of the Vandermonde
     matrix of the window offsets.  Interior samples take the slope at the
     window centre; the first and last half-windows take the slopes of the
-    first and last windows' fits (``interp`` mode of scipy's
+    first and last windows' fits (the ``interp`` edge mode of the usual
     ``savgol_filter``).  For short series the window shrinks to the largest
     odd length that fits.
 

@@ -10,29 +10,43 @@ pair k minus the distance to the first.  Range synthesis, the one TDOA
 solver and the dataset's ``i,j`` columns all read that list.
 
 Each solver rewrites the squared-range identities as an overdetermined
-linear system and solves it in the least-squares sense from one thin
-singular value decomposition of the system matrix, which also yields the
-rank test and the condition number.  Forming the normal equations would
-square the condition number, so it is avoided.  The TDOA systems carry the
-unknown distance to anchor 1 as a fourth state alongside the position.
+linear system ``A x = b`` and solves it in the least-squares sense from a
+thin singular value decomposition; forming the normal equations would
+square the condition number, so it is avoided.  Every decomposition is
+taken once, by ``numpy.linalg.svd`` when an :class:`AnchorSet` is built,
+because the system matrices are constant but for one column:
 
-The TOA system matrix depends on the anchors alone, so :class:`AnchorSet`
-factors it once and a TOA solve is two small matrix-vector products; the
-TDOA matrices carry the measured differences in their last column and are
-factored per solve, from position blocks the anchor set also keeps.  A
-solve runs once per filter step, so its products use ``ndarray.dot``:
-``@`` costs several times as much in dispatch on operands this small, for
-the same bits.
+- TOA: ``A`` depends on the anchors alone, so a solve is ``V ((U^T b) /
+  s)``.
+- TDOA: the unknowns are the position and the distance to anchor 1, and
+  ``A = [A0 | c]`` is a constant position block ``A0`` (rows ``h[first] -
+  h[second]``, factored as ``U0 S0 V0^T``) plus the column ``c = -d`` of
+  measured differences, a rank-one addition.  With ``z = U0^T c``, ``r = c
+  - U0 z`` and ``beta^2 = |r|^2``, the auxiliary range is ``x4 = r^T b /
+  beta^2`` and the position ``p = V0 S0^-1 U0^T (b - x4 c)``.
+
+The rank test counts singular values above ``s_max max(shape) eps``: for
+TDOA, ``A0``'s rank (taken once) plus one if ``beta`` passes the same
+test against ``||A||_F``.  The condition number is the Frobenius-norm one,
+``kappa_F = ||A||_F ||A^+||_F``, which the stored singular values give
+without a per-solve decomposition: ``sqrt(sum s^2 sum 1/s^2)`` for TOA and
+``sqrt((sum s^2 + |z|^2 + beta^2) (sum 1/s^2 + (sum (z_i/s_i)^2 + 1) /
+beta^2))`` for TDOA.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
+``COND_CEILING`` on it is at most k times stricter than on ``kappa_2``.
+
+A solve runs once per filter step on a handful of rows, where a numpy call
+costs more in dispatch than its arithmetic, so solves compute on Python
+floats from the float copies of each factor the anchor set keeps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from .liegroup import _unchecked
 
@@ -44,9 +58,7 @@ __all__ = [
     "PositionFix",
     "RangeSet",
     "anchor_floor",
-    "toa_ranges",
     "toa_solve",
-    "tdoa_ranges",
     "tdoa_solve",
     "solve_fix",
 ]
@@ -63,22 +75,41 @@ class GeometryDegenerate(RuntimeError):
     """Anchor geometry cannot support a well-posed position solve."""
 
 
+class Factor(NamedTuple):
+    """Thin SVD ``a = U diag(s) V^T`` of a constant system matrix, as Python floats.
+
+    ``ut`` holds the rows of ``U^T``, ``s`` the singular values in descending
+    order and ``v`` the rows of ``V``.  ``rank`` is the numeric rank, the
+    count of singular values above ``s_max max(shape) eps``; the rows of
+    ``ut`` past it are zero, so projections onto them span the numeric range
+    only.  ``fro2`` is ``sum s^2`` (``||a||_F^2``) and ``inv2`` is ``sum
+    1/s^2`` over the rank (``||a^+||_F^2`` at full rank).
+    """
+
+    ut: list
+    s: list
+    v: list
+    rank: int
+    fro2: float
+    inv2: float
+
+
 class PairList(NamedTuple):
     """One TDOA topology over an anchor set, and the constant parts of its solve.
 
     ``first`` and ``second`` are the 0-based anchor indices of each pair,
     in topology order: difference k is dist(anchor ``second[k]``) -
-    dist(anchor ``first[k]``).  ``system`` is the solver matrix with rows
-    ``h[first] - h[second]`` and its last column, for the measured
-    differences, left zero.  ``sq_first`` and ``sq_second`` are the squared
-    norms of each pair's anchors.
+    dist(anchor ``first[k]``).  ``sq_first`` and ``sq_second`` are the
+    squared norms of each pair's anchors, and ``factor`` the :class:`Factor`
+    of the solver's position block, rows ``h[first] - h[second]`` (None
+    below the TDOA anchor floor).
     """
 
     first: np.ndarray
     second: np.ndarray
-    system: np.ndarray
-    sq_first: np.ndarray
-    sq_second: np.ndarray
+    sq_first: list
+    sq_second: list
+    factor: Factor | None
 
 
 @dataclass(frozen=True)
@@ -88,19 +119,19 @@ class AnchorSet:
     Each solver enforces the anchor-count floor of :func:`anchor_floor` and
     its own rank test, so sets of any size can be constructed.
 
-    Derived once here for the solvers: ``sq_norms`` (squared anchor
-    norms), ``toa_factors`` (the thin SVD ``(U^T, s, V)`` of the TOA system
-    ``h[1:] - h[0]`` with its conditioning, see :func:`_factor`; None below
-    the TOA anchor floor) and ``tdoa``, the :class:`PairList` of each TDOA
-    topology: main-bs pairs ``(0, j)`` for j = 1..N-1, ring pairs ``(j, j +
-    1)`` for j = 0..N-2 and the wraparound ``(N - 1, 0)``.  Construction
-    never raises on geometry: a rank-deficient TOA system is recorded and
-    reported by :func:`toa_solve`.
+    Derived once here for the solvers: ``sq_norms`` (squared anchor norms),
+    ``toa_factor`` (the :class:`Factor` of the TOA system ``h[1:] - h[0]``;
+    None below the TOA anchor floor) and ``tdoa``, the :class:`PairList` of
+    each TDOA topology: main-bs pairs ``(0, j)`` for j = 1..N-1, ring pairs
+    ``(j, j + 1)`` for j = 0..N-2 and the wraparound ``(N - 1, 0)``.  The
+    main-bs position block is the TOA system negated, so it shares that
+    factor with ``V`` negated.  Construction never raises on geometry: a
+    rank-deficient system is recorded and reported at solve time.
     """
 
     anchors: np.ndarray
-    sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    toa_factors: tuple | None = field(init=False, repr=False, compare=False)
+    sq_norms: list = field(init=False, repr=False, compare=False)
+    toa_factor: Factor | None = field(init=False, repr=False, compare=False)
     tdoa: dict[str, PairList] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -117,17 +148,23 @@ class AnchorSet:
         n = a.shape[0]
         ids = np.arange(n)
         sq_norms = np.sum(a**2, axis=1)
+        toa = _factor(diffs[1:, 0]) if n >= anchor_floor(None) else None
+        solvable = n >= anchor_floor(MAIN_BS)
         tdoa = {}
         for topology, first, second in (
             (MAIN_BS, np.zeros(n - 1, dtype=int), ids[1:]),
             (RING, ids, (ids + 1) % n),
         ):
-            system = np.zeros((len(first), 4))
-            system[:, :3] = diffs[first, second]
-            tdoa[topology] = PairList(first, second, system, sq_norms[first], sq_norms[second])
+            if not solvable:
+                factor = None
+            elif topology == MAIN_BS:
+                factor = toa._replace(v=[[-x for x in row] for row in toa.v])
+            else:
+                factor = _factor(diffs[first, second])
+            tdoa[topology] = PairList(first, second, sq_norms[first].tolist(), sq_norms[second].tolist(), factor)
         object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "toa_factors", _factor(a[1:] - a[0]) if n >= anchor_floor(None) else None)
+        object.__setattr__(self, "sq_norms", sq_norms.tolist())
+        object.__setattr__(self, "toa_factor", toa)
         object.__setattr__(self, "tdoa", tdoa)
 
     def __len__(self) -> int:
@@ -193,24 +230,16 @@ class PositionFix:
 
     ``aux_range`` is the recovered distance to anchor 1 for TDOA solves
     (None for TOA); ``aux_clamped`` flags a negative auxiliary range that
-    was clamped to zero.  ``condition_number`` is that of the solved system
-    matrix.
+    was clamped to zero.  ``condition_number`` is the Frobenius-norm
+    condition number ``||A||_F ||A^+||_F`` of the solved system matrix
+    ``A`` (see the module notes), at least its 2-norm condition number and
+    at most its column count times that.
     """
 
     p: np.ndarray
     condition_number: float
     aux_range: float | None = None
     aux_clamped: bool = False
-
-
-def toa_ranges(p: np.ndarray, anchors: AnchorSet) -> ToaRanges:
-    """Noise-free absolute ranges from position ``p`` to every anchor."""
-    return ToaRanges(d=_range_block(np.asarray(p, dtype=float), anchors, None))
-
-
-def tdoa_ranges(p: np.ndarray, anchors: AnchorSet, topology: str) -> TdoaRanges:
-    """Noise-free range differences for the requested topology."""
-    return TdoaRanges(topology=topology, diffs=_range_block(np.asarray(p, dtype=float), anchors, topology))
 
 
 def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
@@ -233,52 +262,55 @@ def anchor_floor(topology: str | None) -> int:
     return 4 if topology is None else 5
 
 
-def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | str]:
-    """Thin SVD ``a = U diag(s) V^T`` as ``(U^T, s, V, conditioning)``.
+def _factor(a: np.ndarray) -> Factor:
+    """The :class:`Factor` of ``a``, from one ``numpy.linalg.svd``."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    s, ut = s.tolist(), u.T.tolist()
+    tol = s[0] * max(a.shape) * _EPS
+    rank = sum(x > tol for x in s)
+    for row in ut[rank:]:
+        row[:] = [0.0] * len(row)
+    return Factor(ut, s, vt.T.tolist(), rank, sum(x * x for x in s), sum(1.0 / (x * x) for x in s[:rank]))
 
-    ``conditioning`` is the condition number ``s_max / s_min``, or, when
-    ``a`` is rank deficient (``s_min`` at or below ``s_max max(shape)
-    eps``), the message :func:`_solve` raises for it.  LAPACK ``gesdd`` is
-    called directly because these systems are tiny and per-call overhead
-    dominates: the ``numpy.linalg.svd`` wrapper costs about as much again as
-    the factorization itself.
+
+def _finite(values: list) -> list:
+    """``values``, when every one is finite: the squared ranges and the solution must not overflow.
+
+    Raises
+    ------
+    ValueError
+        If a value is NaN or infinite (ranges so large that their squares
+        overflow).
     """
-    u, s, vt, info = dgesdd(a, full_matrices=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"SVD did not converge (LAPACK info {info})")
-    s_max, s_min = float(s[0]), float(s[-1])
-    tol = s_max * max(a.shape) * _EPS
-    if not s_min > tol:
-        return u.T, s, vt.T, f"system rank {int(np.count_nonzero(s > tol))} below {a.shape[1]} unknowns"
-    return u.T, s, vt.T, s_max / s_min
+    if not all(map(math.isfinite, values)):
+        raise ValueError("position solve overflowed: ranges too large")
+    return values
 
 
-def _solve(factors: tuple, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares solution ``V ((U^T b) / s)`` of ``a x = b`` from ``_factor(a)``, and its condition number.
+def _check_rank(rank: int, unknowns: int) -> None:
+    """Raise GeometryDegenerate for a system of numeric rank ``rank`` below its ``unknowns``."""
+    if rank < unknowns:
+        raise GeometryDegenerate(f"system rank {rank} below {unknowns} unknowns")
 
-    ``a`` is factored directly, so the normal equations (which would square
-    the condition number) are never formed.  This is the one rank and
-    condition gate of every solver; ``not cond <= COND_CEILING`` also
-    rejects a NaN condition number.
+
+def _check_condition(cond: float) -> float:
+    """``cond``, at or below ``COND_CEILING``; ``not cond <= COND_CEILING`` also rejects NaN.
 
     Raises
     ------
     GeometryDegenerate
-        If ``a`` is rank deficient or its condition number exceeds
-        ``COND_CEILING``.
-    ValueError
-        If the solution is not finite (ranges so large that the squared-range
-        right-hand side overflows).
+        If the condition number exceeds ``COND_CEILING``.
     """
-    ut, s, v, cond = factors
-    if isinstance(cond, str):
-        raise GeometryDegenerate(cond)
     if not cond <= COND_CEILING:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {COND_CEILING:.3g}")
-    x = v.dot(ut.dot(b) / s)
-    if not all(map(math.isfinite, x.tolist())):
-        raise ValueError("position solve overflowed: ranges too large")
-    return x, cond
+    return cond
+
+
+def _position(v: list, y0: float, y1: float, y2: float) -> np.ndarray:
+    """``V y`` from the rows of ``V``, checked finite."""
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = v
+    return np.array(_finite([v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2,
+                             v20 * y0 + v21 * y1 + v22 * y2]))
 
 
 def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
@@ -288,7 +320,7 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     2 h_i . p`` against anchor 1 cancels ``||p||^2`` and leaves the linear
     system with rows ``(h_i - h_1) . p = (d_1^2 - d_i^2 + ||h_i||^2 -
     ||h_1||^2) / 2``.  The matrix of that system is the anchor set's, so
-    its factorization (``anchors.toa_factors``) is reused and a solve only
+    its factorization (``anchors.toa_factor``) is reused and a solve only
     forms the right-hand side.
 
     Raises
@@ -296,17 +328,24 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     GeometryDegenerate
         If fewer than 4 anchors, rank-deficient geometry, or conditioning
         above ``COND_CEILING``.
+    ValueError
+        If the range count is not the anchor count, or the solve overflows.
     """
     n = len(anchors)
     floor = anchor_floor(None)
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    d = ranges.d
-    if d.shape != (n,):
+    if ranges.d.shape != (n,):
         raise ValueError("range count does not match anchor count")
-    hn2 = anchors.sq_norms
-    b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
-    p, cond = _solve(anchors.toa_factors, b)
+    d, hn2 = ranges.d.tolist(), anchors.sq_norms
+    e0, h0 = d[0] * d[0], hn2[0]
+    # an overflowed entry of b makes the solution non-finite, which _position rejects
+    b = [0.5 * (e0 - di * di + hi - h0) for di, hi in zip(d[1:], hn2[1:])]
+    f = anchors.toa_factor
+    _check_rank(f.rank, 3)
+    cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
+    (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
+    p = _position(f.v, sum(map(mul, u0, b)) / s0, sum(map(mul, u1, b)) / s1, sum(map(mul, u2, b)) / s2)
     return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=None, aux_clamped=False)
 
 
@@ -320,7 +359,8 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
     is ``dist_1``.  Ring differences telescope: ``dist_i`` is ``dist_1``
     plus the partial sum ``c_i`` of the differences before pair i, which
     adds ``d c_i`` to the row's right-hand side (zero for the first pair;
-    the wraparound pair closes the ring with ``c_N``).
+    the wraparound pair closes the ring with ``c_N``).  The solve is the
+    rank-one update of the module notes on the factored position block.
 
     Raises
     ------
@@ -329,26 +369,45 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
         ``COND_CEILING``.  The system has 4 unknowns; main-bs has ``N - 1``
         rows, and the ring rows sum to zero by telescoping, so the ring
         system rank is at most ``N - 1`` too.
+    ValueError
+        If the difference count does not match the anchor count, or the
+        solve overflows.
     """
     n = len(anchors)
     floor = anchor_floor(ranges.topology)
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    _, second, system, sq_first, sq_second = anchors.tdoa[ranges.topology]
-    diffs = ranges.diffs
-    if diffs.shape != second.shape:
+    _, second, sq_first, sq_second, f = anchors.tdoa[ranges.topology]
+    if ranges.diffs.shape != second.shape:
         raise ValueError("difference count does not match anchor count")
-    a = system.copy()
-    a[:, 3] = -diffs
-    b = diffs**2 + sq_first - sq_second
+    d = ranges.diffs.tolist()
     if ranges.topology == RING:
-        b += 2.0 * diffs * np.concatenate([[0.0], np.cumsum(diffs[:-1])])
-    x, cond = _solve(_factor(a), 0.5 * b)
-    aux = float(x[3])
+        b, partial = [], 0.0
+        for di, hi, hj in zip(d, sq_first, sq_second):
+            b.append(0.5 * (di * di + hi - hj + 2.0 * di * partial))
+            partial += di
+    else:
+        b = [0.5 * (di * di + hi - hj) for di, hi, hj in zip(d, sq_first, sq_second)]
+    # projections of d = -c: they give -z and -r, and the same beta^2
+    (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
+    z0, z1, z2 = sum(map(mul, u0, d)), sum(map(mul, u1, d)), sum(map(mul, u2, d))
+    r = [di - (a0 * z0 + a1 * z1 + a2 * z2) for di, a0, a1, a2 in zip(d, u0, u1, u2)]
+    beta2 = sum(map(mul, r, r))
+    _finite(b + [beta2])
+    fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
+    tol = len(d) * _EPS
+    _check_rank(f.rank + (beta2 > fro2 * tol * tol), 4)
+    w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
+    cond = _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
+    aux = -sum(map(mul, r, b)) / beta2
+    p = _position(
+        f.v, (sum(map(mul, u0, b)) + aux * z0) / s0, (sum(map(mul, u1, b)) + aux * z1) / s1,
+        (sum(map(mul, u2, b)) + aux * z2) / s2,
+    )
     clamped = aux < 0.0
     if clamped:
         aux = 0.0
-    return _unchecked(PositionFix, p=x[:3], condition_number=cond, aux_range=aux, aux_clamped=clamped)
+    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=aux, aux_clamped=clamped)
 
 
 def solve_fix(anchors: AnchorSet, obs: ToaRanges | TdoaRanges) -> PositionFix:

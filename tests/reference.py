@@ -8,16 +8,22 @@ against an integrator it shares no code with.
 The 5x5 group embeddings build the ``scipy.linalg.expm`` oracles of the
 exponential tests, and ``propagate_truth`` is the exact truth flow those
 tests vouch for (it runs on the package's closed-form ``se23_exp``).
+``vex`` and ``pa`` (the inverse of ``skew`` and the antisymmetric
+projection) serve the identity tests, and ``toa_ranges`` / ``tdoa_ranges``
+build one noise-free observation from the package's forward model
+(``uwb._range_block``, which measurement synthesis runs on whole blocks).
 
 The per-sample oracles at the end are the one-value-at-a-time forms of
 code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
 bit-identical results.  ``toa_solve_per_call`` is likewise the TOA solve
-that factors its system matrix on every call, which the anchor set's
-one-time factorization must reproduce bit for bit, and
+that factors its system matrix on every call (``numpy.linalg.svd``, the
+package's primitive, with the package's float arithmetic after it), which
+the anchor set's one-time factorization must reproduce bit for bit.
 ``tdoa_solve_main_bs`` / ``tdoa_solve_ring`` are one dedicated solver per
-TDOA topology, which the package's one solver over the topology's anchor-pair
-list must reproduce bit for bit.
+TDOA topology that factors the whole 4-column system on every call; the
+package's rank-one solve over the topology's anchor-pair list must match
+them outcome for outcome, and to round-off in value.
 
 The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
 is the filter step written with array products: the form the package
@@ -26,9 +32,9 @@ evaluates on Python floats.  The two must agree to round-off.
 
 import dataclasses
 import math
+from operator import mul
 
 import numpy as np
-from scipy.linalg.lapack import dgesdd
 
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, TriadSet, measure_imu
 from uwbnav.liegroup import SMALL_ANGLE, NavState, TangentInput, _rodrigues_coefficients, se23_exp
@@ -39,10 +45,37 @@ from uwbnav.uwb import (
     PositionFix,
     TdoaRanges,
     ToaRanges,
+    _range_block,
     solve_fix,
-    tdoa_ranges,
-    toa_ranges,
 )
+
+
+class NotAntisymmetric(ValueError):
+    """Input matrix is too far from antisymmetric for vex to be meaningful."""
+
+
+def vex(m, tol=1e-6):
+    """Inverse of ``skew``; raises NotAntisymmetric if ``||m + m.T||_F`` exceeds ``tol``."""
+    m = np.asarray(m, dtype=float)
+    if np.linalg.norm(m + m.T) > tol:
+        raise NotAntisymmetric("vex input deviates from antisymmetry")
+    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+
+
+def pa(m):
+    """Antisymmetric projection ``(m - m.T) / 2``."""
+    m = np.asarray(m, dtype=float)
+    return 0.5 * (m - m.T)
+
+
+def toa_ranges(p, anchors):
+    """Noise-free absolute ranges from position ``p`` to every anchor."""
+    return ToaRanges(d=_range_block(np.asarray(p, dtype=float), anchors, None))
+
+
+def tdoa_ranges(p, anchors, topology):
+    """Noise-free range differences for the requested topology."""
+    return TdoaRanges(topology=topology, diffs=_range_block(np.asarray(p, dtype=float), anchors, topology))
 
 
 def _skew(w):
@@ -250,34 +283,41 @@ def rot_to_quat_per_matrix(r):
     return -q if q[0] < 0.0 else q
 
 
-def _svd_solve(a, b):
-    """``V ((U^T b) / s)`` from a fresh thin SVD of ``a``, with the package's rank and condition messages."""
-    u, s, vt, info = dgesdd(a, full_matrices=0)
-    assert info == 0
-    s_max, s_min = float(s[0]), float(s[-1])
-    tol = s_max * max(a.shape) * np.finfo(float).eps
-    if not s_min > tol:
+def _svd_gate(a):
+    """A fresh thin SVD ``(U, s, V^T)`` of ``a`` and its Frobenius condition number, with the package's gates."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    tol = s[0] * max(a.shape) * np.finfo(float).eps
+    if not s[-1] > tol:
         raise GeometryDegenerate(f"system rank {int(np.count_nonzero(s > tol))} below {a.shape[1]} unknowns")
-    cond = s_max / s_min
+    sv = s.tolist()
+    cond = math.sqrt(sum(x * x for x in sv) * sum(1.0 / (x * x) for x in sv))
     if not cond <= 1e8:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {1e8:.3g}")
+    return u, s, vt, cond
+
+
+def _svd_solve(a, b):
+    """``V ((U^T b) / s)`` from a fresh thin SVD of ``a``, and its Frobenius condition number."""
+    u, s, vt, cond = _svd_gate(a)
     return vt.T @ ((u.T @ b) / s), cond
 
 
 def toa_solve_per_call(anchors, ranges):
     """TOA fix from a fresh thin SVD of the differenced system on every call.
 
-    Same rows, floor, rank and condition messages as ``uwb.toa_solve``; the
-    solution is ``V ((U^T b) / s)``.
+    Same rows, floor, rank and condition messages as ``uwb.toa_solve``, and
+    its float arithmetic: ``y = (U^T b) / s`` by rows of ``U^T``, then ``V y``.
     """
     h, n = anchors.anchors, len(anchors)
     if n < 4:
         raise GeometryDegenerate(f"need at least 4 anchors, got {n}")
     d = ranges.d
     hn2 = np.sum(h**2, axis=1)
-    b = 0.5 * (d[0] ** 2 - d[1:] ** 2 + hn2[1:] - hn2[0])
-    p, cond = _svd_solve(h[1:] - h[0], b)
-    return PositionFix(p=p, condition_number=cond)
+    b = (0.5 * (d[0] * d[0] - d[1:] * d[1:] + hn2[1:] - hn2[0])).tolist()
+    u, s, vt, cond = _svd_gate(h[1:] - h[0])
+    y0, y1, y2 = (sum(map(mul, col, b)) / sk for col, sk in zip(u.T.tolist(), s.tolist()))
+    p = [v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in vt.T.tolist()]
+    return PositionFix(p=np.array(p), condition_number=cond)
 
 
 def _tdoa_fix(x, cond):
@@ -288,7 +328,8 @@ def _tdoa_fix(x, cond):
 def tdoa_solve_main_bs(anchors, ranges):
     """Main-base-station TDOA fix: rows ``(h_1 - h_i) . p - d_i1 dist_1 = (d_i1^2 + ||h_1||^2 - ||h_i||^2) / 2``.
 
-    Floor, count check and messages as ``uwb.tdoa_solve``; a fresh SVD per call.
+    Floor, count check and messages as ``uwb.tdoa_solve``; a fresh SVD of the
+    4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)
     if n < 5:
@@ -309,7 +350,7 @@ def tdoa_solve_ring(anchors, ranges):
 
     ``c_j`` is the partial sum of the differences before pair j; the
     wraparound pair (N, 1) closes the ring.  Floor, count check and
-    messages as ``uwb.tdoa_solve``; a fresh SVD per call.
+    messages as ``uwb.tdoa_solve``; a fresh SVD of the 4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)
     if n < 5:
@@ -426,9 +467,9 @@ def predict_numpy(state, imu, dt):
     )
 
 
-def update_numpy(state, w, dt):
-    """``exp(-W dt)`` applied to a predicted state, with array products."""
-    r_e, t_p, t_v = se23_blocks_numpy(w.w_omega, w.w_v, w.w_a, 1.0, -dt)
+def update_numpy(state, w, dt, g):
+    """``exp(-W dt)``, gravity ``g`` folded into ``w_a``, applied to a predicted state, with array products."""
+    r_e, t_p, t_v = se23_blocks_numpy(w.w_omega, w.w_v, w.w_a - g, 1.0, -dt)
     if state.attitude.shape == (3, 3):
         att = r_e @ state.attitude
     else:
@@ -448,5 +489,4 @@ def step_numpy(state, imu, ranges, anchors, env, gains, dt):
     except (GeometryDegenerate, DegenerateTriads):
         return predict_numpy(state, imu, dt)
     w = correction_terms_numpy(state, triads, p_y, gains)
-    folded = dataclasses.replace(w, w_a=w.w_a - env.g_vec)
-    return update_numpy(predict_numpy(state, imu, dt), folded, dt)
+    return update_numpy(predict_numpy(state, imu, dt), w, dt, env.g_vec)

@@ -18,7 +18,7 @@ from scipy.spatial.transform import Rotation
 
 from uwbnav.attitude import ReferenceEnvironment, measure_imu
 from uwbnav.harness import RunConfig, default_anchors, ingest_dataset, run_experiment
-from uwbnav.liegroup import pa, quat_to_rot, skew, so3_exp, vex
+from uwbnav.liegroup import quat_to_rot, skew, so3_exp
 from uwbnav.navfilter import FilterGains, FilterState, step_with_fix
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import (
@@ -27,11 +27,9 @@ from uwbnav.uwb import (
     AnchorSet,
     TdoaRanges,
     solve_fix,
-    tdoa_ranges,
-    toa_ranges,
 )
 
-from reference import rk4_closed_loop_step
+from reference import pa, rk4_closed_loop_step, tdoa_ranges, toa_ranges, vex
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "data" / "const1"
 

@@ -14,9 +14,9 @@ from uwbnav.attitude import (
     build_triads,
     measure_imu,
 )
-from uwbnav.liegroup import NavState, pa, skew, so3_exp, vex
+from uwbnav.liegroup import NavState, skew, so3_exp
 
-from reference import weighting_matrices
+from reference import pa, vex, weighting_matrices
 
 ENV = ReferenceEnvironment()
 

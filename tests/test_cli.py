@@ -287,14 +287,6 @@ class TestMetricsVerb:
         assert "data error" in capsys.readouterr().err
 
 
-class TestCheckVerb:
-    def test_all_suites_pass(self, capsys):
-        assert run_cli("check") == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.count("ok  ") == 6
-        assert "FAIL" not in out
-
-
 class TestConsoleScript:
     def test_entry_point_help(self):
         proc = subprocess.run(
@@ -305,9 +297,9 @@ class TestConsoleScript:
         assert "simulate" in proc.stdout and "metrics" in proc.stdout
 
 
-# scipy subpackages that cost most of a cold start; the run path needs only
-# scipy.linalg's LAPACK bindings
-HEAVY_SCIPY = ("scipy.signal", "scipy.spatial", "scipy.stats", "scipy.interpolate", "scipy.ndimage")
+# importing scipy cost most of a cold start; the package needs none of it
+# (the tests use it as an independent oracle)
+HEAVY_SCIPY = ("scipy",)
 
 _ROUND_TRIP = """
 import contextlib, io, sys
@@ -342,4 +334,21 @@ class TestImportDiscipline:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "run" / "metrics.csv").exists()
+        assert proc.stdout.split() == []
+
+    def test_cold_start_loads_no_scipy(self):
+        # what a fresh process pays before its first step: the CLI and one config
+        child = (
+            "import sys\n"
+            "import uwbnav.cli\n"
+            "from uwbnav.harness import load_config\n"
+            "load_config(sys.argv[1], {'topology': 'tdoa-ring'})\n"
+            "print(' '.join(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(uwbnav.__file__).resolve().parents[1]))
+        config = Path(__file__).resolve().parent.parent / "configs" / "circle.yaml"
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(config)], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []

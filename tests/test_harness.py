@@ -23,9 +23,9 @@ from uwbnav.harness import (
     write_dataset,
 )
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges, tdoa_ranges, toa_ranges
+from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges
 
-from reference import synthesize_per_sample
+from reference import synthesize_per_sample, tdoa_ranges, toa_ranges
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
@@ -526,11 +526,20 @@ class TestDatasetRoundTrip:
         with pytest.raises(ClockError, match="tdoa.csv"):
             ingest_dataset(out, 50.0)
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_tdoa_rejected(self, dataset):
         out = dataset[0]
         (out / "tdoa.csv").write_text("t,i,j,d\n")
-        with pytest.raises(SchemaError, match="tdoa.csv"):
+        with pytest.raises(SchemaError, match="tdoa.csv has no rows"):
             ingest_dataset(out, 50.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_table_reads_empty(self, tmp_path, body):
+        # no data rows is an empty table, with no loadtxt warning on the way
+        path = tmp_path / "tdoa.csv"
+        path.write_text("t,i,j,d\n" + body)
+        assert harness._read_csv(path, ["t", "i", "j", "d"]).shape == (0, 4)
 
     def test_short_tick_rejected(self, dataset):
         out = dataset[0]
@@ -692,13 +701,13 @@ class TestRecomputeMetrics:
         assert argmin_rule == [0, 0, 1, 7, 8]
         assert np.array_equal(pos, np.array(argmin_rule, dtype=float))
 
+    @pytest.mark.filterwarnings("error")
     def test_empty_estimates_give_header_only(self, tmp_path):
         out = tmp_path / "run"
         run_experiment(RunConfig(duration=1.0, topology="toa", seed=8, out=str(out)))
         header = (out / "estimates.csv").read_text().splitlines()[0]
         (out / "estimates.csv").write_text(header + "\n")
-        with pytest.warns(UserWarning):
-            assert recompute_metrics(out / "estimates.csv", out / "truth.csv", out / "m.csv") == 0
+        assert recompute_metrics(out / "estimates.csv", out / "truth.csv", out / "m.csv") == 0
         assert (out / "m.csv").read_text() == "t,att_err,pos_err,vel_err,sigma_norm,e_r,py_residual\n"
 
     def test_rejects_foreign_estimates_header(self, tmp_path):

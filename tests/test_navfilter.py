@@ -15,6 +15,8 @@ from reference import (
     propagate_truth,
     rk4_closed_loop_step,
     tangent_matrix,
+    tdoa_ranges,
+    toa_ranges,
 )
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
@@ -41,7 +43,7 @@ from uwbnav.navfilter import (
     update,
 )
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import AnchorSet, tdoa_ranges, toa_ranges
+from uwbnav.uwb import AnchorSet
 
 ENV = ReferenceEnvironment()
 G = ENV.g_vec
@@ -255,11 +257,25 @@ class TestUpdate:
         r0 = random_rotation(rng)
         state = FilterState(r0, rng.normal(size=3), rng.normal(size=3), np.array([1.0, 2.0, 3.0]))
         w = dataclasses.replace(zero_corrections(), sigma_dot=np.array([0.1, 0.0, -0.1]))
-        out = update(state, w, 0.01)
+        out = update(state, w, 0.01, (0.0, 0.0, 0.0))
         assert np.array_equal(out.attitude, state.attitude) or np.allclose(out.attitude, state.attitude, atol=1e-15)
         assert np.allclose(out.p_hat, state.p_hat, atol=1e-15)
         assert np.allclose(out.v_hat, state.v_hat, atol=1e-15)
         assert np.allclose(out.sigma_hat, state.sigma_hat + 0.01 * w.sigma_dot)
+
+    def test_gravity_argument_equals_folded_corrections(self, rng):
+        # update subtracts g from w_a on floats: the same IEEE operation as
+        # folding it into a copy of the corrections
+        for attitude in (random_rotation(rng), rot_to_quat(random_rotation(rng))):
+            state = FilterState(attitude, rng.normal(size=3), rng.normal(size=3), np.abs(rng.normal(size=3)))
+            w = CorrectionTerms(
+                e_r=0.3, d_v=np.diag(rng.normal(size=3)), w_omega=rng.normal(size=3), w_v=rng.normal(size=3),
+                w_a=rng.normal(size=3), sigma_dot=rng.normal(size=3),
+            )
+            got = update(state, w, 0.01, G.tolist())
+            want = update(state, dataclasses.replace(w, w_a=w.w_a - G), 0.01, (0.0, 0.0, 0.0))
+            for field in ("attitude", "p_hat", "v_hat", "sigma_hat"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_predict_update_pair_matches_full_group_product(self, rng):
         """The pair equals expm(-W dt) @ (X expm(U dt)) including the
@@ -277,7 +293,7 @@ class TestUpdate:
                 sigma_dot=np.zeros(3),
             )
             dt = 0.01
-            got = update(predict(state, imu, dt), w, dt)
+            got = update(predict(state, imu, dt), w, dt, (0.0, 0.0, 0.0))
             u = tangent_matrix(TangentInput(omega=imu.omega_m, v=np.zeros(3), a=imu.a_m, eps=1.0))
             wm = tangent_matrix(TangentInput(omega=w.w_omega, v=w.w_v, a=w.w_a, eps=1.0))
             full = expm(-wm * dt) @ nav_matrix(NavState(r=r0, p=state.p_hat, v=state.v_hat)) @ expm(u * dt)
@@ -300,9 +316,8 @@ class TestUpdate:
         state = FilterState(truth.r, truth.p, truth.v, np.zeros(3))
         triads = build_triads(imu.a_m, imu.m_m, ENV)
         w = correction_terms(state, triads, truth.p, GAINS)
-        folded = dataclasses.replace(w, w_a=w.w_a - G)
         dt = 0.01
-        out = update(predict(state, imu, dt), folded, dt)
+        out = update(predict(state, imu, dt), w, dt, G.tolist())
         truth_next = propagate_truth(truth, omega, body_a, ENV, dt)
         assert np.linalg.norm(out.p_hat - truth_next.p) < 1e-9
         assert np.linalg.norm(out.v_hat - truth_next.v) < 1e-9

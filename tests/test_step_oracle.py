@@ -95,7 +95,8 @@ def test_update_matches_numpy_oracle(variant):
             e_r=rng.uniform(), d_v=np.diag(rng.normal(size=3)), w_omega=rng.normal(size=3),
             w_v=rng.normal(0.0, 10.0, 3), w_a=rng.normal(0.0, 50.0, 3), sigma_dot=rng.normal(size=3),
         )
-        _assert_states_close(update(state, w, dt), update_numpy(state, w, dt))
+        g = ReferenceEnvironment().g_vec
+        _assert_states_close(update(state, w, dt, g.tolist()), update_numpy(state, w, dt, g))
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -8,11 +8,10 @@ product as scalar expressions on Python floats (see the "Cost" note of
 filter step.  An ``ast.MatMult`` node anywhere in its body (read from the
 syntax tree, so docstrings and comments do not count) fails this test
 with the function's name and line; so does an ``ndarray.dot``/``vdot``
-call in a function of the float layers (``navfilter``, ``attitude``,
-``liegroup``).  The position solvers in ``uwb`` factor small systems and
-keep ``ndarray.dot``, which gives the bits of ``@`` for 2-D/1-D operands
-at a fraction of its dispatch.  Code that multiplies whole ``(n, 3, 3)``
-stacks keeps ``@``, because neither form broadcasts over leading axes.
+call, since every listed module is a float layer: the position solvers in
+``uwb`` too work on float copies of factors taken when the anchor set is
+built.  Code that multiplies whole ``(n, 3, 3)`` stacks keeps ``@``,
+because neither form broadcasts over leading axes.
 """
 
 import ast
@@ -27,9 +26,8 @@ PER_STEP = {
         "cross3", "_rodrigues_coefficients", "_se23_blocks", "quat_normalize", "_quat_rot_rows", "quat_to_rot",
         "quat_multiply", "quat_from_rotvec",
     ),
-    "uwb": ("_factor", "_solve", "toa_solve", "tdoa_solve", "solve_fix"),
+    "uwb": ("_finite", "_check_rank", "_check_condition", "_position", "toa_solve", "tdoa_solve", "solve_fix"),
 }
-FLOAT_LAYERS = ("navfilter", "attitude", "liegroup")
 
 
 def test_per_step_functions_use_no_matmul():
@@ -45,8 +43,7 @@ def test_per_step_functions_use_no_matmul():
                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
                     found.append(f"{module}.{name} line {node.lineno}: '@'")
                 elif (
-                    module in FLOAT_LAYERS
-                    and isinstance(node, ast.Call)
+                    isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("dot", "vdot")
                 ):

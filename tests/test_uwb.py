@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from reference import tdoa_solve_main_bs, tdoa_solve_ring, toa_solve_per_call
+from reference import tdoa_ranges, tdoa_solve_main_bs, tdoa_solve_ring, toa_ranges, toa_solve_per_call
 from uwbnav import uwb
 
 
@@ -22,6 +22,11 @@ def near_coplanar_anchors():
     ang = np.arange(8) * np.pi / 4
     z = 1.5 + 1e-9 * np.random.default_rng(0).standard_normal(8)
     return uwb.AnchorSet(anchors=np.column_stack([4.0 * np.cos(ang), 4.0 * np.sin(ang), z]))
+
+
+def frobenius_condition(a):
+    """``||a||_F ||a^+||_F``, from the pseudo-inverse."""
+    return float(np.linalg.norm(a) * np.linalg.norm(np.linalg.pinv(a)))
 
 
 @pytest.fixture
@@ -50,19 +55,19 @@ class TestAnchorSet:
 class TestForwardRanges:
     def test_toa_matches_direct_norms(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        d = uwb.toa_ranges(p, anchors).d
+        d = toa_ranges(p, anchors).d
         for i in range(len(anchors)):
             assert d[i] == pytest.approx(np.linalg.norm(anchors.anchors[i] - p))
 
     def test_main_bs_differences(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        d = uwb.toa_ranges(p, anchors).d
-        diffs = uwb.tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
+        d = toa_ranges(p, anchors).d
+        diffs = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
         assert diffs == pytest.approx(d[1:] - d[0])
 
     def test_ring_differences_telescope_to_zero(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        diffs = uwb.tdoa_ranges(p, anchors, uwb.RING).diffs
+        diffs = tdoa_ranges(p, anchors, uwb.RING).diffs
         assert len(diffs) == len(anchors)
         assert diffs.sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -90,13 +95,13 @@ class TestToaSolve:
     def test_recovers_position(self, anchors, rng):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
-            fix = uwb.toa_solve(anchors, uwb.toa_ranges(p, anchors))
+            fix = uwb.toa_solve(anchors, toa_ranges(p, anchors))
             assert np.linalg.norm(fix.p - p) < 1e-9
             assert fix.aux_range is None
 
     def test_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        d = uwb.toa_ranges(p, anchors).d
+        d = toa_ranges(p, anchors).d
         h = anchors.anchors
         a_rows, b_rows = [], []
         for i in range(1, len(anchors)):
@@ -105,14 +110,14 @@ class TestToaSolve:
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
         fix = uwb.toa_solve(anchors, uwb.ToaRanges(d=d))
         assert np.allclose(fix.p, ref, atol=1e-10)
-        assert fix.condition_number == pytest.approx(np.linalg.cond(np.array(a_rows)), rel=1e-9)
+        assert fix.condition_number == pytest.approx(frobenius_condition(np.array(a_rows)), rel=1e-9)
 
     def test_translation_equivariance(self, rng):
         shift = rng.uniform(-5, 5, size=3)
         base = box_anchors()
         moved = uwb.AnchorSet(anchors=base.anchors + shift)
         p = rng.uniform(-2, 2, size=3)
-        fix = uwb.toa_solve(moved, uwb.toa_ranges(p + shift, moved))
+        fix = uwb.toa_solve(moved, toa_ranges(p + shift, moved))
         assert np.allclose(fix.p, p + shift, atol=1e-9)
 
     def test_too_few_anchors(self):
@@ -122,13 +127,13 @@ class TestToaSolve:
 
     def test_collinear_anchors_degenerate(self):
         line = uwb.AnchorSet(anchors=np.array([[float(i), 0, 0] for i in range(5)]))
-        d = uwb.toa_ranges(np.array([1.0, 1.0, 1.0]), line)
+        d = toa_ranges(np.array([1.0, 1.0, 1.0]), line)
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.toa_solve(line, d)
 
     def test_condition_ceiling_enforced(self, rng):
         flat = near_coplanar_anchors()
-        d = uwb.toa_ranges(rng.uniform(-2, 2, size=3), flat)
+        d = toa_ranges(rng.uniform(-2, 2, size=3), flat)
         with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
             uwb.toa_solve(flat, d)
 
@@ -150,6 +155,20 @@ def _assert_same_outcome(got, ref):
     assert got[1:] == ref[1:]
 
 
+def _assert_close_outcome(got, ref):
+    """The same error message, or the same clamp flag with ``p``, the auxiliary range and the condition number
+    agreeing to round-off: ``1e-10 kappa max(1, |p|)`` for the solution, relative 1e-9 for the condition number."""
+    if isinstance(ref, str):
+        assert got == ref
+        return
+    (p, cond, aux, clamped), (p_ref, cond_ref, aux_ref, clamped_ref) = got, ref
+    tol = 1e-10 * cond_ref * max(1.0, float(np.linalg.norm(p_ref)))
+    assert np.abs(p - p_ref).max() <= tol
+    assert clamped == clamped_ref
+    assert abs(aux - aux_ref) <= tol
+    assert cond == pytest.approx(cond_ref, rel=1e-9)
+
+
 class TestFactoredToaSolve:
     # the anchor set factors the constant TOA system once; every solve must
     # equal a fresh per-call factorization bit for bit, errors included
@@ -159,7 +178,7 @@ class TestFactoredToaSolve:
             n = int(rng.integers(4, 12))
             anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
             p = rng.uniform(-4.0, 4.0, size=3)
-            obs = uwb.ToaRanges(d=np.abs(uwb.toa_ranges(p, anchors).d + rng.normal(0.0, 0.05, n)))
+            obs = uwb.ToaRanges(d=np.abs(toa_ranges(p, anchors).d + rng.normal(0.0, 0.05, n)))
             _assert_same_outcome(_outcome(uwb.toa_solve, anchors, obs), _outcome(toa_solve_per_call, anchors, obs))
 
     @pytest.mark.parametrize(
@@ -167,7 +186,7 @@ class TestFactoredToaSolve:
         [
             ([[float(i), 0.0, 0.0] for i in range(5)], "system rank 1 below 3 unknowns"),
             ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], "need at least 4 anchors, got 3"),
-            (near_coplanar_anchors().anchors, "condition number 9.4e+09 above ceiling 1e+08"),
+            (near_coplanar_anchors().anchors, "condition number 1.09e+10 above ceiling 1e+08"),
         ],
         ids=["collinear", "too-few", "ceiling"],
     )
@@ -179,14 +198,16 @@ class TestFactoredToaSolve:
 
 
 class TestPairListSolve:
-    # one solver over the topology's pair list must reproduce the dedicated
-    # per-topology solvers of tests/reference.py bit for bit, errors included:
-    # counts start below the anchor floor, and of every four sets one puts the
-    # tag on anchor 1 (clamped auxiliary range), one is coplanar (rank
-    # deficient) and one near-coplanar (condition gate)
+    # one rank-one solve over the topology's pair list must match the
+    # dedicated per-topology solvers of tests/reference.py, which factor the
+    # whole 4-column system per call, outcome for outcome (errors with their
+    # messages) and to round-off in value: counts start below the anchor
+    # floor, and of every four sets one puts the tag on anchor 1 (clamped
+    # auxiliary range), one is coplanar (rank deficient) and one near-coplanar
+    # (condition gate)
 
     @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
-    def test_matches_dedicated_solvers_bitwise(self, rng, topology):
+    def test_matches_dedicated_solvers(self, rng, topology):
         oracle = tdoa_solve_main_bs if topology == uwb.MAIN_BS else tdoa_solve_ring
         seen = set()
         for k in range(300):
@@ -198,12 +219,57 @@ class TestPairListSolve:
                 points[:, 2] = 1.5 + 1e-9 * rng.standard_normal(n)
             anchors = uwb.AnchorSet(anchors=points)
             tag = points[0] + 1e-4 if k % 4 == 1 else rng.uniform(-4.0, 4.0, size=3)
-            clean = uwb.tdoa_ranges(tag, anchors, topology).diffs
+            clean = tdoa_ranges(tag, anchors, topology).diffs
             obs = uwb.TdoaRanges(topology, clean + rng.normal(0.0, 0.05, clean.shape))
             ref = _outcome(oracle, anchors, obs)
-            _assert_same_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref)
+            _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref)
             seen.add(ref.split(" ")[0] if isinstance(ref, str) else ("clamped" if ref[3] else "fix"))
         assert seen == {"fix", "clamped", "need", "system", "condition"}
+
+
+def _system(anchors, obs):
+    """The matrix of the linear system a solver solves for ``obs``: TOA rows ``h_i - h_1``, TDOA ``[h_first - h_second, -d]``."""
+    h = anchors.anchors
+    if isinstance(obs, uwb.ToaRanges):
+        return h[1:] - h[0]
+    pairs = anchors.tdoa[obs.topology]
+    return np.column_stack([h[pairs.first] - h[pairs.second], -obs.diffs])
+
+
+def _noisy_obs(anchors, topology, tag, rng):
+    if topology is None:
+        return uwb.ToaRanges(d=np.abs(toa_ranges(tag, anchors).d + rng.normal(0.0, 0.05, len(anchors))))
+    clean = tdoa_ranges(tag, anchors, topology).diffs
+    return uwb.TdoaRanges(topology, clean + rng.normal(0.0, 0.05, clean.shape))
+
+
+class TestFrobeniusCondition:
+    # every solver gates on and reports kappa_F = ||A||_F ||A^+||_F of the
+    # system it solves: TOA's from the anchor set's singular values, TDOA's in
+    # closed form from the rank-one update of the position block
+
+    @pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
+    def test_matches_pseudo_inverse(self, rng, topology):
+        for _ in range(50):
+            anchors = box_anchors(jitter=rng.normal(0.0, 0.5, (8, 3)))
+            obs = _noisy_obs(anchors, topology, rng.uniform(-3.0, 3.0, 3), rng)
+            fix = uwb.solve_fix(anchors, obs)
+            assert fix.condition_number == pytest.approx(frobenius_condition(_system(anchors, obs)), rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.sampled_from([None, uwb.MAIN_BS, uwb.RING]))
+    def test_bracketed_by_two_norm_condition(self, seed, n, topology):
+        # on k columns, kappa_2 <= kappa_F <= k kappa_2
+        rng = np.random.default_rng(seed)
+        anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
+        obs = _noisy_obs(anchors, topology, rng.uniform(-4.0, 4.0, 3), rng)
+        try:
+            fix = uwb.solve_fix(anchors, obs)
+        except uwb.GeometryDegenerate:
+            return
+        a = _system(anchors, obs)
+        kappa_2 = np.linalg.cond(a)
+        assert kappa_2 * (1.0 - 1e-12) <= fix.condition_number <= a.shape[1] * kappa_2 * (1.0 + 1e-12)
 
 
 class TestTdoaSolvers:
@@ -211,7 +277,7 @@ class TestTdoaSolvers:
     def test_recovers_position_and_aux(self, anchors, rng, topology):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
-            fix = uwb.tdoa_solve(anchors, uwb.tdoa_ranges(p, anchors, topology))
+            fix = uwb.tdoa_solve(anchors, tdoa_ranges(p, anchors, topology))
             assert np.linalg.norm(fix.p - p) < 1e-8
             assert fix.aux_range == pytest.approx(
                 np.linalg.norm(p - anchors.anchors[0]), abs=1e-8
@@ -220,7 +286,7 @@ class TestTdoaSolvers:
 
     def test_topologies_agree_after_conversion(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        main = uwb.tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
+        main = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
         # ring differences from main-bs ones: consecutive subtraction plus
         # the wraparound back to anchor 1
         ring = np.empty(len(anchors))
@@ -233,7 +299,7 @@ class TestTdoaSolvers:
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        obs = uwb.tdoa_ranges(p, anchors, uwb.RING)
+        obs = tdoa_ranges(p, anchors, uwb.RING)
         h = anchors.anchors
         n = len(anchors)
         a_rows, b_rows, partial = [], [], 0.0
@@ -252,7 +318,7 @@ class TestTdoaSolvers:
         four = uwb.AnchorSet(
             anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
         )
-        obs = uwb.tdoa_ranges(np.ones(3), four, uwb.MAIN_BS)
+        obs = tdoa_ranges(np.ones(3), four, uwb.MAIN_BS)
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.tdoa_solve(four, obs)
 
@@ -260,7 +326,7 @@ class TestTdoaSolvers:
         # telescoping makes the ring rows linearly dependent, which is why
         # the solver demands one more anchor than the unknown count
         p = rng.uniform(-2, 2, size=3)
-        obs = uwb.tdoa_ranges(p, anchors, uwb.RING)
+        obs = tdoa_ranges(p, anchors, uwb.RING)
         h = anchors.anchors
         nxt = np.roll(np.arange(len(anchors)), -1)
         a = np.hstack([h - h[nxt], -obs.diffs[:, None]])
@@ -270,7 +336,7 @@ class TestTdoaSolvers:
         four = uwb.AnchorSet(
             anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
         )
-        obs = uwb.tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, uwb.RING)
+        obs = tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, uwb.RING)
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.tdoa_solve(four, obs)
 
@@ -281,7 +347,7 @@ class TestTdoaSolvers:
             )
         )
         p = np.array([0.8, 1.1, 0.9])
-        fix = uwb.tdoa_solve(five, uwb.tdoa_ranges(p, five, uwb.RING))
+        fix = uwb.tdoa_solve(five, tdoa_ranges(p, five, uwb.RING))
         assert np.linalg.norm(fix.p - p) < 1e-7
 
     def test_negative_aux_clamped(self, anchors, rng):
@@ -289,7 +355,7 @@ class TestTdoaSolvers:
         # additive noise pushes the least-squares estimate negative for some
         # draws; the fix must clamp and flag it
         p = anchors.anchors[0] + np.array([1e-4, 0.0, 0.0])
-        clean = uwb.tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
+        clean = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
         saw_clamp = False
         for _ in range(64):
             noisy = clean + rng.normal(0.0, 0.05, size=clean.shape)
@@ -301,16 +367,16 @@ class TestTdoaSolvers:
     @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
     def test_condition_ceiling_enforced(self, rng, topology):
         flat = near_coplanar_anchors()
-        obs = uwb.tdoa_ranges(rng.uniform(-2, 2, size=3), flat, topology)
+        obs = tdoa_ranges(rng.uniform(-2, 2, size=3), flat, topology)
         with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
             uwb.tdoa_solve(flat, obs)
 
     def test_solve_fix_dispatch(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
         for obs in (
-            uwb.toa_ranges(p, anchors),
-            uwb.tdoa_ranges(p, anchors, uwb.MAIN_BS),
-            uwb.tdoa_ranges(p, anchors, uwb.RING),
+            toa_ranges(p, anchors),
+            tdoa_ranges(p, anchors, uwb.MAIN_BS),
+            tdoa_ranges(p, anchors, uwb.RING),
         ):
             fix = uwb.solve_fix(anchors, obs)
             assert np.linalg.norm(fix.p - p) < 1e-8
@@ -324,27 +390,32 @@ def test_solvers_enforce_anchor_floor(topology):
     assert floor == (4 if topology is None else 5)
     few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1])
     p = np.array([0.3, -0.2, 1.1])
-    obs = uwb.toa_ranges(p, few) if topology is None else uwb.tdoa_ranges(p, few, topology)
+    obs = toa_ranges(p, few) if topology is None else tdoa_ranges(p, few, topology)
     with pytest.raises(uwb.GeometryDegenerate, match=f"need at least {floor} anchors, got {floor - 1}"):
         uwb.solve_fix(few, obs)
 
 
+@pytest.mark.filterwarnings("error")
 class TestOverflowingRanges:
     # finite ranges whose squares overflow (or nearly overflow) float64:
     # each solver must refuse them by name or return a finite fix, never a
-    # NaN or inf position
+    # NaN or inf position, and must not warn on the way
     @pytest.mark.parametrize("magnitude", [1e150, 1e200])
     @pytest.mark.parametrize("topology", ["toa", uwb.MAIN_BS, uwb.RING])
     def test_no_non_finite_fix(self, anchors, rng, topology, magnitude):
         p = rng.uniform(-2, 2, size=3)
         if topology == "toa":
-            d = uwb.toa_ranges(p, anchors).d
+            d = toa_ranges(p, anchors).d
             d[0] = magnitude
             obs = uwb.ToaRanges(d=d)
         else:
-            diffs = uwb.tdoa_ranges(p, anchors, topology).diffs
+            diffs = tdoa_ranges(p, anchors, topology).diffs
             diffs[0] = magnitude
             obs = uwb.TdoaRanges(topology, diffs)
+        if magnitude * magnitude == np.inf:
+            with pytest.raises(ValueError, match="position solve overflowed: ranges too large"):
+                uwb.solve_fix(anchors, obs)
+            return
         try:
             fix = uwb.solve_fix(anchors, obs)
         except (ValueError, uwb.GeometryDegenerate):
