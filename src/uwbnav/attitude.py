@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .liegroup import NavState, _unchecked, cross3
+from .liegroup import NavState, _array_field, _floats, _new, _vector, cross3
 
 if TYPE_CHECKING:
     from .sim import NoiseSpec
@@ -54,14 +54,15 @@ def _default_magnetic() -> np.ndarray:
 class ReferenceEnvironment:
     """Inertial-frame reference vectors: gravity (NED, z down) and magnetic field.
 
-    ``r_triad`` is the reference side of :func:`build_triads`, computed once,
-    and ``_reference`` its rows and their squared norms as floats.
+    Computed once for the filter step, as floats: ``_reference``, the rows of
+    the reference side of :func:`build_triads` and their squared norms, and
+    ``_g``, the gravity vector.
     """
 
     g_vec: np.ndarray = field(default_factory=_default_gravity)
     m_r: np.ndarray = field(default_factory=_default_magnetic)
-    r_triad: np.ndarray = field(init=False, repr=False, compare=False)
     _reference: tuple = field(init=False, repr=False, compare=False)
+    _g: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         g = np.asarray(self.g_vec, dtype=float)
@@ -77,67 +78,76 @@ class ReferenceEnvironment:
             raise ValueError("g_vec and m_r (gravity and magnetic references) are collinear")
         object.__setattr__(self, "g_vec", g)
         object.__setattr__(self, "m_r", m)
-        r1 = _unit((-g).tolist(), "gravity reference")
-        r2 = _unit(m.tolist(), "magnetic reference")
-        r_triad = np.array([r1, r2, _unit(cross3(r1, r2), "reference cross product")])
-        r_triad.flags.writeable = False  # shared by every TriadSet build_triads returns
-        object.__setattr__(self, "r_triad", r_triad)
-        object.__setattr__(self, "_reference", _reference_floats(r_triad))
+        r1 = _unit(*(-g).tolist(), "gravity reference")
+        r2 = _unit(*m.tolist(), "magnetic reference")
+        r3 = _unit(*cross3(r1, r2), "reference cross product")
+        object.__setattr__(self, "_reference", _reference_floats((r1, r2, r3)))
+        object.__setattr__(self, "_g", tuple(g.tolist()))
 
 
-@dataclass(frozen=True)
 class ImuSample:
     """One IMU epoch: rate gyro, accelerometer, magnetometer, timestamp."""
 
-    omega_m: np.ndarray
-    a_m: np.ndarray
-    m_m: np.ndarray
-    t: float = 0.0
+    __slots__ = ("_omega", "_a", "_m", "_t")
 
-    def __post_init__(self) -> None:
-        for name in ("omega_m", "a_m", "m_m"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-            object.__setattr__(self, name, vec)
+    def __new__(cls, omega_m, a_m, m_m, t: float = 0.0) -> ImuSample:
+        return _raw_imu(
+            _vector(omega_m, "omega_m", finite=True), _vector(a_m, "a_m", finite=True),
+            _vector(m_m, "m_m", finite=True), float(t),
+        )
+
+    omega_m = _array_field("_omega", "Gyro reading (3,), rad/s.")
+    a_m = _array_field("_a", "Accelerometer reading (3,): specific force in the body frame.")
+    m_m = _array_field("_m", "Magnetometer reading (3,) in the body frame.")
+    t = property(attrgetter("_t"), doc="Time stamp.")
 
 
-@dataclass(frozen=True)
+def _raw_imu(omega: tuple, a: tuple, m: tuple, t: float) -> ImuSample:
+    """An ImuSample holding the given floats, without the constructor's checks."""
+    imu = _new(ImuSample)
+    imu._omega, imu._a, imu._m, imu._t = omega, a, m, t
+    return imu
+
+
 class TriadSet:
     """Three matched unit-vector pairs with weights.
 
     ``v[i]`` is measured in the body frame, ``r[i]`` is the matching
     inertial reference, and ``s`` are nonnegative weights summing to 3.  The
     third pair is a normalized cross product of the first two, so it is
-    orthogonal to both by construction.
+    orthogonal to both by construction.  The reference side is stored as
+    ``(rows, squared_norms)`` floats, the form :func:`build_triads` takes
+    from the environment.
     """
 
-    v: np.ndarray
-    r: np.ndarray
-    s: np.ndarray = field(default_factory=lambda: np.ones(3))
+    __slots__ = ("_v", "_reference", "_s")
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=float)
-        r = np.asarray(self.r, dtype=float)
+    def __new__(cls, v, r, s=(1.0, 1.0, 1.0)) -> TriadSet:
+        v = np.asarray(v, dtype=float)
+        r = np.asarray(r, dtype=float)
         if v.shape != (3, 3) or r.shape != (3, 3):
             raise ValueError("v and r must be 3x3 (rows are the triad vectors)")
-        _check_measured(*v.tolist())
+        rows = _floats(v)
+        _check_measured(*rows)
         if not np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-9:
             raise ValueError("reference triad rows must be unit vectors")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", _weights(self.s))
+        return _raw_triads(rows, _reference_floats(r.tolist()), _weights(s))
+
+    v = _array_field("_v", "Measured unit vectors (3, 3), one per row.")
+    r = property(lambda self: np.array(self._reference[0]), doc="Reference unit vectors (3, 3), one per row.")
+    s = _array_field("_s", "Confidence weights (3,).")
 
 
-    @cached_property
-    def _reference(self) -> tuple:
-        """Rows of ``r`` and their squared norms as floats (:func:`build_triads` passes the environment's)."""
-        return _reference_floats(self.r)
+def _raw_triads(v: tuple, reference: tuple, s: tuple) -> TriadSet:
+    """A TriadSet holding the given float rows, reference and weights, without the constructor's checks."""
+    triads = _new(TriadSet)
+    triads._v, triads._reference, triads._s = v, reference, s
+    return triads
 
 
-def _reference_floats(r: np.ndarray) -> tuple:
-    """``(rows, squared_norms)`` of a 3x3 reference triad, as float tuples."""
-    rows = tuple(map(tuple, r.tolist()))
+def _reference_floats(rows) -> tuple:
+    """``(rows, squared_norms)`` of a reference triad given as three float rows, as float tuples."""
+    rows = tuple(map(tuple, rows))
     return rows, tuple(x * x + y * y + z * z for x, y, z in rows)
 
 
@@ -152,15 +162,15 @@ def _check_measured(v1, v2, v3) -> None:
         raise ValueError("third measured vector must be orthogonal to the first two")
 
 
-def _weights(s) -> np.ndarray:
-    """Triad confidence weights as an array: three nonnegative values summing to 3."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (3,):
-        raise ValueError("s must be 3 nonnegative weights summing to 3")
-    s0, s1, s2 = s.tolist()
+def _weights(s) -> tuple[float, float, float]:
+    """Triad confidence weights (a 3-sequence or array) as floats: three nonnegative values summing to 3."""
+    try:
+        s0, s1, s2 = map(float, s)
+    except (TypeError, ValueError):
+        raise ValueError("s must be 3 nonnegative weights summing to 3") from None
     if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
         raise ValueError("s must be 3 nonnegative weights summing to 3")
-    return s
+    return s0, s1, s2
 
 
 def measure_imu(
@@ -217,15 +227,12 @@ def _imu_rows(t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, mag: np.ndarra
     if bad.any():
         name = ("omega_m", "a_m", "m_m")[np.argwhere(bad)[0][1]]
         raise ValueError(f"{name} must be a finite 3-vector")
-    return [
-        _unchecked(ImuSample, omega_m=w, a_m=a, m_m=m, t=ti)
-        for w, a, m, ti in zip(gyro, accel, mag, np.asarray(t, dtype=float).tolist())
-    ]
+    gyro, accel, mag = (map(tuple, block.tolist()) for block in (gyro, accel, mag))
+    return list(map(_raw_imu, gyro, accel, mag, np.asarray(t, dtype=float).tolist()))
 
 
-def _unit(vec, what: str) -> tuple[float, float, float]:
-    """A 3-sequence of floats scaled to unit norm, as a float tuple."""
-    x, y, z = vec
+def _unit(x: float, y: float, z: float, what: str) -> tuple[float, float, float]:
+    """The vector ``(x, y, z)`` scaled to unit norm, as a float tuple."""
     n = math.sqrt(x * x + y * y + z * z)
     if n <= EPS_DEGENERATE:
         raise DegenerateTriads(f"{what} has near-zero norm")
@@ -243,8 +250,9 @@ def build_triads(
     Pairs the normalized accelerometer with the downward gravity direction
     ``-g/||g||``, the normalized magnetometer with the field direction, and
     closes with the normalized cross products on both sides.  The reference
-    side is ``env.r_triad``; the measured side and the weights are checked
-    here, so the TriadSet constructor is not run again.
+    side is the environment's, computed once; the measured side and the
+    weights are checked here, on floats, so the TriadSet constructor is not
+    run again.  ``a_m``, ``m_m`` and ``s`` may be arrays or float sequences.
 
     Raises
     ------
@@ -252,10 +260,8 @@ def build_triads(
         If a measurement or a cross product has norm at or below
         ``EPS_DEGENERATE``.
     """
-    v1 = _unit(np.asarray(a_m, dtype=float).tolist(), "accelerometer sample")
-    v2 = _unit(np.asarray(m_m, dtype=float).tolist(), "magnetometer sample")
-    v3 = _unit(cross3(v1, v2), "measured cross product")
+    v1 = _unit(*map(float, a_m), "accelerometer sample")
+    v2 = _unit(*map(float, m_m), "magnetometer sample")
+    v3 = _unit(*cross3(v1, v2), "measured cross product")
     _check_measured(v1, v2, v3)
-    return _unchecked(
-        TriadSet, v=np.array((*v1, *v2, *v3)).reshape(3, 3), r=env.r_triad, s=_weights(s), _reference=env._reference
-    )
+    return _raw_triads((v1, v2, v3), env._reference, _weights(s))

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +360,18 @@ def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _stacked(values: list, shape: tuple[int, ...]) -> np.ndarray:
+    """Float tuples of one ``shape`` (a 2-D one as row tuples) as one ``(n, *shape)`` array.
+
+    Read through a flat iterator: ``numpy.array`` on a list of nested tuples
+    spends most of its time discovering their structure.
+    """
+    flat = chain.from_iterable(values)
+    if len(shape) == 2:
+        flat = chain.from_iterable(flat)
+    return np.fromiter(flat, float).reshape(len(values), *shape)
+
+
 _TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
 _IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
 
@@ -388,17 +401,14 @@ def write_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
-    imu = np.column_stack([
-        [s.t for s in imu_stream], [s.omega_m for s in imu_stream],
-        [s.a_m for s in imu_stream], [s.m_m for s in imu_stream],
-    ])
+    imu = _stacked([(s._t, *s._omega, *s._a, *s._m) for s in imu_stream], (10,))
     _write_csv(out / "imu.csv", _IMU_HEADER, imu)
     ids = np.arange(1, len(anchors) + 1)
     _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
                "%d,%.17g,%.17g,%.17g")
     pair_list = anchors.tdoa[range_stream[0].topology]
     pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
-    diffs = np.array([obs.diffs for obs in range_stream])
+    diffs = np.array([obs._diffs for obs in range_stream])
     # each timestamp is formatted once and repeated over its tick's rows
     t_text = np.array(("%.17g\n" * len(traj) % tuple(traj.t.tolist())).split(), dtype=object)
     tdoa = np.column_stack([
@@ -651,17 +661,19 @@ def run_experiment(cfg: RunConfig) -> dict:
             raise NumericalFailure(f"filter step failed at t={traj.t[i]:.3f}: {err}") from err
         states.append(state)
         diags.append(diag)
-    dropouts = sum(d.dropout for d in diags)
+    dropout = [d._dropout for d in diags]
+    dropouts = sum(dropout)
     if dropouts == n:
         raise NumericalFailure("every step dropped its measurement")
 
     t = traj.t[1:]
-    rot = np.array([s.rotation() for s in states])
-    p_hat = np.array([s.p_hat for s in states])
-    v_hat = np.array([s.v_hat for s in states])
-    sigma_hat = np.array([s.sigma_hat for s in states])
-    e_r = np.array([d.e_r for d in diags])
-    residual = np.array([d.innovation_norm for d in diags])
+    att = [s._att for s in states]
+    rot = _stacked(att, (3, 3)) if len(att[0]) == 3 else quat_to_rot(_stacked(att, (4,)))
+    p_hat = _stacked([s._p for s in states], (3,))
+    v_hat = _stacked([s._v for s in states], (3,))
+    sigma_hat = _stacked([s._sigma for s in states], (3,))
+    e_r = np.array([d._e_r for d in diags])
+    residual = np.array([d._innovation_norm for d in diags])
     metrics = _metrics_block(
         t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual
     )
@@ -670,7 +682,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
     estimates = np.column_stack([
-        t, p_hat, v_hat, rot_to_quat(rot), sigma_hat, e_r, residual, [d.dropout for d in diags],
+        t, p_hat, v_hat, rot_to_quat(rot), sigma_hat, e_r, residual, dropout,
     ])
     _write_csv(out / "estimates.csv", _ESTIMATE_HEADER, estimates, ",".join(["%.17g"] * 16 + ["%d"]))
     _write_csv(out / "metrics.csv", _METRICS_HEADER, metrics)
@@ -681,7 +693,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     summary = {
         "steps": n,
         "dropouts": dropouts,
-        "sigma_alerts": sum(d.sigma_alert for d in diags),
+        "sigma_alerts": sum(d._sigma_alert for d in diags),
         "final": {
             "att_err": float(att[-1]),
             "pos_err": float(pos[-1]),

@@ -15,36 +15,47 @@ variants track each other to round-off.  The continuous closed loop this
 discretizes keeps gravity in the velocity law instead of folding it into
 W; the two conventions encode identical dynamics.
 
-Validation: inputs are checked once, by their constructors (FilterState,
-FilterGains, ImuSample, ReferenceEnvironment, the range sets).  A step
-builds its intermediate values without those constructors and checks what
-it can break: the measured triad, finite corrections, unit quaternions and,
-once, the output state (``update`` gates its result, ``step`` the
-predict-only state of a dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
-The per-step values (corrections, diagnostics, the position fix) are built
-the same unchecked way, since their inputs passed those checks.
+Validation: inputs are checked once, by the public constructors
+(FilterState, FilterGains, ImuSample, ReferenceEnvironment, the range
+sets), which take array-likes.  A step builds its values through each
+class's private raw constructor (``_raw_state``, ``_raw_corrections``,
+...), which stores the floats it is given unchecked, and checks what the
+step can break: the measured triad and its weights, finite corrections, unit
+quaternions and, once, the output state (``update`` gates its result,
+``step`` the predict-only state of a dropout) against ``ATTITUDE_GATE``
+and for NaN/inf.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
-arithmetic.  So each step layer reads its array inputs once with
-``tolist``, evaluates its products as scalar expressions on Python floats,
-and builds each array it returns once; the values that cross layers
-(states, corrections, triads) stay arrays.  Code that works on whole
-``(n, 3, 3)`` stacks stays in numpy.
+arithmetic, and building or reading back a small array costs as much.  So
+the values that cross the step's layers (states, corrections, triads,
+fixes, diagnostics and the input rows) are slotted objects holding tuples
+of Python floats: attitude as three row tuples or one quaternion 4-tuple,
+3-vectors as 3-tuples, ``d_v`` as its diagonal.  Each layer reads that
+storage and evaluates its products as scalar expressions; no array is
+built or read inside a step.  The public fields (``p_hat``, ``attitude``,
+``w_omega``, ...) are read-only properties that build a fresh float64
+array on every read, for callers outside the step.  Code that works on
+whole ``(n, 3, 3)`` stacks (the harness, the metrics) stacks the float
+storage of a run's values once and stays in numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, _weights, build_triads
 from .liegroup import (
+    _array_field,
+    _floats,
+    _new,
     _quat_rot_rows,
     _se23_blocks,
-    _unchecked,
+    _vector,
     cross3,
     quat_from_rotvec,
     quat_multiply,
@@ -68,6 +79,7 @@ __all__ = [
 SIGMA_ALERT_FLOOR = -10.0
 ATTITUDE_GATE = 1e-6
 _ZERO3 = (0.0, 0.0, 0.0)
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -75,9 +87,9 @@ class FilterGains:
     """Positive filter constants and the triad confidence weights.
 
     Defaults are a working set for indoor flight scales.  ``s`` is
-    consumed when triads are built inside :func:`step`; only positivity is
-    enforced here (closed-loop stability margins are analysis-side and not
-    checked at runtime).
+    consumed when triads are built inside :func:`step`, from its float
+    form ``_s``; only positivity is enforced here (closed-loop stability
+    margins are analysis-side and not checked at runtime).
     """
 
     k1: float = 3.0
@@ -87,63 +99,70 @@ class FilterGains:
     epsilon: float = 0.5
     k_sigma: float = 0.1
     s: np.ndarray = field(default_factory=lambda: np.ones(3))
+    _s: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("k1", "kv", "ka", "gamma_sigma", "epsilon", "k_sigma"):
             if not float(getattr(self, name)) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        object.__setattr__(self, "s", _weights(self.s))
+        s = np.asarray(self.s, dtype=float)
+        object.__setattr__(self, "_s", _weights(s))
+        object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
 class FilterState:
     """Estimator state at time ``t``.
 
     ``attitude`` is either a 3x3 rotation matrix or a scalar-first unit
     quaternion; the shape selects the variant.  States are immutable
-    values: every operation returns a new one.
+    values: every operation returns a new one.  The constructor takes
+    array-likes and gates the state; the fields read back as fresh arrays.
     """
 
-    attitude: np.ndarray
-    p_hat: np.ndarray
-    v_hat: np.ndarray
-    sigma_hat: np.ndarray
-    t: float = 0.0
+    __slots__ = ("_att", "_p", "_v", "_sigma", "_t")
 
-    def __post_init__(self) -> None:
-        att = np.asarray(self.attitude, dtype=float)
+    def __new__(cls, attitude, p_hat, v_hat, sigma_hat, t: float = 0.0) -> FilterState:
+        att = np.asarray(attitude, dtype=float)
         if att.shape not in ((3, 3), (4,)):
             raise ValueError("attitude must be a 3x3 matrix or a 4-vector quaternion")
-        object.__setattr__(self, "attitude", att)
-        for name in ("p_hat", "v_hat", "sigma_hat"):
-            vec = np.asarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            object.__setattr__(self, name, vec)
-        _gate(self)
+        p, v, sigma = _vector(p_hat, "p_hat"), _vector(v_hat, "v_hat"), _vector(sigma_hat, "sigma_hat")
+        return _gate(_raw_state(_floats(att), p, v, sigma, float(t)))
+
+    attitude = _array_field("_att", "Rotation matrix (3, 3) or scalar-first unit quaternion (4,).")
+    p_hat = _array_field("_p", "Position estimate (3,).")
+    v_hat = _array_field("_v", "Velocity estimate (3,).")
+    sigma_hat = _array_field("_sigma", "Covariance-bound estimate (3,).")
+    t = property(attrgetter("_t"), doc="Time stamp.")
 
     @property
     def variant(self) -> str:
-        return "matrix" if self.attitude.shape == (3, 3) else "quaternion"
+        return "matrix" if len(self._att) == 3 else "quaternion"
 
     def rotation(self) -> np.ndarray:
         """Attitude as a rotation matrix regardless of variant."""
-        return self.attitude if self.variant == "matrix" else np.array(_rows(self))
+        return np.array(_rows(self))
 
 
-def _rows(state: FilterState) -> list:
+def _raw_state(att: tuple, p: tuple, v: tuple, sigma: tuple, t: float) -> FilterState:
+    """A FilterState holding the given float storage, without the constructor's checks."""
+    state = _new(FilterState)
+    state._att, state._p, state._v, state._sigma, state._t = att, p, v, sigma, t
+    return state
+
+
+def _rows(state: FilterState):
     """Rows of the state's attitude as a rotation matrix, as Python floats.
 
     Not cached on the state: a run keeps every state it returns, and the
     rows would add about 0.5 kB to each.
     """
-    att = state.attitude.tolist()
+    att = state._att
     return att if len(att) == 3 else _quat_rot_rows(*att)
 
 
 def _gate(state: FilterState) -> FilterState:
     """Reject a state whose attitude left the group or whose values are not finite."""
-    att = state.attitude.tolist()
+    att = state._att
     if len(att) == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = att
         # Frobenius norm of A^T A - I from the Gram entries of A's columns
@@ -158,47 +177,80 @@ def _gate(state: FilterState) -> FilterState:
         w, x, y, z = att
         if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ATTITUDE_GATE:
             raise ValueError("quaternion attitude is not unit norm")
-    if not all(map(math.isfinite, state.p_hat.tolist() + state.v_hat.tolist() + state.sigma_hat.tolist())):
+    if not all(map(math.isfinite, state._p + state._v + state._sigma)):
         raise ValueError("state must be finite")
     return state
 
 
-@dataclass(frozen=True)
 class CorrectionTerms:
     """One evaluation of the correction and adaptation block."""
 
-    e_r: float
-    d_v: np.ndarray
-    w_omega: np.ndarray
-    w_v: np.ndarray
-    w_a: np.ndarray
-    sigma_dot: np.ndarray
+    __slots__ = ("_e_r", "_d", "_w_omega", "_w_v", "_w_a", "_sigma_dot")
 
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d_v, dtype=float)
+    def __new__(cls, e_r: float, d_v, w_omega, w_v, w_a, sigma_dot) -> CorrectionTerms:
+        d = np.asarray(d_v, dtype=float)
         if d.shape != (3, 3) or np.any(d != np.diag(np.diag(d))):
             raise ValueError("d_v must be a 3x3 diagonal matrix")
+        return _raw_corrections(
+            float(e_r), _floats(np.diag(d)), _vector(w_omega, "w_omega"), _vector(w_v, "w_v"),
+            _vector(w_a, "w_a"), _vector(sigma_dot, "sigma_dot"),
+        )
+
+    e_r = property(attrgetter("_e_r"), doc="Quarter-trace attitude residual.")
+    d_v = property(lambda self: np.diag(self._d), doc="Diagonal matrix (3, 3) of the weighted triad cross sum.")
+    w_omega = _array_field("_w_omega", "Attitude correction (3,).")
+    w_v = _array_field("_w_v", "Position correction (3,).")
+    w_a = _array_field("_w_a", "Velocity correction (3,), gravity not folded in.")
+    sigma_dot = _array_field("_sigma_dot", "Rate of the covariance-bound estimate (3,).")
 
 
-@dataclass(frozen=True)
+def _raw_corrections(
+    e_r: float, d: tuple, w_omega: tuple, w_v: tuple, w_a: tuple, sigma_dot: tuple
+) -> CorrectionTerms:
+    """CorrectionTerms holding the given floats (``d`` is ``d_v``'s diagonal), without the constructor's checks."""
+    w = _new(CorrectionTerms)
+    w._e_r, w._d, w._w_omega, w._w_v, w._w_a, w._sigma_dot = e_r, d, w_omega, w_v, w_a, sigma_dot
+    return w
+
+
 class Diagnostics:
     """Per-step observability: attitude residual, innovation, adaptation."""
 
-    e_r: float
-    innovation_norm: float
-    sigma_hat: np.ndarray
-    dropout: bool = False
-    dropout_reason: str = ""
-    sigma_alert: bool = False
+    __slots__ = ("_e_r", "_innovation_norm", "_sigma", "_dropout", "_dropout_reason", "_sigma_alert")
+
+    def __new__(
+        cls, e_r: float, innovation_norm: float, sigma_hat, dropout: bool = False, dropout_reason: str = "",
+        sigma_alert: bool = False,
+    ) -> Diagnostics:
+        return _raw_diagnostics(
+            float(e_r), float(innovation_norm), _vector(sigma_hat, "sigma_hat"), dropout, dropout_reason, sigma_alert
+        )
+
+    e_r = property(attrgetter("_e_r"), doc="Quarter-trace attitude residual (NaN on a dropout).")
+    innovation_norm = property(attrgetter("_innovation_norm"), doc="Distance of the fix from the prior position.")
+    sigma_hat = _array_field("_sigma", "Covariance-bound estimate after the step (3,).")
+    dropout = property(attrgetter("_dropout"), doc="The step dropped its measurement.")
+    dropout_reason = property(attrgetter("_dropout_reason"), doc="Exception name and message of a dropout.")
+    sigma_alert = property(attrgetter("_sigma_alert"), doc="A component of sigma_hat fell below the floor.")
+
+
+def _raw_diagnostics(
+    e_r: float, innovation_norm: float, sigma: tuple, dropout: bool, dropout_reason: str, sigma_alert: bool
+) -> Diagnostics:
+    """Diagnostics holding the given values, without the constructor's checks."""
+    diag = _new(Diagnostics)
+    diag._e_r, diag._innovation_norm, diag._sigma = e_r, innovation_norm, sigma
+    diag._dropout, diag._dropout_reason, diag._sigma_alert = dropout, dropout_reason, sigma_alert
+    return diag
 
 
 def _product(a, b) -> tuple:
-    """Row-major entries of the 3x3 product ``a b`` of two matrices given as float rows."""
+    """Rows of the 3x3 product ``a b`` of two matrices given as float rows."""
     (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
-    return (a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22,
-            a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22,
-            a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22)
+    return ((a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21, a00 * b02 + a01 * b12 + a02 * b22),
+            (a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21, a10 * b02 + a11 * b12 + a12 * b22),
+            (a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21, a20 * b02 + a21 * b12 + a22 * b22))
 
 
 def correction_terms(
@@ -228,43 +280,38 @@ def correction_terms(
     """
     r_hat = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
-    (s0, s1, s2), (ref, r_sq) = triads.s.tolist(), triads._reference
-    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v.tolist()
-    # the rows of (r R_hat) are v_hat_i = R_hat^T r_i, so m = (r R_hat)^T (s v)
+    (s0, s1, s2), (ref, r_sq) = triads._s, triads._reference
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads._v
+    # the rows of h = (r R_hat) are v_hat_i = R_hat^T r_i, so m = h^T (s v)
     # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
     # subtracted trace Tr(R_hat m R_hat^T) is the inner product <R_hat m, R_hat>
-    h = _product(ref, r_hat)
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = _product(ref, r_hat)
     m = _product(
-        (h[0::3], h[1::3], h[2::3]),
+        ((h00, h10, h20), (h01, h11, h21), (h02, h12, h22)),
         ((s0 * v00, s0 * v01, s0 * v02), (s1 * v10, s1 * v11, s1 * v12), (s2 * v20, s2 * v21, s2 * v22)),
     )
-    _, m01, m02, m10, _, m12, m20, m21, _ = m
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m
     c0, c1, c2 = m21 - m12, m02 - m20, m10 - m01
-    q00, q01, q02, q10, q11, q12, q20, q21, q22 = _product(r_hat, (m[0:3], m[3:6], m[6:9]))
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _product(r_hat, m)
     trace = (q00 * r00 + q01 * r01 + q02 * r02 + q10 * r10 + q11 * r11 + q12 * r12
              + q20 * r20 + q21 * r21 + q22 * r22)
     e_r = 0.25 * ((s0 * r_sq[0] + s1 * r_sq[1] + s2 * r_sq[2]) - trace)
 
     g = gains
-    sg0, sg1, sg2 = state.sigma_hat.tolist()
+    sg0, sg1, sg2 = state._sigma
     k_cross, k_decay = g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r), g.k_sigma * g.gamma_sigma
     sigma_dot = (k_cross * (c0 * c0) - k_decay * sg0, k_cross * (c1 * c1) - k_decay * sg1,
                  k_cross * (c2 * c2) - k_decay * sg2)
     k_att, k_adapt = -(g.k1 / 2.0), 0.125 * (e_r + 2.0) / (e_r + 1.0)
     u0, u1, u2 = k_att * c0 - k_adapt * (c0 * sg0), k_att * c1 - k_adapt * (c1 * sg1), k_att * c2 - k_adapt * (c2 * sg2)
     w_omega = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2, r20 * u0 + r21 * u1 + r22 * u2)
-    (o0, o1, o2), p_hat = np.asarray(p_y, dtype=float).tolist(), state.p_hat.tolist()
+    (o0, o1, o2), p_hat = map(float, p_y), state._p
     i0, i1, i2 = o0 - p_hat[0], o1 - p_hat[1], o2 - p_hat[2]
     k_v, k_a = -(g.kv / g.epsilon), -g.ka
-    (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state.v_hat.tolist())
-    return _unchecked(
-        CorrectionTerms,
-        e_r=e_r,
-        d_v=np.array((c0, 0.0, 0.0, 0.0, c1, 0.0, 0.0, 0.0, c2)).reshape(3, 3),
-        w_omega=np.array(w_omega),
-        w_v=np.array([k_v * i0 - x0, k_v * i1 - x1, k_v * i2 - x2]),
-        w_a=np.array([k_a * i0 - z0, k_a * i1 - z1, k_a * i2 - z2]),
-        sigma_dot=np.array(sigma_dot),
+    (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state._v)
+    return _raw_corrections(
+        e_r, (c0, c1, c2), w_omega, (k_v * i0 - x0, k_v * i1 - x1, k_v * i2 - x2),
+        (k_a * i0 - z0, k_a * i1 - z1, k_a * i2 - z2), sigma_dot,
     )
 
 
@@ -281,25 +328,21 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    omega = imu.omega_m.tolist()
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(omega, _ZERO3, imu.a_m.tolist(), 1.0, dt)
+    omega = imu._omega
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(omega, _ZERO3, imu._a, 1.0, dt)
     rows = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    (p0, p1, p2), (v0, v1, v2) = state.p_hat.tolist(), state.v_hat.tolist()
+    (p0, p1, p2), (v0, v1, v2) = state._p, state._v
     p_new = (p0 + v0 * dt + (r00 * tp0 + r01 * tp1 + r02 * tp2), p1 + v1 * dt + (r10 * tp0 + r11 * tp1 + r12 * tp2),
              p2 + v2 * dt + (r20 * tp0 + r21 * tp1 + r22 * tp2))
     v_new = (v0 + (r00 * tv0 + r01 * tv1 + r02 * tv2), v1 + (r10 * tv0 + r11 * tv1 + r12 * tv2),
              v2 + (r20 * tv0 + r21 * tv1 + r22 * tv2))
-    if state.variant == "matrix":
-        att = np.array(_product(rows, rot)).reshape(3, 3)
+    if len(state._att) == 3:
+        att = _product(rows, rot)
     else:
         w0, w1, w2 = omega
-        turn = quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))
-        att = np.array(quat_normalize(quat_multiply(state.attitude.tolist(), turn)))
-    return _unchecked(
-        FilterState, attitude=att, p_hat=np.array(p_new), v_hat=np.array(v_new),
-        sigma_hat=state.sigma_hat, t=state.t + dt,
-    )
+        att = quat_normalize(quat_multiply(state._att, quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
+    return _raw_state(att, p_new, v_new, state._sigma, state._t + dt)
 
 
 def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
@@ -316,32 +359,26 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    w_omega = w.w_omega.tolist()
-    (a0, a1, a2), (g0, g1, g2) = w.w_a.tolist(), g
+    w_omega = w._w_omega
+    (a0, a1, a2), (g0, g1, g2) = w._w_a, g
     # exp(-W dt) is exp(W t) at t = -dt
     w_a = (a0 - g0, a1 - g1, a2 - g2)
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w.w_v.tolist(), w_a, 1.0, -dt)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w._w_v, w_a, 1.0, -dt)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
-    (p0, p1, p2), (v0, v1, v2) = state.p_hat.tolist(), state.v_hat.tolist()
+    (p0, p1, p2), (v0, v1, v2) = state._p, state._v
     p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,
              e20 * p0 + e21 * p1 + e22 * p2 + tp2 + dt * tv2)
     v_new = (e00 * v0 + e01 * v1 + e02 * v2 + tv0, e10 * v0 + e11 * v1 + e12 * v2 + tv1,
              e20 * v0 + e21 * v1 + e22 * v2 + tv2)
-    att = state.attitude.tolist()
+    att = state._att
     if len(att) == 3:
-        att = np.array(_product(rot, att)).reshape(3, 3)
+        att = _product(rot, att)
     else:
         w0, w1, w2 = w_omega
-        turn = quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt))
-        att = np.array(quat_normalize(quat_multiply(turn, att)))
-    sg, sd = state.sigma_hat.tolist(), w.sigma_dot.tolist()
-    sigma_new = (sg[0] + dt * sd[0], sg[1] + dt * sd[1], sg[2] + dt * sd[2])
-    return _gate(
-        _unchecked(
-            FilterState, attitude=att, p_hat=np.array(p_new), v_hat=np.array(v_new),
-            sigma_hat=np.array(sigma_new), t=state.t,
-        )
-    )
+        att = quat_normalize(quat_multiply(quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt)), att))
+    (sg0, sg1, sg2), (sd0, sd1, sd2) = state._sigma, w._sigma_dot
+    sigma_new = (sg0 + dt * sd0, sg1 + dt * sd1, sg2 + dt * sd2)
+    return _gate(_raw_state(att, p_new, v_new, sigma_new, state._t))
 
 
 def step_with_fix(
@@ -359,20 +396,11 @@ def step_with_fix(
     acceleration correction (``update``'s ``g``).  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
-    p_y = np.asarray(p_y, dtype=float)
-    triads = build_triads(imu.a_m, imu.m_m, env, s=gains.s)
+    triads = build_triads(imu._a, imu._m, env, s=gains._s)
     w = correction_terms(state, triads, p_y, gains)
-    new = update(predict(state, imu, dt), w, dt, env.g_vec.tolist())
-    diag = _unchecked(
-        Diagnostics,
-        e_r=w.e_r,
-        innovation_norm=math.dist(p_y.tolist(), state.p_hat.tolist()),
-        sigma_hat=new.sigma_hat,
-        dropout=False,
-        dropout_reason="",
-        sigma_alert=min(new.sigma_hat.tolist()) < SIGMA_ALERT_FLOOR,
-    )
-    return new, diag
+    new = update(predict(state, imu, dt), w, dt, env._g)
+    sigma = new._sigma
+    return new, _raw_diagnostics(w._e_r, math.dist(p_y, state._p), sigma, False, "", min(sigma) < SIGMA_ALERT_FLOOR)
 
 
 def step(
@@ -391,17 +419,7 @@ def step(
     the dropout with its reason.  Works for both attitude variants.
     """
     try:
-        fix = solve_fix(anchors, ranges)
-        return step_with_fix(state, imu, fix.p, env, gains, dt)
+        return step_with_fix(state, imu, solve_fix(anchors, ranges)._p, env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
         pred = _gate(predict(state, imu, dt))
-        diag = _unchecked(
-            Diagnostics,
-            e_r=float("nan"),
-            innovation_norm=float("nan"),
-            sigma_hat=pred.sigma_hat,
-            dropout=True,
-            dropout_reason=f"{type(err).__name__}: {err}",
-            sigma_alert=False,
-        )
-        return pred, diag
+        return pred, _raw_diagnostics(_NAN, _NAN, pred._sigma, True, f"{type(err).__name__}: {err}", False)

@@ -36,19 +36,22 @@ beta^2))`` for TDOA.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
 
 A solve runs once per filter step on a handful of rows, where a numpy call
 costs more in dispatch than its arithmetic, so solves compute on Python
-floats from the float copies of each factor the anchor set keeps.
+floats from the float copies of each factor the anchor set keeps, read the
+range sets' float storage and return a fix that holds floats (see
+``navfilter``'s "Cost" note).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from itertools import combinations, starmap
+from operator import attrgetter, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .liegroup import _unchecked
+from .liegroup import _array_field, _floats, _new, _vector
 
 __all__ = [
     "GeometryDegenerate",
@@ -64,6 +67,9 @@ __all__ = [
 ]
 
 MIN_ANCHOR_SEPARATION = 1e-6
+# no anchor coordinate may exceed this magnitude: the squared norms and
+# distances, and the sums of squares the factors hold, then stay finite
+ANCHOR_LIMIT = 1e150
 COND_CEILING = 1e8
 _EPS = float(np.finfo(float).eps)
 
@@ -125,8 +131,12 @@ class AnchorSet:
     each TDOA topology: main-bs pairs ``(0, j)`` for j = 1..N-1, ring pairs
     ``(j, j + 1)`` for j = 0..N-2 and the wraparound ``(N - 1, 0)``.  The
     main-bs position block is the TOA system negated, so it shares that
-    factor with ``V`` negated.  Construction never raises on geometry: a
-    rank-deficient system is recorded and reported at solve time.
+    factor with ``V`` negated.  Construction raises ValueError only on the
+    anchors themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``,
+    closer than ``MIN_ANCHOR_SEPARATION``), never on geometry: a
+    rank-deficient system is recorded and reported at solve time.  The
+    checks and the squared norms run on Python floats; numpy only factors
+    the two system matrices.
     """
 
     anchors: np.ndarray
@@ -136,54 +146,61 @@ class AnchorSet:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.anchors, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 3:
+        if a.ndim != 2 or a.shape[1] != 3 or not len(a):
             raise ValueError("anchors must be an (N, 3) array")
-        if not np.isfinite(a).all():
+        rows = a.tolist()
+        coords = [x for row in rows for x in row]
+        if not all(map(math.isfinite, coords)):
             raise ValueError("anchors must be finite")
-        diffs = a[:, None, :] - a[None, :, :]
-        dist = np.linalg.norm(diffs, axis=2)
-        np.fill_diagonal(dist, np.inf)
-        if dist.min() <= MIN_ANCHOR_SEPARATION:
+        if not max(map(abs, coords)) <= ANCHOR_LIMIT:
+            raise ValueError(f"anchors must lie within {ANCHOR_LIMIT:g} of the origin: their squares would overflow")
+        if min(starmap(math.dist, combinations(rows, 2)), default=math.inf) <= MIN_ANCHOR_SEPARATION:
             raise ValueError("anchors closer than the minimum separation")
-        n = a.shape[0]
+        n = len(rows)
         ids = np.arange(n)
-        sq_norms = np.sum(a**2, axis=1)
-        toa = _factor(diffs[1:, 0]) if n >= anchor_floor(None) else None
+        sq_norms = [x * x + y * y + z * z for x, y, z in rows]
+        toa = _factor(a[1:] - a[0]) if n >= anchor_floor(None) else None
         solvable = n >= anchor_floor(MAIN_BS)
-        tdoa = {}
-        for topology, first, second in (
-            (MAIN_BS, np.zeros(n - 1, dtype=int), ids[1:]),
-            (RING, ids, (ids + 1) % n),
-        ):
-            if not solvable:
-                factor = None
-            elif topology == MAIN_BS:
-                factor = toa._replace(v=[[-x for x in row] for row in toa.v])
-            else:
-                factor = _factor(diffs[first, second])
-            tdoa[topology] = PairList(first, second, sq_norms[first].tolist(), sq_norms[second].tolist(), factor)
+        ring_second = np.concatenate((ids[1:], ids[:1]))
+        tdoa = {
+            MAIN_BS: PairList(
+                np.zeros(n - 1, dtype=int), ids[1:], sq_norms[:1] * (n - 1), sq_norms[1:],
+                toa._replace(v=[[-x for x in row] for row in toa.v]) if solvable else None,
+            ),
+            RING: PairList(
+                ids, ring_second, sq_norms, sq_norms[1:] + sq_norms[:1],
+                _factor(a - a[ring_second]) if solvable else None,
+            ),
+        }
         object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "sq_norms", sq_norms.tolist())
+        object.__setattr__(self, "sq_norms", sq_norms)
         object.__setattr__(self, "toa_factor", toa)
         object.__setattr__(self, "tdoa", tdoa)
 
     def __len__(self) -> int:
-        return self.anchors.shape[0]
+        return len(self.sq_norms)
 
 
-@dataclass(frozen=True)
 class ToaRanges:
     """Absolute distances from the tag to every anchor, in anchor order."""
 
-    d: np.ndarray
+    __slots__ = ("_d",)
 
-    def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float)
+    def __new__(cls, d) -> ToaRanges:
+        d = np.asarray(d, dtype=float)
         _check_ranges(d, None)
-        object.__setattr__(self, "d", d)
+        return _raw_toa(_floats(d))
+
+    d = _array_field("_d", "Ranges (N,), one per anchor.")
 
 
-@dataclass(frozen=True)
+def _raw_toa(d: tuple) -> ToaRanges:
+    """ToaRanges holding the given floats, without the constructor's checks."""
+    ranges = _new(ToaRanges)
+    ranges._d = d
+    return ranges
+
+
 class TdoaRanges:
     """Range differences under one of the two supported topologies.
 
@@ -193,15 +210,24 @@ class TdoaRanges:
     ``ring`` pairs are (k+1, k+2) for k = 0..N-2 plus the wraparound (N, 1).
     """
 
-    topology: str
-    diffs: np.ndarray
+    __slots__ = ("_topology", "_diffs")
 
-    def __post_init__(self) -> None:
-        if self.topology not in (MAIN_BS, RING):
-            raise ValueError(f"unknown TDOA topology {self.topology!r}")
-        d = np.asarray(self.diffs, dtype=float)
-        _check_ranges(d, self.topology)
-        object.__setattr__(self, "diffs", d)
+    def __new__(cls, topology: str, diffs) -> TdoaRanges:
+        if topology not in (MAIN_BS, RING):
+            raise ValueError(f"unknown TDOA topology {topology!r}")
+        d = np.asarray(diffs, dtype=float)
+        _check_ranges(d, topology)
+        return _raw_tdoa(topology, _floats(d))
+
+    topology = property(attrgetter("_topology"), doc="TDOA topology, ``main-bs`` or ``ring``.")
+    diffs = _array_field("_diffs", "Range differences (K,), in the topology's pair order.")
+
+
+def _raw_tdoa(topology: str, diffs: tuple) -> TdoaRanges:
+    """TdoaRanges holding the given floats, without the constructor's checks."""
+    ranges = _new(TdoaRanges)
+    ranges._topology, ranges._diffs = topology, diffs
+    return ranges
 
 
 def _check_ranges(d: np.ndarray, topology: str | None, ndim: int = 1) -> None:
@@ -216,15 +242,15 @@ def _check_ranges(d: np.ndarray, topology: str | None, ndim: int = 1) -> None:
 def _range_rows(block: np.ndarray, topology: str | None) -> list[ToaRanges] | list[TdoaRanges]:
     """One ToaRanges (``topology`` None) or TdoaRanges per row of an ``(n, k)`` block, checked once."""
     _check_ranges(block, topology, ndim=2)
+    rows = map(tuple, block.tolist())
     if topology is None:
-        return [_unchecked(ToaRanges, d=row) for row in block]
-    return [_unchecked(TdoaRanges, topology=topology, diffs=row) for row in block]
+        return list(map(_raw_toa, rows))
+    return [_raw_tdoa(topology, row) for row in rows]
 
 
 RangeSet = ToaRanges | TdoaRanges
 
 
-@dataclass(frozen=True)
 class PositionFix:
     """Least-squares position solution.
 
@@ -236,10 +262,25 @@ class PositionFix:
     at most its column count times that.
     """
 
-    p: np.ndarray
-    condition_number: float
-    aux_range: float | None = None
-    aux_clamped: bool = False
+    __slots__ = ("_p", "_condition_number", "_aux_range", "_aux_clamped")
+
+    def __new__(
+        cls, p, condition_number: float, aux_range: float | None = None, aux_clamped: bool = False
+    ) -> PositionFix:
+        aux = None if aux_range is None else float(aux_range)
+        return _raw_fix(_vector(p, "p"), float(condition_number), aux, aux_clamped)
+
+    p = _array_field("_p", "Position (3,).")
+    condition_number = property(attrgetter("_condition_number"), doc="Frobenius-norm condition number.")
+    aux_range = property(attrgetter("_aux_range"), doc="Distance to anchor 1 (TDOA), or None (TOA).")
+    aux_clamped = property(attrgetter("_aux_clamped"), doc="A negative auxiliary range was clamped to zero.")
+
+
+def _raw_fix(p: tuple, condition_number: float, aux_range: float | None, aux_clamped: bool) -> PositionFix:
+    """A PositionFix holding the given floats, without the constructor's checks."""
+    fix = _new(PositionFix)
+    fix._p, fix._condition_number, fix._aux_range, fix._aux_clamped = p, condition_number, aux_range, aux_clamped
+    return fix
 
 
 def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
@@ -273,7 +314,7 @@ def _factor(a: np.ndarray) -> Factor:
     return Factor(ut, s, vt.T.tolist(), rank, sum(x * x for x in s), sum(1.0 / (x * x) for x in s[:rank]))
 
 
-def _finite(values: list) -> list:
+def _finite(values):
     """``values``, when every one is finite: the squared ranges and the solution must not overflow.
 
     Raises
@@ -306,11 +347,10 @@ def _check_condition(cond: float) -> float:
     return cond
 
 
-def _position(v: list, y0: float, y1: float, y2: float) -> np.ndarray:
+def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, float]:
     """``V y`` from the rows of ``V``, checked finite."""
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = v
-    return np.array(_finite([v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2,
-                             v20 * y0 + v21 * y1 + v22 * y2]))
+    return _finite((v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2, v20 * y0 + v21 * y1 + v22 * y2))
 
 
 def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
@@ -335,9 +375,9 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     floor = anchor_floor(None)
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    if ranges.d.shape != (n,):
+    d, hn2 = ranges._d, anchors.sq_norms
+    if len(d) != n:
         raise ValueError("range count does not match anchor count")
-    d, hn2 = ranges.d.tolist(), anchors.sq_norms
     e0, h0 = d[0] * d[0], hn2[0]
     # an overflowed entry of b makes the solution non-finite, which _position rejects
     b = [0.5 * (e0 - di * di + hi - h0) for di, hi in zip(d[1:], hn2[1:])]
@@ -346,7 +386,7 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
     p = _position(f.v, sum(map(mul, u0, b)) / s0, sum(map(mul, u1, b)) / s1, sum(map(mul, u2, b)) / s2)
-    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=None, aux_clamped=False)
+    return _raw_fix(p, cond, None, False)
 
 
 def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
@@ -374,14 +414,14 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
         solve overflows.
     """
     n = len(anchors)
-    floor = anchor_floor(ranges.topology)
+    floor = anchor_floor(ranges._topology)
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    _, second, sq_first, sq_second, f = anchors.tdoa[ranges.topology]
-    if ranges.diffs.shape != second.shape:
+    topology, d = ranges._topology, ranges._diffs
+    _, second, sq_first, sq_second, f = anchors.tdoa[topology]
+    if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
-    d = ranges.diffs.tolist()
-    if ranges.topology == RING:
+    if topology == RING:
         b, partial = [], 0.0
         for di, hi, hj in zip(d, sq_first, sq_second):
             b.append(0.5 * (di * di + hi - hj + 2.0 * di * partial))
@@ -407,7 +447,7 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
     clamped = aux < 0.0
     if clamped:
         aux = 0.0
-    return _unchecked(PositionFix, p=p, condition_number=cond, aux_range=aux, aux_clamped=clamped)
+    return _raw_fix(p, cond, aux, clamped)
 
 
 def solve_fix(anchors: AnchorSet, obs: ToaRanges | TdoaRanges) -> PositionFix:

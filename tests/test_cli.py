@@ -188,6 +188,31 @@ class TestRunVerb:
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
         assert "anchors.csv: anchors closer than the minimum separation" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_config_anchor_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "duration: 1.0\ntopology: toa\n"
+            "anchors: [[-3, -3, 0], [-3, -3, 3], [-3, 3, 0], [3, -3, 0], [1.0e200, 3, 3]]\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "anchors must lie within" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_dataset_with_overflowing_anchor_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 1.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        header, first, *rest = (ds / "anchors.csv").read_text().splitlines()
+        first = ",".join(first.split(",")[:3] + ["1e200"])
+        (ds / "anchors.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert "anchors.csv: anchors must lie within" in capsys.readouterr().err
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")

@@ -1,17 +1,25 @@
-"""No array products on the filter's per-step path.
+"""No arrays on the filter's per-step path.
 
 A step works on 3-vectors and 3x3 matrices, where a numpy call costs
-0.3-1 us of dispatch around tens of nanoseconds of arithmetic.  So the
-step's layers read their arrays once with ``tolist`` and evaluate every
-product as scalar expressions on Python floats (see the "Cost" note of
+0.3-1 us of dispatch around tens of nanoseconds of arithmetic, and building
+or reading back a small array costs as much.  So the values passed between
+the step's layers hold tuples of Python floats, and every layer evaluates
+its products as scalar expressions on them (see the "Cost" note of
 ``uwbnav.navfilter``).  Every function listed below runs at least once per
-filter step.  An ``ast.MatMult`` node anywhere in its body (read from the
-syntax tree, so docstrings and comments do not count) fails this test
-with the function's name and line; so does an ``ndarray.dot``/``vdot``
-call, since every listed module is a float layer: the position solvers in
-``uwb`` too work on float copies of factors taken when the anchor set is
-built.  Code that multiplies whole ``(n, 3, 3)`` stacks keeps ``@``,
-because neither form broadcasts over leading axes.
+filter step, or is the raw constructor of a value the step passes on.
+
+Read from the syntax tree of each listed function's body (so docstrings,
+comments and the annotations of its signature, which are never evaluated,
+do not count), any of these fails the test with the function's name and
+line:
+
+- an ``ast.MatMult`` node (``@``), or an ``ndarray.dot``/``vdot`` call;
+- a reference to ``np`` or ``numpy``;
+- a ``.tolist()`` or ``.reshape()`` call, which would mean an array crossed
+  a layer boundary.
+
+Code that multiplies whole ``(n, 3, 3)`` stacks keeps numpy, because
+scalar expressions do not broadcast over leading axes.
 """
 
 import ast
@@ -20,14 +28,40 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "uwbnav"
 
 PER_STEP = {
-    "navfilter": ("_rows", "_gate", "_product", "correction_terms", "predict", "update", "step_with_fix", "step"),
-    "attitude": ("_check_measured", "_weights", "_unit", "build_triads"),
+    "navfilter": (
+        "_raw_state", "_raw_corrections", "_raw_diagnostics", "_rows", "_gate", "_product", "correction_terms",
+        "predict", "update", "step_with_fix", "step",
+    ),
+    "attitude": ("_raw_imu", "_raw_triads", "_check_measured", "_weights", "_unit", "build_triads"),
     "liegroup": (
-        "cross3", "_rodrigues_coefficients", "_se23_blocks", "quat_normalize", "_quat_rot_rows", "quat_to_rot",
+        "cross3", "_rodrigues_coefficients", "_se23_blocks", "quat_normalize", "_quat_rot_rows",
         "quat_multiply", "quat_from_rotvec",
     ),
-    "uwb": ("_finite", "_check_rank", "_check_condition", "_position", "toa_solve", "tdoa_solve", "solve_fix"),
+    "uwb": (
+        "_raw_toa", "_raw_tdoa", "_raw_fix", "_finite", "_check_rank", "_check_condition", "_position",
+        "toa_solve", "tdoa_solve", "solve_fix",
+    ),
 }
+
+ARRAY_NAMES = ("np", "numpy")
+ARRAY_METHODS = ("dot", "vdot", "tolist", "reshape")
+
+
+def _array_uses(fn: ast.FunctionDef) -> list[tuple[int, str]]:
+    """``(line, what)`` for every array operation in the body of ``fn``."""
+    found = []
+    for node in (sub for stmt in fn.body for sub in ast.walk(stmt)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "'@'"))
+        elif isinstance(node, ast.Name) and node.id in ARRAY_NAMES:
+            found.append((node.lineno, f"'{node.id}'"))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ARRAY_METHODS
+        ):
+            found.append((node.lineno, f"'.{node.func.attr}()'"))
+    return found
 
 
 def test_per_step_functions_use_no_matmul():
@@ -39,14 +73,6 @@ def test_per_step_functions_use_no_matmul():
             if name not in defs:
                 missing.append(f"{module}.{name}")
                 continue
-            for node in ast.walk(defs[name]):
-                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-                    found.append(f"{module}.{name} line {node.lineno}: '@'")
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("dot", "vdot")
-                ):
-                    found.append(f"{module}.{name} line {node.lineno}: '.{node.func.attr}'")
+            found += [f"{module}.{name} line {line}: {what}" for line, what in _array_uses(defs[name])]
     assert not missing, f"listed per-step functions not found: {missing}"
-    assert not found, f"array products on the per-step path (use float expressions): {found}"
+    assert not found, f"array operations on the per-step path (use float expressions): {found}"

@@ -52,6 +52,26 @@ class TestAnchorSet:
             uwb.AnchorSet(anchors=np.zeros((4, 2)))
 
 
+@pytest.mark.filterwarnings("error")
+class TestOverflowingAnchors:
+    # finite anchors whose squares overflow float64 are refused by name,
+    # before numpy warns, instead of building a rank-deficient factor
+    @pytest.mark.parametrize("magnitude", [1e155, -1e200, 1e308])
+    def test_named_error_without_warning(self, magnitude):
+        a = box_anchors().anchors.copy()
+        a[3, 1] = magnitude
+        with pytest.raises(ValueError, match="anchors must lie within .* of the origin"):
+            uwb.AnchorSet(anchors=a)
+
+    def test_largest_accepted_anchors_build_finite_factors(self):
+        a = box_anchors().anchors / 4.0 * uwb.ANCHOR_LIMIT
+        anchors = uwb.AnchorSet(anchors=a)
+        factors = [anchors.toa_factor] + [pairs.factor for pairs in anchors.tdoa.values()]
+        values = anchors.sq_norms + [x for f in factors for x in (*f.s, f.fro2, f.inv2)]
+        assert np.all(np.isfinite(values))
+        assert [f.rank for f in factors] == [3, 3, 3]
+
+
 class TestForwardRanges:
     def test_toa_matches_direct_norms(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
