@@ -15,7 +15,6 @@ files.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -25,12 +24,12 @@ import yaml
 
 from .attitude import ImuSample, ReferenceEnvironment, _imu_block, _imu_rows
 from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
-from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp, so3_log
+from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, step
 from .sim import (
-    BadParams,
     NoiseSpec,
     TruthTrajectory,
+    _numbers,
     generate_trajectory,
     reconstruct_velocity,
 )
@@ -118,7 +117,6 @@ class RunConfig:
     filter_rate: float | None = None
     trajectory_params: dict = field(default_factory=dict)
     anchors: np.ndarray = field(default_factory=lambda: default_anchors().anchors)
-    anchors_file: str | None = None
     topology: str = "tdoa-ring"
     variant: str = "matrix"
     k1: float = 3.0
@@ -133,7 +131,6 @@ class RunConfig:
     sigma_m: float = 0.2
     sigma_range: float = 0.05
     seed: int = 0
-    schedule: str = "constant"
     p_hat0: np.ndarray = field(default_factory=lambda: np.array([-2.0, -3.0, 0.0]))
     v_hat0: np.ndarray = field(default_factory=lambda: np.zeros(3))
     r_hat0: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -143,28 +140,31 @@ class RunConfig:
     m_r: np.ndarray = field(default_factory=lambda: np.array([-1.3, 0.0, 1.5]))
     out: str = "runs/latest"
 
-    _FLOAT_FIELDS = (
-        "duration", "rate", "k1", "kv", "ka", "gamma_sigma", "epsilon",
-        "k_sigma", "sigma_m", "sigma_range",
+    _NUMBERS = (
+        "duration", "rate", "filter_rate", "k1", "kv", "ka", "gamma_sigma",
+        "epsilon", "k_sigma", "sigma_m", "sigma_range",
     )
+    _VECTORS = ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s")
 
     def __post_init__(self) -> None:
-        # YAML 1.1 reads exponents without a sign ("1e12") as strings, so
-        # scalar fields are coerced here rather than trusted
-        for name in self._FLOAT_FIELDS:
-            try:
-                setattr(self, name, float(getattr(self, name)))
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"{name} must be a number") from err
-        if self.filter_rate is not None:
-            try:
-                self.filter_rate = float(self.filter_rate)
-            except (TypeError, ValueError) as err:
-                raise ConfigError("filter_rate must be a number") from err
+        if self.filter_rate is None:  # the filter runs at the generation rate
+            self.filter_rate = self.rate
+        for name in self._NUMBERS:
+            setattr(self, name, _numbers(getattr(self, name), name, ConfigError))
+        for name in ("sigma_omega", "sigma_a"):  # one number applies to every axis
+            shape = (3,) if isinstance(getattr(self, name), (list, tuple, np.ndarray)) else ()
+            setattr(self, name, np.full(3, _numbers(getattr(self, name), name, ConfigError, shape)))
+        for name in self._VECTORS:
+            setattr(self, name, _numbers(getattr(self, name), name, ConfigError, (3,)))
+        self.anchors = _numbers(self.anchors, "anchors", ConfigError, (None, 3))
         # an integer type only: int() would truncate 1.5 and read true as 1
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         self.seed = int(self.seed)
+        for name in ("dataset_dir", "trajectory", "out"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name == "dataset_dir")):
+                raise ConfigError(f"{name} must be text, got {value!r}")
         if self.mode not in ("synthetic", "dataset"):
             raise ConfigError(f"mode must be synthetic or dataset, got {self.mode!r}")
         if self.mode == "dataset":
@@ -172,49 +172,18 @@ class RunConfig:
                 raise ConfigError("dataset mode requires dataset_dir")
             if not Path(self.dataset_dir).is_dir():
                 raise ConfigError(f"dataset_dir does not exist: {self.dataset_dir}")
-        if self.anchors_file is not None:
-            path = Path(self.anchors_file)
-            if not path.is_file():
-                raise ConfigError(f"anchors_file does not exist: {path}")
-            try:
-                table = _read_csv(path, ["id", "x", "y", "z"])
-            except SchemaError as err:
-                raise ConfigError(str(err)) from err
-            self.anchors = table[np.argsort(table[:, 0]), 1:4]
         if self.topology not in _TOPOLOGIES:
             raise ConfigError(f"topology must be one of {_TOPOLOGIES}")
         if self.mode == "dataset" and self.topology == "toa":
             raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
         if self.variant not in _VARIANTS:
             raise ConfigError(f"variant must be one of {_VARIANTS}")
-        if not all(math.isfinite(x) and x > 0 for x in (self.duration, self.rate)):
-            raise ConfigError("duration and rate must be finite and positive")
-        if self.filter_rate is None:
-            self.filter_rate = float(self.rate)
+        if not (self.duration > 0 and self.rate > 0):
+            raise ConfigError("duration and rate must be positive")
         if not 0 < self.filter_rate <= self.rate:
             raise ConfigError("filter_rate must be positive and not above rate")
-        for name in ("sigma_omega", "sigma_a"):
-            val = np.asarray(getattr(self, name), dtype=float)
-            if val.ndim == 0:
-                val = np.full(3, float(val))
-            if val.shape != (3,):
-                raise ConfigError(f"{name} must be a scalar or 3-vector")
-            setattr(self, name, val)
-        for name in ("sigma_omega", "sigma_a", "sigma_m", "sigma_range"):
-            val = np.asarray(getattr(self, name))
-            if not (np.isfinite(val).all() and (val >= 0).all()):
-                raise ConfigError(f"{name} must be finite and nonnegative")
-        for name in ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s"):
-            val = np.asarray(getattr(self, name), dtype=float)
-            if val.shape != (3,) or not np.isfinite(val).all():
-                raise ConfigError(f"{name} must be a finite 3-vector")
-            setattr(self, name, val)
-        try:
-            self.anchors = np.asarray(self.anchors, dtype=float)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"anchors must be an (N, 3) array of numbers: {err}") from err
         floor = anchor_floor(_RANGE_KIND[self.topology])
-        if self.anchors.ndim == 2 and len(self.anchors) < floor:  # AnchorSet rejects other shapes
+        if len(self.anchors) < floor:
             raise ConfigError(
                 f"anchors: {self.topology} needs at least {floor} anchors, got {len(self.anchors)}"
             )
@@ -225,7 +194,7 @@ class RunConfig:
             )
             self._noise = NoiseSpec(
                 sigma_omega=self.sigma_omega, sigma_a=self.sigma_a, sigma_m=self.sigma_m,
-                sigma_range=self.sigma_range, seed=self.seed, schedule=self.schedule,
+                sigma_range=self.sigma_range, seed=self.seed,
             )
             self._env = ReferenceEnvironment(g_vec=self.g_vec, m_r=self.m_r)
             self._anchor_set = AnchorSet(anchors=self.anchors)
@@ -242,7 +211,7 @@ class RunConfig:
 
     @property
     def dt(self) -> float:
-        return 1.0 / float(self.filter_rate)
+        return 1.0 / self.filter_rate
 
     def gains(self) -> FilterGains:
         return self._gains
@@ -280,27 +249,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
 
-    if "dt" in raw:
-        try:
-            dt = float(raw.pop("dt"))
-            stated = None if raw.get("filter_rate") is None else float(raw["filter_rate"])
-        except (TypeError, ValueError) as err:
-            raise ConfigError("dt and filter_rate must be numbers") from err
-        if not (math.isfinite(dt) and dt > 0):
-            raise ConfigError("dt must be finite and positive")
-        if stated is not None and abs(stated * dt - 1.0) > 1e-9:
-            raise ConfigError("dt and filter_rate disagree; give one of them")
-        raw["filter_rate"] = 1.0 / dt
-
     params = {k: raw.pop(k) for k in list(raw) if k in _TRAJECTORY_KEYS}
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    unknown = set(raw) - known
+    unknown = set(raw) - (set(RunConfig.__dataclass_fields__) - {"trajectory_params"})
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        return RunConfig(trajectory_params=params, **raw)
-    except TypeError as err:
-        raise ConfigError(str(err)) from err
+        raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
+    return RunConfig(trajectory_params=params, **raw)
 
 
 def _check_metrics(att_err, pos_err, vel_err) -> None:
@@ -341,9 +294,8 @@ def synthesize_measurements(
     z = sigmas = None
     if noise is not None:
         z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
-        scale = noise.scale_at(traj.t, float(traj.t[-1] - traj.t[0]))[:, None]
-        sigmas = (noise.sigma_omega * scale, noise.sigma_a * scale, noise.sigma_m * scale)
-        ranges = ranges + (0.0 + noise.sigma_range * scale * z[:, 9:])  # as Generator.normal
+        sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
+        ranges = ranges + (0.0 + noise.sigma_range * z[:, 9:])  # as Generator.normal
     gyro, accel, mag = _imu_block(traj.rot, traj.omega, vdot, env, z, sigmas)
     return _imu_rows(traj.t, gyro, accel, mag), _range_rows(ranges, kind)
 
@@ -512,7 +464,6 @@ def ingest_dataset(
     dataset_dir: str | Path,
     filter_rate: float,
     topology: str = "tdoa-ring",
-    g_vec: np.ndarray = (0.0, 0.0, 9.81),
 ) -> tuple[TruthTrajectory, AnchorSet, list[ImuSample], list[TdoaRanges]]:
     """Load a four-file dataset and align it to the filter clock.
 
@@ -521,8 +472,8 @@ def ingest_dataset(
     sample); ranging rows are grouped per timestamp and held to the
     nearest decimated tick (a tie goes to the earlier group).  Truth
     velocity is reconstructed from the full-rate positions before
-    decimation; body rates and specific force (against gravity ``g_vec``)
-    are derived the same way, for replay only.
+    decimation.  The truth carries no body rates or specific forces
+    (``omega`` and ``a`` are None): the run scores states only.
     """
     src = Path(dataset_dir)
     truth = _read_csv(src / "truth.csv", _TRUTH_HEADER)
@@ -559,18 +510,8 @@ def ingest_dataset(
 
     p_full = truth[:, 1:4]
     v_full = reconstruct_velocity(p_full, dt_full)
-    rot = quat_to_rot(truth[keep, 4:8])
-    # body rates/specific force are derivative reconstructions kept only so
-    # the replay satisfies the trajectory contract
-    omega = np.empty((len(rot), 3))
-    omega[:-1] = so3_log(rot[:-1].transpose(0, 2, 1) @ rot[1:]) / (dt_full * stride)
-    omega[-1] = omega[-2]
-    vdot_full = reconstruct_velocity(v_full, dt_full)
-    g = np.asarray(g_vec, dtype=float)
-    a = np.einsum("nij,nj->ni", rot.transpose(0, 2, 1), vdot_full[keep] - g)
-
     traj = TruthTrajectory(
-        t=t_full[keep], rot=rot, p=p_full[keep], v=v_full[keep], omega=omega, a=a
+        t=t_full[keep], rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep], v=v_full[keep]
     )
     ticks = imu[keep]
     imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:4], ticks[:, 4:7], ticks[:, 7:10])
@@ -644,7 +585,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         )
     else:
         traj, anchors, imu_stream, range_stream = ingest_dataset(
-            cfg.dataset_dir, cfg.filter_rate, cfg.topology, cfg.g_vec
+            cfg.dataset_dir, cfg.filter_rate, cfg.topology
         )
 
     state = cfg.initial_state()

@@ -7,7 +7,7 @@ submanifold spanned by ``u(skew(omega), v, a, eps)`` whose exponential has a
 closed form (Rodrigues terms plus two Jacobian-like series for the
 translation columns).  This module provides the skew map, the
 normalized attitude distance, the closed-form
-exponentials, the rotation logarithm, and quaternion conversions used by
+exponentials, and quaternion conversions used by
 the quaternion filter variant.
 """
 
@@ -26,7 +26,6 @@ __all__ = [
     "cross3",
     "attitude_distance",
     "so3_exp",
-    "so3_log",
     "se23_exp",
     "quat_to_rot",
     "rot_to_quat",
@@ -262,13 +261,10 @@ def quat_to_rot(q: np.ndarray) -> np.ndarray:
     """Rotation matrices of unit quaternions ``[q0, qx, qy, qz]``, shape ``(..., 4)``.
 
     Uses ``(q0^2 - ||qv||^2) I + 2 qv qv.T + 2 q0 skew(qv)`` which maps the
-    quaternion product to a rotation product (Hamilton convention).  A
-    single quaternion is evaluated on Python floats (the filter's step
-    path); a stack, componentwise on arrays, with the same arithmetic.
+    quaternion product to a rotation product (Hamilton convention),
+    evaluated componentwise on arrays.
     """
     q = np.asarray(q, dtype=float)
-    if q.ndim == 1:
-        return np.array(_quat_rot_rows(*q.tolist()))
     rows = _quat_rot_rows(*np.moveaxis(q, -1, 0))
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
@@ -301,23 +297,6 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
     q = q / norm
     q[q[:, 0] < 0.0] *= -1.0
     return q.reshape(r.shape[:-2] + (4,))
-
-
-def so3_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vectors ``(..., 3)`` of rotation matrices ``(..., 3, 3)``: the inverse of :func:`so3_exp`.
-
-    Read off the unit quaternion of :func:`rot_to_quat` (Shepperd branches,
-    scalar part ``q_0 >= 0``, so the angle lies in ``[0, pi]``): the angle is
-    ``2 atan2(|q_v|, q_0)`` and ``w = angle / sin(angle / 2) q_v``.  Below
-    ``SMALL_ANGLE`` the ratio is its series ``2 + angle^2 / 12``.
-    """
-    q = rot_to_quat(r)
-    qv = q[..., 1:]
-    angle = 2.0 * np.arctan2(np.sqrt((qv[..., None, :] @ qv[..., :, None])[..., 0, 0]), q[..., 0])
-    small = angle < SMALL_ANGLE
-    half = np.where(small, 1.0, 0.5 * angle)
-    scale = np.where(small, 2.0 + angle * angle / 12.0, 2.0 * half / np.sin(half))
-    return scale[..., None] * qv
 
 
 def quat_multiply(q1, q2) -> tuple[float, float, float, float]:

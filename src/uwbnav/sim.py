@@ -47,55 +47,41 @@ class TooFewSamples(ValueError):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Per-sample sensor noise standard deviations and the stream seed.
-
-    ``schedule`` selects the time profile of the sigmas: ``constant`` or a
-    linear ``ramp`` from half strength to full strength (the given sigmas)
-    over a run.
-    """
+    """Per-sample sensor noise standard deviations and the stream seed."""
 
     sigma_omega: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
     sigma_a: np.ndarray = field(default_factory=lambda: np.full(3, 0.05))
     sigma_m: float = 0.2
     sigma_range: float = 0.05
     seed: int = 0
-    schedule: str = "constant"
 
     def __post_init__(self) -> None:
-        so = np.asarray(self.sigma_omega, dtype=float)
-        sa = np.asarray(self.sigma_a, dtype=float)
-        if so.shape != (3,) or sa.shape != (3,):
-            raise ValueError("sigma_omega and sigma_a must be 3-vectors")
-        sigmas = np.concatenate([so, sa, [self.sigma_m, self.sigma_range]])
-        if not (np.isfinite(sigmas).all() and (sigmas >= 0).all()):
-            raise ValueError("standard deviations must be finite and nonnegative")
-        if self.schedule not in ("constant", "ramp"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        object.__setattr__(self, "sigma_omega", so)
-        object.__setattr__(self, "sigma_a", sa)
+        for name in ("sigma_omega", "sigma_a"):
+            object.__setattr__(self, name, _numbers(getattr(self, name), name, ValueError, (3,)))
+        for name in ("sigma_omega", "sigma_a", "sigma_m", "sigma_range"):
+            sigma = np.asarray(getattr(self, name))
+            if not (np.isfinite(sigma).all() and (sigma >= 0).all()):
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def stream(self) -> np.random.Generator:
         """Fresh generator for this spec's seed."""
         return np.random.default_rng(self.seed)
 
-    def scale_at(self, t: float | np.ndarray, duration: float) -> np.ndarray:
-        """Instantaneous sigma multiplier of the schedule at each time in ``t``."""
-        t = np.asarray(t, dtype=float)
-        if self.schedule == "constant" or duration <= 0.0:
-            return np.ones_like(t)
-        return 0.5 + 0.5 * np.clip(t / duration, 0.0, 1.0)
-
 
 @dataclass
 class TruthTrajectory:
-    """Uniformly sampled truth: states plus the body inputs that drive them."""
+    """Uniformly sampled truth: states plus the body inputs that drive them.
+
+    The body rates ``omega`` and specific forces ``a`` are None for a
+    replayed flight, whose dataset records no body inputs.
+    """
 
     t: np.ndarray
     rot: np.ndarray
     p: np.ndarray
     v: np.ndarray
-    omega: np.ndarray
-    a: np.ndarray
+    omega: np.ndarray | None = None
+    a: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = len(self.t)
@@ -111,7 +97,7 @@ class TruthTrajectory:
             "a": (n, 3),
         }
         for name, want in shapes.items():
-            if getattr(self, name).shape != want:
+            if getattr(self, name) is not None and getattr(self, name).shape != want:
                 raise BadParams(f"{name} must have shape {want}")
 
     def __len__(self) -> int:
@@ -155,26 +141,49 @@ _KIND_KEYS = {
 DEFAULT_START = np.array([-0.061, 1.244, 1.506])
 
 
-def _scalar(params: dict, name: str, default: float) -> float:
-    """Finite float parameter ``name`` of ``params``, else BadParams."""
-    try:
-        value = float(params.get(name, default))
-    except (TypeError, ValueError) as err:
-        raise BadParams(f"{name} must be a number") from err
-    if not math.isfinite(value):
-        raise BadParams(f"{name} must be finite")
-    return value
+_REAL = (int, float, str, np.integer, np.floating)
 
 
-def _vector(params: dict, name: str, default) -> np.ndarray:
-    """Finite 3-vector parameter ``name`` of ``params``, else BadParams."""
+def _reals(value):
+    """A finite number as a float, or nested lists, tuples or arrays of finite numbers as lists of floats.
+
+    A boolean or a non-number is a TypeError and a non-finite number a
+    ValueError; text goes through ``float``.
+    """
+    if value.__class__ is float or (value.__class__ is not bool and isinstance(value, _REAL)):
+        number = float(value)
+        if math.isfinite(number):
+            return number
+        raise ValueError(f"not finite: {value!r}")
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_reals(item) for item in value]
+    raise TypeError(f"not a number: {value!r}")
+
+
+def _numbers(value, name: str, error: type[ValueError], shape: tuple = ()):
+    """Config or trajectory value ``name`` as a finite float, or a finite float64 array of ``shape``.
+
+    A leading ``None`` in ``shape`` matches any length.  Anything else
+    raises ``error`` naming ``name``: a boolean (YAML reads ``yes`` as one),
+    text that ``float`` cannot read, a ragged or wrongly shaped nesting, or
+    a non-finite value.  Text that ``float`` reads counts as a number, since
+    YAML 1.1 loads an exponent without a sign (``1e12``) as a string.
+    """
     try:
-        value = np.asarray(params.get(name, default), dtype=float)
-    except (TypeError, ValueError) as err:
-        raise BadParams(f"{name} must be a 3-vector") from err
-    if value.shape != (3,) or not np.isfinite(value).all():
-        raise BadParams(f"{name} must be a finite 3-vector")
-    return value
+        number = _reals(value)
+        if not shape:
+            if isinstance(number, float):
+                return number
+        else:
+            array = np.array(number, dtype=float)
+            if array.shape == shape or (shape[0] is None and array.ndim == len(shape) and array.shape[1:] == shape[1:]):
+                return array
+    except (TypeError, ValueError, OverflowError):
+        pass
+    what = "number" if not shape else "3-vector" if shape == (3,) else str(shape).replace("None", "N") + " array"
+    raise error(f"{name} must be a finite {what}, got {value!r}")
 
 
 def generate_trajectory(
@@ -209,7 +218,10 @@ def generate_trajectory(
     if unknown:
         raise BadParams(f"unknown parameters for {kind}: {sorted(unknown)}")
 
-    duration, rate = _scalar(params, "duration", 30.0), _scalar(params, "rate", 100.0)
+    def param(name: str, default, shape: tuple = ()):
+        return _numbers(params.get(name, default), name, BadParams, shape)
+
+    duration, rate = param("duration", 30.0), param("rate", 100.0)
     if not (duration > 0 and rate > 0):
         raise BadParams("duration and rate must be positive")
     n = int(round(duration * rate)) + 1
@@ -218,10 +230,10 @@ def generate_trajectory(
     t = np.arange(n) / rate
     g = _gravity(env)
 
-    p0 = _vector(params, "p0", DEFAULT_START)
+    p0 = param("p0", DEFAULT_START, (3,))
 
     if kind == "hover":
-        yaw = _scalar(params, "yaw", 0.0)
+        yaw = param("yaw", 0.0)
         r = _yaw(yaw)
         rot = np.tile(r, (n, 1, 1))
         p = np.tile(p0, (n, 1))
@@ -231,8 +243,8 @@ def generate_trajectory(
         return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=a)
 
     if kind == "circle":
-        radius, period = _scalar(params, "radius", 2.0), _scalar(params, "period", 10.0)
-        yaw0 = _scalar(params, "yaw0", 0.0)
+        radius, period = param("radius", 2.0), param("period", 10.0)
+        yaw0 = param("yaw0", 0.0)
         if not (radius > 0 and period > 0):
             raise BadParams("radius and period must be positive")
         w = 2.0 * np.pi / period
@@ -245,11 +257,11 @@ def generate_trajectory(
         rot = _yaw(w * t + yaw0)
         return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
 
-    amplitude = _vector(params, "amplitude", [1.0, 0.8, 0.3])
-    frequency = _vector(params, "frequency", [0.10, 0.15, 0.05])
-    phase = _vector(params, "phase", [0.0, np.pi / 2, 0.0])
-    yaw_amplitude = _scalar(params, "yaw_amplitude", 0.6)
-    yaw_frequency = _scalar(params, "yaw_frequency", 0.05)
+    amplitude = param("amplitude", [1.0, 0.8, 0.3], (3,))
+    frequency = param("frequency", [0.10, 0.15, 0.05], (3,))
+    phase = param("phase", [0.0, np.pi / 2, 0.0], (3,))
+    yaw_amplitude = param("yaw_amplitude", 0.6)
+    yaw_frequency = param("yaw_frequency", 0.05)
     wv = 2.0 * np.pi * frequency
     arg = np.outer(t, wv) + phase
     p = p0 + amplitude * np.sin(arg)

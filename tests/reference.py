@@ -216,32 +216,29 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
     """Measurement synthesis one sample at a time: a measure_imu call, then the range draws.
 
     Noise comes from one generator in the per-sample order gyro,
-    accelerometer, magnetometer, ranges, with the schedule's sigma factor
-    applied per sample.
+    accelerometer, magnetometer, ranges.
     """
     rng = noise.stream() if noise is not None else None
-    duration = float(traj.t[-1] - traj.t[0])
     lever = None if tag_offset is None or not np.any(tag_offset) else np.asarray(tag_offset, dtype=float)
     imu_stream, range_stream = [], []
     for i in range(len(traj)):
         t = float(traj.t[i])
-        scaled = scaled_noise(noise, noise.scale_at(t, duration)) if noise is not None else None
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
         imu_stream.append(
-            measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=scaled, rng=rng, t=t)
+            measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=noise, rng=rng, t=t)
         )
         tag = traj.p[i] if lever is None else traj.p[i] + traj.rot[i] @ lever
         if topology == "toa":
             obs = toa_ranges(tag, anchors)
-            if scaled is not None:
-                obs = ToaRanges(d=obs.d + rng.normal(0.0, scaled.sigma_range, len(obs.d)))
+            if noise is not None:
+                obs = ToaRanges(d=obs.d + rng.normal(0.0, noise.sigma_range, len(obs.d)))
         else:
             ring = "ring" if topology == "tdoa-ring" else MAIN_BS
             obs = tdoa_ranges(tag, anchors, topology=ring)
-            if scaled is not None:
+            if noise is not None:
                 obs = TdoaRanges(
                     topology=obs.topology,
-                    diffs=obs.diffs + rng.normal(0.0, scaled.sigma_range, len(obs.diffs)),
+                    diffs=obs.diffs + rng.normal(0.0, noise.sigma_range, len(obs.diffs)),
                 )
         range_stream.append(obs)
     return imu_stream, range_stream

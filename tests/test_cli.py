@@ -146,6 +146,29 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and line.split(":")[0] in err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["p_hat0: abc", "sigma_omega: abc", "s: [1, 1, x]", "anchors: [[0, 0, x]]",
+         "duration: yes", "k1: true", "sigma_m: yes", "radius: yes", "p0: [1, 2, true]"],
+    )
+    def test_text_or_boolean_in_numeric_key_is_config_error(self, tmp_path, capsys, line):
+        # non-numeric text once escaped as a bare ValueError, and a YAML
+        # boolean once read silently as 1.0
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(":")[0] in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("line", ["dt: 0.01", "anchors_file: anchors.csv", "schedule: constant"])
+    def test_retired_key_is_unknown(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown config keys" in err and line.split(":")[0] in err
+
     @pytest.mark.parametrize("verb", ["run", "simulate"])
     def test_negative_seed_flag_is_config_error(self, tmp_path, capsys, verb):
         assert run_cli(verb, "--seed", "-1", "--out", str(tmp_path / "o")) == EXIT_CONFIG

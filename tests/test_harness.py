@@ -74,7 +74,7 @@ class TestRunConfig:
             {"sigma_m": np.nan},
             {"sigma_range": -np.inf},
             {"sigma_range": np.inf},
-            {"schedule": "spike"},
+            {"duration": True},
             {"duration": np.nan},
             {"duration": np.inf},
             {"filter_rate": np.nan},
@@ -159,6 +159,7 @@ class TestLoadConfig:
         [
             ("bogus_key: 1\n", "unknown config keys"),
             ("- a\n- b\n", "mapping"),
+            ("1: a\nbogus_key: b\n", "unknown config keys"),
         ],
     )
     def test_rejects_malformed_files(self, tmp_path, text, match):
@@ -182,39 +183,6 @@ class TestLoadConfig:
         path.write_text("ka: seventy\n")
         with pytest.raises(ConfigError, match="number"):
             load_config(path)
-
-    def test_dt_key_sets_filter_rate(self, tmp_path):
-        path = tmp_path / "run.yaml"
-        path.write_text("rate: 500.0\ndt: 0.01\n")
-        cfg = load_config(path)
-        assert cfg.filter_rate == pytest.approx(100.0)
-        assert cfg.dt == pytest.approx(0.01)
-
-    @pytest.mark.parametrize(
-        "text,match",
-        [
-            ("dt: 0.0\n", "positive"),
-            ("dt: .nan\n", "dt must be finite"),
-            ("dt: 0.01\nfilter_rate: abc\n", "numbers"),
-            ("dt: 0.01\nfilter_rate: 50.0\n", "disagree"),
-        ],
-    )
-    def test_dt_key_validation(self, tmp_path, text, match):
-        path = tmp_path / "run.yaml"
-        path.write_text(text)
-        with pytest.raises(ConfigError, match=match):
-            load_config(path)
-
-    def test_anchors_file_loads_and_sorts(self, tmp_path):
-        table = tmp_path / "anchors.csv"
-        table.write_text("id,x,y,z\n2,1,1,2\n1,0,0,0\n3,-1,2,3\n4,2,-2,1\n")
-        cfg = RunConfig(anchors_file=str(table), topology="toa")
-        assert cfg.anchors.shape == (4, 3)
-        assert np.allclose(cfg.anchors[0], [0.0, 0.0, 0.0])
-
-    def test_anchors_file_must_exist(self, tmp_path):
-        with pytest.raises(ConfigError, match="anchors_file"):
-            RunConfig(anchors_file=str(tmp_path / "absent.csv"))
 
     def test_dataset_mode_rejects_toa(self, tmp_path):
         # the dataset layout carries TDOA rows only; replaying them under a
@@ -300,13 +268,12 @@ class TestSynthesizeMeasurements:
         assert all(np.array_equal(x.d, y.d) for x, y in zip(a[1], b[1]))
 
     @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
-    @pytest.mark.parametrize("schedule", ["constant", "ramp"])
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "constant"])
     @pytest.mark.parametrize("lever", [None, REPLAY_LEVER], ids=["no-lever", "replay-lever"])
-    def test_matches_per_sample_oracle(self, topology, schedule, lever):
+    def test_matches_per_sample_oracle(self, topology, noise, lever):
         traj = _traj(duration=2.0, rate=50.0)
         anchors = default_anchors()
         env = ReferenceEnvironment()
-        noise = NoiseSpec(seed=13, schedule=schedule)
         imu, ranges = synthesize_measurements(traj, anchors, topology, noise, env, lever)
         imu_ref, ranges_ref = synthesize_per_sample(traj, anchors, topology, noise, env, lever)
         for name in ("omega_m", "a_m", "m_m", "t"):
@@ -325,24 +292,6 @@ class TestSynthesizeMeasurements:
         traj.a[2, 0] = np.nan
         with pytest.raises(ValueError, match="a_m must be a finite 3-vector"):
             synthesize_measurements(traj, default_anchors(), "toa", None, ReferenceEnvironment())
-
-    def test_ramp_schedule_grows_range_noise(self):
-        traj = _traj(duration=20.0, rate=20.0)
-        anchors = default_anchors()
-        env = ReferenceEnvironment()
-
-        def spread(schedule):
-            noise = NoiseSpec(seed=3, schedule=schedule, sigma_range=0.2)
-            _, ranges = synthesize_measurements(traj, anchors, "toa", noise, env)
-            clean = [toa_ranges(traj.p[i], anchors).d for i in range(len(traj))]
-            resid = np.array([r.d - c for r, c in zip(ranges, clean)])
-            half = len(resid) // 2
-            return np.std(resid[:half]), np.std(resid[half:])
-
-        early, late = spread("ramp")
-        assert late / early > 1.2
-        early, late = spread("constant")
-        assert 0.8 < late / early < 1.25
 
 
 class TestDatasetRoundTrip:
@@ -613,29 +562,6 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary["steps"] == 100
-
-    def test_replay_uses_run_gravity(self, tmp_path, monkeypatch):
-        g = np.array([0.0, 0.0, 9.80665])
-        env = ReferenceEnvironment(g_vec=g)
-        traj = generate_trajectory(
-            "hover", {"p0": [0.5, -0.5, 1.5], "yaw": 0.4, "duration": 1.0, "rate": 50.0}, env
-        )
-        anchors = default_anchors()
-        imu_stream, ranges = synthesize_measurements(traj, anchors, "tdoa-ring", None, env)
-        ds = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
-        replayed = []
-        ingest = harness.ingest_dataset
-
-        def spy(*args, **kwargs):
-            result = ingest(*args, **kwargs)
-            replayed.append(result[0])
-            return result
-
-        monkeypatch.setattr(harness, "ingest_dataset", spy)
-        cfg = RunConfig(mode="dataset", dataset_dir=str(ds), rate=50.0, g_vec=g, out=str(tmp_path / "run"))
-        run_experiment(cfg)
-        got = replayed[0]
-        assert np.allclose(got.a, -(got.rot.transpose(0, 2, 1) @ g), atol=1e-9)
 
     def test_non_integer_decimation_rejected(self, tmp_path):
         cfg = RunConfig(duration=1.0, rate=100.0, filter_rate=30.0, topology="toa", out=str(tmp_path / "r"))

@@ -95,36 +95,6 @@ class TestSo3Exp:
         assert np.linalg.det(r) == pytest.approx(1.0)
 
 
-def _log_cases(rng) -> np.ndarray:
-    """Rotation vectors: uniform random, tiny (down to the identity) and within 1e-9 of a half-turn."""
-    axes = rng.normal(size=(60, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    tiny = axes[:20] * np.array([0.0, 1e-16, 1e-12, 1e-10, 1e-8] * 4)[:, None]
-    near_pi = (np.pi - 1e-9) * axes[20:40]
-    return np.concatenate([Rotation.random(200, random_state=rng).as_rotvec(), tiny, near_pi])
-
-
-class TestSo3Log:
-    def test_matches_scipy_rotvec(self, rng):
-        r = Rotation.from_rotvec(_log_cases(rng)).as_matrix()
-        want = Rotation.from_matrix(r).as_rotvec()
-        assert np.abs(lg.so3_log(r) - want).max() <= 1e-14
-
-    def test_inverts_so3_exp(self, rng):
-        r = Rotation.from_rotvec(_log_cases(rng)).as_matrix()
-        assert np.abs(lg.so3_exp(lg.so3_log(r)) - r).max() <= 1e-14
-
-    def test_identity_is_zero(self):
-        assert np.array_equal(lg.so3_log(np.eye(3)), np.zeros(3))
-
-    def test_stack_shapes(self, rng):
-        r = Rotation.from_rotvec(_log_cases(rng)[:240]).as_matrix()
-        flat = lg.so3_log(r)
-        assert flat.shape == (240, 3)
-        assert np.array_equal(lg.so3_log(r.reshape(4, 60, 3, 3)), flat.reshape(4, 60, 3))
-        assert np.array_equal(lg.so3_log(r[5]), flat[5])
-
-
 class TestSe23Exp:
     def test_matches_expm_oracle(self, rng):
         worst = 0.0

@@ -232,16 +232,6 @@ class TestNoiseSpec:
         b = spec.stream().normal(size=10)
         assert np.array_equal(a, b)
 
-    def test_ramp_schedule_sup_at_end(self):
-        spec = NoiseSpec(schedule="ramp")
-        assert spec.scale_at(0.0, 10.0) == 0.5
-        assert spec.scale_at(10.0, 10.0) == 1.0
-        assert spec.scale_at(5.0, 10.0) == 0.75
-
-    def test_constant_schedule(self):
-        spec = NoiseSpec()
-        assert spec.scale_at(3.0, 10.0) == 1.0
-
     def test_scaled_copy(self):
         spec = NoiseSpec()
         half = scaled_noise(spec, 0.5)
@@ -262,7 +252,3 @@ class TestNoiseSpec:
     def test_rejects_non_finite_sigma(self, kwargs):
         with pytest.raises(ValueError, match="finite"):
             NoiseSpec(**kwargs)
-
-    def test_rejects_unknown_schedule(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(schedule="spike")
