@@ -221,13 +221,17 @@ def _imu_block(rot, omega, vdot, env, z=None, sigmas=None):
     return gyro, accel, mag
 
 
-def _imu_rows(t: np.ndarray, gyro: np.ndarray, accel: np.ndarray, mag: np.ndarray) -> list[ImuSample]:
-    """One ImuSample per row of ``(n, 3)`` blocks, with ImuSample's checks run once per block."""
-    bad = ~np.isfinite(np.stack([gyro, accel, mag], axis=1)).all(axis=2)
+def _check_imu(block: np.ndarray) -> None:
+    """ImuSample's value check, once over an ``(n, 9)`` block of gyro, accelerometer and magnetometer rows."""
+    bad = ~np.isfinite(block.reshape(-1, 3, 3)).all(axis=2)
     if bad.any():
         name = ("omega_m", "a_m", "m_m")[np.argwhere(bad)[0][1]]
         raise ValueError(f"{name} must be a finite 3-vector")
-    gyro, accel, mag = (map(tuple, block.tolist()) for block in (gyro, accel, mag))
+
+
+def _imu_rows(t: np.ndarray, block: np.ndarray) -> list[ImuSample]:
+    """One ImuSample per row of an ``(n, 9)`` block of finite readings (see :func:`_check_imu`)."""
+    gyro, accel, mag = (map(tuple, block[:, k : k + 3].tolist()) for k in (0, 3, 6))
     return list(map(_raw_imu, gyro, accel, mag, np.asarray(t, dtype=float).tolist()))
 
 

@@ -29,11 +29,12 @@ from .harness import (
     NumericalFailure,
     SchemaError,
     load_config,
+    measurement_blocks,
     recompute_metrics,
     run_experiment,
-    synthesize_measurements,
     write_dataset,
 )
+from .harness import synthesize_measurements  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 from .sim import BadParams, TooFewSamples, generate_trajectory
 
 EXIT_OK = 0
@@ -103,10 +104,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     params.setdefault("duration", cfg.duration)
     params.setdefault("rate", cfg.rate)
     traj = generate_trajectory(cfg.trajectory, params, env)
-    imu_stream, range_stream = synthesize_measurements(
-        traj, cfg.anchor_set(), cfg.topology, cfg.noise(), env, cfg.tag_offset
-    )
-    out = write_dataset(cfg.out, traj, cfg.anchor_set(), imu_stream, range_stream)
+    imu, diffs = measurement_blocks(traj, cfg.anchor_set(), cfg.topology, cfg.noise(), env, cfg.tag_offset)
+    out = write_dataset(cfg.out, traj, cfg.anchor_set(), cfg.topology, imu, diffs)
     print(f"dataset: {len(traj)} samples at {cfg.rate:g} Hz -> {out}")
     return EXIT_OK
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attitude import ImuSample, ReferenceEnvironment, _imu_block, _imu_rows
+from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_block, _imu_rows
 from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, step
@@ -33,7 +33,8 @@ from .sim import (
     generate_trajectory,
     reconstruct_velocity,
 )
-from .uwb import MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, _range_block, _range_rows, anchor_floor
+from .uwb import ANCHOR_LIMIT, MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, anchor_floor
+from .uwb import _check_ranges, _range_block, _range_rows
 
 __all__ = [
     "ConfigError",
@@ -43,6 +44,7 @@ __all__ = [
     "RunConfig",
     "load_config",
     "default_anchors",
+    "measurement_blocks",
     "synthesize_measurements",
     "write_dataset",
     "ingest_dataset",
@@ -268,36 +270,49 @@ def _check_metrics(att_err, pos_err, vel_err) -> None:
 _RANGE_KIND = {"toa": None, "tdoa-main": MAIN_BS, "tdoa-ring": RING}
 
 
-def synthesize_measurements(
-    traj: TruthTrajectory,
-    anchors: AnchorSet,
-    topology: str,
-    noise: NoiseSpec | None,
-    env: ReferenceEnvironment,
-    tag_offset: np.ndarray | None = None,
-) -> tuple[list[ImuSample], list[ToaRanges | TdoaRanges]]:
-    """Sensor streams for every trajectory sample.
+def measurement_blocks(
+    traj: TruthTrajectory, anchors: AnchorSet, topology: str, noise: NoiseSpec | None,
+    env: ReferenceEnvironment, tag_offset: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sensor readings for every trajectory sample: an ``(n, 9)`` IMU block and an ``(n, k)`` range block.
 
-    Noise draws come from one generator in a fixed per-sample order (gyro,
-    accelerometer, magnetometer, then one draw per transmitted range
-    value), so a seed pins the entire stream.  ``tag_offset`` displaces
-    the ranging tag from the vehicle reference point by a body-frame
-    lever arm.  Each stream is computed as one ``(n, ...)`` block and
-    checked once, then split into per-sample values.
+    IMU columns are gyro, accelerometer and magnetometer; range columns are
+    the ranges to every anchor (``toa``) or the differences over the
+    topology's anchor-pair list (``AnchorSet.tdoa``).  Noise draws come from
+    one generator in a fixed per-sample order (gyro, accelerometer,
+    magnetometer, then one draw per transmitted range value), so a seed pins
+    both blocks.  ``tag_offset`` displaces the ranging tag from the vehicle
+    reference point by a body-frame lever arm.  A tag position beyond
+    ``ANCHOR_LIMIT``, whose ranges would overflow, is a ConfigError; each
+    block then gets its per-sample value check once (a ValueError).
     """
     kind = _RANGE_KIND[topology]
     vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
     tag = traj.p
     if tag_offset is not None and np.any(tag_offset):
         tag = tag + traj.rot @ tag_offset
+    if not (np.abs(tag) <= ANCHOR_LIMIT).all():
+        raise ConfigError(f"the tag must stay within {ANCHOR_LIMIT:g} of the origin, or its ranges "
+                          "overflow: check p0, radius, amplitude and tag_offset")
     ranges = _range_block(tag, anchors, kind)
     z = sigmas = None
     if noise is not None:
         z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
         sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
         ranges = ranges + (0.0 + noise.sigma_range * z[:, 9:])  # as Generator.normal
-    gyro, accel, mag = _imu_block(traj.rot, traj.omega, vdot, env, z, sigmas)
-    return _imu_rows(traj.t, gyro, accel, mag), _range_rows(ranges, kind)
+    imu = np.concatenate(_imu_block(traj.rot, traj.omega, vdot, env, z, sigmas), axis=1)
+    _check_imu(imu)
+    _check_ranges(ranges, kind, ndim=2)
+    return imu, ranges
+
+
+def synthesize_measurements(
+    traj: TruthTrajectory, anchors: AnchorSet, topology: str, noise: NoiseSpec | None,
+    env: ReferenceEnvironment, tag_offset: np.ndarray | None = None,
+) -> tuple[list[ImuSample], list[ToaRanges | TdoaRanges]]:
+    """The blocks of :func:`measurement_blocks` as one ImuSample and one range set per sample."""
+    imu, ranges = measurement_blocks(traj, anchors, topology, noise, env, tag_offset)
+    return _imu_rows(traj.t, imu), _range_rows(ranges, _RANGE_KIND[topology])
 
 
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
@@ -333,41 +348,41 @@ def _write_truth(path: Path, traj: TruthTrajectory) -> None:
 
 
 def write_dataset(
-    out_dir: str | Path,
-    traj: TruthTrajectory,
-    anchors: AnchorSet,
-    imu_stream: list[ImuSample],
-    range_stream: list[TdoaRanges],
+    out_dir: str | Path, traj: TruthTrajectory, anchors: AnchorSet, topology: str, imu: np.ndarray, diffs: np.ndarray
 ) -> Path:
-    """Write the four-file CSV dataset layout.
+    """Write the four-file CSV dataset layout from :func:`measurement_blocks`' blocks.
 
     ``truth.csv``: t, px, py, pz, qw, qx, qy, qz (scalar-first attitude).
-    ``imu.csv``: t, wx, wy, wz, ax, ay, az, mx, my, mz.
+    ``imu.csv``: t, wx, wy, wz, ax, ay, az, mx, my, mz: the ``(n, 9)`` block ``imu``.
     ``anchors.csv``: id, x, y, z (1-based ids).
     ``tdoa.csv``: t, i, j, d with d = dist(anchor j) - dist(anchor i); one
-    row per difference, ``(i, j)`` the 1-based pairs of the topology's
-    anchor-pair list (``AnchorSet.tdoa``).
+    row per entry of the ``(n, k)`` block ``diffs``, ``(i, j)`` the 1-based
+    pairs of the ``topology``'s anchor-pair list (``AnchorSet.tdoa``).
     """
-    if not all(isinstance(obs, TdoaRanges) for obs in range_stream):
-        raise SchemaError("dataset export requires TDOA observations")
+    kind = _RANGE_KIND.get(topology)
+    if kind is None:
+        raise SchemaError(f"dataset export requires a tdoa topology, got {topology!r}")
+    pair_list = anchors.tdoa[kind]
+    n, k = len(traj), len(pair_list.first)
+    if imu.shape != (n, 9) or diffs.shape != (n, k):
+        raise SchemaError(f"dataset export needs an ({n}, 9) IMU block and an ({n}, {k}) range block")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
-    imu = _stacked([(s._t, *s._omega, *s._a, *s._m) for s in imu_stream], (10,))
-    _write_csv(out / "imu.csv", _IMU_HEADER, imu)
+    _write_csv(out / "imu.csv", _IMU_HEADER, np.column_stack([traj.t, imu]))
     ids = np.arange(1, len(anchors) + 1)
     _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
                "%d,%.17g,%.17g,%.17g")
-    pair_list = anchors.tdoa[range_stream[0].topology]
-    pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
-    diffs = np.array([obs._diffs for obs in range_stream])
-    # each timestamp is formatted once and repeated over its tick's rows
-    t_text = np.array(("%.17g\n" * len(traj) % tuple(traj.t.tolist())).split(), dtype=object)
-    tdoa = np.column_stack([
-        np.repeat(t_text, len(pairs)), np.tile(pairs, (len(diffs), 1)).astype(object),
-        diffs.ravel().astype(object),
-    ])
-    _write_csv(out / "tdoa.csv", ["t", "i", "j", "d"], tdoa, "%s,%d,%d,%.17g")
+    # one line template per tick with the pair ids as literal text: each row
+    # formats only its difference and its tick's timestamp, formatted once per tick
+    tick = "".join(f"%s,{i},{j},%.17g\n" for i, j in zip(pair_list.first + 1, pair_list.second + 1))
+    t_text = ("%.17g\n" * n % tuple(traj.t.tolist())).split()
+    values = [None] * (2 * n * k)
+    values[0::2] = [text for text in t_text for _ in range(k)]
+    values[1::2] = diffs.ravel().tolist()
+    with (out / "tdoa.csv").open("w", newline="") as fh:
+        fh.write("t,i,j,d\n")
+        fh.write((tick * n) % tuple(values))
     return out
 
 
@@ -499,6 +514,8 @@ def ingest_dataset(
     if len(anchors_raw) < floor:
         raise SchemaError(f"anchors.csv: {topology} needs at least {floor} anchors, got {len(anchors_raw)}")
     order = np.argsort(anchors_raw[:, 0])
+    if not np.array_equal(anchors_raw[order, 0], np.arange(1, len(order) + 1)):  # tdoa.csv's i, j name them
+        raise SchemaError(f"anchors.csv: ids must be 1 to {len(order)}, each once")
     try:
         anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
     except ValueError as err:
@@ -514,29 +531,23 @@ def ingest_dataset(
         t=t_full[keep], rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep], v=v_full[keep]
     )
     ticks = imu[keep]
-    imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:4], ticks[:, 4:7], ticks[:, 7:10])
+    imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:10])
 
     pair_list = anchor_set.tdoa[kind]
     pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
     per_tick = len(pairs)
-    times, starts = np.unique(tdoa[:, 0], return_index=True)
-    group = _nearest(times, traj.t)
-    counts = np.diff(starts, append=len(tdoa))[group]
-    full = counts == per_tick
-    # a group of the wrong size points at its first row only; it is rejected below
-    rows = starts[group, None] + np.arange(per_tick) * full[:, None]
-    bad = ~full | (np.trunc(tdoa[rows, 1:3]) != pairs).any(axis=(1, 2))
+    # every group is checked, the ticks the filter clock skips included
+    times, counts = np.unique(tdoa[:, 0], return_counts=True)
+    if (counts != per_tick).any():
+        k = int(np.argmax(counts != per_tick))
+        raise SchemaError(f"tdoa.csv: expected {per_tick} rows at t={times[k]:.6g}, got {counts[k]}")
+    groups = tdoa.reshape(len(times), per_tick, 4)  # rows are sorted by time, per_tick to a group
+    bad = (groups[:, :, 1:3] != pairs).any(axis=(1, 2))
     if bad.any():
-        k = int(np.argmax(bad))
-        if not full[k]:
-            raise SchemaError(
-                f"tdoa.csv: expected {per_tick} rows at t={times[group[k]]:.6g}, got {counts[k]}"
-            )
         raise SchemaError(
-            f"tdoa.csv: anchor pairs at t={times[group[k]]:.6g} do not match "
-            f"the {topology} topology"
+            f"tdoa.csv: anchor pairs at t={times[np.argmax(bad)]:.6g} do not match the {topology} topology"
         )
-    return traj, anchor_set, imu_stream, _range_rows(tdoa[rows, 3], kind)
+    return traj, anchor_set, imu_stream, _range_rows(groups[_nearest(times, traj.t), :, 3], kind)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:

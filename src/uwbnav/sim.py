@@ -139,6 +139,7 @@ _KIND_KEYS = {
 }
 
 DEFAULT_START = np.array([-0.061, 1.244, 1.506])
+MAX_SAMPLES = 10**7  # duration * rate ceiling: about 1.8 GB of truth arrays
 
 
 _REAL = (int, float, str, np.integer, np.floating)
@@ -203,8 +204,9 @@ def generate_trajectory(
     - ``lissajous``: per-axis sinusoids ``amplitude * sin(2 pi frequency t
       + phase)`` around ``p0`` with a sinusoidal yaw sweep.
 
-    ``duration`` (s) and ``rate`` (Hz) apply to every kind.  Every
-    parameter must be finite; lengths, periods and rates must be positive.
+    ``duration`` (s) and ``rate`` (Hz) apply to every kind, and
+    ``duration * rate`` may not exceed ``MAX_SAMPLES``.  Every parameter
+    must be finite; lengths, periods and rates must be positive.
 
     Raises
     ------
@@ -224,6 +226,8 @@ def generate_trajectory(
     duration, rate = param("duration", 30.0), param("rate", 100.0)
     if not (duration > 0 and rate > 0):
         raise BadParams("duration and rate must be positive")
+    if not duration * rate <= MAX_SAMPLES:  # checked before anything is allocated
+        raise BadParams(f"duration * rate gives {duration * rate:.3g} samples, above the ceiling of {MAX_SAMPLES:g}")
     n = int(round(duration * rate)) + 1
     if n < 2:
         raise BadParams("duration too short for the sample rate")

@@ -240,8 +240,7 @@ def _check_ranges(d: np.ndarray, topology: str | None, ndim: int = 1) -> None:
 
 
 def _range_rows(block: np.ndarray, topology: str | None) -> list[ToaRanges] | list[TdoaRanges]:
-    """One ToaRanges (``topology`` None) or TdoaRanges per row of an ``(n, k)`` block, checked once."""
-    _check_ranges(block, topology, ndim=2)
+    """One ToaRanges (``topology`` None) or TdoaRanges per row of an ``(n, k)`` block (see :func:`_check_ranges`)."""
     rows = map(tuple, block.tolist())
     if topology is None:
         return list(map(_raw_toa, rows))

@@ -16,10 +16,13 @@ build one noise-free observation from the package's forward model
 The per-sample oracles at the end are the one-value-at-a-time forms of
 code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
-bit-identical results.  ``toa_solve_per_call`` is likewise the TOA solve
-that factors its system matrix on every call (``numpy.linalg.svd``, the
-package's primitive, with the package's float arithmetic after it), which
-the anchor set's one-time factorization must reproduce bit for bit.
+bit-identical results.  ``write_dataset_rows`` is the row-based dataset
+writer: one line per per-sample value, each number formatted on its own;
+the package's writer, which formats whole blocks, must write the same
+bytes.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
+system matrix on every call (``numpy.linalg.svd``, the package's
+primitive, with the package's float arithmetic after it), which the
+anchor set's one-time factorization must reproduce bit for bit.
 ``tdoa_solve_main_bs`` / ``tdoa_solve_ring`` are one dedicated solver per
 TDOA topology that factors the whole 4-column system on every call; the
 package's rank-one solve over the topology's anchor-pair list must match
@@ -33,6 +36,7 @@ evaluates on Python floats.  The two must agree to round-off.
 import dataclasses
 import math
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 
@@ -242,6 +246,40 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
                 )
         range_stream.append(obs)
     return imu_stream, range_stream
+
+
+def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
+    """The four dataset CSVs, one line per truth sample, ImuSample, anchor and range difference.
+
+    Every value goes through ``format(x, ".17g")``; the 1-based ``(i, j)``
+    pairs of a TdoaRanges come from its topology's documented order:
+    ``main-bs`` (1, k+2), ``ring`` (k+1, k+2) with the wraparound (N, 1).
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name, header, rows):
+        lines = [",".join(header)] + [",".join(format(x, ".17g") for x in row) for row in rows]
+        (out / name).write_text("\n".join(lines) + "\n")
+
+    quats = [rot_to_quat_per_matrix(r) for r in traj.rot]
+    write("truth.csv", "t px py pz qw qx qy qz".split(), [[t, *p, *q] for t, p, q in zip(traj.t, traj.p, quats)])
+    write("imu.csv", "t wx wy wz ax ay az mx my mz".split(),
+          [[s.t, *s.omega_m, *s.a_m, *s.m_m] for s in imu_stream])
+    n = len(anchors)
+    (out / "anchors.csv").write_text(
+        "id,x,y,z\n" + "".join(f"{k + 1}," + ",".join(format(x, ".17g") for x in a) + "\n"
+                               for k, a in enumerate(anchors.anchors))
+    )
+    lines = ["t,i,j,d"]
+    for t, obs in zip(traj.t, range_stream):
+        if obs.topology == MAIN_BS:
+            pairs = [(1, k + 2) for k in range(n - 1)]
+        else:
+            pairs = [(k + 1, k + 2) for k in range(n - 1)] + [(n, 1)]
+        lines += [f"{format(t, '.17g')},{i},{j},{format(d, '.17g')}" for (i, j), d in zip(pairs, obs.diffs)]
+    (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
+    return out
 
 
 def so3_exp_per_vector(w):

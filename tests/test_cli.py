@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uwbnav
+from uwbnav import attitude, uwb
 from uwbnav.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -30,6 +31,19 @@ class TestSimulateVerb:
         code = run_cli("simulate", "--out", str(tmp_path / "ds"), "--topology", "toa")
         assert code == EXIT_CONFIG
         assert "tdoa" in capsys.readouterr().err
+
+    def test_builds_no_per_sample_values(self, tmp_path, monkeypatch):
+        # simulate writes the synthesized blocks as they are
+        def refuse(*args):
+            raise AssertionError("a per-sample value was built")
+
+        monkeypatch.setattr(attitude, "_raw_imu", refuse)
+        monkeypatch.setattr(uwb, "_raw_tdoa", refuse)
+        cfg = tmp_path / "sim.yaml"
+        cfg.write_text("duration: 1.0\nrate: 50.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "ds")) == EXIT_OK
+        with pytest.raises(AssertionError, match="per-sample"):  # the guard bites on the row path
+            run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
 
     def test_config_file_short_run(self, tmp_path):
         cfg = tmp_path / "run.yaml"
@@ -235,6 +249,33 @@ class TestRunVerb:
         run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
         assert "anchors.csv: anchors must lie within" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["run", "simulate"])
+    def test_huge_sample_count_is_config_error(self, tmp_path, capsys, verb):
+        # once a "Maximum allowed size exceeded" traceback out of np.arange
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0e300\ntopology: tdoa-main\n")
+        assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "duration" in err and "rate" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "verb,topology",
+        [("run", "toa"), ("run", "tdoa-main"), ("run", "tdoa-ring"),
+         ("simulate", "tdoa-main"), ("simulate", "tdoa-ring")],
+    )
+    @pytest.mark.parametrize("line", ["radius: 1.0e300", "p0: [0, 0, 1.0e200]", "tag_offset: [1.0e300, 0, 0]"])
+    def test_flight_beyond_anchor_limit_is_config_error(self, tmp_path, capsys, verb, topology, line):
+        # ranges from such a tag position overflow: once a "ranges must be
+        # finite" / "diffs must be a finite 1-D array" traceback
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: {topology}\n{line}\n")
+        assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and line.split(":")[0] in err
+        assert not (tmp_path / "o").exists()
 
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"

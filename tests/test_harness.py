@@ -17,6 +17,7 @@ from uwbnav.harness import (
     default_anchors,
     ingest_dataset,
     load_config,
+    measurement_blocks,
     recompute_metrics,
     run_experiment,
     synthesize_measurements,
@@ -25,7 +26,7 @@ from uwbnav.harness import (
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges
 
-from reference import synthesize_per_sample, tdoa_ranges, toa_ranges
+from reference import synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
@@ -294,17 +295,58 @@ class TestSynthesizeMeasurements:
             synthesize_measurements(traj, default_anchors(), "toa", None, ReferenceEnvironment())
 
 
+class TestMeasurementBlocks:
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
+    def test_rows_hold_the_blocks(self, topology):
+        traj = _traj(duration=1.0)
+        args = (traj, default_anchors(), topology, NoiseSpec(seed=3), ReferenceEnvironment(), REPLAY_LEVER)
+        imu, ranges = measurement_blocks(*args)
+        imu_rows, range_rows = synthesize_measurements(*args)
+        assert np.array_equal(imu, [[*s.omega_m, *s.a_m, *s.m_m] for s in imu_rows])
+        assert np.array_equal(traj.t, [s.t for s in imu_rows])
+        values = "d" if topology == "toa" else "diffs"
+        assert np.array_equal(ranges, [getattr(r, values) for r in range_rows])
+
+    def test_tag_beyond_anchor_limit_is_config_error(self):
+        traj = _traj(duration=0.5)
+        with pytest.raises(ConfigError, match="tag_offset"):
+            measurement_blocks(traj, default_anchors(), "toa", None, ReferenceEnvironment(), np.array([0, 0, 2e150]))
+
+
+class TestWriteDataset:
+    @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "noise"])
+    @pytest.mark.parametrize("lever", [np.zeros(3), REPLAY_LEVER], ids=["zero-offset", "replay-lever"])
+    def test_matches_row_writer(self, tmp_path, topology, noise, lever):
+        traj = _traj(duration=2.0, rate=50.0)
+        args = (traj, default_anchors(), topology, noise, ReferenceEnvironment(), lever)
+        write_dataset(tmp_path / "blocks", traj, default_anchors(), topology, *measurement_blocks(*args))
+        write_dataset_rows(tmp_path / "rows", traj, default_anchors(), *synthesize_measurements(*args))
+        for name in ("truth.csv", "imu.csv", "anchors.csv", "tdoa.csv"):
+            assert (tmp_path / "blocks" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "topology,imu_cols,diff_cols,match",
+        [("toa", 9, 8, "tdoa topology"), ("tdoa", 9, 7, "tdoa topology"),
+         ("tdoa-main", 6, 7, r"\(26, 9\) IMU block"), ("tdoa-main", 9, 8, r"\(26, 7\) range block")],
+    )
+    def test_rejects_what_it_cannot_write(self, tmp_path, topology, imu_cols, diff_cols, match):
+        traj = _traj(duration=0.5, rate=50.0)
+        with pytest.raises(SchemaError, match=match):
+            write_dataset(tmp_path / "ds", traj, default_anchors(), topology,
+                          np.zeros((len(traj), imu_cols)), np.zeros((len(traj), diff_cols)))
+        assert not (tmp_path / "ds").exists()
+
+
 class TestDatasetRoundTrip:
     @pytest.fixture
     def dataset(self, tmp_path):
         traj = _traj(duration=2.0, rate=50.0)
         anchors = default_anchors()
         env = ReferenceEnvironment()
-        imu_stream, ranges = synthesize_measurements(
-            traj, anchors, "tdoa-ring", NoiseSpec(seed=5), env
-        )
-        out = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
-        return out, traj, imu_stream, ranges
+        imu, diffs = measurement_blocks(traj, anchors, "tdoa-ring", NoiseSpec(seed=5), env)
+        out = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-ring", imu, diffs)
+        return out, traj, imu, diffs
 
     def test_files_written(self, dataset):
         out = dataset[0]
@@ -312,7 +354,7 @@ class TestDatasetRoundTrip:
             assert (out / name).exists()
 
     def test_full_rate_round_trip(self, dataset):
-        out, traj, imu_stream, ranges = dataset
+        out, traj, imu, diffs = dataset
         got_traj, got_anchors, got_imu, got_ranges = ingest_dataset(out, 50.0)
         assert np.allclose(got_traj.t, traj.t, atol=1e-12)
         assert np.allclose(got_traj.p, traj.p, atol=1e-12)
@@ -320,17 +362,17 @@ class TestDatasetRoundTrip:
             np.abs(got_traj.rot[i] - traj.rot[i]).max() for i in range(len(traj))
         ) < 1e-12
         assert np.allclose(got_anchors.anchors, default_anchors().anchors)
-        assert np.allclose(got_imu[7].a_m, imu_stream[7].a_m, atol=1e-15)
-        assert np.allclose(got_ranges[7].diffs, ranges[7].diffs, atol=1e-15)
+        assert np.allclose(got_imu[7].a_m, imu[7, 3:6], atol=1e-15)
+        assert np.allclose(got_ranges[7].diffs, diffs[7], atol=1e-15)
         # velocity comes back through the derivative reconstruction
         assert np.max(np.linalg.norm(got_traj.v - traj.v, axis=1)) < 1e-3
 
     def test_decimation_keeps_every_fifth(self, dataset):
-        out, traj, _, ranges = dataset
+        out, traj, _, diffs = dataset
         got_traj, _, got_imu, got_ranges = ingest_dataset(out, 10.0)
         assert len(got_traj) == (len(traj) + 4) // 5
         assert np.allclose(got_traj.t, traj.t[::5], atol=1e-12)
-        assert np.allclose(got_ranges[1].diffs, ranges[5].diffs, atol=1e-15)
+        assert np.allclose(got_ranges[1].diffs, diffs[5], atol=1e-15)
         assert got_imu[1].t == pytest.approx(traj.t[5])
 
     def test_non_integer_decimation_rejected(self, dataset):
@@ -340,12 +382,10 @@ class TestDatasetRoundTrip:
     def test_main_topology_round_trip(self, tmp_path):
         traj = _traj(duration=0.5, rate=50.0)
         anchors = default_anchors()
-        imu_stream, ranges = synthesize_measurements(
-            traj, anchors, "tdoa-main", None, ReferenceEnvironment()
-        )
-        out = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
+        imu, diffs = measurement_blocks(traj, anchors, "tdoa-main", None, ReferenceEnvironment())
+        out = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-main", imu, diffs)
         _, _, _, got = ingest_dataset(out, 50.0, topology="tdoa-main")
-        assert np.allclose(got[3].diffs, ranges[3].diffs, atol=1e-15)
+        assert np.allclose(got[3].diffs, diffs[3], atol=1e-15)
 
     def test_toa_topology_rejected(self, dataset):
         with pytest.raises(ConfigError, match="tdoa"):
@@ -356,12 +396,26 @@ class TestDatasetRoundTrip:
         # support a fix
         four = AnchorSet(anchors=default_anchors().anchors[[0, 1, 2, 4]])
         traj = _traj(duration=0.5, rate=50.0)
-        imu_stream, ranges = synthesize_measurements(
-            traj, four, "tdoa-main", None, ReferenceEnvironment()
-        )
-        out = write_dataset(tmp_path / "ds", traj, four, imu_stream, ranges)
+        imu, diffs = measurement_blocks(traj, four, "tdoa-main", None, ReferenceEnvironment())
+        out = write_dataset(tmp_path / "ds", traj, four, "tdoa-main", imu, diffs)
         with pytest.raises(SchemaError, match="anchors.csv: tdoa-main needs at least 5 anchors, got 4"):
             ingest_dataset(out, 50.0, topology="tdoa-main")
+
+    def test_anchor_rows_in_any_order(self, dataset):
+        out = dataset[0]
+        header, *rows = (out / "anchors.csv").read_text().splitlines()
+        (out / "anchors.csv").write_text("\n".join([header, *rows[::-1]]) + "\n")
+        assert np.array_equal(ingest_dataset(out, 50.0)[1].anchors, default_anchors().anchors)
+
+    @pytest.mark.parametrize("ids", [[1, 1, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 7, 9], [0, 1, 2, 3, 4, 5, 6, 7]])
+    def test_anchor_ids_must_number_the_anchors(self, dataset, ids):
+        # ids other than 1..N were once sorted and renumbered silently
+        out = dataset[0]
+        header, *rows = (out / "anchors.csv").read_text().splitlines()
+        rows = [",".join([str(i)] + row.split(",")[1:]) for i, row in zip(ids, rows)]
+        (out / "anchors.csv").write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(SchemaError, match="anchors.csv: ids must be 1 to 8, each once"):
+            ingest_dataset(out, 50.0)
 
     def test_missing_file_names_it(self, dataset):
         (dataset[0] / "imu.csv").unlink()
@@ -445,10 +499,8 @@ class TestDatasetRoundTrip:
         # wins), the first tick precedes every group, the last two follow them
         traj = _traj(duration=2.0, rate=4.0)
         anchors = default_anchors()
-        imu_stream, ranges = synthesize_measurements(
-            traj, anchors, "tdoa-ring", NoiseSpec(seed=2), ReferenceEnvironment()
-        )
-        out = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
+        imu, diffs = measurement_blocks(traj, anchors, "tdoa-ring", NoiseSpec(seed=2), ReferenceEnvironment())
+        out = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-ring", imu, diffs)
         k = len(anchors)
         lines = (out / "tdoa.csv").read_text().splitlines()
         header, rows = lines[0], lines[1:]
@@ -462,7 +514,7 @@ class TestDatasetRoundTrip:
         argmin_rule = [int(np.argmin(np.abs(times - tick))) for tick in traj.t]
         assert argmin_rule == [0, 0, 1, 2, 3, 4, 5, 6, 6]
         for tick, group in enumerate(argmin_rule):
-            assert np.array_equal(got[tick].diffs, ranges[group].diffs)
+            assert np.array_equal(got[tick].diffs, diffs[group])
 
     def test_unordered_tdoa_clock_rejected(self, dataset):
         out = dataset[0]
@@ -496,6 +548,32 @@ class TestDatasetRoundTrip:
         del lines[4]
         (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="rows"):
+            ingest_dataset(out, 50.0)
+
+    @pytest.mark.parametrize("edit", ["swap", "delete"])
+    def test_malformed_tick_between_filter_ticks_rejected(self, dataset, edit):
+        # at 10 Hz only every 5th 50 Hz tick is replayed; the rows of the
+        # ticks in between were once never checked
+        out = dataset[0]
+        k = len(default_anchors())
+        lines = (out / "tdoa.csv").read_text().splitlines()
+        row = 1 + k + 2  # third row of the second tick
+        if edit == "swap":
+            lines[row], lines[row + 1] = lines[row + 1], lines[row]
+        else:
+            del lines[row]
+        (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="t=0.02"):
+            ingest_dataset(out, 10.0)
+
+    def test_fractional_pair_id_rejected(self, dataset):
+        # an id of 1.5 once read as anchor 1
+        out = dataset[0]
+        lines = (out / "tdoa.csv").read_text().splitlines()
+        parts = lines[3].split(",")
+        lines[3] = ",".join([parts[0], parts[1] + ".5"] + parts[2:])
+        (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="anchor pairs at t=0 do not match"):
             ingest_dataset(out, 50.0)
 
 
@@ -552,10 +630,8 @@ class TestRunExperiment:
     def test_dataset_mode_round_trip(self, tmp_path):
         traj = _traj(duration=2.0, rate=100.0)
         anchors = default_anchors()
-        imu_stream, ranges = synthesize_measurements(
-            traj, anchors, "tdoa-ring", NoiseSpec(seed=5), ReferenceEnvironment()
-        )
-        ds = write_dataset(tmp_path / "ds", traj, anchors, imu_stream, ranges)
+        imu, diffs = measurement_blocks(traj, anchors, "tdoa-ring", NoiseSpec(seed=5), ReferenceEnvironment())
+        ds = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-ring", imu, diffs)
         cfg = RunConfig(
             mode="dataset", dataset_dir=str(ds), filter_rate=50.0, rate=100.0,
             out=str(tmp_path / "run"),

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.signal import savgol_filter
 
+from uwbnav import sim
 from uwbnav.attitude import ReferenceEnvironment
 from uwbnav.liegroup import NavState, attitude_distance
 from uwbnav.sim import (
@@ -155,6 +156,16 @@ class TestGenerateTrajectory:
     def test_bad_params(self, kind, params):
         with pytest.raises(BadParams):
             generate_trajectory(kind, params)
+
+    def test_sample_ceiling(self, monkeypatch):
+        # the ceiling is checked on duration * rate, before any array exists
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 100)
+        assert len(generate_trajectory("hover", {"duration": 1.0, "rate": 100.0})) == 101
+        with pytest.raises(BadParams, match=r"duration \* rate gives 101 samples, above the ceiling of 100"):
+            generate_trajectory("hover", {"duration": 1.0, "rate": 101.0})
+        monkeypatch.undo()
+        with pytest.raises(BadParams, match="ceiling of 1e\\+07"):
+            generate_trajectory("hover", {"duration": 1e300, "rate": 1e300})
 
     def test_trajectory_validation(self):
         t = np.array([0.0, 0.0, 0.1])
