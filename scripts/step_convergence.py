@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from uwbnav.attitude import ReferenceEnvironment, measure_imu
+from uwbnav.attitude import ImuSample, ReferenceEnvironment, measure_imu
 from uwbnav.liegroup import so3_exp
 from uwbnav.navfilter import FilterGains, FilterState, step_with_fix
 from uwbnav.sim import generate_trajectory
@@ -30,9 +30,10 @@ def endpoint(dt: float, horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndar
         v_hat=np.zeros(3),
         sigma_hat=np.zeros(3),
     )
+    vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
+    gyro, accel, mag = measure_imu(traj.rot, traj.omega, vdot, env)
     for i in range(int(round(horizon / dt))):
-        vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu = measure_imu(traj.state(i), traj.omega[i], vdot, env)
+        imu = ImuSample(omega_m=gyro[i], a_m=accel[i], m_m=mag[i])
         state, _ = step_with_fix(state, imu, traj.p[i], env, gains, dt)
     return state.attitude, state.p_hat, state.v_hat
 

@@ -15,14 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .liegroup import NavState, _array_field, _floats, _new, _vector, cross3
-
-if TYPE_CHECKING:
-    from .sim import NoiseSpec
+from .liegroup import _array_field, _floats, _new, _vector, cross3
 
 __all__ = [
     "DegenerateTriads",
@@ -42,14 +38,6 @@ class DegenerateTriads(RuntimeError):
     """Reference or measured directions are too close to collinear or zero."""
 
 
-def _default_gravity() -> np.ndarray:
-    return np.array([0.0, 0.0, 9.81])
-
-
-def _default_magnetic() -> np.ndarray:
-    return np.array([-1.3, 0.0, 1.5])
-
-
 @dataclass(frozen=True)
 class ReferenceEnvironment:
     """Inertial-frame reference vectors: gravity (NED, z down) and magnetic field.
@@ -59,8 +47,8 @@ class ReferenceEnvironment:
     ``_g``, the gravity vector.
     """
 
-    g_vec: np.ndarray = field(default_factory=_default_gravity)
-    m_r: np.ndarray = field(default_factory=_default_magnetic)
+    g_vec: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 9.81]))
+    m_r: np.ndarray = field(default_factory=lambda: np.array([-1.3, 0.0, 1.5]))
     _reference: tuple = field(init=False, repr=False, compare=False)
     _g: tuple = field(init=False, repr=False, compare=False)
 
@@ -173,41 +161,16 @@ def _weights(s) -> tuple[float, float, float]:
     return s0, s1, s2
 
 
-def measure_imu(
-    truth: NavState,
-    omega: np.ndarray,
-    vdot: np.ndarray,
-    env: ReferenceEnvironment,
-    noise: "NoiseSpec | None" = None,
-    rng: np.random.Generator | None = None,
-    t: float = 0.0,
-) -> ImuSample:
-    """Simulate one IMU sample from the true state and its rates.
+def measure_imu(rot, omega, vdot, env, z=None, sigmas=None):
+    """Gyro, accelerometer and magnetometer readings of the true attitude and rates, per row.
 
-    The gyro reads the body rate, the accelerometer reads the specific
-    force ``R^T (V_dot - g)``, and the magnetometer reads the body-frame
-    field ``R^T m_r``.  Noise draws come from ``rng`` in a fixed order
-    (gyro, accel, magnetometer), one triple per call; with ``noise`` None
-    the sample is exact.
-    """
-    z = sigmas = None
-    if noise is not None:
-        if rng is None:
-            raise ValueError("a seeded generator is required when noise is given")
-        z, sigmas = rng.standard_normal(9), (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
-    gyro, accel, mag = _imu_block(
-        truth.r, np.asarray(omega, dtype=float), np.asarray(vdot, dtype=float), env, z, sigmas
-    )
-    return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
-
-
-def _imu_block(rot, omega, vdot, env, z=None, sigmas=None):
-    """Gyro, accelerometer and magnetometer readings of :func:`measure_imu`, per row.
-
-    ``rot`` is ``(..., 3, 3)``, ``omega`` and ``vdot`` ``(..., 3)``.  With
-    standard normal draws ``z`` ``(..., 9)`` (gyro, accel, magnetometer) the
-    readings get ``z * sigma`` from ``sigmas = (sigma_omega, sigma_a,
-    sigma_m)``, each broadcast against the rows.
+    The gyro reads the body rate ``omega``, the accelerometer the specific
+    force ``R^T (V_dot - g)`` and the magnetometer the body-frame field
+    ``R^T m_r``; returns ``(gyro, accel, mag)``.  ``rot`` is
+    ``(..., 3, 3)``, ``omega`` and ``vdot`` ``(..., 3)``.  With standard
+    normal draws ``z`` ``(..., 9)`` (gyro, accel, magnetometer) the readings
+    get ``z * sigma`` from ``sigmas = (sigma_omega, sigma_a, sigma_m)``,
+    each broadcast against the rows.
     """
     rt = np.swapaxes(rot, -1, -2)
     accel = (rt @ (vdot - env.g_vec)[..., None])[..., 0]

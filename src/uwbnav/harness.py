@@ -22,8 +22,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_block, _imu_rows
-from .attitude import measure_imu  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
+from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_rows, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, step
 from .sim import (
@@ -270,6 +269,7 @@ def _check_metrics(att_err, pos_err, vel_err) -> None:
 _RANGE_KIND = {"toa": None, "tdoa-main": MAIN_BS, "tdoa-ring": RING}
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing reading is caught by the checks below
 def measurement_blocks(
     traj: TruthTrajectory, anchors: AnchorSet, topology: str, noise: NoiseSpec | None,
     env: ReferenceEnvironment, tag_offset: np.ndarray | None = None,
@@ -284,7 +284,9 @@ def measurement_blocks(
     both blocks.  ``tag_offset`` displaces the ranging tag from the vehicle
     reference point by a body-frame lever arm.  A tag position beyond
     ``ANCHOR_LIMIT``, whose ranges would overflow, is a ConfigError; each
-    block then gets its per-sample value check once (a ValueError).
+    block then gets its per-sample value check once, and a failed one (a
+    reading that overflowed, or a TOA range that noise drove negative) is a
+    ConfigError naming the keys that can cause it.
     """
     kind = _RANGE_KIND[topology]
     vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
@@ -300,9 +302,16 @@ def measurement_blocks(
         z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
         sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
         ranges = ranges + (0.0 + noise.sigma_range * z[:, 9:])  # as Generator.normal
-    imu = np.concatenate(_imu_block(traj.rot, traj.omega, vdot, env, z, sigmas), axis=1)
-    _check_imu(imu)
-    _check_ranges(ranges, kind, ndim=2)
+    imu = np.concatenate(measure_imu(traj.rot, traj.omega, vdot, env, z, sigmas), axis=1)
+    try:
+        _check_imu(imu)
+    except ValueError as err:
+        raise ConfigError(f"{err}: check sigma_omega, sigma_a, sigma_m and the flight's rates (radius, "
+                          "period, amplitude, frequency, yaw_amplitude, yaw_frequency)") from err
+    try:
+        _check_ranges(ranges, kind, ndim=2)
+    except ValueError as err:
+        raise ConfigError(f"{err}: check sigma_range") from err
     return imu, ranges
 
 
@@ -433,6 +442,14 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     return data
 
 
+def _read_truth(path: Path) -> np.ndarray:
+    """A truth file as a table (see :func:`_read_csv`); fewer than two samples is a SchemaError."""
+    truth = _read_csv(path, _TRUTH_HEADER)
+    if len(truth) < 2:
+        raise SchemaError(f"{path.name} needs at least two samples")
+    return truth
+
+
 def _bad_cell(path: Path, columns: list[str]) -> str | None:
     """The first non-numeric cell or wrong-length row of a CSV table, by column and data row."""
     with path.open() as fh:
@@ -491,12 +508,10 @@ def ingest_dataset(
     (``omega`` and ``a`` are None): the run scores states only.
     """
     src = Path(dataset_dir)
-    truth = _read_csv(src / "truth.csv", _TRUTH_HEADER)
+    truth = _read_truth(src / "truth.csv")
     imu = _read_csv(src / "imu.csv", _IMU_HEADER)
     anchors_raw = _read_csv(src / "anchors.csv", ["id", "x", "y", "z"])
     tdoa = _read_csv(src / "tdoa.csv", ["t", "i", "j", "d"])
-    if len(truth) < 2:
-        raise SchemaError("truth.csv needs at least two samples")
     if len(truth) != len(imu) or np.max(np.abs(truth[:, 0] - imu[:, 0])) > 1e-9:
         raise ClockError("truth.csv and imu.csv clocks disagree")
     t_full = truth[:, 0]
@@ -698,7 +713,7 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     if not est_path.exists():
         raise SchemaError(f"missing estimates file: {est_path}")
     est = _read_estimates(est_path)
-    truth = _read_csv(Path(truth_path), _TRUTH_HEADER)
+    truth = _read_truth(Path(truth_path))
     t_truth = truth[:, 0]
     if np.any(np.diff(t_truth) <= 0):
         raise ClockError("truth timestamps must be strictly increasing")

@@ -6,22 +6,20 @@ matrix and ``P``, ``V`` column 3-vectors.  Inputs live on a tangent
 submanifold spanned by ``u(skew(omega), v, a, eps)`` whose exponential has a
 closed form (Rodrigues terms plus two Jacobian-like series for the
 translation columns).  This module provides the skew map, the
-normalized attitude distance, the closed-form
-exponentials, and quaternion conversions used by
-the quaternion filter variant.
+normalized attitude distance, the rotation exponential on arrays, the
+extended-pose exponential :func:`se23_exp` that the filter step evaluates
+on Python floats (it returns the blocks, never the 5x5 matrix), and the
+quaternion conversions used by the quaternion filter variant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
 
 __all__ = [
-    "TangentInput",
-    "NavState",
     "skew",
     "cross3",
     "attitude_distance",
@@ -145,36 +143,23 @@ def so3_exp(w: np.ndarray) -> np.ndarray:
     return np.eye(3) + a * s + b * (s @ s)
 
 
-@dataclass(frozen=True)
-class TangentInput:
-    """Input element ``u(skew(omega), v, a, eps)`` of the tangent submanifold.
+def se23_exp(omega, v, a, eps: float, dt: float):
+    """Closed-form ``expm(U dt)`` for ``U = u(skew(omega), v, a, eps)``, as its blocks ``(R, t_p, t_v)``.
 
-    ``omega`` fills the rotation block, ``v`` the position column, ``a`` the
-    velocity column, and ``eps`` the scalar coupling of velocity into
-    position.
-    """
-
-    omega: np.ndarray
-    v: np.ndarray
-    a: np.ndarray
-    eps: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        for name in ("omega", "v", "a"):
-            vec = getattr(self, name)
-            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-                raise ValueError(f"{name} must be a finite 3-vector")
-
-
-def _se23_blocks(omega, v, a, eps: float, dt: float):
-    """Blocks ``(R, t_p, t_v)`` of :func:`se23_exp` from three 3-sequences of floats.
-
-    Scalar evaluation with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``).
-    ``R`` comes back as three row tuples and ``t_p``, ``t_v`` as tuples, all
-    Python floats; raises ValueError on a non-finite input component.
+    ``omega``, ``v`` and ``a`` are 3-sequences of floats: ``omega`` fills the
+    rotation block of the 5x5 tangent matrix ``U``, ``v`` the position
+    column, ``a`` the velocity column, and ``eps`` couples velocity into
+    position.  With ``S = skew(omega dt)`` and ``theta = ||omega|| dt``, the
+    exponential has rotation block ``R = I + A S + B S^2``, velocity column
+    ``t_v = J1 a dt``, position column ``t_p = J1 v dt + eps dt^2 J2 a``,
+    and ``eps dt`` at entry ``(4, 3)`` (left to the caller), where
+    ``J1 = I + B S + C S^2`` and ``J2 = I/2 + C S + D S^2`` use the
+    coefficients of :func:`_rodrigues_coefficients`.  Powers of ``U``
+    beyond the second vanish outside the rotation block, which is what
+    collapses the series to these four coefficients.  Evaluated on scalars
+    with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``): ``R`` comes back as
+    three row tuples and ``t_p``, ``t_v`` as tuples, all Python floats.
+    Raises ValueError on a non-finite input component.
     """
     (ox, oy, oz), (vx, vy, vz), (ax, ay, az) = omega, v, a
     wx, wy, wz = ox * dt, oy * dt, oz * dt
@@ -198,45 +183,6 @@ def _se23_blocks(omega, v, a, eps: float, dt: float):
            (bx * wz - a_c * wy, by * wz + a_c * wx, c0 + bz * wz))
     t_p = (j1v[0] + k * j2a[0], j1v[1] + k * j2a[1], j1v[2] + k * j2a[2])
     return rot, t_p, series(ax * dt, ay * dt, az * dt, 1.0, b_c, c_c)
-
-
-def se23_exp(u: TangentInput, dt: float) -> np.ndarray:
-    """Closed-form ``expm(U dt)`` for the 5x5 embedding ``U`` of ``u`` (see :class:`TangentInput`).
-
-    With ``S = skew(omega * dt)`` and ``theta = ||omega|| * dt``, the result
-    has rotation block ``I + A S + B S^2``, velocity column ``J1 a dt``,
-    position column ``J1 v dt + eps dt^2 J2 a``, and ``eps dt`` at entry
-    ``(4, 3)``, where ``J1 = I + B S + C S^2`` and ``J2 = I/2 + C S + D S^2``
-    use the coefficients of :func:`_rodrigues_coefficients`.  Powers of the
-    tangent matrix beyond the second vanish outside the rotation block, which
-    is what collapses the series to these four coefficients.
-    """
-    (r0, r1, r2), t_p, t_v = _se23_blocks(u.omega.tolist(), u.v.tolist(), u.a.tolist(), u.eps, dt)
-    return np.array([
-        [*r0, t_p[0], t_v[0]],
-        [*r1, t_p[1], t_v[1]],
-        [*r2, t_p[2], t_v[2]],
-        [0.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, u.eps * dt, 1.0],
-    ])
-
-
-@dataclass(frozen=True)
-class NavState:
-    """Navigation state: rotation ``r``, position ``p``, velocity ``v``."""
-
-    r: np.ndarray
-    p: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.r.shape != (3, 3):
-            raise ValueError("rotation must be 3x3")
-        if self.p.shape != (3,) or self.v.shape != (3,):
-            raise ValueError("position and velocity must be 3-vectors")
 
 
 def quat_normalize(q) -> tuple[float, float, float, float]:

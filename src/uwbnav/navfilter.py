@@ -8,7 +8,9 @@ discrete path is a predict/update pair of exact group exponentials
     X_pred = X exp(U dt),        U = u(skew(omega_m), 0, a_m, 1)
     X_new  = exp(-W dt) X_pred,  W = u(skew(w_omega), w_v, w_a - g, 1)
 
-with correction terms computed from the pre-prediction state.  Both a
+with correction terms computed from the pre-prediction state.  Each is one
+call of ``liegroup.se23_exp``, which returns the exponential's blocks on
+floats (``update`` passes ``-dt``) and never builds the 5x5.  Both a
 rotation-matrix and a unit-quaternion attitude parametrization are
 supported; they share the translation block math exactly, so the two
 variants track each other to round-off.  The continuous closed loop this
@@ -54,13 +56,12 @@ from .liegroup import (
     _floats,
     _new,
     _quat_rot_rows,
-    _se23_blocks,
     _vector,
     cross3,
     quat_from_rotvec,
     quat_multiply,
     quat_normalize,
-    se23_exp,  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
+    se23_exp,
 )
 from .uwb import AnchorSet, GeometryDegenerate, RangeSet, solve_fix
 
@@ -329,7 +330,7 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     if not dt > 0:
         raise ValueError("dt must be positive")
     omega = imu._omega
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(omega, _ZERO3, imu._a, 1.0, dt)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(omega, _ZERO3, imu._a, 1.0, dt)
     rows = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     (p0, p1, p2), (v0, v1, v2) = state._p, state._v
@@ -363,7 +364,7 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     (a0, a1, a2), (g0, g1, g2) = w._w_a, g
     # exp(-W dt) is exp(W t) at t = -dt
     w_a = (a0 - g0, a1 - g1, a2 - g2)
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = _se23_blocks(w_omega, w._w_v, w_a, 1.0, -dt)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(w_omega, w._w_v, w_a, 1.0, -dt)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
     (p0, p1, p2), (v0, v1, v2) = state._p, state._v
     p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .liegroup import NavState, so3_exp
-from .liegroup import se23_exp  # noqa: F401 -- kept as a module attribute for per-layer instrumentation
+from .liegroup import so3_exp
+from .liegroup import se23_exp  # noqa: F401 -- no call here: perfbench/tracing.py patches it as a listed caller
 
 if TYPE_CHECKING:
     from .attitude import ReferenceEnvironment
@@ -107,15 +107,6 @@ class TruthTrajectory:
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
-    def state(self, i: int) -> NavState:
-        return NavState(r=self.rot[i], p=self.p[i], v=self.v[i])
-
-
-def _gravity(env: "ReferenceEnvironment | None") -> np.ndarray:
-    if env is None:
-        return np.array([0.0, 0.0, 9.81])
-    return env.g_vec
-
 
 def _yaw(angle: float | np.ndarray) -> np.ndarray:
     """Rotations about z by each angle: ``so3_exp([0, 0, angle])``."""
@@ -187,6 +178,7 @@ def _numbers(value, name: str, error: type[ValueError], shape: tuple = ()):
     raise error(f"{name} must be a finite {what}, got {value!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_trajectory(
     kind: str,
     params: dict | None = None,
@@ -206,7 +198,10 @@ def generate_trajectory(
 
     ``duration`` (s) and ``rate`` (Hz) apply to every kind, and
     ``duration * rate`` may not exceed ``MAX_SAMPLES``.  Every parameter
-    must be finite; lengths, periods and rates must be positive.
+    must be finite; lengths, periods and rates must be positive.  Finite
+    parameters may still overflow a sample (``radius * (2 pi / period)^2``):
+    it is left non-finite, without a warning, for measurement synthesis to
+    reject by name.
 
     Raises
     ------
@@ -232,7 +227,7 @@ def generate_trajectory(
     if n < 2:
         raise BadParams("duration too short for the sample rate")
     t = np.arange(n) / rate
-    g = _gravity(env)
+    g = np.array([0.0, 0.0, 9.81]) if env is None else env.g_vec
 
     p0 = param("p0", DEFAULT_START, (3,))
 

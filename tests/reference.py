@@ -6,8 +6,10 @@ module under test) so that the discrete implementation can be checked
 against an integrator it shares no code with.
 
 The 5x5 group embeddings build the ``scipy.linalg.expm`` oracles of the
-exponential tests, and ``propagate_truth`` is the exact truth flow those
-tests vouch for (it runs on the package's closed-form ``se23_exp``).
+exponential tests, ``se23_matrix`` assembles the 5x5 exponential from the
+blocks of the package's closed-form ``se23_exp``, and ``propagate_truth`` is
+the exact truth flow those tests vouch for (it runs on ``se23_matrix``).
+``imu_sample`` is one ImuSample from the package's IMU model on one row.
 ``vex`` and ``pa`` (the inverse of ``skew`` and the antisymmetric
 projection) serve the identity tests, and ``toa_ranges`` / ``tdoa_ranges``
 build one noise-free observation from the package's forward model
@@ -40,8 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
-from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, TriadSet, measure_imu
-from uwbnav.liegroup import SMALL_ANGLE, NavState, TangentInput, _rodrigues_coefficients, se23_exp
+from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
+from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
 from uwbnav.uwb import (
     MAIN_BS,
@@ -92,27 +94,35 @@ def _unit(x):
     return x / np.linalg.norm(x)
 
 
-def tangent_matrix(u):
-    """5x5 embedding of a TangentInput: ``skew(omega)``, then the ``v`` and ``a`` columns, ``eps`` at (4, 3)."""
+def tangent_matrix(omega, v, a, eps):
+    """5x5 tangent matrix ``u(skew(omega), v, a, eps)``: ``skew(omega)``, then the ``v`` and ``a`` columns, ``eps`` at (4, 3)."""
     m = np.zeros((5, 5))
-    m[:3, :3] = _skew(u.omega)
-    m[:3, 3] = u.v
-    m[:3, 4] = u.a
-    m[4, 3] = u.eps
+    m[:3, :3] = _skew(omega)
+    m[:3, 3] = v
+    m[:3, 4] = a
+    m[4, 3] = eps
     return m
 
 
-def nav_matrix(x):
-    """5x5 group embedding ``[[R, p, v], [0, 1, 0], [0, 0, 1]]`` of a NavState."""
+def nav_matrix(r, p, v):
+    """5x5 group embedding ``[[R, p, v], [0, 1, 0], [0, 0, 1]]`` of a navigation state."""
     m = np.eye(5)
-    m[:3, :3] = x.r
-    m[:3, 3] = x.p
-    m[:3, 4] = x.v
+    m[:3, :3] = r
+    m[:3, 3] = p
+    m[:3, 4] = v
     return m
 
 
-def propagate_truth(x, omega, a, env, dt):
-    """Advance truth one interval of piecewise-constant body inputs.
+def se23_matrix(omega, v, a, eps, dt):
+    """The 5x5 ``expm(tangent_matrix(omega, v, a, eps) dt)`` assembled from the blocks of ``se23_exp``."""
+    rot, t_p, t_v = se23_exp(omega, v, a, eps, dt)
+    m = nav_matrix(rot, t_p, t_v)
+    m[4, 3] = eps * dt
+    return m
+
+
+def propagate_truth(r, p, v, omega, a, env, dt):
+    """Advance truth ``(r, p, v)`` one interval of piecewise-constant body inputs; returns the new ``(r, p, v)``.
 
     The exact flow of ``X_dot = X U - G X`` is ``exp(-G dt) X exp(U dt)``
     with ``U = u(skew(omega), 0, a, 1)`` and ``G = u(0, 0, -g, 1)``; the left
@@ -121,10 +131,23 @@ def propagate_truth(x, omega, a, env, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     zero = np.zeros(3)
-    left = se23_exp(TangentInput(omega=zero, v=zero, a=env.g_vec, eps=-1.0), dt)
-    right = se23_exp(TangentInput(omega=omega, v=zero, a=a, eps=1.0), dt)
-    m = left @ nav_matrix(x) @ right
-    return NavState(r=m[:3, :3], p=m[:3, 3], v=m[:3, 4])
+    m = se23_matrix(zero, zero, env.g_vec, -1.0, dt) @ nav_matrix(r, p, v) @ se23_matrix(omega, zero, a, 1.0, dt)
+    return m[:3, :3], m[:3, 3], m[:3, 4]
+
+
+def imu_sample(r, omega, vdot, env, noise=None, rng=None, t=0.0):
+    """One ImuSample of ``measure_imu`` on a single attitude ``r`` and rates ``omega``, ``vdot``.
+
+    With ``noise``, one standard-normal 9-vector (gyro, accelerometer,
+    magnetometer) is drawn from ``rng`` first, as synthesis draws it per
+    sample; without, the sample is exact.
+    """
+    z = sigmas = None
+    if noise is not None:
+        z, sigmas = rng.standard_normal(9), (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
+    gyro, accel, mag = measure_imu(np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
+                                   np.asarray(vdot, dtype=float), env, z, sigmas)
+    return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
 
 
 def weighting_matrices(triads):
@@ -217,7 +240,7 @@ def rk4_closed_loop_step(r, p, v, sigma, omega_m, a_m, m_m, p_y, env, gains, dt)
 
 
 def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
-    """Measurement synthesis one sample at a time: a measure_imu call, then the range draws.
+    """Measurement synthesis one sample at a time: an ``imu_sample`` call, then the range draws.
 
     Noise comes from one generator in the per-sample order gyro,
     accelerometer, magnetometer, ranges.
@@ -229,7 +252,7 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
         t = float(traj.t[i])
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
         imu_stream.append(
-            measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=noise, rng=rng, t=t)
+            imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng, t=t)
         )
         tag = traj.p[i] if lever is None else traj.p[i] + traj.rot[i] @ lever
         if topology == "toa":

@@ -16,7 +16,7 @@ import pytest
 from conftest import noisy_imu_and_fixes
 from scipy.spatial.transform import Rotation
 
-from uwbnav.attitude import ReferenceEnvironment, measure_imu
+from uwbnav.attitude import ReferenceEnvironment
 from uwbnav.harness import RunConfig, default_anchors, ingest_dataset, run_experiment
 from uwbnav.liegroup import quat_to_rot, skew, so3_exp
 from uwbnav.navfilter import FilterGains, FilterState, step_with_fix
@@ -29,7 +29,7 @@ from uwbnav.uwb import (
     solve_fix,
 )
 
-from reference import pa, rk4_closed_loop_step, tdoa_ranges, toa_ranges, vex
+from reference import imu_sample, pa, rk4_closed_loop_step, tdoa_ranges, toa_ranges, vex
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "data" / "const1"
 
@@ -218,7 +218,7 @@ def test_criterion_5_variant_equivalence():
     worst = {"attitude": 0.0, "position": 0.0, "velocity": 0.0}
     for i in range(1000):
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu = measure_imu(traj.state(i), traj.omega[i], vdot, env, noise=noise, rng=rng)
+        imu = imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng)
         obs = tdoa_ranges(traj.p[i], anchors, topology=RING)
         noisy = obs.diffs + rng.normal(0.0, noise.sigma_range, len(obs.diffs))
         p_y = solve_fix(anchors, TdoaRanges(topology=RING, diffs=noisy)).p
@@ -314,7 +314,7 @@ def _endpoint_gap(dt: float, horizon: float = 1.0) -> float:
     n = int(round(horizon / dt))
     for i in range(n):
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu = measure_imu(traj.state(i), traj.omega[i], vdot, env)
+        imu = imu_sample(traj.rot[i], traj.omega[i], vdot, env)
         state, _ = step_with_fix(state, imu, traj.p[i], env, gains, dt)
         r_c, p_c, v_c, s_c = rk4_closed_loop_step(
             r_c, p_c, v_c, s_c, imu.omega_m, imu.a_m, imu.m_m, traj.p[i], env, gains, dt

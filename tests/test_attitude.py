@@ -14,19 +14,11 @@ from uwbnav.attitude import (
     build_triads,
     measure_imu,
 )
-from uwbnav.liegroup import NavState, skew, so3_exp
+from uwbnav.liegroup import skew, so3_exp
 
-from reference import pa, vex, weighting_matrices
+from reference import imu_sample, pa, vex, weighting_matrices
 
 ENV = ReferenceEnvironment()
-
-
-def _state(r, p=None, v=None):
-    return NavState(
-        r=r,
-        p=np.zeros(3) if p is None else p,
-        v=np.zeros(3) if v is None else v,
-    )
 
 
 rotvec = st.builds(
@@ -51,30 +43,24 @@ class TestReferenceEnvironment:
 
 class TestMeasureImu:
     def test_hover_accel_reads_minus_gravity(self):
-        sample = measure_imu(_state(np.eye(3)), np.zeros(3), np.zeros(3), ENV)
-        assert np.allclose(sample.a_m, -ENV.g_vec, atol=1e-15)
+        _, accel, _ = measure_imu(np.eye(3), np.zeros(3), np.zeros(3), ENV)
+        assert np.allclose(accel, -ENV.g_vec, atol=1e-15)
 
     def test_magnetometer_is_body_frame_reference(self):
         r = random_rotation(7)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
-        assert np.allclose(sample.m_m, r.T @ ENV.m_r, atol=1e-14)
+        _, _, mag = measure_imu(r, np.zeros(3), np.zeros(3), ENV)
+        assert np.allclose(mag, r.T @ ENV.m_r, atol=1e-14)
 
     def test_gyro_passthrough(self):
         omega = np.array([0.1, -0.2, 0.3])
-        sample = measure_imu(_state(np.eye(3)), omega, np.zeros(3), ENV)
-        assert np.array_equal(sample.omega_m, omega)
+        gyro, _, _ = measure_imu(np.eye(3), omega, np.zeros(3), ENV)
+        assert np.array_equal(gyro, omega)
 
     def test_accel_inverts_specific_force(self):
         r = random_rotation(11)
         vdot = np.array([0.4, -1.1, 0.25])
-        sample = measure_imu(_state(r), np.zeros(3), vdot, ENV)
-        assert np.allclose(r @ sample.a_m + ENV.g_vec, vdot, atol=1e-13)
-
-    def test_noise_requires_rng(self):
-        from uwbnav.sim import NoiseSpec
-
-        with pytest.raises(ValueError):
-            measure_imu(_state(np.eye(3)), np.zeros(3), np.zeros(3), ENV, noise=NoiseSpec())
+        _, accel, _ = measure_imu(r, np.zeros(3), vdot, ENV)
+        assert np.allclose(r @ accel + ENV.g_vec, vdot, atol=1e-13)
 
     def test_noise_statistics(self):
         from uwbnav.sim import NoiseSpec
@@ -84,10 +70,11 @@ class TestMeasureImu:
         )
         rng = np.random.default_rng(99)
         n = 20000
-        gyro = np.empty((n, 3))
-        for i in range(n):
-            s = measure_imu(_state(np.eye(3)), np.zeros(3), np.zeros(3), ENV, noise=spec, rng=rng)
-            gyro[i] = s.omega_m
+        rot = np.broadcast_to(np.eye(3), (n, 3, 3))
+        gyro, _, _ = measure_imu(
+            rot, np.zeros((n, 3)), np.zeros((n, 3)), ENV, rng.standard_normal((n, 9)),
+            (spec.sigma_omega, spec.sigma_a, spec.sigma_m),
+        )
         assert np.allclose(gyro.std(axis=0), 0.01, rtol=0.05)
         assert np.allclose(gyro.mean(axis=0), 0.0, atol=4 * 0.01 / np.sqrt(n))
 
@@ -96,14 +83,14 @@ class TestBuildTriads:
     def test_zero_noise_triads_are_rotated_references(self):
         for seed in range(20):
             r = random_rotation(seed)
-            sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+            sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
             triads = build_triads(sample.a_m, sample.m_m, ENV)
             for vi, ri in zip(triads.v, triads.r):
                 assert np.allclose(vi, r.T @ ri, atol=1e-12)
 
     def test_rows_are_unit(self):
         r = random_rotation(5)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         assert np.allclose(np.linalg.norm(triads.v, axis=1), 1.0, atol=1e-12)
         assert np.allclose(np.linalg.norm(triads.r, axis=1), 1.0, atol=1e-12)
@@ -118,14 +105,14 @@ class TestBuildTriads:
 
     def test_custom_weights_recorded(self):
         r = random_rotation(2)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         s = np.array([1.5, 1.0, 0.5])
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
         assert np.array_equal(triads.s, s)
 
     def test_weights_must_sum_to_three(self):
         r = random_rotation(2)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         with pytest.raises(ValueError):
             build_triads(sample.a_m, sample.m_m, ENV, s=np.array([1.0, 1.0, 2.0]))
 
@@ -133,7 +120,7 @@ class TestBuildTriads:
 class TestWeightingMatrices:
     def test_reference_weighting_is_weighted_outer_sum(self):
         r = random_rotation(13)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         s = np.array([1.2, 0.9, 0.9])
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
         m_r, m_b = weighting_matrices(triads)
@@ -144,7 +131,7 @@ class TestWeightingMatrices:
 
     def test_comoment_positive_definite_for_noncollinear_triads(self):
         r = random_rotation(17)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         m_r, _ = weighting_matrices(triads)
         comoment = np.trace(m_r) * np.eye(3) - m_r
@@ -152,7 +139,7 @@ class TestWeightingMatrices:
 
     def test_unit_weights_give_unit_trace_rows(self):
         r = random_rotation(23)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         m_r, m_b = weighting_matrices(build_triads(sample.a_m, sample.m_m, ENV))
         assert np.isclose(np.trace(m_r), 3.0, atol=1e-12)
         assert np.isclose(np.trace(m_b), 3.0, atol=1e-12)
@@ -167,7 +154,7 @@ class TestMeasurementIdentities:
         r = so3_exp(rv_true)
         r_hat = so3_exp(rv_hat)
         s = np.array([s0, 1.0, 2.0 - s0])
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
         v_hat = (r_hat.T @ triads.r.T).T
 
@@ -185,7 +172,7 @@ class TestMeasurementIdentities:
     def test_trace_residual_equals_weighted_distance(self, rv_true, rv_hat):
         r = so3_exp(rv_true)
         r_hat = so3_exp(rv_hat)
-        sample = measure_imu(_state(r), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         v_hat = (r_hat.T @ triads.r.T).T
 

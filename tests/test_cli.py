@@ -277,6 +277,35 @@ class TestRunVerb:
         assert "config error" in err and line.split(":")[0] in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb,topology", [("run", "toa"), ("run", "tdoa-ring"), ("simulate", "tdoa-main")])
+    @pytest.mark.parametrize(
+        "lines,key",
+        [
+            (["sigma_a: 1.0e308"], "sigma_a"),
+            (["sigma_omega: 1.0e308"], "sigma_omega"),
+            (["sigma_m: 1.0e308"], "sigma_m"),
+            (["sigma_range: 1.0e308"], "sigma_range"),
+            (["radius: 1.0e100", "period: 1.0e-110"], "radius"),
+        ],
+    )
+    def test_overflowing_reading_is_config_error(self, tmp_path, capsys, verb, topology, lines, key):
+        # finite values whose readings overflow: once an "a_m must be a finite
+        # 3-vector" / "ranges must be finite and non-negative" traceback
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("\n".join(["duration: 1.0", f"topology: {topology}", *lines]) + "\n")
+        assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_toa_range_is_config_error(self, tmp_path, capsys):
+        # range noise larger than the ranges drives a TOA range below zero
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\nsigma_range: 10.0\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "sigma_range" in err
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")
@@ -324,6 +353,19 @@ class TestMetricsVerb:
         (out / "truth.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("metrics", str(out)) == EXIT_DATA
         assert "truth.csv: columns 'qw'..'qz' are not a unit quaternion (data row 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_truth_of_fewer_than_two_rows_is_data_error(self, tmp_path, capsys, rows):
+        # once two numpy RuntimeWarnings from the median of an empty diff,
+        # then "need at least 5 samples"
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        lines = (out / "truth.csv").read_text().splitlines()
+        (out / "truth.csv").write_text("\n".join(lines[: 1 + rows]) + "\n")
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert "data error: truth.csv needs at least two samples" in capsys.readouterr().err
 
     @staticmethod
     def _edit_estimates(tmp_path, row, column, value):

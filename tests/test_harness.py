@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from uwbnav import harness
-from uwbnav.attitude import ReferenceEnvironment, measure_imu
+from uwbnav.attitude import ReferenceEnvironment
 from uwbnav.harness import (
     ClockError,
     ConfigError,
@@ -26,7 +26,7 @@ from uwbnav.harness import (
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges
 
-from reference import synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
+from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
@@ -223,7 +223,7 @@ class TestSynthesizeMeasurements:
         assert len(imu_stream) == len(traj) == len(ranges)
         for i in (0, len(traj) // 2, len(traj) - 1):
             vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-            clean = measure_imu(traj.state(i), traj.omega[i], vdot, env)
+            clean = imu_sample(traj.rot[i], traj.omega[i], vdot, env)
             assert np.allclose(imu_stream[i].omega_m, clean.omega_m, atol=1e-12)
             assert np.allclose(imu_stream[i].a_m, clean.a_m, atol=1e-12)
             assert np.allclose(imu_stream[i].m_m, clean.m_m, atol=1e-12)

@@ -7,7 +7,9 @@ from scipy.spatial.transform import Rotation
 from uwbnav import liegroup as lg
 
 from conftest import random_rotation
-from reference import NotAntisymmetric, pa, rot_to_quat_per_matrix, so3_exp_per_vector, tangent_matrix, vex
+from reference import (
+    NotAntisymmetric, pa, rot_to_quat_per_matrix, se23_matrix, so3_exp_per_vector, tangent_matrix, vex,
+)
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -99,45 +101,44 @@ class TestSe23Exp:
     def test_matches_expm_oracle(self, rng):
         worst = 0.0
         for _ in range(300):
-            u = lg.TangentInput(
-                omega=rng.normal(size=3) * 3,
-                v=rng.normal(size=3) * 2,
-                a=rng.normal(size=3) * 5,
-                eps=rng.normal(),
-            )
+            u = (rng.normal(size=3) * 3, rng.normal(size=3) * 2, rng.normal(size=3) * 5, rng.normal())
             dt = rng.uniform(0, 0.6)
-            gap = np.abs(lg.se23_exp(u, dt) - expm(tangent_matrix(u) * dt)).max()
+            gap = np.abs(se23_matrix(*u, dt) - expm(tangent_matrix(*u) * dt)).max()
             worst = max(worst, gap)
         assert worst < 1e-12
 
     def test_small_angle_matches_expm(self):
-        u = lg.TangentInput(omega=[1e-9, 0, -1e-9], v=[1, 2, 3], a=[4, 5, 6], eps=1.0)
-        assert np.allclose(lg.se23_exp(u, 1.0), expm(tangent_matrix(u)), atol=1e-14)
+        u = ([1e-9, 0, -1e-9], [1, 2, 3], [4, 5, 6], 1.0)
+        assert np.allclose(se23_matrix(*u, 1.0), expm(tangent_matrix(*u)), atol=1e-14)
 
     def test_zero_input_gives_identity(self):
-        u = lg.TangentInput(omega=np.zeros(3), v=np.zeros(3), a=np.zeros(3), eps=0.0)
-        assert np.array_equal(lg.se23_exp(u, 0.37), np.eye(5))
+        rot, t_p, t_v = lg.se23_exp((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0, 0.37)
+        assert rot == ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        assert t_p == t_v == (0.0, 0.0, 0.0)
 
     def test_pure_translation_columns(self):
-        u = lg.TangentInput(omega=np.zeros(3), v=[1.0, -2.0, 3.0], a=[0.5, 0.0, -0.5], eps=0.0)
-        e = lg.se23_exp(u, 0.25)
-        assert np.allclose(e[:3, :3], np.eye(3))
-        assert np.allclose(e[:3, 3], np.array([1.0, -2.0, 3.0]) * 0.25)
-        assert np.allclose(e[:3, 4], np.array([0.5, 0.0, -0.5]) * 0.25)
-        assert e[4, 3] == 0.0
+        rot, t_p, t_v = lg.se23_exp((0.0, 0.0, 0.0), (1.0, -2.0, 3.0), (0.5, 0.0, -0.5), 0.0, 0.25)
+        assert np.allclose(rot, np.eye(3))
+        assert np.allclose(t_p, np.array([1.0, -2.0, 3.0]) * 0.25)
+        assert np.allclose(t_v, np.array([0.5, 0.0, -0.5]) * 0.25)
 
     def test_eps_couples_velocity_column(self):
-        u = lg.TangentInput(omega=np.zeros(3), v=np.zeros(3), a=[1.0, 0.0, 0.0], eps=2.0)
         dt = 0.1
-        e = lg.se23_exp(u, dt)
+        _, t_p, _ = lg.se23_exp((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), 2.0, dt)
         # position column picks up eps * dt^2 * a / 2 when omega == 0
-        assert np.allclose(e[:3, 3], [2.0 * dt * dt * 0.5, 0.0, 0.0])
-        assert e[4, 3] == pytest.approx(2.0 * dt)
+        assert np.allclose(t_p, [2.0 * dt * dt * 0.5, 0.0, 0.0])
+
+    def test_returns_python_floats(self, rng):
+        rot, t_p, t_v = lg.se23_exp(*(rng.normal(size=3).tolist() for _ in range(3)), 1.0, 0.01)
+        assert {type(x) for x in (*rot[0], *rot[1], *rot[2], *t_p, *t_v)} == {float}
+
+    def test_rejects_non_finite_input(self):
+        with pytest.raises(ValueError, match="tangent input must be finite"):
+            lg.se23_exp((0.0, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, 0.0), 1.0, 0.01)
 
 
 def test_tangent_matrix_layout():
-    u = lg.TangentInput(omega=[1, 2, 3], v=[4, 5, 6], a=[7, 8, 9], eps=0.5)
-    m = tangent_matrix(u)
+    m = tangent_matrix([1, 2, 3], [4, 5, 6], [7, 8, 9], 0.5)
     assert np.array_equal(m[:3, :3], lg.skew([1, 2, 3]))
     assert np.array_equal(m[:3, 3], [4, 5, 6])
     assert np.array_equal(m[:3, 4], [7, 8, 9])

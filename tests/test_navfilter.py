@@ -9,6 +9,7 @@ from hypothesis.extra.numpy import arrays
 from reference import (
     closed_loop_rhs,
     correction_eval,
+    imu_sample,
     nav_matrix,
     propagate_truth,
     rk4_closed_loop_step,
@@ -19,10 +20,8 @@ from reference import (
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
-from uwbnav.attitude import ImuSample, ReferenceEnvironment, build_triads, measure_imu
+from uwbnav.attitude import ImuSample, ReferenceEnvironment, build_triads
 from uwbnav.liegroup import (
-    NavState,
-    TangentInput,
     attitude_distance,
     quat_to_rot,
     rot_to_quat,
@@ -56,7 +55,7 @@ BOX = AnchorSet(
 
 def imu_at(traj, i, noise=None, rng=None):
     vdot = traj.rot[i] @ traj.a[i] + G
-    return measure_imu(traj.state(i), traj.omega[i], vdot, ENV, noise=noise, rng=rng)
+    return imu_sample(traj.rot[i], traj.omega[i], vdot, ENV, noise=noise, rng=rng)
 
 
 def state_at(traj, i, sigma=None, variant="matrix"):
@@ -128,9 +127,7 @@ class TestCorrectionTerms:
     def test_zero_error_fixed_point(self, rng):
         r = random_rotation(rng)
         traj_state = FilterState(r, np.array([1.0, -2.0, 0.5]), rng.normal(size=3), np.zeros(3))
-        sample = measure_imu(
-            NavState(r=r, p=traj_state.p_hat, v=traj_state.v_hat), np.zeros(3), np.zeros(3), ENV
-        )
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         w = correction_terms(traj_state, triads, traj_state.p_hat, GAINS)
         assert abs(w.e_r) < 1e-14
@@ -147,9 +144,7 @@ class TestCorrectionTerms:
             p_hat, v_hat = rng.normal(size=3), rng.normal(size=3)
             sigma_hat = rng.normal(size=3)
             p_y = rng.normal(size=3)
-            sample = measure_imu(
-                NavState(r=r, p=p_hat, v=v_hat), np.zeros(3), rng.normal(size=3), ENV
-            )
+            sample = imu_sample(r, np.zeros(3), rng.normal(size=3), ENV)
             state = FilterState(r_hat, p_hat, v_hat, sigma_hat)
             triads = build_triads(sample.a_m, sample.m_m, ENV)
             got = correction_terms(state, triads, p_y, GAINS)
@@ -168,7 +163,7 @@ class TestCorrectionTerms:
         r = random_rotation(rng)
         sigma = np.array([0.4, -0.2, 1.1])
         state = FilterState(r, np.zeros(3), np.zeros(3), sigma)
-        sample = measure_imu(NavState(r=r, p=np.zeros(3), v=np.zeros(3)), np.zeros(3), np.zeros(3), ENV)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         w = correction_terms(state, triads, np.zeros(3), GAINS)
         assert np.allclose(w.sigma_dot, -GAINS.k_sigma * GAINS.gamma_sigma * sigma, atol=1e-14)
@@ -177,7 +172,7 @@ class TestCorrectionTerms:
         for _ in range(100):
             r = random_rotation(rng)
             r_hat = random_rotation(rng)
-            sample = measure_imu(NavState(r=r, p=np.zeros(3), v=np.zeros(3)), np.zeros(3), np.zeros(3), ENV)
+            sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
             triads = build_triads(sample.a_m, sample.m_m, ENV)
             state = FilterState(r_hat, np.zeros(3), np.zeros(3), np.zeros(3))
             w = correction_terms(state, triads, np.zeros(3), GAINS)
@@ -222,8 +217,8 @@ class TestPredict:
             imu = ImuSample(omega_m=rng.normal(size=3), a_m=rng.normal(size=3), m_m=np.ones(3))
             dt = 0.05
             out = predict(state, imu, dt)
-            u = tangent_matrix(TangentInput(omega=imu.omega_m, v=np.zeros(3), a=imu.a_m, eps=1.0))
-            full = nav_matrix(NavState(r=r0, p=state.p_hat, v=state.v_hat)) @ expm(u * dt)
+            u = tangent_matrix(imu.omega_m, np.zeros(3), imu.a_m, 1.0)
+            full = nav_matrix(r0, state.p_hat, state.v_hat) @ expm(u * dt)
             assert np.allclose(out.attitude, full[:3, :3], atol=1e-13)
             assert np.allclose(out.p_hat, full[:3, 3], atol=1e-13)
             assert np.allclose(out.v_hat, full[:3, 4], atol=1e-13)
@@ -290,9 +285,9 @@ class TestUpdate:
             )
             dt = 0.01
             got = update(predict(state, imu, dt), w, dt, (0.0, 0.0, 0.0))
-            u = tangent_matrix(TangentInput(omega=imu.omega_m, v=np.zeros(3), a=imu.a_m, eps=1.0))
-            wm = tangent_matrix(TangentInput(omega=w.w_omega, v=w.w_v, a=w.w_a, eps=1.0))
-            full = expm(-wm * dt) @ nav_matrix(NavState(r=r0, p=state.p_hat, v=state.v_hat)) @ expm(u * dt)
+            u = tangent_matrix(imu.omega_m, np.zeros(3), imu.a_m, 1.0)
+            wm = tangent_matrix(w.w_omega, w.w_v, w.w_a, 1.0)
+            full = expm(-wm * dt) @ nav_matrix(r0, state.p_hat, state.v_hat) @ expm(u * dt)
             assert np.allclose(got.attitude, full[:3, :3], atol=1e-13)
             assert np.allclose(got.p_hat, full[:3, 3], atol=1e-13)
             assert np.allclose(got.v_hat, full[:3, 4], atol=1e-13)
@@ -301,23 +296,19 @@ class TestUpdate:
         # A spinning hover keeps the accelerometer aligned with gravity
         # (zero linear acceleration), so the triad corrections vanish
         # identically and the pair must equal the exact truth flow.
-        truth = NavState(
-            r=so3_exp(np.array([0.0, 0.0, 0.7])),
-            p=np.array([1.0, -2.0, 1.5]),
-            v=np.zeros(3),
-        )
+        r, p = so3_exp(np.array([0.0, 0.0, 0.7])), np.array([1.0, -2.0, 1.5])
         omega = np.array([0.0, 0.0, 0.5])
-        body_a = truth.r.T @ (-G)
-        imu = measure_imu(truth, omega, np.zeros(3), ENV)
-        state = FilterState(truth.r, truth.p, truth.v, np.zeros(3))
+        body_a = r.T @ (-G)
+        imu = imu_sample(r, omega, np.zeros(3), ENV)
+        state = FilterState(r, p, np.zeros(3), np.zeros(3))
         triads = build_triads(imu.a_m, imu.m_m, ENV)
-        w = correction_terms(state, triads, truth.p, GAINS)
+        w = correction_terms(state, triads, p, GAINS)
         dt = 0.01
         out = update(predict(state, imu, dt), w, dt, G.tolist())
-        truth_next = propagate_truth(truth, omega, body_a, ENV, dt)
-        assert np.linalg.norm(out.p_hat - truth_next.p) < 1e-9
-        assert np.linalg.norm(out.v_hat - truth_next.v) < 1e-9
-        assert attitude_distance(out.attitude @ truth_next.r.T) < 1e-18
+        r_next, p_next, v_next = propagate_truth(r, p, np.zeros(3), omega, body_a, ENV, dt)
+        assert np.linalg.norm(out.p_hat - p_next) < 1e-9
+        assert np.linalg.norm(out.v_hat - v_next) < 1e-9
+        assert attitude_distance(out.attitude @ r_next.T) < 1e-18
 
 
 class TestStepWithFix:

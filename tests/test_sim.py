@@ -10,7 +10,7 @@ from scipy.signal import savgol_filter
 
 from uwbnav import sim
 from uwbnav.attitude import ReferenceEnvironment
-from uwbnav.liegroup import NavState, attitude_distance
+from uwbnav.liegroup import attitude_distance
 from uwbnav.sim import (
     BadParams,
     NoiseSpec,
@@ -28,46 +28,43 @@ G = ENV.g_vec
 
 class TestPropagateTruth:
     def test_hover_with_thrust_is_stationary(self):
-        x = NavState(r=np.eye(3), p=np.array([1.0, 2.0, 3.0]), v=np.zeros(3))
-        y = propagate_truth(x, np.zeros(3), -G, ENV, dt=0.01)
-        assert np.allclose(y.p, x.p, atol=1e-14)
-        assert np.allclose(y.v, 0.0, atol=1e-14)
-        assert np.allclose(y.r, np.eye(3), atol=1e-15)
+        p0 = np.array([1.0, 2.0, 3.0])
+        r, p, v = propagate_truth(np.eye(3), p0, np.zeros(3), np.zeros(3), -G, ENV, dt=0.01)
+        assert np.allclose(p, p0, atol=1e-14)
+        assert np.allclose(v, 0.0, atol=1e-14)
+        assert np.allclose(r, np.eye(3), atol=1e-15)
 
     def test_free_fall_matches_ballistics(self):
-        x = NavState(r=np.eye(3), p=np.zeros(3), v=np.zeros(3))
         dt = 0.5
-        y = propagate_truth(x, np.zeros(3), np.zeros(3), ENV, dt=dt)
-        assert np.allclose(y.v, G * dt, atol=1e-13)
-        assert np.allclose(y.p, 0.5 * G * dt * dt, atol=1e-13)
+        _, p, v = propagate_truth(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), ENV, dt=dt)
+        assert np.allclose(v, G * dt, atol=1e-13)
+        assert np.allclose(p, 0.5 * G * dt * dt, atol=1e-13)
 
     def test_constant_velocity_drift(self):
         v0 = np.array([1.0, -2.0, 0.5])
-        x = NavState(r=np.eye(3), p=np.zeros(3), v=v0)
-        y = propagate_truth(x, np.zeros(3), -G, ENV, dt=0.2)
-        assert np.allclose(y.p, v0 * 0.2, atol=1e-13)
-        assert np.allclose(y.v, v0, atol=1e-14)
+        _, p, v = propagate_truth(np.eye(3), np.zeros(3), v0, np.zeros(3), -G, ENV, dt=0.2)
+        assert np.allclose(p, v0 * 0.2, atol=1e-13)
+        assert np.allclose(v, v0, atol=1e-14)
 
     def test_two_half_steps_equal_one_for_constant_inputs(self):
         rng = np.random.default_rng(3)
-        x = NavState(
-            r=np.linalg.qr(rng.normal(size=(3, 3)))[0] * np.sign(np.linalg.det(np.linalg.qr(rng.normal(size=(3, 3)))[0])),
-            p=rng.normal(size=3),
-            v=rng.normal(size=3),
+        x = (
+            np.linalg.qr(rng.normal(size=(3, 3)))[0] * np.sign(np.linalg.det(np.linalg.qr(rng.normal(size=(3, 3)))[0])),
+            rng.normal(size=3),
+            rng.normal(size=3),
         )
-        assert np.linalg.det(x.r) > 0.0  # a rotation, not a reflection
+        assert np.linalg.det(x[0]) > 0.0  # a rotation, not a reflection
         omega = np.array([0.3, -0.1, 0.8])
         a = np.array([0.5, 0.2, -9.0])
-        one = propagate_truth(x, omega, a, ENV, dt=0.02)
-        half = propagate_truth(propagate_truth(x, omega, a, ENV, dt=0.01), omega, a, ENV, dt=0.01)
-        assert np.allclose(one.p, half.p, atol=1e-12)
-        assert np.allclose(one.v, half.v, atol=1e-12)
-        assert np.allclose(one.r, half.r, atol=1e-13)
+        one = propagate_truth(*x, omega, a, ENV, dt=0.02)
+        half = propagate_truth(*propagate_truth(*x, omega, a, ENV, dt=0.01), omega, a, ENV, dt=0.01)
+        assert np.allclose(one[1], half[1], atol=1e-12)
+        assert np.allclose(one[2], half[2], atol=1e-12)
+        assert np.allclose(one[0], half[0], atol=1e-13)
 
     def test_rejects_nonpositive_dt(self):
-        x = NavState(r=np.eye(3), p=np.zeros(3), v=np.zeros(3))
         with pytest.raises(ValueError):
-            propagate_truth(x, np.zeros(3), np.zeros(3), ENV, dt=0.0)
+            propagate_truth(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3), ENV, dt=0.0)
 
 
 class TestGenerateTrajectory:
@@ -114,12 +111,12 @@ class TestGenerateTrajectory:
         traj = generate_trajectory(
             "circle", {"p0": [2, 0, 1], "radius": 2.0, "period": 6.0, "duration": 3.0, "rate": 50.0}
         )
-        x = traj.state(0)
+        r, p, v = traj.rot[0], traj.p[0], traj.v[0]
         worst_p = worst_r = 0.0
         for i in range(1, len(traj)):
-            x = propagate_truth(x, traj.omega[i - 1], traj.a[i - 1], ENV, traj.dt)
-            worst_p = max(worst_p, float(np.linalg.norm(x.p - traj.p[i])))
-            worst_r = max(worst_r, float(attitude_distance(x.r @ traj.rot[i].T)))
+            r, p, v = propagate_truth(r, p, v, traj.omega[i - 1], traj.a[i - 1], ENV, traj.dt)
+            worst_p = max(worst_p, float(np.linalg.norm(p - traj.p[i])))
+            worst_r = max(worst_r, float(attitude_distance(r @ traj.rot[i].T)))
         assert worst_p < 1e-9
         assert worst_r < 1e-18
 

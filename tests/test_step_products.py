@@ -34,7 +34,7 @@ PER_STEP = {
     ),
     "attitude": ("_raw_imu", "_raw_triads", "_check_measured", "_weights", "_unit", "build_triads"),
     "liegroup": (
-        "cross3", "_rodrigues_coefficients", "_se23_blocks", "quat_normalize", "_quat_rot_rows",
+        "cross3", "_rodrigues_coefficients", "se23_exp", "quat_normalize", "_quat_rot_rows",
         "quat_multiply", "quat_from_rotvec",
     ),
     "uwb": (
