@@ -18,7 +18,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .liegroup import _array_field, _floats, _new, _vector, cross3
+from .liegroup import _array_field, _new, _vector, cross3
 
 __all__ = [
     "DegenerateTriads",
@@ -32,6 +32,10 @@ __all__ = [
 # Vectors (or their cross products) with norm at or below this threshold
 # cannot be normalized into triad directions.
 EPS_DEGENERATE = 1e-6
+# no reference coordinate may exceed this magnitude: the squared norms and
+# the cross product's, which the triads and the collinearity test take, then
+# stay finite
+REFERENCE_LIMIT = 1e150
 
 
 class DegenerateTriads(RuntimeError):
@@ -59,6 +63,9 @@ class ReferenceEnvironment:
             raise ValueError("g_vec and m_r must be 3-vectors")
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(m))):
             raise ValueError("g_vec and m_r must be finite")
+        if not max(np.abs(g).max(), np.abs(m).max()) <= REFERENCE_LIMIT:
+            raise ValueError(f"g_vec and m_r must lie within {REFERENCE_LIMIT:g} of the origin: their squares "
+                             "would overflow")
         gn, mn = np.linalg.norm(g), np.linalg.norm(m)
         if gn <= EPS_DEGENERATE or mn <= EPS_DEGENERATE:
             raise ValueError("g_vec and m_r must be nonzero")
@@ -68,8 +75,8 @@ class ReferenceEnvironment:
         object.__setattr__(self, "m_r", m)
         r1 = _unit(*(-g).tolist(), "gravity reference")
         r2 = _unit(*m.tolist(), "magnetic reference")
-        r3 = _unit(*cross3(r1, r2), "reference cross product")
-        object.__setattr__(self, "_reference", _reference_floats((r1, r2, r3)))
+        rows = (r1, r2, _unit(*cross3(r1, r2), "reference cross product"))
+        object.__setattr__(self, "_reference", (rows, tuple(x * x + y * y + z * z for x, y, z in rows)))
         object.__setattr__(self, "_g", tuple(g.tolist()))
 
 
@@ -97,46 +104,20 @@ def _raw_imu(omega: tuple, a: tuple, m: tuple, t: float) -> ImuSample:
     return imu
 
 
+@dataclass(slots=True)
 class TriadSet:
-    """Three matched unit-vector pairs with weights.
+    """Three matched unit-vector pairs with weights, as :func:`build_triads` builds them.
 
-    ``v[i]`` is measured in the body frame, ``r[i]`` is the matching
-    inertial reference, and ``s`` are nonnegative weights summing to 3.  The
-    third pair is a normalized cross product of the first two, so it is
-    orthogonal to both by construction.  The reference side is stored as
-    ``(rows, squared_norms)`` floats, the form :func:`build_triads` takes
-    from the environment.
+    ``v`` holds the measured body-frame unit rows, ``reference`` the
+    matching inertial side as ``(rows, squared_norms)`` (the environment's,
+    computed once) and ``s`` the nonnegative weights summing to 3, all as
+    float tuples.  The third pair is a normalized cross product of the first
+    two, so it is orthogonal to both by construction.
     """
 
-    __slots__ = ("_v", "_reference", "_s")
-
-    def __new__(cls, v, r, s=(1.0, 1.0, 1.0)) -> TriadSet:
-        v = np.asarray(v, dtype=float)
-        r = np.asarray(r, dtype=float)
-        if v.shape != (3, 3) or r.shape != (3, 3):
-            raise ValueError("v and r must be 3x3 (rows are the triad vectors)")
-        rows = _floats(v)
-        _check_measured(*rows)
-        if not np.abs(np.linalg.norm(r, axis=1) - 1.0).max() <= 1e-9:
-            raise ValueError("reference triad rows must be unit vectors")
-        return _raw_triads(rows, _reference_floats(r.tolist()), _weights(s))
-
-    v = _array_field("_v", "Measured unit vectors (3, 3), one per row.")
-    r = property(lambda self: np.array(self._reference[0]), doc="Reference unit vectors (3, 3), one per row.")
-    s = _array_field("_s", "Confidence weights (3,).")
-
-
-def _raw_triads(v: tuple, reference: tuple, s: tuple) -> TriadSet:
-    """A TriadSet holding the given float rows, reference and weights, without the constructor's checks."""
-    triads = _new(TriadSet)
-    triads._v, triads._reference, triads._s = v, reference, s
-    return triads
-
-
-def _reference_floats(rows) -> tuple:
-    """``(rows, squared_norms)`` of a reference triad given as three float rows, as float tuples."""
-    rows = tuple(map(tuple, rows))
-    return rows, tuple(x * x + y * y + z * z for x, y, z in rows)
+    v: tuple
+    reference: tuple
+    s: tuple
 
 
 def _check_measured(v1, v2, v3) -> None:
@@ -218,8 +199,8 @@ def build_triads(
     ``-g/||g||``, the normalized magnetometer with the field direction, and
     closes with the normalized cross products on both sides.  The reference
     side is the environment's, computed once; the measured side and the
-    weights are checked here, on floats, so the TriadSet constructor is not
-    run again.  ``a_m``, ``m_m`` and ``s`` may be arrays or float sequences.
+    weights are checked here, on floats.  ``a_m``, ``m_m`` and ``s`` may be
+    arrays or float sequences.
 
     Raises
     ------
@@ -231,4 +212,4 @@ def build_triads(
     v2 = _unit(*map(float, m_m), "magnetometer sample")
     v3 = _unit(*cross3(v1, v2), "measured cross product")
     _check_measured(v1, v2, v3)
-    return _raw_triads((v1, v2, v3), env._reference, _weights(s))
+    return TriadSet((v1, v2, v3), env._reference, _weights(s))

@@ -258,11 +258,12 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
 
 
 def _check_metrics(att_err, pos_err, vel_err) -> None:
-    """Range checks of metrics.csv values, on one row or on whole columns."""
-    if not np.all((-1e-9 <= att_err) & (att_err <= 1.0 + 1e-9)):
-        raise ValueError("att_err must lie in [0, 1]")
-    if not np.all((pos_err >= 0) & (vel_err >= 0)):
-        raise ValueError("pos_err and vel_err must be nonnegative")
+    """Range checks of metrics.csv values, on one row or on whole columns; a failure names the data row."""
+    for ok, what in (((-1e-9 <= att_err) & (att_err <= 1.0 + 1e-9), "att_err must lie in [0, 1]"),
+                     ((0.0 <= pos_err) & (pos_err < np.inf) & (0.0 <= vel_err) & (vel_err < np.inf),
+                      "pos_err and vel_err must be finite and nonnegative")):
+        if not np.all(ok):
+            raise ValueError(f"{what} (data row {np.argmin(ok) + 1})")
 
 
 # ranging kind of each topology: None (absolute TOA ranges) or the TDOA scheme
@@ -573,7 +574,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _metrics_block(t, r_true, p_true, v_true, r_est, p_est, v_est, sigma, e_r, py_residual) -> np.ndarray:
     """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, range-checked."""
     att = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
-    pos, vel = _norms(p_true - p_est), _norms(v_true - v_est)
+    with np.errstate(over="ignore"):  # an error norm that overflows fails the check below
+        pos, vel = _norms(p_true - p_est), _norms(v_true - v_est)
     _check_metrics(att, pos, vel)
     return np.column_stack([t, att, pos, vel, _norms(sigma), e_r, py_residual])
 
@@ -594,7 +596,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     Raises
     ------
     NumericalFailure
-        If the state stops being finite or no step obtains a usable fix.
+        If the state stops being finite, an error metric overflows, or no
+        step obtains a usable fix.
     """
     env = cfg.env()
     gains = cfg.gains()
@@ -628,7 +631,7 @@ def run_experiment(cfg: RunConfig) -> dict:
             raise NumericalFailure(f"filter step failed at t={traj.t[i]:.3f}: {err}") from err
         states.append(state)
         diags.append(diag)
-    dropout = [d._dropout for d in diags]
+    dropout = [d.dropout for d in diags]
     dropouts = sum(dropout)
     if dropouts == n:
         raise NumericalFailure("every step dropped its measurement")
@@ -639,11 +642,12 @@ def run_experiment(cfg: RunConfig) -> dict:
     p_hat = _stacked([s._p for s in states], (3,))
     v_hat = _stacked([s._v for s in states], (3,))
     sigma_hat = _stacked([s._sigma for s in states], (3,))
-    e_r = np.array([d._e_r for d in diags])
-    residual = np.array([d._innovation_norm for d in diags])
-    metrics = _metrics_block(
-        t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual
-    )
+    e_r = np.array([d.e_r for d in diags])
+    residual = np.array([d.innovation_norm for d in diags])
+    try:
+        metrics = _metrics_block(t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual)
+    except ValueError as err:
+        raise NumericalFailure(f"metrics: {err}") from err
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -660,7 +664,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     summary = {
         "steps": n,
         "dropouts": dropouts,
-        "sigma_alerts": sum(d._sigma_alert for d in diags),
+        "sigma_alerts": sum(d.sigma_alert for d in diags),
         "final": {
             "att_err": float(att[-1]),
             "pos_err": float(pos[-1]),
@@ -725,9 +729,12 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     far = np.abs(t_truth[i] - t) > 0.5 * dt_truth + 1e-9
     if far.any():
         raise ClockError(f"no truth sample near t={t[np.argmax(far)]:.6g}")
-    metrics = _metrics_block(
-        t, quat_to_rot(truth[i, 4:8]), truth[i, 1:4], v_truth[i], quat_to_rot(est[:, 7:11]),
-        est[:, 1:4], est[:, 4:7], est[:, 11:14], est[:, 14], est[:, 15],
-    )
+    try:
+        metrics = _metrics_block(
+            t, quat_to_rot(truth[i, 4:8]), truth[i, 1:4], v_truth[i], quat_to_rot(est[:, 7:11]),
+            est[:, 1:4], est[:, 4:7], est[:, 11:14], est[:, 14], est[:, 15],
+        )
+    except ValueError as err:
+        raise SchemaError(f"{est_path.name} against {Path(truth_path).name}: {err}") from err
     _write_csv(Path(out_path), _METRICS_HEADER, metrics)
     return len(metrics)

@@ -17,29 +17,29 @@ variants track each other to round-off.  The continuous closed loop this
 discretizes keeps gravity in the velocity law instead of folding it into
 W; the two conventions encode identical dynamics.
 
-Validation: inputs are checked once, by the public constructors
-(FilterState, FilterGains, ImuSample, ReferenceEnvironment, the range
-sets), which take array-likes.  A step builds its values through each
-class's private raw constructor (``_raw_state``, ``_raw_corrections``,
-...), which stores the floats it is given unchecked, and checks what the
-step can break: the measured triad and its weights, finite corrections, unit
-quaternions and, once, the output state (``update`` gates its result,
-``step`` the predict-only state of a dropout) against ``ATTITUDE_GATE``
-and for NaN/inf.
+Validation: the values that enter from outside (FilterState, FilterGains,
+ImuSample, ReferenceEnvironment, the range sets) are checked once, by
+constructors that take array-likes; a step rebuilds them through private
+raw constructors (``_raw_state``, ...) that store the floats given.  The
+values only a step builds (TriadSet, PositionFix, CorrectionTerms,
+Diagnostics) are plain slotted dataclasses of floats with no checking
+constructor: each producer checks before it builds one.  Checked are what
+a step can break: the measured triad and its weights, a fix's rank,
+conditioning and finiteness, unit quaternions and, once, the output state
+(``update`` gates its result, ``step`` the predict-only state of a
+dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
 arithmetic, and building or reading back a small array costs as much.  So
-the values that cross the step's layers (states, corrections, triads,
-fixes, diagnostics and the input rows) are slotted objects holding tuples
-of Python floats: attitude as three row tuples or one quaternion 4-tuple,
-3-vectors as 3-tuples, ``d_v`` as its diagonal.  Each layer reads that
-storage and evaluates its products as scalar expressions; no array is
-built or read inside a step.  The public fields (``p_hat``, ``attitude``,
-``w_omega``, ...) are read-only properties that build a fresh float64
-array on every read, for callers outside the step.  Code that works on
-whole ``(n, 3, 3)`` stacks (the harness, the metrics) stacks the float
-storage of a run's values once and stays in numpy.
+the values that cross the step's layers hold Python floats (attitude as
+three row tuples or one quaternion 4-tuple, 3-vectors as 3-tuples, ``d_v``
+as its diagonal) and each layer evaluates its products as scalar
+expressions on them; no array is built or read inside a step.  The input
+values' public fields (``p_hat``, ``attitude``, ``omega_m``, ...) are
+read-only properties that build a fresh float64 array on every read, for
+callers outside the step; a step intermediate's fields are its float
+tuples.  The harness and the metrics stack a run's float storage once.
 """
 
 from __future__ import annotations
@@ -183,66 +183,39 @@ def _gate(state: FilterState) -> FilterState:
     return state
 
 
+@dataclass(slots=True)
 class CorrectionTerms:
-    """One evaluation of the correction and adaptation block."""
+    """One evaluation of the correction and adaptation block, as float tuples (see :func:`correction_terms`).
 
-    __slots__ = ("_e_r", "_d", "_w_omega", "_w_v", "_w_a", "_sigma_dot")
+    ``e_r`` is the quarter-trace attitude residual, ``d_v_diag`` the
+    diagonal of ``d_v`` and ``w_a`` the velocity correction with gravity not
+    folded in.
+    """
 
-    def __new__(cls, e_r: float, d_v, w_omega, w_v, w_a, sigma_dot) -> CorrectionTerms:
-        d = np.asarray(d_v, dtype=float)
-        if d.shape != (3, 3) or np.any(d != np.diag(np.diag(d))):
-            raise ValueError("d_v must be a 3x3 diagonal matrix")
-        return _raw_corrections(
-            float(e_r), _floats(np.diag(d)), _vector(w_omega, "w_omega"), _vector(w_v, "w_v"),
-            _vector(w_a, "w_a"), _vector(sigma_dot, "sigma_dot"),
-        )
-
-    e_r = property(attrgetter("_e_r"), doc="Quarter-trace attitude residual.")
-    d_v = property(lambda self: np.diag(self._d), doc="Diagonal matrix (3, 3) of the weighted triad cross sum.")
-    w_omega = _array_field("_w_omega", "Attitude correction (3,).")
-    w_v = _array_field("_w_v", "Position correction (3,).")
-    w_a = _array_field("_w_a", "Velocity correction (3,), gravity not folded in.")
-    sigma_dot = _array_field("_sigma_dot", "Rate of the covariance-bound estimate (3,).")
+    e_r: float
+    d_v_diag: tuple
+    w_omega: tuple
+    w_v: tuple
+    w_a: tuple
+    sigma_dot: tuple
 
 
-def _raw_corrections(
-    e_r: float, d: tuple, w_omega: tuple, w_v: tuple, w_a: tuple, sigma_dot: tuple
-) -> CorrectionTerms:
-    """CorrectionTerms holding the given floats (``d`` is ``d_v``'s diagonal), without the constructor's checks."""
-    w = _new(CorrectionTerms)
-    w._e_r, w._d, w._w_omega, w._w_v, w._w_a, w._sigma_dot = e_r, d, w_omega, w_v, w_a, sigma_dot
-    return w
-
-
+@dataclass(slots=True)
 class Diagnostics:
-    """Per-step observability: attitude residual, innovation, adaptation."""
+    """Per-step observability, as :func:`step_with_fix` and :func:`step` build it.
 
-    __slots__ = ("_e_r", "_innovation_norm", "_sigma", "_dropout", "_dropout_reason", "_sigma_alert")
+    ``e_r`` is the quarter-trace attitude residual and ``innovation_norm``
+    the distance of the fix from the prior position (both NaN on a
+    dropout); ``dropout_reason`` is the exception name and message of a
+    dropout, and ``sigma_alert`` flags a component of the new ``sigma_hat``
+    below ``SIGMA_ALERT_FLOOR``.
+    """
 
-    def __new__(
-        cls, e_r: float, innovation_norm: float, sigma_hat, dropout: bool = False, dropout_reason: str = "",
-        sigma_alert: bool = False,
-    ) -> Diagnostics:
-        return _raw_diagnostics(
-            float(e_r), float(innovation_norm), _vector(sigma_hat, "sigma_hat"), dropout, dropout_reason, sigma_alert
-        )
-
-    e_r = property(attrgetter("_e_r"), doc="Quarter-trace attitude residual (NaN on a dropout).")
-    innovation_norm = property(attrgetter("_innovation_norm"), doc="Distance of the fix from the prior position.")
-    sigma_hat = _array_field("_sigma", "Covariance-bound estimate after the step (3,).")
-    dropout = property(attrgetter("_dropout"), doc="The step dropped its measurement.")
-    dropout_reason = property(attrgetter("_dropout_reason"), doc="Exception name and message of a dropout.")
-    sigma_alert = property(attrgetter("_sigma_alert"), doc="A component of sigma_hat fell below the floor.")
-
-
-def _raw_diagnostics(
-    e_r: float, innovation_norm: float, sigma: tuple, dropout: bool, dropout_reason: str, sigma_alert: bool
-) -> Diagnostics:
-    """Diagnostics holding the given values, without the constructor's checks."""
-    diag = _new(Diagnostics)
-    diag._e_r, diag._innovation_norm, diag._sigma = e_r, innovation_norm, sigma
-    diag._dropout, diag._dropout_reason, diag._sigma_alert = dropout, dropout_reason, sigma_alert
-    return diag
+    e_r: float
+    innovation_norm: float
+    dropout: bool
+    dropout_reason: str
+    sigma_alert: bool
 
 
 def _product(a, b) -> tuple:
@@ -266,7 +239,7 @@ def correction_terms(
       ``(1/4) Tr sum s_i (r_i r_i^T - R_hat v_hat_i v_i^T R_hat^T)``,
       nonnegative and zero only at alignment;
     - ``d_v``: diagonal matrix of the weighted cross sum
-      ``sum s_i v_i x v_hat_i``;
+      ``sum s_i v_i x v_hat_i``, returned as its diagonal ``d_v_diag``;
     - ``sigma_dot``: adaptation law
       ``gamma_sigma (e_r+2)/8 exp(e_r) d_v (sum s_i v_i x v_hat_i)
       - k_sigma gamma_sigma sigma_hat``;
@@ -281,8 +254,8 @@ def correction_terms(
     """
     r_hat = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
-    (s0, s1, s2), (ref, r_sq) = triads._s, triads._reference
-    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads._v
+    (s0, s1, s2), (ref, r_sq) = triads.s, triads.reference
+    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v
     # the rows of h = (r R_hat) are v_hat_i = R_hat^T r_i, so m = h^T (s v)
     # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
     # subtracted trace Tr(R_hat m R_hat^T) is the inner product <R_hat m, R_hat>
@@ -310,7 +283,7 @@ def correction_terms(
     i0, i1, i2 = o0 - p_hat[0], o1 - p_hat[1], o2 - p_hat[2]
     k_v, k_a = -(g.kv / g.epsilon), -g.ka
     (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state._v)
-    return _raw_corrections(
+    return CorrectionTerms(
         e_r, (c0, c1, c2), w_omega, (k_v * i0 - x0, k_v * i1 - x1, k_v * i2 - x2),
         (k_a * i0 - z0, k_a * i1 - z1, k_a * i2 - z2), sigma_dot,
     )
@@ -360,11 +333,11 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    w_omega = w._w_omega
-    (a0, a1, a2), (g0, g1, g2) = w._w_a, g
+    w_omega = w.w_omega
+    (a0, a1, a2), (g0, g1, g2) = w.w_a, g
     # exp(-W dt) is exp(W t) at t = -dt
     w_a = (a0 - g0, a1 - g1, a2 - g2)
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(w_omega, w._w_v, w_a, 1.0, -dt)
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(w_omega, w.w_v, w_a, 1.0, -dt)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
     (p0, p1, p2), (v0, v1, v2) = state._p, state._v
     p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,
@@ -377,7 +350,7 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     else:
         w0, w1, w2 = w_omega
         att = quat_normalize(quat_multiply(quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt)), att))
-    (sg0, sg1, sg2), (sd0, sd1, sd2) = state._sigma, w._sigma_dot
+    (sg0, sg1, sg2), (sd0, sd1, sd2) = state._sigma, w.sigma_dot
     sigma_new = (sg0 + dt * sd0, sg1 + dt * sd1, sg2 + dt * sd2)
     return _gate(_raw_state(att, p_new, v_new, sigma_new, state._t))
 
@@ -400,8 +373,7 @@ def step_with_fix(
     triads = build_triads(imu._a, imu._m, env, s=gains._s)
     w = correction_terms(state, triads, p_y, gains)
     new = update(predict(state, imu, dt), w, dt, env._g)
-    sigma = new._sigma
-    return new, _raw_diagnostics(w._e_r, math.dist(p_y, state._p), sigma, False, "", min(sigma) < SIGMA_ALERT_FLOOR)
+    return new, Diagnostics(w.e_r, math.dist(p_y, state._p), False, "", min(new._sigma) < SIGMA_ALERT_FLOOR)
 
 
 def step(
@@ -420,7 +392,7 @@ def step(
     the dropout with its reason.  Works for both attitude variants.
     """
     try:
-        return step_with_fix(state, imu, solve_fix(anchors, ranges)._p, env, gains, dt)
+        return step_with_fix(state, imu, solve_fix(anchors, ranges).p, env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
         pred = _gate(predict(state, imu, dt))
-        return pred, _raw_diagnostics(_NAN, _NAN, pred._sigma, True, f"{type(err).__name__}: {err}", False)
+        return pred, Diagnostics(_NAN, _NAN, True, f"{type(err).__name__}: {err}", False)

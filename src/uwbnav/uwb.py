@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .liegroup import _array_field, _floats, _new, _vector
+from .liegroup import _array_field, _floats, _new
 
 __all__ = [
     "GeometryDegenerate",
@@ -250,36 +250,23 @@ def _range_rows(block: np.ndarray, topology: str | None) -> list[ToaRanges] | li
 RangeSet = ToaRanges | TdoaRanges
 
 
+@dataclass(slots=True)
 class PositionFix:
-    """Least-squares position solution.
+    """Least-squares position solution, as the solvers build it.
 
-    ``aux_range`` is the recovered distance to anchor 1 for TDOA solves
-    (None for TOA); ``aux_clamped`` flags a negative auxiliary range that
-    was clamped to zero.  ``condition_number`` is the Frobenius-norm
-    condition number ``||A||_F ||A^+||_F`` of the solved system matrix
-    ``A`` (see the module notes), at least its 2-norm condition number and
-    at most its column count times that.
+    ``p`` is the position as a float 3-tuple.  ``aux_range`` is the
+    recovered distance to anchor 1 for TDOA solves (None for TOA);
+    ``aux_clamped`` flags a negative auxiliary range that was clamped to
+    zero.  ``condition_number`` is the Frobenius-norm condition number
+    ``||A||_F ||A^+||_F`` of the solved system matrix ``A`` (see the module
+    notes), at least its 2-norm condition number and at most its column
+    count times that.
     """
 
-    __slots__ = ("_p", "_condition_number", "_aux_range", "_aux_clamped")
-
-    def __new__(
-        cls, p, condition_number: float, aux_range: float | None = None, aux_clamped: bool = False
-    ) -> PositionFix:
-        aux = None if aux_range is None else float(aux_range)
-        return _raw_fix(_vector(p, "p"), float(condition_number), aux, aux_clamped)
-
-    p = _array_field("_p", "Position (3,).")
-    condition_number = property(attrgetter("_condition_number"), doc="Frobenius-norm condition number.")
-    aux_range = property(attrgetter("_aux_range"), doc="Distance to anchor 1 (TDOA), or None (TOA).")
-    aux_clamped = property(attrgetter("_aux_clamped"), doc="A negative auxiliary range was clamped to zero.")
-
-
-def _raw_fix(p: tuple, condition_number: float, aux_range: float | None, aux_clamped: bool) -> PositionFix:
-    """A PositionFix holding the given floats, without the constructor's checks."""
-    fix = _new(PositionFix)
-    fix._p, fix._condition_number, fix._aux_range, fix._aux_clamped = p, condition_number, aux_range, aux_clamped
-    return fix
+    p: tuple
+    condition_number: float
+    aux_range: float | None
+    aux_clamped: bool
 
 
 def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
@@ -385,7 +372,7 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
     p = _position(f.v, sum(map(mul, u0, b)) / s0, sum(map(mul, u1, b)) / s1, sum(map(mul, u2, b)) / s2)
-    return _raw_fix(p, cond, None, False)
+    return PositionFix(p, cond, None, False)
 
 
 def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
@@ -446,7 +433,7 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
     clamped = aux < 0.0
     if clamped:
         aux = 0.0
-    return _raw_fix(p, cond, aux, clamped)
+    return PositionFix(p, cond, aux, clamped)
 
 
 def solve_fix(anchors: AnchorSet, obs: ToaRanges | TdoaRanges) -> PositionFix:

@@ -32,7 +32,9 @@ them outcome for outcome, and to round-off in value.
 
 The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
 is the filter step written with array products: the form the package
-evaluates on Python floats.  The two must agree to round-off.
+evaluates on Python floats.  The two must agree to round-off.  It reads
+and builds the step's float-tuple intermediates through ``triad_arrays``
+and ``corrections``, which the tests use as well.
 """
 
 import dataclasses
@@ -150,14 +152,26 @@ def imu_sample(r, omega, vdot, env, noise=None, rng=None, t=0.0):
     return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
 
 
+def triad_arrays(triads):
+    """``(v, r, s)`` of a TriadSet as float64 arrays: measured rows, reference rows, weights."""
+    return np.array(triads.v), np.array(triads.reference[0]), np.array(triads.s)
+
+
 def weighting_matrices(triads):
     """Weighted outer-product sums ``(M_r, M_B)`` of a triad set's reference and body sides."""
+    v, r, s = triad_arrays(triads)
     m_r = np.zeros((3, 3))
     m_b = np.zeros((3, 3))
     for i in range(3):
-        m_r += triads.s[i] * np.outer(triads.r[i], triads.r[i])
-        m_b += triads.s[i] * np.outer(triads.v[i], triads.v[i])
+        m_r += s[i] * np.outer(r[i], r[i])
+        m_b += s[i] * np.outer(v[i], v[i])
     return m_r, m_b
+
+
+def corrections(e_r, d_v_diag, w_omega, w_v, w_a, sigma_dot):
+    """CorrectionTerms from a float and array-like 3-vectors, stored as the step stores them: float tuples."""
+    vectors = (d_v_diag, w_omega, w_v, w_a, sigma_dot)
+    return CorrectionTerms(float(e_r), *(tuple(np.asarray(x, dtype=float).tolist()) for x in vectors))
 
 
 def scaled_noise(noise, factor):
@@ -375,12 +389,12 @@ def toa_solve_per_call(anchors, ranges):
     u, s, vt, cond = _svd_gate(h[1:] - h[0])
     y0, y1, y2 = (sum(map(mul, col, b)) / sk for col, sk in zip(u.T.tolist(), s.tolist()))
     p = [v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in vt.T.tolist()]
-    return PositionFix(p=np.array(p), condition_number=cond)
+    return PositionFix(tuple(p), cond, None, False)
 
 
 def _tdoa_fix(x, cond):
     aux = float(x[3])
-    return PositionFix(p=x[:3], condition_number=cond, aux_range=max(aux, 0.0), aux_clamped=aux < 0.0)
+    return PositionFix(tuple(x[:3].tolist()), cond, max(aux, 0.0), aux < 0.0)
 
 
 def tdoa_solve_main_bs(anchors, ranges):
@@ -445,7 +459,9 @@ def build_triads_numpy(a_m, m_m, env, s=(1.0, 1.0, 1.0)):
     v1 = _unit_or_raise(np.asarray(a_m, dtype=float), "accelerometer sample")
     v2 = _unit_or_raise(np.asarray(m_m, dtype=float), "magnetometer sample")
     v = np.array([v1, v2, _unit_or_raise(np.cross(v1, v2), "measured cross product")])
-    return TriadSet(v=v, r=reference_triad(env), s=s)
+    r = reference_triad(env)
+    reference = (tuple(map(tuple, r.tolist())), tuple((r * r).sum(axis=1).tolist()))
+    return TriadSet(tuple(map(tuple, v.tolist())), reference, tuple(map(float, s)))
 
 
 def rotation_numpy(attitude):
@@ -487,10 +503,10 @@ def se23_blocks_numpy(omega, v, a, eps, dt):
 def correction_terms_numpy(state, triads, p_y, gains):
     """Correction block with array products: ``m = (r R)^T (s v)``, its vex, and the trace residual."""
     r_hat = rotation_numpy(state.attitude)
-    s = triads.s
-    m = (triads.r @ r_hat).T @ (s[:, None] * triads.v)
+    v, r, s = triad_arrays(triads)
+    m = (r @ r_hat).T @ (s[:, None] * v)
     cross = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
-    e_r = 0.25 * float(s @ (triads.r * triads.r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
+    e_r = 0.25 * float(s @ (r * r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
     g = gains
     sigma_dot = (
         g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
@@ -499,14 +515,14 @@ def correction_terms_numpy(state, triads, p_y, gains):
     w_omega = r_hat @ (
         -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
     )
-    innovation = p_y - state.p_hat
-    return CorrectionTerms(
-        e_r=e_r,
-        d_v=np.diag(cross),
-        w_omega=w_omega,
-        w_v=-(g.kv / g.epsilon) * innovation - np.cross(w_omega, state.p_hat),
-        w_a=-g.ka * innovation - np.cross(w_omega, state.v_hat),
-        sigma_dot=sigma_dot,
+    innovation = np.asarray(p_y, dtype=float) - state.p_hat
+    return corrections(
+        e_r,
+        cross,
+        w_omega,
+        -(g.kv / g.epsilon) * innovation - np.cross(w_omega, state.p_hat),
+        -g.ka * innovation - np.cross(w_omega, state.v_hat),
+        sigma_dot,
     )
 
 
@@ -527,15 +543,16 @@ def predict_numpy(state, imu, dt):
 
 def update_numpy(state, w, dt, g):
     """``exp(-W dt)``, gravity ``g`` folded into ``w_a``, applied to a predicted state, with array products."""
-    r_e, t_p, t_v = se23_blocks_numpy(w.w_omega, w.w_v, w.w_a - g, 1.0, -dt)
+    w_omega, w_v, w_a, sigma_dot = map(np.array, (w.w_omega, w.w_v, w.w_a, w.sigma_dot))
+    r_e, t_p, t_v = se23_blocks_numpy(w_omega, w_v, w_a - g, 1.0, -dt)
     if state.attitude.shape == (3, 3):
         att = r_e @ state.attitude
     else:
-        att = quat_multiply_numpy(quat_from_rotvec_numpy(w.w_omega * -dt), state.attitude)
+        att = quat_multiply_numpy(quat_from_rotvec_numpy(w_omega * -dt), state.attitude)
         att = att / np.linalg.norm(att)
     return FilterState(
         attitude=att, p_hat=r_e @ state.p_hat + t_p + dt * t_v, v_hat=r_e @ state.v_hat + t_v,
-        sigma_hat=state.sigma_hat + dt * w.sigma_dot, t=state.t,
+        sigma_hat=state.sigma_hat + dt * sigma_dot, t=state.t,
     )
 
 

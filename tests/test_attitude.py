@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uwbnav.attitude import (
+    REFERENCE_LIMIT,
     DegenerateTriads,
     ImuSample,
     ReferenceEnvironment,
-    TriadSet,
+    _check_measured,
+    _weights,
     build_triads,
     measure_imu,
 )
@@ -39,6 +41,13 @@ class TestReferenceEnvironment:
     def test_rejects_zero_field(self):
         with pytest.raises(ValueError):
             ReferenceEnvironment(m_r=np.zeros(3))
+
+    @pytest.mark.parametrize("name", ["g_vec", "m_r"])
+    def test_coordinates_bounded_so_squares_stay_finite(self, name):
+        at_limit = ReferenceEnvironment(**{name: np.array([REFERENCE_LIMIT, 0.0, 1.0])})
+        assert np.isfinite(at_limit._reference[1]).all()
+        with pytest.raises(ValueError, match="must lie within 1e\\+150 of the origin"):
+            ReferenceEnvironment(**{name: np.array([np.nextafter(REFERENCE_LIMIT, np.inf), 0.0, 1.0])})
 
 
 class TestMeasureImu:
@@ -85,7 +94,7 @@ class TestBuildTriads:
             r = random_rotation(seed)
             sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
             triads = build_triads(sample.a_m, sample.m_m, ENV)
-            for vi, ri in zip(triads.v, triads.r):
+            for vi, ri in zip(triads.v, triads.reference[0]):
                 assert np.allclose(vi, r.T @ ri, atol=1e-12)
 
     def test_rows_are_unit(self):
@@ -93,7 +102,8 @@ class TestBuildTriads:
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         assert np.allclose(np.linalg.norm(triads.v, axis=1), 1.0, atol=1e-12)
-        assert np.allclose(np.linalg.norm(triads.r, axis=1), 1.0, atol=1e-12)
+        assert np.allclose(np.linalg.norm(triads.reference[0], axis=1), 1.0, atol=1e-12)
+        assert np.allclose(triads.reference[1], 1.0, atol=1e-12)
 
     def test_parallel_observations_rejected(self):
         with pytest.raises(DegenerateTriads):
@@ -108,7 +118,7 @@ class TestBuildTriads:
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         s = np.array([1.5, 1.0, 0.5])
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
-        assert np.array_equal(triads.s, s)
+        assert triads.s == tuple(s)
 
     def test_weights_must_sum_to_three(self):
         r = random_rotation(2)
@@ -124,7 +134,7 @@ class TestWeightingMatrices:
         s = np.array([1.2, 0.9, 0.9])
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
         m_r, m_b = weighting_matrices(triads)
-        want_r = sum(si * np.outer(ri, ri) for si, ri in zip(s, triads.r))
+        want_r = sum(si * np.outer(ri, ri) for si, ri in zip(s, triads.reference[0]))
         want_b = sum(si * np.outer(vi, vi) for si, vi in zip(s, triads.v))
         assert np.allclose(m_r, want_r, atol=1e-14)
         assert np.allclose(m_b, want_b, atol=1e-14)
@@ -156,7 +166,7 @@ class TestMeasurementIdentities:
         s = np.array([s0, 1.0, 2.0 - s0])
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
-        v_hat = (r_hat.T @ triads.r.T).T
+        v_hat = (r_hat.T @ np.transpose(triads.reference[0])).T
 
         cross = np.zeros(3)
         for si, vi, vhi in zip(s, triads.v, v_hat):
@@ -174,7 +184,7 @@ class TestMeasurementIdentities:
         r_hat = so3_exp(rv_hat)
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
-        v_hat = (r_hat.T @ triads.r.T).T
+        v_hat = (r_hat.T @ np.transpose(triads.reference[0])).T
 
         m_r, _ = weighting_matrices(triads)
         r_tilde = r @ r_hat.T
@@ -188,25 +198,27 @@ class TestMeasurementIdentities:
 
 
 class TestTriadSetValidation:
+    """The checks :func:`build_triads` runs on the measured rows and the weights before it builds a TriadSet."""
+
     def test_rejects_nonunit_rows(self):
         v = np.eye(3)
         v[0] *= 2.0
-        with pytest.raises(ValueError):
-            TriadSet(v=v, r=np.eye(3))
+        with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
+            _check_measured(*v.tolist())
 
     def test_rejects_nan_rows(self):
-        with pytest.raises(ValueError):
-            TriadSet(v=np.full((3, 3), np.nan), r=np.full((3, 3), np.nan))
+        with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
+            _check_measured(*np.full((3, 3), np.nan).tolist())
 
     def test_rejects_bad_weight_sum(self):
-        with pytest.raises(ValueError):
-            TriadSet(v=np.eye(3), r=np.eye(3), s=np.array([1.0, 1.0, 1.5]))
+        with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
+            _weights(np.array([1.0, 1.0, 1.5]))
 
     def test_rejects_non_orthogonal_third_row(self):
         v = np.eye(3)
         v[2] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        with pytest.raises(ValueError):
-            TriadSet(v=v, r=np.eye(3))
+        with pytest.raises(ValueError, match="third measured vector must be orthogonal to the first two"):
+            _check_measured(*v.tolist())
 
 
 def test_imu_sample_shape_validation():

@@ -306,6 +306,26 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "config error" in err and "sigma_range" in err
 
+    @pytest.mark.parametrize("line", ["g_vec: [0, 0, 1.0e308]", "m_r: [1.0e308, 0, 1.0]"])
+    def test_overflowing_reference_is_config_error(self, tmp_path, capsys, line):
+        # once a DegenerateTriads traceback after a numpy overflow warning
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "g_vec and m_r must lie within" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line", ["p_hat0: [1.0e300, 0, 0]", "v_hat0: [1.0e300, 0, 0]"])
+    def test_overflowing_error_is_numeric_error(self, tmp_path, capsys, line):
+        # once exit 0 with inf in metrics.csv and Infinity in summary.json
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: toa\n{line}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "pos_err and vel_err must be finite and nonnegative (data row 1)" in err
+        assert not (tmp_path / "o").exists()
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")
@@ -368,8 +388,8 @@ class TestMetricsVerb:
         assert "data error: truth.csv needs at least two samples" in capsys.readouterr().err
 
     @staticmethod
-    def _edit_estimates(tmp_path, row, column, value):
-        """A short TOA run whose estimates.csv has ``column`` of data row ``row`` set to ``value``.
+    def _edit_estimates(tmp_path, row, column, value, name="estimates.csv"):
+        """A short TOA run whose estimates.csv (or file ``name``) has ``column`` of data row ``row`` set to ``value``.
 
         ``value`` None drops that cell and every cell after it from the row.
         """
@@ -377,12 +397,12 @@ class TestMetricsVerb:
         cfg.write_text("duration: 1.0\ntopology: toa\n")
         out = tmp_path / "r"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
-        lines = (out / "estimates.csv").read_text().splitlines()
+        lines = (out / name).read_text().splitlines()
         k = lines[0].split(",").index(column)
         parts = lines[row].split(",")
         parts = parts[:k] if value is None else parts[:k] + [value] + parts[k + 1:]
         lines[row] = ",".join(parts)
-        (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+        (out / name).write_text("\n".join(lines) + "\n")
         return out
 
     @pytest.mark.parametrize(
@@ -401,6 +421,23 @@ class TestMetricsVerb:
         before = (out / "metrics.csv").read_bytes()
         assert run_cli("metrics", str(out)) == EXIT_DATA
         assert f"estimates.csv: {message}" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "name,column,value,row",
+        [("estimates.csv", "px", "1.0e300", 5), ("estimates.csv", "vz", "-1.0e300", 5),
+         # the truth velocity's first Savitzky-Golay window holds row 5
+         ("truth.csv", "pz", "1.0e300", 1)],
+    )
+    def test_overflowing_error_is_data_error(self, tmp_path, capsys, name, column, value, row):
+        # once exit 0 with inf in metrics.csv, after a numpy overflow warning
+        out = self._edit_estimates(tmp_path, 5, column, value, name)
+        before = (out / "metrics.csv").read_bytes()
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert (
+            "data error: estimates.csv against truth.csv: pos_err and vel_err must be finite and nonnegative "
+            f"(data row {row})"
+        ) in capsys.readouterr().err
         assert (out / "metrics.csv").read_bytes() == before
 
     def test_dropout_row_may_carry_nan_residuals(self, tmp_path, capsys):

@@ -206,7 +206,8 @@ class TestMetricsRow:
 
     @pytest.mark.parametrize("field,value", [("att_err", 1.5), ("att_err", -0.1),
                                              ("pos_err", -1.0), ("vel_err", -0.2),
-                                             ("pos_err", np.nan), ("vel_err", np.nan)])
+                                             ("pos_err", np.nan), ("vel_err", np.nan),
+                                             ("pos_err", np.inf), ("vel_err", np.inf)])
     def test_rejects_out_of_range(self, field, value):
         kwargs = dict(att_err=0.1, pos_err=0.1, vel_err=0.1)
         kwargs[field] = value

@@ -1,0 +1,54 @@
+"""Every experiment script in ``scripts/`` runs to completion at its smallest size.
+
+``test_public_api`` counts the scripts as callers of the package, so a
+script that stops running against it must fail tier-1.  Each runs in a
+fresh process on this checkout's sources, writing under ``tmp_path`` (the
+digest script's temporary directory included, through ``TMPDIR``).
+"""
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(tmp_path: Path, script: str, *args: str) -> str:
+    """Stdout of ``scripts/<script> args`` run from ``tmp_path``; a nonzero exit fails with its stderr."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, f"{script} exited with {done.returncode}:\n{done.stderr}"
+    return done.stdout
+
+
+def test_artifact_digests(tmp_path):
+    lines = _run(tmp_path, "artifact_digests.py").splitlines()
+    assert len(lines) == 42
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
+
+
+def test_step_convergence(tmp_path):
+    header, *rows = _run(tmp_path, "step_convergence.py", "--levels", "2").splitlines()
+    assert header.split() == ["dt", "gap", "to", "dt/2", "ratio"]
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "script,args,table,rows",
+    [
+        ("convergence_study.py", ["--seeds", "1", "--duration", "2"], "study.csv", 2),
+        ("tdoa_noise_sweep.py", ["--seeds", "1", "--duration", "2", "--sigmas", "0.05"], "sweep.csv", 3),
+    ],
+)
+def test_study_scripts(tmp_path, script, args, table, rows):
+    out = tmp_path / "out"
+    _run(tmp_path, script, *args, "--out", str(out))
+    assert len((out / table).read_text().splitlines()) == 1 + rows

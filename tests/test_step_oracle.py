@@ -12,6 +12,7 @@ from conftest import random_rotation
 from reference import (
     build_triads_numpy,
     correction_terms_numpy,
+    corrections,
     predict_numpy,
     step_numpy,
     update_numpy,
@@ -20,7 +21,7 @@ from reference import (
 from uwbnav.attitude import ImuSample, ReferenceEnvironment, build_triads
 from uwbnav.harness import RunConfig, synthesize_measurements
 from uwbnav.liegroup import rot_to_quat
-from uwbnav.navfilter import CorrectionTerms, FilterGains, FilterState, correction_terms, predict, step, update
+from uwbnav.navfilter import FilterGains, FilterState, correction_terms, predict, step, update
 from uwbnav.sim import generate_trajectory
 
 TRIALS = 200
@@ -61,8 +62,9 @@ def test_build_triads_matches_numpy_oracle():
         env, a_m, m_m, s = _env(rng), rng.normal(0.0, 10.0, 3), rng.normal(size=3), _gains(rng).s
         got, want = build_triads(a_m, m_m, env, s=s), build_triads_numpy(a_m, m_m, env, s=s)
         np.testing.assert_allclose(got.v, want.v, **TOL)
-        np.testing.assert_allclose(got.r, want.r, **TOL)
-        assert np.array_equal(got.s, want.s)
+        for got_side, want_side in zip(got.reference, want.reference):
+            np.testing.assert_allclose(got_side, want_side, **TOL)
+        assert got.s == want.s
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -74,7 +76,7 @@ def test_correction_terms_match_numpy_oracle(variant):
         p_y = state.p_hat + rng.normal(0.0, 0.5, 3)
         got, want = correction_terms(state, triads, p_y, gains), correction_terms_numpy(state, triads, p_y, gains)
         assert got.e_r == pytest.approx(want.e_r, **{"rel": 1e-12, "abs": 1e-12})
-        for name in ("d_v", "w_omega", "w_v", "w_a", "sigma_dot"):
+        for name in ("d_v_diag", "w_omega", "w_v", "w_a", "sigma_dot"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name), **TOL, err_msg=name)
 
 
@@ -91,9 +93,9 @@ def test_update_matches_numpy_oracle(variant):
     rng = np.random.default_rng(904)
     for _ in range(TRIALS):
         state, dt = _state(rng, variant), rng.uniform(1e-3, 0.1)
-        w = CorrectionTerms(
-            e_r=rng.uniform(), d_v=np.diag(rng.normal(size=3)), w_omega=rng.normal(size=3),
-            w_v=rng.normal(0.0, 10.0, 3), w_a=rng.normal(0.0, 50.0, 3), sigma_dot=rng.normal(size=3),
+        w = corrections(
+            rng.uniform(), rng.normal(size=3), rng.normal(size=3), rng.normal(0.0, 10.0, 3), rng.normal(0.0, 50.0, 3),
+            rng.normal(size=3),
         )
         g = ReferenceEnvironment().g_vec
         _assert_states_close(update(state, w, dt, g.tolist()), update_numpy(state, w, dt, g))

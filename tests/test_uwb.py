@@ -164,7 +164,7 @@ def _outcome(solve, *args):
         fix = solve(*args)
     except uwb.GeometryDegenerate as err:
         return str(err)
-    return fix.p, fix.condition_number, fix.aux_range, fix.aux_clamped
+    return np.array(fix.p), fix.condition_number, fix.aux_range, fix.aux_clamped
 
 
 def _assert_same_outcome(got, ref):
@@ -315,7 +315,7 @@ class TestTdoaSolvers:
         ring[-1] = -main[-1]
         fix_m = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.MAIN_BS, main))
         fix_r = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.RING, ring))
-        assert np.linalg.norm(fix_m.p - fix_r.p) < 1e-6
+        assert np.linalg.norm(np.subtract(fix_m.p, fix_r.p)) < 1e-6
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)

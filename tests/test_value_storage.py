@@ -1,17 +1,22 @@
-"""The per-step value classes: float storage inside, fresh arrays outside.
+"""The per-step values: float storage inside, fresh arrays outside the inputs.
 
-The values a filter step passes between its layers (states, corrections,
-diagnostics, triads, fixes and the input rows) are slotted objects that
-hold tuples of Python floats; their public fields are read-only
-properties that build a float64 array on each read (see the "Cost" note of
-``uwbnav.navfilter``).  These tests pin both sides of that boundary:
+The values a filter step passes between its layers hold Python floats (see
+the "Cost" note of ``uwbnav.navfilter``).  They come in two kinds.  Input
+values, which outside callers build (states, IMU samples, range sets), are
+slotted classes with a checking constructor that takes array-likes, and
+their public fields are read-only properties that build a float64 array on
+each read.  Step intermediates, which only a step builds (triads, fixes,
+corrections, diagnostics), are plain slotted dataclasses whose fields are
+the float tuples themselves, with no checking constructor; each producer
+runs its checks before it builds one.  These tests pin that boundary:
 
 - every value a real step builds, through every layer, has no instance
   ``__dict__`` and holds only Python floats (a numpy scalar that slipped
   into the storage would slow every later layer);
-- each public constructor takes any finite array-like of the right shape
-  and gives it back bit for bit, with its shape and dtype float64, and
-  rejects a non-finite or mis-shaped input with its named ValueError.
+- each input value's public constructor takes any finite array-like of the
+  right shape and gives it back bit for bit, with its shape and dtype
+  float64, and rejects a non-finite or mis-shaped input with its named
+  ValueError.
 """
 
 import numpy as np
@@ -21,12 +26,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uwbnav import navfilter
-from uwbnav.attitude import ImuSample, TriadSet
+from uwbnav.attitude import ImuSample
 from uwbnav.harness import default_anchors, load_config, synthesize_measurements
 from uwbnav.liegroup import quat_to_rot
-from uwbnav.navfilter import CorrectionTerms, Diagnostics, FilterState
+from uwbnav.navfilter import FilterState
 from uwbnav.sim import generate_trajectory
-from uwbnav.uwb import AnchorSet, PositionFix, TdoaRanges, ToaRanges
+from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges
 
 SCALARS = (float, bool, str, type(None))
 
@@ -165,82 +170,6 @@ def test_imu_sample_rejects(vec, value, index, name, shape):
     for spoiled in (_spoil(vec, value, index), np.zeros(shape)):
         with pytest.raises(ValueError, match=f"{name} must be a finite 3-vector"):
             ImuSample(**{**fields, name: spoiled})
-
-
-def _unit(x):
-    return x / np.linalg.norm(x)
-
-
-@st.composite
-def triad_rows(draw):
-    """Three unit rows, the third the normalized cross product of the first two."""
-    a, b = draw(unit_quaternions())[:3] + 0.1, draw(unit_quaternions())[1:] - 0.1
-    if not np.linalg.norm(np.cross(a, b)) > 1e-3:
-        a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    v1, v2 = _unit(a), _unit(b)
-    return np.array([v1, v2, _unit(np.cross(v1, v2))])
-
-
-@given(triad_rows(), triad_rows(), st.sampled_from([(1.0, 1.0, 1.0), (0.5, 1.5, 1.0), (3.0, 0.0, 0.0)]), array_like)
-def test_triad_set_round_trip(v, r, s, form):
-    triads = TriadSet(v=form(v), r=form(r), s=s)
-    _same_bits(_public(triads, "v"), v)
-    _same_bits(_public(triads, "r"), r)
-    _same_bits(_public(triads, "s"), s)
-
-
-@given(triad_rows(), non_finite, st.integers(0, 8), bad_shape)
-def test_triad_set_rejects(v, value, index, shape):
-    with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
-        TriadSet(v=_spoil(v, value, index), r=v)
-    with pytest.raises(ValueError, match="reference triad rows must be unit vectors"):
-        TriadSet(v=v, r=_spoil(v, value, index))
-    with pytest.raises(ValueError, match=r"v and r must be 3x3 \(rows are the triad vectors\)"):
-        TriadSet(v=np.zeros(shape), r=v)
-    with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
-        TriadSet(v=v, r=v, s=np.ones(shape))
-    with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
-        TriadSet(v=v, r=v, s=_spoil(np.ones(3), value, index))
-
-
-@given(finite, vec3, vec3, vec3, vec3, vec3, array_like)
-def test_correction_terms_round_trip(e_r, d, w_omega, w_v, w_a, sigma_dot, form):
-    w = CorrectionTerms(
-        e_r=e_r, d_v=form(np.diag(d)), w_omega=form(w_omega), w_v=form(w_v), w_a=form(w_a),
-        sigma_dot=form(sigma_dot),
-    )
-    _same_bits(_public(w, "d_v"), np.diag(d))
-    for name, given_value in (("w_omega", w_omega), ("w_v", w_v), ("w_a", w_a), ("sigma_dot", sigma_dot)):
-        _same_bits(_public(w, name), given_value)
-    assert w.e_r == e_r
-
-
-@given(vec3, st.integers(0, 2), bad_shape, st.sampled_from(["w_omega", "w_v", "w_a", "sigma_dot"]))
-def test_correction_terms_rejects(d, index, shape, name):
-    fields = {"e_r": 0.0, "d_v": np.diag(d), "w_omega": d, "w_v": d, "w_a": d, "sigma_dot": d}
-    for d_v in (_spoil(np.diag(d), np.nan, 4 * index), _spoil(np.diag(d), 1.0, 1 + index), np.zeros(shape)):
-        with pytest.raises(ValueError, match="d_v must be a 3x3 diagonal matrix"):
-            CorrectionTerms(**{**fields, "d_v": d_v})
-    with pytest.raises(ValueError, match=f"{name} must be a 3-vector"):
-        CorrectionTerms(**{**fields, name: np.zeros(shape)})
-
-
-@given(finite, finite, vec3, st.booleans(), array_like)
-def test_diagnostics_and_fix_round_trip(e_r, cond, sigma, flag, form):
-    diag = Diagnostics(e_r, cond, form(sigma), dropout=flag, dropout_reason="reason", sigma_alert=flag)
-    _same_bits(_public(diag, "sigma_hat"), sigma)
-    assert (diag.e_r, diag.innovation_norm, diag.dropout, diag.dropout_reason) == (e_r, cond, flag, "reason")
-    fix = PositionFix(p=form(sigma), condition_number=cond, aux_range=None if flag else e_r, aux_clamped=flag)
-    _same_bits(_public(fix, "p"), sigma)
-    assert (fix.condition_number, fix.aux_range, fix.aux_clamped) == (cond, None if flag else e_r, flag)
-
-
-@given(bad_shape)
-def test_diagnostics_and_fix_reject_shapes(shape):
-    with pytest.raises(ValueError, match="sigma_hat must be a 3-vector"):
-        Diagnostics(0.0, 0.0, np.zeros(shape))
-    with pytest.raises(ValueError, match="p must be a 3-vector"):
-        PositionFix(p=np.zeros(shape), condition_number=1.0)
 
 
 ranges = arrays(np.float64, st.integers(0, 12), elements=st.floats(0.0, 1e300))
