@@ -37,11 +37,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import yaml  # noqa: E402
 
 from uwbnav import cli  # noqa: E402
+from uwbnav.uwb import TOPOLOGIES  # noqa: E402
 
 DURATION = 20.0
-TOPOLOGIES = ("toa", "tdoa-main", "tdoa-ring")
 VARIANTS = ("matrix", "quaternion")
-REPLAY_TOPOLOGIES = ("tdoa-main", "tdoa-ring")
+REPLAY_TOPOLOGIES = TOPOLOGIES[1:]
 REPLAY_SEED = 3
 
 

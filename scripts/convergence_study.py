@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from uwbnav.harness import RunConfig, run_experiment
+from uwbnav.uwb import TOPOLOGIES
 
 SHAPES = {
     "circle": {"p0": [2.0, 0.0, 1.5]},
@@ -28,7 +29,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=20, help="number of noise seeds per shape")
     ap.add_argument("--duration", type=float, default=30.0, help="flight length in seconds")
-    ap.add_argument("--topology", default="toa", choices=["toa", "tdoa-main", "tdoa-ring"])
+    ap.add_argument("--topology", default="toa", choices=TOPOLOGIES)
     ap.add_argument("--variant", default="matrix", choices=["matrix", "quaternion"])
     ap.add_argument("--out", default="runs/study", help="output directory")
     args = ap.parse_args()

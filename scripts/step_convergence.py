@@ -14,28 +14,20 @@ import argparse
 
 import numpy as np
 
-from uwbnav.attitude import ImuSample, ReferenceEnvironment, measure_imu
-from uwbnav.liegroup import so3_exp
-from uwbnav.navfilter import FilterGains, FilterState, step_with_fix
+from uwbnav.attitude import ReferenceEnvironment
+from uwbnav.harness import RunConfig, default_anchors, synthesize_measurements
+from uwbnav.navfilter import step_with_fix
 from uwbnav.sim import generate_trajectory
 
 
 def endpoint(dt: float, horizon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    env = ReferenceEnvironment()
-    traj = generate_trajectory("lissajous", {"duration": horizon, "rate": 1.0 / dt}, env)
-    gains = FilterGains()
-    state = FilterState(
-        attitude=so3_exp(np.array([0.0, 0.0, 0.5])),
-        p_hat=traj.p[0] + np.array([-2.0, -3.0, 0.5]),
-        v_hat=np.zeros(3),
-        sigma_hat=np.zeros(3),
-    )
-    vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
-    gyro, accel, mag = measure_imu(traj.rot, traj.omega, vdot, env)
+    traj = generate_trajectory("lissajous", {"duration": horizon, "rate": 1.0 / dt}, ReferenceEnvironment())
+    cfg = RunConfig(r_hat0=[0.0, 0.0, 0.5], p_hat0=traj.p[0] + np.array([-2.0, -3.0, 0.5]))
+    env, gains, state = cfg.env(), cfg.gains(), cfg.initial_state()
+    imu, _ = synthesize_measurements(traj, default_anchors(), "toa", None, env)
     for i in range(int(round(horizon / dt))):
-        imu = ImuSample(omega_m=gyro[i], a_m=accel[i], m_m=mag[i])
-        state, _ = step_with_fix(state, imu, traj.p[i], env, gains, dt)
-    return state.attitude, state.p_hat, state.v_hat
+        state, _ = step_with_fix(state, imu[i], traj.p[i], env, gains, dt)
+    return np.array(state.attitude), np.array(state.p_hat), np.array(state.v_hat)
 
 
 def main() -> None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from uwbnav.harness import RunConfig, default_anchors, run_experiment, synthesize_measurements
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import GeometryDegenerate, solve_fix
+from uwbnav.uwb import TOPOLOGIES, GeometryDegenerate, solve_fix
 
 P0 = [2.0, 0.0, 1.5]
 
@@ -57,7 +57,7 @@ def main() -> None:
 
     rows = []
     print(f"{'topology':<10} {'sigma':>6} {'raw rms':>8} {'pos p50':>8} {'vel p50':>8}")
-    for topology in ("toa", "tdoa-main", "tdoa-ring"):
+    for topology in TOPOLOGIES:
         for sigma in sigmas:
             pos, vel = [], []
             for seed in range(args.seeds):

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
-from .liegroup import _array_field, _new, _vector, cross3
+from .liegroup import cross3
 
 __all__ = [
     "DegenerateTriads",
@@ -80,28 +79,19 @@ class ReferenceEnvironment:
         object.__setattr__(self, "_g", tuple(g.tolist()))
 
 
+@dataclass(slots=True)
 class ImuSample:
-    """One IMU epoch: rate gyro, accelerometer, magnetometer, timestamp."""
+    """One IMU epoch in the body frame, as float 3-tuples.
 
-    __slots__ = ("_omega", "_a", "_m", "_t")
+    ``omega_m`` is the gyro reading (rad/s), ``a_m`` the accelerometer's
+    specific force and ``m_m`` the magnetometer reading.  A sample holds
+    what it is given: the harness builds samples from a block that passed
+    :func:`_check_imu`.
+    """
 
-    def __new__(cls, omega_m, a_m, m_m, t: float = 0.0) -> ImuSample:
-        return _raw_imu(
-            _vector(omega_m, "omega_m", finite=True), _vector(a_m, "a_m", finite=True),
-            _vector(m_m, "m_m", finite=True), float(t),
-        )
-
-    omega_m = _array_field("_omega", "Gyro reading (3,), rad/s.")
-    a_m = _array_field("_a", "Accelerometer reading (3,): specific force in the body frame.")
-    m_m = _array_field("_m", "Magnetometer reading (3,) in the body frame.")
-    t = property(attrgetter("_t"), doc="Time stamp.")
-
-
-def _raw_imu(omega: tuple, a: tuple, m: tuple, t: float) -> ImuSample:
-    """An ImuSample holding the given floats, without the constructor's checks."""
-    imu = _new(ImuSample)
-    imu._omega, imu._a, imu._m, imu._t = omega, a, m, t
-    return imu
+    omega_m: tuple
+    a_m: tuple
+    m_m: tuple
 
 
 @dataclass(slots=True)
@@ -166,17 +156,17 @@ def measure_imu(rot, omega, vdot, env, z=None, sigmas=None):
 
 
 def _check_imu(block: np.ndarray) -> None:
-    """ImuSample's value check, once over an ``(n, 9)`` block of gyro, accelerometer and magnetometer rows."""
+    """The IMU value check, once over an ``(n, 9)`` block of gyro, accelerometer and magnetometer rows."""
     bad = ~np.isfinite(block.reshape(-1, 3, 3)).all(axis=2)
     if bad.any():
         name = ("omega_m", "a_m", "m_m")[np.argwhere(bad)[0][1]]
         raise ValueError(f"{name} must be a finite 3-vector")
 
 
-def _imu_rows(t: np.ndarray, block: np.ndarray) -> list[ImuSample]:
+def _imu_rows(block: np.ndarray) -> list[ImuSample]:
     """One ImuSample per row of an ``(n, 9)`` block of finite readings (see :func:`_check_imu`)."""
     gyro, accel, mag = (map(tuple, block[:, k : k + 3].tolist()) for k in (0, 3, 6))
-    return list(map(_raw_imu, gyro, accel, mag, np.asarray(t, dtype=float).tolist()))
+    return list(map(ImuSample, gyro, accel, mag))
 
 
 def _unit(x: float, y: float, z: float, what: str) -> tuple[float, float, float]:

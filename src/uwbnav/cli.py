@@ -36,6 +36,7 @@ from .harness import (
 )
 from .harness import synthesize_measurements  # noqa: F401 -- no call here: perfbench/tracing.py patches it as a listed caller
 from .sim import BadParams, TooFewSamples, generate_trajectory
+from .uwb import TOPOLOGIES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
         "--topology",
-        choices=["toa", "tdoa-main", "tdoa-ring"],
+        choices=TOPOLOGIES,
         help="ranging observation topology",
     )
     parser.add_argument(

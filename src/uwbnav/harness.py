@@ -24,7 +24,7 @@ import yaml
 
 from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_rows, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
-from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, step
+from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
 from .sim import (
     NoiseSpec,
     TruthTrajectory,
@@ -32,8 +32,7 @@ from .sim import (
     generate_trajectory,
     reconstruct_velocity,
 )
-from .uwb import ANCHOR_LIMIT, MAIN_BS, RING, AnchorSet, TdoaRanges, ToaRanges, anchor_floor
-from .uwb import _check_ranges, _range_block, _range_rows
+from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, Ranges, _check_ranges, _range_block, _range_rows, anchor_floor
 
 __all__ = [
     "ConfigError",
@@ -94,7 +93,6 @@ _TRAJECTORY_KEYS = (
     "yaw_frequency",
 )
 
-_TOPOLOGIES = ("toa", "tdoa-main", "tdoa-ring")
 _VARIANTS = ("matrix", "quaternion")
 
 
@@ -118,7 +116,7 @@ class RunConfig:
     filter_rate: float | None = None
     trajectory_params: dict = field(default_factory=dict)
     anchors: np.ndarray = field(default_factory=lambda: default_anchors().anchors)
-    topology: str = "tdoa-ring"
+    topology: str = TOPOLOGIES[-1]
     variant: str = "matrix"
     k1: float = 3.0
     kv: float = 3.0
@@ -173,8 +171,8 @@ class RunConfig:
                 raise ConfigError("dataset mode requires dataset_dir")
             if not Path(self.dataset_dir).is_dir():
                 raise ConfigError(f"dataset_dir does not exist: {self.dataset_dir}")
-        if self.topology not in _TOPOLOGIES:
-            raise ConfigError(f"topology must be one of {_TOPOLOGIES}")
+        if self.topology not in TOPOLOGIES:
+            raise ConfigError(f"topology must be one of {TOPOLOGIES}")
         if self.mode == "dataset" and self.topology == "toa":
             raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
         if self.variant not in _VARIANTS:
@@ -183,7 +181,7 @@ class RunConfig:
             raise ConfigError("duration and rate must be positive")
         if not 0 < self.filter_rate <= self.rate:
             raise ConfigError("filter_rate must be positive and not above rate")
-        floor = anchor_floor(_RANGE_KIND[self.topology])
+        floor = anchor_floor(self.topology)
         if len(self.anchors) < floor:
             raise ConfigError(
                 f"anchors: {self.topology} needs at least {floor} anchors, got {len(self.anchors)}"
@@ -201,12 +199,14 @@ class RunConfig:
             self._anchor_set = AnchorSet(anchors=self.anchors)
         except ValueError as err:  # each message names its field, which is the config key
             raise ConfigError(str(err)) from err
-        r0 = so3_exp(self.r_hat0)
+        # the initial state passes the same gate as every state a step returns
         try:
-            self._initial_state = FilterState(
-                attitude=r0 if self.variant == "matrix" else rot_to_quat(r0),
-                p_hat=self.p_hat0, v_hat=self.v_hat0, sigma_hat=self.sigma_hat0,
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # a rotation vector that overflows fails the gate
+                r0 = so3_exp(self.r_hat0)
+                att = tuple(map(tuple, r0.tolist())) if self.variant == "matrix" else tuple(rot_to_quat(r0).tolist())
+            self._initial_state = _gate(FilterState(
+                att, tuple(self.p_hat0.tolist()), tuple(self.v_hat0.tolist()), tuple(self.sigma_hat0.tolist()),
+            ))
         except ValueError as err:
             raise ConfigError(f"r_hat0: {err}") from err
 
@@ -257,17 +257,14 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     return RunConfig(trajectory_params=params, **raw)
 
 
-def _check_metrics(att_err, pos_err, vel_err) -> None:
+def _check_metrics(att_err, pos_err, vel_err, sigma_norm) -> None:
     """Range checks of metrics.csv values, on one row or on whole columns; a failure names the data row."""
     for ok, what in (((-1e-9 <= att_err) & (att_err <= 1.0 + 1e-9), "att_err must lie in [0, 1]"),
                      ((0.0 <= pos_err) & (pos_err < np.inf) & (0.0 <= vel_err) & (vel_err < np.inf),
-                      "pos_err and vel_err must be finite and nonnegative")):
+                      "pos_err and vel_err must be finite and nonnegative"),
+                     (sigma_norm < np.inf, "sigma_norm must be finite")):
         if not np.all(ok):
             raise ValueError(f"{what} (data row {np.argmin(ok) + 1})")
-
-
-# ranging kind of each topology: None (absolute TOA ranges) or the TDOA scheme
-_RANGE_KIND = {"toa": None, "tdoa-main": MAIN_BS, "tdoa-ring": RING}
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing reading is caught by the checks below
@@ -289,7 +286,6 @@ def measurement_blocks(
     reading that overflowed, or a TOA range that noise drove negative) is a
     ConfigError naming the keys that can cause it.
     """
-    kind = _RANGE_KIND[topology]
     vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
     tag = traj.p
     if tag_offset is not None and np.any(tag_offset):
@@ -297,7 +293,7 @@ def measurement_blocks(
     if not (np.abs(tag) <= ANCHOR_LIMIT).all():
         raise ConfigError(f"the tag must stay within {ANCHOR_LIMIT:g} of the origin, or its ranges "
                           "overflow: check p0, radius, amplitude and tag_offset")
-    ranges = _range_block(tag, anchors, kind)
+    ranges = _range_block(tag, anchors, topology)
     z = sigmas = None
     if noise is not None:
         z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
@@ -310,7 +306,7 @@ def measurement_blocks(
         raise ConfigError(f"{err}: check sigma_omega, sigma_a, sigma_m and the flight's rates (radius, "
                           "period, amplitude, frequency, yaw_amplitude, yaw_frequency)") from err
     try:
-        _check_ranges(ranges, kind, ndim=2)
+        _check_ranges(ranges, topology)
     except ValueError as err:
         raise ConfigError(f"{err}: check sigma_range") from err
     return imu, ranges
@@ -319,10 +315,10 @@ def measurement_blocks(
 def synthesize_measurements(
     traj: TruthTrajectory, anchors: AnchorSet, topology: str, noise: NoiseSpec | None,
     env: ReferenceEnvironment, tag_offset: np.ndarray | None = None,
-) -> tuple[list[ImuSample], list[ToaRanges | TdoaRanges]]:
-    """The blocks of :func:`measurement_blocks` as one ImuSample and one range set per sample."""
+) -> tuple[list[ImuSample], list[Ranges]]:
+    """The blocks of :func:`measurement_blocks` as one ImuSample and one Ranges per sample."""
     imu, ranges = measurement_blocks(traj, anchors, topology, noise, env, tag_offset)
-    return _imu_rows(traj.t, imu), _range_rows(ranges, _RANGE_KIND[topology])
+    return _imu_rows(imu), _range_rows(ranges, topology)
 
 
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
@@ -369,10 +365,9 @@ def write_dataset(
     row per entry of the ``(n, k)`` block ``diffs``, ``(i, j)`` the 1-based
     pairs of the ``topology``'s anchor-pair list (``AnchorSet.tdoa``).
     """
-    kind = _RANGE_KIND.get(topology)
-    if kind is None:
+    if topology not in anchors.tdoa:
         raise SchemaError(f"dataset export requires a tdoa topology, got {topology!r}")
-    pair_list = anchors.tdoa[kind]
+    pair_list = anchors.tdoa[topology]
     n, k = len(traj), len(pair_list.first)
     if imu.shape != (n, 9) or diffs.shape != (n, k):
         raise SchemaError(f"dataset export needs an ({n}, 9) IMU block and an ({n}, {k}) range block")
@@ -496,14 +491,16 @@ def _nearest(times: np.ndarray, ticks: np.ndarray) -> np.ndarray:
 def ingest_dataset(
     dataset_dir: str | Path,
     filter_rate: float,
-    topology: str = "tdoa-ring",
-) -> tuple[TruthTrajectory, AnchorSet, list[ImuSample], list[TdoaRanges]]:
+    topology: str = TOPOLOGIES[-1],
+) -> tuple[TruthTrajectory, AnchorSet, list[ImuSample], list[Ranges]]:
     """Load a four-file dataset and align it to the filter clock.
 
     The IMU/truth clock is decimated by an integer stride down to
     ``filter_rate`` (500 Hz data at a 100 Hz filter keeps every 5th
     sample); ranging rows are grouped per timestamp and held to the
-    nearest decimated tick (a tie goes to the earlier group).  Truth
+    nearest decimated tick (a tie goes to the earlier group).  A tick whose
+    nearest group lies farther than one filter interval plus the median
+    spacing of the group timestamps is a ClockError.  Truth
     velocity is reconstructed from the full-rate positions before
     decimation.  The truth carries no body rates or specific forces
     (``omega`` and ``a`` are None): the run scores states only.
@@ -523,10 +520,9 @@ def ingest_dataset(
     if np.any(np.diff(tdoa[:, 0]) < 0):
         raise ClockError("tdoa.csv timestamps must be increasing")
 
-    kind = _RANGE_KIND[topology]
-    if kind is None:
+    if topology == "toa":
         raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
-    floor = anchor_floor(kind)
+    floor = anchor_floor(topology)
     if len(anchors_raw) < floor:
         raise SchemaError(f"anchors.csv: {topology} needs at least {floor} anchors, got {len(anchors_raw)}")
     order = np.argsort(anchors_raw[:, 0])
@@ -547,9 +543,9 @@ def ingest_dataset(
         t=t_full[keep], rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep], v=v_full[keep]
     )
     ticks = imu[keep]
-    imu_stream = _imu_rows(ticks[:, 0], ticks[:, 1:10])
+    imu_stream = _imu_rows(ticks[:, 1:10])
 
-    pair_list = anchor_set.tdoa[kind]
+    pair_list = anchor_set.tdoa[topology]
     pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
     per_tick = len(pairs)
     # every group is checked, the ticks the filter clock skips included
@@ -563,7 +559,14 @@ def ingest_dataset(
         raise SchemaError(
             f"tdoa.csv: anchor pairs at t={times[np.argmax(bad)]:.6g} do not match the {topology} topology"
         )
-    return traj, anchor_set, imu_stream, _range_rows(groups[_nearest(times, traj.t), :, 3], kind)
+    nearest = _nearest(times, traj.t)
+    # a group further off than one filter interval plus the ranging clock's
+    # own spacing is a gap in the ranging stream, not a late group
+    spacing = float(np.median(np.diff(times))) if len(times) > 1 else 0.0
+    far = np.abs(times[nearest] - traj.t) > 1.0 / filter_rate + spacing
+    if far.any():
+        raise ClockError(f"tdoa.csv: no ranging group near t={traj.t[np.argmax(far)]:.6g}")
+    return traj, anchor_set, imu_stream, _range_rows(groups[nearest, :, 3], topology)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -574,10 +577,10 @@ def _norms(x: np.ndarray) -> np.ndarray:
 def _metrics_block(t, r_true, p_true, v_true, r_est, p_est, v_est, sigma, e_r, py_residual) -> np.ndarray:
     """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, range-checked."""
     att = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
-    with np.errstate(over="ignore"):  # an error norm that overflows fails the check below
-        pos, vel = _norms(p_true - p_est), _norms(v_true - v_est)
-    _check_metrics(att, pos, vel)
-    return np.column_stack([t, att, pos, vel, _norms(sigma), e_r, py_residual])
+    with np.errstate(over="ignore"):  # a norm that overflows fails the check below
+        pos, vel, sigma_norm = _norms(p_true - p_est), _norms(v_true - v_est), _norms(sigma)
+    _check_metrics(att, pos, vel, sigma_norm)
+    return np.column_stack([t, att, pos, vel, sigma_norm, e_r, py_residual])
 
 
 _ESTIMATE_HEADER = [
@@ -596,8 +599,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     Raises
     ------
     NumericalFailure
-        If the state stops being finite, an error metric overflows, or no
-        step obtains a usable fix.
+        If the state stops being finite, an error norm or the covariance
+        bound's norm overflows, or no step obtains a usable fix.
     """
     env = cfg.env()
     gains = cfg.gains()
@@ -637,11 +640,11 @@ def run_experiment(cfg: RunConfig) -> dict:
         raise NumericalFailure("every step dropped its measurement")
 
     t = traj.t[1:]
-    att = [s._att for s in states]
+    att = [s.attitude for s in states]
     rot = _stacked(att, (3, 3)) if len(att[0]) == 3 else quat_to_rot(_stacked(att, (4,)))
-    p_hat = _stacked([s._p for s in states], (3,))
-    v_hat = _stacked([s._v for s in states], (3,))
-    sigma_hat = _stacked([s._sigma for s in states], (3,))
+    p_hat = _stacked([s.p_hat for s in states], (3,))
+    v_hat = _stacked([s.v_hat for s in states], (3,))
+    sigma_hat = _stacked([s.sigma_hat for s in states], (3,))
     e_r = np.array([d.e_r for d in diags])
     residual = np.array([d.innovation_norm for d in diags])
     try:

@@ -15,7 +15,6 @@ quaternion conversions used by the quaternion filter variant.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 import numpy as np
 
@@ -56,39 +55,6 @@ def cross3(a, b) -> tuple[float, float, float]:
     """
     (a0, a1, a2), (b0, b1, b2) = a, b
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-
-
-# the raw constructors of the per-step value classes: an instance with empty
-# slots, without the class's checking __new__
-_new = object.__new__
-
-
-def _array_field(slot: str, doc: str) -> property:
-    """Read-only public field of a per-step value class: its float storage ``slot`` as a fresh float64 array.
-
-    The arrays are built on every read and never cached; the filter step
-    itself reads only the storage (see ``navfilter``'s "Cost" note).
-    """
-    get = attrgetter(slot)
-    return property(lambda self: np.array(get(self)), doc=doc)
-
-
-def _floats(a: np.ndarray) -> tuple:
-    """The values of a 1-D array as a tuple of Python floats, or of a 2-D array as a tuple of row tuples."""
-    values = a.tolist()
-    return tuple(map(tuple, values)) if a.ndim == 2 else tuple(values)
-
-
-def _vector(value, name: str, finite: bool = False) -> tuple[float, float, float]:
-    """A 3-vector argument of a value-class constructor as a tuple of Python floats.
-
-    Raises ValueError naming ``name`` if the value is not a 3-vector, or,
-    with ``finite``, not finite.
-    """
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (3,) or (finite and not np.isfinite(vec).all()):
-        raise ValueError(f"{name} must be a {'finite ' if finite else ''}3-vector")
-    return tuple(vec.tolist())
 
 
 def attitude_distance(r: np.ndarray) -> float | np.ndarray:

@@ -17,17 +17,17 @@ variants track each other to round-off.  The continuous closed loop this
 discretizes keeps gravity in the velocity law instead of folding it into
 W; the two conventions encode identical dynamics.
 
-Validation: the values that enter from outside (FilterState, FilterGains,
-ImuSample, ReferenceEnvironment, the range sets) are checked once, by
-constructors that take array-likes; a step rebuilds them through private
-raw constructors (``_raw_state``, ...) that store the floats given.  The
-values only a step builds (TriadSet, PositionFix, CorrectionTerms,
-Diagnostics) are plain slotted dataclasses of floats with no checking
-constructor: each producer checks before it builds one.  Checked are what
-a step can break: the measured triad and its weights, a fix's rank,
-conditioning and finiteness, unit quaternions and, once, the output state
-(``update`` gates its result, ``step`` the predict-only state of a
-dropout) against ``ATTITUDE_GATE`` and for NaN/inf.
+Validation: every value a step reads or builds (FilterState, ImuSample,
+Ranges, TriadSet, PositionFix, CorrectionTerms, Diagnostics) is one plain
+slotted dataclass of floats with no checking constructor.  Inputs are
+checked once, at the boundary: ``RunConfig`` gates the initial state, and
+the harness checks each IMU and range block whole (``_check_imu``,
+``_check_ranges``) before it cuts the block into samples.  Inside a step,
+each producer checks what the step can break before it builds its value:
+the measured triad and its weights, a fix's rank, conditioning and
+finiteness, unit quaternions and, once, the output state (``update``
+gates its result, ``step`` the predict-only state of a dropout) against
+``ATTITUDE_GATE`` and for NaN/inf.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
@@ -35,35 +35,21 @@ arithmetic, and building or reading back a small array costs as much.  So
 the values that cross the step's layers hold Python floats (attitude as
 three row tuples or one quaternion 4-tuple, 3-vectors as 3-tuples, ``d_v``
 as its diagonal) and each layer evaluates its products as scalar
-expressions on them; no array is built or read inside a step.  The input
-values' public fields (``p_hat``, ``attitude``, ``omega_m``, ...) are
-read-only properties that build a fresh float64 array on every read, for
-callers outside the step; a step intermediate's fields are its float
-tuples.  The harness and the metrics stack a run's float storage once.
+expressions on them; no array is built or read inside a step.  The public
+fields of every value are these float tuples; the harness and the metrics
+stack a run's tuples into arrays once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
 from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, _weights, build_triads
-from .liegroup import (
-    _array_field,
-    _floats,
-    _new,
-    _quat_rot_rows,
-    _vector,
-    cross3,
-    quat_from_rotvec,
-    quat_multiply,
-    quat_normalize,
-    se23_exp,
-)
-from .uwb import AnchorSet, GeometryDegenerate, RangeSet, solve_fix
+from .liegroup import _quat_rot_rows, cross3, quat_from_rotvec, quat_multiply, quat_normalize, se23_exp
+from .uwb import AnchorSet, GeometryDegenerate, Ranges, solve_fix
 
 __all__ = [
     "FilterGains",
@@ -111,44 +97,29 @@ class FilterGains:
         object.__setattr__(self, "s", s)
 
 
+@dataclass(slots=True)
 class FilterState:
-    """Estimator state at time ``t``.
+    """Estimator state, as float tuples.
 
-    ``attitude`` is either a 3x3 rotation matrix or a scalar-first unit
-    quaternion; the shape selects the variant.  States are immutable
-    values: every operation returns a new one.  The constructor takes
-    array-likes and gates the state; the fields read back as fresh arrays.
+    ``attitude`` is either a rotation matrix, as three row 3-tuples, or a
+    scalar-first unit quaternion 4-tuple; its length selects the variant.
+    ``p_hat``, ``v_hat`` and ``sigma_hat`` are 3-tuples.  A state holds what
+    it is given: ``RunConfig`` gates the initial state, and every operation
+    returns a new state, which :func:`update` and :func:`step` gate.
     """
 
-    __slots__ = ("_att", "_p", "_v", "_sigma", "_t")
-
-    def __new__(cls, attitude, p_hat, v_hat, sigma_hat, t: float = 0.0) -> FilterState:
-        att = np.asarray(attitude, dtype=float)
-        if att.shape not in ((3, 3), (4,)):
-            raise ValueError("attitude must be a 3x3 matrix or a 4-vector quaternion")
-        p, v, sigma = _vector(p_hat, "p_hat"), _vector(v_hat, "v_hat"), _vector(sigma_hat, "sigma_hat")
-        return _gate(_raw_state(_floats(att), p, v, sigma, float(t)))
-
-    attitude = _array_field("_att", "Rotation matrix (3, 3) or scalar-first unit quaternion (4,).")
-    p_hat = _array_field("_p", "Position estimate (3,).")
-    v_hat = _array_field("_v", "Velocity estimate (3,).")
-    sigma_hat = _array_field("_sigma", "Covariance-bound estimate (3,).")
-    t = property(attrgetter("_t"), doc="Time stamp.")
+    attitude: tuple
+    p_hat: tuple
+    v_hat: tuple
+    sigma_hat: tuple
 
     @property
     def variant(self) -> str:
-        return "matrix" if len(self._att) == 3 else "quaternion"
+        return "matrix" if len(self.attitude) == 3 else "quaternion"
 
     def rotation(self) -> np.ndarray:
         """Attitude as a rotation matrix regardless of variant."""
         return np.array(_rows(self))
-
-
-def _raw_state(att: tuple, p: tuple, v: tuple, sigma: tuple, t: float) -> FilterState:
-    """A FilterState holding the given float storage, without the constructor's checks."""
-    state = _new(FilterState)
-    state._att, state._p, state._v, state._sigma, state._t = att, p, v, sigma, t
-    return state
 
 
 def _rows(state: FilterState):
@@ -157,13 +128,13 @@ def _rows(state: FilterState):
     Not cached on the state: a run keeps every state it returns, and the
     rows would add about 0.5 kB to each.
     """
-    att = state._att
+    att = state.attitude
     return att if len(att) == 3 else _quat_rot_rows(*att)
 
 
 def _gate(state: FilterState) -> FilterState:
     """Reject a state whose attitude left the group or whose values are not finite."""
-    att = state._att
+    att = state.attitude
     if len(att) == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = att
         # Frobenius norm of A^T A - I from the Gram entries of A's columns
@@ -178,7 +149,7 @@ def _gate(state: FilterState) -> FilterState:
         w, x, y, z = att
         if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ATTITUDE_GATE:
             raise ValueError("quaternion attitude is not unit norm")
-    if not all(map(math.isfinite, state._p + state._v + state._sigma)):
+    if not all(map(math.isfinite, state.p_hat + state.v_hat + state.sigma_hat)):
         raise ValueError("state must be finite")
     return state
 
@@ -272,17 +243,17 @@ def correction_terms(
     e_r = 0.25 * ((s0 * r_sq[0] + s1 * r_sq[1] + s2 * r_sq[2]) - trace)
 
     g = gains
-    sg0, sg1, sg2 = state._sigma
+    sg0, sg1, sg2 = state.sigma_hat
     k_cross, k_decay = g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r), g.k_sigma * g.gamma_sigma
     sigma_dot = (k_cross * (c0 * c0) - k_decay * sg0, k_cross * (c1 * c1) - k_decay * sg1,
                  k_cross * (c2 * c2) - k_decay * sg2)
     k_att, k_adapt = -(g.k1 / 2.0), 0.125 * (e_r + 2.0) / (e_r + 1.0)
     u0, u1, u2 = k_att * c0 - k_adapt * (c0 * sg0), k_att * c1 - k_adapt * (c1 * sg1), k_att * c2 - k_adapt * (c2 * sg2)
     w_omega = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2, r20 * u0 + r21 * u1 + r22 * u2)
-    (o0, o1, o2), p_hat = map(float, p_y), state._p
+    (o0, o1, o2), p_hat = map(float, p_y), state.p_hat
     i0, i1, i2 = o0 - p_hat[0], o1 - p_hat[1], o2 - p_hat[2]
     k_v, k_a = -(g.kv / g.epsilon), -g.ka
-    (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state._v)
+    (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state.v_hat)
     return CorrectionTerms(
         e_r, (c0, c1, c2), w_omega, (k_v * i0 - x0, k_v * i1 - x1, k_v * i2 - x2),
         (k_a * i0 - z0, k_a * i1 - z1, k_a * i2 - z2), sigma_dot,
@@ -302,21 +273,21 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    omega = imu._omega
-    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(omega, _ZERO3, imu._a, 1.0, dt)
+    omega = imu.omega_m
+    rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(omega, _ZERO3, imu.a_m, 1.0, dt)
     rows = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    (p0, p1, p2), (v0, v1, v2) = state._p, state._v
+    (p0, p1, p2), (v0, v1, v2) = state.p_hat, state.v_hat
     p_new = (p0 + v0 * dt + (r00 * tp0 + r01 * tp1 + r02 * tp2), p1 + v1 * dt + (r10 * tp0 + r11 * tp1 + r12 * tp2),
              p2 + v2 * dt + (r20 * tp0 + r21 * tp1 + r22 * tp2))
     v_new = (v0 + (r00 * tv0 + r01 * tv1 + r02 * tv2), v1 + (r10 * tv0 + r11 * tv1 + r12 * tv2),
              v2 + (r20 * tv0 + r21 * tv1 + r22 * tv2))
-    if len(state._att) == 3:
+    if len(state.attitude) == 3:
         att = _product(rows, rot)
     else:
         w0, w1, w2 = omega
-        att = quat_normalize(quat_multiply(state._att, quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
-    return _raw_state(att, p_new, v_new, state._sigma, state._t + dt)
+        att = quat_normalize(quat_multiply(state.attitude, quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
+    return FilterState(att, p_new, v_new, state.sigma_hat)
 
 
 def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
@@ -328,8 +299,8 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     position column by O(dt^2) per step and bias the closed loop).  ``g``
     is the gravity vector (three floats) the discrete step folds into the
     acceleration correction.  ``sigma_hat`` advances by one explicit
-    Euler step of ``w.sigma_dot``.  The result passes the gate of
-    :class:`FilterState`.
+    Euler step of ``w.sigma_dot``.  The result passes the state gate
+    (``ATTITUDE_GATE``, finite values).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
@@ -339,20 +310,20 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     w_a = (a0 - g0, a1 - g1, a2 - g2)
     rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(w_omega, w.w_v, w_a, 1.0, -dt)
     (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = rot
-    (p0, p1, p2), (v0, v1, v2) = state._p, state._v
+    (p0, p1, p2), (v0, v1, v2) = state.p_hat, state.v_hat
     p_new = (e00 * p0 + e01 * p1 + e02 * p2 + tp0 + dt * tv0, e10 * p0 + e11 * p1 + e12 * p2 + tp1 + dt * tv1,
              e20 * p0 + e21 * p1 + e22 * p2 + tp2 + dt * tv2)
     v_new = (e00 * v0 + e01 * v1 + e02 * v2 + tv0, e10 * v0 + e11 * v1 + e12 * v2 + tv1,
              e20 * v0 + e21 * v1 + e22 * v2 + tv2)
-    att = state._att
+    att = state.attitude
     if len(att) == 3:
         att = _product(rot, att)
     else:
         w0, w1, w2 = w_omega
         att = quat_normalize(quat_multiply(quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt)), att))
-    (sg0, sg1, sg2), (sd0, sd1, sd2) = state._sigma, w.sigma_dot
+    (sg0, sg1, sg2), (sd0, sd1, sd2) = state.sigma_hat, w.sigma_dot
     sigma_new = (sg0 + dt * sd0, sg1 + dt * sd1, sg2 + dt * sd2)
-    return _gate(_raw_state(att, p_new, v_new, sigma_new, state._t))
+    return _gate(FilterState(att, p_new, v_new, sigma_new))
 
 
 def step_with_fix(
@@ -370,16 +341,16 @@ def step_with_fix(
     acceleration correction (``update``'s ``g``).  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
-    triads = build_triads(imu._a, imu._m, env, s=gains._s)
+    triads = build_triads(imu.a_m, imu.m_m, env, s=gains._s)
     w = correction_terms(state, triads, p_y, gains)
     new = update(predict(state, imu, dt), w, dt, env._g)
-    return new, Diagnostics(w.e_r, math.dist(p_y, state._p), False, "", min(new._sigma) < SIGMA_ALERT_FLOOR)
+    return new, Diagnostics(w.e_r, math.dist(p_y, state.p_hat), False, "", min(new.sigma_hat) < SIGMA_ALERT_FLOOR)
 
 
 def step(
     state: FilterState,
     imu: ImuSample,
-    ranges: RangeSet,
+    ranges: Ranges,
     anchors: AnchorSet,
     env: ReferenceEnvironment,
     gains: FilterGains,

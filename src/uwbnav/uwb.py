@@ -1,9 +1,12 @@
 """UWB range generation and least-squares position reconstruction.
 
-Supports time-of-arrival ranging (one absolute distance per anchor) and two
-time-difference-of-arrival topologies: a main-base-station scheme where
-every difference is taken against anchor 1, and a ring scheme chaining
-consecutive anchors with a wraparound pair.  Each TDOA topology is
+Supports time-of-arrival ranging (``toa``, one absolute distance per
+anchor) and two time-difference-of-arrival topologies: ``tdoa-main``, a
+main-base-station scheme where every difference is taken against anchor 1,
+and ``tdoa-ring``, a ring scheme chaining consecutive anchors with a
+wraparound pair.  These three names, ``TOPOLOGIES``, are the one ranging
+vocabulary of the package: the run configuration, the command line and
+the harness read them from here.  Each TDOA topology is
 defined once, by the anchor-pair list :class:`AnchorSet` builds for it
 (``AnchorSet.tdoa``): difference k is the distance to the second anchor of
 pair k minus the distance to the first.  Range synthesis, the one TDOA
@@ -37,7 +40,7 @@ beta^2))`` for TDOA.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
 A solve runs once per filter step on a handful of rows, where a numpy call
 costs more in dispatch than its arithmetic, so solves compute on Python
 floats from the float copies of each factor the anchor set keeps, read the
-range sets' float storage and return a fix that holds floats (see
+range sets' float tuples and return a fix that holds floats (see
 ``navfilter``'s "Cost" note).
 """
 
@@ -46,20 +49,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, starmap
-from operator import attrgetter, mul
+from operator import mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .liegroup import _array_field, _floats, _new
-
 __all__ = [
+    "TOPOLOGIES",
     "GeometryDegenerate",
     "AnchorSet",
-    "ToaRanges",
-    "TdoaRanges",
+    "Ranges",
     "PositionFix",
-    "RangeSet",
     "anchor_floor",
     "toa_solve",
     "tdoa_solve",
@@ -73,8 +73,8 @@ ANCHOR_LIMIT = 1e150
 COND_CEILING = 1e8
 _EPS = float(np.finfo(float).eps)
 
-RING = "ring"
-MAIN_BS = "main-bs"
+# the ranging topologies: absolute ranges, and the two TDOA anchor-pair lists
+TOPOLOGIES = ("toa", "tdoa-main", "tdoa-ring")
 
 
 class GeometryDegenerate(RuntimeError):
@@ -128,9 +128,10 @@ class AnchorSet:
     Derived once here for the solvers: ``sq_norms`` (squared anchor norms),
     ``toa_factor`` (the :class:`Factor` of the TOA system ``h[1:] - h[0]``;
     None below the TOA anchor floor) and ``tdoa``, the :class:`PairList` of
-    each TDOA topology: main-bs pairs ``(0, j)`` for j = 1..N-1, ring pairs
-    ``(j, j + 1)`` for j = 0..N-2 and the wraparound ``(N - 1, 0)``.  The
-    main-bs position block is the TOA system negated, so it shares that
+    each TDOA topology: ``tdoa-main`` pairs ``(0, j)`` for j = 1..N-1,
+    ``tdoa-ring`` pairs ``(j, j + 1)`` for j = 0..N-2 and the wraparound
+    ``(N - 1, 0)``.  The ``tdoa-main`` position block is the TOA system
+    negated, so it shares that
     factor with ``V`` negated.  Construction raises ValueError only on the
     anchors themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``,
     closer than ``MIN_ANCHOR_SEPARATION``), never on geometry: a
@@ -159,15 +160,15 @@ class AnchorSet:
         n = len(rows)
         ids = np.arange(n)
         sq_norms = [x * x + y * y + z * z for x, y, z in rows]
-        toa = _factor(a[1:] - a[0]) if n >= anchor_floor(None) else None
-        solvable = n >= anchor_floor(MAIN_BS)
+        toa = _factor(a[1:] - a[0]) if n >= anchor_floor("toa") else None
+        solvable = n >= anchor_floor("tdoa-main")
         ring_second = np.concatenate((ids[1:], ids[:1]))
         tdoa = {
-            MAIN_BS: PairList(
+            "tdoa-main": PairList(
                 np.zeros(n - 1, dtype=int), ids[1:], sq_norms[:1] * (n - 1), sq_norms[1:],
                 toa._replace(v=[[-x for x in row] for row in toa.v]) if solvable else None,
             ),
-            RING: PairList(
+            "tdoa-ring": PairList(
                 ids, ring_second, sq_norms, sq_norms[1:] + sq_norms[:1],
                 _factor(a - a[ring_second]) if solvable else None,
             ),
@@ -181,73 +182,36 @@ class AnchorSet:
         return len(self.sq_norms)
 
 
-class ToaRanges:
-    """Absolute distances from the tag to every anchor, in anchor order."""
+@dataclass(slots=True)
+class Ranges:
+    """One ranging epoch under ``topology``, one of ``TOPOLOGIES``, as a float tuple.
 
-    __slots__ = ("_d",)
-
-    def __new__(cls, d) -> ToaRanges:
-        d = np.asarray(d, dtype=float)
-        _check_ranges(d, None)
-        return _raw_toa(_floats(d))
-
-    d = _array_field("_d", "Ranges (N,), one per anchor.")
-
-
-def _raw_toa(d: tuple) -> ToaRanges:
-    """ToaRanges holding the given floats, without the constructor's checks."""
-    ranges = _new(ToaRanges)
-    ranges._d = d
-    return ranges
-
-
-class TdoaRanges:
-    """Range differences under one of the two supported topologies.
-
-    Entry k is dist(second) - dist(first) for pair k of the topology's
-    anchor-pair list, ``AnchorSet.tdoa[topology]``.  In 1-based
-    anchor numbering, ``main-bs`` pairs are (1, k+2) for k = 0..N-2;
-    ``ring`` pairs are (k+1, k+2) for k = 0..N-2 plus the wraparound (N, 1).
+    For ``toa``, ``values`` holds the absolute distance to every anchor, in
+    anchor order.  For a TDOA topology, entry k is dist(second) -
+    dist(first) for pair k of the topology's anchor-pair list,
+    ``AnchorSet.tdoa[topology]``: in 1-based anchor numbering, ``tdoa-main``
+    pairs are (1, k+2) for k = 0..N-2, and ``tdoa-ring`` pairs are (k+1,
+    k+2) for k = 0..N-2 plus the wraparound (N, 1).  A range set holds what
+    it is given: the harness builds sets from a block that passed
+    :func:`_check_ranges`.
     """
 
-    __slots__ = ("_topology", "_diffs")
-
-    def __new__(cls, topology: str, diffs) -> TdoaRanges:
-        if topology not in (MAIN_BS, RING):
-            raise ValueError(f"unknown TDOA topology {topology!r}")
-        d = np.asarray(diffs, dtype=float)
-        _check_ranges(d, topology)
-        return _raw_tdoa(topology, _floats(d))
-
-    topology = property(attrgetter("_topology"), doc="TDOA topology, ``main-bs`` or ``ring``.")
-    diffs = _array_field("_diffs", "Range differences (K,), in the topology's pair order.")
+    topology: str
+    values: tuple
 
 
-def _raw_tdoa(topology: str, diffs: tuple) -> TdoaRanges:
-    """TdoaRanges holding the given floats, without the constructor's checks."""
-    ranges = _new(TdoaRanges)
-    ranges._topology, ranges._diffs = topology, diffs
-    return ranges
-
-
-def _check_ranges(d: np.ndarray, topology: str | None, ndim: int = 1) -> None:
-    """The ToaRanges (``topology`` None) or TdoaRanges value check, on one row or a block."""
-    if topology is None:
-        if d.ndim != ndim or not np.isfinite(d).all() or (d < 0.0).any():
+def _check_ranges(block: np.ndarray, topology: str) -> None:
+    """The range value check, once over an ``(n, k)`` block of one topology's rows."""
+    if topology == "toa":
+        if not np.isfinite(block).all() or (block < 0.0).any():
             raise ValueError("ranges must be finite and non-negative")
-    elif d.ndim != ndim or not np.isfinite(d).all():
+    elif not np.isfinite(block).all():
         raise ValueError("diffs must be a finite 1-D array")
 
 
-def _range_rows(block: np.ndarray, topology: str | None) -> list[ToaRanges] | list[TdoaRanges]:
-    """One ToaRanges (``topology`` None) or TdoaRanges per row of an ``(n, k)`` block (see :func:`_check_ranges`)."""
-    rows = map(tuple, block.tolist())
-    if topology is None:
-        return list(map(_raw_toa, rows))
-    return [_raw_tdoa(topology, row) for row in rows]
-
-
-RangeSet = ToaRanges | TdoaRanges
+def _range_rows(block: np.ndarray, topology: str) -> list[Ranges]:
+    """One Ranges per row of an ``(n, k)`` block (see :func:`_check_ranges`)."""
+    return [Ranges(topology, row) for row in map(tuple, block.tolist())]
 
 
 @dataclass(slots=True)
@@ -269,10 +233,10 @@ class PositionFix:
     aux_clamped: bool
 
 
-def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.ndarray:
-    """Noise-free ranges (``topology`` None) or range differences for tag positions ``(..., 3)``."""
+def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str) -> np.ndarray:
+    """Noise-free ranges (``toa``) or range differences for tag positions ``(..., 3)``."""
     d = np.linalg.norm(anchors.anchors - p[..., None, :], axis=-1)
-    if topology is None:
+    if topology == "toa":
         return d
     if topology not in anchors.tdoa:
         raise ValueError(f"unknown TDOA topology {topology!r}")
@@ -280,13 +244,13 @@ def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str | None) -> np.
     return d[..., pairs.second] - d[..., pairs.first]
 
 
-def anchor_floor(topology: str | None) -> int:
-    """Fewest anchors a solve needs under ``topology`` (None for TOA).
+def anchor_floor(topology: str) -> int:
+    """Fewest anchors a solve needs under ``topology``.
 
-    4 for TOA; 5 for TDOA, whose systems carry the range to anchor 1 as a
-    fourth unknown.
+    4 for ``toa``; 5 for TDOA, whose systems carry the range to anchor 1 as
+    a fourth unknown.
     """
-    return 4 if topology is None else 5
+    return 4 if topology == "toa" else 5
 
 
 def _factor(a: np.ndarray) -> Factor:
@@ -339,7 +303,7 @@ def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, f
     return _finite((v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2, v20 * y0 + v21 * y1 + v22 * y2))
 
 
-def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
+def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     """Position from absolute ranges.
 
     Differencing the squared-range identity ``d_i^2 = ||h_i||^2 + ||p||^2 -
@@ -358,10 +322,10 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
         If the range count is not the anchor count, or the solve overflows.
     """
     n = len(anchors)
-    floor = anchor_floor(None)
+    floor = anchor_floor("toa")
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    d, hn2 = ranges._d, anchors.sq_norms
+    d, hn2 = ranges.values, anchors.sq_norms
     if len(d) != n:
         raise ValueError("range count does not match anchor count")
     e0, h0 = d[0] * d[0], hn2[0]
@@ -375,14 +339,14 @@ def toa_solve(anchors: AnchorSet, ranges: ToaRanges) -> PositionFix:
     return PositionFix(p, cond, None, False)
 
 
-def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
+def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     """Position from range differences, over the topology's anchor-pair list.
 
     For pair (i, j) with difference ``d = dist_j - dist_i``, squaring
     ``dist_j = d + dist_i`` gives the row ``(h_i - h_j) . p - d * dist_i =
     (d^2 + ||h_i||^2 - ||h_j||^2) / 2``.  The unknowns are stacked as ``[p,
-    dist_1]``.  Under main-bs every pair starts at anchor 1, so ``dist_i``
-    is ``dist_1``.  Ring differences telescope: ``dist_i`` is ``dist_1``
+    dist_1]``.  Under ``tdoa-main`` every pair starts at anchor 1, so
+    ``dist_i`` is ``dist_1``.  Ring differences telescope: ``dist_i`` is ``dist_1``
     plus the partial sum ``c_i`` of the differences before pair i, which
     adds ``d c_i`` to the row's right-hand side (zero for the first pair;
     the wraparound pair closes the ring with ``c_N``).  The solve is the
@@ -392,22 +356,22 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
     ------
     GeometryDegenerate
         If fewer than 5 anchors, rank deficiency, or conditioning above
-        ``COND_CEILING``.  The system has 4 unknowns; main-bs has ``N - 1``
-        rows, and the ring rows sum to zero by telescoping, so the ring
+        ``COND_CEILING``.  The system has 4 unknowns; ``tdoa-main`` has
+        ``N - 1`` rows, and the ring rows sum to zero by telescoping, so the ring
         system rank is at most ``N - 1`` too.
     ValueError
         If the difference count does not match the anchor count, or the
         solve overflows.
     """
     n = len(anchors)
-    floor = anchor_floor(ranges._topology)
+    topology, d = ranges.topology, ranges.values
+    floor = anchor_floor(topology)
     if n < floor:
         raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    topology, d = ranges._topology, ranges._diffs
     _, second, sq_first, sq_second, f = anchors.tdoa[topology]
     if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
-    if topology == RING:
+    if topology == "tdoa-ring":
         b, partial = [], 0.0
         for di, hi, hj in zip(d, sq_first, sq_second):
             b.append(0.5 * (di * di + hi - hj + 2.0 * di * partial))
@@ -436,8 +400,8 @@ def tdoa_solve(anchors: AnchorSet, ranges: TdoaRanges) -> PositionFix:
     return PositionFix(p, cond, aux, clamped)
 
 
-def solve_fix(anchors: AnchorSet, obs: ToaRanges | TdoaRanges) -> PositionFix:
+def solve_fix(anchors: AnchorSet, obs: Ranges) -> PositionFix:
     """Dispatch an observation to the TOA solver or, on its own topology, to the TDOA solver."""
-    if isinstance(obs, ToaRanges):
+    if obs.topology == "toa":
         return toa_solve(anchors, obs)
     return tdoa_solve(anchors, obs)

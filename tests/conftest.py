@@ -40,4 +40,4 @@ def noisy_imu_and_fixes(traj, noise, env, n):
     sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
     gyro, accel, mag = measure_imu(rot, traj.omega[:n], vdot, env, z[:, :9], sigmas)
     p_y = traj.p[:n] + (0.0 + noise.sigma_range * z[:, 9:])  # loc + scale * z, as Generator.normal
-    return _imu_rows(traj.t[:n], np.concatenate([gyro, accel, mag], axis=1)), p_y
+    return _imu_rows(np.concatenate([gyro, accel, mag], axis=1)), p_y

@@ -10,6 +10,9 @@ exponential tests, ``se23_matrix`` assembles the 5x5 exponential from the
 blocks of the package's closed-form ``se23_exp``, and ``propagate_truth`` is
 the exact truth flow those tests vouch for (it runs on ``se23_matrix``).
 ``imu_sample`` is one ImuSample from the package's IMU model on one row.
+``state_of``, ``imu_of`` and ``ranges_of`` build a FilterState, an
+ImuSample and a Ranges from array-likes, stored as a step stores them
+(float tuples), and ``state_arrays`` reads a state back as arrays.
 ``vex`` and ``pa`` (the inverse of ``skew`` and the antisymmetric
 projection) serve the identity tests, and ``toa_ranges`` / ``tdoa_ranges``
 build one noise-free observation from the package's forward model
@@ -47,15 +50,7 @@ import numpy as np
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
 from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
-from uwbnav.uwb import (
-    MAIN_BS,
-    GeometryDegenerate,
-    PositionFix,
-    TdoaRanges,
-    ToaRanges,
-    _range_block,
-    solve_fix,
-)
+from uwbnav.uwb import GeometryDegenerate, PositionFix, Ranges, _range_block, solve_fix
 
 
 class NotAntisymmetric(ValueError):
@@ -76,14 +71,40 @@ def pa(m):
     return 0.5 * (m - m.T)
 
 
+def _floats(x):
+    """An array-like as Python floats: a 1-D one as a tuple, a 2-D one as a tuple of row tuples."""
+    a = np.asarray(x, dtype=float)
+    return tuple(map(tuple, a.tolist())) if a.ndim == 2 else tuple(a.tolist())
+
+
+def state_of(attitude, p_hat, v_hat, sigma_hat):
+    """A FilterState from array-likes (a 3x3 or a quaternion attitude), held as float tuples."""
+    return FilterState(*map(_floats, (attitude, p_hat, v_hat, sigma_hat)))
+
+
+def state_arrays(state):
+    """``(attitude, p_hat, v_hat, sigma_hat)`` of a FilterState as float64 arrays."""
+    return tuple(np.array(x) for x in (state.attitude, state.p_hat, state.v_hat, state.sigma_hat))
+
+
+def imu_of(omega_m, a_m, m_m):
+    """An ImuSample from array-like readings, held as float tuples."""
+    return ImuSample(*map(_floats, (omega_m, a_m, m_m)))
+
+
+def ranges_of(topology, values):
+    """A Ranges from an array-like of ranges or range differences, held as float tuples."""
+    return Ranges(topology, _floats(values))
+
+
 def toa_ranges(p, anchors):
     """Noise-free absolute ranges from position ``p`` to every anchor."""
-    return ToaRanges(d=_range_block(np.asarray(p, dtype=float), anchors, None))
+    return tdoa_ranges(p, anchors, "toa")
 
 
 def tdoa_ranges(p, anchors, topology):
-    """Noise-free range differences for the requested topology."""
-    return TdoaRanges(topology=topology, diffs=_range_block(np.asarray(p, dtype=float), anchors, topology))
+    """Noise-free range differences for the requested topology (ranges for ``toa``)."""
+    return ranges_of(topology, _range_block(np.asarray(p, dtype=float), anchors, topology))
 
 
 def _skew(w):
@@ -137,7 +158,7 @@ def propagate_truth(r, p, v, omega, a, env, dt):
     return m[:3, :3], m[:3, 3], m[:3, 4]
 
 
-def imu_sample(r, omega, vdot, env, noise=None, rng=None, t=0.0):
+def imu_sample(r, omega, vdot, env, noise=None, rng=None):
     """One ImuSample of ``measure_imu`` on a single attitude ``r`` and rates ``omega``, ``vdot``.
 
     With ``noise``, one standard-normal 9-vector (gyro, accelerometer,
@@ -149,7 +170,7 @@ def imu_sample(r, omega, vdot, env, noise=None, rng=None, t=0.0):
         z, sigmas = rng.standard_normal(9), (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
     gyro, accel, mag = measure_imu(np.asarray(r, dtype=float), np.asarray(omega, dtype=float),
                                    np.asarray(vdot, dtype=float), env, z, sigmas)
-    return ImuSample(omega_m=gyro, a_m=accel, m_m=mag, t=t)
+    return imu_of(gyro, accel, mag)
 
 
 def triad_arrays(triads):
@@ -263,24 +284,12 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
     lever = None if tag_offset is None or not np.any(tag_offset) else np.asarray(tag_offset, dtype=float)
     imu_stream, range_stream = [], []
     for i in range(len(traj)):
-        t = float(traj.t[i])
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
-        imu_stream.append(
-            imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng, t=t)
-        )
+        imu_stream.append(imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng))
         tag = traj.p[i] if lever is None else traj.p[i] + traj.rot[i] @ lever
-        if topology == "toa":
-            obs = toa_ranges(tag, anchors)
-            if noise is not None:
-                obs = ToaRanges(d=obs.d + rng.normal(0.0, noise.sigma_range, len(obs.d)))
-        else:
-            ring = "ring" if topology == "tdoa-ring" else MAIN_BS
-            obs = tdoa_ranges(tag, anchors, topology=ring)
-            if noise is not None:
-                obs = TdoaRanges(
-                    topology=obs.topology,
-                    diffs=obs.diffs + rng.normal(0.0, noise.sigma_range, len(obs.diffs)),
-                )
+        obs = tdoa_ranges(tag, anchors, topology)
+        if noise is not None:
+            obs = ranges_of(topology, obs.values + rng.normal(0.0, noise.sigma_range, len(obs.values)))
         range_stream.append(obs)
     return imu_stream, range_stream
 
@@ -289,8 +298,9 @@ def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
     """The four dataset CSVs, one line per truth sample, ImuSample, anchor and range difference.
 
     Every value goes through ``format(x, ".17g")``; the 1-based ``(i, j)``
-    pairs of a TdoaRanges come from its topology's documented order:
-    ``main-bs`` (1, k+2), ``ring`` (k+1, k+2) with the wraparound (N, 1).
+    pairs of a TDOA range set come from its topology's documented order:
+    ``tdoa-main`` (1, k+2), ``tdoa-ring`` (k+1, k+2) with the wraparound
+    (N, 1).
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,7 +312,7 @@ def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
     quats = [rot_to_quat_per_matrix(r) for r in traj.rot]
     write("truth.csv", "t px py pz qw qx qy qz".split(), [[t, *p, *q] for t, p, q in zip(traj.t, traj.p, quats)])
     write("imu.csv", "t wx wy wz ax ay az mx my mz".split(),
-          [[s.t, *s.omega_m, *s.a_m, *s.m_m] for s in imu_stream])
+          [[t, *s.omega_m, *s.a_m, *s.m_m] for t, s in zip(traj.t, imu_stream)])
     n = len(anchors)
     (out / "anchors.csv").write_text(
         "id,x,y,z\n" + "".join(f"{k + 1}," + ",".join(format(x, ".17g") for x in a) + "\n"
@@ -310,11 +320,11 @@ def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
     )
     lines = ["t,i,j,d"]
     for t, obs in zip(traj.t, range_stream):
-        if obs.topology == MAIN_BS:
+        if obs.topology == "tdoa-main":
             pairs = [(1, k + 2) for k in range(n - 1)]
         else:
             pairs = [(k + 1, k + 2) for k in range(n - 1)] + [(n, 1)]
-        lines += [f"{format(t, '.17g')},{i},{j},{format(d, '.17g')}" for (i, j), d in zip(pairs, obs.diffs)]
+        lines += [f"{format(t, '.17g')},{i},{j},{format(d, '.17g')}" for (i, j), d in zip(pairs, obs.values)]
     (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
     return out
 
@@ -383,7 +393,7 @@ def toa_solve_per_call(anchors, ranges):
     h, n = anchors.anchors, len(anchors)
     if n < 4:
         raise GeometryDegenerate(f"need at least 4 anchors, got {n}")
-    d = ranges.d
+    d = np.array(ranges.values)
     hn2 = np.sum(h**2, axis=1)
     b = (0.5 * (d[0] * d[0] - d[1:] * d[1:] + hn2[1:] - hn2[0])).tolist()
     u, s, vt, cond = _svd_gate(h[1:] - h[0])
@@ -406,7 +416,7 @@ def tdoa_solve_main_bs(anchors, ranges):
     h, n = anchors.anchors, len(anchors)
     if n < 5:
         raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
-    diffs = ranges.diffs
+    diffs = np.array(ranges.values)
     if diffs.shape != (n - 1,):
         raise ValueError("difference count does not match anchor count")
     hn2 = np.sum(h**2, axis=1)
@@ -427,7 +437,7 @@ def tdoa_solve_ring(anchors, ranges):
     h, n = anchors.anchors, len(anchors)
     if n < 5:
         raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
-    diffs = ranges.diffs
+    diffs = np.array(ranges.values)
     if diffs.shape != (n,):
         raise ValueError("difference count does not match anchor count")
     hn2 = np.sum(h**2, axis=1)
@@ -502,7 +512,8 @@ def se23_blocks_numpy(omega, v, a, eps, dt):
 
 def correction_terms_numpy(state, triads, p_y, gains):
     """Correction block with array products: ``m = (r R)^T (s v)``, its vex, and the trace residual."""
-    r_hat = rotation_numpy(state.attitude)
+    attitude, p_hat, v_hat, sigma_hat = state_arrays(state)
+    r_hat = rotation_numpy(attitude)
     v, r, s = triad_arrays(triads)
     m = (r @ r_hat).T @ (s[:, None] * v)
     cross = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
@@ -510,50 +521,47 @@ def correction_terms_numpy(state, triads, p_y, gains):
     g = gains
     sigma_dot = (
         g.gamma_sigma * (e_r + 2.0) / 8.0 * math.exp(e_r) * (cross * cross)
-        - g.k_sigma * g.gamma_sigma * state.sigma_hat
+        - g.k_sigma * g.gamma_sigma * sigma_hat
     )
     w_omega = r_hat @ (
-        -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * state.sigma_hat)
+        -(g.k1 / 2.0) * cross - 0.125 * (e_r + 2.0) / (e_r + 1.0) * (cross * sigma_hat)
     )
-    innovation = np.asarray(p_y, dtype=float) - state.p_hat
+    innovation = np.asarray(p_y, dtype=float) - p_hat
     return corrections(
         e_r,
         cross,
         w_omega,
-        -(g.kv / g.epsilon) * innovation - np.cross(w_omega, state.p_hat),
-        -g.ka * innovation - np.cross(w_omega, state.v_hat),
+        -(g.kv / g.epsilon) * innovation - np.cross(w_omega, p_hat),
+        -g.ka * innovation - np.cross(w_omega, v_hat),
         sigma_dot,
     )
 
 
 def predict_numpy(state, imu, dt):
     """``X exp(u(skew(omega_m), 0, a_m, 1) dt)`` with array products."""
-    rot, t_p, t_v = se23_blocks_numpy(imu.omega_m, np.zeros(3), imu.a_m, 1.0, dt)
-    r_hat = rotation_numpy(state.attitude)
-    if state.attitude.shape == (3, 3):
-        att = state.attitude @ rot
+    attitude, p_hat, v_hat, sigma_hat = state_arrays(state)
+    omega_m, a_m = np.array(imu.omega_m), np.array(imu.a_m)
+    rot, t_p, t_v = se23_blocks_numpy(omega_m, np.zeros(3), a_m, 1.0, dt)
+    r_hat = rotation_numpy(attitude)
+    if attitude.shape == (3, 3):
+        att = attitude @ rot
     else:
-        att = quat_multiply_numpy(state.attitude, quat_from_rotvec_numpy(imu.omega_m * dt))
+        att = quat_multiply_numpy(attitude, quat_from_rotvec_numpy(omega_m * dt))
         att = att / np.linalg.norm(att)
-    return FilterState(
-        attitude=att, p_hat=state.p_hat + state.v_hat * dt + r_hat @ t_p, v_hat=state.v_hat + r_hat @ t_v,
-        sigma_hat=state.sigma_hat, t=state.t + dt,
-    )
+    return state_of(att, p_hat + v_hat * dt + r_hat @ t_p, v_hat + r_hat @ t_v, sigma_hat)
 
 
 def update_numpy(state, w, dt, g):
     """``exp(-W dt)``, gravity ``g`` folded into ``w_a``, applied to a predicted state, with array products."""
     w_omega, w_v, w_a, sigma_dot = map(np.array, (w.w_omega, w.w_v, w.w_a, w.sigma_dot))
+    attitude, p_hat, v_hat, sigma_hat = state_arrays(state)
     r_e, t_p, t_v = se23_blocks_numpy(w_omega, w_v, w_a - g, 1.0, -dt)
-    if state.attitude.shape == (3, 3):
-        att = r_e @ state.attitude
+    if attitude.shape == (3, 3):
+        att = r_e @ attitude
     else:
-        att = quat_multiply_numpy(quat_from_rotvec_numpy(w_omega * -dt), state.attitude)
+        att = quat_multiply_numpy(quat_from_rotvec_numpy(w_omega * -dt), attitude)
         att = att / np.linalg.norm(att)
-    return FilterState(
-        attitude=att, p_hat=r_e @ state.p_hat + t_p + dt * t_v, v_hat=r_e @ state.v_hat + t_v,
-        sigma_hat=state.sigma_hat + dt * sigma_dot, t=state.t,
-    )
+    return state_of(att, r_e @ p_hat + t_p + dt * t_v, r_e @ v_hat + t_v, sigma_hat + dt * sigma_dot)
 
 
 def step_numpy(state, imu, ranges, anchors, env, gains, dt):

@@ -19,17 +19,11 @@ from scipy.spatial.transform import Rotation
 from uwbnav.attitude import ReferenceEnvironment
 from uwbnav.harness import RunConfig, default_anchors, ingest_dataset, run_experiment
 from uwbnav.liegroup import quat_to_rot, skew, so3_exp
-from uwbnav.navfilter import FilterGains, FilterState, step_with_fix
+from uwbnav.navfilter import FilterGains, step_with_fix
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import (
-    MAIN_BS,
-    RING,
-    AnchorSet,
-    TdoaRanges,
-    solve_fix,
-)
+from uwbnav.uwb import AnchorSet, Ranges, solve_fix
 
-from reference import imu_sample, pa, rk4_closed_loop_step, tdoa_ranges, toa_ranges, vex
+from reference import imu_sample, pa, rk4_closed_loop_step, state_of, tdoa_ranges, toa_ranges, vex
 
 DATASET_DIR = Path(__file__).resolve().parent.parent / "data" / "const1"
 
@@ -66,8 +60,8 @@ def test_criterion_1_multilateration_exactness():
         anchors, p = _random_scene(rng)
         fix = solve_fix(anchors, toa_ranges(p, anchors))
         worst_toa = max(worst_toa, float(np.linalg.norm(fix.p - p)))
-        for topo in (MAIN_BS, RING):
-            fix = solve_fix(anchors, tdoa_ranges(p, anchors, topology=topo))
+        for topo in ("tdoa-main", "tdoa-ring"):
+            fix = solve_fix(anchors, tdoa_ranges(p, anchors, topo))
             worst_tdoa = max(worst_tdoa, float(np.linalg.norm(fix.p - p)))
     elapsed = time.perf_counter() - start
     ok = worst_toa <= 1e-9 and worst_tdoa <= 1e-6 and elapsed <= 5.0
@@ -173,13 +167,8 @@ def test_criterion_4_group_preservation():
     )
     imu, p_y = noisy_imu_and_fixes(traj, NoiseSpec(seed=404), env, steps)
     gains = FilterGains()
-    matrix = FilterState(
-        attitude=np.eye(3), p_hat=np.zeros(3), v_hat=np.zeros(3), sigma_hat=np.zeros(3)
-    )
-    quat = FilterState(
-        attitude=np.array([1.0, 0.0, 0.0, 0.0]),
-        p_hat=np.zeros(3), v_hat=np.zeros(3), sigma_hat=np.zeros(3),
-    )
+    matrix = state_of(np.eye(3), np.zeros(3), np.zeros(3), np.zeros(3))
+    quat = state_of(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(3), np.zeros(3), np.zeros(3))
     mats, quats = np.empty((steps, 3, 3)), np.empty((steps, 4))
     for i in range(steps):
         matrix, _ = step_with_fix(matrix, imu[i], p_y[i], env, gains, 0.01)
@@ -208,27 +197,22 @@ def test_criterion_5_variant_equivalence():
     rng = noise.stream()
     gains = FilterGains()
     p_hat0 = np.array([-2.0, -3.0, 0.0])
-    matrix = FilterState(
-        attitude=np.eye(3), p_hat=p_hat0, v_hat=np.zeros(3), sigma_hat=np.zeros(3)
-    )
-    quat = FilterState(
-        attitude=np.array([1.0, 0.0, 0.0, 0.0]),
-        p_hat=p_hat0, v_hat=np.zeros(3), sigma_hat=np.zeros(3),
-    )
+    matrix = state_of(np.eye(3), p_hat0, np.zeros(3), np.zeros(3))
+    quat = state_of(np.array([1.0, 0.0, 0.0, 0.0]), p_hat0, np.zeros(3), np.zeros(3))
     worst = {"attitude": 0.0, "position": 0.0, "velocity": 0.0}
     for i in range(1000):
         vdot = traj.rot[i] @ traj.a[i] + env.g_vec
         imu = imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng)
-        obs = tdoa_ranges(traj.p[i], anchors, topology=RING)
-        noisy = obs.diffs + rng.normal(0.0, noise.sigma_range, len(obs.diffs))
-        p_y = solve_fix(anchors, TdoaRanges(topology=RING, diffs=noisy)).p
+        obs = tdoa_ranges(traj.p[i], anchors, "tdoa-ring")
+        noisy = obs.values + rng.normal(0.0, noise.sigma_range, len(obs.values))
+        p_y = solve_fix(anchors, Ranges("tdoa-ring", tuple(noisy.tolist()))).p
         matrix, _ = step_with_fix(matrix, imu, p_y, env, gains, 0.01)
         quat, _ = step_with_fix(quat, imu, p_y, env, gains, 0.01)
         worst["attitude"] = max(
             worst["attitude"], float(np.linalg.norm(quat_to_rot(quat.attitude) - matrix.attitude))
         )
-        worst["position"] = max(worst["position"], float(np.linalg.norm(quat.p_hat - matrix.p_hat)))
-        worst["velocity"] = max(worst["velocity"], float(np.linalg.norm(quat.v_hat - matrix.v_hat)))
+        worst["position"] = max(worst["position"], float(np.linalg.norm(np.subtract(quat.p_hat, matrix.p_hat))))
+        worst["velocity"] = max(worst["velocity"], float(np.linalg.norm(np.subtract(quat.v_hat, matrix.v_hat))))
     overall = max(worst.values())
     ok = overall <= 1e-6
     _report(
@@ -309,7 +293,7 @@ def _endpoint_gap(dt: float, horizon: float = 1.0) -> float:
     gains = FilterGains()
     r0 = so3_exp(np.array([0.0, 0.0, 0.5]))
     p0 = traj.p[0] + np.array([-2.0, -3.0, 0.5])
-    state = FilterState(attitude=r0, p_hat=p0, v_hat=np.zeros(3), sigma_hat=np.zeros(3))
+    state = state_of(r0, p0, np.zeros(3), np.zeros(3))
     r_c, p_c, v_c, s_c = r0.copy(), p0.copy(), np.zeros(3), np.zeros(3)
     n = int(round(horizon / dt))
     for i in range(n):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from uwbnav.attitude import (
     REFERENCE_LIMIT,
     DegenerateTriads,
-    ImuSample,
     ReferenceEnvironment,
     _check_measured,
     _weights,
@@ -219,8 +218,3 @@ class TestTriadSetValidation:
         v[2] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
         with pytest.raises(ValueError, match="third measured vector must be orthogonal to the first two"):
             _check_measured(*v.tolist())
-
-
-def test_imu_sample_shape_validation():
-    with pytest.raises(ValueError):
-        ImuSample(omega_m=np.zeros(2), a_m=np.zeros(3), m_m=np.zeros(3))

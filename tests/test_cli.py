@@ -37,8 +37,8 @@ class TestSimulateVerb:
         def refuse(*args):
             raise AssertionError("a per-sample value was built")
 
-        monkeypatch.setattr(attitude, "_raw_imu", refuse)
-        monkeypatch.setattr(uwb, "_raw_tdoa", refuse)
+        monkeypatch.setattr(attitude, "ImuSample", refuse)
+        monkeypatch.setattr(uwb, "Ranges", refuse)
         cfg = tmp_path / "sim.yaml"
         cfg.write_text("duration: 1.0\nrate: 50.0\ntopology: tdoa-main\n")
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "ds")) == EXIT_OK
@@ -326,6 +326,32 @@ class TestRunVerb:
         assert "numerical failure" in err and "pos_err and vel_err must be finite and nonnegative (data row 1)" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sigma_norm_is_numeric_error(self, tmp_path, capsys):
+        # one step from a finite 1e155 covariance bound: once exit 0 with inf
+        # in metrics.csv's sigma_norm, after a numpy overflow warning
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 0.01\ntopology: toa\nsigma_hat0: [1.0e155, 0, 0]\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: metrics: sigma_norm must be finite (data row 1)" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_stale_ranging_group_is_data_error(self, tmp_path, capsys):
+        # tdoa.csv stops after one second of a three-second flight: once exit 0,
+        # every later tick holding the last group
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 3.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        header, *rows = (ds / "tdoa.csv").read_text().splitlines()
+        (ds / "tdoa.csv").write_text("\n".join([header] + [r for r in rows if float(r.split(",")[0]) < 1.0]) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nrate: 500.0\nfilter_rate: 100.0\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert "data error: tdoa.csv: no ranging group near t=1.0" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")
@@ -438,6 +464,18 @@ class TestMetricsVerb:
             "data error: estimates.csv against truth.csv: pos_err and vel_err must be finite and nonnegative "
             f"(data row {row})"
         ) in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("column", ["s1", "s3"])
+    def test_overflowing_sigma_norm_is_data_error(self, tmp_path, capsys, column):
+        # once exit 0 with inf in metrics.csv's sigma_norm, after a numpy overflow warning
+        out = self._edit_estimates(tmp_path, 5, column, "1.0e300")
+        before = (out / "metrics.csv").read_bytes()
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert "data error: estimates.csv against truth.csv: sigma_norm must be finite (data row 5)" in (
+            capsys.readouterr().err
+        )
         assert (out / "metrics.csv").read_bytes() == before
 
     def test_dropout_row_may_carry_nan_residuals(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ from uwbnav.harness import (
     write_dataset,
 )
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import AnchorSet, TdoaRanges, ToaRanges
+from uwbnav.uwb import AnchorSet
 
 from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
 
@@ -121,6 +121,13 @@ class TestRunConfig:
         assert cfg.env().g_vec[2] == 9.8
         assert len(cfg.anchor_set()) == 8
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", ["matrix", "quaternion"])
+    def test_initial_attitude_off_the_group_rejected(self, variant):
+        # a finite rotation vector whose exponential overflows fails the state gate, without a warning
+        with pytest.raises(ConfigError, match="r_hat0: (attitude is not orthonormal|cannot normalize)"):
+            RunConfig(r_hat0=[1.0e300, 0.0, 0.0], variant=variant)
+
     def test_initial_state_variants(self):
         rotvec = [0.0, 0.0, 0.4]
         matrix = RunConfig(r_hat0=rotvec).initial_state()
@@ -202,14 +209,15 @@ class TestMetricsRow:
     """Range checks of a metrics.csv row (``harness._check_metrics``)."""
 
     def test_accepts_valid_row(self):
-        harness._check_metrics(att_err=0.2, pos_err=0.1, vel_err=0.3)
+        harness._check_metrics(att_err=0.2, pos_err=0.1, vel_err=0.3, sigma_norm=0.4)
 
     @pytest.mark.parametrize("field,value", [("att_err", 1.5), ("att_err", -0.1),
                                              ("pos_err", -1.0), ("vel_err", -0.2),
                                              ("pos_err", np.nan), ("vel_err", np.nan),
-                                             ("pos_err", np.inf), ("vel_err", np.inf)])
+                                             ("pos_err", np.inf), ("vel_err", np.inf),
+                                             ("sigma_norm", np.nan), ("sigma_norm", np.inf)])
     def test_rejects_out_of_range(self, field, value):
-        kwargs = dict(att_err=0.1, pos_err=0.1, vel_err=0.1)
+        kwargs = dict(att_err=0.1, pos_err=0.1, vel_err=0.1, sigma_norm=0.1)
         kwargs[field] = value
         with pytest.raises(ValueError):
             harness._check_metrics(**kwargs)
@@ -228,7 +236,7 @@ class TestSynthesizeMeasurements:
             assert np.allclose(imu_stream[i].omega_m, clean.omega_m, atol=1e-12)
             assert np.allclose(imu_stream[i].a_m, clean.a_m, atol=1e-12)
             assert np.allclose(imu_stream[i].m_m, clean.m_m, atol=1e-12)
-            assert np.allclose(ranges[i].d, toa_ranges(traj.p[i], anchors).d, atol=1e-12)
+            assert np.allclose(ranges[i].values, toa_ranges(traj.p[i], anchors).values, atol=1e-12)
 
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_tdoa_topologies_match_forward_model(self, topology):
@@ -237,10 +245,9 @@ class TestSynthesizeMeasurements:
         _, ranges = synthesize_measurements(
             traj, anchors, topology, None, ReferenceEnvironment()
         )
-        name = "main-bs" if topology == "tdoa-main" else "ring"
         for i in (0, len(traj) - 1):
-            expect = tdoa_ranges(traj.p[i], anchors, topology=name)
-            assert np.allclose(ranges[i].diffs, expect.diffs, atol=1e-12)
+            expect = tdoa_ranges(traj.p[i], anchors, topology)
+            assert np.allclose(ranges[i].values, expect.values, atol=1e-12)
 
     def test_tag_offset_displaces_ranging_only(self):
         traj = _traj(duration=0.5)
@@ -252,9 +259,9 @@ class TestSynthesizeMeasurements:
             traj, anchors, "tdoa-ring", None, env, tag_offset=lever
         )
         assert np.allclose(imu_a[3].a_m, imu_b[3].a_m, atol=1e-15)
-        expect = tdoa_ranges(traj.p[0] + traj.rot[0] @ lever, anchors, topology="ring")
-        assert np.allclose(moved[0].diffs, expect.diffs, atol=1e-12)
-        assert not np.allclose(moved[0].diffs, plain[0].diffs)
+        expect = tdoa_ranges(traj.p[0] + traj.rot[0] @ lever, anchors, "tdoa-ring")
+        assert np.allclose(moved[0].values, expect.values, atol=1e-12)
+        assert not np.allclose(moved[0].values, plain[0].values)
 
     def test_same_seed_reproduces_stream(self):
         traj = _traj(duration=1.0)
@@ -267,7 +274,7 @@ class TestSynthesizeMeasurements:
             np.array_equal(x.a_m, y.a_m) and np.array_equal(x.m_m, y.m_m)
             for x, y in zip(a[0], b[0])
         )
-        assert all(np.array_equal(x.d, y.d) for x, y in zip(a[1], b[1]))
+        assert all(np.array_equal(x.values, y.values) for x, y in zip(a[1], b[1]))
 
     @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "constant"])
@@ -278,15 +285,12 @@ class TestSynthesizeMeasurements:
         env = ReferenceEnvironment()
         imu, ranges = synthesize_measurements(traj, anchors, topology, noise, env, lever)
         imu_ref, ranges_ref = synthesize_per_sample(traj, anchors, topology, noise, env, lever)
-        for name in ("omega_m", "a_m", "m_m", "t"):
+        for name in ("omega_m", "a_m", "m_m"):
             got = np.array([getattr(s, name) for s in imu])
             assert np.array_equal(got, np.array([getattr(s, name) for s in imu_ref])), name
-        values = "d" if topology == "toa" else "diffs"
-        got = np.array([getattr(r, values) for r in ranges])
-        assert np.array_equal(got, np.array([getattr(r, values) for r in ranges_ref]))
-        assert [type(r) for r in ranges] == [type(r) for r in ranges_ref]
-        if topology != "toa":
-            assert {r.topology for r in ranges} == {ranges_ref[0].topology}
+        got = np.array([r.values for r in ranges])
+        assert np.array_equal(got, np.array([r.values for r in ranges_ref]))
+        assert {r.topology for r in ranges} == {r.topology for r in ranges_ref} == {topology}
 
     def test_block_check_names_first_bad_field(self):
         traj = _traj(duration=0.5)
@@ -304,9 +308,8 @@ class TestMeasurementBlocks:
         imu, ranges = measurement_blocks(*args)
         imu_rows, range_rows = synthesize_measurements(*args)
         assert np.array_equal(imu, [[*s.omega_m, *s.a_m, *s.m_m] for s in imu_rows])
-        assert np.array_equal(traj.t, [s.t for s in imu_rows])
-        values = "d" if topology == "toa" else "diffs"
-        assert np.array_equal(ranges, [getattr(r, values) for r in range_rows])
+        assert np.array_equal(ranges, [r.values for r in range_rows])
+        assert {r.topology for r in range_rows} == {topology}
 
     def test_tag_beyond_anchor_limit_is_config_error(self):
         traj = _traj(duration=0.5)
@@ -364,17 +367,17 @@ class TestDatasetRoundTrip:
         ) < 1e-12
         assert np.allclose(got_anchors.anchors, default_anchors().anchors)
         assert np.allclose(got_imu[7].a_m, imu[7, 3:6], atol=1e-15)
-        assert np.allclose(got_ranges[7].diffs, diffs[7], atol=1e-15)
+        assert np.allclose(got_ranges[7].values, diffs[7], atol=1e-15)
         # velocity comes back through the derivative reconstruction
         assert np.max(np.linalg.norm(got_traj.v - traj.v, axis=1)) < 1e-3
 
     def test_decimation_keeps_every_fifth(self, dataset):
-        out, traj, _, diffs = dataset
+        out, traj, imu, diffs = dataset
         got_traj, _, got_imu, got_ranges = ingest_dataset(out, 10.0)
         assert len(got_traj) == (len(traj) + 4) // 5
         assert np.allclose(got_traj.t, traj.t[::5], atol=1e-12)
-        assert np.allclose(got_ranges[1].diffs, diffs[5], atol=1e-15)
-        assert got_imu[1].t == pytest.approx(traj.t[5])
+        assert np.allclose(got_ranges[1].values, diffs[5], atol=1e-15)
+        assert np.allclose(got_imu[1].omega_m, imu[5, 0:3], atol=1e-15)
 
     def test_non_integer_decimation_rejected(self, dataset):
         with pytest.raises(ConfigError, match="decimation"):
@@ -386,7 +389,7 @@ class TestDatasetRoundTrip:
         imu, diffs = measurement_blocks(traj, anchors, "tdoa-main", None, ReferenceEnvironment())
         out = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-main", imu, diffs)
         _, _, _, got = ingest_dataset(out, 50.0, topology="tdoa-main")
-        assert np.allclose(got[3].diffs, diffs[3], atol=1e-15)
+        assert np.allclose(got[3].values, diffs[3], atol=1e-15)
 
     def test_toa_topology_rejected(self, dataset):
         with pytest.raises(ConfigError, match="tdoa"):
@@ -515,7 +518,7 @@ class TestDatasetRoundTrip:
         argmin_rule = [int(np.argmin(np.abs(times - tick))) for tick in traj.t]
         assert argmin_rule == [0, 0, 1, 2, 3, 4, 5, 6, 6]
         for tick, group in enumerate(argmin_rule):
-            assert np.array_equal(got[tick].diffs, diffs[group])
+            assert np.array_equal(got[tick].values, diffs[group])
 
     def test_unordered_tdoa_clock_rejected(self, dataset):
         out = dataset[0]

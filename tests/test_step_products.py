@@ -6,9 +6,9 @@ or reading back a small array costs as much.  So the values passed between
 the step's layers hold tuples of Python floats, and every layer evaluates
 its products as scalar expressions on them (see the "Cost" note of
 ``uwbnav.navfilter``).  Every function listed below runs at least once per
-filter step, or is the raw constructor of an input value the step passes
-on (a step intermediate is a dataclass, built by the listed function that
-returns it).
+filter step (every value the step reads or builds is a dataclass, built by
+the harness from a checked block or by the listed function that returns
+it).
 
 Read from the syntax tree of each listed function's body (so docstrings,
 comments and the annotations of its signature, which are never evaluated,
@@ -31,15 +31,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "uwbnav"
 
 PER_STEP = {
     "navfilter": (
-        "_raw_state", "_rows", "_gate", "_product", "correction_terms", "predict", "update", "step_with_fix", "step",
+        "_rows", "_gate", "_product", "correction_terms", "predict", "update", "step_with_fix", "step",
     ),
-    "attitude": ("_raw_imu", "_check_measured", "_weights", "_unit", "build_triads"),
+    "attitude": ("_check_measured", "_weights", "_unit", "build_triads"),
     "liegroup": (
         "cross3", "_rodrigues_coefficients", "se23_exp", "quat_normalize", "_quat_rot_rows",
         "quat_multiply", "quat_from_rotvec",
     ),
     "uwb": (
-        "_raw_toa", "_raw_tdoa", "_finite", "_check_rank", "_check_condition", "_position",
+        "_finite", "_check_rank", "_check_condition", "_position",
         "toa_solve", "tdoa_solve", "solve_fix",
     ),
 }

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import tdoa_ranges, tdoa_solve_main_bs, tdoa_solve_ring, toa_ranges, toa_solve_per_call
+from reference import ranges_of, tdoa_ranges, tdoa_solve_main_bs, tdoa_solve_ring, toa_ranges, toa_solve_per_call
 from uwbnav import uwb
 
 
@@ -75,19 +75,19 @@ class TestOverflowingAnchors:
 class TestForwardRanges:
     def test_toa_matches_direct_norms(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        d = toa_ranges(p, anchors).d
+        d = np.array(toa_ranges(p, anchors).values)
         for i in range(len(anchors)):
             assert d[i] == pytest.approx(np.linalg.norm(anchors.anchors[i] - p))
 
     def test_main_bs_differences(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        d = toa_ranges(p, anchors).d
-        diffs = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
+        d = np.array(toa_ranges(p, anchors).values)
+        diffs = np.array(tdoa_ranges(p, anchors, "tdoa-main").values)
         assert diffs == pytest.approx(d[1:] - d[0])
 
     def test_ring_differences_telescope_to_zero(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
-        diffs = tdoa_ranges(p, anchors, uwb.RING).diffs
+        diffs = np.array(tdoa_ranges(p, anchors, "tdoa-ring").values)
         assert len(diffs) == len(anchors)
         assert diffs.sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -121,14 +121,14 @@ class TestToaSolve:
 
     def test_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        d = toa_ranges(p, anchors).d
+        d = np.array(toa_ranges(p, anchors).values)
         h = anchors.anchors
         a_rows, b_rows = [], []
         for i in range(1, len(anchors)):
             a_rows.append(h[i] - h[0])
             b_rows.append(0.5 * (d[0] ** 2 - d[i] ** 2 + h[i] @ h[i] - h[0] @ h[0]))
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
-        fix = uwb.toa_solve(anchors, uwb.ToaRanges(d=d))
+        fix = uwb.toa_solve(anchors, ranges_of("toa", d))
         assert np.allclose(fix.p, ref, atol=1e-10)
         assert fix.condition_number == pytest.approx(frobenius_condition(np.array(a_rows)), rel=1e-9)
 
@@ -143,7 +143,7 @@ class TestToaSolve:
     def test_too_few_anchors(self):
         three = uwb.AnchorSet(anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]]))
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.toa_solve(three, uwb.ToaRanges(d=np.ones(3)))
+            uwb.toa_solve(three, ranges_of("toa", np.ones(3)))
 
     def test_collinear_anchors_degenerate(self):
         line = uwb.AnchorSet(anchors=np.array([[float(i), 0, 0] for i in range(5)]))
@@ -198,7 +198,7 @@ class TestFactoredToaSolve:
             n = int(rng.integers(4, 12))
             anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
             p = rng.uniform(-4.0, 4.0, size=3)
-            obs = uwb.ToaRanges(d=np.abs(toa_ranges(p, anchors).d + rng.normal(0.0, 0.05, n)))
+            obs = ranges_of("toa", np.abs(np.array(toa_ranges(p, anchors).values) + rng.normal(0.0, 0.05, n)))
             _assert_same_outcome(_outcome(uwb.toa_solve, anchors, obs), _outcome(toa_solve_per_call, anchors, obs))
 
     @pytest.mark.parametrize(
@@ -212,7 +212,7 @@ class TestFactoredToaSolve:
     )
     def test_degenerate_sets_construct_then_raise_at_solve(self, points, message):
         anchors = uwb.AnchorSet(anchors=np.array(points, dtype=float))
-        obs = uwb.ToaRanges(d=np.ones(len(anchors)))
+        obs = ranges_of("toa", np.ones(len(anchors)))
         assert _outcome(toa_solve_per_call, anchors, obs) == message
         assert _outcome(uwb.toa_solve, anchors, obs) == message
 
@@ -226,9 +226,9 @@ class TestPairListSolve:
     # auxiliary range), one is coplanar (rank deficient) and one near-coplanar
     # (condition gate)
 
-    @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
+    @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_matches_dedicated_solvers(self, rng, topology):
-        oracle = tdoa_solve_main_bs if topology == uwb.MAIN_BS else tdoa_solve_ring
+        oracle = tdoa_solve_main_bs if topology == "tdoa-main" else tdoa_solve_ring
         seen = set()
         for k in range(300):
             n = int(rng.integers(3, 12))
@@ -239,8 +239,8 @@ class TestPairListSolve:
                 points[:, 2] = 1.5 + 1e-9 * rng.standard_normal(n)
             anchors = uwb.AnchorSet(anchors=points)
             tag = points[0] + 1e-4 if k % 4 == 1 else rng.uniform(-4.0, 4.0, size=3)
-            clean = tdoa_ranges(tag, anchors, topology).diffs
-            obs = uwb.TdoaRanges(topology, clean + rng.normal(0.0, 0.05, clean.shape))
+            clean = np.array(tdoa_ranges(tag, anchors, topology).values)
+            obs = ranges_of(topology, clean + rng.normal(0.0, 0.05, clean.shape))
             ref = _outcome(oracle, anchors, obs)
             _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref)
             seen.add(ref.split(" ")[0] if isinstance(ref, str) else ("clamped" if ref[3] else "fix"))
@@ -250,17 +250,17 @@ class TestPairListSolve:
 def _system(anchors, obs):
     """The matrix of the linear system a solver solves for ``obs``: TOA rows ``h_i - h_1``, TDOA ``[h_first - h_second, -d]``."""
     h = anchors.anchors
-    if isinstance(obs, uwb.ToaRanges):
+    if obs.topology == "toa":
         return h[1:] - h[0]
     pairs = anchors.tdoa[obs.topology]
-    return np.column_stack([h[pairs.first] - h[pairs.second], -obs.diffs])
+    return np.column_stack([h[pairs.first] - h[pairs.second], -np.array(obs.values)])
 
 
 def _noisy_obs(anchors, topology, tag, rng):
-    if topology is None:
-        return uwb.ToaRanges(d=np.abs(toa_ranges(tag, anchors).d + rng.normal(0.0, 0.05, len(anchors))))
-    clean = tdoa_ranges(tag, anchors, topology).diffs
-    return uwb.TdoaRanges(topology, clean + rng.normal(0.0, 0.05, clean.shape))
+    if topology == "toa":
+        return ranges_of("toa", np.abs(np.array(toa_ranges(tag, anchors).values) + rng.normal(0.0, 0.05, len(anchors))))
+    clean = np.array(tdoa_ranges(tag, anchors, topology).values)
+    return ranges_of(topology, clean + rng.normal(0.0, 0.05, clean.shape))
 
 
 class TestFrobeniusCondition:
@@ -268,7 +268,7 @@ class TestFrobeniusCondition:
     # system it solves: TOA's from the anchor set's singular values, TDOA's in
     # closed form from the rank-one update of the position block
 
-    @pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
     def test_matches_pseudo_inverse(self, rng, topology):
         for _ in range(50):
             anchors = box_anchors(jitter=rng.normal(0.0, 0.5, (8, 3)))
@@ -277,7 +277,7 @@ class TestFrobeniusCondition:
             assert fix.condition_number == pytest.approx(frobenius_condition(_system(anchors, obs)), rel=1e-12)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.sampled_from([None, uwb.MAIN_BS, uwb.RING]))
+    @given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.sampled_from(["toa", "tdoa-main", "tdoa-ring"]))
     def test_bracketed_by_two_norm_condition(self, seed, n, topology):
         # on k columns, kappa_2 <= kappa_F <= k kappa_2
         rng = np.random.default_rng(seed)
@@ -293,7 +293,7 @@ class TestFrobeniusCondition:
 
 
 class TestTdoaSolvers:
-    @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
+    @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_recovers_position_and_aux(self, anchors, rng, topology):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
@@ -306,26 +306,26 @@ class TestTdoaSolvers:
 
     def test_topologies_agree_after_conversion(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        main = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
-        # ring differences from main-bs ones: consecutive subtraction plus
+        main = np.array(tdoa_ranges(p, anchors, "tdoa-main").values)
+        # tdoa-ring differences from tdoa-main ones: consecutive subtraction plus
         # the wraparound back to anchor 1
         ring = np.empty(len(anchors))
         ring[0] = main[0]
         ring[1:-1] = main[1:] - main[:-1]
         ring[-1] = -main[-1]
-        fix_m = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.MAIN_BS, main))
-        fix_r = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.RING, ring))
+        fix_m = uwb.tdoa_solve(anchors, ranges_of("tdoa-main", main))
+        fix_r = uwb.tdoa_solve(anchors, ranges_of("tdoa-ring", ring))
         assert np.linalg.norm(np.subtract(fix_m.p, fix_r.p)) < 1e-6
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
-        obs = tdoa_ranges(p, anchors, uwb.RING)
+        obs = tdoa_ranges(p, anchors, "tdoa-ring")
         h = anchors.anchors
         n = len(anchors)
         a_rows, b_rows, partial = [], [], 0.0
         for k in range(n):
             j = (k + 1) % n
-            d = obs.diffs[k]
+            d = obs.values[k]
             a_rows.append(np.concatenate([h[k] - h[j], [-d]]))
             b_rows.append(0.5 * (d * d + h[k] @ h[k] - h[j] @ h[j] + 2.0 * d * partial))
             partial += d
@@ -338,7 +338,7 @@ class TestTdoaSolvers:
         four = uwb.AnchorSet(
             anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
         )
-        obs = tdoa_ranges(np.ones(3), four, uwb.MAIN_BS)
+        obs = tdoa_ranges(np.ones(3), four, "tdoa-main")
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.tdoa_solve(four, obs)
 
@@ -346,17 +346,17 @@ class TestTdoaSolvers:
         # telescoping makes the ring rows linearly dependent, which is why
         # the solver demands one more anchor than the unknown count
         p = rng.uniform(-2, 2, size=3)
-        obs = tdoa_ranges(p, anchors, uwb.RING)
+        obs = tdoa_ranges(p, anchors, "tdoa-ring")
         h = anchors.anchors
         nxt = np.roll(np.arange(len(anchors)), -1)
-        a = np.hstack([h - h[nxt], -obs.diffs[:, None]])
+        a = np.hstack([h - h[nxt], -np.array(obs.values)[:, None]])
         assert np.abs(a.sum(axis=0)).max() < 1e-12
 
     def test_ring_rejects_four_anchors(self):
         four = uwb.AnchorSet(
             anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4.0]])
         )
-        obs = tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, uwb.RING)
+        obs = tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, "tdoa-ring")
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.tdoa_solve(four, obs)
 
@@ -367,7 +367,7 @@ class TestTdoaSolvers:
             )
         )
         p = np.array([0.8, 1.1, 0.9])
-        fix = uwb.tdoa_solve(five, tdoa_ranges(p, five, uwb.RING))
+        fix = uwb.tdoa_solve(five, tdoa_ranges(p, five, "tdoa-ring"))
         assert np.linalg.norm(fix.p - p) < 1e-7
 
     def test_negative_aux_clamped(self, anchors, rng):
@@ -375,16 +375,16 @@ class TestTdoaSolvers:
         # additive noise pushes the least-squares estimate negative for some
         # draws; the fix must clamp and flag it
         p = anchors.anchors[0] + np.array([1e-4, 0.0, 0.0])
-        clean = tdoa_ranges(p, anchors, uwb.MAIN_BS).diffs
+        clean = np.array(tdoa_ranges(p, anchors, "tdoa-main").values)
         saw_clamp = False
         for _ in range(64):
             noisy = clean + rng.normal(0.0, 0.05, size=clean.shape)
-            fix = uwb.tdoa_solve(anchors, uwb.TdoaRanges(uwb.MAIN_BS, noisy))
+            fix = uwb.tdoa_solve(anchors, ranges_of("tdoa-main", noisy))
             assert fix.aux_range >= 0.0
             saw_clamp = saw_clamp or fix.aux_clamped
         assert saw_clamp
 
-    @pytest.mark.parametrize("topology", [uwb.MAIN_BS, uwb.RING])
+    @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_condition_ceiling_enforced(self, rng, topology):
         flat = near_coplanar_anchors()
         obs = tdoa_ranges(rng.uniform(-2, 2, size=3), flat, topology)
@@ -395,22 +395,22 @@ class TestTdoaSolvers:
         p = rng.uniform(-2, 2, size=3)
         for obs in (
             toa_ranges(p, anchors),
-            tdoa_ranges(p, anchors, uwb.MAIN_BS),
-            tdoa_ranges(p, anchors, uwb.RING),
+            tdoa_ranges(p, anchors, "tdoa-main"),
+            tdoa_ranges(p, anchors, "tdoa-ring"),
         ):
             fix = uwb.solve_fix(anchors, obs)
             assert np.linalg.norm(fix.p - p) < 1e-8
 
 
-@pytest.mark.parametrize("topology", [None, uwb.MAIN_BS, uwb.RING])
+@pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
 def test_solvers_enforce_anchor_floor(topology):
     # every solver rejects one anchor below anchor_floor, the floor the
     # run configuration checks
     floor = uwb.anchor_floor(topology)
-    assert floor == (4 if topology is None else 5)
+    assert floor == (4 if topology == "toa" else 5)
     few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1])
     p = np.array([0.3, -0.2, 1.1])
-    obs = toa_ranges(p, few) if topology is None else tdoa_ranges(p, few, topology)
+    obs = tdoa_ranges(p, few, topology)
     with pytest.raises(uwb.GeometryDegenerate, match=f"need at least {floor} anchors, got {floor - 1}"):
         uwb.solve_fix(few, obs)
 
@@ -421,17 +421,17 @@ class TestOverflowingRanges:
     # each solver must refuse them by name or return a finite fix, never a
     # NaN or inf position, and must not warn on the way
     @pytest.mark.parametrize("magnitude", [1e150, 1e200])
-    @pytest.mark.parametrize("topology", ["toa", uwb.MAIN_BS, uwb.RING])
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
     def test_no_non_finite_fix(self, anchors, rng, topology, magnitude):
         p = rng.uniform(-2, 2, size=3)
         if topology == "toa":
-            d = toa_ranges(p, anchors).d
+            d = np.array(toa_ranges(p, anchors).values)
             d[0] = magnitude
-            obs = uwb.ToaRanges(d=d)
+            obs = ranges_of("toa", d)
         else:
-            diffs = tdoa_ranges(p, anchors, topology).diffs
+            diffs = np.array(tdoa_ranges(p, anchors, topology).values)
             diffs[0] = magnitude
-            obs = uwb.TdoaRanges(topology, diffs)
+            obs = ranges_of(topology, diffs)
         if magnitude * magnitude == np.inf:
             with pytest.raises(ValueError, match="position solve overflowed: ranges too large"):
                 uwb.solve_fix(anchors, obs)
