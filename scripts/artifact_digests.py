@@ -17,12 +17,18 @@ temporary directory:
 
 Output is one ``sha256  relative/path`` line per file, sorted by path.  The
 script imports the ``uwbnav`` sources of the checkout it sits in, so a copy
-placed in another checkout digests that checkout.
+placed in another checkout digests that checkout.  With ``--check FILE`` it
+compares the digests against a listing saved from an earlier run instead:
+it prints each path whose digest differs, or that only one side has, and
+exits 1 if there is any; on a full match it prints one summary line and
+exits 0.
 
 Example:
     python scripts/artifact_digests.py > digests.txt
+    python scripts/artifact_digests.py --check digests.txt
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -88,17 +94,45 @@ def _replay_round_trips(work: Path) -> None:
         _cli("metrics", str(run), "--out", str(run / "rescored.csv"))
 
 
-def main() -> int:
+def _digests() -> dict[str, str]:
+    """Relative path -> SHA-256 hex digest of every artifact the runs write."""
     with tempfile.TemporaryDirectory(prefix="uwbnav-digests-") as tmp:
         work = Path(tmp)
         _circle_runs(work)
         _replay_round_trips(work)
-        artifacts = sorted(
-            path for top in ("circle", "replay") for path in (work / top).rglob("*") if path.is_file()
-        )
-        for path in artifacts:
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(work).as_posix()}")
+        return {
+            path.relative_to(work).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for top in ("circle", "replay") for path in (work / top).rglob("*") if path.is_file()
+        }
+
+
+def _listing(path: Path) -> dict[str, str]:
+    """The ``path -> digest`` map of a saved listing, one ``sha256  relative/path`` line each."""
+    saved = {}
+    for line in path.read_text().splitlines():
+        digest, sep, name = line.partition("  ")
+        if not sep or not name:
+            sys.exit(f"{path}: not a digest listing line: {line!r}")
+        saved[name] = digest
+    return saved
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", type=Path, metavar="FILE", help="compare against a saved listing")
+    args = parser.parse_args(argv)
+    saved = None if args.check is None else _listing(args.check)
+    digests = _digests()
+    if saved is None:
+        for name in sorted(digests):
+            print(f"{digests[name]}  {name}")
+        return 0
+    differing = sorted(name for name in digests.keys() | saved.keys() if digests.get(name) != saved.get(name))
+    for name in differing:
+        print(name)
+    if differing:
+        return 1
+    print(f"all {len(digests)} artifacts match {args.check}")
     return 0
 
 

@@ -96,18 +96,18 @@ class ImuSample:
 
 @dataclass(slots=True)
 class TriadSet:
-    """Three matched unit-vector pairs with weights, as :func:`build_triads` builds them.
+    """Three matched unit-vector pairs, as :func:`build_triads` builds them.
 
-    ``v`` holds the measured body-frame unit rows, ``reference`` the
+    ``v`` holds the measured body-frame unit rows and ``reference`` the
     matching inertial side as ``(rows, squared_norms)`` (the environment's,
-    computed once) and ``s`` the nonnegative weights summing to 3, all as
-    float tuples.  The third pair is a normalized cross product of the first
-    two, so it is orthogonal to both by construction.
+    computed once), all as float tuples.  The third pair is a normalized
+    cross product of the first two, so it is orthogonal to both by
+    construction.  The pairs' confidence weights are the filter's, held
+    and checked once by ``navfilter.FilterGains``.
     """
 
     v: tuple
     reference: tuple
-    s: tuple
 
 
 def _check_measured(v1, v2, v3) -> None:
@@ -119,17 +119,6 @@ def _check_measured(v1, v2, v3) -> None:
         raise ValueError("measured triad rows must be unit vectors")
     if not (abs(x3 * x1 + y3 * y1 + z3 * z1) <= 1e-9 and abs(x3 * x2 + y3 * y2 + z3 * z2) <= 1e-9):
         raise ValueError("third measured vector must be orthogonal to the first two")
-
-
-def _weights(s) -> tuple[float, float, float]:
-    """Triad confidence weights (a 3-sequence or array) as floats: three nonnegative values summing to 3."""
-    try:
-        s0, s1, s2 = map(float, s)
-    except (TypeError, ValueError):
-        raise ValueError("s must be 3 nonnegative weights summing to 3") from None
-    if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
-        raise ValueError("s must be 3 nonnegative weights summing to 3")
-    return s0, s1, s2
 
 
 def measure_imu(rot, omega, vdot, env, z=None, sigmas=None):
@@ -177,20 +166,16 @@ def _unit(x: float, y: float, z: float, what: str) -> tuple[float, float, float]
     return x / n, y / n, z / n
 
 
-def build_triads(
-    a_m: np.ndarray,
-    m_m: np.ndarray,
-    env: ReferenceEnvironment,
-    s: np.ndarray | tuple[float, float, float] = (1.0, 1.0, 1.0),
-) -> TriadSet:
+def build_triads(a_m, m_m, env: ReferenceEnvironment) -> TriadSet:
     """Accelerometer/magnetometer triads.
 
     Pairs the normalized accelerometer with the downward gravity direction
     ``-g/||g||``, the normalized magnetometer with the field direction, and
     closes with the normalized cross products on both sides.  The reference
-    side is the environment's, computed once; the measured side and the
-    weights are checked here, on floats.  ``a_m``, ``m_m`` and ``s`` may be
-    arrays or float sequences.
+    side is the environment's, computed once; the measured side is checked
+    here, on the floats of ``a_m`` and ``m_m`` (3-sequences, as
+    :class:`ImuSample` holds them).  The weights are not the triads': the
+    filter reads them from ``FilterGains``, which checked them once.
 
     Raises
     ------
@@ -198,8 +183,8 @@ def build_triads(
         If a measurement or a cross product has norm at or below
         ``EPS_DEGENERATE``.
     """
-    v1 = _unit(*map(float, a_m), "accelerometer sample")
-    v2 = _unit(*map(float, m_m), "magnetometer sample")
+    v1 = _unit(*a_m, "accelerometer sample")
+    v2 = _unit(*m_m, "magnetometer sample")
     v3 = _unit(*cross3(v1, v2), "measured cross product")
     _check_measured(v1, v2, v3)
-    return TriadSet((v1, v2, v3), env._reference, _weights(s))
+    return TriadSet((v1, v2, v3), env._reference)

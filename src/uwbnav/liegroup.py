@@ -8,8 +8,9 @@ closed form (Rodrigues terms plus two Jacobian-like series for the
 translation columns).  This module provides the skew map, the
 normalized attitude distance, the rotation exponential on arrays, the
 extended-pose exponential :func:`se23_exp` that the filter step evaluates
-on Python floats (it returns the blocks, never the 5x5 matrix), and the
-quaternion conversions used by the quaternion filter variant.
+on Python floats (it returns the blocks, never the 5x5 matrix), the
+quaternion conversions, and :func:`quat_turn`, the quaternion variant's
+attitude step on floats.
 """
 
 from __future__ import annotations
@@ -26,9 +27,7 @@ __all__ = [
     "se23_exp",
     "quat_to_rot",
     "rot_to_quat",
-    "quat_multiply",
-    "quat_normalize",
-    "quat_from_rotvec",
+    "quat_turn",
 ]
 
 # Below this angle the Rodrigues coefficients switch to second-order Taylor
@@ -134,30 +133,27 @@ def se23_exp(omega, v, a, eps: float, dt: float):
     theta = math.hypot(wx, wy, wz)
     t2 = theta * theta
     a_c, b_c, c_c, d_c = _rodrigues_coefficients(theta)
-
-    def series(x, y, z, k0, k1, k2):  # (k0 I + k1 S + k2 S^2) [x, y, z]
-        d, k0 = k2 * (wx * x + wy * y + wz * z), k0 - k2 * t2
-        return (k0 * x + k1 * (wy * z - wz * y) + d * wx, k0 * y + k1 * (wz * x - wx * z) + d * wy,
-                k0 * z + k1 * (wx * y - wy * x) + d * wz)
-
-    j1v = series(vx * dt, vy * dt, vz * dt, 1.0, b_c, c_c)
-    j2a = series(ax, ay, az, 0.5, c_c, d_c)
+    # each series (k0 I + k1 S + k2 S^2) [x, y, z] is (k0 - k2 t2) [x, y, z]
+    # + k1 w x [x, y, z] + k2 (w . [x, y, z]) w, written out (a shared
+    # closure would put w in cells and allocate a function per call)
+    j1, j2 = 1.0 - c_c * t2, 0.5 - d_c * t2
+    x, y, z = vx * dt, vy * dt, vz * dt
+    d = c_c * (wx * x + wy * y + wz * z)
+    j1v0, j1v1, j1v2 = (j1 * x + b_c * (wy * z - wz * y) + d * wx, j1 * y + b_c * (wz * x - wx * z) + d * wy,
+                        j1 * z + b_c * (wx * y - wy * x) + d * wz)
+    d = d_c * (wx * ax + wy * ay + wz * az)
+    j2a0, j2a1, j2a2 = (j2 * ax + c_c * (wy * az - wz * ay) + d * wx, j2 * ay + c_c * (wz * ax - wx * az) + d * wy,
+                        j2 * az + c_c * (wx * ay - wy * ax) + d * wz)
+    x, y, z = ax * dt, ay * dt, az * dt
+    d = c_c * (wx * x + wy * y + wz * z)
+    t_v = (j1 * x + b_c * (wy * z - wz * y) + d * wx, j1 * y + b_c * (wz * x - wx * z) + d * wy,
+           j1 * z + b_c * (wx * y - wy * x) + d * wz)
     k = eps * dt * dt
     c0, bx, by, bz = 1.0 - b_c * t2, b_c * wx, b_c * wy, b_c * wz
     rot = ((c0 + bx * wx, bx * wy - a_c * wz, bx * wz + a_c * wy),
            (bx * wy + a_c * wz, c0 + by * wy, by * wz - a_c * wx),
            (bx * wz - a_c * wy, by * wz + a_c * wx, c0 + bz * wz))
-    t_p = (j1v[0] + k * j2a[0], j1v[1] + k * j2a[1], j1v[2] + k * j2a[2])
-    return rot, t_p, series(ax * dt, ay * dt, az * dt, 1.0, b_c, c_c)
-
-
-def quat_normalize(q) -> tuple[float, float, float, float]:
-    """Rescale a quaternion (array or float sequence) to unit norm, as a tuple of floats."""
-    w, x, y, z = q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n == 0.0 or not math.isfinite(n):
-        raise ValueError("cannot normalize a zero or non-finite quaternion")
-    return w / n, x / n, y / n, z / n
+    return rot, (j1v0 + k * j2a0, j1v1 + k * j2a1, j1v2 + k * j2a2), t_v
 
 
 def _quat_rot_rows(w, x, y, z):
@@ -211,16 +207,17 @@ def rot_to_quat(r: np.ndarray) -> np.ndarray:
     return q.reshape(r.shape[:-2] + (4,))
 
 
-def quat_multiply(q1, q2) -> tuple[float, float, float, float]:
-    """Hamilton quaternion product ``q1 * q2`` of two arrays or float sequences, as a tuple of floats."""
-    (w1, x1, y1, z1), (w2, x2, y2, z2) = q1, q2
-    return (w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2), w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
-            w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2), w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2))
+def quat_turn(q, omega, dt: float, left: bool = False) -> tuple[float, float, float, float]:
+    """Unit quaternion ``q exp(w)``, or ``exp(w) q`` with ``left``, for ``w = omega dt``, as a tuple of floats.
 
-
-def quat_from_rotvec(w) -> tuple[float, float, float, float]:
-    """Unit quaternion of a rotation vector, as a tuple of floats; satisfies quat_to_rot == so3_exp."""
-    x, y, z = w
+    ``q`` is a scalar-first quaternion and ``omega`` a 3-vector (arrays or
+    float sequences).  ``exp(w) = [cos(t/2), sin(t/2) w / t]`` with ``t =
+    |w|`` (``sin(t/2)/t`` to second order below ``SMALL_ANGLE``), so its
+    ``quat_to_rot`` is ``so3_exp(w)``; the Hamilton product is rescaled to
+    unit norm.  Raises ValueError if the product is zero or not finite.
+    """
+    o0, o1, o2 = omega
+    x, y, z = o0 * dt, o1 * dt, o2 * dt
     theta = math.hypot(x, y, z)
     half = 0.5 * theta
     if theta < SMALL_ANGLE:
@@ -228,4 +225,11 @@ def quat_from_rotvec(w) -> tuple[float, float, float, float]:
         scale = 0.5 - theta * theta / 48.0
     else:
         scale = math.sin(half) / theta
-    return math.cos(half), scale * x, scale * y, scale * z
+    turn = (math.cos(half), scale * x, scale * y, scale * z)
+    (w1, x1, y1, z1), (w2, x2, y2, z2) = (turn, q) if left else (q, turn)
+    w, x, y, z = (w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2), w1 * x2 + w2 * x1 + (y1 * z2 - z1 * y2),
+                  w1 * y2 + w2 * y1 + (z1 * x2 - x1 * z2), w1 * z2 + w2 * z1 + (x1 * y2 - y1 * x2))
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n == 0.0 or not math.isfinite(n):
+        raise ValueError("cannot normalize a zero or non-finite quaternion")
+    return w / n, x / n, y / n, z / n

@@ -24,10 +24,10 @@ checked once, at the boundary: ``RunConfig`` gates the initial state, and
 the harness checks each IMU and range block whole (``_check_imu``,
 ``_check_ranges``) before it cuts the block into samples.  Inside a step,
 each producer checks what the step can break before it builds its value:
-the measured triad and its weights, a fix's rank, conditioning and
-finiteness, unit quaternions and, once, the output state (``update``
-gates its result, ``step`` the predict-only state of a dropout) against
-``ATTITUDE_GATE`` and for NaN/inf.
+the measured triad, a fix's rank, conditioning and finiteness, unit
+quaternions and, once, the output state (``update`` gates its result,
+``step`` the predict-only state of a dropout) against ``ATTITUDE_GATE``
+and for NaN/inf.  The triad weights are checked once, by ``FilterGains``.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
@@ -37,7 +37,9 @@ three row tuples or one quaternion 4-tuple, 3-vectors as 3-tuples, ``d_v``
 as its diagonal) and each layer evaluates its products as scalar
 expressions on them; no array is built or read inside a step.  The public
 fields of every value are these float tuples; the harness and the metrics
-stack a run's tuples into arrays once.
+stack a run's tuples into arrays once.  A step converts and re-checks
+nothing already held as checked floats: samples, fixes and the weights in
+``FilterGains._s`` are read as they are.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, _weights, build_triads
-from .liegroup import _quat_rot_rows, cross3, quat_from_rotvec, quat_multiply, quat_normalize, se23_exp
+from .attitude import DegenerateTriads, ImuSample, ReferenceEnvironment, TriadSet, build_triads
+from .liegroup import _quat_rot_rows, cross3, quat_turn, se23_exp
 from .uwb import AnchorSet, GeometryDegenerate, Ranges, solve_fix
 
 __all__ = [
@@ -69,14 +71,26 @@ _ZERO3 = (0.0, 0.0, 0.0)
 _NAN = float("nan")
 
 
+def _weights(s) -> tuple[float, float, float]:
+    """Triad confidence weights (a 3-sequence or array) as floats: three nonnegative values summing to 3."""
+    try:
+        s0, s1, s2 = map(float, s)
+    except (TypeError, ValueError):
+        raise ValueError("s must be 3 nonnegative weights summing to 3") from None
+    if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
+        raise ValueError("s must be 3 nonnegative weights summing to 3")
+    return s0, s1, s2
+
+
 @dataclass(frozen=True)
 class FilterGains:
     """Positive filter constants and the triad confidence weights.
 
-    Defaults are a working set for indoor flight scales.  ``s`` is
-    consumed when triads are built inside :func:`step`, from its float
-    form ``_s``; only positivity is enforced here (closed-loop stability
-    margins are analysis-side and not checked at runtime).
+    Defaults are a working set for indoor flight scales.  ``s`` holds the
+    triad confidence weights, checked here once: three nonnegative values
+    summing to 3, kept as floats in ``_s``, where :func:`correction_terms`
+    reads them.  Of the constants only positivity is enforced (closed-loop
+    stability margins are analysis-side and not checked at runtime).
     """
 
     k1: float = 3.0
@@ -203,8 +217,8 @@ def correction_terms(
 ) -> CorrectionTerms:
     """Covariance adaptation and correction factors from one measurement set.
 
-    Computes, with ``v_hat_i = R_hat^T r_i`` and the triads' confidence
-    weights ``s_i``:
+    Computes, with ``v_hat_i = R_hat^T r_i`` and the confidence weights
+    ``s_i`` of ``gains`` (``FilterGains._s``):
 
     - ``e_r``: quarter-trace attitude residual
       ``(1/4) Tr sum s_i (r_i r_i^T - R_hat v_hat_i v_i^T R_hat^T)``,
@@ -225,7 +239,7 @@ def correction_terms(
     """
     r_hat = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
-    (s0, s1, s2), (ref, r_sq) = triads.s, triads.reference
+    (s0, s1, s2), (ref, r_sq) = gains._s, triads.reference
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v
     # the rows of h = (r R_hat) are v_hat_i = R_hat^T r_i, so m = h^T (s v)
     # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
@@ -250,7 +264,7 @@ def correction_terms(
     k_att, k_adapt = -(g.k1 / 2.0), 0.125 * (e_r + 2.0) / (e_r + 1.0)
     u0, u1, u2 = k_att * c0 - k_adapt * (c0 * sg0), k_att * c1 - k_adapt * (c1 * sg1), k_att * c2 - k_adapt * (c2 * sg2)
     w_omega = (r00 * u0 + r01 * u1 + r02 * u2, r10 * u0 + r11 * u1 + r12 * u2, r20 * u0 + r21 * u1 + r22 * u2)
-    (o0, o1, o2), p_hat = map(float, p_y), state.p_hat
+    (o0, o1, o2), p_hat = p_y, state.p_hat
     i0, i1, i2 = o0 - p_hat[0], o1 - p_hat[1], o2 - p_hat[2]
     k_v, k_a = -(g.kv / g.epsilon), -g.ka
     (x0, x1, x2), (z0, z1, z2) = cross3(w_omega, p_hat), cross3(w_omega, state.v_hat)
@@ -285,8 +299,7 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     if len(state.attitude) == 3:
         att = _product(rows, rot)
     else:
-        w0, w1, w2 = omega
-        att = quat_normalize(quat_multiply(state.attitude, quat_from_rotvec((w0 * dt, w1 * dt, w2 * dt))))
+        att = quat_turn(state.attitude, omega, dt)
     return FilterState(att, p_new, v_new, state.sigma_hat)
 
 
@@ -319,8 +332,7 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     if len(att) == 3:
         att = _product(rot, att)
     else:
-        w0, w1, w2 = w_omega
-        att = quat_normalize(quat_multiply(quat_from_rotvec((w0 * -dt, w1 * -dt, w2 * -dt)), att))
+        att = quat_turn(att, w_omega, -dt, left=True)
     (sg0, sg1, sg2), (sd0, sd1, sd2) = state.sigma_hat, w.sigma_dot
     sigma_new = (sg0 + dt * sd0, sg1 + dt * sd1, sg2 + dt * sd2)
     return _gate(FilterState(att, p_new, v_new, sigma_new))
@@ -341,7 +353,7 @@ def step_with_fix(
     acceleration correction (``update``'s ``g``).  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
-    triads = build_triads(imu.a_m, imu.m_m, env, s=gains._s)
+    triads = build_triads(imu.a_m, imu.m_m, env)
     w = correction_terms(state, triads, p_y, gains)
     new = update(predict(state, imu, dt), w, dt, env._g)
     return new, Diagnostics(w.e_r, math.dist(p_y, state.p_hat), False, "", min(new.sigma_hat) < SIGMA_ALERT_FLOOR)

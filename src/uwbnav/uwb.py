@@ -206,7 +206,7 @@ def _check_ranges(block: np.ndarray, topology: str) -> None:
         if not np.isfinite(block).all() or (block < 0.0).any():
             raise ValueError("ranges must be finite and non-negative")
     elif not np.isfinite(block).all():
-        raise ValueError("diffs must be a finite 1-D array")
+        raise ValueError("range differences must be finite")
 
 
 def _range_rows(block: np.ndarray, topology: str) -> list[Ranges]:
@@ -264,8 +264,8 @@ def _factor(a: np.ndarray) -> Factor:
     return Factor(ut, s, vt.T.tolist(), rank, sum(x * x for x in s), sum(1.0 / (x * x) for x in s[:rank]))
 
 
-def _finite(values):
-    """``values``, when every one is finite: the squared ranges and the solution must not overflow.
+def _finite(values, last: float = 0.0):
+    """``values``, when every one and ``last`` are finite: the squared ranges and the solution must not overflow.
 
     Raises
     ------
@@ -273,7 +273,7 @@ def _finite(values):
         If a value is NaN or infinite (ranges so large that their squares
         overflow).
     """
-    if not all(map(math.isfinite, values)):
+    if not (math.isfinite(last) and all(map(math.isfinite, values))):
         raise ValueError("position solve overflowed: ranges too large")
     return values
 
@@ -321,17 +321,15 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     ValueError
         If the range count is not the anchor count, or the solve overflows.
     """
-    n = len(anchors)
-    floor = anchor_floor("toa")
-    if n < floor:
-        raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
-    d, hn2 = ranges.values, anchors.sq_norms
-    if len(d) != n:
+    # the factor is None exactly below the anchor floor
+    f, d, hn2 = anchors.toa_factor, ranges.values, anchors.sq_norms
+    if f is None:
+        raise GeometryDegenerate(f"need at least {anchor_floor('toa')} anchors, got {len(hn2)}")
+    if len(d) != len(hn2):
         raise ValueError("range count does not match anchor count")
     e0, h0 = d[0] * d[0], hn2[0]
     # an overflowed entry of b makes the solution non-finite, which _position rejects
     b = [0.5 * (e0 - di * di + hi - h0) for di, hi in zip(d[1:], hn2[1:])]
-    f = anchors.toa_factor
     _check_rank(f.rank, 3)
     cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
@@ -363,12 +361,11 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
         If the difference count does not match the anchor count, or the
         solve overflows.
     """
-    n = len(anchors)
     topology, d = ranges.topology, ranges.values
-    floor = anchor_floor(topology)
-    if n < floor:
-        raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
     _, second, sq_first, sq_second, f = anchors.tdoa[topology]
+    # the factor is None exactly below the anchor floor
+    if f is None:
+        raise GeometryDegenerate(f"need at least {anchor_floor(topology)} anchors, got {len(anchors)}")
     if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
     if topology == "tdoa-ring":
@@ -383,7 +380,7 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     z0, z1, z2 = sum(map(mul, u0, d)), sum(map(mul, u1, d)), sum(map(mul, u2, d))
     r = [di - (a0 * z0 + a1 * z1 + a2 * z2) for di, a0, a1, a2 in zip(d, u0, u1, u2)]
     beta2 = sum(map(mul, r, r))
-    _finite(b + [beta2])
+    _finite(b, beta2)
     fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
     tol = len(d) * _EPS
     _check_rank(f.rank + (beta2 > fro2 * tol * tol), 4)

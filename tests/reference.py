@@ -174,13 +174,13 @@ def imu_sample(r, omega, vdot, env, noise=None, rng=None):
 
 
 def triad_arrays(triads):
-    """``(v, r, s)`` of a TriadSet as float64 arrays: measured rows, reference rows, weights."""
-    return np.array(triads.v), np.array(triads.reference[0]), np.array(triads.s)
+    """``(v, r)`` of a TriadSet as float64 arrays: measured rows, reference rows."""
+    return np.array(triads.v), np.array(triads.reference[0])
 
 
-def weighting_matrices(triads):
-    """Weighted outer-product sums ``(M_r, M_B)`` of a triad set's reference and body sides."""
-    v, r, s = triad_arrays(triads)
+def weighting_matrices(triads, gains):
+    """Weighted outer-product sums ``(M_r, M_B)`` of a triad set's reference and body sides, weights ``gains.s``."""
+    (v, r), s = triad_arrays(triads), np.asarray(gains.s, dtype=float)
     m_r = np.zeros((3, 3))
     m_b = np.zeros((3, 3))
     for i in range(3):
@@ -464,14 +464,14 @@ def reference_triad(env):
     return np.array([r1, r2, _unit_or_raise(np.cross(r1, r2), "reference cross product")])
 
 
-def build_triads_numpy(a_m, m_m, env, s=(1.0, 1.0, 1.0)):
-    """Accelerometer/magnetometer triads with array normalization and cross products."""
+def build_triads_numpy(a_m, m_m, env):
+    """Accelerometer/magnetometer triads with array normalization and cross products (unweighted: see ``gains.s``)."""
     v1 = _unit_or_raise(np.asarray(a_m, dtype=float), "accelerometer sample")
     v2 = _unit_or_raise(np.asarray(m_m, dtype=float), "magnetometer sample")
     v = np.array([v1, v2, _unit_or_raise(np.cross(v1, v2), "measured cross product")])
     r = reference_triad(env)
     reference = (tuple(map(tuple, r.tolist())), tuple((r * r).sum(axis=1).tolist()))
-    return TriadSet(tuple(map(tuple, v.tolist())), reference, tuple(map(float, s)))
+    return TriadSet(tuple(map(tuple, v.tolist())), reference)
 
 
 def rotation_numpy(attitude):
@@ -511,10 +511,10 @@ def se23_blocks_numpy(omega, v, a, eps, dt):
 
 
 def correction_terms_numpy(state, triads, p_y, gains):
-    """Correction block with array products: ``m = (r R)^T (s v)``, its vex, and the trace residual."""
+    """Correction block with array products: ``m = (r R)^T (s v)``, its vex, and the trace residual; ``s = gains.s``."""
     attitude, p_hat, v_hat, sigma_hat = state_arrays(state)
     r_hat = rotation_numpy(attitude)
-    v, r, s = triad_arrays(triads)
+    (v, r), s = triad_arrays(triads), np.asarray(gains.s, dtype=float)
     m = (r @ r_hat).T @ (s[:, None] * v)
     cross = np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
     e_r = 0.25 * float(s @ (r * r).sum(axis=1) - np.vdot(r_hat @ m, r_hat))
@@ -568,7 +568,7 @@ def step_numpy(state, imu, ranges, anchors, env, gains, dt):
     """One filter iteration from the numpy layers: the package's ``step``, dropout rule included."""
     try:
         p_y = solve_fix(anchors, ranges).p
-        triads = build_triads_numpy(imu.a_m, imu.m_m, env, s=gains.s)
+        triads = build_triads_numpy(imu.a_m, imu.m_m, env)
     except (GeometryDegenerate, DegenerateTriads):
         return predict_numpy(state, imu, dt)
     w = correction_terms_numpy(state, triads, p_y, gains)

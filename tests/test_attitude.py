@@ -11,11 +11,11 @@ from uwbnav.attitude import (
     DegenerateTriads,
     ReferenceEnvironment,
     _check_measured,
-    _weights,
     build_triads,
     measure_imu,
 )
 from uwbnav.liegroup import skew, so3_exp
+from uwbnav.navfilter import FilterGains
 
 from reference import imu_sample, pa, vex, weighting_matrices
 
@@ -112,18 +112,6 @@ class TestBuildTriads:
         with pytest.raises(DegenerateTriads):
             build_triads(np.zeros(3), np.array([1.0, 0.0, 0.0]), ENV)
 
-    def test_custom_weights_recorded(self):
-        r = random_rotation(2)
-        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
-        s = np.array([1.5, 1.0, 0.5])
-        triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
-        assert triads.s == tuple(s)
-
-    def test_weights_must_sum_to_three(self):
-        r = random_rotation(2)
-        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
-        with pytest.raises(ValueError):
-            build_triads(sample.a_m, sample.m_m, ENV, s=np.array([1.0, 1.0, 2.0]))
 
 
 class TestWeightingMatrices:
@@ -131,8 +119,8 @@ class TestWeightingMatrices:
         r = random_rotation(13)
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         s = np.array([1.2, 0.9, 0.9])
-        triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
-        m_r, m_b = weighting_matrices(triads)
+        triads = build_triads(sample.a_m, sample.m_m, ENV)
+        m_r, m_b = weighting_matrices(triads, FilterGains(s=s))
         want_r = sum(si * np.outer(ri, ri) for si, ri in zip(s, triads.reference[0]))
         want_b = sum(si * np.outer(vi, vi) for si, vi in zip(s, triads.v))
         assert np.allclose(m_r, want_r, atol=1e-14)
@@ -142,14 +130,14 @@ class TestWeightingMatrices:
         r = random_rotation(17)
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
         triads = build_triads(sample.a_m, sample.m_m, ENV)
-        m_r, _ = weighting_matrices(triads)
+        m_r, _ = weighting_matrices(triads, FilterGains())
         comoment = np.trace(m_r) * np.eye(3) - m_r
         assert np.all(np.linalg.eigvalsh(comoment) > 0.1)
 
     def test_unit_weights_give_unit_trace_rows(self):
         r = random_rotation(23)
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
-        m_r, m_b = weighting_matrices(build_triads(sample.a_m, sample.m_m, ENV))
+        m_r, m_b = weighting_matrices(build_triads(sample.a_m, sample.m_m, ENV), FilterGains())
         assert np.isclose(np.trace(m_r), 3.0, atol=1e-12)
         assert np.isclose(np.trace(m_b), 3.0, atol=1e-12)
 
@@ -164,14 +152,14 @@ class TestMeasurementIdentities:
         r_hat = so3_exp(rv_hat)
         s = np.array([s0, 1.0, 2.0 - s0])
         sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
-        triads = build_triads(sample.a_m, sample.m_m, ENV, s=s)
+        triads = build_triads(sample.a_m, sample.m_m, ENV)
         v_hat = (r_hat.T @ np.transpose(triads.reference[0])).T
 
         cross = np.zeros(3)
         for si, vi, vhi in zip(s, triads.v, v_hat):
             cross += si * np.cross(vi, vhi)
 
-        m_r, _ = weighting_matrices(triads)
+        m_r, _ = weighting_matrices(triads, FilterGains(s=s))
         r_tilde = r @ r_hat.T
         lhs = vex(pa(m_r @ r_tilde))
         assert np.allclose(lhs, 0.5 * r_hat @ cross, atol=1e-10)
@@ -185,19 +173,20 @@ class TestMeasurementIdentities:
         triads = build_triads(sample.a_m, sample.m_m, ENV)
         v_hat = (r_hat.T @ np.transpose(triads.reference[0])).T
 
-        m_r, _ = weighting_matrices(triads)
+        gains = FilterGains()
+        m_r, _ = weighting_matrices(triads, gains)
         r_tilde = r @ r_hat.T
         lhs = 0.25 * np.trace(m_r @ (np.eye(3) - r_tilde))
 
         acc = np.zeros((3, 3))
-        for si, vi, vhi in zip(triads.s, triads.v, v_hat):
+        for si, vi, vhi in zip(gains._s, triads.v, v_hat):
             acc += si * np.outer(vhi, vi)
         rhs = 0.25 * np.trace(m_r - r_hat @ acc @ r_hat.T)
         assert np.isclose(lhs, rhs, atol=1e-10)
 
 
 class TestTriadSetValidation:
-    """The checks :func:`build_triads` runs on the measured rows and the weights before it builds a TriadSet."""
+    """The checks :func:`build_triads` runs on the measured rows before it builds a TriadSet."""
 
     def test_rejects_nonunit_rows(self):
         v = np.eye(3)
@@ -208,10 +197,6 @@ class TestTriadSetValidation:
     def test_rejects_nan_rows(self):
         with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
             _check_measured(*np.full((3, 3), np.nan).tolist())
-
-    def test_rejects_bad_weight_sum(self):
-        with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
-            _weights(np.array([1.0, 1.0, 1.5]))
 
     def test_rejects_non_orthogonal_third_row(self):
         v = np.eye(3)

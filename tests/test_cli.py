@@ -269,7 +269,7 @@ class TestRunVerb:
     @pytest.mark.parametrize("line", ["radius: 1.0e300", "p0: [0, 0, 1.0e200]", "tag_offset: [1.0e300, 0, 0]"])
     def test_flight_beyond_anchor_limit_is_config_error(self, tmp_path, capsys, verb, topology, line):
         # ranges from such a tag position overflow: once a "ranges must be
-        # finite" / "diffs must be a finite 1-D array" traceback
+        # finite" / "range differences must be finite" traceback
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"duration: 1.0\ntopology: {topology}\n{line}\n")
         assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG

@@ -204,22 +204,24 @@ class TestQuaternions:
         q = lg.rot_to_quat(r)
         assert np.allclose(lg.quat_to_rot(-q), lg.quat_to_rot(q))
 
-    def test_multiply_is_homomorphism(self, rng):
+    @pytest.mark.parametrize("left", [False, True])
+    def test_turn_is_homomorphism(self, rng, left):
         for _ in range(100):
-            ra, rb = random_rotation(rng), random_rotation(rng)
-            qa, qb = lg.rot_to_quat(ra), lg.rot_to_quat(rb)
-            assert np.allclose(lg.quat_to_rot(lg.quat_multiply(qa, qb)), ra @ rb, atol=1e-12)
+            ra, w, dt = random_rotation(rng), rng.normal(size=3), rng.uniform(-0.5, 0.5)
+            turned = lg.quat_to_rot(lg.quat_turn(lg.rot_to_quat(ra), w, dt, left))
+            want = so3_exp_per_vector(w * dt) @ ra if left else ra @ so3_exp_per_vector(w * dt)
+            assert np.allclose(turned, want, atol=1e-12)
 
     @given(vec3)
-    def test_from_rotvec_matches_so3_exp(self, w):
-        assert np.allclose(lg.quat_to_rot(lg.quat_from_rotvec(w)), lg.so3_exp(w), atol=1e-9)
+    def test_turn_of_identity_matches_so3_exp(self, w):
+        assert np.allclose(lg.quat_to_rot(lg.quat_turn((1.0, 0.0, 0.0, 0.0), w, 1.0)), lg.so3_exp(w), atol=1e-9)
 
-    def test_from_rotvec_small_angle(self):
+    def test_turn_small_angle(self):
         w = np.array([1e-9, 2e-9, -1e-9])
-        q = lg.quat_from_rotvec(w)
+        q = lg.quat_turn((1.0, 0.0, 0.0, 0.0), w, 1.0)
         assert np.allclose(q[1:], 0.5 * w, rtol=1e-12)
         assert np.linalg.norm(q) == pytest.approx(1.0, abs=1e-15)
 
-    def test_normalize_rejects_zero(self):
-        with pytest.raises(ValueError):
-            lg.quat_normalize(np.zeros(4))
+    def test_turn_rejects_zero(self):
+        with pytest.raises(ValueError, match="cannot normalize a zero or non-finite quaternion"):
+            lg.quat_turn(np.zeros(4), (0.1, 0.2, 0.3), 0.01)

@@ -38,6 +38,7 @@ from uwbnav.navfilter import (
     Diagnostics,
     FilterGains,
     _gate,
+    _weights,
     correction_terms,
     predict,
     step,
@@ -85,12 +86,20 @@ class TestFilterGains:
             FilterGains(**{name: 0.0})
 
     def test_weights_must_sum_to_three(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
             FilterGains(s=np.array([1.0, 1.0, 2.0]))
 
     def test_rejects_nan_weight(self):
         with pytest.raises(ValueError):
             FilterGains(s=np.array([np.nan, 1.0, 1.0]))
+
+    def test_rejects_bad_weight_sum(self):
+        with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
+            _weights(np.array([1.0, 1.0, 1.5]))
+
+    def test_custom_weights_recorded(self):
+        gains = FilterGains(s=np.array([1.5, 1.0, 0.5]))
+        assert gains._s == (1.5, 1.0, 0.5) and all(type(x) is float for x in gains._s)
 
 
 class TestStateGate:
@@ -165,6 +174,23 @@ class TestCorrectionTerms:
             assert np.allclose(got.w_omega, w_omega, atol=1e-12)
             assert np.allclose(got.w_v, w_v, atol=1e-11)
             assert np.allclose(got.w_a, w_a, atol=1e-11)
+
+    def test_weights_come_from_gains(self, rng):
+        """Non-uniform weights in ``FilterGains`` reach ``e_r`` and ``d_v`` and match the elementwise oracle."""
+        weighted = FilterGains(s=(1.5, 1.0, 0.5))
+        r, r_hat = random_rotation(rng), random_rotation(rng)
+        sample = imu_sample(r, np.zeros(3), np.zeros(3), ENV)
+        state = state_of(r_hat, np.zeros(3), np.zeros(3), np.zeros(3))
+        triads = build_triads(sample.a_m, sample.m_m, ENV)
+        got = correction_terms(state, triads, np.zeros(3), weighted)
+        uniform = correction_terms(state, triads, np.zeros(3), GAINS)
+        e_r, cross, *_ = correction_eval(
+            r_hat, np.zeros(3), np.zeros(3), np.zeros(3), sample.omega_m, sample.a_m, sample.m_m,
+            np.zeros(3), ENV, weighted,
+        )
+        assert abs(got.e_r - e_r) < 1e-12 and np.allclose(got.d_v_diag, cross, atol=1e-12)
+        assert abs(got.e_r - uniform.e_r) > 1e-6
+        assert not np.allclose(got.d_v_diag, uniform.d_v_diag, atol=1e-6)
 
     def test_sigma_decays_without_triad_error(self, rng):
         r = random_rotation(rng)

@@ -17,22 +17,32 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(tmp_path: Path, script: str, *args: str) -> str:
-    """Stdout of ``scripts/<script> args`` run from ``tmp_path``; a nonzero exit fails with its stderr."""
+def _run(tmp_path: Path, script: str, *args: str, code: int = 0) -> str:
+    """Stdout of ``scripts/<script> args`` run from ``tmp_path``; an exit other than ``code`` fails with its stderr."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300, check=False,
     )
-    assert done.returncode == 0, f"{script} exited with {done.returncode}:\n{done.stderr}"
+    assert done.returncode == code, f"{script} exited with {done.returncode}:\n{done.stderr}"
     return done.stdout
 
 
 def test_artifact_digests(tmp_path):
-    lines = _run(tmp_path, "artifact_digests.py").splitlines()
+    listing = _run(tmp_path, "artifact_digests.py")
+    lines = listing.splitlines()
     assert len(lines) == 42
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
+    saved = tmp_path / "digests.txt"
+    saved.write_text(listing)
+    assert _run(tmp_path, "artifact_digests.py", "--check", str(saved)).splitlines() == [
+        f"all 42 artifacts match {saved}"
+    ]
+    # one digest spoiled: the check names that path alone and fails
+    digest, name = lines[5].split("  ")
+    saved.write_text(listing.replace(lines[5], f"{digest[::-1]}  {name}"))
+    assert _run(tmp_path, "artifact_digests.py", "--check", str(saved), code=1).splitlines() == [name]
 
 
 def test_step_convergence(tmp_path):

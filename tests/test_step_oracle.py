@@ -42,9 +42,9 @@ def _imu(rng):
     return imu_of(rng.normal(size=3), rng.normal(0.0, 10.0, 3), rng.normal(size=3))
 
 
-def _gains(rng):
+def _gains(rng, s=None):
     positive = {k: rng.uniform(0.05, 5.0) for k in ("k1", "kv", "ka", "gamma_sigma", "epsilon", "k_sigma")}
-    return FilterGains(**positive, s=3.0 * rng.dirichlet(np.ones(3)))
+    return FilterGains(**positive, s=3.0 * rng.dirichlet(np.ones(3)) if s is None else s)
 
 
 def _env(rng):
@@ -59,20 +59,21 @@ def _assert_states_close(got, want):
 def test_build_triads_matches_numpy_oracle():
     rng = np.random.default_rng(901)
     for _ in range(TRIALS):
-        env, a_m, m_m, s = _env(rng), rng.normal(0.0, 10.0, 3), rng.normal(size=3), _gains(rng).s
-        got, want = build_triads(a_m, m_m, env, s=s), build_triads_numpy(a_m, m_m, env, s=s)
+        env, a_m, m_m = _env(rng), rng.normal(0.0, 10.0, 3), rng.normal(size=3)
+        got, want = build_triads(a_m, m_m, env), build_triads_numpy(a_m, m_m, env)
         np.testing.assert_allclose(got.v, want.v, **TOL)
         for got_side, want_side in zip(got.reference, want.reference):
             np.testing.assert_allclose(got_side, want_side, **TOL)
-        assert got.s == want.s
 
 
+@pytest.mark.parametrize("weights", [None, (1.5, 1.0, 0.5)], ids=["dirichlet", "fixed"])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_correction_terms_match_numpy_oracle(variant):
+def test_correction_terms_match_numpy_oracle(variant, weights):
+    # correction_terms reads the weights from the gains, the oracle from gains.s
     rng = np.random.default_rng(902)
     for _ in range(TRIALS):
-        state, gains, env = _state(rng, variant), _gains(rng), _env(rng)
-        triads = build_triads(rng.normal(0.0, 10.0, 3), rng.normal(size=3), env, s=gains.s)
+        state, gains, env = _state(rng, variant), _gains(rng, weights), _env(rng)
+        triads = build_triads(rng.normal(0.0, 10.0, 3), rng.normal(size=3), env)
         p_y = state.p_hat + rng.normal(0.0, 0.5, 3)
         got, want = correction_terms(state, triads, p_y, gains), correction_terms_numpy(state, triads, p_y, gains)
         assert got.e_r == pytest.approx(want.e_r, **{"rel": 1e-12, "abs": 1e-12})

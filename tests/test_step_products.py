@@ -6,9 +6,10 @@ or reading back a small array costs as much.  So the values passed between
 the step's layers hold tuples of Python floats, and every layer evaluates
 its products as scalar expressions on them (see the "Cost" note of
 ``uwbnav.navfilter``).  Every function listed below runs at least once per
-filter step (every value the step reads or builds is a dataclass, built by
-the harness from a checked block or by the listed function that returns
-it).
+filter step under at least one topology and attitude variant (every value
+the step reads or builds is a dataclass, built by the harness from a
+checked block or by the listed function that returns it);
+``test_every_listed_function_runs_each_step`` counts the calls.
 
 Read from the syntax tree of each listed function's body (so docstrings,
 comments and the annotations of its signature, which are never evaluated,
@@ -25,7 +26,15 @@ scalar expressions do not broadcast over leading axes.
 """
 
 import ast
+import importlib
+import pkgutil
+from collections import Counter
 from pathlib import Path
+
+import uwbnav
+from uwbnav.harness import RunConfig, synthesize_measurements
+from uwbnav.sim import generate_trajectory
+from uwbnav.uwb import TOPOLOGIES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "uwbnav"
 
@@ -33,11 +42,8 @@ PER_STEP = {
     "navfilter": (
         "_rows", "_gate", "_product", "correction_terms", "predict", "update", "step_with_fix", "step",
     ),
-    "attitude": ("_check_measured", "_weights", "_unit", "build_triads"),
-    "liegroup": (
-        "cross3", "_rodrigues_coefficients", "se23_exp", "quat_normalize", "_quat_rot_rows",
-        "quat_multiply", "quat_from_rotvec",
-    ),
+    "attitude": ("_check_measured", "_unit", "build_triads"),
+    "liegroup": ("cross3", "_rodrigues_coefficients", "se23_exp", "_quat_rot_rows", "quat_turn"),
     "uwb": (
         "_finite", "_check_rank", "_check_condition", "_position",
         "toa_solve", "tdoa_solve", "solve_fix",
@@ -77,3 +83,42 @@ def test_per_step_functions_use_no_matmul():
             found += [f"{module}.{name} line {line}: {what}" for line, what in _array_uses(defs[name])]
     assert not missing, f"listed per-step functions not found: {missing}"
     assert not found, f"array operations on the per-step path (use float expressions): {found}"
+
+
+def _count_calls(monkeypatch, counts: Counter) -> None:
+    """Wrap every listed function, in each uwbnav module whose globals bind it, with a counter into ``counts``."""
+    modules = [importlib.import_module(f"uwbnav.{info.name}") for info in pkgutil.iter_modules(uwbnav.__path__)]
+    for home, names in PER_STEP.items():
+        for name in names:
+            fn = getattr(importlib.import_module(f"uwbnav.{home}"), name)
+
+            def counted(*args, _fn=fn, _key=f"{home}.{name}", **kwargs):
+                counts[_key] += 1
+                return _fn(*args, **kwargs)
+
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+
+
+def test_every_listed_function_runs_each_step(monkeypatch):
+    # a listed function the step stopped calling would keep its place in
+    # PER_STEP, and its array checks, for nothing
+    counts, runs = Counter(), {}
+    _count_calls(monkeypatch, counts)
+    for topology in TOPOLOGIES:
+        for variant in ("matrix", "quaternion"):
+            cfg = RunConfig(topology=topology, variant=variant, duration=0.5)
+            env, anchors, gains = cfg.env(), cfg.anchor_set(), cfg.gains()
+            traj = generate_trajectory(cfg.trajectory, {"duration": cfg.duration, "rate": cfg.rate}, env)
+            imu, ranges = synthesize_measurements(traj, anchors, topology, cfg.noise(), env)
+            state = cfg.initial_state()
+            counts.clear()
+            for i in range(len(traj) - 1):
+                state, diag = uwbnav.navfilter.step(state, imu[i], ranges[i], anchors, env, gains, cfg.dt)
+                assert not diag.dropout, (topology, variant, diag.dropout_reason)
+            runs[topology, variant] = (len(traj) - 1, Counter(counts))
+    assert all(steps > 0 for steps, _ in runs.values())
+    listed = [f"{home}.{name}" for home, names in PER_STEP.items() for name in names]
+    rare = [key for key in listed if not any(seen[key] >= steps for steps, seen in runs.values())]
+    assert not rare, f"listed functions that run less than once per step in every configuration: {rare}"

@@ -141,7 +141,7 @@ def test_range_block_check_rejects(d, value, index, topology):
     for bad in (_spoil(d, value, index), _spoil(d, -1.0, index)):
         with pytest.raises(ValueError, match="ranges must be finite and non-negative"):
             _check_ranges(bad, "toa")
-    with pytest.raises(ValueError, match="diffs must be a finite 1-D array"):
+    with pytest.raises(ValueError, match="range differences must be finite"):
         _check_ranges(_spoil(d, value, index), topology)
 
 
