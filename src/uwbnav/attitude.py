@@ -110,17 +110,6 @@ class TriadSet:
     reference: tuple
 
 
-def _check_measured(v1, v2, v3) -> None:
-    """Measured triad rows (float 3-sequences) must be unit and the third orthogonal to the first two."""
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = v1, v2, v3
-    if not (abs(math.sqrt(x1 * x1 + y1 * y1 + z1 * z1) - 1.0) <= 1e-9
-            and abs(math.sqrt(x2 * x2 + y2 * y2 + z2 * z2) - 1.0) <= 1e-9
-            and abs(math.sqrt(x3 * x3 + y3 * y3 + z3 * z3) - 1.0) <= 1e-9):
-        raise ValueError("measured triad rows must be unit vectors")
-    if not (abs(x3 * x1 + y3 * y1 + z3 * z1) <= 1e-9 and abs(x3 * x2 + y3 * y2 + z3 * z2) <= 1e-9):
-        raise ValueError("third measured vector must be orthogonal to the first two")
-
-
 def measure_imu(rot, omega, vdot, env, z=None, sigmas=None):
     """Gyro, accelerometer and magnetometer readings of the true attitude and rates, per row.
 
@@ -172,10 +161,11 @@ def build_triads(a_m, m_m, env: ReferenceEnvironment) -> TriadSet:
     Pairs the normalized accelerometer with the downward gravity direction
     ``-g/||g||``, the normalized magnetometer with the field direction, and
     closes with the normalized cross products on both sides.  The reference
-    side is the environment's, computed once; the measured side is checked
-    here, on the floats of ``a_m`` and ``m_m`` (3-sequences, as
-    :class:`ImuSample` holds them).  The weights are not the triads': the
-    filter reads them from ``FilterGains``, which checked them once.
+    side is the environment's, computed once; the measured side is
+    normalized here, from the floats of ``a_m`` and ``m_m`` (3-sequences).
+    Finite readings give unit rows, the third orthogonal to the first two,
+    by construction: a norm that overflows zeroes its row, and the cross
+    product's zero norm then raises.  The weights are the filter's.
 
     Raises
     ------
@@ -186,5 +176,4 @@ def build_triads(a_m, m_m, env: ReferenceEnvironment) -> TriadSet:
     v1 = _unit(*a_m, "accelerometer sample")
     v2 = _unit(*m_m, "magnetometer sample")
     v3 = _unit(*cross3(v1, v2), "measured cross product")
-    _check_measured(v1, v2, v3)
     return TriadSet((v1, v2, v3), env._reference)

@@ -96,6 +96,13 @@ _TRAJECTORY_KEYS = (
 _VARIANTS = ("matrix", "quaternion")
 
 
+def _check_out(path: Path) -> None:
+    """Raise ConfigError naming ``out`` unless the nearest existing one of ``path`` and its parents is a directory."""
+    found = next(p for p in (path, *path.parents) if p.exists())
+    if not found.is_dir():
+        raise ConfigError(f"out: {found} exists and is not a directory")
+
+
 @dataclass
 class RunConfig:
     """One experiment, fully specified.
@@ -164,6 +171,7 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (value is None and name == "dataset_dir")):
                 raise ConfigError(f"{name} must be text, got {value!r}")
+        _check_out(Path(self.out))
         if self.mode not in ("synthetic", "dataset"):
             raise ConfigError(f"mode must be synthetic or dataset, got {self.mode!r}")
         if self.mode == "dataset":
@@ -713,10 +721,14 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     """Rebuild metrics.csv from a saved estimate trace and a truth file.
 
     Truth rows are matched to estimate rows by timestamp (nearest sample,
-    a tie going to the earlier one; tolerance half a truth interval).
-    Returns the number of rows written.
+    a tie going to the earlier one; tolerance half a truth interval).  Makes
+    ``out_path``'s missing parents; a directory there, or a file above it,
+    is a ConfigError.  Returns the number of rows written.
     """
-    est_path = Path(estimates_path)
+    est_path, out = Path(estimates_path), Path(out_path)
+    if out.is_dir():
+        raise ConfigError(f"out: {out} is a directory")
+    _check_out(out.parent)
     if not est_path.exists():
         raise SchemaError(f"missing estimates file: {est_path}")
     est = _read_estimates(est_path)
@@ -739,5 +751,6 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
         )
     except ValueError as err:
         raise SchemaError(f"{est_path.name} against {Path(truth_path).name}: {err}") from err
-    _write_csv(Path(out_path), _METRICS_HEADER, metrics)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    _write_csv(out, _METRICS_HEADER, metrics)
     return len(metrics)

@@ -124,7 +124,10 @@ def se23_exp(omega, v, a, eps: float, dt: float):
     collapses the series to these four coefficients.  Evaluated on scalars
     with ``S^2 = w w^T - theta^2 I`` (``w = omega dt``): ``R`` comes back as
     three row tuples and ``t_p``, ``t_v`` as tuples, all Python floats.
-    Raises ValueError on a non-finite input component.
+    With ``v`` zero, ``dt > 0`` and ``1 - C theta^2 >= 0`` (predict's calls)
+    the ``J1 v dt`` series is skipped: it is ``+0.0`` for ``+0.0``
+    components, so ``t_p = 0.0 + eps dt^2 J2 a`` keeps its bits, signed
+    zeros too.  Raises ValueError on a non-finite input component.
     """
     (ox, oy, oz), (vx, vy, vz), (ax, ay, az) = omega, v, a
     wx, wy, wz = ox * dt, oy * dt, oz * dt
@@ -137,10 +140,13 @@ def se23_exp(omega, v, a, eps: float, dt: float):
     # + k1 w x [x, y, z] + k2 (w . [x, y, z]) w, written out (a shared
     # closure would put w in cells and allocate a function per call)
     j1, j2 = 1.0 - c_c * t2, 0.5 - d_c * t2
-    x, y, z = vx * dt, vy * dt, vz * dt
-    d = c_c * (wx * x + wy * y + wz * z)
-    j1v0, j1v1, j1v2 = (j1 * x + b_c * (wy * z - wz * y) + d * wx, j1 * y + b_c * (wz * x - wx * z) + d * wy,
-                        j1 * z + b_c * (wx * y - wy * x) + d * wz)
+    if vx == vy == vz == 0.0 and j1 >= 0.0 and dt > 0.0:
+        j1v0 = j1v1 = j1v2 = 0.0
+    else:
+        x, y, z = vx * dt, vy * dt, vz * dt
+        d = c_c * (wx * x + wy * y + wz * z)
+        j1v0, j1v1, j1v2 = (j1 * x + b_c * (wy * z - wz * y) + d * wx, j1 * y + b_c * (wz * x - wx * z) + d * wy,
+                            j1 * z + b_c * (wx * y - wy * x) + d * wz)
     d = d_c * (wx * ax + wy * ay + wz * az)
     j2a0, j2a1, j2a2 = (j2 * ax + c_c * (wy * az - wz * ay) + d * wx, j2 * ay + c_c * (wz * ax - wx * az) + d * wy,
                         j2 * az + c_c * (wx * ay - wy * ax) + d * wz)

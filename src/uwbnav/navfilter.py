@@ -24,7 +24,7 @@ checked once, at the boundary: ``RunConfig`` gates the initial state, and
 the harness checks each IMU and range block whole (``_check_imu``,
 ``_check_ranges``) before it cuts the block into samples.  Inside a step,
 each producer checks what the step can break before it builds its value:
-the measured triad, a fix's rank, conditioning and finiteness, unit
+the measured triad's norms, a fix's rank, conditioning and finiteness, unit
 quaternions and, once, the output state (``update`` gates its result,
 ``step`` the predict-only state of a dropout) against ``ATTITUDE_GATE``
 and for NaN/inf.  The triad weights are checked once, by ``FilterGains``.
@@ -39,7 +39,10 @@ expressions on them; no array is built or read inside a step.  The public
 fields of every value are these float tuples; the harness and the metrics
 stack a run's tuples into arrays once.  A step converts and re-checks
 nothing already held as checked floats: samples, fixes and the weights in
-``FilterGains._s`` are read as they are.
+``FilterGains._s`` are read as they are.  A product used once is written
+out in place, in ``_product``'s operation order, and a solve walks its rows
+in fused passes (see ``uwb``): a helper call, temporary tuple or extra pass
+costs as much as the arithmetic it carries.
 """
 
 from __future__ import annotations
@@ -244,16 +247,24 @@ def correction_terms(
     # the rows of h = (r R_hat) are v_hat_i = R_hat^T r_i, so m = h^T (s v)
     # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
     # subtracted trace Tr(R_hat m R_hat^T) is the inner product <R_hat m, R_hat>
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = _product(ref, r_hat)
-    m = _product(
-        ((h00, h10, h20), (h01, h11, h21), (h02, h12, h22)),
-        ((s0 * v00, s0 * v01, s0 * v02), (s1 * v10, s1 * v11, s1 * v12), (s2 * v20, s2 * v21, s2 * v22)),
-    )
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = m
+    # (h, m and R_hat m written out in _product's operation order; v rebound to s v)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = ref
+    h00, h01, h02, h10, h11, h12, h20, h21, h22 = (
+        a00 * r00 + a01 * r10 + a02 * r20, a00 * r01 + a01 * r11 + a02 * r21, a00 * r02 + a01 * r12 + a02 * r22,
+        a10 * r00 + a11 * r10 + a12 * r20, a10 * r01 + a11 * r11 + a12 * r21, a10 * r02 + a11 * r12 + a12 * r22,
+        a20 * r00 + a21 * r10 + a22 * r20, a20 * r01 + a21 * r11 + a22 * r21, a20 * r02 + a21 * r12 + a22 * r22)
+    v00, v01, v02, v10, v11, v12 = s0 * v00, s0 * v01, s0 * v02, s1 * v10, s1 * v11, s1 * v12
+    v20, v21, v22 = s2 * v20, s2 * v21, s2 * v22
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = (
+        h00 * v00 + h10 * v10 + h20 * v20, h00 * v01 + h10 * v11 + h20 * v21, h00 * v02 + h10 * v12 + h20 * v22,
+        h01 * v00 + h11 * v10 + h21 * v20, h01 * v01 + h11 * v11 + h21 * v21, h01 * v02 + h11 * v12 + h21 * v22,
+        h02 * v00 + h12 * v10 + h22 * v20, h02 * v01 + h12 * v11 + h22 * v21, h02 * v02 + h12 * v12 + h22 * v22)
     c0, c1, c2 = m21 - m12, m02 - m20, m10 - m01
-    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _product(r_hat, m)
-    trace = (q00 * r00 + q01 * r01 + q02 * r02 + q10 * r10 + q11 * r11 + q12 * r12
-             + q20 * r20 + q21 * r21 + q22 * r22)
+    trace = ((r00 * m00 + r01 * m10 + r02 * m20) * r00 + (r00 * m01 + r01 * m11 + r02 * m21) * r01
+             + (r00 * m02 + r01 * m12 + r02 * m22) * r02 + (r10 * m00 + r11 * m10 + r12 * m20) * r10
+             + (r10 * m01 + r11 * m11 + r12 * m21) * r11 + (r10 * m02 + r11 * m12 + r12 * m22) * r12
+             + (r20 * m00 + r21 * m10 + r22 * m20) * r20 + (r20 * m01 + r21 * m11 + r22 * m21) * r21
+             + (r20 * m02 + r21 * m12 + r22 * m22) * r22)
     e_r = 0.25 * ((s0 * r_sq[0] + s1 * r_sq[1] + s2 * r_sq[2]) - trace)
 
     g = gains

@@ -41,7 +41,10 @@ A solve runs once per filter step on a handful of rows, where a numpy call
 costs more in dispatch than its arithmetic, so solves compute on Python
 floats from the float copies of each factor the anchor set keeps, read the
 range sets' float tuples and return a fix that holds floats (see
-``navfilter``'s "Cost" note).
+``navfilter``'s "Cost" note).  A solve walks its rows in fused passes (one
+for TOA, two for TDOA), each dot product an accumulator that starts at
+``0.0`` and adds its terms in row order: what the builtin float ``sum``
+does up to Python 3.11 (3.12 compensates), so the bits are one ``sum``'s.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, starmap
-from operator import mul
 from typing import NamedTuple
 
 import numpy as np
@@ -327,14 +329,16 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
         raise GeometryDegenerate(f"need at least {anchor_floor('toa')} anchors, got {len(hn2)}")
     if len(d) != len(hn2):
         raise ValueError("range count does not match anchor count")
-    e0, h0 = d[0] * d[0], hn2[0]
-    # an overflowed entry of b makes the solution non-finite, which _position rejects
-    b = [0.5 * (e0 - di * di + hi - h0) for di, hi in zip(d[1:], hn2[1:])]
     _check_rank(f.rank, 3)
     cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
-    p = _position(f.v, sum(map(mul, u0, b)) / s0, sum(map(mul, u1, b)) / s1, sum(map(mul, u2, b)) / s2)
-    return PositionFix(p, cond, None, False)
+    e0, h0 = d[0] * d[0], hn2[0]
+    # an overflowed entry of b makes the solution non-finite, which _position rejects
+    y0 = y1 = y2 = 0.0
+    for di, hi, a0, a1, a2 in zip(d[1:], hn2[1:], u0, u1, u2):
+        bi = 0.5 * (e0 - di * di + hi - h0)
+        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
+    return PositionFix(_position(f.v, y0 / s0, y1 / s1, y2 / s2), cond, None, False)
 
 
 def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
@@ -368,29 +372,31 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
         raise GeometryDegenerate(f"need at least {anchor_floor(topology)} anchors, got {len(anchors)}")
     if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
-    if topology == "tdoa-ring":
-        b, partial = [], 0.0
-        for di, hi, hj in zip(d, sq_first, sq_second):
-            b.append(0.5 * (di * di + hi - hj + 2.0 * di * partial))
+    # b, y = U0^T b, and z, r as projections of d = -c: they hold -z and -r, and the same beta^2
+    ring, (u0, u1, u2), (s0, s1, s2) = topology == "tdoa-ring", f.ut, f.s
+    b, partial = [], 0.0
+    z0 = z1 = z2 = y0 = y1 = y2 = 0.0
+    for di, hi, hj, a0, a1, a2 in zip(d, sq_first, sq_second, u0, u1, u2):
+        bi = di * di + hi - hj
+        if ring:
+            bi += 2.0 * di * partial
             partial += di
-    else:
-        b = [0.5 * (di * di + hi - hj) for di, hi, hj in zip(d, sq_first, sq_second)]
-    # projections of d = -c: they give -z and -r, and the same beta^2
-    (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
-    z0, z1, z2 = sum(map(mul, u0, d)), sum(map(mul, u1, d)), sum(map(mul, u2, d))
-    r = [di - (a0 * z0 + a1 * z1 + a2 * z2) for di, a0, a1, a2 in zip(d, u0, u1, u2)]
-    beta2 = sum(map(mul, r, r))
+        bi *= 0.5
+        b.append(bi)
+        z0, z1, z2 = z0 + a0 * di, z1 + a1 * di, z2 + a2 * di
+        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
+    beta2 = rb = 0.0
+    for di, bi, a0, a1, a2 in zip(d, b, u0, u1, u2):
+        ri = di - (a0 * z0 + a1 * z1 + a2 * z2)
+        beta2, rb = beta2 + ri * ri, rb + ri * bi
     _finite(b, beta2)
     fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
     tol = len(d) * _EPS
     _check_rank(f.rank + (beta2 > fro2 * tol * tol), 4)
     w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
     cond = _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
-    aux = -sum(map(mul, r, b)) / beta2
-    p = _position(
-        f.v, (sum(map(mul, u0, b)) + aux * z0) / s0, (sum(map(mul, u1, b)) + aux * z1) / s1,
-        (sum(map(mul, u2, b)) + aux * z2) / s2,
-    )
+    aux = -rb / beta2
+    p = _position(f.v, (y0 + aux * z0) / s0, (y1 + aux * z1) / s1, (y2 + aux * z2) / s2)
     clamped = aux < 0.0
     if clamped:
         aux = 0.0

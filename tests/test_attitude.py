@@ -1,5 +1,7 @@
 """Tests for IMU measurement models and vector-triad construction."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import random_rotation
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 
 from uwbnav.attitude import (
     REFERENCE_LIMIT,
+    EPS_DEGENERATE,
     DegenerateTriads,
     ReferenceEnvironment,
-    _check_measured,
     build_triads,
     measure_imu,
 )
@@ -185,21 +187,51 @@ class TestMeasurementIdentities:
         assert np.isclose(lhs, rhs, atol=1e-10)
 
 
+def _direction(x, y, z, scale):
+    """``(x, y, z)`` scaled by ``10**scale``."""
+    k = 10.0 ** scale
+    return x * k, y * k, z * k
+
+
+def _near_collinear(axis, scale_a, scale_m, stretch):
+    """Readings along ``axis`` and at an angle ``stretch * EPS_DEGENERATE`` from it, at two magnitudes."""
+    u = np.array(axis) / math.hypot(*axis)
+    w = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+    angle = stretch * EPS_DEGENERATE
+    m = math.cos(angle) * u + math.sin(angle) * (w / np.linalg.norm(w))
+    return _direction(*u.tolist(), scale_a), _direction(*m.tolist(), scale_m)
+
+
+unit_range = st.floats(-1.0, 1.0)
+scale = st.floats(-200.0, 200.0)
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+axis = st.tuples(unit_range, unit_range, unit_range).filter(lambda v: math.hypot(*v) > 0.1)
+readings = st.one_of(
+    st.tuples(st.builds(_direction, unit_range, unit_range, unit_range, scale),
+              st.builds(_direction, unit_range, unit_range, unit_range, scale)),
+    st.builds(_near_collinear, axis, scale, scale, st.floats(0.5, 4.0)),
+    st.tuples(st.tuples(any_finite, any_finite, any_finite), st.tuples(any_finite, any_finite, any_finite)),
+)
+
+
 class TestTriadSetValidation:
-    """The checks :func:`build_triads` runs on the measured rows before it builds a TriadSet."""
+    """What :func:`build_triads` returns for any finite readings: degenerate, or a unit, orthogonal triad."""
 
-    def test_rejects_nonunit_rows(self):
-        v = np.eye(3)
-        v[0] *= 2.0
-        with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
-            _check_measured(*v.tolist())
+    @settings(max_examples=400, derandomize=True)
+    @given(readings)
+    def test_rows_are_unit_and_orthogonal_or_degenerate(self, pair):
+        a_m, m_m = pair
+        try:
+            triads = build_triads(a_m, m_m, ENV)
+        except DegenerateTriads:
+            return
+        # unit rows, the third orthogonal to the first two
+        (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = triads.v
+        assert all(abs(math.sqrt(x * x + y * y + z * z) - 1.0) <= 1e-9 for x, y, z in triads.v), triads.v
+        assert abs(x3 * x1 + y3 * y1 + z3 * z1) <= 1e-9 and abs(x3 * x2 + y3 * y2 + z3 * z2) <= 1e-9, triads.v
 
-    def test_rejects_nan_rows(self):
-        with pytest.raises(ValueError, match="measured triad rows must be unit vectors"):
-            _check_measured(*np.full((3, 3), np.nan).tolist())
-
-    def test_rejects_non_orthogonal_third_row(self):
-        v = np.eye(3)
-        v[2] = np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
-        with pytest.raises(ValueError, match="third measured vector must be orthogonal to the first two"):
-            _check_measured(*v.tolist())
+    @pytest.mark.parametrize("a_m,m_m", [((1e200, 1.0, 0.0), (0.0, 1.0, 0.0)), ((0.0, 0.0, 1.0), (1e300, 1e300, 0.0))])
+    def test_overflowing_norm_ends_in_the_cross_product(self, a_m, m_m):
+        # the overflowing row normalizes to zero, so its cross product has zero norm
+        with pytest.raises(DegenerateTriads, match="measured cross product has near-zero norm"):
+            build_triads(a_m, m_m, ENV)

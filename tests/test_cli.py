@@ -190,6 +190,19 @@ class TestRunVerb:
         assert "config error" in err and "seed" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("verb,topology", [("run", "toa"), ("simulate", "tdoa-main")])
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_through_a_file_is_config_error(self, tmp_path, capsys, verb, topology, below):
+        # once FileExistsError or NotADirectoryError (exit 1), for run only
+        # after the whole filter loop
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: {topology}\n")
+        assert run_cli(verb, "--config", str(cfg), "--out", str(taken / below)) == EXIT_CONFIG
+        assert f"config error: out: {taken} exists and is not a directory" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+
     def test_four_anchors_under_tdoa_main_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(
@@ -414,15 +427,21 @@ class TestMetricsVerb:
         assert "data error: truth.csv needs at least two samples" in capsys.readouterr().err
 
     @staticmethod
-    def _edit_estimates(tmp_path, row, column, value, name="estimates.csv"):
-        """A short TOA run whose estimates.csv (or file ``name``) has ``column`` of data row ``row`` set to ``value``.
-
-        ``value`` None drops that cell and every cell after it from the row.
-        """
+    def _run_dir(tmp_path):
+        """The directory ``tmp_path/r`` of a short TOA run."""
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 1.0\ntopology: toa\n")
         out = tmp_path / "r"
         assert run_cli("run", "--config", str(cfg), "--out", str(out)) == EXIT_OK
+        return out
+
+    @classmethod
+    def _edit_estimates(cls, tmp_path, row, column, value, name="estimates.csv"):
+        """A short TOA run whose estimates.csv (or file ``name``) has ``column`` of data row ``row`` set to ``value``.
+
+        ``value`` None drops that cell and every cell after it from the row.
+        """
+        out = cls._run_dir(tmp_path)
         lines = (out / name).read_text().splitlines()
         k = lines[0].split(",").index(column)
         parts = lines[row].split(",")
@@ -487,6 +506,23 @@ class TestMetricsVerb:
         (out / "estimates.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("metrics", str(out)) == EXIT_OK
         assert "100 rows" in capsys.readouterr().out
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        # once FileNotFoundError (exit 1); run creates its output directory too
+        out = self._run_dir(tmp_path)
+        target = tmp_path / "new" / "deeper" / "m.csv"
+        assert run_cli("metrics", str(out), "--out", str(target)) == EXIT_OK
+        assert f"metrics: 100 rows -> {target}" in capsys.readouterr().out
+        assert len(target.read_text().splitlines()) == 101
+
+    @pytest.mark.parametrize("target", ["r", "taken/m.csv"])
+    def test_out_at_a_directory_or_through_a_file_is_config_error(self, tmp_path, capsys, target):
+        # once IsADirectoryError or NotADirectoryError (exit 1)
+        out = self._run_dir(tmp_path)
+        (tmp_path / "taken").write_text("kept\n")
+        assert run_cli("metrics", str(out), "--out", str(tmp_path / target)) == EXIT_CONFIG
+        assert "config error: out: " in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "kept\n"
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("metrics", str(tmp_path / "absent")) == EXIT_DATA

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
@@ -13,6 +15,8 @@ from reference import (
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
+# signed zeros and angles past a half-turn per step, for the sign of a zero output
+component = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-400.0, 400.0))
 
 
 def test_skew_layout():
@@ -131,6 +135,39 @@ class TestSe23Exp:
     def test_returns_python_floats(self, rng):
         rot, t_p, t_v = lg.se23_exp(*(rng.normal(size=3).tolist() for _ in range(3)), 1.0, 0.01)
         assert {type(x) for x in (*rot[0], *rot[1], *rot[2], *t_p, *t_v)} == {float}
+
+    @staticmethod
+    def _t_p_by_the_full_series(omega, v, a, eps, dt):
+        """``t_p = J1 v dt + eps dt^2 J2 a``, with ``J1 v dt`` written out as ``se23_exp`` evaluates it for any ``v``."""
+        (ox, oy, oz), (vx, vy, vz), (ax, ay, az) = omega, v, a
+        wx, wy, wz = ox * dt, oy * dt, oz * dt
+        theta = math.hypot(wx, wy, wz)
+        t2 = theta * theta
+        _, b_c, c_c, d_c = lg._rodrigues_coefficients(theta)
+        j1, j2 = 1.0 - c_c * t2, 0.5 - d_c * t2
+        x, y, z = vx * dt, vy * dt, vz * dt
+        d = c_c * (wx * x + wy * y + wz * z)
+        j1v = (j1 * x + b_c * (wy * z - wz * y) + d * wx, j1 * y + b_c * (wz * x - wx * z) + d * wy,
+               j1 * z + b_c * (wx * y - wy * x) + d * wz)
+        d = d_c * (wx * ax + wy * ay + wz * az)
+        j2a = (j2 * ax + c_c * (wy * az - wz * ay) + d * wx, j2 * ay + c_c * (wz * ax - wx * az) + d * wy,
+               j2 * az + c_c * (wx * ay - wy * ax) + d * wz)
+        k = eps * dt * dt
+        return tuple(p + k * q for p, q in zip(j1v, j2a))
+
+    @settings(max_examples=300, derandomize=True)
+    @given(st.tuples(component, component, component), st.tuples(component, component, component),
+           st.tuples(component, component, component), st.floats(0.01, 2.0), st.floats(-1.0, 1.0))
+    # a half-turn or more per step (1 - C theta^2 < 0), where J1 v dt at v = +0.0 can be -0.0
+    @example((-300.0, -200.0, 100.0), (0.0, 0.0, 0.0), (-0.0, 0.0, 0.0), 1.0, 0.01)
+    def test_zero_v_keeps_the_full_series_bits(self, omega, v, a, eps, dt):
+        # predict's calls (v = +0.0) skip the J1 v dt series and must keep its bits
+        if any(v):
+            _, t_p, _ = lg.se23_exp(omega, v, a, eps, dt)
+            assert [x.hex() for x in t_p] == [x.hex() for x in self._t_p_by_the_full_series(omega, v, a, eps, dt)]
+        _, t_p, _ = lg.se23_exp(omega, (0.0, 0.0, 0.0), a, eps, dt)
+        zero = self._t_p_by_the_full_series(omega, (0.0, 0.0, 0.0), a, eps, dt)
+        assert [x.hex() for x in t_p] == [x.hex() for x in zero]
 
     def test_rejects_non_finite_input(self):
         with pytest.raises(ValueError, match="tangent input must be finite"):

@@ -8,6 +8,7 @@ digest script's temporary directory included, through ``TMPDIR``).
 
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,22 @@ def test_artifact_digests(tmp_path):
     digest, name = lines[5].split("  ")
     saved.write_text(listing.replace(lines[5], f"{digest[::-1]}  {name}"))
     assert _run(tmp_path, "artifact_digests.py", "--check", str(saved), code=1).splitlines() == [name]
+
+
+def test_step_ab(tmp_path):
+    args = ("--duration", "0.2", "--rounds", "2")
+    header, *rows = _run(tmp_path, "step_ab.py", str(ROOT), str(ROOT), *args).splitlines()
+    assert header.split()[0] == "config" and len(rows) == 6
+    assert all(row.endswith("identical") for row in rows), rows
+    # a tree whose stock gain differs ends its streams elsewhere: exit 1
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "uwbnav", other / "src" / "uwbnav", ignore=shutil.ignore_patterns("__pycache__"))
+    harness = other / "src" / "uwbnav" / "harness.py"
+    text = harness.read_text()
+    assert "    k1: float = 3.0\n" in text
+    harness.write_text(text.replace("    k1: float = 3.0\n", "    k1: float = 3.5\n"))
+    _, *rows = _run(tmp_path, "step_ab.py", str(ROOT), str(other), *args, code=1).splitlines()
+    assert len(rows) == 6 and all("DIFFER at step 0" in row for row in rows), rows
 
 
 def test_step_convergence(tmp_path):

@@ -42,7 +42,7 @@ PER_STEP = {
     "navfilter": (
         "_rows", "_gate", "_product", "correction_terms", "predict", "update", "step_with_fix", "step",
     ),
-    "attitude": ("_check_measured", "_unit", "build_triads"),
+    "attitude": ("_unit", "build_triads"),
     "liegroup": ("cross3", "_rodrigues_coefficients", "se23_exp", "_quat_rot_rows", "quat_turn"),
     "uwb": (
         "_finite", "_check_rank", "_check_condition", "_position",

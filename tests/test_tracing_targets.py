@@ -10,6 +10,8 @@ import importlib
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from uwbnav import harness
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -27,7 +29,9 @@ def test_every_span_target_is_a_module_attribute(monkeypatch):
             )
 
 
-def test_every_span_runs_on_the_live_path(monkeypatch, tmp_path):
+# the filter paths of the three benchmark workloads
+@pytest.mark.parametrize("topology,variant", [("toa", "matrix"), ("tdoa-main", "matrix"), ("tdoa-ring", "quaternion")])
+def test_every_span_runs_on_the_live_path(monkeypatch, tmp_path, topology, variant):
     # a span on a function the run never calls reads 0 calls and times nothing
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracing = importlib.import_module("tracing")
@@ -42,7 +46,7 @@ def test_every_span_runs_on_the_live_path(monkeypatch, tmp_path):
 
     saved = tracing._install(wrap)
     try:
-        summary = harness.run_experiment(harness.RunConfig(duration=1.0, topology="toa", out=str(tmp_path)))
+        summary = harness.run_experiment(harness.RunConfig(duration=1.0, topology=topology, variant=variant, out=str(tmp_path)))
     finally:
         tracing.restore(saved)
     steps = counts["navfilter.step"]
