@@ -14,7 +14,9 @@ files.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -178,7 +180,8 @@ class RunConfig:
             if not self.dataset_dir:
                 raise ConfigError("dataset mode requires dataset_dir")
             if not Path(self.dataset_dir).is_dir():
-                raise ConfigError(f"dataset_dir does not exist: {self.dataset_dir}")
+                what = "is not a directory" if Path(self.dataset_dir).exists() else "does not exist"
+                raise ConfigError(f"dataset_dir {what}: {self.dataset_dir}")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"topology must be one of {TOPOLOGIES}")
         if self.mode == "dataset" and self.topology == "toa":
@@ -249,7 +252,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
-        loaded = yaml.safe_load(path.read_text())
+        # libyaml scans and parses where PyYAML has it; PyYAML's own constructor and resolver build the values
+        loaded = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -598,6 +602,19 @@ _ESTIMATE_HEADER = [
 _METRICS_HEADER = ["t", "att_err", "pos_err", "vel_err", "sigma_norm", "e_r", "py_residual"]
 
 
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic collector, which a run's acyclic values never need; restore it on any exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def run_experiment(cfg: RunConfig) -> dict:
     """Execute one configured run and write its artifacts.
 

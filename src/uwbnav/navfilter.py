@@ -42,7 +42,10 @@ nothing already held as checked floats: samples, fixes and the weights in
 ``FilterGains._s`` are read as they are.  A product used once is written
 out in place, in ``_product``'s operation order, and a solve walks its rows
 in fused passes (see ``uwb``): a helper call, temporary tuple or extra pass
-costs as much as the arithmetic it carries.
+costs as much as the arithmetic it carries.  The step builds only acyclic
+float containers, which reference counting frees, so offline runs pause the
+cyclic collector (``harness.run_experiment``); an online caller that keeps
+its states can do the same around its own loop.
 """
 
 from __future__ import annotations

@@ -119,6 +119,17 @@ class TestRunVerb:
         assert run_cli("run", "--config", str(cfg)) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_dataset_dir_at_a_file_is_config_error(self, tmp_path, capsys):
+        # once reported as "dataset_dir does not exist" for a path that exists
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"mode: dataset\ndataset_dir: {taken}\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        assert f"config error: dataset_dir is not a directory: {taken}" in capsys.readouterr().err
+        assert taken.read_text() == "kept\n"
+        assert not (tmp_path / "r").exists()
+
     def test_dataset_mode_with_toa_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"mode: dataset\ndataset_dir: {tmp_path}\ntopology: toa\n")

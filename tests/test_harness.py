@@ -201,8 +201,24 @@ class TestLoadConfig:
             load_config(path)
 
     def test_dataset_dir_must_exist(self, tmp_path):
-        with pytest.raises(ConfigError, match="dataset_dir"):
+        with pytest.raises(ConfigError, match="dataset_dir does not exist"):
             RunConfig(mode="dataset", dataset_dir=str(tmp_path / "absent"))
+
+    @pytest.mark.parametrize("text", [
+        (REPLAY_CONFIG.parent / "circle.yaml").read_text(),
+        REPLAY_CONFIG.read_text().replace("data/const1", "."),
+        "seed: 0x1f\nka: 1e3\ns: [0.5, 1.0, 1.5]\ntrajectory: 'hover'\nout: \"r\"  # text\n",
+    ], ids=["circle", "dataset_replay", "mixed"])
+    def test_parses_as_the_python_loader_does(self, tmp_path, monkeypatch, text):
+        # libyaml's scanner and parser where PyYAML has them, PyYAML's own otherwise
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        fast = load_config(path)
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        slow = load_config(path)
+        for name in RunConfig.__dataclass_fields__:
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert type(a) is type(b) and (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b), name
 
 
 class TestMetricsRow:
