@@ -27,13 +27,7 @@ import yaml
 from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_rows, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
-from .sim import (
-    NoiseSpec,
-    TruthTrajectory,
-    _numbers,
-    generate_trajectory,
-    reconstruct_velocity,
-)
+from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _numbers, generate_trajectory, reconstruct_velocity
 from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, Ranges, _check_ranges, _range_block, _range_rows, anchor_floor
 
 __all__ = [
@@ -82,18 +76,7 @@ def default_anchors() -> AnchorSet:
     return AnchorSet(anchors=np.array(corners))
 
 
-_TRAJECTORY_KEYS = (
-    "p0",
-    "radius",
-    "period",
-    "yaw",
-    "yaw0",
-    "amplitude",
-    "frequency",
-    "phase",
-    "yaw_amplitude",
-    "yaw_frequency",
-)
+_TRAJECTORY_KEYS = frozenset().union(*_KIND_KEYS.values())  # every flight kind's parameters
 
 _VARIANTS = ("matrix", "quaternion")
 
@@ -114,7 +97,9 @@ class RunConfig:
     representative sensor noise.  Every value is checked, and the run's
     gains, noise spec, references, anchor set and initial state are built,
     once, at construction; a rejected value raises ConfigError naming its
-    key.
+    key.  ``sigma_hat0 >= 0`` and ``k_sigma * gamma_sigma / filter_rate < 1``
+    keep the covariance bound nonnegative on every step (see
+    ``navfilter.update``).
     """
 
     mode: str = "synthetic"
@@ -173,6 +158,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (isinstance(value, str) or (value is None and name == "dataset_dir")):
                 raise ConfigError(f"{name} must be text, got {value!r}")
+        if not self.out:  # Path("") is the working directory
+            raise ConfigError("out: must name a directory, got ''")
         _check_out(Path(self.out))
         if self.mode not in ("synthetic", "dataset"):
             raise ConfigError(f"mode must be synthetic or dataset, got {self.mode!r}")
@@ -192,6 +179,13 @@ class RunConfig:
             raise ConfigError("duration and rate must be positive")
         if not 0 < self.filter_rate <= self.rate:
             raise ConfigError("filter_rate must be positive and not above rate")
+        if not (self.sigma_hat0 >= 0.0).all():
+            raise ConfigError("sigma_hat0 must be nonnegative (it bounds a covariance), "
+                              f"got {self.sigma_hat0.tolist()}")
+        decay = self.k_sigma * self.gamma_sigma / self.filter_rate
+        if not decay < 1.0:
+            raise ConfigError(f"k_sigma * gamma_sigma / filter_rate must be below 1, got {decay} "
+                              "(each step scales sigma_hat by one minus it)")
         floor = anchor_floor(self.topology)
         if len(self.anchors) < floor:
             raise ConfigError(
@@ -692,7 +686,6 @@ def run_experiment(cfg: RunConfig) -> dict:
     summary = {
         "steps": n,
         "dropouts": dropouts,
-        "sigma_alerts": sum(d.sigma_alert for d in diags),
         "final": {
             "att_err": float(att[-1]),
             "pos_err": float(pos[-1]),

@@ -39,7 +39,7 @@ expressions on them; no array is built or read inside a step.  The public
 fields of every value are these float tuples; the harness and the metrics
 stack a run's tuples into arrays once.  A step converts and re-checks
 nothing already held as checked floats: samples, fixes and the weights in
-``FilterGains._s`` are read as they are.  A product used once is written
+``FilterGains.s`` are read as they are.  A product used once is written
 out in place, in ``_product``'s operation order, and a solve walks its rows
 in fused passes (see ``uwb``): a helper call, temporary tuple or extra pass
 costs as much as the arithmetic it carries.  The step builds only acyclic
@@ -51,7 +51,7 @@ its states can do the same around its own loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,21 +71,9 @@ __all__ = [
     "step_with_fix",
 ]
 
-SIGMA_ALERT_FLOOR = -10.0
 ATTITUDE_GATE = 1e-6
 _ZERO3 = (0.0, 0.0, 0.0)
 _NAN = float("nan")
-
-
-def _weights(s) -> tuple[float, float, float]:
-    """Triad confidence weights (a 3-sequence or array) as floats: three nonnegative values summing to 3."""
-    try:
-        s0, s1, s2 = map(float, s)
-    except (TypeError, ValueError):
-        raise ValueError("s must be 3 nonnegative weights summing to 3") from None
-    if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
-        raise ValueError("s must be 3 nonnegative weights summing to 3")
-    return s0, s1, s2
 
 
 @dataclass(frozen=True)
@@ -93,10 +81,12 @@ class FilterGains:
     """Positive filter constants and the triad confidence weights.
 
     Defaults are a working set for indoor flight scales.  ``s`` holds the
-    triad confidence weights, checked here once: three nonnegative values
-    summing to 3, kept as floats in ``_s``, where :func:`correction_terms`
-    reads them.  Of the constants only positivity is enforced (closed-loop
-    stability margins are analysis-side and not checked at runtime).
+    triad confidence weights (any 3-sequence or array), checked here once:
+    three nonnegative values summing to 3, kept as a float 3-tuple, which
+    :func:`correction_terms` reads as it is.  Of the constants only
+    positivity is enforced (closed-loop stability margins are analysis-side
+    and not checked at runtime; ``RunConfig`` bounds the ``sigma_hat``
+    decay per step).
     """
 
     k1: float = 3.0
@@ -105,16 +95,19 @@ class FilterGains:
     gamma_sigma: float = 0.1
     epsilon: float = 0.5
     k_sigma: float = 0.1
-    s: np.ndarray = field(default_factory=lambda: np.ones(3))
-    _s: tuple = field(init=False, repr=False, compare=False)
+    s: tuple = (1.0, 1.0, 1.0)
 
     def __post_init__(self) -> None:
         for name in ("k1", "kv", "ka", "gamma_sigma", "epsilon", "k_sigma"):
             if not float(getattr(self, name)) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        s = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "_s", _weights(s))
-        object.__setattr__(self, "s", s)
+        try:
+            s0, s1, s2 = map(float, np.asarray(self.s, dtype=float))
+        except (TypeError, ValueError):
+            raise ValueError("s must be 3 nonnegative weights summing to 3") from None
+        if not (min(s0, s1, s2) >= 0.0 and abs(s0 + s1 + s2 - 3.0) <= 1e-9):
+            raise ValueError("s must be 3 nonnegative weights summing to 3")
+        object.__setattr__(self, "s", (s0, s1, s2))
 
 
 @dataclass(slots=True)
@@ -197,16 +190,14 @@ class Diagnostics:
 
     ``e_r`` is the quarter-trace attitude residual and ``innovation_norm``
     the distance of the fix from the prior position (both NaN on a
-    dropout); ``dropout_reason`` is the exception name and message of a
-    dropout, and ``sigma_alert`` flags a component of the new ``sigma_hat``
-    below ``SIGMA_ALERT_FLOOR``.
+    dropout) and ``dropout_reason`` the exception name and message of a
+    dropout.
     """
 
     e_r: float
     innovation_norm: float
     dropout: bool
     dropout_reason: str
-    sigma_alert: bool
 
 
 def _product(a, b) -> tuple:
@@ -224,7 +215,7 @@ def correction_terms(
     """Covariance adaptation and correction factors from one measurement set.
 
     Computes, with ``v_hat_i = R_hat^T r_i`` and the confidence weights
-    ``s_i`` of ``gains`` (``FilterGains._s``):
+    ``s_i`` of ``gains`` (``FilterGains.s``):
 
     - ``e_r``: quarter-trace attitude residual
       ``(1/4) Tr sum s_i (r_i r_i^T - R_hat v_hat_i v_i^T R_hat^T)``,
@@ -245,7 +236,7 @@ def correction_terms(
     """
     r_hat = _rows(state)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
-    (s0, s1, s2), (ref, r_sq) = gains._s, triads.reference
+    (s0, s1, s2), (ref, r_sq) = gains.s, triads.reference
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v
     # the rows of h = (r R_hat) are v_hat_i = R_hat^T r_i, so m = h^T (s v)
     # = sum s_i v_hat_i v_i^T, vex(m - m^T) = sum s_i v_i x v_hat_i, and the
@@ -326,7 +317,11 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
     position column by O(dt^2) per step and bias the closed loop).  ``g``
     is the gravity vector (three floats) the discrete step folds into the
     acceleration correction.  ``sigma_hat`` advances by one explicit
-    Euler step of ``w.sigma_dot``.  The result passes the state gate
+    Euler step of ``w.sigma_dot``: ``sigma_hat (1 - k_sigma gamma_sigma dt)
+    + dt k_cross c^2`` per component, with ``c = w.d_v_diag`` and
+    ``k_cross = gamma_sigma (e_r + 2)/8 exp(e_r) > 0``, so a nonnegative
+    ``sigma_hat`` stays nonnegative while ``k_sigma gamma_sigma dt < 1``
+    (``RunConfig`` requires both).  The result passes the state gate
     (``ATTITUDE_GATE``, finite values).
     """
     if not dt > 0:
@@ -370,7 +365,7 @@ def step_with_fix(
     triads = build_triads(imu.a_m, imu.m_m, env)
     w = correction_terms(state, triads, p_y, gains)
     new = update(predict(state, imu, dt), w, dt, env._g)
-    return new, Diagnostics(w.e_r, math.dist(p_y, state.p_hat), False, "", min(new.sigma_hat) < SIGMA_ALERT_FLOOR)
+    return new, Diagnostics(w.e_r, math.dist(p_y, state.p_hat), False, "")
 
 
 def step(
@@ -392,4 +387,4 @@ def step(
         return step_with_fix(state, imu, solve_fix(anchors, ranges).p, env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
         pred = _gate(predict(state, imu, dt))
-        return pred, Diagnostics(_NAN, _NAN, True, f"{type(err).__name__}: {err}", False)
+        return pred, Diagnostics(_NAN, _NAN, True, f"{type(err).__name__}: {err}")

@@ -181,7 +181,7 @@ class TestMeasurementIdentities:
         lhs = 0.25 * np.trace(m_r @ (np.eye(3) - r_tilde))
 
         acc = np.zeros((3, 3))
-        for si, vi, vhi in zip(gains._s, triads.v, v_hat):
+        for si, vi, vhi in zip(gains.s, triads.v, v_hat):
             acc += si * np.outer(vhi, vi)
         rhs = 0.25 * np.trace(m_r - r_hat @ acc @ r_hat.T)
         assert np.isclose(lhs, rhs, atol=1e-10)

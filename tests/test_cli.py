@@ -214,6 +214,50 @@ class TestRunVerb:
         assert f"config error: out: {taken} exists and is not a directory" in capsys.readouterr().err
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("verb,topology", [("run", "toa"), ("simulate", "tdoa-main")])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_empty_out_is_config_error(self, tmp_path, capsys, monkeypatch, verb, topology, where):
+        # once exit 0 with every artifact written into the working directory
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(f"duration: 1.0\ntopology: {topology}\n" + ('out: ""\n' if where == "config" else ""))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        flags = ["--out", ""] if where == "flag" else []
+        assert run_cli(verb, "--config", str(cfg), *flags) == EXIT_CONFIG
+        assert "config error: out: must name a directory, got ''" in capsys.readouterr().err
+        assert not list(work.iterdir())
+
+    def test_negative_sigma_hat0_is_config_error(self, tmp_path, capsys):
+        # once exit 0 at the attitude antipode (att 0.994 after 10 s)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\nsigma_hat0: [-20, 0, 0]\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        assert "config error: sigma_hat0 must be nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_sigma_decay_of_a_whole_step_is_config_error(self, tmp_path, capsys):
+        # k_sigma * gamma_sigma / filter_rate = 1.9: once exit 0, with a sigma_hat
+        # component below -10 on 11 steps
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 1.0\ntopology: toa\nk_sigma: 190\ngamma_sigma: 1.0\nsigma_hat0: [100, 0, 0]\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: k_sigma * gamma_sigma / filter_rate must be below 1, got 1.9" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-ring"])
+    def test_every_step_dropped_is_numeric_error(self, tmp_path, capsys, topology):
+        # five anchors on the floor plane support no 3-D fix
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            f"duration: 1.0\ntopology: {topology}\n"
+            "anchors: [[-3, -3, 0], [3, -3, 0], [3, 3, 0], [-3, 3, 0], [0, 0, 0]]\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_NUMERIC
+        assert "numerical failure: every step dropped its measurement" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_four_anchors_under_tdoa_main_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(

@@ -5,6 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from uwbnav import harness
 from uwbnav.attitude import ReferenceEnvironment
@@ -23,8 +26,9 @@ from uwbnav.harness import (
     synthesize_measurements,
     write_dataset,
 )
+from uwbnav.navfilter import step
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import AnchorSet
+from uwbnav.uwb import TOPOLOGIES, AnchorSet
 
 from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
 
@@ -128,6 +132,26 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="r_hat0: (attitude is not orthonormal|cannot normalize)"):
             RunConfig(r_hat0=[1.0e300, 0.0, 0.0], variant=variant)
 
+    @pytest.mark.parametrize("sigma_hat0", [[-20.0, 0.0, 0.0], [0.0, 0.0, -1.0e-300]])
+    def test_sigma_hat0_must_be_nonnegative(self, sigma_hat0):
+        # sigma_hat bounds a covariance; a component below about -6 flips the attitude correction
+        with pytest.raises(ConfigError, match=r"sigma_hat0 must be nonnegative \(it bounds a covariance\)"):
+            RunConfig(sigma_hat0=sigma_hat0)
+
+    @pytest.mark.parametrize(
+        "k_sigma,gamma_sigma,rate,filter_rate,decay",
+        [(100.0, 1.0, 100.0, None, "1.0"), (190.0, 1.0, 100.0, None, "1.9"), (150.0, 1.0, 500.0, 100.0, "1.5")],
+    )
+    def test_sigma_decay_must_stay_below_one_step(self, k_sigma, gamma_sigma, rate, filter_rate, decay):
+        # the Euler step scales sigma_hat by 1 - k_sigma gamma_sigma dt, with dt the filter clock's interval
+        message = rf"k_sigma \* gamma_sigma / filter_rate must be below 1, got {decay}\b"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(k_sigma=k_sigma, gamma_sigma=gamma_sigma, rate=rate, filter_rate=filter_rate)
+
+    def test_sigma_bounds_accept_their_edges(self):
+        cfg = RunConfig(k_sigma=99.9999, gamma_sigma=1.0, sigma_hat0=[0.0, -0.0, 1.0e155])
+        assert cfg.initial_state().sigma_hat == (0.0, 0.0, 1.0e155)
+
     def test_initial_state_variants(self):
         rotvec = [0.0, 0.0, 0.4]
         matrix = RunConfig(r_hat0=rotvec).initial_state()
@@ -135,6 +159,28 @@ class TestRunConfig:
         assert matrix.variant == "matrix" and quat.variant == "quaternion"
         assert np.allclose(matrix.rotation(), quat.rotation(), atol=1e-12)
         assert np.allclose(matrix.p_hat, [-2.0, -3.0, 0.0])
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(TOPOLOGIES),
+    st.sampled_from(["matrix", "quaternion"]),
+    st.floats(1.0e-6, 0.999999),
+    st.floats(0.01, 10.0),
+    st.sampled_from([50.0, 100.0, 200.0]),
+    arrays(np.float64, 3, elements=st.floats(0.0, 100.0)),
+)
+@example("tdoa-ring", "quaternion", 0.999999, 1.0, 100.0, np.array([100.0, 0.0, 0.0]))
+def test_accepted_sigma_config_keeps_sigma_hat_nonnegative(topology, variant, decay, gamma_sigma, rate, sigma_hat0):
+    # sigma_hat0 >= 0 and k_sigma gamma_sigma dt < 1 keep every Euler step of sigma_hat >= 0
+    cfg = RunConfig(duration=0.5, rate=rate, topology=topology, variant=variant, gamma_sigma=gamma_sigma,
+                    k_sigma=decay * rate / gamma_sigma, sigma_hat0=sigma_hat0)
+    traj = generate_trajectory(cfg.trajectory, {"duration": cfg.duration, "rate": rate}, cfg.env())
+    imu, ranges = synthesize_measurements(traj, cfg.anchor_set(), topology, cfg.noise(), cfg.env())
+    state = cfg.initial_state()
+    for i in range(len(traj) - 1):
+        state, _ = step(state, imu[i], ranges[i], cfg.anchor_set(), cfg.env(), cfg.gains(), cfg.dt)
+        assert min(state.sigma_hat) >= 0.0, (i, state.sigma_hat)
 
 
 class TestLoadConfig:

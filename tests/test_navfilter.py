@@ -39,7 +39,6 @@ from uwbnav.navfilter import (
     Diagnostics,
     FilterGains,
     _gate,
-    _weights,
     correction_terms,
     predict,
     step,
@@ -94,13 +93,19 @@ class TestFilterGains:
         with pytest.raises(ValueError):
             FilterGains(s=np.array([np.nan, 1.0, 1.0]))
 
-    def test_rejects_bad_weight_sum(self):
+    @pytest.mark.parametrize("s", [[1.0, 1.0, 1.5], [1.0, 1.0], [[1.0, 1.0, 1.0]], "abc", [3.5, 0.0, -0.5]])
+    def test_rejects_bad_weights(self, s):
         with pytest.raises(ValueError, match="s must be 3 nonnegative weights summing to 3"):
-            _weights(np.array([1.0, 1.0, 1.5]))
+            FilterGains(s=s)
 
     def test_custom_weights_recorded(self):
         gains = FilterGains(s=np.array([1.5, 1.0, 0.5]))
-        assert gains._s == (1.5, 1.0, 0.5) and all(type(x) is float for x in gains._s)
+        assert gains.s == (1.5, 1.0, 0.5) and all(type(x) is float for x in gains.s)
+
+    def test_gains_compare_by_value(self):
+        # once a ValueError: the weights were an ndarray field
+        assert FilterGains() == FilterGains(s=[1, 1, 1])
+        assert FilterGains() != FilterGains(s=(1.5, 1.0, 0.5))
 
 
 class TestStateGate:
