@@ -28,7 +28,8 @@ from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_rows, me
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
 from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _numbers, generate_trajectory, reconstruct_velocity
-from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, Ranges, _check_ranges, _range_block, _range_rows, anchor_floor
+from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, anchor_floor
+from .uwb import _check_geometry, _check_ranges, _range_block, _range_rows
 
 __all__ = [
     "ConfigError",
@@ -99,7 +100,8 @@ class RunConfig:
     once, at construction; a rejected value raises ConfigError naming its
     key.  ``sigma_hat0 >= 0`` and ``k_sigma * gamma_sigma / filter_rate < 1``
     keep the covariance bound nonnegative on every step (see
-    ``navfilter.update``).
+    ``navfilter.update``).  Anchors on which every solve would fail
+    (``uwb._check_geometry``) are rejected, not stepped through as dropouts.
     """
 
     mode: str = "synthetic"
@@ -202,7 +204,8 @@ class RunConfig:
             )
             self._env = ReferenceEnvironment(g_vec=self.g_vec, m_r=self.m_r)
             self._anchor_set = AnchorSet(anchors=self.anchors)
-        except ValueError as err:  # each message names its field, which is the config key
+            _check_geometry(self._anchor_set, self.topology)
+        except (ValueError, GeometryDegenerate) as err:  # each message names its field, which is the config key
             raise ConfigError(str(err)) from err
         # the initial state passes the same gate as every state a step returns
         try:
@@ -327,16 +330,28 @@ def synthesize_measurements(
     return _imu_rows(imu), _range_rows(ranges, topology)
 
 
+_CHUNK_ROWS = 512  # rows per formatted write: a writer holds this many rows' text and values, not a file's
+
+
+def _write_lines(path: Path, header: list[str], line: str, n: int, values) -> None:
+    """Header line, then ``n`` rows of the ``%`` template ``line``, ``values(lo, hi)`` giving rows lo..hi-1's values."""
+    with path.open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, n, _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, n)
+            fh.write(line * (hi - lo) % values(lo, hi))
+
+
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
     """Header line, then one line per row of ``block`` from the ``%`` template ``row``.
 
     ``row`` defaults to ``%.17g`` for every column, which formats exactly as
-    ``format(x, ".17g")``: repr-round-trip precision.
+    ``format(x, ".17g")``: repr-round-trip precision.  Rows go out
+    ``_CHUNK_ROWS`` at a time, the bytes of one template over the whole
+    block, so the writer's memory does not grow with the block's length.
     """
     line = (row or ",".join(["%.17g"] * len(header))) + "\n"
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+    _write_lines(path, header, line, len(block), lambda lo, hi: tuple(block[lo:hi].ravel().tolist()))
 
 
 def _stacked(values: list, shape: tuple[int, ...]) -> np.ndarray:
@@ -387,13 +402,15 @@ def write_dataset(
     # one line template per tick with the pair ids as literal text: each row
     # formats only its difference and its tick's timestamp, formatted once per tick
     tick = "".join(f"%s,{i},{j},%.17g\n" for i, j in zip(pair_list.first + 1, pair_list.second + 1))
-    t_text = ("%.17g\n" * n % tuple(traj.t.tolist())).split()
-    values = [None] * (2 * n * k)
-    values[0::2] = [text for text in t_text for _ in range(k)]
-    values[1::2] = diffs.ravel().tolist()
-    with (out / "tdoa.csv").open("w", newline="") as fh:
-        fh.write("t,i,j,d\n")
-        fh.write((tick * n) % tuple(values))
+
+    def tick_values(lo: int, hi: int) -> tuple:
+        t_text = ("%.17g\n" * (hi - lo) % tuple(traj.t[lo:hi].tolist())).split()
+        values = [None] * (2 * (hi - lo) * k)
+        values[0::2] = [text for text in t_text for _ in range(k)]
+        values[1::2] = diffs[lo:hi].ravel().tolist()
+        return tuple(values)
+
+    _write_lines(out / "tdoa.csv", ["t", "i", "j", "d"], tick, n, tick_values)
     return out
 
 
@@ -503,13 +520,14 @@ def ingest_dataset(
 
     The IMU/truth clock is decimated by an integer stride down to
     ``filter_rate`` (500 Hz data at a 100 Hz filter keeps every 5th
-    sample); ranging rows are grouped per timestamp and held to the
-    nearest decimated tick (a tie goes to the earlier group).  A tick whose
+    sample, copied out of the full-rate tables); ranging rows are grouped
+    per timestamp and held to the nearest decimated tick (a tie goes to the earlier group).  A tick whose
     nearest group lies farther than one filter interval plus the median
     spacing of the group timestamps is a ClockError.  Truth
     velocity is reconstructed from the full-rate positions before
     decimation.  The truth carries no body rates or specific forces
-    (``omega`` and ``a`` are None): the run scores states only.
+    (``omega`` and ``a`` are None): the run scores states only.  Anchors
+    below the topology's floor, or that give no fix, are a SchemaError.
     """
     src = Path(dataset_dir)
     truth = _read_truth(src / "truth.csv")
@@ -536,7 +554,8 @@ def ingest_dataset(
         raise SchemaError(f"anchors.csv: ids must be 1 to {len(order)}, each once")
     try:
         anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
-    except ValueError as err:
+        _check_geometry(anchor_set, topology)
+    except (ValueError, GeometryDegenerate) as err:
         raise SchemaError(f"anchors.csv: {err}") from err
 
     dt_full = float(np.median(np.diff(t_full)))
@@ -545,8 +564,8 @@ def ingest_dataset(
 
     p_full = truth[:, 1:4]
     v_full = reconstruct_velocity(p_full, dt_full)
-    traj = TruthTrajectory(
-        t=t_full[keep], rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep], v=v_full[keep]
+    traj = TruthTrajectory(  # copies: no view holds a full-rate table alive through the run
+        t=t_full[keep].copy(), rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep].copy(), v=v_full[keep].copy()
     )
     ticks = imu[keep]
     imu_stream = _imu_rows(ticks[:, 1:10])

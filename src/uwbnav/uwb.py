@@ -299,6 +299,22 @@ def _check_condition(cond: float) -> float:
     return cond
 
 
+def _check_geometry(anchors: AnchorSet, topology: str) -> None:
+    """Raise GeometryDegenerate when no ranges give a fix on ``anchors`` under ``topology``.
+
+    The test is the constant part of each solve's: the position block's rank
+    (3 needed) and its condition number ``sqrt(fro2 inv2)``, which a TDOA
+    solve's never falls below (it adds nonnegative terms to both factors;
+    see the module notes).  The caller has checked the anchor floor.
+    """
+    f = anchors.toa_factor if topology == "toa" else anchors.tdoa[topology].factor
+    try:
+        _check_rank(f.rank, 3)
+        _check_condition(math.sqrt(f.fro2 * f.inv2))
+    except GeometryDegenerate as err:
+        raise GeometryDegenerate(f"anchors give no {topology} fix: {err}") from None
+
+
 def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, float]:
     """``V y`` from the rows of ``V``, checked finite."""
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = v

@@ -23,8 +23,10 @@ code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
 bit-identical results.  ``write_dataset_rows`` is the row-based dataset
 writer: one line per per-sample value, each number formatted on its own;
-the package's writer, which formats whole blocks, must write the same
-bytes.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
+the package's writer, which formats blocks of rows, must write the same
+bytes.  ``write_csv_whole`` is the CSV writer that formats a whole block
+through one ``%`` template; the package's writer, which formats a fixed
+number of rows at a time, must write the same bytes.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
 system matrix on every call (``numpy.linalg.svd``, the package's
 primitive, with the package's float arithmetic after it), which the
 anchor set's one-time factorization must reproduce bit for bit.
@@ -327,6 +329,14 @@ def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
         lines += [f"{format(t, '.17g')},{i},{j},{format(d, '.17g')}" for (i, j), d in zip(pairs, obs.values)]
     (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
     return out
+
+
+def write_csv_whole(path, header, block, row=None):
+    """Header line, then every row of ``block`` through one ``%`` template call (``%.17g`` per column by default)."""
+    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
+    with Path(path).open("w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((line * len(block)) % tuple(block.ravel().tolist()))
 
 
 def so3_exp_per_vector(w):

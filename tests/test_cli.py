@@ -12,6 +12,7 @@ import pytest
 import uwbnav
 from uwbnav import attitude, uwb
 from uwbnav.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+from uwbnav.uwb import TOPOLOGIES
 
 
 def run_cli(*argv):
@@ -246,15 +247,48 @@ class TestRunVerb:
         assert "config error: k_sigma * gamma_sigma / filter_rate must be below 1, got 1.9" in err
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("topology", ["toa", "tdoa-ring"])
-    def test_every_step_dropped_is_numeric_error(self, tmp_path, capsys, topology):
-        # five anchors on the floor plane support no 3-D fix
+    @pytest.mark.parametrize(
+        "verb,topology", [("run", topology) for topology in TOPOLOGIES] + [("simulate", "tdoa-ring")]
+    )
+    def test_anchors_that_give_no_fix_are_config_error(self, tmp_path, capsys, verb, topology):
+        # five anchors on the floor plane support no 3-D fix: once every step
+        # of the flight ran as a dropout before the run exited 4
         cfg = tmp_path / "run.yaml"
         cfg.write_text(
             f"duration: 1.0\ntopology: {topology}\n"
             "anchors: [[-3, -3, 0], [3, -3, 0], [3, 3, 0], [-3, 3, 0], [0, 0, 0]]\n"
         )
-        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_NUMERIC
+        assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: anchors give no {topology} fix: system rank 2 below 3" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_ill_conditioned_toa_anchors_are_config_error(self, tmp_path, capsys):
+        # a rank-3 set 1e-8 m off a plane: every TOA solve is above the condition ceiling
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "duration: 1.0\ntopology: toa\n"
+            "anchors: [[-3, -3, 0], [3, -3, 0], [3, 3, 0], [-3, 3, 1.0e-8], [0, 0, 0]]\n"
+        )
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: anchors give no toa fix: condition number" in err and "above ceiling" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES[1:])
+    def test_every_step_dropped_is_numeric_error(self, tmp_path, capsys, topology):
+        # a replayed flight whose accelerometer reads zero throughout: every
+        # step's vector triads are degenerate, so every step is a dropout
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text(f"duration: 1.0\ntopology: {topology}\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        header, *rows = (ds / "imu.csv").read_text().splitlines()
+        rows = [",".join(cells[:4] + ["0", "0", "0"] + cells[7:]) for cells in (row.split(",") for row in rows)]
+        (ds / "imu.csv").write_text("\n".join([header, *rows]) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: {topology}\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_NUMERIC
         assert "numerical failure: every step dropped its measurement" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
@@ -292,6 +326,20 @@ class TestRunVerb:
         run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
         assert "anchors.csv: anchors closer than the minimum separation" in capsys.readouterr().err
+
+    def test_dataset_with_planar_anchors_is_data_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 1.0\ntopology: tdoa-ring\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        floor = [(-3, -3), (3, -3), (3, 3), (-3, 3), (0, 0), (1, 2), (-2, 1), (2, -1)]  # eight anchors at z = 0
+        (ds / "anchors.csv").write_text("id,x,y,z\n" + "".join(f"{k},{x},{y},0\n" for k, (x, y) in enumerate(floor, 1)))
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-ring\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "anchors.csv: anchors give no tdoa-ring fix: system rank 2 below 3" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_config_anchor_is_config_error(self, tmp_path, capsys):

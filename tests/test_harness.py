@@ -1,5 +1,6 @@
 """Harness tests: config parsing, synthesis, dataset IO, experiment runs."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,15 @@ from uwbnav.navfilter import step
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import TOPOLOGIES, AnchorSet
 
-from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_dataset_rows
+from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_csv_whole, write_dataset_rows
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
+
+
+# five anchors on the floor plane, and the same set with one anchor 1e-8 m above it
+PLANAR_ANCHORS = [[-3.0, -3.0, 0.0], [3.0, -3.0, 0.0], [3.0, 3.0, 0.0], [-3.0, 3.0, 0.0], [0.0, 0.0, 0.0]]
+NEAR_PLANAR_ANCHORS = [*PLANAR_ANCHORS[:3], [-3.0, 3.0, 1.0e-8], PLANAR_ANCHORS[4]]
 
 
 def _traj(duration=2.0, rate=50.0, kind="circle", **params):
@@ -117,6 +123,21 @@ class TestRunConfig:
     def test_anchor_floor_is_enough(self, topology, count):
         anchors = default_anchors().anchors[[0, 1, 2, 4, 7][:count]]
         assert len(RunConfig(topology=topology, anchors=anchors).anchor_set()) == count
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize(
+        "anchors,match",
+        [
+            (PLANAR_ANCHORS, "system rank 2 below 3 unknowns"),
+            ([[float(k), 0.0, 0.0] for k in range(5)], "system rank 1 below 3 unknowns"),
+            (NEAR_PLANAR_ANCHORS, r"condition number .* above ceiling 1e\+08"),
+        ],
+        ids=["planar", "collinear", "near-planar"],
+    )
+    def test_anchors_that_give_no_fix(self, topology, anchors, match):
+        # every solve under this geometry fails its rank or condition test, whatever the ranges
+        with pytest.raises(ConfigError, match=rf"^anchors give no {topology} fix: {match}"):
+            RunConfig(topology=topology, anchors=anchors)
 
     def test_component_builders(self):
         cfg = RunConfig(k1=2.5, seed=9, sigma_m=0.3, g_vec=[0.0, 0.0, 9.8])
@@ -379,12 +400,53 @@ class TestMeasurementBlocks:
             measurement_blocks(traj, default_anchors(), "toa", None, ReferenceEnvironment(), np.array([0, 0, 2e150]))
 
 
+CHUNK = harness._CHUNK_ROWS
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("template", ["default", "estimates"])
+    def test_chunks_match_whole_block_writer(self, tmp_path, n, template):
+        rng = np.random.default_rng(n)
+        # values across the float range, with the signed zeros and NaNs a run can write
+        block = rng.standard_normal((n, 17)) * 10.0 ** rng.integers(-300, 300, (n, 17))
+        block[::5, 3] = -0.0
+        block[::7, 14:16] = np.nan
+        if template == "estimates":
+            header, row = harness._ESTIMATE_HEADER, ",".join(["%.17g"] * 16 + ["%d"])
+            block[:, 16] = rng.integers(0, 2, n)
+        else:
+            header, row = [f"c{k}" for k in range(17)], None
+        harness._write_csv(tmp_path / "chunks.csv", header, block, row)
+        write_csv_whole(tmp_path / "whole.csv", header, block, row)
+        written = (tmp_path / "chunks.csv").read_bytes()
+        assert written == (tmp_path / "whole.csv").read_bytes()
+        assert written.count(b"\n") == n + 1
+
+    def test_memory_does_not_grow_with_length(self, tmp_path):
+        # formatting a whole block at once peaked near 580 B per 10-value row
+        header = [f"c{k}" for k in range(10)]
+        peaks = []
+        for n in (10_000, 40_000):
+            block = np.random.default_rng(n).standard_normal((n, 10))
+            tracemalloc.start()
+            try:
+                harness._write_csv(tmp_path / "m.csv", header, block)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
 class TestWriteDataset:
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "noise"])
     @pytest.mark.parametrize("lever", [np.zeros(3), REPLAY_LEVER], ids=["zero-offset", "replay-lever"])
-    def test_matches_row_writer(self, tmp_path, topology, noise, lever):
-        traj = _traj(duration=2.0, rate=50.0)
+    # 101 samples, inside one write chunk; 3 chunks and a ragged last one
+    @pytest.mark.parametrize("duration", [2.0, (3 * CHUNK + 6) / 50.0], ids=["one-chunk", "ragged-chunks"])
+    def test_matches_row_writer(self, tmp_path, topology, noise, lever, duration):
+        traj = _traj(duration=duration, rate=50.0)
+        assert duration == 2.0 or (len(traj) > 3 * CHUNK and len(traj) % CHUNK)
         args = (traj, default_anchors(), topology, noise, ReferenceEnvironment(), lever)
         write_dataset(tmp_path / "blocks", traj, default_anchors(), topology, *measurement_blocks(*args))
         write_dataset_rows(tmp_path / "rows", traj, default_anchors(), *synthesize_measurements(*args))
@@ -441,6 +503,13 @@ class TestDatasetRoundTrip:
         assert np.allclose(got_ranges[1].values, diffs[5], atol=1e-15)
         assert np.allclose(got_imu[1].omega_m, imu[5, 0:3], atol=1e-15)
 
+    @pytest.mark.parametrize("filter_rate", [50.0, 10.0])
+    def test_decimated_arrays_own_their_data(self, dataset, filter_rate):
+        # a view would keep the whole full-rate table alive through the run
+        traj, *_ = ingest_dataset(dataset[0], filter_rate)
+        for name in ("t", "p", "v"):
+            assert getattr(traj, name).base is None, name
+
     def test_non_integer_decimation_rejected(self, dataset):
         with pytest.raises(ConfigError, match="decimation"):
             ingest_dataset(dataset[0], 30.0)
@@ -466,6 +535,15 @@ class TestDatasetRoundTrip:
         out = write_dataset(tmp_path / "ds", traj, four, "tdoa-main", imu, diffs)
         with pytest.raises(SchemaError, match="anchors.csv: tdoa-main needs at least 5 anchors, got 4"):
             ingest_dataset(out, 50.0, topology="tdoa-main")
+
+    @pytest.mark.parametrize("topology", TOPOLOGIES[1:])
+    @pytest.mark.parametrize("anchors", [PLANAR_ANCHORS, NEAR_PLANAR_ANCHORS], ids=["planar", "near-planar"])
+    def test_anchors_that_give_no_fix_are_schema_error(self, dataset, topology, anchors):
+        out = dataset[0]
+        rows = "".join(f"{k},{x!r},{y!r},{z!r}\n" for k, (x, y, z) in enumerate(anchors, 1))
+        (out / "anchors.csv").write_text("id,x,y,z\n" + rows)
+        with pytest.raises(SchemaError, match=f"^anchors.csv: anchors give no {topology} fix: "):
+            ingest_dataset(out, 50.0, topology=topology)
 
     def test_anchor_rows_in_any_order(self, dataset):
         out = dataset[0]

@@ -151,6 +151,19 @@ class TestToaSolve:
         with pytest.raises(uwb.GeometryDegenerate):
             uwb.toa_solve(line, d)
 
+    @pytest.mark.parametrize("topology", uwb.TOPOLOGIES)
+    def test_geometry_check_rejects_what_no_solve_accepts(self, rng, topology):
+        # a TDOA solve's condition number is at least its position block's, so
+        # a block above the ceiling fails every solve, as TOA's constant system does
+        flat = near_coplanar_anchors()
+        with pytest.raises(uwb.GeometryDegenerate, match="above ceiling"):
+            uwb._check_geometry(flat, topology)
+        for p in rng.uniform(-3, 3, size=(20, 3)):
+            obs = toa_ranges(p, flat) if topology == "toa" else tdoa_ranges(p, flat, topology)
+            with pytest.raises(uwb.GeometryDegenerate):
+                uwb.solve_fix(flat, obs)
+        uwb._check_geometry(box_anchors(), topology)
+
     def test_condition_ceiling_enforced(self, rng):
         flat = near_coplanar_anchors()
         d = toa_ranges(rng.uniform(-2, 2, size=3), flat)
