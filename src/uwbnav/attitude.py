@@ -141,10 +141,9 @@ def _check_imu(block: np.ndarray) -> None:
         raise ValueError(f"{name} must be a finite 3-vector")
 
 
-def _imu_rows(block: np.ndarray) -> list[ImuSample]:
-    """One ImuSample per row of an ``(n, 9)`` block of finite readings (see :func:`_check_imu`)."""
-    gyro, accel, mag = (map(tuple, block[:, k : k + 3].tolist()) for k in (0, 3, 6))
-    return list(map(ImuSample, gyro, accel, mag))
+def _imu_sample(row: tuple) -> ImuSample:
+    """The ImuSample of one row, as 9 floats, of a block of finite readings (see :func:`_check_imu`)."""
+    return ImuSample(row[:3], row[3:6], row[6:])
 
 
 def _unit(x: float, y: float, z: float, what: str) -> tuple[float, float, float]:

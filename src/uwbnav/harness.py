@@ -16,20 +16,23 @@ from __future__ import annotations
 
 import gc
 import json
+import struct
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_rows, measure_imu
+from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_sample, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
 from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _numbers, generate_trajectory, reconstruct_velocity
 from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, anchor_floor
-from .uwb import _check_geometry, _check_ranges, _range_block, _range_rows
+from .uwb import _check_geometry, _check_ranges, _range_block
 
 __all__ = [
     "ConfigError",
@@ -321,13 +324,39 @@ def measurement_blocks(
     return imu, ranges
 
 
+class _Rows(Sequence):
+    """The rows of a checked ``(n, k)`` block, each built into its value only when it is read.
+
+    The block is held as C-contiguous float64 behind a memoryview, which one ``struct``
+    unpack reads faster than the array: a row comes out as the floats ``tolist`` gives,
+    and ``make`` builds its ImuSample or Ranges.  A slice is a sequence over the sliced rows.
+    """
+
+    __slots__ = ("_rows", "_n", "_row_bytes", "_unpack", "_make")
+
+    def __init__(self, block: np.ndarray, make) -> None:
+        block = np.ascontiguousarray(block, dtype=float)
+        (self._n, k), self._rows = block.shape, memoryview(block)
+        self._row_bytes, self._unpack, self._make = 8 * k, struct.Struct(f"{k}d").unpack_from, make
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Rows(np.asarray(self._rows)[i], self._make)
+        if not -self._n <= i < self._n:  # ends iteration; the unpack would read past the block
+            raise IndexError("row index out of range")
+        return self._make(self._unpack(self._rows, i % self._n * self._row_bytes))
+
+
 def synthesize_measurements(
     traj: TruthTrajectory, anchors: AnchorSet, topology: str, noise: NoiseSpec | None,
     env: ReferenceEnvironment, tag_offset: np.ndarray | None = None,
-) -> tuple[list[ImuSample], list[Ranges]]:
-    """The blocks of :func:`measurement_blocks` as one ImuSample and one Ranges per sample."""
+) -> tuple[Sequence[ImuSample], Sequence[Ranges]]:
+    """The blocks of :func:`measurement_blocks` as one ImuSample and one Ranges per sample, built on read."""
     imu, ranges = measurement_blocks(traj, anchors, topology, noise, env, tag_offset)
-    return _imu_rows(imu), _range_rows(ranges, topology)
+    return _Rows(imu, _imu_sample), _Rows(ranges, partial(Ranges, topology))
 
 
 _CHUNK_ROWS = 512  # rows per formatted write: a writer holds this many rows' text and values, not a file's
@@ -515,7 +544,7 @@ def ingest_dataset(
     dataset_dir: str | Path,
     filter_rate: float,
     topology: str = TOPOLOGIES[-1],
-) -> tuple[TruthTrajectory, AnchorSet, list[ImuSample], list[Ranges]]:
+) -> tuple[TruthTrajectory, AnchorSet, Sequence[ImuSample], Sequence[Ranges]]:
     """Load a four-file dataset and align it to the filter clock.
 
     The IMU/truth clock is decimated by an integer stride down to
@@ -526,8 +555,9 @@ def ingest_dataset(
     spacing of the group timestamps is a ClockError.  Truth
     velocity is reconstructed from the full-rate positions before
     decimation.  The truth carries no body rates or specific forces
-    (``omega`` and ``a`` are None): the run scores states only.  Anchors
-    below the topology's floor, or that give no fix, are a SchemaError.
+    (``omega`` and ``a`` are None): the run scores states only.  The
+    samples are built on read (:class:`_Rows`).  Anchors below the
+    topology's floor, or that give no fix, are a SchemaError.
     """
     src = Path(dataset_dir)
     truth = _read_truth(src / "truth.csv")
@@ -567,8 +597,7 @@ def ingest_dataset(
     traj = TruthTrajectory(  # copies: no view holds a full-rate table alive through the run
         t=t_full[keep].copy(), rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep].copy(), v=v_full[keep].copy()
     )
-    ticks = imu[keep]
-    imu_stream = _imu_rows(ticks[:, 1:10])
+    imu_stream = _Rows(imu[keep, 1:10].copy(), _imu_sample)  # a copy, as the truth's
 
     pair_list = anchor_set.tdoa[topology]
     pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
@@ -591,7 +620,7 @@ def ingest_dataset(
     far = np.abs(times[nearest] - traj.t) > 1.0 / filter_rate + spacing
     if far.any():
         raise ClockError(f"tdoa.csv: no ranging group near t={traj.t[np.argmax(far)]:.6g}")
-    return traj, anchor_set, imu_stream, _range_rows(groups[nearest, :, 3], topology)
+    return traj, anchor_set, imu_stream, _Rows(groups[nearest, :, 3], partial(Ranges, topology))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -649,7 +678,7 @@ def run_experiment(cfg: RunConfig) -> dict:
         params.setdefault("rate", cfg.rate)
         traj = generate_trajectory(cfg.trajectory, params, env)
         keep = slice(None, None, _stride(cfg.rate, cfg.filter_rate))
-        traj = TruthTrajectory(**{name: values[keep] for name, values in vars(traj).items()})
+        traj = TruthTrajectory(**{k: x[keep].copy() for k, x in vars(traj).items()})  # copies, as ingest_dataset's
         imu_stream, range_stream = synthesize_measurements(
             traj, anchors, cfg.topology, cfg.noise(), env, cfg.tag_offset
         )

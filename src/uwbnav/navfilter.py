@@ -22,12 +22,12 @@ Ranges, TriadSet, PositionFix, CorrectionTerms, Diagnostics) is one plain
 slotted dataclass of floats with no checking constructor.  Inputs are
 checked once, at the boundary: ``RunConfig`` gates the initial state, and
 the harness checks each IMU and range block whole (``_check_imu``,
-``_check_ranges``) before it cuts the block into samples.  Inside a step,
-each producer checks what the step can break before it builds its value:
+``_check_ranges``) and builds a sample only when a step reads it.  Inside a
+step, each producer checks what the step can break before it builds its value:
 the measured triad's norms, a fix's rank, conditioning and finiteness, unit
-quaternions and, once, the output state (``update`` gates its result,
-``step`` the predict-only state of a dropout) against ``ATTITUDE_GATE``
-and for NaN/inf.  The triad weights are checked once, by ``FilterGains``.
+quaternions and, once, the output state (``update`` gates its result, ``step``
+the predict-only state of a dropout) against ``ATTITUDE_GATE`` and for
+NaN/inf.  The triad weights are checked once, by ``FilterGains``.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
@@ -210,7 +210,7 @@ def _product(a, b) -> tuple:
 
 
 def correction_terms(
-    state: FilterState, triads: TriadSet, p_y: np.ndarray, gains: FilterGains
+    state: FilterState, triads: TriadSet, p_y: np.ndarray, gains: FilterGains, rows: tuple | None = None
 ) -> CorrectionTerms:
     """Covariance adaptation and correction factors from one measurement set.
 
@@ -232,9 +232,9 @@ def correction_terms(
     - ``w_a``: ``-ka (p_y - p_hat) - skew(w_omega) v_hat``.
 
     Gravity is NOT folded into ``w_a`` here; the discrete step does that
-    when it assembles the update exponential.
+    when it assembles the update exponential.  ``rows``, the attitude's rotation rows, defaults to ``_rows(state)``.
     """
-    r_hat = _rows(state)
+    r_hat = _rows(state) if rows is None else rows
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r_hat
     (s0, s1, s2), (ref, r_sq) = gains.s, triads.reference
     (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = triads.v
@@ -279,7 +279,7 @@ def correction_terms(
     )
 
 
-def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
+def predict(state: FilterState, imu: ImuSample, dt: float, rows: tuple | None = None) -> FilterState:
     """Right-translate the state by the exact IMU exponential.
 
     Block evaluation of ``X exp(u(skew(omega_m), 0, a_m, 1) dt)``: the
@@ -288,13 +288,13 @@ def predict(state: FilterState, imu: ImuSample, dt: float) -> FilterState:
     coupling entry (dt in the bottom block) is not representable in the
     state; :func:`update` restores it before applying the left exponential
     so that a predict/update pair equals the full group product.  The
-    result is a step's intermediate and is not gated.
+    result is a step's intermediate and is not gated; ``rows`` as in :func:`correction_terms`.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     omega = imu.omega_m
     rot, (tp0, tp1, tp2), (tv0, tv1, tv2) = se23_exp(omega, _ZERO3, imu.a_m, 1.0, dt)
-    rows = _rows(state)
+    rows = _rows(state) if rows is None else rows
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     (p0, p1, p2), (v0, v1, v2) = state.p_hat, state.v_hat
     p_new = (p0 + v0 * dt + (r00 * tp0 + r01 * tp1 + r02 * tp2), p1 + v1 * dt + (r10 * tp0 + r11 * tp1 + r12 * tp2),
@@ -359,12 +359,14 @@ def step_with_fix(
 
     Order: build triads from the IMU sample, evaluate corrections at the
     pre-prediction state, predict, update with gravity folded into the
-    acceleration correction (``update``'s ``g``).  Raises DegenerateTriads if the vector
+    acceleration correction (``update``'s ``g``), evaluating the attitude's
+    rotation rows once for both.  Raises DegenerateTriads if the vector
     observations are unusable (callers with a dropout policy catch it).
     """
     triads = build_triads(imu.a_m, imu.m_m, env)
-    w = correction_terms(state, triads, p_y, gains)
-    new = update(predict(state, imu, dt), w, dt, env._g)
+    rows = _rows(state)
+    w = correction_terms(state, triads, p_y, gains, rows)
+    new = update(predict(state, imu, dt, rows), w, dt, env._g)
     return new, Diagnostics(w.e_r, math.dist(p_y, state.p_hat), False, "")
 
 

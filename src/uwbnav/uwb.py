@@ -211,11 +211,6 @@ def _check_ranges(block: np.ndarray, topology: str) -> None:
         raise ValueError("range differences must be finite")
 
 
-def _range_rows(block: np.ndarray, topology: str) -> list[Ranges]:
-    """One Ranges per row of an ``(n, k)`` block (see :func:`_check_ranges`)."""
-    return [Ranges(topology, row) for row in map(tuple, block.tolist())]
-
-
 @dataclass(slots=True)
 class PositionFix:
     """Least-squares position solution, as the solvers build it.

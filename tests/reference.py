@@ -21,7 +21,10 @@ build one noise-free observation from the package's forward model
 The per-sample oracles at the end are the one-value-at-a-time forms of
 code the package evaluates on whole arrays (measurement synthesis, the
 rotation exponential, rotation-to-quaternion); the array forms must give
-bit-identical results.  ``write_dataset_rows`` is the row-based dataset
+bit-identical results.  ``imu_rows`` and ``range_rows`` build a whole
+block's samples at once, as lists; the package's row sequence, which builds
+each sample when it is read, must give the same floats.
+``write_dataset_rows`` is the row-based dataset
 writer: one line per per-sample value, each number formatted on its own;
 the package's writer, which formats blocks of rows, must write the same
 bytes.  ``write_csv_whole`` is the CSV writer that formats a whole block
@@ -294,6 +297,17 @@ def synthesize_per_sample(traj, anchors, topology, noise, env, tag_offset=None):
             obs = ranges_of(topology, obs.values + rng.normal(0.0, noise.sigma_range, len(obs.values)))
         range_stream.append(obs)
     return imu_stream, range_stream
+
+
+def imu_rows(block):
+    """One ImuSample per row of an ``(n, 9)`` block, all built at once from ``tolist``."""
+    gyro, accel, mag = (map(tuple, block[:, k : k + 3].tolist()) for k in (0, 3, 6))
+    return list(map(ImuSample, gyro, accel, mag))
+
+
+def range_rows(block, topology):
+    """One Ranges per row of an ``(n, k)`` block, all built at once from ``tolist``."""
+    return [Ranges(topology, row) for row in map(tuple, block.tolist())]
 
 
 def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):

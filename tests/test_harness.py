@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uwbnav import harness
-from uwbnav.attitude import ReferenceEnvironment
+from uwbnav.attitude import ReferenceEnvironment, _imu_sample
 from uwbnav.harness import (
     ClockError,
     ConfigError,
@@ -31,7 +31,16 @@ from uwbnav.navfilter import step
 from uwbnav.sim import NoiseSpec, generate_trajectory
 from uwbnav.uwb import TOPOLOGIES, AnchorSet
 
-from reference import imu_sample, synthesize_per_sample, tdoa_ranges, toa_ranges, write_csv_whole, write_dataset_rows
+from reference import (
+    imu_rows,
+    imu_sample,
+    range_rows,
+    synthesize_per_sample,
+    tdoa_ranges,
+    toa_ranges,
+    write_csv_whole,
+    write_dataset_rows,
+)
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
@@ -400,6 +409,95 @@ class TestMeasurementBlocks:
             measurement_blocks(traj, default_anchors(), "toa", None, ReferenceEnvironment(), np.array([0, 0, 2e150]))
 
 
+def _bits(value) -> tuple:
+    """A sample's fields, every float as its hex form, so a signed zero or a NaN counts."""
+    return tuple(
+        tuple(x.hex() for x in field) if isinstance(field, tuple) else field
+        for field in (getattr(value, name) for name in type(value).__slots__)
+    )
+
+
+class TestRowSequence:
+    """The per-sample sequences that synthesis and ingest return: each row is built when it is read."""
+
+    @pytest.fixture
+    def streams(self):
+        args = (_traj(duration=0.5), default_anchors(), "tdoa-ring", NoiseSpec(seed=4), ReferenceEnvironment())
+        return measurement_blocks(*args), synthesize_measurements(*args)
+
+    def test_length_and_indexing(self, streams):
+        (imu_block, range_block), (imu, ranges) = streams
+        n = len(imu_block)
+        assert len(imu) == len(ranges) == n
+        expect_imu, expect_ranges = imu_rows(imu_block), range_rows(range_block, "tdoa-ring")
+        for i in (0, 1, n // 2, n - 1, -1, -2, -n):
+            assert _bits(imu[i]) == _bits(expect_imu[i]), i
+            assert _bits(ranges[i]) == _bits(expect_ranges[i]), i
+
+    def test_index_past_the_end_stops_iteration(self, streams):
+        _, seqs = streams
+        for seq in seqs:
+            n = len(seq)
+            for i in (n, n + 1, -n - 1):
+                with pytest.raises(IndexError):
+                    seq[i]
+            assert len(list(seq)) == n
+            assert sum(1 for _ in seq) == n  # a second pass reads the rows again
+
+    @pytest.mark.parametrize("cut", [slice(None, -1), slice(3, 9), slice(None, None, 2), slice(None, None, -3),
+                                     slice(5, 2)])
+    def test_slice_is_a_sequence_over_the_sliced_rows(self, streams, cut):
+        _, seqs = streams
+        for seq in seqs:
+            part = seq[cut]
+            assert type(part) is type(seq)
+            rows = range(len(seq))[cut]
+            assert len(part) == len(rows)
+            assert [_bits(x) for x in part] == [_bits(seq[i]) for i in rows]
+
+    def test_empty_block(self):
+        rows = harness._Rows(np.empty((0, 9)), _imu_sample)
+        assert len(rows) == 0 and list(rows) == []
+        with pytest.raises(IndexError):
+            rows[0]
+
+    @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
+    @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "noise"])
+    @pytest.mark.parametrize("lever", [None, REPLAY_LEVER], ids=["no-lever", "replay-lever"])
+    def test_rows_match_retired_builders(self, topology, noise, lever):
+        args = (_traj(duration=1.0), default_anchors(), topology, noise, ReferenceEnvironment(), lever)
+        imu_block, range_block = measurement_blocks(*args)
+        imu, ranges = synthesize_measurements(*args)
+        assert [_bits(s) for s in imu] == [_bits(s) for s in imu_rows(imu_block)]
+        assert [_bits(r) for r in ranges] == [_bits(r) for r in range_rows(range_block, topology)]
+
+    def test_ingested_rows_match_retired_builders(self, tmp_path):
+        traj = _traj(duration=2.0, rate=50.0)
+        anchors = default_anchors()
+        imu_block, diffs = measurement_blocks(traj, anchors, "tdoa-main", NoiseSpec(seed=6), ReferenceEnvironment())
+        out = write_dataset(tmp_path / "ds", traj, anchors, "tdoa-main", imu_block, diffs)
+        _, _, imu, ranges = ingest_dataset(out, 10.0, topology="tdoa-main")
+        table = np.loadtxt(out / "imu.csv", delimiter=",", skiprows=1)
+        assert [_bits(s) for s in imu] == [_bits(s) for s in imu_rows(table[::5, 1:10])]
+        assert [_bits(r) for r in ranges] == [_bits(r) for r in range_rows(diffs[::5], "tdoa-main")]
+
+    def test_streams_hold_only_their_blocks(self):
+        # one ImuSample and one Ranges per sample, bulk-built, took ~812 B a ring-TDOA sample;
+        # its 9 + 8 readings take 136 B as float64
+        traj = _traj(duration=99.99, rate=100.0)
+        assert len(traj) == 10_000
+        args = (traj, default_anchors(), "tdoa-ring", NoiseSpec(seed=5), ReferenceEnvironment())
+        synthesize_measurements(*args)  # a first call may import numpy.random, which stays loaded
+        tracemalloc.start()
+        try:
+            streams = synthesize_measurements(*args)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(streams[0]) == len(traj)
+        assert held / len(traj) <= 200, held / len(traj)
+
+
 CHUNK = harness._CHUNK_ROWS
 
 
@@ -506,9 +604,10 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize("filter_rate", [50.0, 10.0])
     def test_decimated_arrays_own_their_data(self, dataset, filter_rate):
         # a view would keep the whole full-rate table alive through the run
-        traj, *_ = ingest_dataset(dataset[0], filter_rate)
+        traj, _, imu, _ = ingest_dataset(dataset[0], filter_rate)
         for name in ("t", "p", "v"):
             assert getattr(traj, name).base is None, name
+        assert imu._rows.obj.base is None, "imu"
 
     def test_non_integer_decimation_rejected(self, dataset):
         with pytest.raises(ConfigError, match="decimation"):
@@ -803,6 +902,20 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary["steps"] == 200
+
+    def test_decimated_truth_owns_its_data(self, tmp_path, monkeypatch):
+        # a view would keep the full-rate arrays alive through the step loop
+        seen = []
+
+        def recording(traj, *args):
+            seen.append(traj)
+            return synthesize_measurements(traj, *args)
+
+        monkeypatch.setattr(harness, "synthesize_measurements", recording)
+        cfg = RunConfig(duration=1.0, rate=500.0, filter_rate=100.0, seed=3, out=str(tmp_path / "run"))
+        assert run_experiment(cfg)["steps"] == 100
+        for name, values in vars(seen[0]).items():
+            assert values.base is None, name
 
 
 class TestRecomputeMetrics:

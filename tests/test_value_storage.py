@@ -7,13 +7,15 @@ diagnostics) alike are plain, non-frozen ``@dataclass(slots=True)`` classes
 whose public fields are the float tuples themselves, with no checking
 constructor.  Inputs are checked once, where they enter: ``RunConfig``
 gates the initial state, and the harness checks each IMU and range block
-whole (``_check_imu``, ``_check_ranges``) before it cuts the block into
-samples; each step producer runs its checks before it builds its value.
+whole (``_check_imu``, ``_check_ranges``) and builds each sample from the
+block when a step reads it; each step producer runs its checks before it
+builds its value.
 These tests pin that boundary:
 
 - every value a real step builds or reads, through every layer, is such a
   dataclass, has no instance ``__dict__`` and holds only Python floats (a
   numpy scalar that slipped into the storage would slow every later layer);
+  so is every sample a replayed dataset's streams build;
 - the boundary checks reject a non-finite or mis-shaped initial state, and
   a non-finite reading or a negative TOA range anywhere in a block, with
   their named errors.
@@ -29,7 +31,8 @@ from hypothesis.extra.numpy import arrays
 
 from uwbnav import navfilter
 from uwbnav.attitude import _check_imu
-from uwbnav.harness import ConfigError, RunConfig, default_anchors, load_config, synthesize_measurements
+from uwbnav.harness import ConfigError, RunConfig, default_anchors, ingest_dataset, load_config, measurement_blocks
+from uwbnav.harness import synthesize_measurements, write_dataset
 from uwbnav.sim import generate_trajectory
 from uwbnav.uwb import AnchorSet, Ranges, _check_ranges, _range_block
 
@@ -95,6 +98,20 @@ def test_every_value_a_step_builds_is_slotted_floats(monkeypatch, topology, vari
         "ImuSample", "Ranges", "PositionFix", "TriadSet", "CorrectionTerms", "FilterState", "Diagnostics",
     }
     assert {obj.topology for obj in built if isinstance(obj, Ranges)} == {topology, "toa"}
+    for obj in built:
+        _check_storage(obj)
+
+
+@pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
+def test_ingested_samples_are_slotted_floats(tmp_path, topology):
+    cfg = load_config(None, {"topology": topology, "duration": 0.5})
+    env, anchors = cfg.env(), cfg.anchor_set()
+    traj = generate_trajectory(cfg.trajectory, {"duration": cfg.duration, "rate": cfg.rate}, env)
+    blocks = measurement_blocks(traj, anchors, topology, cfg.noise(), env)
+    out = write_dataset(tmp_path, traj, anchors, topology, *blocks)
+    _, _, imu, ranges = ingest_dataset(out, cfg.filter_rate, topology)
+    built = [*imu, *ranges, *imu[::-2], *ranges[1:3], imu[-1], ranges[-1]]
+    assert {type(obj).__name__ for obj in built} == {"ImuSample", "Ranges"}
     for obj in built:
         _check_storage(obj)
 
