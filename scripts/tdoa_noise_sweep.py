@@ -38,7 +38,7 @@ def raw_fix_rms(topology: str, sigma: float, seed: int, duration: float) -> floa
             fix = solve_fix(anchors, obs)
         except GeometryDegenerate:
             continue
-        sq.append(np.linalg.norm(fix.p - traj.p[i]) ** 2)
+        sq.append(np.linalg.norm(np.subtract(fix, traj.p[i])) ** 2)
     return float(np.sqrt(np.mean(sq)))
 
 

@@ -101,10 +101,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if cfg.topology == "toa":
         raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
     env = cfg.env()
-    params = dict(cfg.trajectory_params)
-    params.setdefault("duration", cfg.duration)
-    params.setdefault("rate", cfg.rate)
-    traj = generate_trajectory(cfg.trajectory, params, env)
+    traj = generate_trajectory(cfg.trajectory, dict(cfg.trajectory_params, duration=cfg.duration, rate=cfg.rate), env)
     imu, diffs = measurement_blocks(traj, cfg.anchor_set(), cfg.topology, cfg.noise(), env, cfg.tag_offset)
     out = write_dataset(cfg.out, traj, cfg.anchor_set(), cfg.topology, imu, diffs)
     print(f"dataset: {len(traj)} samples at {cfg.rate:g} Hz -> {out}")

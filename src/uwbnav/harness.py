@@ -103,7 +103,10 @@ class RunConfig:
     once, at construction; a rejected value raises ConfigError naming its
     key.  ``sigma_hat0 >= 0`` and ``k_sigma * gamma_sigma / filter_rate < 1``
     keep the covariance bound nonnegative on every step (see
-    ``navfilter.update``).  Anchors on which every solve would fail
+    ``navfilter.update``).  The flight is ``duration`` s at ``rate`` Hz,
+    which a synthetic run decimates to ``filter_rate`` by an integer stride;
+    ``trajectory_params`` holds only the ``trajectory`` kind's other keys
+    (``sim._KIND_KEYS``).  Anchors on which every solve would fail
     (``uwb._check_geometry``) are rejected, not stepped through as dropouts.
     """
 
@@ -184,6 +187,13 @@ class RunConfig:
             raise ConfigError("duration and rate must be positive")
         if not 0 < self.filter_rate <= self.rate:
             raise ConfigError("filter_rate must be positive and not above rate")
+        if self.mode == "synthetic":  # a dataset's own clock is decimated at ingest
+            _stride(self.rate, self.filter_rate)
+        if self.trajectory not in _KIND_KEYS:
+            raise ConfigError(f"trajectory must be one of {tuple(_KIND_KEYS)}, got {self.trajectory!r}")
+        unknown = sorted(set(self.trajectory_params) - _KIND_KEYS[self.trajectory], key=str)
+        if unknown:
+            raise ConfigError(f"trajectory_params: {unknown[0]!r} is not a {self.trajectory} parameter")
         if not (self.sigma_hat0 >= 0.0).all():
             raise ConfigError("sigma_hat0 must be nonnegative (it bounds a covariance), "
                               f"got {self.sigma_hat0.tolist()}")
@@ -491,10 +501,15 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
 
 
 def _read_truth(path: Path) -> np.ndarray:
-    """A truth file as a table (see :func:`_read_csv`); fewer than two samples is a SchemaError."""
+    """A truth file as a table (see :func:`_read_csv`); fewer than two samples is a SchemaError.
+
+    Timestamps that do not strictly increase are a ClockError.
+    """
     truth = _read_csv(path, _TRUTH_HEADER)
     if len(truth) < 2:
         raise SchemaError(f"{path.name} needs at least two samples")
+    if np.any(np.diff(truth[:, 0]) <= 0):
+        raise ClockError(f"{path.name}: timestamps must be strictly increasing")
     return truth
 
 
@@ -567,8 +582,6 @@ def ingest_dataset(
     if len(truth) != len(imu) or np.max(np.abs(truth[:, 0] - imu[:, 0])) > 1e-9:
         raise ClockError("truth.csv and imu.csv clocks disagree")
     t_full = truth[:, 0]
-    if np.any(np.diff(t_full) <= 0):
-        raise ClockError("timestamps must be strictly increasing")
     if not len(tdoa):
         raise SchemaError("tdoa.csv has no rows")
     if np.any(np.diff(tdoa[:, 0]) < 0):
@@ -673,9 +686,7 @@ def run_experiment(cfg: RunConfig) -> dict:
     gains = cfg.gains()
     anchors = cfg.anchor_set()
     if cfg.mode == "synthetic":
-        params = dict(cfg.trajectory_params)
-        params.setdefault("duration", cfg.duration)
-        params.setdefault("rate", cfg.rate)
+        params = dict(cfg.trajectory_params, duration=cfg.duration, rate=cfg.rate)
         traj = generate_trajectory(cfg.trajectory, params, env)
         keep = slice(None, None, _stride(cfg.rate, cfg.filter_rate))
         traj = TruthTrajectory(**{k: x[keep].copy() for k, x in vars(traj).items()})  # copies, as ingest_dataset's
@@ -792,8 +803,6 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     est = _read_estimates(est_path)
     truth = _read_truth(Path(truth_path))
     t_truth = truth[:, 0]
-    if np.any(np.diff(t_truth) <= 0):
-        raise ClockError("truth timestamps must be strictly increasing")
     dt_truth = float(np.median(np.diff(t_truth)))
     v_truth = reconstruct_velocity(truth[:, 1:4], dt_truth)
 

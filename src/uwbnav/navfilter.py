@@ -18,16 +18,17 @@ discretizes keeps gravity in the velocity law instead of folding it into
 W; the two conventions encode identical dynamics.
 
 Validation: every value a step reads or builds (FilterState, ImuSample,
-Ranges, TriadSet, PositionFix, CorrectionTerms, Diagnostics) is one plain
-slotted dataclass of floats with no checking constructor.  Inputs are
-checked once, at the boundary: ``RunConfig`` gates the initial state, and
-the harness checks each IMU and range block whole (``_check_imu``,
-``_check_ranges``) and builds a sample only when a step reads it.  Inside a
-step, each producer checks what the step can break before it builds its value:
-the measured triad's norms, a fix's rank, conditioning and finiteness, unit
-quaternions and, once, the output state (``update`` gates its result, ``step``
-the predict-only state of a dropout) against ``ATTITUDE_GATE`` and for
-NaN/inf.  The triad weights are checked once, by ``FilterGains``.
+Ranges, TriadSet, CorrectionTerms, Diagnostics) is one plain slotted
+dataclass of floats with no checking constructor; the fix is the solver's
+position, a float 3-tuple.  Inputs are checked once, at the boundary:
+``RunConfig`` gates the initial state, and the harness checks each IMU and
+range block whole (``_check_imu``, ``_check_ranges``) and builds a sample
+only when a step reads it.  Inside a step, each producer checks what the
+step can break before it builds its value: the measured triad's norms, a
+fix's rank, conditioning and finiteness, unit quaternions and, once, the
+output state (``update`` gates its result, ``step`` the predict-only state
+of a dropout) against ``ATTITUDE_GATE`` and for NaN/inf.  The triad weights
+are checked once, by ``FilterGains``.
 
 Cost: a step runs once per IMU sample on 3-vectors and 3x3 matrices, where
 a numpy call costs 0.3-1 us of dispatch around tens of nanoseconds of
@@ -210,7 +211,7 @@ def _product(a, b) -> tuple:
 
 
 def correction_terms(
-    state: FilterState, triads: TriadSet, p_y: np.ndarray, gains: FilterGains, rows: tuple | None = None
+    state: FilterState, triads: TriadSet, p_y: tuple[float, float, float], gains: FilterGains, rows: tuple | None = None
 ) -> CorrectionTerms:
     """Covariance adaptation and correction factors from one measurement set.
 
@@ -350,7 +351,7 @@ def update(state: FilterState, w: CorrectionTerms, dt: float, g) -> FilterState:
 def step_with_fix(
     state: FilterState,
     imu: ImuSample,
-    p_y: np.ndarray,
+    p_y: tuple[float, float, float],
     env: ReferenceEnvironment,
     gains: FilterGains,
     dt: float,
@@ -386,7 +387,7 @@ def step(
     the dropout with its reason.  Works for both attitude variants.
     """
     try:
-        return step_with_fix(state, imu, solve_fix(anchors, ranges).p, env, gains, dt)
+        return step_with_fix(state, imu, solve_fix(anchors, ranges), env, gains, dt)
     except (GeometryDegenerate, DegenerateTriads) as err:
         pred = _gate(predict(state, imu, dt))
         return pred, Diagnostics(_NAN, _NAN, True, f"{type(err).__name__}: {err}")

@@ -30,7 +30,8 @@ because the system matrices are constant but for one column:
 
 The rank test counts singular values above ``s_max max(shape) eps``: for
 TDOA, ``A0``'s rank (taken once) plus one if ``beta`` passes the same
-test against ``||A||_F``.  The condition number is the Frobenius-norm one,
+test against ``||A||_F``.  The condition number a solve gates on, and
+does not return, is the Frobenius-norm one,
 ``kappa_F = ||A||_F ||A^+||_F``, which the stored singular values give
 without a per-solve decomposition: ``sqrt(sum s^2 sum 1/s^2)`` for TOA and
 ``sqrt((sum s^2 + |z|^2 + beta^2) (sum 1/s^2 + (sum (z_i/s_i)^2 + 1) /
@@ -40,11 +41,13 @@ beta^2))`` for TDOA.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
 A solve runs once per filter step on a handful of rows, where a numpy call
 costs more in dispatch than its arithmetic, so solves compute on Python
 floats from the float copies of each factor the anchor set keeps, read the
-range sets' float tuples and return a fix that holds floats (see
-``navfilter``'s "Cost" note).  A solve walks its rows in fused passes (one
-for TOA, two for TDOA), each dot product an accumulator that starts at
-``0.0`` and adds its terms in row order: what the builtin float ``sum``
-does up to Python 3.11 (3.12 compensates), so the bits are one ``sum``'s.
+range sets' float tuples and return the fix as a float 3-tuple, the
+position alone (see ``navfilter``'s "Cost" note).  A solve walks its rows
+in fused passes (one for TOA, two for TDOA), each dot product an
+accumulator that starts at ``0.0`` and adds its terms in row order.  That
+order is the rule that fixes the bits, on every Python version: an oracle
+must add in it explicitly, since the builtin float ``sum`` compensates from
+Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -61,7 +64,6 @@ __all__ = [
     "GeometryDegenerate",
     "AnchorSet",
     "Ranges",
-    "PositionFix",
     "anchor_floor",
     "toa_solve",
     "tdoa_solve",
@@ -211,25 +213,6 @@ def _check_ranges(block: np.ndarray, topology: str) -> None:
         raise ValueError("range differences must be finite")
 
 
-@dataclass(slots=True)
-class PositionFix:
-    """Least-squares position solution, as the solvers build it.
-
-    ``p`` is the position as a float 3-tuple.  ``aux_range`` is the
-    recovered distance to anchor 1 for TDOA solves (None for TOA);
-    ``aux_clamped`` flags a negative auxiliary range that was clamped to
-    zero.  ``condition_number`` is the Frobenius-norm condition number
-    ``||A||_F ||A^+||_F`` of the solved system matrix ``A`` (see the module
-    notes), at least its 2-norm condition number and at most its column
-    count times that.
-    """
-
-    p: tuple
-    condition_number: float
-    aux_range: float | None
-    aux_clamped: bool
-
-
 def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str) -> np.ndarray:
     """Noise-free ranges (``toa``) or range differences for tag positions ``(..., 3)``."""
     d = np.linalg.norm(anchors.anchors - p[..., None, :], axis=-1)
@@ -281,8 +264,8 @@ def _check_rank(rank: int, unknowns: int) -> None:
         raise GeometryDegenerate(f"system rank {rank} below {unknowns} unknowns")
 
 
-def _check_condition(cond: float) -> float:
-    """``cond``, at or below ``COND_CEILING``; ``not cond <= COND_CEILING`` also rejects NaN.
+def _check_condition(cond: float) -> None:
+    """Raise unless ``cond`` is at or below ``COND_CEILING``; ``not cond <= COND_CEILING`` also rejects NaN.
 
     Raises
     ------
@@ -291,7 +274,6 @@ def _check_condition(cond: float) -> float:
     """
     if not cond <= COND_CEILING:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {COND_CEILING:.3g}")
-    return cond
 
 
 def _check_geometry(anchors: AnchorSet, topology: str) -> None:
@@ -316,8 +298,8 @@ def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, f
     return _finite((v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2, v20 * y0 + v21 * y1 + v22 * y2))
 
 
-def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
-    """Position from absolute ranges.
+def toa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
+    """Position from absolute ranges, as a float 3-tuple.
 
     Differencing the squared-range identity ``d_i^2 = ||h_i||^2 + ||p||^2 -
     2 h_i . p`` against anchor 1 cancels ``||p||^2`` and leaves the linear
@@ -341,7 +323,7 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     if len(d) != len(hn2):
         raise ValueError("range count does not match anchor count")
     _check_rank(f.rank, 3)
-    cond = _check_condition(math.sqrt(f.fro2 * f.inv2))
+    _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
     e0, h0 = d[0] * d[0], hn2[0]
     # an overflowed entry of b makes the solution non-finite, which _position rejects
@@ -349,11 +331,11 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     for di, hi, a0, a1, a2 in zip(d[1:], hn2[1:], u0, u1, u2):
         bi = 0.5 * (e0 - di * di + hi - h0)
         y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
-    return PositionFix(_position(f.v, y0 / s0, y1 / s1, y2 / s2), cond, None, False)
+    return _position(f.v, y0 / s0, y1 / s1, y2 / s2)
 
 
-def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
-    """Position from range differences, over the topology's anchor-pair list.
+def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
+    """Position from range differences, over the topology's anchor-pair list, as a float 3-tuple.
 
     For pair (i, j) with difference ``d = dist_j - dist_i``, squaring
     ``dist_j = d + dist_i`` gives the row ``(h_i - h_j) . p - d * dist_i =
@@ -405,17 +387,13 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> PositionFix:
     tol = len(d) * _EPS
     _check_rank(f.rank + (beta2 > fro2 * tol * tol), 4)
     w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
-    cond = _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
+    _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
     aux = -rb / beta2
-    p = _position(f.v, (y0 + aux * z0) / s0, (y1 + aux * z1) / s1, (y2 + aux * z2) / s2)
-    clamped = aux < 0.0
-    if clamped:
-        aux = 0.0
-    return PositionFix(p, cond, aux, clamped)
+    return _position(f.v, (y0 + aux * z0) / s0, (y1 + aux * z1) / s1, (y2 + aux * z2) / s2)
 
 
-def solve_fix(anchors: AnchorSet, obs: Ranges) -> PositionFix:
-    """Dispatch an observation to the TOA solver or, on its own topology, to the TDOA solver."""
+def solve_fix(anchors: AnchorSet, obs: Ranges) -> tuple[float, float, float]:
+    """The fix position: an observation dispatched to the TOA solver or, on its own topology, to the TDOA solver."""
     if obs.topology == "toa":
         return toa_solve(anchors, obs)
     return tdoa_solve(anchors, obs)

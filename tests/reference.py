@@ -36,7 +36,8 @@ anchor set's one-time factorization must reproduce bit for bit.
 ``tdoa_solve_main_bs`` / ``tdoa_solve_ring`` are one dedicated solver per
 TDOA topology that factors the whole 4-column system on every call; the
 package's rank-one solve over the topology's anchor-pair list must match
-them outcome for outcome, and to round-off in value.
+them outcome for outcome, and to round-off in value.  Like the package's
+solvers, each returns the fix position as a float 3-tuple.
 
 The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
 is the filter step written with array products: the form the package
@@ -47,7 +48,6 @@ and ``corrections``, which the tests use as well.
 
 import dataclasses
 import math
-from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,7 @@ import numpy as np
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
 from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
-from uwbnav.uwb import GeometryDegenerate, PositionFix, Ranges, _range_block, solve_fix
+from uwbnav.uwb import GeometryDegenerate, Ranges, _range_block, solve_fix
 
 
 class NotAntisymmetric(ValueError):
@@ -390,7 +390,7 @@ def rot_to_quat_per_matrix(r):
 
 
 def _svd_gate(a):
-    """A fresh thin SVD ``(U, s, V^T)`` of ``a`` and its Frobenius condition number, with the package's gates."""
+    """A fresh thin SVD ``(U, s, V^T)`` of ``a``, past the package's rank and Frobenius-condition gates."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     tol = s[0] * max(a.shape) * np.finfo(float).eps
     if not s[-1] > tol:
@@ -399,20 +399,22 @@ def _svd_gate(a):
     cond = math.sqrt(sum(x * x for x in sv) * sum(1.0 / (x * x) for x in sv))
     if not cond <= 1e8:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {1e8:.3g}")
-    return u, s, vt, cond
+    return u, s, vt
 
 
 def _svd_solve(a, b):
-    """``V ((U^T b) / s)`` from a fresh thin SVD of ``a``, and its Frobenius condition number."""
-    u, s, vt, cond = _svd_gate(a)
-    return vt.T @ ((u.T @ b) / s), cond
+    """``V ((U^T b) / s)`` from a fresh thin SVD of ``a``, past its rank and condition gates."""
+    u, s, vt = _svd_gate(a)
+    return vt.T @ ((u.T @ b) / s)
 
 
 def toa_solve_per_call(anchors, ranges):
-    """TOA fix from a fresh thin SVD of the differenced system on every call.
+    """TOA fix position from a fresh thin SVD of the differenced system on every call.
 
     Same rows, floor, rank and condition messages as ``uwb.toa_solve``, and
-    its float arithmetic: ``y = (U^T b) / s`` by rows of ``U^T``, then ``V y``.
+    its float arithmetic: ``y = (U^T b) / s`` by rows of ``U^T``, each dot
+    product added term by term in row order from ``0.0`` (not by ``sum``,
+    which compensates from Python 3.12 on), then ``V y``.
     """
     h, n = anchors.anchors, len(anchors)
     if n < 4:
@@ -420,15 +422,20 @@ def toa_solve_per_call(anchors, ranges):
     d = np.array(ranges.values)
     hn2 = np.sum(h**2, axis=1)
     b = (0.5 * (d[0] * d[0] - d[1:] * d[1:] + hn2[1:] - hn2[0])).tolist()
-    u, s, vt, cond = _svd_gate(h[1:] - h[0])
-    y0, y1, y2 = (sum(map(mul, col, b)) / sk for col, sk in zip(u.T.tolist(), s.tolist()))
-    p = [v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in vt.T.tolist()]
-    return PositionFix(tuple(p), cond, None, False)
+    u, s, vt = _svd_gate(h[1:] - h[0])
+    y = []
+    for col, sk in zip(u.T.tolist(), s.tolist()):
+        acc = 0.0
+        for a, bi in zip(col, b):
+            acc += a * bi
+        y.append(acc / sk)
+    y0, y1, y2 = y
+    return tuple(v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in vt.T.tolist())
 
 
-def _tdoa_fix(x, cond):
-    aux = float(x[3])
-    return PositionFix(tuple(x[:3].tolist()), cond, max(aux, 0.0), aux < 0.0)
+def _tdoa_fix(x):
+    """The position part of a solution ``[p, dist_1]``."""
+    return tuple(x[:3].tolist())
 
 
 def tdoa_solve_main_bs(anchors, ranges):
@@ -448,7 +455,7 @@ def tdoa_solve_main_bs(anchors, ranges):
     a[:, :3] = h[0] - h[1:]
     a[:, 3] = -diffs
     b = 0.5 * (diffs**2 + hn2[0] - hn2[1:])
-    return _tdoa_fix(*_svd_solve(a, b))
+    return _tdoa_fix(_svd_solve(a, b))
 
 
 def tdoa_solve_ring(anchors, ranges):
@@ -471,7 +478,7 @@ def tdoa_solve_ring(anchors, ranges):
     a[:, :3] = h - h[nxt]
     a[:, 3] = -diffs
     b = 0.5 * (diffs**2 + hn2 - hn2[nxt] + 2.0 * diffs * partial)
-    return _tdoa_fix(*_svd_solve(a, b))
+    return _tdoa_fix(_svd_solve(a, b))
 
 
 def _unit_or_raise(vec, what):
@@ -591,7 +598,7 @@ def update_numpy(state, w, dt, g):
 def step_numpy(state, imu, ranges, anchors, env, gains, dt):
     """One filter iteration from the numpy layers: the package's ``step``, dropout rule included."""
     try:
-        p_y = solve_fix(anchors, ranges).p
+        p_y = solve_fix(anchors, ranges)
         triads = build_triads_numpy(imu.a_m, imu.m_m, env)
     except (GeometryDegenerate, DegenerateTriads):
         return predict_numpy(state, imu, dt)

@@ -59,10 +59,10 @@ def test_criterion_1_multilateration_exactness():
     for _ in range(10_000):
         anchors, p = _random_scene(rng)
         fix = solve_fix(anchors, toa_ranges(p, anchors))
-        worst_toa = max(worst_toa, float(np.linalg.norm(fix.p - p)))
+        worst_toa = max(worst_toa, float(np.linalg.norm(np.subtract(fix, p))))
         for topo in ("tdoa-main", "tdoa-ring"):
             fix = solve_fix(anchors, tdoa_ranges(p, anchors, topo))
-            worst_tdoa = max(worst_tdoa, float(np.linalg.norm(fix.p - p)))
+            worst_tdoa = max(worst_tdoa, float(np.linalg.norm(np.subtract(fix, p))))
     elapsed = time.perf_counter() - start
     ok = worst_toa <= 1e-9 and worst_tdoa <= 1e-6 and elapsed <= 5.0
     _report(
@@ -205,7 +205,7 @@ def test_criterion_5_variant_equivalence():
         imu = imu_sample(traj.rot[i], traj.omega[i], vdot, env, noise=noise, rng=rng)
         obs = tdoa_ranges(traj.p[i], anchors, "tdoa-ring")
         noisy = obs.values + rng.normal(0.0, noise.sigma_range, len(obs.values))
-        p_y = solve_fix(anchors, Ranges("tdoa-ring", tuple(noisy.tolist()))).p
+        p_y = solve_fix(anchors, Ranges("tdoa-ring", tuple(noisy.tolist())))
         matrix, _ = step_with_fix(matrix, imu, p_y, env, gains, 0.01)
         quat, _ = step_with_fix(quat, imu, p_y, env, gains, 0.01)
         worst["attitude"] = max(
@@ -362,7 +362,7 @@ def test_criterion_9_dataset_replay(tmp_path):
             fix = solve_fix(anchors, range_stream[i])
         except Exception:
             continue
-        raw_err.append(np.linalg.norm(fix.p - traj.p[i]) ** 2)
+        raw_err.append(np.linalg.norm(np.subtract(fix, traj.p[i])) ** 2)
     raw_rms = float(np.sqrt(np.mean(raw_err)))
     steady = summary["steady_state_median"]["pos_err"]
     ok = steady < raw_rms

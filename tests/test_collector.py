@@ -104,7 +104,8 @@ def _empty(ds: Path) -> None:
 EXITS = {
     "success": (None, {"duration": 1.0}, None),
     "NumericalFailure": (NumericalFailure, {"duration": 2.0, "topology": "toa", "ka": 1e12}, None),
-    "ConfigError": (ConfigError, {"duration": 1.0, "filter_rate": 30.0}, None),
+    # a filter rate that does not decimate the dataset's 100 Hz clock, which only ingest can see
+    "ConfigError": (ConfigError, {"mode": "dataset", "topology": "tdoa-main", "filter_rate": 30.0}, lambda ds: None),
     "ClockError": (ClockError, {"mode": "dataset", "topology": "tdoa-main"}, _swap_clock),
     "SchemaError": (SchemaError, {"mode": "dataset", "topology": "tdoa-main"}, _empty),
 }

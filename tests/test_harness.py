@@ -178,6 +178,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=message):
             RunConfig(k_sigma=k_sigma, gamma_sigma=gamma_sigma, rate=rate, filter_rate=filter_rate)
 
+    @pytest.mark.parametrize("key,value", [("duration", 3.0), ("rate", 50.0)], ids=["duration", "rate"])
+    def test_trajectory_params_cannot_set_the_flight_clock(self, key, value):
+        # the config's own duration and rate set the flight: a trajectory
+        # parameter that overrode them ran 300 steps for duration 1.0, or fed
+        # 50 Hz samples to a filter integrating at 100 Hz
+        with pytest.raises(ConfigError, match=rf"^trajectory_params: '{key}' is not a circle parameter"):
+            RunConfig(duration=1.0, topology="toa", trajectory_params={key: value})
+
+    def test_trajectory_params_of_another_kind_rejected(self):
+        with pytest.raises(ConfigError, match="^trajectory_params: 'amplitude' is not a circle parameter"):
+            RunConfig(trajectory="circle", trajectory_params={"radius": 1.0, "amplitude": [1.0, 1.0, 0.0]})
+
+    @pytest.mark.parametrize("mode", ["synthetic", "dataset"])
+    def test_unknown_trajectory_kind_rejected(self, tmp_path, mode):
+        with pytest.raises(ConfigError, match="^trajectory must be one of .*, got 'spiral'"):
+            RunConfig(mode=mode, dataset_dir=str(tmp_path), topology="tdoa-main", trajectory="spiral")
+
+    def test_non_integer_decimation_rejected(self, tmp_path):
+        # checked before any flight is generated; a dataset's clock is checked at ingest
+        with pytest.raises(ConfigError, match="not an integer decimation of the 100 Hz sample clock"):
+            RunConfig(duration=1.0, rate=100.0, filter_rate=30.0, topology="toa")
+        RunConfig(mode="dataset", dataset_dir=str(tmp_path), rate=100.0, filter_rate=30.0, topology="tdoa-main")
+
     def test_sigma_bounds_accept_their_edges(self):
         cfg = RunConfig(k_sigma=99.9999, gamma_sigma=1.0, sigma_hat0=[0.0, -0.0, 1.0e155])
         assert cfg.initial_state().sigma_hat == (0.0, 0.0, 1.0e155)
@@ -713,7 +736,7 @@ class TestDatasetRoundTrip:
             lines = (out / name).read_text().splitlines()
             lines[2], lines[3] = lines[3], lines[2]
             (out / name).write_text("\n".join(lines) + "\n")
-        with pytest.raises(ClockError, match="increasing"):
+        with pytest.raises(ClockError, match="^truth.csv: timestamps must be strictly increasing$"):
             ingest_dataset(out, 50.0)
 
     def test_clock_mismatch_rejected(self, dataset):
@@ -882,11 +905,6 @@ class TestRunExperiment:
         summary = run_experiment(cfg)
         assert summary["steps"] == 100
 
-    def test_non_integer_decimation_rejected(self, tmp_path):
-        cfg = RunConfig(duration=1.0, rate=100.0, filter_rate=30.0, topology="toa", out=str(tmp_path / "r"))
-        with pytest.raises(ConfigError, match="decimation"):
-            run_experiment(cfg)
-
     def test_runaway_gain_raises_numerical_failure(self, tmp_path):
         cfg = RunConfig(
             duration=2.0, topology="toa", seed=0, ka=1e12,
@@ -974,6 +992,16 @@ class TestRecomputeMetrics:
         bad.write_text("t,x\n0,1\n")
         with pytest.raises(SchemaError):
             recompute_metrics(bad, bad, tmp_path / "out.csv")
+
+    def test_rejects_non_increasing_truth_clock(self, tmp_path):
+        # the rule ingest_dataset applies to truth.csv, with its message
+        out = tmp_path / "run"
+        run_experiment(RunConfig(duration=1.0, topology="toa", seed=8, out=str(out)))
+        lines = (out / "truth.csv").read_text().splitlines()
+        lines[3] = lines[2]
+        (out / "truth.csv").write_text("\n".join(lines) + "\n")
+        with pytest.raises(ClockError, match="^truth.csv: timestamps must be strictly increasing$"):
+            recompute_metrics(out / "estimates.csv", out / "truth.csv", out / "x.csv")
 
     def test_rejects_truth_clock_gap(self, tmp_path):
         out = tmp_path / "run"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,8 +118,7 @@ class TestToaSolve:
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
             fix = uwb.toa_solve(anchors, toa_ranges(p, anchors))
-            assert np.linalg.norm(fix.p - p) < 1e-9
-            assert fix.aux_range is None
+            assert np.linalg.norm(np.subtract(fix, p)) < 1e-9
 
     def test_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
@@ -129,8 +130,7 @@ class TestToaSolve:
             b_rows.append(0.5 * (d[0] ** 2 - d[i] ** 2 + h[i] @ h[i] - h[0] @ h[0]))
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
         fix = uwb.toa_solve(anchors, ranges_of("toa", d))
-        assert np.allclose(fix.p, ref, atol=1e-10)
-        assert fix.condition_number == pytest.approx(frobenius_condition(np.array(a_rows)), rel=1e-9)
+        assert np.allclose(fix, ref, atol=1e-10)
 
     def test_translation_equivariance(self, rng):
         shift = rng.uniform(-5, 5, size=3)
@@ -138,7 +138,7 @@ class TestToaSolve:
         moved = uwb.AnchorSet(anchors=base.anchors + shift)
         p = rng.uniform(-2, 2, size=3)
         fix = uwb.toa_solve(moved, toa_ranges(p + shift, moved))
-        assert np.allclose(fix.p, p + shift, atol=1e-9)
+        assert np.allclose(fix, p + shift, atol=1e-9)
 
     def test_too_few_anchors(self):
         three = uwb.AnchorSet(anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]]))
@@ -172,34 +172,30 @@ class TestToaSolve:
 
 
 def _outcome(solve, *args):
-    """A solve's fix as ``(p, condition_number, aux_range, aux_clamped)``, or the message it raised GeometryDegenerate with."""
+    """A solve's fix position as an array, checked to be a float 3-tuple, or the message it raised GeometryDegenerate with."""
     try:
         fix = solve(*args)
     except uwb.GeometryDegenerate as err:
         return str(err)
-    return np.array(fix.p), fix.condition_number, fix.aux_range, fix.aux_clamped
+    assert type(fix) is tuple and len(fix) == 3 and all(type(x) is float for x in fix), fix
+    return np.array(fix)
 
 
 def _assert_same_outcome(got, ref):
     if isinstance(ref, str):
         assert got == ref
         return
-    assert np.array_equal(got[0], ref[0])
-    assert got[1:] == ref[1:]
+    assert np.array_equal(got, ref)
 
 
-def _assert_close_outcome(got, ref):
-    """The same error message, or the same clamp flag with ``p``, the auxiliary range and the condition number
-    agreeing to round-off: ``1e-10 kappa max(1, |p|)`` for the solution, relative 1e-9 for the condition number."""
+def _assert_close_outcome(got, ref, anchors, obs):
+    """The same error message, or positions agreeing to round-off: ``1e-10 kappa max(1, |p|)``, with kappa the
+    Frobenius condition number of the system solved."""
     if isinstance(ref, str):
         assert got == ref
         return
-    (p, cond, aux, clamped), (p_ref, cond_ref, aux_ref, clamped_ref) = got, ref
-    tol = 1e-10 * cond_ref * max(1.0, float(np.linalg.norm(p_ref)))
-    assert np.abs(p - p_ref).max() <= tol
-    assert clamped == clamped_ref
-    assert abs(aux - aux_ref) <= tol
-    assert cond == pytest.approx(cond_ref, rel=1e-9)
+    tol = 1e-10 * frobenius_condition(_system(anchors, obs)) * max(1.0, float(np.linalg.norm(ref)))
+    assert np.abs(got - ref).max() <= tol
 
 
 class TestFactoredToaSolve:
@@ -235,9 +231,9 @@ class TestPairListSolve:
     # dedicated per-topology solvers of tests/reference.py, which factor the
     # whole 4-column system per call, outcome for outcome (errors with their
     # messages) and to round-off in value: counts start below the anchor
-    # floor, and of every four sets one puts the tag on anchor 1 (clamped
-    # auxiliary range), one is coplanar (rank deficient) and one near-coplanar
-    # (condition gate)
+    # floor, and of every four sets one puts the tag on anchor 1 (a negative
+    # least-squares range to it for some draws), one is coplanar (rank
+    # deficient) and one near-coplanar (condition gate)
 
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_matches_dedicated_solvers(self, rng, topology):
@@ -255,9 +251,9 @@ class TestPairListSolve:
             clean = np.array(tdoa_ranges(tag, anchors, topology).values)
             obs = ranges_of(topology, clean + rng.normal(0.0, 0.05, clean.shape))
             ref = _outcome(oracle, anchors, obs)
-            _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref)
-            seen.add(ref.split(" ")[0] if isinstance(ref, str) else ("clamped" if ref[3] else "fix"))
-        assert seen == {"fix", "clamped", "need", "system", "condition"}
+            _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref, anchors, obs)
+            seen.add(ref.split(" ")[0] if isinstance(ref, str) else "fix")
+        assert seen == {"fix", "need", "system", "condition"}
 
 
 def _system(anchors, obs):
@@ -277,45 +273,53 @@ def _noisy_obs(anchors, topology, tag, rng):
 
 
 class TestFrobeniusCondition:
-    # every solver gates on and reports kappa_F = ||A||_F ||A^+||_F of the
-    # system it solves: TOA's from the anchor set's singular values, TDOA's in
-    # closed form from the rank-one update of the position block
+    # every solver gates on kappa_F = ||A||_F ||A^+||_F of the system it
+    # solves, TOA's from the anchor set's singular values, TDOA's in closed
+    # form from the rank-one update of the position block, and returns no
+    # copy of it: a ceiling set just above or below a value shows which
+    # value the gate computed
 
     @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
-    def test_matches_pseudo_inverse(self, rng, topology):
+    def test_matches_pseudo_inverse(self, monkeypatch, rng, topology):
         for _ in range(50):
             anchors = box_anchors(jitter=rng.normal(0.0, 0.5, (8, 3)))
             obs = _noisy_obs(anchors, topology, rng.uniform(-3.0, 3.0, 3), rng)
-            fix = uwb.solve_fix(anchors, obs)
-            assert fix.condition_number == pytest.approx(frobenius_condition(_system(anchors, obs)), rel=1e-12)
+            kappa = frobenius_condition(_system(anchors, obs))
+            monkeypatch.setattr(uwb, "COND_CEILING", kappa * (1.0 + 1e-9))
+            assert isinstance(_outcome(uwb.solve_fix, anchors, obs), np.ndarray)
+            monkeypatch.setattr(uwb, "COND_CEILING", kappa * (1.0 - 1e-9))
+            with pytest.raises(uwb.GeometryDegenerate, match=r"^condition number .* above ceiling"):
+                uwb.solve_fix(anchors, obs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.sampled_from(["toa", "tdoa-main", "tdoa-ring"]))
     def test_bracketed_by_two_norm_condition(self, seed, n, topology):
-        # on k columns, kappa_2 <= kappa_F <= k kappa_2
+        # on k columns, kappa_2 <= kappa_F <= k kappa_2: the gate passes a
+        # ceiling just above k kappa_2 and refuses one just below kappa_2
         rng = np.random.default_rng(seed)
         anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
         obs = _noisy_obs(anchors, topology, rng.uniform(-4.0, 4.0, 3), rng)
         try:
-            fix = uwb.solve_fix(anchors, obs)
+            uwb.solve_fix(anchors, obs)
         except uwb.GeometryDegenerate:
             return
         a = _system(anchors, obs)
         kappa_2 = np.linalg.cond(a)
-        assert kappa_2 * (1.0 - 1e-12) <= fix.condition_number <= a.shape[1] * kappa_2 * (1.0 + 1e-12)
+        with mock.patch.object(uwb, "COND_CEILING", a.shape[1] * kappa_2 * (1.0 + 1e-12)):
+            uwb.solve_fix(anchors, obs)
+        with mock.patch.object(uwb, "COND_CEILING", kappa_2 * (1.0 - 1e-12)), pytest.raises(
+            uwb.GeometryDegenerate, match="above ceiling"
+        ):
+            uwb.solve_fix(anchors, obs)
 
 
 class TestTdoaSolvers:
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
-    def test_recovers_position_and_aux(self, anchors, rng, topology):
+    def test_recovers_position(self, anchors, rng, topology):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
             fix = uwb.tdoa_solve(anchors, tdoa_ranges(p, anchors, topology))
-            assert np.linalg.norm(fix.p - p) < 1e-8
-            assert fix.aux_range == pytest.approx(
-                np.linalg.norm(p - anchors.anchors[0]), abs=1e-8
-            )
-            assert not fix.aux_clamped
+            assert np.linalg.norm(np.subtract(fix, p)) < 1e-8
 
     def test_topologies_agree_after_conversion(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
@@ -328,7 +332,7 @@ class TestTdoaSolvers:
         ring[-1] = -main[-1]
         fix_m = uwb.tdoa_solve(anchors, ranges_of("tdoa-main", main))
         fix_r = uwb.tdoa_solve(anchors, ranges_of("tdoa-ring", ring))
-        assert np.linalg.norm(np.subtract(fix_m.p, fix_r.p)) < 1e-6
+        assert np.linalg.norm(np.subtract(fix_m, fix_r)) < 1e-6
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
         p = rng.uniform(-3, 3, size=3)
@@ -344,8 +348,7 @@ class TestTdoaSolvers:
             partial += d
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
         fix = uwb.tdoa_solve(anchors, obs)
-        assert np.allclose(fix.p, ref[:3], atol=1e-9)
-        assert fix.aux_range == pytest.approx(ref[3], abs=1e-9)
+        assert np.allclose(fix, ref[:3], atol=1e-9)
 
     def test_main_bs_needs_five_anchors(self):
         four = uwb.AnchorSet(
@@ -381,21 +384,7 @@ class TestTdoaSolvers:
         )
         p = np.array([0.8, 1.1, 0.9])
         fix = uwb.tdoa_solve(five, tdoa_ranges(p, five, "tdoa-ring"))
-        assert np.linalg.norm(fix.p - p) < 1e-7
-
-    def test_negative_aux_clamped(self, anchors, rng):
-        # tag sitting on anchor 1 makes the true auxiliary range zero, so
-        # additive noise pushes the least-squares estimate negative for some
-        # draws; the fix must clamp and flag it
-        p = anchors.anchors[0] + np.array([1e-4, 0.0, 0.0])
-        clean = np.array(tdoa_ranges(p, anchors, "tdoa-main").values)
-        saw_clamp = False
-        for _ in range(64):
-            noisy = clean + rng.normal(0.0, 0.05, size=clean.shape)
-            fix = uwb.tdoa_solve(anchors, ranges_of("tdoa-main", noisy))
-            assert fix.aux_range >= 0.0
-            saw_clamp = saw_clamp or fix.aux_clamped
-        assert saw_clamp
+        assert np.linalg.norm(np.subtract(fix, p)) < 1e-7
 
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_condition_ceiling_enforced(self, rng, topology):
@@ -412,7 +401,7 @@ class TestTdoaSolvers:
             tdoa_ranges(p, anchors, "tdoa-ring"),
         ):
             fix = uwb.solve_fix(anchors, obs)
-            assert np.linalg.norm(fix.p - p) < 1e-8
+            assert np.linalg.norm(np.subtract(fix, p)) < 1e-8
 
 
 @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
@@ -453,6 +442,4 @@ class TestOverflowingRanges:
             fix = uwb.solve_fix(anchors, obs)
         except (ValueError, uwb.GeometryDegenerate):
             return
-        assert np.all(np.isfinite(fix.p))
-        assert np.isfinite(fix.condition_number)
-        assert fix.aux_range is None or np.isfinite(fix.aux_range)
+        assert np.all(np.isfinite(fix))

@@ -2,10 +2,10 @@
 
 The values a filter step passes between its layers hold Python floats (see
 the "Cost" note of ``uwbnav.navfilter``).  Inputs (states, IMU samples,
-range sets) and step intermediates (triads, fixes, corrections,
-diagnostics) alike are plain, non-frozen ``@dataclass(slots=True)`` classes
-whose public fields are the float tuples themselves, with no checking
-constructor.  Inputs are checked once, where they enter: ``RunConfig``
+range sets) and step intermediates (triads, corrections, diagnostics)
+alike are plain, non-frozen ``@dataclass(slots=True)`` classes whose public
+fields are the float tuples themselves, with no checking constructor; a fix
+is the solver's position itself, a float 3-tuple.  Inputs are checked once, where they enter: ``RunConfig``
 gates the initial state, and the harness checks each IMU and range block
 whole (``_check_imu``, ``_check_ranges``) and builds each sample from the
 block when a step reads it; each step producer runs its checks before it
@@ -14,8 +14,9 @@ These tests pin that boundary:
 
 - every value a real step builds or reads, through every layer, is such a
   dataclass, has no instance ``__dict__`` and holds only Python floats (a
-  numpy scalar that slipped into the storage would slow every later layer);
-  so is every sample a replayed dataset's streams build;
+  numpy scalar that slipped into the storage would slow every later layer),
+  and every fix is a 3-tuple of Python floats; so is every sample a
+  replayed dataset's streams build;
 - the boundary checks reject a non-finite or mis-shaped initial state, and
   a non-finite reading or a negative TOA range anywhere in a block, with
   their named errors.
@@ -34,7 +35,7 @@ from uwbnav.attitude import _check_imu
 from uwbnav.harness import ConfigError, RunConfig, default_anchors, ingest_dataset, load_config, measurement_blocks
 from uwbnav.harness import synthesize_measurements, write_dataset
 from uwbnav.sim import generate_trajectory
-from uwbnav.uwb import AnchorSet, Ranges, _check_ranges, _range_block
+from uwbnav.uwb import AnchorSet, Ranges, _check_ranges, _range_block, solve_fix
 
 SCALARS = (float, bool, str, type(None))
 
@@ -71,12 +72,15 @@ def test_every_value_a_step_builds_is_slotted_floats(monkeypatch, topology, vari
     env, anchors = cfg.env(), cfg.anchor_set()
     traj = generate_trajectory(cfg.trajectory, {"duration": cfg.duration, "rate": cfg.rate}, env)
     imu, ranges = synthesize_measurements(traj, anchors, cfg.topology, cfg.noise(), env)
-    built = [*imu, *ranges]
+    built, fixes = [*imu, *ranges], []
 
     def recording(fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            built.extend(result if isinstance(result, tuple) else (result,))
+            if fn is solve_fix:
+                fixes.append(result)
+            else:
+                built.extend(result if isinstance(result, tuple) else (result,))
             return result
 
         return wrapper
@@ -95,8 +99,11 @@ def test_every_value_a_step_builds_is_slotted_floats(monkeypatch, topology, vari
 
     kinds = {type(obj).__name__ for obj in built}
     assert kinds == {
-        "ImuSample", "Ranges", "PositionFix", "TriadSet", "CorrectionTerms", "FilterState", "Diagnostics",
+        "ImuSample", "Ranges", "TriadSet", "CorrectionTerms", "FilterState", "Diagnostics",
     }
+    assert len(fixes) == len(traj) - 1
+    for fix in fixes:
+        assert type(fix) is tuple and len(fix) == 3 and all(type(x) is float for x in fix), fix
     assert {obj.topology for obj in built if isinstance(obj, Ranges)} == {topology, "toa"}
     for obj in built:
         _check_storage(obj)
