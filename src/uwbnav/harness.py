@@ -17,7 +17,7 @@ from __future__ import annotations
 import gc
 import json
 import struct
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
@@ -30,7 +30,8 @@ import yaml
 from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_sample, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
-from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _numbers, generate_trajectory, reconstruct_velocity
+from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers, generate_trajectory
+from .sim import reconstruct_velocity
 from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, anchor_floor
 from .uwb import _check_geometry, _check_ranges, _range_block
 
@@ -105,7 +106,7 @@ class RunConfig:
     keep the covariance bound nonnegative on every step (see
     ``navfilter.update``).  The flight is ``duration`` s at ``rate`` Hz,
     which a synthetic run decimates to ``filter_rate`` by an integer stride;
-    ``trajectory_params`` holds only the ``trajectory`` kind's other keys
+    ``trajectory_params`` is a mapping of only the ``trajectory`` kind's other keys
     (``sim._KIND_KEYS``).  Anchors on which every solve would fail
     (``uwb._check_geometry``) are rejected, not stepped through as dropouts.
     """
@@ -191,6 +192,9 @@ class RunConfig:
             _stride(self.rate, self.filter_rate)
         if self.trajectory not in _KIND_KEYS:
             raise ConfigError(f"trajectory must be one of {tuple(_KIND_KEYS)}, got {self.trajectory!r}")
+        if not isinstance(self.trajectory_params, Mapping):
+            raise ConfigError(f"trajectory_params must be a mapping of {self.trajectory} parameters, "
+                              f"got {self.trajectory_params!r}")
         unknown = sorted(set(self.trajectory_params) - _KIND_KEYS[self.trajectory], key=str)
         if unknown:
             raise ConfigError(f"trajectory_params: {unknown[0]!r} is not a {self.trajectory} parameter")
@@ -303,25 +307,38 @@ def measurement_blocks(
     magnetometer, then one draw per transmitted range value), so a seed pins
     both blocks.  ``tag_offset`` displaces the ranging tag from the vehicle
     reference point by a body-frame lever arm.  A tag position beyond
-    ``ANCHOR_LIMIT``, whose ranges would overflow, is a ConfigError; each
+    ``ANCHOR_LIMIT``, whose ranges would overflow, is a ConfigError, checked
+    over the whole flight first.  The rows are then synthesized a chunk at a
+    time (``sim._chunked``) into the preallocated blocks, each chunk's
+    ``(m, 9 + k)`` normal draws taken in turn from the one generator, which
+    gives the numbers of one ``(n, 9 + k)`` draw: the temporaries hold one
+    chunk's rows, and every row is the one a whole-flight pass gives.  Each
     block then gets its per-sample value check once, and a failed one (a
     reading that overflowed, or a TOA range that noise drove negative) is a
     ConfigError naming the keys that can cause it.
     """
-    vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
-    tag = traj.p
-    if tag_offset is not None and np.any(tag_offset):
-        tag = tag + traj.rot @ tag_offset
-    if not (np.abs(tag) <= ANCHOR_LIMIT).all():
+    lever = tag_offset is not None and np.any(tag_offset)
+
+    def tag(chunk: slice) -> np.ndarray:
+        return traj.p[chunk] + traj.rot[chunk] @ tag_offset if lever else traj.p[chunk]
+
+    if not all((np.abs(tag(chunk)) <= ANCHOR_LIMIT).all() for chunk in _chunks(len(traj))):
         raise ConfigError(f"the tag must stay within {ANCHOR_LIMIT:g} of the origin, or its ranges "
                           "overflow: check p0, radius, amplitude and tag_offset")
-    ranges = _range_block(tag, anchors, topology)
-    z = sigmas = None
-    if noise is not None:
-        z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
-        sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
-        ranges = ranges + (0.0 + noise.sigma_range * z[:, 9:])  # as Generator.normal
-    imu = np.concatenate(measure_imu(traj.rot, traj.omega, vdot, env, z, sigmas), axis=1)
+    rng = noise.stream() if noise is not None else None
+    sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m) if noise is not None else None
+
+    def rows(chunk: slice) -> tuple[np.ndarray, np.ndarray]:
+        rot = traj.rot[chunk]
+        vdot = (rot @ traj.a[chunk][:, :, None])[:, :, 0] + env.g_vec
+        ranges = _range_block(tag(chunk), anchors, topology)
+        z = None
+        if rng is not None:
+            z = rng.standard_normal((len(rot), 9 + ranges.shape[1]))
+            ranges += 0.0 + noise.sigma_range * z[:, 9:]  # as Generator.normal
+        return np.concatenate(measure_imu(rot, traj.omega[chunk], vdot, env, z, sigmas), axis=1), ranges
+
+    imu, ranges = _chunked(len(traj), rows)
     try:
         _check_imu(imu)
     except ValueError as err:
@@ -369,28 +386,34 @@ def synthesize_measurements(
     return _Rows(imu, _imu_sample), _Rows(ranges, partial(Ranges, topology))
 
 
-_CHUNK_ROWS = 512  # rows per formatted write: a writer holds this many rows' text and values, not a file's
-
-
 def _write_lines(path: Path, header: list[str], line: str, n: int, values) -> None:
-    """Header line, then ``n`` rows of the ``%`` template ``line``, ``values(lo, hi)`` giving rows lo..hi-1's values."""
+    """Header line, then ``n`` rows of the ``%`` template ``line``, ``values(chunk)`` giving a chunk of rows' values.
+
+    The chunks are :func:`sim._chunks`' (``_CHUNK_ROWS`` rows), so a writer
+    holds one chunk's text and values, not a file's.
+    """
     with path.open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            hi = min(lo + _CHUNK_ROWS, n)
-            fh.write(line * (hi - lo) % values(lo, hi))
+        for chunk in _chunks(n):
+            fh.write(line * (chunk.stop - chunk.start) % values(chunk))
+
+
+def _write_rows(path: Path, header: list[str], n: int, build, row: str | None = None) -> None:
+    """Header line, then one line per row of an ``n``-row table, ``build(chunk)`` giving a chunk's rows as an array.
+
+    Each line comes from the ``%`` template ``row``, which defaults to
+    ``%.17g`` for every column: it formats exactly as ``format(x, ".17g")``,
+    repr-round-trip precision.  A chunk's ``(m, len(header))`` array is read
+    row-major, so the file holds the bytes of one template over the whole
+    table while the writer's memory does not grow with its length.
+    """
+    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
+    _write_lines(path, header, line, n, lambda chunk: tuple(build(chunk).ravel().tolist()))
 
 
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
-    """Header line, then one line per row of ``block`` from the ``%`` template ``row``.
-
-    ``row`` defaults to ``%.17g`` for every column, which formats exactly as
-    ``format(x, ".17g")``: repr-round-trip precision.  Rows go out
-    ``_CHUNK_ROWS`` at a time, the bytes of one template over the whole
-    block, so the writer's memory does not grow with the block's length.
-    """
-    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
-    _write_lines(path, header, line, len(block), lambda lo, hi: tuple(block[lo:hi].ravel().tolist()))
+    """Header line, then one line per row of the array ``block`` through :func:`_write_rows`."""
+    _write_rows(path, header, len(block), block.__getitem__, row)
 
 
 def _stacked(values: list, shape: tuple[int, ...]) -> np.ndarray:
@@ -410,7 +433,9 @@ _IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
 
 
 def _write_truth(path: Path, traj: TruthTrajectory) -> None:
-    _write_csv(path, _TRUTH_HEADER, np.column_stack([traj.t, traj.p, rot_to_quat(traj.rot)]))
+    """``truth.csv`` of ``traj``: each chunk's quaternions are converted as its rows are written."""
+    _write_rows(path, _TRUTH_HEADER, len(traj),
+                lambda chunk: np.column_stack([traj.t[chunk], traj.p[chunk], rot_to_quat(traj.rot[chunk])]))
 
 
 def write_dataset(
@@ -434,7 +459,7 @@ def write_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_truth(out / "truth.csv", traj)
-    _write_csv(out / "imu.csv", _IMU_HEADER, np.column_stack([traj.t, imu]))
+    _write_rows(out / "imu.csv", _IMU_HEADER, n, lambda chunk: np.column_stack([traj.t[chunk], imu[chunk]]))
     ids = np.arange(1, len(anchors) + 1)
     _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
                "%d,%.17g,%.17g,%.17g")
@@ -442,11 +467,11 @@ def write_dataset(
     # formats only its difference and its tick's timestamp, formatted once per tick
     tick = "".join(f"%s,{i},{j},%.17g\n" for i, j in zip(pair_list.first + 1, pair_list.second + 1))
 
-    def tick_values(lo: int, hi: int) -> tuple:
-        t_text = ("%.17g\n" * (hi - lo) % tuple(traj.t[lo:hi].tolist())).split()
-        values = [None] * (2 * (hi - lo) * k)
+    def tick_values(chunk: slice) -> tuple:
+        t_text = ("%.17g\n" * (chunk.stop - chunk.start) % tuple(traj.t[chunk].tolist())).split()
+        values = [None] * (2 * len(t_text) * k)
         values[0::2] = [text for text in t_text for _ in range(k)]
-        values[1::2] = diffs[lo:hi].ravel().tolist()
+        values[1::2] = diffs[chunk].ravel().tolist()
         return tuple(values)
 
     _write_lines(out / "tdoa.csv", ["t", "i", "j", "d"], tick, n, tick_values)

@@ -108,6 +108,33 @@ class TruthTrajectory:
         return float(self.t[1] - self.t[0])
 
 
+_CHUNK_ROWS = 512  # rows per pass of a row-wise stage: its temporaries hold this many rows, not a flight's
+
+
+def _chunks(n: int) -> list[slice]:
+    """Slices of ``_CHUNK_ROWS`` consecutive rows (the last one shorter) covering rows 0..n-1, in order."""
+    return [slice(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+
+
+def _chunked(n: int, rows) -> tuple[np.ndarray, ...]:
+    """The arrays ``rows(chunk)`` returns, for rows 0..n-1, evaluated one chunk of :func:`_chunks` at a time.
+
+    ``rows`` is called once per chunk, in order, and returns one array per
+    output with the chunk's rows first; each output is preallocated from
+    the first chunk's shapes and filled in place.  A row-wise stage run this
+    way holds one chunk's temporaries, not the flight's, and writes each row
+    as one whole-flight evaluation would.
+    """
+    out = None
+    for chunk in _chunks(n):
+        parts = rows(chunk)
+        if out is None:
+            out = tuple(np.empty((n, *part.shape[1:])) for part in parts)
+        for array, part in zip(out, parts):
+            array[chunk] = part
+    return out
+
+
 def _yaw(angle: float | np.ndarray) -> np.ndarray:
     """Rotations about z by each angle: ``so3_exp([0, 0, angle])``."""
     w = np.zeros(np.shape(angle) + (3,))
@@ -201,7 +228,10 @@ def generate_trajectory(
     must be finite; lengths, periods and rates must be positive.  Finite
     parameters may still overflow a sample (``radius * (2 pi / period)^2``):
     it is left non-finite, without a warning, for measurement synthesis to
-    reject by name.
+    reject by name.  Each sample is a closed form of its time, so the
+    profile is evaluated ``_CHUNK_ROWS`` rows at a time into the
+    preallocated truth arrays (:func:`_chunked`): its temporaries, the yaw
+    rotations' included, hold one chunk's rows, not the flight's.
 
     Raises
     ------
@@ -248,30 +278,35 @@ def generate_trajectory(
             raise BadParams("radius and period must be positive")
         w = 2.0 * np.pi / period
         center = p0 - np.array([radius, 0.0, 0.0])
-        cos, sin = np.cos(w * t), np.sin(w * t)
-        p = center + radius * np.stack([cos, sin, np.zeros(n)], axis=1)
-        v = radius * w * np.stack([-sin, cos, np.zeros(n)], axis=1)
-        vdot = -radius * w * w * np.stack([cos, sin, np.zeros(n)], axis=1)
-        omega = np.tile([0.0, 0.0, w], (n, 1))
-        rot = _yaw(w * t + yaw0)
-        return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
 
-    amplitude = param("amplitude", [1.0, 0.8, 0.3], (3,))
-    frequency = param("frequency", [0.10, 0.15, 0.05], (3,))
-    phase = param("phase", [0.0, np.pi / 2, 0.0], (3,))
-    yaw_amplitude = param("yaw_amplitude", 0.6)
-    yaw_frequency = param("yaw_frequency", 0.05)
-    wv = 2.0 * np.pi * frequency
-    arg = np.outer(t, wv) + phase
-    p = p0 + amplitude * np.sin(arg)
-    v = amplitude * wv * np.cos(arg)
-    vdot = -amplitude * wv * wv * np.sin(arg)
-    wy = 2.0 * np.pi * yaw_frequency
-    psi = yaw_amplitude * np.sin(wy * t)
-    psidot = yaw_amplitude * wy * np.cos(wy * t)
-    omega = np.stack([np.zeros(n), np.zeros(n), psidot], axis=1)
-    rot = _yaw(psi)
-    return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=_body_force(rot, vdot, g))
+        def rows(chunk: slice) -> tuple:
+            tc = t[chunk]
+            cos, sin, zero = np.cos(w * tc), np.sin(w * tc), np.zeros(len(tc))
+            rot = _yaw(w * tc + yaw0)
+            vdot = -radius * w * w * np.stack([cos, sin, zero], axis=1)
+            return (rot, center + radius * np.stack([cos, sin, zero], axis=1),
+                    radius * w * np.stack([-sin, cos, zero], axis=1), np.tile([0.0, 0.0, w], (len(tc), 1)),
+                    _body_force(rot, vdot, g))
+    else:
+        amplitude = param("amplitude", [1.0, 0.8, 0.3], (3,))
+        frequency = param("frequency", [0.10, 0.15, 0.05], (3,))
+        phase = param("phase", [0.0, np.pi / 2, 0.0], (3,))
+        yaw_amplitude = param("yaw_amplitude", 0.6)
+        yaw_frequency = param("yaw_frequency", 0.05)
+        wv = 2.0 * np.pi * frequency
+        wy = 2.0 * np.pi * yaw_frequency
+
+        def rows(chunk: slice) -> tuple:
+            tc = t[chunk]
+            arg = np.outer(tc, wv) + phase
+            rot = _yaw(yaw_amplitude * np.sin(wy * tc))
+            vdot = -amplitude * wv * wv * np.sin(arg)
+            zero = np.zeros(len(tc))
+            return (rot, p0 + amplitude * np.sin(arg), amplitude * wv * np.cos(arg),
+                    np.stack([zero, zero, yaw_amplitude * wy * np.cos(wy * tc)], axis=1), _body_force(rot, vdot, g))
+
+    rot, p, v, omega, a = _chunked(n, rows)
+    return TruthTrajectory(t=t, rot=rot, p=p, v=v, omega=omega, a=a)
 
 
 def _body_force(rot: np.ndarray, vdot: np.ndarray, g: np.ndarray) -> np.ndarray:

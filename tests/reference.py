@@ -29,7 +29,12 @@ writer: one line per per-sample value, each number formatted on its own;
 the package's writer, which formats blocks of rows, must write the same
 bytes.  ``write_csv_whole`` is the CSV writer that formats a whole block
 through one ``%`` template; the package's writer, which formats a fixed
-number of rows at a time, must write the same bytes.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
+number of rows at a time, must write the same bytes.  ``flight_whole`` and
+``measurement_blocks_whole`` are likewise the flight profiles and the
+measurement synthesis evaluated over a whole flight at once, one
+``(n, 9 + k)`` noise draw included; the package's, which run a fixed
+number of rows at a time into preallocated arrays, must give the same
+bits.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
 system matrix on every call (``numpy.linalg.svd``, the package's
 primitive, with the package's float arithmetic after it), which the
 anchor set's one-time factorization must reproduce bit for bit.
@@ -53,7 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
-from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp
+from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp, so3_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
 from uwbnav.uwb import GeometryDegenerate, Ranges, _range_block, solve_fix
 
@@ -351,6 +356,65 @@ def write_csv_whole(path, header, block, row=None):
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def flight_whole(kind, t, g, p0, **params):
+    """Truth arrays ``(rot, p, v, omega, a)`` of a ``generate_trajectory`` flight profile at the times ``t``.
+
+    Each profile is evaluated over the whole flight at once, on the
+    defaults of ``generate_trajectory`` for the parameters not given; the
+    rotations are one ``so3_exp`` of every ``(0, 0, yaw)`` rotation vector.
+    """
+    n = len(t)
+    if kind == "hover":
+        w = np.array([0.0, 0.0, params.get("yaw", 0.0)])
+        r = so3_exp(w)
+        return (np.tile(r, (n, 1, 1)), np.tile(p0, (n, 1)), np.zeros((n, 3)), np.zeros((n, 3)),
+                np.tile(r.T @ (-g), (n, 1)))
+    if kind == "circle":
+        radius, period, yaw0 = params.get("radius", 2.0), params.get("period", 10.0), params.get("yaw0", 0.0)
+        w = 2.0 * np.pi / period
+        center = p0 - np.array([radius, 0.0, 0.0])
+        cos, sin = np.cos(w * t), np.sin(w * t)
+        p = center + radius * np.stack([cos, sin, np.zeros(n)], axis=1)
+        v = radius * w * np.stack([-sin, cos, np.zeros(n)], axis=1)
+        vdot = -radius * w * w * np.stack([cos, sin, np.zeros(n)], axis=1)
+        omega = np.tile([0.0, 0.0, w], (n, 1))
+        psi = w * t + yaw0
+    else:
+        amplitude = np.array(params.get("amplitude", [1.0, 0.8, 0.3]))
+        wv = 2.0 * np.pi * np.array(params.get("frequency", [0.10, 0.15, 0.05]))
+        arg = np.outer(t, wv) + np.array(params.get("phase", [0.0, np.pi / 2, 0.0]))
+        p = p0 + amplitude * np.sin(arg)
+        v = amplitude * wv * np.cos(arg)
+        vdot = -amplitude * wv * wv * np.sin(arg)
+        yaw_amplitude, wy = params.get("yaw_amplitude", 0.6), 2.0 * np.pi * params.get("yaw_frequency", 0.05)
+        psi = yaw_amplitude * np.sin(wy * t)
+        omega = np.stack([np.zeros(n), np.zeros(n), yaw_amplitude * wy * np.cos(wy * t)], axis=1)
+    rot_vectors = np.zeros((n, 3))
+    rot_vectors[:, 2] = psi
+    rot = so3_exp(rot_vectors)
+    return rot, p, v, omega, (rot.transpose(0, 2, 1) @ (vdot - g)[:, :, None])[:, :, 0]
+
+
+def measurement_blocks_whole(traj, anchors, topology, noise, env, tag_offset=None):
+    """The IMU and range blocks of ``harness.measurement_blocks``, each stage run on every row at once.
+
+    The noise is one ``(n, 9 + k)`` standard normal draw from the spec's
+    generator, in the per-sample order gyro, accelerometer, magnetometer,
+    ranges.  The value checks are left out: only the blocks are compared.
+    """
+    vdot = (traj.rot @ traj.a[:, :, None])[:, :, 0] + env.g_vec
+    tag = traj.p
+    if tag_offset is not None and np.any(tag_offset):
+        tag = tag + traj.rot @ tag_offset
+    ranges = _range_block(tag, anchors, topology)
+    z = sigmas = None
+    if noise is not None:
+        z = noise.stream().standard_normal((len(traj), 9 + ranges.shape[1]))
+        sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
+        ranges = ranges + (0.0 + noise.sigma_range * z[:, 9:])
+    return np.concatenate(measure_imu(traj.rot, traj.omega, vdot, env, z, sigmas), axis=1), ranges
 
 
 def so3_exp_per_vector(w):

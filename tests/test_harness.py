@@ -1,5 +1,6 @@
 """Harness tests: config parsing, synthesis, dataset IO, experiment runs."""
 
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uwbnav import harness
+from uwbnav import harness, sim
 from uwbnav.attitude import ReferenceEnvironment, _imu_sample
 from uwbnav.harness import (
     ClockError,
@@ -34,6 +35,7 @@ from uwbnav.uwb import TOPOLOGIES, AnchorSet
 from reference import (
     imu_rows,
     imu_sample,
+    measurement_blocks_whole,
     range_rows,
     synthesize_per_sample,
     tdoa_ranges,
@@ -44,6 +46,7 @@ from reference import (
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
 REPLAY_LEVER = np.array(yaml.safe_load(REPLAY_CONFIG.read_text())["tag_offset"])
+CHUNK = sim._CHUNK_ROWS
 
 
 # five anchors on the floor plane, and the same set with one anchor 1e-8 m above it
@@ -189,6 +192,15 @@ class TestRunConfig:
     def test_trajectory_params_of_another_kind_rejected(self):
         with pytest.raises(ConfigError, match="^trajectory_params: 'amplitude' is not a circle parameter"):
             RunConfig(trajectory="circle", trajectory_params={"radius": 1.0, "amplitude": [1.0, 1.0, 0.0]})
+
+    @pytest.mark.parametrize("params", [None, 5, "radius", ["radius"], ("p0",)], ids=repr)
+    def test_trajectory_params_must_be_a_mapping(self, tmp_path, params):
+        # None and 5 raised a bare TypeError, text was read as its characters'
+        # keys ("'a' is not a circle parameter"), and a list passed
+        # construction to fail in run_experiment's dict() with a bare ValueError
+        with pytest.raises(ConfigError, match=rf"^trajectory_params must be a mapping of circle parameters, got "
+                                              rf"{re.escape(repr(params))}$"):
+            RunConfig(duration=1.0, trajectory_params=params, out=str(tmp_path / "run"))
 
     @pytest.mark.parametrize("mode", ["synthetic", "dataset"])
     def test_unknown_trajectory_kind_rejected(self, tmp_path, mode):
@@ -426,6 +438,20 @@ class TestMeasurementBlocks:
         assert np.array_equal(ranges, [r.values for r in range_rows])
         assert {r.topology for r in range_rows} == {topology}
 
+    # one chunk short, exact and over; three chunks and a ragged one
+    @pytest.mark.parametrize("n", [2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
+    @pytest.mark.parametrize("topology", TOPOLOGIES)
+    @pytest.mark.parametrize("kind", ["hover", "circle", "lissajous"])
+    def test_chunks_match_whole_flight_pass(self, kind, topology, n):
+        traj = _traj(duration=(n - 1) / 50.0, rate=50.0, kind=kind)
+        assert len(traj) == n
+        env = ReferenceEnvironment()
+        for noise in (None, NoiseSpec(seed=n)):
+            for lever in (np.zeros(3), REPLAY_LEVER):
+                args = (traj, default_anchors(), topology, noise, env, lever)
+                for got, want in zip(measurement_blocks(*args), measurement_blocks_whole(*args)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (noise, lever)
+
     def test_tag_beyond_anchor_limit_is_config_error(self):
         traj = _traj(duration=0.5)
         with pytest.raises(ConfigError, match="tag_offset"):
@@ -521,9 +547,6 @@ class TestRowSequence:
         assert held / len(traj) <= 200, held / len(traj)
 
 
-CHUNK = harness._CHUNK_ROWS
-
-
 class TestWriteCsv:
     @pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7])
     @pytest.mark.parametrize("template", ["default", "estimates"])
@@ -557,6 +580,35 @@ class TestWriteCsv:
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) < 1_000_000, peaks
+
+
+class TestFlightMemory:
+    """A simulated flight's stages each hold one chunk of temporaries, whatever its length."""
+
+    @pytest.mark.parametrize("stage", ["generate_trajectory", "measurement_blocks", "write_dataset"])
+    def test_peak_beyond_result_does_not_grow_with_length(self, tmp_path, stage):
+        # whole-flight passes grew this excess by about 9.2 MB (trajectory), 13.0 MB (blocks)
+        # and 8.6 MB (dataset) from 10,000 to 40,000 samples of this flight
+        env, anchors = ReferenceEnvironment(), default_anchors()
+        excess = []
+        for n in (10_000, 40_000):
+            params = {"p0": [2.0, 0.0, 1.5], "duration": (n - 1) / 500.0, "rate": 500.0}
+            traj = generate_trajectory("circle", params, env)
+            args = (traj, anchors, "tdoa-main", NoiseSpec(seed=1), env, REPLAY_LEVER)
+            blocks = measurement_blocks(*args)  # a first call may import numpy.random, which stays loaded
+            run = {
+                "generate_trajectory": lambda: generate_trajectory("circle", params, env),
+                "measurement_blocks": lambda: measurement_blocks(*args),
+                "write_dataset": lambda: write_dataset(tmp_path / "ds", traj, anchors, "tdoa-main", *blocks),
+            }[stage]
+            tracemalloc.start()
+            try:
+                result = run()  # noqa: F841 -- held while the traced memory is read
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - held)
+        assert abs(excess[1] - excess[0]) < 1_000_000, excess
 
 
 class TestWriteDataset:

@@ -20,7 +20,7 @@ from uwbnav.sim import (
     reconstruct_velocity,
 )
 
-from reference import propagate_truth, scaled_noise, so3_exp_per_vector
+from reference import flight_whole, propagate_truth, scaled_noise, so3_exp_per_vector
 
 ENV = ReferenceEnvironment()
 G = ENV.g_vec
@@ -85,6 +85,22 @@ class TestGenerateTrajectory:
             psi = 0.6 * np.sin(2.0 * np.pi * 0.05 * traj.t)
         rot = np.array([so3_exp_per_vector([0.0, 0.0, x]) for x in psi])
         assert np.array_equal(traj.rot, rot)
+
+    # one chunk short, exact and over; three chunks and a ragged one
+    @pytest.mark.parametrize("n", [2, sim._CHUNK_ROWS - 1, sim._CHUNK_ROWS, sim._CHUNK_ROWS + 1,
+                                   3 * sim._CHUNK_ROWS + 7])
+    @pytest.mark.parametrize("kind,params", [
+        ("hover", {"yaw": 0.4}),
+        ("circle", {"radius": 1.5, "period": 7.0, "yaw0": 0.3}),
+        ("lissajous", {}),
+    ])
+    def test_chunked_profile_matches_whole_flight(self, kind, params, n):
+        p0 = np.array([0.5, -0.2, 1.4])
+        traj = generate_trajectory(kind, {**params, "p0": p0, "duration": (n - 1) / 50.0, "rate": 50.0}, ENV)
+        assert len(traj) == n
+        for name, want in zip(("rot", "p", "v", "omega", "a"), flight_whole(kind, traj.t, G, p0, **params)):
+            got = getattr(traj, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
     def test_circle_closes_after_period(self):
         traj = generate_trajectory(
