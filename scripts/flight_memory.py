@@ -6,15 +6,18 @@ The flight is the one the benchmark's ``replay-main`` workload replays:
 ``period``) at ``configs/dataset_replay.yaml``'s 500 Hz, with its gains and
 tag lever arm, ``--duration`` seconds long, on the ``tdoa-main`` topology.
 ``simulate`` writes the four-file dataset and ``run`` replays it at the
-config's 100 Hz filter rate, each as ``python -m uwbnav.cli`` in a fresh
-child process whose resource usage is read when it exits (``os.wait4``).
+config's 100 Hz filter rate; ``run-synthetic`` is one synthetic-mode
+``uwbnav run`` of the same flight config and seed, which synthesizes the
+flight at 500 Hz and filters it at 100 Hz without a dataset.  Each is
+``python -m uwbnav.cli`` in a fresh child process whose resource usage is
+read when it exits (``os.wait4``).
 One line per command gives its peak resident set (``ru_maxrss``, MB), its
 wall time (s, interpreter start-up included) and its exit code; a last line
 gives the SHA-256 of the dataset's four files, read in name order.
 
 The children import the ``uwbnav`` sources of the checkout this script sits
 in, so a copy placed in another checkout measures that checkout.  The
-configs, dataset and run directory go to a temporary directory, removed on
+configs, dataset and run directories go to a temporary directory, removed on
 exit, or to ``--work``.
 
 Example:
@@ -73,18 +76,20 @@ def _dataset_digest(dataset: Path) -> str:
 
 
 def flight_memory(work: Path, duration: float, seed: int) -> int:
-    """Run both commands under ``work`` and print their lines; the exit code is 1 if either failed."""
+    """Run the three commands under ``work`` and print their lines; the exit code is 1 if any failed."""
     simulate_yaml, replay_yaml = _configs(work, duration)
     commands = [
         ("simulate", ["simulate", "--config", str(simulate_yaml), "--topology", TOPOLOGY, "--seed", str(seed),
                       "--out", str(work / "dataset")]),
         ("run", ["run", "--config", str(replay_yaml), "--topology", TOPOLOGY, "--out", str(work / "run")]),
+        ("run-synthetic", ["run", "--config", str(simulate_yaml), "--topology", TOPOLOGY, "--seed", str(seed),
+                           "--out", str(work / "run-synthetic")]),
     ]
-    print(f"{'command':<10}{'maxrss_mb':>10}{'wall_s':>9}  exit")
+    print(f"{'command':<14}{'maxrss_mb':>10}{'wall_s':>9}  exit")
     for name, argv in commands:
         log = work / f"{name}.log"
         maxrss, wall, code = _measure(argv, log)
-        print(f"{name:<10}{maxrss:>10.1f}{wall:>9.2f}  {code}")
+        print(f"{name:<14}{maxrss:>10.1f}{wall:>9.2f}  {code}")
         if code != 0:
             print(log.read_text(), end="", file=sys.stderr)
             return 1
@@ -96,7 +101,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--duration", type=float, default=300.0, help="flight length in seconds (default 300)")
     parser.add_argument("--seed", type=int, default=1, help="noise seed of the simulated flight (default 1)")
-    parser.add_argument("--work", type=Path, help="directory for the configs, dataset and run (default: temporary)")
+    parser.add_argument("--work", type=Path, help="directory for the configs, dataset and runs (default: temporary)")
     args = parser.parse_args()
     if args.work is not None:
         args.work.mkdir(parents=True, exist_ok=True)

@@ -21,7 +21,6 @@ from collections.abc import Mapping, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +28,7 @@ import yaml
 
 from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_sample, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
-from .navfilter import ATTITUDE_GATE, Diagnostics, FilterGains, FilterState, _gate, step
+from .navfilter import ATTITUDE_GATE, FilterGains, FilterState, _gate, step
 from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers, generate_trajectory
 from .sim import reconstruct_velocity
 from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, anchor_floor
@@ -178,6 +177,8 @@ class RunConfig:
             if not Path(self.dataset_dir).is_dir():
                 what = "is not a directory" if Path(self.dataset_dir).exists() else "does not exist"
                 raise ConfigError(f"dataset_dir {what}: {self.dataset_dir}")
+            if Path(self.out).resolve() == Path(self.dataset_dir).resolve():
+                raise ConfigError(f"out: {self.out} is the dataset directory, whose truth.csv the run would replace")
         if self.topology not in TOPOLOGIES:
             raise ConfigError(f"topology must be one of {TOPOLOGIES}")
         if self.mode == "dataset" and self.topology == "toa":
@@ -414,18 +415,6 @@ def _write_rows(path: Path, header: list[str], n: int, build, row: str | None = 
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
     """Header line, then one line per row of the array ``block`` through :func:`_write_rows`."""
     _write_rows(path, header, len(block), block.__getitem__, row)
-
-
-def _stacked(values: list, shape: tuple[int, ...]) -> np.ndarray:
-    """Float tuples of one ``shape`` (a 2-D one as row tuples) as one ``(n, *shape)`` array.
-
-    Read through a flat iterator: ``numpy.array`` on a list of nested tuples
-    spends most of its time discovering their structure.
-    """
-    flat = chain.from_iterable(values)
-    if len(shape) == 2:
-        flat = chain.from_iterable(flat)
-    return np.fromiter(flat, float).reshape(len(values), *shape)
 
 
 _TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
@@ -726,8 +715,11 @@ def run_experiment(cfg: RunConfig) -> dict:
     state = cfg.initial_state()
     dt = cfg.dt
     n = len(traj) - 1
-    states: list[FilterState] = []
-    diags: list[Diagnostics] = []
+    # one row per step: the k attitude values (rotation rows or quaternion), p_hat,
+    # v_hat, sigma_hat, e_r, innovation and dropout, packed as the step returns
+    k = 9 if cfg.variant == "matrix" else 4
+    history = np.empty((n, k + 12))
+    view, pack, row_bytes = memoryview(history), struct.Struct(f"{k + 12}d").pack_into, 8 * (k + 12)
     for i in range(n):
         try:
             state, diag = step(state, imu_stream[i], range_stream[i], anchors, env, gains, dt)
@@ -735,21 +727,17 @@ def run_experiment(cfg: RunConfig) -> dict:
             # config and data were validated up front, so a value error out
             # of the step math means the numerics ran away
             raise NumericalFailure(f"filter step failed at t={traj.t[i]:.3f}: {err}") from err
-        states.append(state)
-        diags.append(diag)
-    dropout = [d.dropout for d in diags]
-    dropouts = sum(dropout)
+        att = state.attitude
+        pack(view, i * row_bytes, *(att[0] + att[1] + att[2] if k == 9 else att), *state.p_hat, *state.v_hat,
+             *state.sigma_hat, diag.e_r, diag.innovation_norm, diag.dropout)
+    att, p_hat, v_hat, sigma_hat = np.hsplit(history[:, :-3], [k, k + 3, k + 6])
+    e_r, residual, dropout = history[:, -3:].T
+    dropouts = int(dropout.sum())
     if dropouts == n:
         raise NumericalFailure("every step dropped its measurement")
 
     t = traj.t[1:]
-    att = [s.attitude for s in states]
-    rot = _stacked(att, (3, 3)) if len(att[0]) == 3 else quat_to_rot(_stacked(att, (4,)))
-    p_hat = _stacked([s.p_hat for s in states], (3,))
-    v_hat = _stacked([s.v_hat for s in states], (3,))
-    sigma_hat = _stacked([s.sigma_hat for s in states], (3,))
-    e_r = np.array([d.e_r for d in diags])
-    residual = np.array([d.innovation_norm for d in diags])
+    rot = att.reshape(n, 3, 3) if k == 9 else quat_to_rot(att)
     try:
         metrics = _metrics_block(t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual)
     except ValueError as err:
@@ -823,6 +811,9 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     if out.is_dir():
         raise ConfigError(f"out: {out} is a directory")
     _check_out(out.parent)
+    for role, path in (("estimates", est_path), ("truth", Path(truth_path))):
+        if out.resolve() == path.resolve():
+            raise ConfigError(f"out: {out} is the {role} file being read")
     if not est_path.exists():
         raise SchemaError(f"missing estimates file: {est_path}")
     est = _read_estimates(est_path)

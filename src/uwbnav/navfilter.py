@@ -37,16 +37,18 @@ the values that cross the step's layers hold Python floats (attitude as
 three row tuples or one quaternion 4-tuple, 3-vectors as 3-tuples, ``d_v``
 as its diagonal) and each layer evaluates its products as scalar
 expressions on them; no array is built or read inside a step.  The public
-fields of every value are these float tuples; the harness and the metrics
-stack a run's tuples into arrays once.  A step converts and re-checks
+fields of every value are these float tuples; ``harness.run_experiment``
+packs each returned state and its diagnostics into one row of a float
+block and keeps neither.  A step converts and re-checks
 nothing already held as checked floats: samples, fixes and the weights in
 ``FilterGains.s`` are read as they are.  A product used once is written
 out in place, in ``_product``'s operation order, and a solve walks its rows
 in fused passes (see ``uwb``): a helper call, temporary tuple or extra pass
 costs as much as the arithmetic it carries.  The step builds only acyclic
 float containers, which reference counting frees, so offline runs pause the
-cyclic collector (``harness.run_experiment``); an online caller that keeps
-its states can do the same around its own loop.
+cyclic collector (``harness.run_experiment``) for any caller that wraps the
+step and keeps its states; an online caller that keeps its states can do
+the same around its own loop.
 """
 
 from __future__ import annotations
@@ -139,8 +141,8 @@ class FilterState:
 def _rows(state: FilterState):
     """Rows of the state's attitude as a rotation matrix, as Python floats.
 
-    Not cached on the state: a run keeps every state it returns, and the
-    rows would add about 0.5 kB to each.
+    Not cached on the state: a run keeps no state, but a caller may keep
+    every state a step returns, and the rows would add about 0.5 kB to each.
     """
     att = state.attitude
     return att if len(att) == 3 else _quat_rot_rows(*att)

@@ -114,6 +114,21 @@ class TestRunVerb:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 100
 
+    def test_replay_into_its_own_dataset_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # once exit 0 with the dataset's truth.csv cut to the run's 100 Hz rows,
+        # after which every replay of it failed with "clocks disagree" (exit 3)
+        monkeypatch.chdir(tmp_path)
+        Path("sim.yaml").write_text("duration: 2.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", "sim.yaml", "--out", "ds") == EXIT_OK
+        dataset = {name: (tmp_path / "ds" / name).read_bytes() for name in ("truth.csv", "imu.csv")}
+        Path("replay.yaml").write_text("mode: dataset\ndataset_dir: ds\nrate: 500.0\nduration: 2.0\n"
+                                       "filter_rate: 100.0\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", "replay.yaml", "--out", "./ds/") == EXIT_CONFIG
+        assert "config error: out: ./ds/ is the dataset directory" in capsys.readouterr().err
+        assert {name: (tmp_path / "ds" / name).read_bytes() for name in dataset} == dataset
+        assert not (tmp_path / "ds" / "estimates.csv").exists()
+        assert run_cli("run", "--config", "replay.yaml", "--out", "r") == EXIT_OK
+
     def test_missing_dataset_dir_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text(f"mode: dataset\ndataset_dir: {tmp_path / 'absent'}\n")
@@ -626,6 +641,19 @@ class TestMetricsVerb:
         assert run_cli("metrics", str(out), "--out", str(tmp_path / target)) == EXIT_CONFIG
         assert "config error: out: " in capsys.readouterr().err
         assert (tmp_path / "taken").read_text() == "kept\n"
+
+    @pytest.mark.parametrize("name", ["estimates.csv", "truth.csv"])
+    def test_out_at_an_input_file_is_config_error(self, tmp_path, capsys, name):
+        # once exit 0 with that input replaced by the metrics table, after which
+        # every re-score of the run failed with "missing column" (exit 3)
+        out = self._run_dir(tmp_path)
+        kept = (out / name).read_bytes()
+        target = f"{out}/../r/{name}"  # another spelling of the input's path
+        assert run_cli("metrics", str(out), "--out", target) == EXIT_CONFIG
+        role = name.removesuffix(".csv")
+        assert f"config error: out: {target} is the {role} file being read" in capsys.readouterr().err
+        assert (out / name).read_bytes() == kept
+        assert run_cli("metrics", str(out)) == EXIT_OK
 
     def test_missing_run_dir(self, tmp_path, capsys):
         assert run_cli("metrics", str(tmp_path / "absent")) == EXIT_DATA

@@ -1,12 +1,16 @@
 """Why ``run_experiment`` may pause CPython's cyclic garbage collector.
 
-A run keeps every state a step returns, and each state is a handful of
-GC-tracked tuples, so with the collector on a 30 s study pays for dozens of
+A run packs each step's state into one float block and keeps no per-step
+objects, so a stock study triggers no collection even with the collector
+on.  A caller that wraps ``harness.step`` and keeps every state it returns,
+as the benchmark's step probe does, holds a handful of GC-tracked tuples
+per step; with the collector on, a 30 s study then pays for dozens of
 collections that free nothing.  The pause is safe only while the step and
 the run build no reference cycles: reference counting then frees every
 temporary, and the collector has nothing to find.  These tests pin that,
 pin that the caller's collector setting comes back on every exit path,
-and count the collections a stock study triggers.
+and count the collections a stock study triggers with and without a
+state-keeping caller.
 """
 
 import gc
@@ -15,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uwbnav import navfilter
+from uwbnav import harness, navfilter
 from uwbnav.attitude import ImuSample
 from uwbnav.harness import (
     ClockError,
@@ -130,22 +134,64 @@ def test_run_restores_the_callers_collector(tmp_path, collector_on, exit_path, e
     assert gc.isenabled() is enabled
 
 
-def test_stock_study_runs_no_collection(tmp_path, collector_on):
+def _collections(run, cfg) -> int:
+    """The number of collections CPython starts during ``run(cfg)``, counted from a fresh collector."""
     seen = []
 
     def count(phase, info):
         if phase == "start":
             seen.append(info["generation"])
 
-    cfg = load_config(CIRCLE, {"duration": 30.0, "out": str(tmp_path / "study")})
+    gc.collect()
     gc.callbacks.append(count)
     try:
-        run_experiment.__wrapped__(cfg)  # the same run without the pause: the census can see collections
-        unpaused = len(seen)
-        seen.clear()
-        run_experiment(cfg)
+        run(cfg)
     finally:
         gc.callbacks.remove(count)
-    assert unpaused > 0
-    assert seen == []
+    return len(seen)
+
+
+@pytest.fixture
+def study(tmp_path):
+    return load_config(CIRCLE, {"duration": 30.0, "out": str(tmp_path / "study")})
+
+
+def test_stock_study_runs_no_collection(study, collector_on):
+    # the paused run goes first: a process's first run also loads lazy imports
+    assert _collections(run_experiment, study) == 0
+    # the same run without the pause: the history block keeps no objects, so
+    # the collector's counts never reach its threshold
+    assert _collections(run_experiment.__wrapped__, study) == 0
+    assert gc.isenabled()
+
+
+def test_pause_spares_a_state_keeping_caller_its_collections(study, collector_on, monkeypatch):
+    # a caller that keeps every state, as the benchmark's step probe does; its
+    # states are collected once after the run, when the collector is back on,
+    # so the census counts the collections that start while the steps run
+    kept, starts = [], []
+
+    def keeping_step(*args):
+        kept.append(result := navfilter.step(*args))
+        return result
+
+    def count(phase, info):
+        if phase == "start" and len(kept) < 3000:
+            starts.append(len(kept))
+
+    monkeypatch.setattr(harness, "step", keeping_step)
+    found = {}
+    for name, run in (("unpaused", run_experiment.__wrapped__), ("paused", run_experiment)):
+        kept.clear()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            run(study)
+        finally:
+            gc.callbacks.remove(count)
+        found[name] = len(starts)
+        starts.clear()
+        assert len(kept) == 3000
+    assert found["unpaused"] > 0, found
+    assert found["paused"] == 0, found
     assert gc.isenabled()

@@ -611,6 +611,30 @@ class TestFlightMemory:
         assert abs(excess[1] - excess[0]) < 1_000_000, excess
 
 
+class TestRunMemory:
+    """A run's history is one float block: its traced peak grows by well under a kilobyte per step."""
+
+    @pytest.mark.parametrize("variant", ["matrix", "quaternion"])
+    def test_peak_per_added_step(self, tmp_path, variant):
+        # a FilterState and a Diagnostics kept per step, stacked afterwards,
+        # grew the peak by about 1,800 B (matrix) and 1,500 B (quaternion) per step
+        def stock_toa(duration):
+            overrides = {"duration": duration, "variant": variant, "out": str(tmp_path / f"{duration:g}")}
+            return load_config(REPLAY_CONFIG.parent / "circle.yaml", overrides)
+
+        run_experiment(stock_toa(1.0))  # untraced: loads what a run imports lazily
+        peaks = {}
+        for duration in (10.0, 40.0):
+            tracemalloc.start()
+            try:
+                assert run_experiment(stock_toa(duration))["topology"] == "toa"
+                peaks[duration] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        per_step = (peaks[40.0] - peaks[10.0]) / 3000
+        assert per_step <= 1000, (per_step, peaks)
+
+
 class TestWriteDataset:
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "noise"])

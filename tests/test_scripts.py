@@ -71,7 +71,7 @@ def test_step_convergence(tmp_path):
 def test_flight_memory(tmp_path):
     header, *rows, digest = _run(tmp_path, "flight_memory.py", "--duration", "0.5").splitlines()
     assert header.split() == ["command", "maxrss_mb", "wall_s", "exit"]
-    assert [row.split()[0] for row in rows] == ["simulate", "run"]
+    assert [row.split()[0] for row in rows] == ["simulate", "run", "run-synthetic"]
     assert all(float(row.split()[1]) > 0 and row.split()[3] == "0" for row in rows), rows
     assert re.fullmatch(r"dataset sha256 [0-9a-f]{64}", digest), digest
 
