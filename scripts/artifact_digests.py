@@ -9,6 +9,9 @@ temporary directory:
   20 s, seed 0, for every topology (toa, tdoa-main, tdoa-ring) and
   attitude variant (matrix, quaternion): ``truth.csv``, ``estimates.csv``,
   ``metrics.csv``, ``summary.json``.
+- ``circle/toa-matrix-500hz/``: the same 20 s flight and seed with
+  ``rate: 500`` and ``filter_rate: 100``, for toa and matrix: the same four
+  files of a run whose flight clock is not the config's ``rate``.
 - ``replay/<topology>/``: a 20 s, 500 Hz circle flight written by
   ``simulate`` with ``configs/dataset_replay.yaml``'s gains and lever arm
   (seed 3), replayed by ``run`` at 100 Hz and re-scored by ``metrics``,
@@ -71,6 +74,9 @@ def _circle_runs(work: Path) -> None:
             out = work / "circle" / f"{topology}-{variant}"
             _cli("run", "--config", config, "--topology", topology, "--variant", variant,
                  "--seed", "0", "--out", str(out))
+    fast = _write_yaml(work / "circle-500hz.yaml", {**circle, "duration": DURATION, "rate": 500.0, "filter_rate": 100.0})
+    _cli("run", "--config", fast, "--topology", "toa", "--variant", "matrix",
+         "--seed", "0", "--out", str(work / "circle" / "toa-matrix-500hz"))
 
 
 def _replay_round_trips(work: Path) -> None:

@@ -24,6 +24,7 @@ import sys
 import yaml
 
 from .harness import (
+    VARIANTS,
     ClockError,
     ConfigError,
     NumericalFailure,
@@ -56,14 +57,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         choices=TOPOLOGIES,
         help="ranging observation topology",
     )
-    parser.add_argument(
-        "--variant",
-        choices=["matrix", "quaternion"],
-        help="attitude parametrization of the filter",
-    )
-    parser.add_argument(
-        "--rate", type=float, dest="filter_rate", help="filter update rate in Hz"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,6 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a configured experiment")
     _add_common(p_run)
+    p_run.add_argument(
+        "--variant",
+        choices=VARIANTS,
+        help="attitude parametrization of the filter",
+    )
+    p_run.add_argument(
+        "--rate", type=float, dest="filter_rate", help="filter update rate in Hz"
+    )
 
     p_met = sub.add_parser("metrics", help="recompute metrics for a finished run")
     p_met.add_argument("run_dir", help="directory holding estimates.csv")
@@ -91,8 +92,9 @@ def _overrides(args: argparse.Namespace) -> dict:
         "seed": args.seed,
         "out": args.out,
         "topology": args.topology,
-        "variant": args.variant,
-        "filter_rate": args.filter_rate,
+        # run's flags: simulate runs no filter, so it takes neither
+        "variant": getattr(args, "variant", None),
+        "filter_rate": getattr(args, "filter_rate", None),
     }
 
 

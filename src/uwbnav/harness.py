@@ -35,6 +35,7 @@ from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges
 from .uwb import _check_geometry, _check_ranges, _range_block
 
 __all__ = [
+    "VARIANTS",
     "ConfigError",
     "SchemaError",
     "ClockError",
@@ -82,7 +83,7 @@ def default_anchors() -> AnchorSet:
 
 _TRAJECTORY_KEYS = frozenset().union(*_KIND_KEYS.values())  # every flight kind's parameters
 
-_VARIANTS = ("matrix", "quaternion")
+VARIANTS = ("matrix", "quaternion")  # the filter's attitude parametrizations
 
 
 def _check_out(path: Path) -> None:
@@ -103,8 +104,9 @@ class RunConfig:
     once, at construction; a rejected value raises ConfigError naming its
     key.  ``sigma_hat0 >= 0`` and ``k_sigma * gamma_sigma / filter_rate < 1``
     keep the covariance bound nonnegative on every step (see
-    ``navfilter.update``).  The flight is ``duration`` s at ``rate`` Hz,
-    which a synthetic run decimates to ``filter_rate`` by an integer stride;
+    ``navfilter.update``).  ``filter_rate`` is the run's clock: a synthetic run
+    samples its ``duration`` s flight at it, and ingest decimates a dataset's
+    to it; ``rate``, its default, is the clock ``uwbnav simulate`` writes at;
     ``trajectory_params`` is a mapping of only the ``trajectory`` kind's other keys
     (``sim._KIND_KEYS``).  Anchors on which every solve would fail
     (``uwb._check_geometry``) are rejected, not stepped through as dropouts.
@@ -148,7 +150,7 @@ class RunConfig:
     _VECTORS = ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s")
 
     def __post_init__(self) -> None:
-        if self.filter_rate is None:  # the filter runs at the generation rate
+        if self.filter_rate is None:  # the run clocks a flight as simulate writes it
             self.filter_rate = self.rate
         for name in self._NUMBERS:
             setattr(self, name, _numbers(getattr(self, name), name, ConfigError))
@@ -183,14 +185,10 @@ class RunConfig:
             raise ConfigError(f"topology must be one of {TOPOLOGIES}")
         if self.mode == "dataset" and self.topology == "toa":
             raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
-        if self.variant not in _VARIANTS:
-            raise ConfigError(f"variant must be one of {_VARIANTS}")
-        if not (self.duration > 0 and self.rate > 0):
-            raise ConfigError("duration and rate must be positive")
-        if not 0 < self.filter_rate <= self.rate:
-            raise ConfigError("filter_rate must be positive and not above rate")
-        if self.mode == "synthetic":  # a dataset's own clock is decimated at ingest
-            _stride(self.rate, self.filter_rate)
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}")
+        if not (self.duration > 0 and self.rate > 0 and self.filter_rate > 0):
+            raise ConfigError("duration, rate and filter_rate must be positive")
         if self.trajectory not in _KIND_KEYS:
             raise ConfigError(f"trajectory must be one of {tuple(_KIND_KEYS)}, got {self.trajectory!r}")
         if not isinstance(self.trajectory_params, Mapping):
@@ -700,10 +698,8 @@ def run_experiment(cfg: RunConfig) -> dict:
     gains = cfg.gains()
     anchors = cfg.anchor_set()
     if cfg.mode == "synthetic":
-        params = dict(cfg.trajectory_params, duration=cfg.duration, rate=cfg.rate)
+        params = dict(cfg.trajectory_params, duration=cfg.duration, rate=cfg.filter_rate)
         traj = generate_trajectory(cfg.trajectory, params, env)
-        keep = slice(None, None, _stride(cfg.rate, cfg.filter_rate))
-        traj = TruthTrajectory(**{k: x[keep].copy() for k, x in vars(traj).items()})  # copies, as ingest_dataset's
         imu_stream, range_stream = synthesize_measurements(
             traj, anchors, cfg.topology, cfg.noise(), env, cfg.tag_offset
         )

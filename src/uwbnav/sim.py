@@ -6,7 +6,8 @@ circle, lissajous) give it in closed form, body rates and specific forces
 included.  Velocity ground truth for datasets that only log positions is
 reconstructed with a Savitzky-Golay differentiator.
 
-Noise standard deviations are per-sample values at the generation rate; a
+Noise standard deviations are per-sample values at the rate the flight is
+sampled at (a run's ``filter_rate``, ``uwbnav simulate``'s ``rate``); a
 continuous white-noise density maps to them by the usual Euler-Maruyama
 correspondence (density / sqrt(dt) for sampled noise, sqrt(dt) scaling for
 Brownian increments).

@@ -46,6 +46,15 @@ class TestSimulateVerb:
         with pytest.raises(AssertionError, match="per-sample"):  # the guard bites on the row path
             run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r"))
 
+    @pytest.mark.parametrize("flag", [["--rate", "50"], ["--variant", "quaternion"]], ids=["rate", "variant"])
+    def test_run_only_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # once exit 0 with the config's 100 Hz flight written: simulate reads neither flag
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("simulate", "--out", str(tmp_path / "ds"), *flag)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
     def test_config_file_short_run(self, tmp_path):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 1.0\nrate: 50.0\n")
@@ -113,6 +122,19 @@ class TestRunVerb:
         assert code == EXIT_OK
         summary = json.loads((out / "summary.json").read_text())
         assert summary["steps"] == 100
+
+    def test_replay_clock_is_the_filter_rate(self, tmp_path):
+        # once refused ("filter_rate must be positive and not above rate"): the
+        # default rate of 100 Hz was checked against the log's 500 Hz clock
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 2.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nfilter_rate: 250.0\ntopology: tdoa-main\n")
+        out = tmp_path / "r"
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(out)) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["steps"] == 500
 
     def test_replay_into_its_own_dataset_is_config_error(self, tmp_path, capsys, monkeypatch):
         # once exit 0 with the dataset's truth.csv cut to the run's 100 Hz rows,

@@ -89,7 +89,7 @@ class TestRunConfig:
             {"variant": "cayley"},
             {"duration": 0.0},
             {"rate": -1.0},
-            {"filter_rate": 250.0},
+            {"filter_rate": 0.0},
             {"p_hat0": [1.0, 2.0]},
             {"sigma_omega": [0.1, 0.1]},
             {"sigma_omega": [0.01, np.nan, 0.01]},
@@ -207,11 +207,12 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="^trajectory must be one of .*, got 'spiral'"):
             RunConfig(mode=mode, dataset_dir=str(tmp_path), topology="tdoa-main", trajectory="spiral")
 
-    def test_non_integer_decimation_rejected(self, tmp_path):
-        # checked before any flight is generated; a dataset's clock is checked at ingest
-        with pytest.raises(ConfigError, match="not an integer decimation of the 100 Hz sample clock"):
-            RunConfig(duration=1.0, rate=100.0, filter_rate=30.0, topology="toa")
-        RunConfig(mode="dataset", dataset_dir=str(tmp_path), rate=100.0, filter_rate=30.0, topology="tdoa-main")
+    @pytest.mark.parametrize("mode", ["synthetic", "dataset"])
+    def test_filter_rate_is_not_checked_against_rate(self, tmp_path, mode):
+        # a synthetic flight is sampled at filter_rate, and a dataset's own
+        # clock is checked against it at ingest: rate describes neither
+        cfg = RunConfig(mode=mode, dataset_dir=str(tmp_path), rate=100.0, filter_rate=30.0, topology="tdoa-main")
+        assert cfg.dt == 1.0 / 30.0
 
     def test_sigma_bounds_accept_their_edges(self):
         cfg = RunConfig(k_sigma=99.9999, gamma_sigma=1.0, sigma_hat0=[0.0, -0.0, 1.0e155])
@@ -989,16 +990,11 @@ class TestRunExperiment:
         with np.errstate(all="ignore"), pytest.raises(NumericalFailure):
             run_experiment(cfg)
 
-    def test_filter_rate_decimates_synthetic_truth(self, tmp_path):
-        cfg = RunConfig(
-            duration=2.0, rate=500.0, filter_rate=100.0, topology="toa", seed=3,
-            out=str(tmp_path / "run"),
-        )
-        summary = run_experiment(cfg)
-        assert summary["steps"] == 200
-
-    def test_decimated_truth_owns_its_data(self, tmp_path, monkeypatch):
-        # a view would keep the full-rate arrays alive through the step loop
+    @pytest.mark.parametrize("duration,steps", [(2.0, 200), (1.007, 101)])
+    def test_filter_rate_clocks_synthetic_truth(self, tmp_path, monkeypatch, duration, steps):
+        # the flight is sampled at filter_rate, not at rate and then strided
+        # down: a duration rounds to whole filter periods, and the truth the
+        # run holds is the flight's own arrays, no view of a larger one
         seen = []
 
         def recording(traj, *args):
@@ -1006,10 +1002,23 @@ class TestRunExperiment:
             return synthesize_measurements(traj, *args)
 
         monkeypatch.setattr(harness, "synthesize_measurements", recording)
-        cfg = RunConfig(duration=1.0, rate=500.0, filter_rate=100.0, seed=3, out=str(tmp_path / "run"))
-        assert run_experiment(cfg)["steps"] == 100
+        cfg = RunConfig(
+            duration=duration, rate=500.0, filter_rate=100.0, topology="toa", seed=3,
+            out=str(tmp_path / "run"),
+        )
+        assert run_experiment(cfg)["steps"] == steps
+        assert np.array_equal(seen[0].t, np.arange(steps + 1) / 100.0)
         for name, values in vars(seen[0]).items():
             assert values.base is None, name
+
+    def test_synthetic_flight_is_sampled_on_the_filter_clock(self, tmp_path):
+        # once the 500 Hz flight strided by 5 to within 1% of 99.5 Hz: samples
+        # 0.01 s apart, each stepped with dt = 1/99.5 s, and exit 0
+        cfg = RunConfig(duration=2.0, rate=500.0, filter_rate=99.5, topology="toa", seed=3, out=str(tmp_path / "run"))
+        summary = run_experiment(cfg)
+        t = np.loadtxt(tmp_path / "run" / "estimates.csv", delimiter=",", skiprows=1, usecols=0)
+        assert np.allclose(np.diff(t), cfg.dt, rtol=1e-9, atol=0.0)
+        assert summary["steps"] == 199
 
 
 class TestRecomputeMetrics:

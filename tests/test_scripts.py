@@ -33,12 +33,12 @@ def _run(tmp_path: Path, script: str, *args: str, code: int = 0) -> str:
 def test_artifact_digests(tmp_path):
     listing = _run(tmp_path, "artifact_digests.py")
     lines = listing.splitlines()
-    assert len(lines) == 42
+    assert len(lines) == 46
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines), lines
     saved = tmp_path / "digests.txt"
     saved.write_text(listing)
     assert _run(tmp_path, "artifact_digests.py", "--check", str(saved)).splitlines() == [
-        f"all 42 artifacts match {saved}"
+        f"all 46 artifacts match {saved}"
     ]
     # one digest spoiled: the check names that path alone and fails
     digest, name = lines[5].split("  ")
