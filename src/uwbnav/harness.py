@@ -29,9 +29,9 @@ import yaml
 from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_sample, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, FilterGains, FilterState, _gate, step
-from .sim import _KIND_KEYS, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers, generate_trajectory
-from .sim import reconstruct_velocity
-from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, anchor_floor
+from .sim import _KIND_KEYS, MAX_SAMPLES, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers
+from .sim import generate_trajectory, reconstruct_velocity
+from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges
 from .uwb import _check_geometry, _check_ranges, _range_block
 
 __all__ = [
@@ -105,11 +105,12 @@ class RunConfig:
     key.  ``sigma_hat0 >= 0`` and ``k_sigma * gamma_sigma / filter_rate < 1``
     keep the covariance bound nonnegative on every step (see
     ``navfilter.update``).  ``filter_rate`` is the run's clock: a synthetic run
-    samples its ``duration`` s flight at it, and ingest decimates a dataset's
-    to it; ``rate``, its default, is the clock ``uwbnav simulate`` writes at;
-    ``trajectory_params`` is a mapping of only the ``trajectory`` kind's other keys
-    (``sim._KIND_KEYS``).  Anchors on which every solve would fail
-    (``uwb._check_geometry``) are rejected, not stepped through as dropouts.
+    samples its ``duration`` s flight at it (at most ``sim.MAX_SAMPLES``
+    samples), and ingest decimates a dataset's to it; ``rate``, its default,
+    is the clock ``uwbnav simulate`` writes at; ``trajectory_params`` is a
+    mapping of only the ``trajectory`` kind's other keys (``sim._KIND_KEYS``).
+    Anchors that give no fix under ``topology`` are rejected with the anchor
+    set's reason (``AnchorSet.unfixable``), not stepped through as dropouts.
     """
 
     mode: str = "synthetic"
@@ -150,6 +151,7 @@ class RunConfig:
     _VECTORS = ("p_hat0", "v_hat0", "r_hat0", "sigma_hat0", "tag_offset", "g_vec", "m_r", "s")
 
     def __post_init__(self) -> None:
+        clock = "rate" if self.filter_rate is None else "filter_rate"  # the key that sets the run's clock
         if self.filter_rate is None:  # the run clocks a flight as simulate writes it
             self.filter_rate = self.rate
         for name in self._NUMBERS:
@@ -189,6 +191,10 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}")
         if not (self.duration > 0 and self.rate > 0 and self.filter_rate > 0):
             raise ConfigError("duration, rate and filter_rate must be positive")
+        samples = self.duration * self.filter_rate
+        if self.mode == "synthetic" and not samples <= MAX_SAMPLES:  # the flight generate_trajectory would refuse
+            raise ConfigError(f"{clock}: duration * {clock} gives {samples:.3g} samples, "
+                              f"above the ceiling of {MAX_SAMPLES:g}")
         if self.trajectory not in _KIND_KEYS:
             raise ConfigError(f"trajectory must be one of {tuple(_KIND_KEYS)}, got {self.trajectory!r}")
         if not isinstance(self.trajectory_params, Mapping):
@@ -204,11 +210,6 @@ class RunConfig:
         if not decay < 1.0:
             raise ConfigError(f"k_sigma * gamma_sigma / filter_rate must be below 1, got {decay} "
                               "(each step scales sigma_hat by one minus it)")
-        floor = anchor_floor(self.topology)
-        if len(self.anchors) < floor:
-            raise ConfigError(
-                f"anchors: {self.topology} needs at least {floor} anchors, got {len(self.anchors)}"
-            )
         try:
             self._gains = FilterGains(
                 k1=self.k1, kv=self.kv, ka=self.ka, gamma_sigma=self.gamma_sigma,
@@ -305,32 +306,30 @@ def measurement_blocks(
     one generator in a fixed per-sample order (gyro, accelerometer,
     magnetometer, then one draw per transmitted range value), so a seed pins
     both blocks.  ``tag_offset`` displaces the ranging tag from the vehicle
-    reference point by a body-frame lever arm.  A tag position beyond
-    ``ANCHOR_LIMIT``, whose ranges would overflow, is a ConfigError, checked
-    over the whole flight first.  The rows are then synthesized a chunk at a
-    time (``sim._chunked``) into the preallocated blocks, each chunk's
-    ``(m, 9 + k)`` normal draws taken in turn from the one generator, which
-    gives the numbers of one ``(n, 9 + k)`` draw: the temporaries hold one
-    chunk's rows, and every row is the one a whole-flight pass gives.  Each
-    block then gets its per-sample value check once, and a failed one (a
-    reading that overflowed, or a TOA range that noise drove negative) is a
-    ConfigError naming the keys that can cause it.
+    reference point by a body-frame lever arm.  The rows are synthesized a
+    chunk at a time (``sim._chunked``) into the preallocated blocks, each
+    chunk's ``(m, 9 + k)`` normal draws taken in turn from the one
+    generator, which gives the numbers of one ``(n, 9 + k)`` draw: the
+    temporaries hold one chunk's rows, and every row is the one a
+    whole-flight pass gives.  A chunk's tag positions are computed once and
+    checked before its ranges: one beyond ``ANCHOR_LIMIT``, whose ranges
+    would overflow, is a ConfigError.  Each block then gets its per-sample
+    value check once, and a failed one (a reading that overflowed, or a TOA
+    range that noise drove negative) is a ConfigError naming the keys that
+    can cause it.
     """
     lever = tag_offset is not None and np.any(tag_offset)
-
-    def tag(chunk: slice) -> np.ndarray:
-        return traj.p[chunk] + traj.rot[chunk] @ tag_offset if lever else traj.p[chunk]
-
-    if not all((np.abs(tag(chunk)) <= ANCHOR_LIMIT).all() for chunk in _chunks(len(traj))):
-        raise ConfigError(f"the tag must stay within {ANCHOR_LIMIT:g} of the origin, or its ranges "
-                          "overflow: check p0, radius, amplitude and tag_offset")
     rng = noise.stream() if noise is not None else None
     sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m) if noise is not None else None
 
     def rows(chunk: slice) -> tuple[np.ndarray, np.ndarray]:
         rot = traj.rot[chunk]
+        tag = traj.p[chunk] + rot @ tag_offset if lever else traj.p[chunk]
+        if not (np.abs(tag) <= ANCHOR_LIMIT).all():
+            raise ConfigError(f"the tag must stay within {ANCHOR_LIMIT:g} of the origin, or its ranges "
+                              "overflow: check p0, radius, amplitude and tag_offset")
         vdot = (rot @ traj.a[chunk][:, :, None])[:, :, 0] + env.g_vec
-        ranges = _range_block(tag(chunk), anchors, topology)
+        ranges = _range_block(tag, anchors, topology)
         z = None
         if rng is not None:
             z = rng.standard_normal((len(rot), 9 + ranges.shape[1]))
@@ -583,8 +582,9 @@ def ingest_dataset(
     velocity is reconstructed from the full-rate positions before
     decimation.  The truth carries no body rates or specific forces
     (``omega`` and ``a`` are None): the run scores states only.  The
-    samples are built on read (:class:`_Rows`).  Anchors below the
-    topology's floor, or that give no fix, are a SchemaError.
+    samples are built on read (:class:`_Rows`).  Anchors that give no fix
+    under ``topology`` are a SchemaError with the anchor set's reason
+    (``AnchorSet.unfixable``).
     """
     src = Path(dataset_dir)
     truth = _read_truth(src / "truth.csv")
@@ -601,9 +601,6 @@ def ingest_dataset(
 
     if topology == "toa":
         raise ConfigError("the dataset layout carries TDOA rows; choose a tdoa topology")
-    floor = anchor_floor(topology)
-    if len(anchors_raw) < floor:
-        raise SchemaError(f"anchors.csv: {topology} needs at least {floor} anchors, got {len(anchors_raw)}")
     order = np.argsort(anchors_raw[:, 0])
     if not np.array_equal(anchors_raw[order, 0], np.arange(1, len(order) + 1)):  # tdoa.csv's i, j name them
         raise SchemaError(f"anchors.csv: ids must be 1 to {len(order)}, each once")

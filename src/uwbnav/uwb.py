@@ -28,14 +28,15 @@ because the system matrices are constant but for one column:
   - U0 z`` and ``beta^2 = |r|^2``, the auxiliary range is ``x4 = r^T b /
   beta^2`` and the position ``p = V0 S0^-1 U0^T (b - x4 c)``.
 
-The rank test counts singular values above ``s_max max(shape) eps``: for
-TDOA, ``A0``'s rank (taken once) plus one if ``beta`` passes the same
-test against ``||A||_F``.  The condition number a solve gates on, and
-does not return, is the Frobenius-norm one,
-``kappa_F = ||A||_F ||A^+||_F``, which the stored singular values give
-without a per-solve decomposition: ``sqrt(sum s^2 sum 1/s^2)`` for TOA and
-``sqrt((sum s^2 + |z|^2 + beta^2) (sum 1/s^2 + (sum (z_i/s_i)^2 + 1) /
-beta^2))`` for TDOA.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
+The rank test counts singular values above ``s_max max(shape) eps``, and
+the condition number gated on, and not returned, is the Frobenius-norm
+one, ``kappa_F = ||A||_F ||A^+||_F``: ``sqrt(sum s^2 sum 1/s^2)`` for a
+position block.  Each block is tested once, with the anchor floor, when
+the :class:`AnchorSet` is built, so a TOA solve tests nothing.  A TDOA
+solve tests what its measured column adds: rank 4 needs ``beta`` to pass
+the rank test against ``||A||_F``, and ``kappa_F = sqrt((sum s^2 + |z|^2 +
+beta^2) (sum 1/s^2 + (sum (z_i/s_i)^2 + 1) / beta^2))`` is never below the
+block's.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
 ``COND_CEILING`` on it is at most k times stricter than on ``kappa_2``.
 
 A solve runs once per filter step on a handful of rows, where a numpy call
@@ -64,7 +65,6 @@ __all__ = [
     "GeometryDegenerate",
     "AnchorSet",
     "Ranges",
-    "anchor_floor",
     "toa_solve",
     "tdoa_solve",
     "solve_fix",
@@ -79,6 +79,8 @@ _EPS = float(np.finfo(float).eps)
 
 # the ranging topologies: absolute ranges, and the two TDOA anchor-pair lists
 TOPOLOGIES = ("toa", "tdoa-main", "tdoa-ring")
+# fewest anchors a fix needs: TDOA carries the range to anchor 1 as a fourth unknown
+_FLOOR = {"toa": 4, "tdoa-main": 5, "tdoa-ring": 5}
 
 
 class GeometryDegenerate(RuntimeError):
@@ -89,17 +91,15 @@ class Factor(NamedTuple):
     """Thin SVD ``a = U diag(s) V^T`` of a constant system matrix, as Python floats.
 
     ``ut`` holds the rows of ``U^T``, ``s`` the singular values in descending
-    order and ``v`` the rows of ``V``.  ``rank`` is the numeric rank, the
-    count of singular values above ``s_max max(shape) eps``; the rows of
-    ``ut`` past it are zero, so projections onto them span the numeric range
-    only.  ``fro2`` is ``sum s^2`` (``||a||_F^2``) and ``inv2`` is ``sum
-    1/s^2`` over the rank (``||a^+||_F^2`` at full rank).
+    order and ``v`` the rows of ``V``.  ``fro2`` is ``sum s^2``
+    (``||a||_F^2``) and ``inv2`` is ``sum 1/s^2`` (``||a^+||_F^2``).  Only a
+    block that can give a fix is kept as a factor: its rank is full and its
+    condition number at most ``COND_CEILING``.
     """
 
     ut: list
     s: list
     v: list
-    rank: int
     fro2: float
     inv2: float
 
@@ -112,7 +112,7 @@ class PairList(NamedTuple):
     dist(anchor ``first[k]``).  ``sq_first`` and ``sq_second`` are the
     squared norms of each pair's anchors, and ``factor`` the :class:`Factor`
     of the solver's position block, rows ``h[first] - h[second]`` (None
-    below the TDOA anchor floor).
+    when the anchor set can give no fix under the topology).
     """
 
     first: np.ndarray
@@ -126,28 +126,28 @@ class PairList(NamedTuple):
 class AnchorSet:
     """Fixed anchor positions in the inertial frame.
 
-    Each solver enforces the anchor-count floor of :func:`anchor_floor` and
-    its own rank test, so sets of any size can be constructed.
-
     Derived once here for the solvers: ``sq_norms`` (squared anchor norms),
-    ``toa_factor`` (the :class:`Factor` of the TOA system ``h[1:] - h[0]``;
-    None below the TOA anchor floor) and ``tdoa``, the :class:`PairList` of
-    each TDOA topology: ``tdoa-main`` pairs ``(0, j)`` for j = 1..N-1,
-    ``tdoa-ring`` pairs ``(j, j + 1)`` for j = 0..N-2 and the wraparound
-    ``(N - 1, 0)``.  The ``tdoa-main`` position block is the TOA system
-    negated, so it shares that
-    factor with ``V`` negated.  Construction raises ValueError only on the
-    anchors themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``,
-    closer than ``MIN_ANCHOR_SEPARATION``), never on geometry: a
-    rank-deficient system is recorded and reported at solve time.  The
-    checks and the squared norms run on Python floats; numpy only factors
-    the two system matrices.
+    ``toa_factor`` (the :class:`Factor` of the TOA system ``h[1:] - h[0]``),
+    ``tdoa``, the :class:`PairList` of each TDOA topology (``tdoa-main``
+    pairs ``(0, j)`` for j = 1..N-1, ``tdoa-ring`` pairs ``(j, j + 1)`` for
+    j = 0..N-2 and the wraparound ``(N - 1, 0)``), and ``unfixable``, the
+    reason for each topology under which the set gives no fix: fewer anchors
+    than its floor (4 for TOA, 5 for TDOA), or a position block of rank
+    below 3 or condition number above ``COND_CEILING``.  Such a topology's
+    factor is None; its solver, the run configuration and dataset ingest
+    all refuse with that one reason.  The ``tdoa-main`` position block is
+    the TOA system negated, so it shares TOA's verdict and factor (``V``
+    negated).  Construction raises ValueError only on the anchors
+    themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``, closer than
+    ``MIN_ANCHOR_SEPARATION``).  The checks and the squared norms run on
+    Python floats; numpy only factors the two system matrices.
     """
 
     anchors: np.ndarray
     sq_norms: list = field(init=False, repr=False, compare=False)
     toa_factor: Factor | None = field(init=False, repr=False, compare=False)
     tdoa: dict[str, PairList] = field(init=False, repr=False, compare=False)
+    unfixable: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.anchors, dtype=float)
@@ -164,23 +164,33 @@ class AnchorSet:
         n = len(rows)
         ids = np.arange(n)
         sq_norms = [x * x + y * y + z * z for x, y, z in rows]
-        toa = _factor(a[1:] - a[0]) if n >= anchor_floor("toa") else None
-        solvable = n >= anchor_floor("tdoa-main")
         ring_second = np.concatenate((ids[1:], ids[:1]))
+        factors, why = {}, {}
+        for topology in TOPOLOGIES:
+            if n < _FLOOR[topology]:
+                why[topology] = f"need at least {_FLOOR[topology]} anchors, got {n}"
+            elif topology == "tdoa-main" and "toa" in why:  # the TOA system negated: TOA's verdict
+                why[topology] = why["toa"]
+            elif topology == "tdoa-main":  # and TOA's factor, with V negated
+                factors[topology] = factors["toa"]._replace(v=[[-x for x in row] for row in factors["toa"].v])
+            else:
+                try:
+                    factors[topology] = _factor(a[1:] - a[0] if topology == "toa" else a - a[ring_second])
+                except GeometryDegenerate as err:
+                    why[topology] = str(err)
         tdoa = {
             "tdoa-main": PairList(
-                np.zeros(n - 1, dtype=int), ids[1:], sq_norms[:1] * (n - 1), sq_norms[1:],
-                toa._replace(v=[[-x for x in row] for row in toa.v]) if solvable else None,
+                np.zeros(n - 1, dtype=int), ids[1:], sq_norms[:1] * (n - 1), sq_norms[1:], factors.get("tdoa-main"),
             ),
             "tdoa-ring": PairList(
-                ids, ring_second, sq_norms, sq_norms[1:] + sq_norms[:1],
-                _factor(a - a[ring_second]) if solvable else None,
+                ids, ring_second, sq_norms, sq_norms[1:] + sq_norms[:1], factors.get("tdoa-ring"),
             ),
         }
         object.__setattr__(self, "anchors", a)
         object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "toa_factor", toa)
+        object.__setattr__(self, "toa_factor", factors.get("toa"))
         object.__setattr__(self, "tdoa", tdoa)
+        object.__setattr__(self, "unfixable", {t: f"anchors give no {t} fix: {w}" for t, w in why.items()})
 
     def __len__(self) -> int:
         return len(self.sq_norms)
@@ -224,24 +234,20 @@ def _range_block(p: np.ndarray, anchors: AnchorSet, topology: str) -> np.ndarray
     return d[..., pairs.second] - d[..., pairs.first]
 
 
-def anchor_floor(topology: str) -> int:
-    """Fewest anchors a solve needs under ``topology``.
-
-    4 for ``toa``; 5 for TDOA, whose systems carry the range to anchor 1 as
-    a fourth unknown.
-    """
-    return 4 if topology == "toa" else 5
-
-
 def _factor(a: np.ndarray) -> Factor:
-    """The :class:`Factor` of ``a``, from one ``numpy.linalg.svd``."""
+    """The :class:`Factor` of a position block ``a``, from one ``numpy.linalg.svd``.
+
+    GeometryDegenerate if its rank is below 3 or ``sqrt(fro2 inv2)`` above ``COND_CEILING``.
+    """
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    s, ut = s.tolist(), u.T.tolist()
+    s = s.tolist()
     tol = s[0] * max(a.shape) * _EPS
     rank = sum(x > tol for x in s)
-    for row in ut[rank:]:
-        row[:] = [0.0] * len(row)
-    return Factor(ut, s, vt.T.tolist(), rank, sum(x * x for x in s), sum(1.0 / (x * x) for x in s[:rank]))
+    if rank < 3:
+        raise GeometryDegenerate(f"system rank {rank} below 3 unknowns")
+    fro2, inv2 = sum(x * x for x in s), sum(1.0 / (x * x) for x in s)
+    _check_condition(math.sqrt(fro2 * inv2))
+    return Factor(u.T.tolist(), s, vt.T.tolist(), fro2, inv2)
 
 
 def _finite(values, last: float = 0.0):
@@ -258,12 +264,6 @@ def _finite(values, last: float = 0.0):
     return values
 
 
-def _check_rank(rank: int, unknowns: int) -> None:
-    """Raise GeometryDegenerate for a system of numeric rank ``rank`` below its ``unknowns``."""
-    if rank < unknowns:
-        raise GeometryDegenerate(f"system rank {rank} below {unknowns} unknowns")
-
-
 def _check_condition(cond: float) -> None:
     """Raise unless ``cond`` is at or below ``COND_CEILING``; ``not cond <= COND_CEILING`` also rejects NaN.
 
@@ -277,19 +277,9 @@ def _check_condition(cond: float) -> None:
 
 
 def _check_geometry(anchors: AnchorSet, topology: str) -> None:
-    """Raise GeometryDegenerate when no ranges give a fix on ``anchors`` under ``topology``.
-
-    The test is the constant part of each solve's: the position block's rank
-    (3 needed) and its condition number ``sqrt(fro2 inv2)``, which a TDOA
-    solve's never falls below (it adds nonnegative terms to both factors;
-    see the module notes).  The caller has checked the anchor floor.
-    """
-    f = anchors.toa_factor if topology == "toa" else anchors.tdoa[topology].factor
-    try:
-        _check_rank(f.rank, 3)
-        _check_condition(math.sqrt(f.fro2 * f.inv2))
-    except GeometryDegenerate as err:
-        raise GeometryDegenerate(f"anchors give no {topology} fix: {err}") from None
+    """Raise GeometryDegenerate with the anchor set's reason when no ranges give a fix on it under ``topology``."""
+    if topology in anchors.unfixable:
+        raise GeometryDegenerate(anchors.unfixable[topology])
 
 
 def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, float]:
@@ -306,24 +296,21 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
     system with rows ``(h_i - h_1) . p = (d_1^2 - d_i^2 + ||h_i||^2 -
     ||h_1||^2) / 2``.  The matrix of that system is the anchor set's, so
     its factorization (``anchors.toa_factor``) is reused and a solve only
-    forms the right-hand side.
+    forms the right-hand side; the anchor set has checked its rank and
+    condition number once.
 
     Raises
     ------
     GeometryDegenerate
-        If fewer than 4 anchors, rank-deficient geometry, or conditioning
-        above ``COND_CEILING``.
+        With the anchor set's ``unfixable`` reason.
     ValueError
         If the range count is not the anchor count, or the solve overflows.
     """
-    # the factor is None exactly below the anchor floor
     f, d, hn2 = anchors.toa_factor, ranges.values, anchors.sq_norms
     if f is None:
-        raise GeometryDegenerate(f"need at least {anchor_floor('toa')} anchors, got {len(hn2)}")
+        raise GeometryDegenerate(anchors.unfixable["toa"])
     if len(d) != len(hn2):
         raise ValueError("range count does not match anchor count")
-    _check_rank(f.rank, 3)
-    _check_condition(math.sqrt(f.fro2 * f.inv2))
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
     e0, h0 = d[0] * d[0], hn2[0]
     # an overflowed entry of b makes the solution non-finite, which _position rejects
@@ -350,19 +337,19 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]
     Raises
     ------
     GeometryDegenerate
-        If fewer than 5 anchors, rank deficiency, or conditioning above
-        ``COND_CEILING``.  The system has 4 unknowns; ``tdoa-main`` has
-        ``N - 1`` rows, and the ring rows sum to zero by telescoping, so the ring
-        system rank is at most ``N - 1`` too.
+        With the anchor set's ``unfixable`` reason, or if the system with
+        the measured column has rank below 4 or conditioning above
+        ``COND_CEILING``.  The system has 4 unknowns; ``tdoa-main`` has ``N
+        - 1`` rows, and the ring rows sum to zero by telescoping, so the
+        ring system rank is at most ``N - 1`` too.
     ValueError
         If the difference count does not match the anchor count, or the
         solve overflows.
     """
     topology, d = ranges.topology, ranges.values
     _, second, sq_first, sq_second, f = anchors.tdoa[topology]
-    # the factor is None exactly below the anchor floor
     if f is None:
-        raise GeometryDegenerate(f"need at least {anchor_floor(topology)} anchors, got {len(anchors)}")
+        raise GeometryDegenerate(anchors.unfixable[topology])
     if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
     # b, y = U0^T b, and z, r as projections of d = -c: they hold -z and -r, and the same beta^2
@@ -385,7 +372,8 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]
     _finite(b, beta2)
     fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
     tol = len(d) * _EPS
-    _check_rank(f.rank + (beta2 > fro2 * tol * tol), 4)
+    if not beta2 > fro2 * tol * tol:  # the block has rank 3: the measured column must add the fourth
+        raise GeometryDegenerate("system rank 3 below 4 unknowns")
     w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
     _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
     aux = -rb / beta2

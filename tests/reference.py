@@ -60,7 +60,7 @@ import numpy as np
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
 from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp, so3_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
-from uwbnav.uwb import GeometryDegenerate, Ranges, _range_block, solve_fix
+from uwbnav.uwb import AnchorSet, GeometryDegenerate, Ranges, _range_block, solve_fix
 
 
 class NotAntisymmetric(ValueError):
@@ -115,6 +115,13 @@ def toa_ranges(p, anchors):
 def tdoa_ranges(p, anchors, topology):
     """Noise-free range differences for the requested topology (ranges for ``toa``)."""
     return ranges_of(topology, _range_block(np.asarray(p, dtype=float), anchors, topology))
+
+
+def near_coplanar_anchors():
+    """Eight anchors on a circle whose heights differ by ~1e-9 m: full rank, condition number ~1e9-1e10."""
+    ang = np.arange(8) * np.pi / 4
+    z = 1.5 + 1e-9 * np.random.default_rng(0).standard_normal(8)
+    return AnchorSet(anchors=np.column_stack([4.0 * np.cos(ang), 4.0 * np.sin(ang), z]))
 
 
 def _skew(w):
@@ -472,6 +479,20 @@ def _svd_solve(a, b):
     return vt.T @ ((u.T @ b) / s)
 
 
+def _block_gate(topology, floor, n, block):
+    """The anchor set's verdict under ``topology``: ``n`` anchors against ``floor``, then the position block's gates.
+
+    Returns the block's fresh thin SVD; a refusal is the GeometryDegenerate
+    ``anchors give no <topology> fix: <why>``.
+    """
+    try:
+        if n < floor:
+            raise GeometryDegenerate(f"need at least {floor} anchors, got {n}")
+        return _svd_gate(block)
+    except GeometryDegenerate as err:
+        raise GeometryDegenerate(f"anchors give no {topology} fix: {err}") from None
+
+
 def toa_solve_per_call(anchors, ranges):
     """TOA fix position from a fresh thin SVD of the differenced system on every call.
 
@@ -481,12 +502,10 @@ def toa_solve_per_call(anchors, ranges):
     which compensates from Python 3.12 on), then ``V y``.
     """
     h, n = anchors.anchors, len(anchors)
-    if n < 4:
-        raise GeometryDegenerate(f"need at least 4 anchors, got {n}")
+    u, s, vt = _block_gate("toa", 4, n, h[1:] - h[0])
     d = np.array(ranges.values)
     hn2 = np.sum(h**2, axis=1)
     b = (0.5 * (d[0] * d[0] - d[1:] * d[1:] + hn2[1:] - hn2[0])).tolist()
-    u, s, vt = _svd_gate(h[1:] - h[0])
     y = []
     for col, sk in zip(u.T.tolist(), s.tolist()):
         acc = 0.0
@@ -505,12 +524,11 @@ def _tdoa_fix(x):
 def tdoa_solve_main_bs(anchors, ranges):
     """Main-base-station TDOA fix: rows ``(h_1 - h_i) . p - d_i1 dist_1 = (d_i1^2 + ||h_1||^2 - ||h_i||^2) / 2``.
 
-    Floor, count check and messages as ``uwb.tdoa_solve``; a fresh SVD of the
-    4-column system per call.
+    Floor, count check and messages as ``uwb.tdoa_solve``: the position
+    block's gates first, then a fresh SVD of the 4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)
-    if n < 5:
-        raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
+    _block_gate("tdoa-main", 5, n, h[1:] - h[0])  # the TOA system, this block negated: the verdict uwb takes
     diffs = np.array(ranges.values)
     if diffs.shape != (n - 1,):
         raise ValueError("difference count does not match anchor count")
@@ -527,16 +545,16 @@ def tdoa_solve_ring(anchors, ranges):
 
     ``c_j`` is the partial sum of the differences before pair j; the
     wraparound pair (N, 1) closes the ring.  Floor, count check and
-    messages as ``uwb.tdoa_solve``; a fresh SVD of the 4-column system per call.
+    messages as ``uwb.tdoa_solve``: the position block's gates first, then a
+    fresh SVD of the 4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)
-    if n < 5:
-        raise GeometryDegenerate(f"need at least 5 anchors, got {n}")
+    nxt = (np.arange(n) + 1) % n
+    _block_gate("tdoa-ring", 5, n, h - h[nxt])
     diffs = np.array(ranges.values)
     if diffs.shape != (n,):
         raise ValueError("difference count does not match anchor count")
     hn2 = np.sum(h**2, axis=1)
-    nxt = (np.arange(n) + 1) % n
     partial = np.concatenate([[0.0], np.cumsum(diffs[:-1])])
     a = np.zeros((n, 4))
     a[:, :3] = h - h[nxt]

@@ -300,6 +300,15 @@ class TestRunVerb:
         assert f"config error: anchors give no {topology} fix: system rank 2 below 3" in err
         assert not (tmp_path / "r").exists()
 
+    def test_sample_ceiling_names_filter_rate(self, tmp_path, capsys):
+        # a synthetic run samples its flight at filter_rate: the ceiling's refusal names that key, not rate
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("duration: 60\nfilter_rate: 1.0e6\n")
+        assert run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: filter_rate: duration * filter_rate gives 6e+07 samples, above the ceiling of 1e+07" in err
+        assert not (tmp_path / "r").exists()
+
     def test_ill_conditioned_toa_anchors_are_config_error(self, tmp_path, capsys):
         # a rank-3 set 1e-8 m off a plane: every TOA solve is above the condition ceiling
         cfg = tmp_path / "run.yaml"
@@ -349,7 +358,7 @@ class TestRunVerb:
         run_cfg = tmp_path / "replay.yaml"
         run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
-        assert "anchors.csv: tdoa-main needs at least 5 anchors, got 4" in capsys.readouterr().err
+        assert "anchors.csv: anchors give no tdoa-main fix: need at least 5 anchors, got 4" in capsys.readouterr().err
 
     def test_dataset_with_coincident_anchors_is_data_error(self, tmp_path, capsys):
         ds = tmp_path / "ds"

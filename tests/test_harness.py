@@ -30,12 +30,13 @@ from uwbnav.harness import (
 )
 from uwbnav.navfilter import step
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import TOPOLOGIES, AnchorSet
+from uwbnav.uwb import TOPOLOGIES, AnchorSet, GeometryDegenerate, solve_fix
 
 from reference import (
     imu_rows,
     imu_sample,
     measurement_blocks_whole,
+    near_coplanar_anchors,
     range_rows,
     synthesize_per_sample,
     tdoa_ranges,
@@ -150,6 +151,19 @@ class TestRunConfig:
         # every solve under this geometry fails its rank or condition test, whatever the ranges
         with pytest.raises(ConfigError, match=rf"^anchors give no {topology} fix: {match}"):
             RunConfig(topology=topology, anchors=anchors)
+
+    @pytest.mark.parametrize("clock", ["filter_rate", "rate"])
+    def test_sample_ceiling_names_the_clock_key(self, clock):
+        # a synthetic flight is sampled at filter_rate, which defaults to rate: the key the config set is named
+        message = rf"^{clock}: duration \* {clock} gives 6e\+07 samples, above the ceiling of 1e\+07$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(duration=60.0, **{clock: 1.0e6})
+        assert RunConfig(duration=10.0, **{clock: 1.0e6}).filter_rate == 1.0e6  # at the ceiling
+
+    def test_sample_ceiling_leaves_dataset_mode(self, tmp_path):
+        # a replay's length is its dataset's
+        cfg = RunConfig(mode="dataset", dataset_dir=str(tmp_path), duration=60.0, filter_rate=1.0e6)
+        assert cfg.duration * cfg.filter_rate > sim.MAX_SAMPLES
 
     def test_component_builders(self):
         cfg = RunConfig(k1=2.5, seed=9, sigma_m=0.3, g_vec=[0.0, 0.0, 9.8])
@@ -458,6 +472,15 @@ class TestMeasurementBlocks:
         with pytest.raises(ConfigError, match="tag_offset"):
             measurement_blocks(traj, default_anchors(), "toa", None, ReferenceEnvironment(), np.array([0, 0, 2e150]))
 
+    @pytest.mark.parametrize("lever", [None, REPLAY_LEVER], ids=["no-lever", "lever"])
+    def test_tag_beyond_anchor_limit_in_the_last_chunk(self, lever):
+        # each chunk checks its own tag positions: a far tag on the flight's last row alone is refused
+        traj = _traj(duration=2 * CHUNK / 50.0 + 0.1)
+        assert len(sim._chunks(len(traj))) == 3
+        traj.p[-1, 0] = 2e150
+        with pytest.raises(ConfigError, match=r"^the tag must stay within 1e\+150 of the origin, or its ranges overflow"):
+            measurement_blocks(traj, default_anchors(), "tdoa-main", NoiseSpec(seed=1), ReferenceEnvironment(), lever)
+
 
 def _bits(value) -> tuple:
     """A sample's fields, every float as its hex form, so a signed zero or a NaN counts."""
@@ -732,7 +755,7 @@ class TestDatasetRoundTrip:
         traj = _traj(duration=0.5, rate=50.0)
         imu, diffs = measurement_blocks(traj, four, "tdoa-main", None, ReferenceEnvironment())
         out = write_dataset(tmp_path / "ds", traj, four, "tdoa-main", imu, diffs)
-        with pytest.raises(SchemaError, match="anchors.csv: tdoa-main needs at least 5 anchors, got 4"):
+        with pytest.raises(SchemaError, match="anchors.csv: anchors give no tdoa-main fix: need at least 5 anchors, got 4"):
             ingest_dataset(out, 50.0, topology="tdoa-main")
 
     @pytest.mark.parametrize("topology", TOPOLOGIES[1:])
@@ -918,6 +941,44 @@ class TestDatasetRoundTrip:
         (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="anchor pairs at t=0 do not match"):
             ingest_dataset(out, 50.0)
+
+
+# anchor sets that give no fix under some topology: below a floor, rank deficient, or ill-conditioned
+UNFIXABLE = {
+    "three": default_anchors().anchors[:3],
+    "four": default_anchors().anchors[[0, 1, 2, 4]],
+    "collinear": np.array([[float(k), 0.0, 0.0] for k in range(5)]),
+    "coplanar": np.array(PLANAR_ANCHORS),
+    "near-coplanar": near_coplanar_anchors().anchors,
+}
+
+
+@pytest.mark.parametrize(
+    "topology,case", [(t, c) for t in TOPOLOGIES for c in UNFIXABLE if (t, c) != ("toa", "four")]
+)
+def test_config_ingest_and_solve_give_one_reason(tmp_path, topology, case):
+    # the anchor set's one verdict: a solve raises its reason, the config
+    # refuses with it (exit 2) and a replayed anchors.csv with it (exit 3)
+    points = UNFIXABLE[case]
+    anchors = AnchorSet(anchors=points)
+    with pytest.raises(GeometryDegenerate) as solved:
+        solve_fix(anchors, tdoa_ranges(np.array([0.3, -0.2, 1.1]), anchors, topology))
+    reason = str(solved.value)
+    assert reason.startswith(f"anchors give no {topology} fix: ")
+    with pytest.raises(ConfigError) as configured:
+        RunConfig(topology=topology, anchors=points, out=str(tmp_path / "run"))
+    assert str(configured.value) == reason
+    if topology == "toa":  # the dataset layout carries TDOA rows only
+        return
+    traj = _traj(duration=0.5)
+    ring = default_anchors()
+    out = write_dataset(tmp_path / "ds", traj, ring, topology, *measurement_blocks(
+        traj, ring, topology, None, ReferenceEnvironment()))
+    (out / "anchors.csv").write_text("id,x,y,z\n" + "".join(
+        f"{k},{x!r},{y!r},{z!r}\n" for k, (x, y, z) in enumerate(points.tolist(), 1)))
+    with pytest.raises(SchemaError) as ingested:
+        ingest_dataset(out, 50.0, topology)
+    assert str(ingested.value) == f"anchors.csv: {reason}"
 
 
 class TestRunExperiment:

@@ -45,7 +45,7 @@ PER_STEP = {
     "attitude": ("_unit", "build_triads"),
     "liegroup": ("cross3", "_rodrigues_coefficients", "se23_exp", "_quat_rot_rows", "quat_turn"),
     "uwb": (
-        "_finite", "_check_rank", "_check_condition", "_position",
+        "_finite", "_check_condition", "_position",
         "toa_solve", "tdoa_solve", "solve_fix",
     ),
 }

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reference import ranges_of, tdoa_ranges, tdoa_solve_main_bs, tdoa_solve_ring, toa_ranges, toa_solve_per_call
+from reference import (
+    near_coplanar_anchors,
+    ranges_of,
+    tdoa_ranges,
+    tdoa_solve_main_bs,
+    tdoa_solve_ring,
+    toa_ranges,
+    toa_solve_per_call,
+)
 from uwbnav import uwb
 
 
@@ -17,13 +25,6 @@ def box_anchors(scale=4.0, jitter=None):
     if jitter is not None:
         a = a + jitter
     return uwb.AnchorSet(anchors=a)
-
-
-def near_coplanar_anchors():
-    """Eight anchors on a circle whose heights differ by ~1e-9 m: full rank, condition number ~1e9-1e10."""
-    ang = np.arange(8) * np.pi / 4
-    z = 1.5 + 1e-9 * np.random.default_rng(0).standard_normal(8)
-    return uwb.AnchorSet(anchors=np.column_stack([4.0 * np.cos(ang), 4.0 * np.sin(ang), z]))
 
 
 def frobenius_condition(a):
@@ -71,7 +72,7 @@ class TestOverflowingAnchors:
         factors = [anchors.toa_factor] + [pairs.factor for pairs in anchors.tdoa.values()]
         values = anchors.sq_norms + [x for f in factors for x in (*f.s, f.fro2, f.inv2)]
         assert np.all(np.isfinite(values))
-        assert [f.rank for f in factors] == [3, 3, 3]
+        assert anchors.unfixable == {}  # every stored factor has full rank
 
 
 class TestForwardRanges:
@@ -213,9 +214,9 @@ class TestFactoredToaSolve:
     @pytest.mark.parametrize(
         "points, message",
         [
-            ([[float(i), 0.0, 0.0] for i in range(5)], "system rank 1 below 3 unknowns"),
-            ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], "need at least 4 anchors, got 3"),
-            (near_coplanar_anchors().anchors, "condition number 1.09e+10 above ceiling 1e+08"),
+            ([[float(i), 0.0, 0.0] for i in range(5)], "anchors give no toa fix: system rank 1 below 3 unknowns"),
+            ([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]], "anchors give no toa fix: need at least 4 anchors, got 3"),
+            (near_coplanar_anchors().anchors, "anchors give no toa fix: condition number 1.09e+10 above ceiling 1e+08"),
         ],
         ids=["collinear", "too-few", "ceiling"],
     )
@@ -233,7 +234,8 @@ class TestPairListSolve:
     # messages) and to round-off in value: counts start below the anchor
     # floor, and of every four sets one puts the tag on anchor 1 (a negative
     # least-squares range to it for some draws), one is coplanar (rank
-    # deficient) and one near-coplanar (condition gate)
+    # deficient) and one near-coplanar (condition gate); the floor, rank
+    # and condition refusals are the anchor set's, made on the position block
 
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
     def test_matches_dedicated_solvers(self, rng, topology):
@@ -252,7 +254,7 @@ class TestPairListSolve:
             obs = ranges_of(topology, clean + rng.normal(0.0, 0.05, clean.shape))
             ref = _outcome(oracle, anchors, obs)
             _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref, anchors, obs)
-            seen.add(ref.split(" ")[0] if isinstance(ref, str) else "fix")
+            seen.add(ref.split(": ")[-1].split(" ")[0] if isinstance(ref, str) else "fix")
         assert seen == {"fix", "need", "system", "condition"}
 
 
@@ -281,15 +283,17 @@ class TestFrobeniusCondition:
 
     @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
     def test_matches_pseudo_inverse(self, monkeypatch, rng, topology):
+        # the anchor set reads the ceiling when it is built: a TOA refusal is its verdict
+        verdict = "anchors give no toa fix: " if topology == "toa" else ""
         for _ in range(50):
             anchors = box_anchors(jitter=rng.normal(0.0, 0.5, (8, 3)))
             obs = _noisy_obs(anchors, topology, rng.uniform(-3.0, 3.0, 3), rng)
             kappa = frobenius_condition(_system(anchors, obs))
             monkeypatch.setattr(uwb, "COND_CEILING", kappa * (1.0 + 1e-9))
-            assert isinstance(_outcome(uwb.solve_fix, anchors, obs), np.ndarray)
+            assert isinstance(_outcome(uwb.solve_fix, uwb.AnchorSet(anchors=anchors.anchors), obs), np.ndarray)
             monkeypatch.setattr(uwb, "COND_CEILING", kappa * (1.0 - 1e-9))
-            with pytest.raises(uwb.GeometryDegenerate, match=r"^condition number .* above ceiling"):
-                uwb.solve_fix(anchors, obs)
+            with pytest.raises(uwb.GeometryDegenerate, match=rf"^{verdict}condition number .* above ceiling"):
+                uwb.solve_fix(uwb.AnchorSet(anchors=anchors.anchors), obs)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(5, 11), st.sampled_from(["toa", "tdoa-main", "tdoa-ring"]))
@@ -305,12 +309,13 @@ class TestFrobeniusCondition:
             return
         a = _system(anchors, obs)
         kappa_2 = np.linalg.cond(a)
+        # the anchor set reads the ceiling when it is built, so each is built under its patch
         with mock.patch.object(uwb, "COND_CEILING", a.shape[1] * kappa_2 * (1.0 + 1e-12)):
-            uwb.solve_fix(anchors, obs)
+            uwb.solve_fix(uwb.AnchorSet(anchors=anchors.anchors), obs)
         with mock.patch.object(uwb, "COND_CEILING", kappa_2 * (1.0 - 1e-12)), pytest.raises(
             uwb.GeometryDegenerate, match="above ceiling"
         ):
-            uwb.solve_fix(anchors, obs)
+            uwb.solve_fix(uwb.AnchorSet(anchors=anchors.anchors), obs)
 
 
 class TestTdoaSolvers:
@@ -406,14 +411,16 @@ class TestTdoaSolvers:
 
 @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
 def test_solvers_enforce_anchor_floor(topology):
-    # every solver rejects one anchor below anchor_floor, the floor the
-    # run configuration checks
-    floor = uwb.anchor_floor(topology)
+    # every solver rejects one anchor below the anchor set's floor, with the
+    # reason the run configuration and ingest refuse it with
+    floor = uwb._FLOOR[topology]
     assert floor == (4 if topology == "toa" else 5)
     few = uwb.AnchorSet(anchors=box_anchors().anchors[: floor - 1])
     p = np.array([0.3, -0.2, 1.1])
     obs = tdoa_ranges(p, few, topology)
-    with pytest.raises(uwb.GeometryDegenerate, match=f"need at least {floor} anchors, got {floor - 1}"):
+    reason = f"anchors give no {topology} fix: need at least {floor} anchors, got {floor - 1}"
+    assert few.unfixable[topology] == reason
+    with pytest.raises(uwb.GeometryDegenerate, match=f"^{reason}$"):
         uwb.solve_fix(few, obs)
 
 
