@@ -9,7 +9,9 @@ metrics plus a run summary.
 
 All numeric output is formatted with repr-round-trip precision and a
 fixed column order, so runs with identical seeds produce byte-identical
-files.
+files.  The CSV files of one artifact set (a dataset's time series, a
+run's truth, estimates and metrics) are written in one chunked pass, a
+value they share formatted once per row (:func:`_write_set`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import gc
 import json
 import struct
 from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -267,7 +269,11 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         # libyaml scans and parses where PyYAML has it; PyYAML's own constructor and resolver build the values
-        loaded = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        try:
+            text = path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{path}: {_not_utf8(err)}") from err
+        loaded = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
@@ -384,44 +390,56 @@ def synthesize_measurements(
     return _Rows(imu, _imu_sample), _Rows(ranges, partial(Ranges, topology))
 
 
-def _write_lines(path: Path, header: list[str], line: str, n: int, values) -> None:
-    """Header line, then ``n`` rows of the ``%`` template ``line``, ``values(chunk)`` giving a chunk of rows' values.
+_TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
+_IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
+# line templates of a set's files: %s takes a value's text formatted once for every file that shares it
+_TRUTH_LINE = "%s" + ",%.17g" * 7 + "\n"
 
-    The chunks are :func:`sim._chunks`' (``_CHUNK_ROWS`` rows), so a writer
-    holds one chunk's text and values, not a file's.
+
+def _lines(line: str, block: np.ndarray, texts: dict[int, list[bytes]]) -> bytes:
+    """The ``%`` template ``line`` over each row of the ``(m, c)`` array ``block``, column ``j`` as ``texts[j]``.
+
+    The template is applied as bytes, which format a number as text does, a little faster and with no encoding copy.
     """
-    with path.open("w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    values = block.ravel().tolist()
+    for j, text in texts.items():
+        values[j :: block.shape[1]] = text
+    return line.encode() * len(block) % tuple(values)
+
+
+def _texts(block: np.ndarray) -> list[bytes]:
+    """Each row of the ``(m, c)`` array ``block`` as its comma-separated ``%.17g`` text, formatted once."""
+    return _lines(",".join(["%.17g"] * block.shape[1]) + "\n", block, {}).split()
+
+
+def _write_set(heads: dict[Path, str], n: int, texts) -> None:
+    """Write CSV files in one pass over the :func:`sim._chunks` of their ``n`` rows, all open at once.
+
+    ``heads`` maps each path to its head (header line, and any row ahead of
+    the chunks); ``texts(chunk)`` yields each file's bytes for the chunk's
+    rows in turn (:func:`_lines`), so one file's values are held at a time.
+    ``%.17g`` formats as ``format(x, ".17g")``, repr-round-trip precision;
+    a value the files share is formatted once (:func:`_texts`) and filled
+    in as text.  The writer holds one chunk's values and text, not a file's.
+    """
+    with ExitStack() as stack:
+        handles = [stack.enter_context(path.open("wb")) for path in heads]
+        for fh, head in zip(handles, heads.values()):
+            fh.write(head.encode())
         for chunk in _chunks(n):
-            fh.write(line * (chunk.stop - chunk.start) % values(chunk))
-
-
-def _write_rows(path: Path, header: list[str], n: int, build, row: str | None = None) -> None:
-    """Header line, then one line per row of an ``n``-row table, ``build(chunk)`` giving a chunk's rows as an array.
-
-    Each line comes from the ``%`` template ``row``, which defaults to
-    ``%.17g`` for every column: it formats exactly as ``format(x, ".17g")``,
-    repr-round-trip precision.  A chunk's ``(m, len(header))`` array is read
-    row-major, so the file holds the bytes of one template over the whole
-    table while the writer's memory does not grow with its length.
-    """
-    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
-    _write_lines(path, header, line, n, lambda chunk: tuple(build(chunk).ravel().tolist()))
+            for fh, text in zip(handles, texts(chunk)):
+                fh.write(text)
 
 
 def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
-    """Header line, then one line per row of the array ``block`` through :func:`_write_rows`."""
-    _write_rows(path, header, len(block), block.__getitem__, row)
+    """Header line, then a line per row of ``block`` by the template ``row`` (``%.17g`` per column by default)."""
+    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
+    _write_set({path: ",".join(header) + "\n"}, len(block), lambda chunk: [_lines(line, block[chunk], {})])
 
 
-_TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
-_IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
-
-
-def _write_truth(path: Path, traj: TruthTrajectory) -> None:
-    """``truth.csv`` of ``traj``: each chunk's quaternions are converted as its rows are written."""
-    _write_rows(path, _TRUTH_HEADER, len(traj),
-                lambda chunk: np.column_stack([traj.t[chunk], traj.p[chunk], rot_to_quat(traj.rot[chunk])]))
+def _truth_rows(traj: TruthTrajectory, chunk: slice) -> np.ndarray:
+    """Rows ``chunk`` of ``traj``'s ``truth.csv`` as an ``(m, 8)`` array, its quaternions converted per chunk."""
+    return np.column_stack([traj.t[chunk], traj.p[chunk], rot_to_quat(traj.rot[chunk])])
 
 
 def write_dataset(
@@ -435,6 +453,8 @@ def write_dataset(
     ``tdoa.csv``: t, i, j, d with d = dist(anchor j) - dist(anchor i); one
     row per entry of the ``(n, k)`` block ``diffs``, ``(i, j)`` the 1-based
     pairs of the ``topology``'s anchor-pair list (``AnchorSet.tdoa``).
+    The three time-series files are one set (:func:`_write_set`): each
+    sample's timestamp is formatted once for all three.
     """
     if topology not in anchors.tdoa:
         raise SchemaError(f"dataset export requires a tdoa topology, got {topology!r}")
@@ -444,23 +464,21 @@ def write_dataset(
         raise SchemaError(f"dataset export needs an ({n}, 9) IMU block and an ({n}, {k}) range block")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_truth(out / "truth.csv", traj)
-    _write_rows(out / "imu.csv", _IMU_HEADER, n, lambda chunk: np.column_stack([traj.t[chunk], imu[chunk]]))
-    ids = np.arange(1, len(anchors) + 1)
-    _write_csv(out / "anchors.csv", ["id", "x", "y", "z"], np.column_stack([ids, anchors.anchors]),
-               "%d,%.17g,%.17g,%.17g")
-    # one line template per tick with the pair ids as literal text: each row
-    # formats only its difference and its tick's timestamp, formatted once per tick
+    _write_csv(out / "anchors.csv", ["id", "x", "y", "z"],
+               np.column_stack([np.arange(1, len(anchors) + 1), anchors.anchors]), "%d,%.17g,%.17g,%.17g")
+    # tdoa.csv's template is one tick's k lines, the pair ids literal text
     tick = "".join(f"%s,{i},{j},%.17g\n" for i, j in zip(pair_list.first + 1, pair_list.second + 1))
 
-    def tick_values(chunk: slice) -> tuple:
-        t_text = ("%.17g\n" * (chunk.stop - chunk.start) % tuple(traj.t[chunk].tolist())).split()
-        values = [None] * (2 * len(t_text) * k)
-        values[0::2] = [text for text in t_text for _ in range(k)]
-        values[1::2] = diffs[chunk].ravel().tolist()
-        return tuple(values)
+    def texts(chunk: slice):
+        t_text = _texts(traj.t[chunk, None])
+        yield _lines(_TRUTH_LINE, _truth_rows(traj, chunk), {0: t_text})
+        yield _lines("%s" + ",%.17g" * 9 + "\n", np.column_stack([traj.t[chunk], imu[chunk]]), {0: t_text})
+        ticks = np.zeros((len(t_text), 2 * k))
+        ticks[:, 1::2] = diffs[chunk]
+        yield _lines(tick, ticks, dict.fromkeys(range(0, 2 * k, 2), t_text))
 
-    _write_lines(out / "tdoa.csv", ["t", "i", "j", "d"], tick, n, tick_values)
+    _write_set({out / "truth.csv": ",".join(_TRUTH_HEADER) + "\n", out / "imu.csv": ",".join(_IMU_HEADER) + "\n",
+                out / "tdoa.csv": "t,i,j,d\n"}, n, texts)
     return out
 
 
@@ -476,21 +494,23 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     """
     if not path.exists():
         raise SchemaError(f"missing dataset file: {path.name}")
-    with path.open() as fh:
-        header = fh.readline().strip().split(",")
-        if header != columns:
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
-            raise SchemaError(f"{path.name}: expected columns {columns}, got {header}")
-        start = fh.tell()
-        if not any(line.strip() for line in fh):
-            return np.empty((0, len(columns)))
-        fh.seek(start)
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or err}") from err
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            empty = not any(line.strip() for line in fh)
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path.name}: {_bad_cell(path, columns)}") from err
+    if header != columns:
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise SchemaError(f"{path.name}: missing column {missing[0]!r}")
+        raise SchemaError(f"{path.name}: expected columns {columns}, got {header}")
+    if empty:
+        return np.empty((0, len(columns)))
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+    except ValueError as err:  # a UnicodeDecodeError among them
+        raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or err}") from err
     if data.shape[1] != len(columns):
         raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or 'ragged rows'}")
     bad = ~np.isfinite(data)
@@ -524,10 +544,19 @@ def _read_truth(path: Path) -> np.ndarray:
     return truth
 
 
+def _not_utf8(err: UnicodeDecodeError) -> str:
+    """Where a whole file's bytes ``err.object`` stop being UTF-8 text: the byte and its line."""
+    line = err.object.count(b"\n", 0, err.start) + 1
+    return f"byte 0x{err.object[err.start]:02x} is not UTF-8 text (line {line})"
+
+
 def _bad_cell(path: Path, columns: list[str]) -> str | None:
-    """The first non-numeric cell or wrong-length row of a CSV table, by column and data row."""
-    with path.open() as fh:
-        rows = [line for line in fh.read().splitlines()[1:] if line.strip()]
+    """The first byte that is not UTF-8 text, else the first non-numeric cell or wrong-length row of a CSV table."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as err:
+        return _not_utf8(err)
+    rows = [line for line in text.splitlines()[1:] if line.strip()]
     for k, line in enumerate(rows, 1):
         cells = line.split(",")
         for name, cell in zip(columns, cells):
@@ -650,13 +679,24 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
-def _metrics_block(t, r_true, p_true, v_true, r_est, p_est, v_est, sigma, e_r, py_residual) -> np.ndarray:
-    """Rows of ``metrics.csv`` from row-aligned truth and estimate blocks, range-checked."""
-    att = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
-    with np.errstate(over="ignore"):  # a norm that overflows fails the check below
-        pos, vel, sigma_norm = _norms(p_true - p_est), _norms(v_true - v_est), _norms(sigma)
-    _check_metrics(att, pos, vel, sigma_norm)
-    return np.column_stack([t, att, pos, vel, sigma_norm, e_r, py_residual])
+def _error_columns(n: int, pairs) -> np.ndarray:
+    """``(4, n)`` att_err, pos_err, vel_err and sigma_norm, filled a chunk at a time, then range-checked.
+
+    ``pairs(chunk)`` gives the chunk's true and estimated rotations, positions and velocities, then sigma_hat.
+    """
+    errors = np.empty((4, n))
+    for chunk in _chunks(n):
+        r_true, p_true, v_true, r_est, p_est, v_est, sigma = pairs(chunk)
+        errors[0, chunk] = attitude_distance(r_true @ r_est.transpose(0, 2, 1))
+        with np.errstate(over="ignore"):  # a norm that overflows fails the check below
+            errors[1:, chunk] = _norms(p_true - p_est), _norms(v_true - v_est), _norms(sigma)
+    _check_metrics(*errors)
+    return errors
+
+
+def _estimated_rot(att: np.ndarray) -> np.ndarray:
+    """Rotations of history attitude rows: 9 rotation-row entries, or 4 quaternion components."""
+    return att.reshape(-1, 3, 3) if att.shape[1] == 9 else quat_to_rot(att)
 
 
 _ESTIMATE_HEADER = [
@@ -664,6 +704,32 @@ _ESTIMATE_HEADER = [
     "qw", "qx", "qy", "qz", "s1", "s2", "s3", "e_r", "py_residual", "dropout",
 ]
 _METRICS_HEADER = ["t", "att_err", "pos_err", "vel_err", "sigma_norm", "e_r", "py_residual"]
+
+
+def _write_run(out: Path, traj: TruthTrajectory, history: np.ndarray, errors: np.ndarray) -> None:
+    """A run's ``truth.csv``, ``estimates.csv`` and ``metrics.csv`` from its step block and :func:`_error_columns`.
+
+    Truth row ``i + 1`` is step ``i``'s: a step's time is formatted once for the three files (truth row 0
+    goes in with the header), and its ``e_r`` and ``py_residual`` once for the last two.
+    """
+    n, k = len(history), history.shape[1] - 12
+    t = traj.t[1:]
+
+    def texts(chunk: slice):
+        t_text, e_text = _texts(t[chunk, None]), _texts(history[chunk, -3:-1])
+        yield _lines(_TRUTH_LINE, _truth_rows(traj, slice(chunk.start + 1, chunk.stop + 1)), {0: t_text})
+        block = history[chunk]
+        # p_hat, v_hat, quaternion, sigma_hat, then e_r in the place of e_r's and py_residual's text, dropout
+        estimates = np.column_stack([t[chunk], block[:, k : k + 6], rot_to_quat(_estimated_rot(block[:, :k])),
+                                     block[:, k + 6 : k + 10], block[:, -1]])
+        yield _lines("%s" + ",%.17g" * 13 + ",%s,%d\n", estimates, {0: t_text, 14: e_text})
+        metrics = np.column_stack([t[chunk], errors[:, chunk].T, block[:, -3]])
+        yield _lines("%s" + ",%.17g" * 4 + ",%s\n", metrics, {0: t_text, 5: e_text})
+
+    first = _lines(_TRUTH_LINE, _truth_rows(traj, slice(0, 1)), {0: _texts(traj.t[:1, None])})
+    _write_set({out / "truth.csv": ",".join(_TRUTH_HEADER) + "\n" + first.decode(),
+                out / "estimates.csv": ",".join(_ESTIMATE_HEADER) + "\n",
+                out / "metrics.csv": ",".join(_METRICS_HEADER) + "\n"}, n, texts)
 
 
 @contextmanager
@@ -723,45 +789,29 @@ def run_experiment(cfg: RunConfig) -> dict:
         att = state.attitude
         pack(view, i * row_bytes, *(att[0] + att[1] + att[2] if k == 9 else att), *state.p_hat, *state.v_hat,
              *state.sigma_hat, diag.e_r, diag.innovation_norm, diag.dropout)
-    att, p_hat, v_hat, sigma_hat = np.hsplit(history[:, :-3], [k, k + 3, k + 6])
-    e_r, residual, dropout = history[:, -3:].T
-    dropouts = int(dropout.sum())
+    dropouts = int(history[:, -1].sum())
     if dropouts == n:
         raise NumericalFailure("every step dropped its measurement")
 
-    t = traj.t[1:]
-    rot = att.reshape(n, 3, 3) if k == 9 else quat_to_rot(att)
+    truth = traj.rot[1:], traj.p[1:], traj.v[1:]  # row i + 1 is step i's
     try:
-        metrics = _metrics_block(t, traj.rot[1:], traj.p[1:], traj.v[1:], rot, p_hat, v_hat, sigma_hat, e_r, residual)
+        errors = _error_columns(n, lambda c: (*(x[c] for x in truth), _estimated_rot(history[c, :k]),
+                                             *np.hsplit(history[c, k : k + 9], 3)))
     except ValueError as err:
         raise NumericalFailure(f"metrics: {err}") from err
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_truth(out / "truth.csv", traj)
-    estimates = np.column_stack([
-        t, p_hat, v_hat, rot_to_quat(rot), sigma_hat, e_r, residual, dropout,
-    ])
-    _write_csv(out / "estimates.csv", _ESTIMATE_HEADER, estimates, ",".join(["%.17g"] * 16 + ["%d"]))
-    _write_csv(out / "metrics.csv", _METRICS_HEADER, metrics)
+    _write_run(out, traj, history, errors)
 
-    att, pos, vel = metrics[:, 1], metrics[:, 2], metrics[:, 3]
-    tail = slice(n // 2, None)
-    below = np.flatnonzero(pos <= 0.3)
+    tail, below = slice(n // 2, None), np.flatnonzero(errors[1] <= 0.3)
+    names = ("att_err", "pos_err", "vel_err")  # errors' first three rows
     summary = {
         "steps": n,
         "dropouts": dropouts,
-        "final": {
-            "att_err": float(att[-1]),
-            "pos_err": float(pos[-1]),
-            "vel_err": float(vel[-1]),
-        },
-        "steady_state_median": {
-            "att_err": float(np.median(att[tail])),
-            "pos_err": float(np.median(pos[tail])),
-            "vel_err": float(np.median(vel[tail])),
-        },
-        "time_to_pos_below_0.3": float(t[below[0]]) if below.size else None,
+        "final": dict(zip(names, errors[:3, -1].tolist())),
+        "steady_state_median": {name: float(np.median(x[tail])) for name, x in zip(names, errors)},
+        "time_to_pos_below_0.3": float(traj.t[1 + below[0]]) if below.size else None,
         "seed": cfg.seed,
         "topology": cfg.topology,
         "variant": cfg.variant,
@@ -821,12 +871,12 @@ def recompute_metrics(estimates_path: str | Path, truth_path: str | Path, out_pa
     if far.any():
         raise ClockError(f"no truth sample near t={t[np.argmax(far)]:.6g}")
     try:
-        metrics = _metrics_block(
-            t, quat_to_rot(truth[i, 4:8]), truth[i, 1:4], v_truth[i], quat_to_rot(est[:, 7:11]),
-            est[:, 1:4], est[:, 4:7], est[:, 11:14], est[:, 14], est[:, 15],
-        )
+        errors = _error_columns(len(est), lambda c: (
+            quat_to_rot(truth[i[c], 4:8]), truth[i[c], 1:4], v_truth[i[c]], quat_to_rot(est[c, 7:11]),
+            est[c, 1:4], est[c, 4:7], est[c, 11:14],
+        ))
     except ValueError as err:
         raise SchemaError(f"{est_path.name} against {Path(truth_path).name}: {err}") from err
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(out, _METRICS_HEADER, metrics)
-    return len(metrics)
+    _write_csv(out, _METRICS_HEADER, np.column_stack([t, errors.T, est[:, 14:16]]))
+    return len(est)

@@ -29,9 +29,12 @@ writer: one line per per-sample value, each number formatted on its own;
 the package's writer, which formats blocks of rows, must write the same
 bytes.  ``write_csv_whole`` is the CSV writer that formats a whole block
 through one ``%`` template; the package's writer, which formats a fixed
-number of rows at a time, must write the same bytes.  ``flight_whole`` and
-``measurement_blocks_whole`` are likewise the flight profiles and the
-measurement synthesis evaluated over a whole flight at once, one
+number of rows at a time, must write the same bytes.  ``write_dataset_whole``
+and ``write_run_whole`` write a dataset's and a run's CSVs in that form,
+every file on its own: the package's, which write each set in one pass and
+format a value that several files share once, must write the same bytes.
+``flight_whole`` and ``measurement_blocks_whole`` are likewise the flight
+profiles and the measurement synthesis evaluated over a whole flight at once, one
 ``(n, 9 + k)`` noise draw included; the package's, which run a fixed
 number of rows at a time into preallocated arrays, must give the same
 bits.  ``toa_solve_per_call`` is likewise the TOA solve that factors its
@@ -58,7 +61,7 @@ from pathlib import Path
 import numpy as np
 
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
-from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, se23_exp, so3_exp
+from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, quat_to_rot, rot_to_quat, se23_exp, so3_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
 from uwbnav.uwb import AnchorSet, GeometryDegenerate, Ranges, _range_block, solve_fix
 
@@ -341,17 +344,13 @@ def write_dataset_rows(out_dir, traj, anchors, imu_stream, range_stream):
     write("truth.csv", "t px py pz qw qx qy qz".split(), [[t, *p, *q] for t, p, q in zip(traj.t, traj.p, quats)])
     write("imu.csv", "t wx wy wz ax ay az mx my mz".split(),
           [[t, *s.omega_m, *s.a_m, *s.m_m] for t, s in zip(traj.t, imu_stream)])
-    n = len(anchors)
     (out / "anchors.csv").write_text(
         "id,x,y,z\n" + "".join(f"{k + 1}," + ",".join(format(x, ".17g") for x in a) + "\n"
                                for k, a in enumerate(anchors.anchors))
     )
     lines = ["t,i,j,d"]
     for t, obs in zip(traj.t, range_stream):
-        if obs.topology == "tdoa-main":
-            pairs = [(1, k + 2) for k in range(n - 1)]
-        else:
-            pairs = [(k + 1, k + 2) for k in range(n - 1)] + [(n, 1)]
+        pairs = documented_pairs(obs.topology, len(anchors))
         lines += [f"{format(t, '.17g')},{i},{j},{format(d, '.17g')}" for (i, j), d in zip(pairs, obs.values)]
     (out / "tdoa.csv").write_text("\n".join(lines) + "\n")
     return out
@@ -363,6 +362,56 @@ def write_csv_whole(path, header, block, row=None):
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write((line * len(block)) % tuple(block.ravel().tolist()))
+
+
+def documented_pairs(topology, n):
+    """The 1-based ``(i, j)`` anchor pairs of a TDOA topology over ``n`` anchors, in its documented order."""
+    if topology == "tdoa-main":
+        return [(1, k + 2) for k in range(n - 1)]
+    return [(k + 1, k + 2) for k in range(n - 1)] + [(n, 1)]
+
+
+TRUTH_HEADER = "t px py pz qw qx qy qz".split()
+
+
+def write_dataset_whole(out_dir, traj, anchors, topology, imu, diffs):
+    """The four dataset CSVs from the ``(n, 9)`` IMU and ``(n, k)`` range blocks, each by ``write_csv_whole``.
+
+    tdoa.csv is one ``%.17g,%d,%d,%.17g`` line per range difference, its
+    timestamp formatted again on each of its tick's lines.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv_whole(out / "truth.csv", TRUTH_HEADER, np.column_stack([traj.t, traj.p, rot_to_quat(traj.rot)]))
+    write_csv_whole(out / "imu.csv", "t wx wy wz ax ay az mx my mz".split(), np.column_stack([traj.t, imu]))
+    write_csv_whole(out / "anchors.csv", ["id", "x", "y", "z"],
+                    np.column_stack([np.arange(1, len(anchors) + 1), anchors.anchors]), "%d,%.17g,%.17g,%.17g")
+    n, k = diffs.shape
+    pairs = np.tile(documented_pairs(topology, len(anchors)), (n, 1))
+    write_csv_whole(out / "tdoa.csv", ["t", "i", "j", "d"],
+                    np.column_stack([np.repeat(traj.t, k), pairs, diffs.ravel()]), "%.17g,%d,%d,%.17g")
+
+
+def write_run_whole(out_dir, traj, history, errors):
+    """A run's truth, estimates and metrics CSVs, each by ``write_csv_whole``.
+
+    ``history`` is the run's ``(n, k + 12)`` step block (k = 9 rotation-row
+    entries or 4 quaternion components, then p_hat, v_hat, sigma_hat, e_r,
+    py_residual and dropout) and ``errors`` its ``(4, n)`` att_err,
+    pos_err, vel_err and sigma_norm columns; step ``i`` is truth row ``i + 1``.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    k = history.shape[1] - 12
+    att, p, v, sigma, e_r, residual, dropout = np.hsplit(history, [k, k + 3, k + 6, k + 9, k + 10, k + 11])
+    rot = att.reshape(-1, 3, 3) if k == 9 else quat_to_rot(att)
+    t = traj.t[1:]
+    write_csv_whole(out / "truth.csv", TRUTH_HEADER, np.column_stack([traj.t, traj.p, rot_to_quat(traj.rot)]))
+    write_csv_whole(out / "estimates.csv", "t px py pz vx vy vz qw qx qy qz s1 s2 s3 e_r py_residual dropout".split(),
+                    np.column_stack([t, p, v, rot_to_quat(rot), sigma, e_r, residual, dropout]),
+                    ",".join(["%.17g"] * 16 + ["%d"]))
+    write_csv_whole(out / "metrics.csv", "t att_err pos_err vel_err sigma_norm e_r py_residual".split(),
+                    np.column_stack([t, errors.T, e_r, residual]))
 
 
 def flight_whole(kind, t, g, p0, **params):

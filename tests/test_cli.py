@@ -387,6 +387,35 @@ class TestRunVerb:
         assert "anchors.csv: anchors give no tdoa-ring fix: system rank 2 below 3" in err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("verb", ["run", "simulate"])
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys, verb):
+        # once a UnicodeDecodeError traceback (exit 1) out of the config file's read
+        cfg = tmp_path / "run.yaml"
+        cfg.write_bytes(b"duration: 1.0\n# caf\xe9\ntopology: tdoa-main\n")
+        assert run_cli(verb, "--config", str(cfg), "--out", str(tmp_path / "o")) == EXIT_CONFIG
+        assert f"config error: {cfg}: byte 0xe9 is not UTF-8 text (line 2)" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    # the three time-series files past their first 8 KB, which the header read decodes;
+    # anchors.csv within them
+    @pytest.mark.parametrize("name,line", [("truth.csv", 150), ("imu.csv", 150), ("tdoa.csv", 900),
+                                           ("anchors.csv", 4)])
+    def test_non_utf8_dataset_file_is_data_error(self, tmp_path, capsys, name, line):
+        # once a UnicodeDecodeError traceback (exit 1), raised again by the bad-cell scan
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 2.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        lines = (ds / name).read_bytes().splitlines(keepends=True)
+        assert line < 5 or sum(map(len, lines[:line - 1])) > 8192
+        lines[line - 1] = lines[line - 1][:3] + b"\xe9" + lines[line - 1][4:]
+        (ds / name).write_bytes(b"".join(lines))
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert f"data error: {name}: byte 0xe9 is not UTF-8 text (line {line})" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_config_anchor_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -655,6 +684,18 @@ class TestMetricsVerb:
         (out / "estimates.csv").write_text("\n".join(lines) + "\n")
         assert run_cli("metrics", str(out)) == EXIT_OK
         assert "100 rows" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["estimates.csv", "truth.csv"])
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, name):
+        # once a UnicodeDecodeError traceback (exit 1) out of the header read
+        out = self._run_dir(tmp_path)
+        before = (out / "metrics.csv").read_bytes()
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        lines[5] = b"\xff" + lines[5][1:]
+        (out / name).write_bytes(b"".join(lines))
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert f"data error: {name}: byte 0xff is not UTF-8 text (line 6)" in capsys.readouterr().err
+        assert (out / "metrics.csv").read_bytes() == before
 
     def test_out_in_a_missing_directory(self, tmp_path, capsys):
         # once FileNotFoundError (exit 1); run creates its output directory too

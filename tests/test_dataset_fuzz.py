@@ -6,9 +6,11 @@ copy at 25 Hz, so half the ticks of every file are decimated away.  The
 mutations: a cell replaced by non-numeric text, an empty string, NaN or
 infinity; a row cut short or extended; a renamed header column; two
 swapped tdoa.csv rows; a row that repeats the key of the row before it
-(its timestamp, or in anchors.csv its id).  ``ingest_dataset`` must raise
-SchemaError or ClockError, and ``uwbnav run`` must exit 3 with a data
-error message (an uncaught exception would fail the test as a traceback).
+(its timestamp, or in anchors.csv its id); a byte that is not UTF-8 text
+(0x80 to 0xff, standing alone) in place of one character, header included.
+``ingest_dataset`` must raise SchemaError or ClockError, and ``uwbnav run``
+must exit 3 with a data error message (an uncaught exception would fail the
+test as a traceback), which for a byte names the file and the byte.
 """
 
 import contextlib
@@ -52,7 +54,7 @@ files = st.sampled_from(sorted(FILES))
 @st.composite
 def mutations(draw):
     """``(file, kind, arguments)`` of one mutation."""
-    kind = draw(st.sampled_from(["cell", "truncate", "extend", "header", "swap", "repeat_key"]))
+    kind = draw(st.sampled_from(["cell", "truncate", "extend", "header", "swap", "repeat_key", "byte"]))
     if kind == "swap":
         rows = FILES["tdoa.csv"][0]
         first = draw(st.integers(0, rows - 2))
@@ -62,6 +64,8 @@ def mutations(draw):
         per_row = PAIRS if name == "tdoa.csv" else 1  # tdoa.csv rows share their tick's time
         return name, kind, (per_row * draw(st.integers(1, FILES[name][0] // per_row - 1)),)
     rows, columns = FILES[name]
+    if kind == "byte":  # line 0 is the header
+        return name, kind, (draw(st.integers(0, rows)), draw(st.integers(0, 200)), draw(st.integers(0x80, 0xFF)))
     if kind == "header":
         column = draw(st.integers(0, columns - 1))
         return name, kind, (column, draw(bad_text))
@@ -75,7 +79,15 @@ def mutations(draw):
 
 
 def _mutate(lines: list[str], kind: str, args: tuple) -> None:
-    """Apply one mutation in place to a file's lines (header first)."""
+    """Apply one mutation in place to a file's lines (header first).
+
+    A non-UTF-8 byte goes in as its surrogate escape, which the file is written with.
+    """
+    if kind == "byte":
+        line, column, byte = args
+        column %= len(lines[line])
+        lines[line] = lines[line][:column] + chr(0xDC00 + byte) + lines[line][column + 1 :]
+        return
     if kind == "header":
         column, text = args
         names = lines[0].split(",")
@@ -135,9 +147,10 @@ def test_mutated_dataset_is_a_data_error(dataset, mutation):
     shutil.copytree(dataset / "clean", ds)
     lines = (ds / name).read_text().splitlines()
     _mutate(lines, kind, args)
-    (ds / name).write_text("\n".join(lines) + "\n")
+    (ds / name).write_text("\n".join(lines) + "\n", errors="surrogateescape")
     with pytest.raises((SchemaError, ClockError)):
         ingest_dataset(ds, FILTER_RATE, TOPOLOGY)
     code, err = _replay(dataset, ds)
     assert code == EXIT_DATA, err
-    assert err.startswith("data error: ")
+    assert err.startswith(f"data error: {name}: byte 0x{args[2]:02x} is not UTF-8 text" if kind == "byte"
+                          else "data error: ")

@@ -11,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from uwbnav import harness, sim
+from uwbnav import harness, liegroup, sim
 from uwbnav.attitude import ReferenceEnvironment, _imu_sample
 from uwbnav.harness import (
+    VARIANTS,
     ClockError,
     ConfigError,
     NumericalFailure,
@@ -43,6 +44,8 @@ from reference import (
     toa_ranges,
     write_csv_whole,
     write_dataset_rows,
+    write_dataset_whole,
+    write_run_whole,
 )
 
 REPLAY_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "dataset_replay.yaml"
@@ -636,14 +639,17 @@ class TestFlightMemory:
 
 
 class TestRunMemory:
-    """A run's history is one float block: its traced peak grows by well under a kilobyte per step."""
+    """A run's history is one float block and its tail a chunk at a time: the traced peak per step is what it holds.
 
-    @pytest.mark.parametrize("variant", ["matrix", "quaternion"])
-    def test_peak_per_added_step(self, tmp_path, variant):
-        # a FilterState and a Diagnostics kept per step, stacked afterwards,
-        # grew the peak by about 1,800 B (matrix) and 1,500 B (quaternion) per step
+    Each variant's peak is measured once (about 7 s, tracemalloc's cost) and read by both cases.
+    """
+
+    @pytest.fixture(scope="class", params=["matrix", "quaternion"])
+    def per_step(self, request, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp(request.param)
+
         def stock_toa(duration):
-            overrides = {"duration": duration, "variant": variant, "out": str(tmp_path / f"{duration:g}")}
+            overrides = {"duration": duration, "variant": request.param, "out": str(tmp_path / f"{duration:g}")}
             return load_config(REPLAY_CONFIG.parent / "circle.yaml", overrides)
 
         run_experiment(stock_toa(1.0))  # untraced: loads what a run imports lazily
@@ -655,8 +661,18 @@ class TestRunMemory:
                 peaks[duration] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        per_step = (peaks[40.0] - peaks[10.0]) / 3000
-        assert per_step <= 1000, (per_step, peaks)
+        return (peaks[40.0] - peaks[10.0]) / 3000, peaks
+
+    def test_peak_per_added_step(self, per_step):
+        # a FilterState and a Diagnostics kept per step, stacked afterwards,
+        # grew the peak by about 1,800 B (matrix) and 1,500 B (quaternion) per step
+        assert per_step[0] <= 1000, per_step
+
+    def test_tail_holds_no_whole_run_temporaries(self, per_step):
+        # the truth (176 B), measurement blocks (136 B), history (168 B matrix, 128 B quaternion)
+        # and four error columns (32 B) are held; the metrics, estimates and quaternion blocks
+        # built whole over them once peaked at about 722 B (matrix) and 754 B (quaternion)
+        assert per_step[0] <= 600, per_step
 
 
 class TestWriteDataset:
@@ -685,6 +701,55 @@ class TestWriteDataset:
             write_dataset(tmp_path / "ds", traj, default_anchors(), topology,
                           np.zeros((len(traj), imu_cols)), np.zeros((len(traj), diff_cols)))
         assert not (tmp_path / "ds").exists()
+
+
+class TestWriteSets:
+    """Each artifact set, written in one pass with shared values formatted once, has the bytes of the plain writer.
+
+    The plain writer (``reference.write_dataset_whole``, ``write_run_whole``) formats every file on its own
+    through one ``%.17g`` template over its whole table; the flights end at the chunk edges.
+    """
+
+    SAMPLES = [2, CHUNK, CHUNK + 1, 2 * CHUNK + 1]
+
+    @staticmethod
+    def _same_files(tmp_path, names):
+        for name in names:
+            assert (tmp_path / "set" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
+    def test_dataset_matches_whole_file_writer(self, tmp_path, samples, topology):
+        traj = _traj(duration=(samples - 1) / 50.0)
+        assert len(traj) == samples
+        args = (traj, default_anchors(), topology, NoiseSpec(seed=samples), ReferenceEnvironment(), REPLAY_LEVER)
+        imu, diffs = measurement_blocks(*args)
+        imu[::3, 4] = diffs[::2, 1] = -0.0
+        write_dataset(tmp_path / "set", traj, default_anchors(), topology, imu, diffs)
+        write_dataset_whole(tmp_path / "whole", traj, default_anchors(), topology, imu, diffs)
+        self._same_files(tmp_path, ["truth.csv", "imu.csv", "anchors.csv", "tdoa.csv"])
+        assert b",-0\n" in (tmp_path / "set" / "tdoa.csv").read_bytes()
+
+    @pytest.mark.parametrize("samples", SAMPLES)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_run_matches_whole_file_writer(self, tmp_path, samples, variant):
+        traj = _traj(duration=(samples - 1) / 50.0)
+        n, k = samples - 1, 9 if variant == "matrix" else 4
+        rng = np.random.default_rng(samples)
+        history = rng.standard_normal((n, k + 12)) * 10.0 ** rng.integers(-8, 8, (n, k + 12))
+        rot = traj.rot[::-1][:n]  # rotations, not the truth's own
+        history[:, :k] = rot.reshape(n, 9) if k == 9 else liegroup.rot_to_quat(rot)
+        history[:, -1] = 0.0
+        history[::3, -3:] = [np.nan, np.nan, 1.0]  # dropout rows
+        history[1::4, [k, k + 6, -3]] = -0.0
+        errors = np.abs(rng.standard_normal((4, n)))
+        errors[1, ::5] = -0.0
+        (tmp_path / "set").mkdir()
+        harness._write_run(tmp_path / "set", traj, history, errors)
+        write_run_whole(tmp_path / "whole", traj, history, errors)
+        self._same_files(tmp_path, ["truth.csv", "estimates.csv", "metrics.csv"])
+        estimates = (tmp_path / "set" / "estimates.csv").read_text()
+        assert ",nan,nan,1\n" in estimates and (n < 2 or ",-0," in estimates)
 
 
 class TestDatasetRoundTrip:
