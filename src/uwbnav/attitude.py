@@ -7,7 +7,9 @@ accelerometer + magnetometer (gravity and magnetic-field references, the
 third pair from their cross product).  At zero noise every pair satisfies
 ``v_i = R^T r_i``.  The accelerometer-based gravity pair relies on the
 low-acceleration approximation ``a_m ~ -R^T g``: it is exact at hover and
-degrades with ``||V_dot|| / g``.
+degrades with ``||V_dot|| / g``.  :func:`measure_imu` gives the readings as
+blocks, and a step's :class:`ImuSample` is built from a block row's three
+field groups (``harness._Rows``).
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ class ImuSample:
 
     ``omega_m`` is the gyro reading (rad/s), ``a_m`` the accelerometer's
     specific force and ``m_m`` the magnetometer reading.  A sample holds
-    what it is given: the harness builds samples from a block that passed
-    :func:`_check_imu`.
+    what it is given: the harness builds it from a row of a block that
+    passed :func:`_check_imu`, one field per 3-double group of the row.
     """
 
     omega_m: tuple
@@ -139,11 +141,6 @@ def _check_imu(block: np.ndarray) -> None:
     if bad.any():
         name = ("omega_m", "a_m", "m_m")[np.argwhere(bad)[0][1]]
         raise ValueError(f"{name} must be a finite 3-vector")
-
-
-def _imu_sample(row: tuple) -> ImuSample:
-    """The ImuSample of one row, as 9 floats, of a block of finite readings (see :func:`_check_imu`)."""
-    return ImuSample(row[:3], row[3:6], row[6:])
 
 
 def _unit(x: float, y: float, z: float, what: str) -> tuple[float, float, float]:

@@ -2,10 +2,11 @@
 
 A run is described by a flat key/value YAML file whose defaults give a
 complete 100 Hz study out of the box (gains, initial offsets, sensor
-noise levels).  The harness
-synthesizes measurement streams from an analytic flight or ingests a
-CSV dataset, drives the filter, and writes per-step estimates and error
-metrics plus a run summary.
+noise levels).  The harness synthesizes measurement blocks from an
+analytic flight or ingests a CSV dataset, drives the filter over them,
+and writes per-step estimates and error metrics plus a run summary.  A
+block's samples are built from its rows' field groups as they are read:
+a run streams each block in one pass, an online caller indexes it.
 
 All numeric output is formatted with repr-round-trip precision and a
 fixed column order, so runs with identical seeds produce byte-identical
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .attitude import ImuSample, ReferenceEnvironment, _check_imu, _imu_sample, measure_imu
+from .attitude import ImuSample, ReferenceEnvironment, _check_imu, measure_imu
 from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, FilterGains, FilterState, _gate, step
 from .sim import _KIND_KEYS, MAX_SAMPLES, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers
@@ -77,12 +78,11 @@ def default_anchors() -> AnchorSet:
     flights inside the hull; anchors clustered near one height plane make
     the z solve an order of magnitude noisier.
     """
-    corners = [
-        [x, y, z] for x in (-3.0, 3.0) for y in (-3.0, 3.0) for z in (0.0, 3.0)
-    ]
-    return AnchorSet(anchors=np.array(corners))
+    return AnchorSet(anchors=_ROOM_CORNERS.copy())
 
 
+# default_anchors()'s positions, the corners of a 6 x 6 x 3 m room; handed out as copies only
+_ROOM_CORNERS = np.array([[x, y, z] for x in (-3.0, 3.0) for y in (-3.0, 3.0) for z in (0.0, 3.0)])
 _TRAJECTORY_KEYS = frozenset().union(*_KIND_KEYS.values())  # every flight kind's parameters
 
 VARIANTS = ("matrix", "quaternion")  # the filter's attitude parametrizations
@@ -122,7 +122,7 @@ class RunConfig:
     rate: float = 100.0
     filter_rate: float | None = None
     trajectory_params: dict = field(default_factory=dict)
-    anchors: np.ndarray = field(default_factory=lambda: default_anchors().anchors)
+    anchors: np.ndarray = field(default_factory=_ROOM_CORNERS.copy)
     topology: str = TOPOLOGIES[-1]
     variant: str = "matrix"
     k1: float = 3.0
@@ -356,29 +356,42 @@ def measurement_blocks(
 
 
 class _Rows(Sequence):
-    """The rows of a checked ``(n, k)`` block, each built into its value only when it is read.
+    """The rows of a checked ``(n, k)`` block, each built into its sample only when it is read.
 
-    The block is held as C-contiguous float64 behind a memoryview, which one ``struct``
-    unpack reads faster than the array: a row comes out as the floats ``tolist`` gives,
-    and ``make`` builds its ImuSample or Ranges.  A slice is a sequence over the sliced rows.
+    A row is ``groups`` field groups of equal width, one (a range row) or three (an IMU row: gyro,
+    accelerometer, magnetometer), and its sample is ``make(*groups)``, each group the float tuple
+    ``tolist`` gives: ``ImuSample``, or ``partial(Ranges, topology)``.  The block is held as C-contiguous
+    float64 behind a memoryview.  Iteration is one C-level pass, ``map`` over ``struct.iter_unpack``'s
+    groups, with no Python frame per row; indexing unpacks the row's groups at its offset.  A slice is
+    a sequence over the sliced rows.
     """
 
-    __slots__ = ("_rows", "_n", "_row_bytes", "_unpack", "_make")
+    __slots__ = ("_rows", "_n", "_make", "_groups", "_group", "_row_bytes", "_width", "_unpack")
 
-    def __init__(self, block: np.ndarray, make) -> None:
+    def __init__(self, block: np.ndarray, make, groups: int) -> None:
+        if groups not in (1, 3):  # the layouts indexing unpacks
+            raise ValueError(f"a row is one field group or three, got {groups}")
         block = np.ascontiguousarray(block, dtype=float)
-        (self._n, k), self._rows = block.shape, memoryview(block)
-        self._row_bytes, self._unpack, self._make = 8 * k, struct.Struct(f"{k}d").unpack_from, make
+        (self._n, k), self._rows, self._make, self._groups = block.shape, memoryview(block), make, groups
+        self._group = group = struct.Struct(f"{k // groups}d")
+        self._row_bytes, self._width, self._unpack = 8 * k, group.size, group.unpack_from
 
     def __len__(self) -> int:
         return self._n
 
+    def __iter__(self):
+        return map(self._make, *[self._group.iter_unpack(self._rows)] * self._groups)
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return _Rows(np.asarray(self._rows)[i], self._make)
-        if not -self._n <= i < self._n:  # ends iteration; the unpack would read past the block
+            return _Rows(np.asarray(self._rows)[i], self._make, self._groups)
+        if not -self._n <= i < self._n:  # the unpack would read past the block
             raise IndexError("row index out of range")
-        return self._make(self._unpack(self._rows, i % self._n * self._row_bytes))
+        rows, unpack, off = self._rows, self._unpack, i % self._n * self._row_bytes
+        if self._groups == 1:
+            return self._make(unpack(rows, off))
+        width = self._width
+        return self._make(unpack(rows, off), unpack(rows, off + width), unpack(rows, off + 2 * width))
 
 
 def synthesize_measurements(
@@ -387,7 +400,7 @@ def synthesize_measurements(
 ) -> tuple[Sequence[ImuSample], Sequence[Ranges]]:
     """The blocks of :func:`measurement_blocks` as one ImuSample and one Ranges per sample, built on read."""
     imu, ranges = measurement_blocks(traj, anchors, topology, noise, env, tag_offset)
-    return _Rows(imu, _imu_sample), _Rows(ranges, partial(Ranges, topology))
+    return _Rows(imu, ImuSample, 3), _Rows(ranges, partial(Ranges, topology), 1)
 
 
 _TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
@@ -497,7 +510,7 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     try:
         with path.open(encoding="utf-8") as fh:
             header = fh.readline().strip().split(",")
-            empty = not any(line.strip() for line in fh)
+            empty = all(line == "\n" for line in fh)  # numpy skips empty lines, not blank ones
     except UnicodeDecodeError as err:
         raise SchemaError(f"{path.name}: {_bad_cell(path, columns)}") from err
     if header != columns:
@@ -551,16 +564,21 @@ def _not_utf8(err: UnicodeDecodeError) -> str:
 
 
 def _bad_cell(path: Path, columns: list[str]) -> str | None:
-    """The first byte that is not UTF-8 text, else the first non-numeric cell or wrong-length row of a CSV table."""
+    """The first byte that is not UTF-8 text, else the first non-numeric cell or wrong-length row of a CSV table.
+
+    A cell is judged as ``np.loadtxt`` parses it; a data row is a line that is not empty, blank ones included.
+    """
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as err:
         return _not_utf8(err)
-    rows = [line for line in text.splitlines()[1:] if line.strip()]
+    rows = [line for line in text.splitlines()[1:] if line]
     for k, line in enumerate(rows, 1):
         cells = line.split(",")
         for name, cell in zip(columns, cells):
             try:
+                if not cell.isascii() or "_" in cell:  # float() reads these, numpy's parser does not
+                    raise ValueError
                 float(cell)
             except ValueError:
                 return f"non-numeric value {cell!r} in column {name!r} (data row {k})"
@@ -572,13 +590,7 @@ def _bad_cell(path: Path, columns: list[str]) -> str | None:
 
 
 def _stride(rate: float, filter_rate: float) -> int:
-    """Integer decimation from a ``rate`` Hz sample clock down to ``filter_rate``.
-
-    Raises
-    ------
-    ConfigError
-        If no integer stride reaches ``filter_rate`` within 1%.
-    """
+    """Integer decimation from a ``rate`` Hz sample clock down to ``filter_rate``; ConfigError unless within 1%."""
     stride = max(1, int(round(rate / filter_rate)))
     if abs(rate / stride - filter_rate) > 0.01 * filter_rate:
         raise ConfigError(
@@ -602,17 +614,15 @@ def ingest_dataset(
 ) -> tuple[TruthTrajectory, AnchorSet, Sequence[ImuSample], Sequence[Ranges]]:
     """Load a four-file dataset and align it to the filter clock.
 
-    The IMU/truth clock is decimated by an integer stride down to
-    ``filter_rate`` (500 Hz data at a 100 Hz filter keeps every 5th
-    sample, copied out of the full-rate tables); ranging rows are grouped
-    per timestamp and held to the nearest decimated tick (a tie goes to the earlier group).  A tick whose
-    nearest group lies farther than one filter interval plus the median
-    spacing of the group timestamps is a ClockError.  Truth
-    velocity is reconstructed from the full-rate positions before
-    decimation.  The truth carries no body rates or specific forces
-    (``omega`` and ``a`` are None): the run scores states only.  The
-    samples are built on read (:class:`_Rows`).  Anchors that give no fix
-    under ``topology`` are a SchemaError with the anchor set's reason
+    The IMU/truth clock is decimated by an integer stride down to ``filter_rate`` (500 Hz data at a
+    100 Hz filter keeps every 5th sample, copied out of the full-rate tables); ranging rows are
+    grouped per timestamp and held to the nearest decimated tick (a tie goes to the earlier group).
+    A tick whose nearest group lies farther than one filter interval plus the median spacing of the
+    group timestamps is a ClockError.  Truth velocity is reconstructed from the full-rate positions
+    before decimation.  The truth carries no body rates or specific forces (``omega`` and ``a`` are
+    None): the run scores states only.  The streams hold the decimated IMU block and the ticks' range
+    block, a sample built from its row's field groups when it is read (:class:`_Rows`).  Anchors
+    that give no fix under ``topology`` are a SchemaError with the anchor set's reason
     (``AnchorSet.unfixable``).
     """
     src = Path(dataset_dir)
@@ -648,7 +658,7 @@ def ingest_dataset(
     traj = TruthTrajectory(  # copies: no view holds a full-rate table alive through the run
         t=t_full[keep].copy(), rot=quat_to_rot(truth[keep, 4:8]), p=p_full[keep].copy(), v=v_full[keep].copy()
     )
-    imu_stream = _Rows(imu[keep, 1:10].copy(), _imu_sample)  # a copy, as the truth's
+    imu_stream = _Rows(imu[keep, 1:10].copy(), ImuSample, 3)  # a copy, as the truth's
 
     pair_list = anchor_set.tdoa[topology]
     pairs = np.column_stack([pair_list.first, pair_list.second]) + 1
@@ -671,7 +681,7 @@ def ingest_dataset(
     far = np.abs(times[nearest] - traj.t) > 1.0 / filter_rate + spacing
     if far.any():
         raise ClockError(f"tdoa.csv: no ranging group near t={traj.t[np.argmax(far)]:.6g}")
-    return traj, anchor_set, imu_stream, _Rows(groups[nearest, :, 3], partial(Ranges, topology))
+    return traj, anchor_set, imu_stream, _Rows(groups[nearest, :, 3], partial(Ranges, topology), 1)
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
@@ -757,31 +767,24 @@ def run_experiment(cfg: RunConfig) -> dict:
         If the state stops being finite, an error norm or the covariance
         bound's norm overflows, or no step obtains a usable fix.
     """
-    env = cfg.env()
-    gains = cfg.gains()
-    anchors = cfg.anchor_set()
+    env, gains, anchors = cfg.env(), cfg.gains(), cfg.anchor_set()
     if cfg.mode == "synthetic":
         params = dict(cfg.trajectory_params, duration=cfg.duration, rate=cfg.filter_rate)
         traj = generate_trajectory(cfg.trajectory, params, env)
-        imu_stream, range_stream = synthesize_measurements(
-            traj, anchors, cfg.topology, cfg.noise(), env, cfg.tag_offset
-        )
+        imu_stream, range_stream = synthesize_measurements(traj, anchors, cfg.topology, cfg.noise(), env,
+                                                           cfg.tag_offset)
     else:
-        traj, anchors, imu_stream, range_stream = ingest_dataset(
-            cfg.dataset_dir, cfg.filter_rate, cfg.topology
-        )
+        traj, anchors, imu_stream, range_stream = ingest_dataset(cfg.dataset_dir, cfg.filter_rate, cfg.topology)
 
-    state = cfg.initial_state()
-    dt = cfg.dt
-    n = len(traj) - 1
+    state, dt, n = cfg.initial_state(), cfg.dt, len(traj) - 1
     # one row per step: the k attitude values (rotation rows or quaternion), p_hat,
     # v_hat, sigma_hat, e_r, innovation and dropout, packed as the step returns
     k = 9 if cfg.variant == "matrix" else 4
     history = np.empty((n, k + 12))
     view, pack, row_bytes = memoryview(history), struct.Struct(f"{k + 12}d").pack_into, 8 * (k + 12)
-    for i in range(n):
+    for i, imu, ranges in zip(range(n), imu_stream, range_stream):  # the streams' last sample starts no step
         try:
-            state, diag = step(state, imu_stream[i], range_stream[i], anchors, env, gains, dt)
+            state, diag = step(state, imu, ranges, anchors, env, gains, dt)
         except ValueError as err:
             # config and data were validated up front, so a value error out
             # of the step math means the numerics ran away

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 from scipy.spatial.transform import Rotation
 
-from uwbnav.attitude import _imu_sample, measure_imu
+from uwbnav.attitude import ImuSample, measure_imu
 from uwbnav.harness import _Rows
 
 # Numeric property tests routinely blow the default deadline on first-run
@@ -41,4 +41,4 @@ def noisy_imu_and_fixes(traj, noise, env, n):
     sigmas = (noise.sigma_omega, noise.sigma_a, noise.sigma_m)
     gyro, accel, mag = measure_imu(rot, traj.omega[:n], vdot, env, z[:, :9], sigmas)
     p_y = traj.p[:n] + (0.0 + noise.sigma_range * z[:, 9:])  # loc + scale * z, as Generator.normal
-    return _Rows(np.concatenate([gyro, accel, mag], axis=1), _imu_sample), p_y
+    return _Rows(np.concatenate([gyro, accel, mag], axis=1), ImuSample, 3), p_y

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import uwbnav
-from uwbnav import attitude, uwb
+from uwbnav import attitude, harness, uwb
 from uwbnav.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 from uwbnav.uwb import TOPOLOGIES
 
@@ -38,8 +38,9 @@ class TestSimulateVerb:
         def refuse(*args):
             raise AssertionError("a per-sample value was built")
 
-        monkeypatch.setattr(attitude, "ImuSample", refuse)
-        monkeypatch.setattr(uwb, "Ranges", refuse)
+        # a stream takes its maker from the harness's names when it is built
+        for module, name in ((attitude, "ImuSample"), (uwb, "Ranges"), (harness, "ImuSample"), (harness, "Ranges")):
+            monkeypatch.setattr(module, name, refuse)
         cfg = tmp_path / "sim.yaml"
         cfg.write_text("duration: 1.0\nrate: 50.0\ntopology: tdoa-main\n")
         assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "ds")) == EXIT_OK
@@ -416,6 +417,23 @@ class TestRunVerb:
         assert f"data error: {name}: byte 0xe9 is not UTF-8 text (line {line})" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("text,cell", [("1_0,1,2,0.5", "'1_0'"), ("１,1,2,0.5", "'１'"), ("   ", "'   '")],
+                             ids=["underscore", "full-width", "blank"])
+    def test_cell_numpy_refuses_is_data_error(self, tmp_path, capsys, text, cell):
+        # numpy's own message, with 0-based rows, once reached the user
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 0.5\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        lines = (ds / "tdoa.csv").read_text().splitlines()
+        lines[9] = text
+        (ds / "tdoa.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        assert f"data error: tdoa.csv: non-numeric value {cell} in column 't' (data row 9)" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.filterwarnings("error")
     def test_overflowing_config_anchor_is_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
@@ -632,6 +650,9 @@ class TestMetricsVerb:
         "column,value,message",
         [
             ("vx", "abc", "non-numeric value 'abc' in column 'vx' (data row 5)"),
+            # float() reads these, numpy's parser does not: numpy's own message once reached the user
+            ("vx", "1_0", "non-numeric value '1_0' in column 'vx' (data row 5)"),
+            ("s2", "１", "non-numeric value '１' in column 's2' (data row 5)"),
             ("dropout", None, "no value for column 'dropout' (data row 5)"),
             ("qw", "5", "columns 'qw'..'qz' are not a unit quaternion (data row 5)"),
             ("px", "inf", "non-finite value in column 'px' (data row 5)"),
@@ -645,6 +666,16 @@ class TestMetricsVerb:
         assert run_cli("metrics", str(out)) == EXIT_DATA
         assert f"estimates.csv: {message}" in capsys.readouterr().err
         assert (out / "metrics.csv").read_bytes() == before
+
+    @pytest.mark.parametrize("row", [5, 101], ids=["between", "after"])
+    def test_whitespace_line_is_data_error(self, tmp_path, capsys, row):
+        # a line of spaces is a data row; numpy's "number of columns changed" message once reached the user
+        out = self._run_dir(tmp_path)
+        lines = (out / "estimates.csv").read_text().splitlines()
+        lines.insert(row, "  ")
+        (out / "estimates.csv").write_text("\n".join(lines) + "\n")
+        assert run_cli("metrics", str(out)) == EXIT_DATA
+        assert f"estimates.csv: non-numeric value '  ' in column 't' (data row {row})" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name,column,value,row",

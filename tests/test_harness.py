@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from uwbnav import harness, liegroup, sim
-from uwbnav.attitude import ReferenceEnvironment, _imu_sample
+from uwbnav.attitude import ImuSample, ReferenceEnvironment
 from uwbnav.harness import (
     VARIANTS,
     ClockError,
@@ -31,7 +31,7 @@ from uwbnav.harness import (
 )
 from uwbnav.navfilter import step
 from uwbnav.sim import NoiseSpec, generate_trajectory
-from uwbnav.uwb import TOPOLOGIES, AnchorSet, GeometryDegenerate, solve_fix
+from uwbnav.uwb import TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges, solve_fix
 
 from reference import (
     imu_rows,
@@ -493,6 +493,12 @@ def _bits(value) -> tuple:
     )
 
 
+def _streamed(seq) -> bool:
+    """Whether iterating ``seq`` gives, bit for bit, the samples that indexing it forward and backward gives."""
+    n, streamed = len(seq), [_bits(x) for x in seq]
+    return streamed == [_bits(seq[i]) for i in range(n)] == [_bits(seq[i]) for i in range(-n, 0)]
+
+
 class TestRowSequence:
     """The per-sample sequences that synthesis and ingest return: each row is built when it is read."""
 
@@ -530,12 +536,18 @@ class TestRowSequence:
             rows = range(len(seq))[cut]
             assert len(part) == len(rows)
             assert [_bits(x) for x in part] == [_bits(seq[i]) for i in rows]
+            assert _streamed(part)
 
     def test_empty_block(self):
-        rows = harness._Rows(np.empty((0, 9)), _imu_sample)
-        assert len(rows) == 0 and list(rows) == []
+        rows = harness._Rows(np.empty((0, 9)), ImuSample, 3)
+        assert len(rows) == 0 and list(rows) == [] and _streamed(rows)
         with pytest.raises(IndexError):
             rows[0]
+
+    def test_layout_is_one_group_or_three(self):
+        for groups in (2, 9):
+            with pytest.raises(ValueError, match=f"one field group or three, got {groups}"):
+                harness._Rows(np.zeros((4, 9)), ImuSample, groups)
 
     @pytest.mark.parametrize("topology", ["toa", "tdoa-main", "tdoa-ring"])
     @pytest.mark.parametrize("noise", [None, NoiseSpec(seed=13)], ids=["noise-free", "noise"])
@@ -546,6 +558,7 @@ class TestRowSequence:
         imu, ranges = synthesize_measurements(*args)
         assert [_bits(s) for s in imu] == [_bits(s) for s in imu_rows(imu_block)]
         assert [_bits(r) for r in ranges] == [_bits(r) for r in range_rows(range_block, topology)]
+        assert _streamed(imu) and _streamed(ranges)
 
     def test_ingested_rows_match_retired_builders(self, tmp_path):
         traj = _traj(duration=2.0, rate=50.0)
@@ -556,6 +569,7 @@ class TestRowSequence:
         table = np.loadtxt(out / "imu.csv", delimiter=",", skiprows=1)
         assert [_bits(s) for s in imu] == [_bits(s) for s in imu_rows(table[::5, 1:10])]
         assert [_bits(r) for r in ranges] == [_bits(r) for r in range_rows(diffs[::5], "tdoa-main")]
+        assert _streamed(imu) and _streamed(ranges)
 
     def test_streams_hold_only_their_blocks(self):
         # one ImuSample and one Ranges per sample, bulk-built, took ~812 B a ring-TDOA sample;
@@ -973,6 +987,23 @@ class TestDatasetRoundTrip:
         path.write_text("t,i,j,d\n" + body)
         assert harness._read_csv(path, ["t", "i", "j", "d"]).shape == (0, 4)
 
+    @pytest.mark.parametrize("body,message", [
+        # text that float() reads and numpy's parser does not
+        ("0.0,1,2,0.5\n1_0,1,2,0.5\n", "non-numeric value '1_0' in column 't' (data row 2)"),
+        ("0.0,1,2,0.5\n１,1,2,0.5\n", "non-numeric value '１' in column 't' (data row 2)"),
+        # a whitespace-only line is a data row; an empty one is not
+        ("0.0,1,2,0.5\n\n   \n1.0,1,2,0.5\n", "non-numeric value '   ' in column 't' (data row 2)"),
+        ("0.0,1,2,0.5\n1.0,1,2,0.5\n \t\n", "non-numeric value ' \\t' in column 't' (data row 3)"),
+        (" \n", "non-numeric value ' ' in column 't' (data row 1)"),
+    ], ids=["underscore", "full-width", "blank-between", "blank-after", "blank-only"])
+    def test_cell_numpy_refuses_is_named(self, tmp_path, body, message):
+        # numpy's own message, with 0-based rows, once reached the user
+        path = tmp_path / "tdoa.csv"
+        path.write_text("t,i,j,d\n" + body, encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            harness._read_csv(path, ["t", "i", "j", "d"])
+        assert str(err.value) == f"tdoa.csv: {message}"
+
     def test_short_tick_rejected(self, dataset):
         out = dataset[0]
         lines = (out / "tdoa.csv").read_text().splitlines()
@@ -1107,6 +1138,26 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         assert summary["steps"] == 100
+
+    @pytest.mark.parametrize("mode", ["synthetic", "dataset"])
+    def test_steps_read_each_stream_in_one_pass(self, tmp_path, monkeypatch, mode):
+        # indexing both streams every step cost a __getitem__ frame and a row split per sample
+        if mode == "dataset":
+            traj = _traj(duration=1.0, rate=50.0)
+            blocks = measurement_blocks(traj, default_anchors(), "tdoa-ring", NoiseSpec(seed=5), ReferenceEnvironment())
+            ds = write_dataset(tmp_path / "ds", traj, default_anchors(), "tdoa-ring", *blocks)
+            cfg = RunConfig(mode="dataset", dataset_dir=str(ds), filter_rate=50.0, out=str(tmp_path / "run"))
+        else:
+            cfg = RunConfig(duration=0.5, topology="toa", seed=1, out=str(tmp_path / "run"))
+        passes, streaming = [], harness._Rows.__iter__
+
+        def indexing(rows, i):
+            raise AssertionError(f"a stream was indexed at {i!r}")
+
+        monkeypatch.setattr(harness._Rows, "__getitem__", indexing)
+        monkeypatch.setattr(harness._Rows, "__iter__", lambda rows: passes.append(rows) or streaming(rows))
+        assert run_experiment(cfg)["steps"] == 50
+        assert [type(next(streaming(rows))) for rows in passes] == [ImuSample, Ranges]
 
     def test_runaway_gain_raises_numerical_failure(self, tmp_path):
         cfg = RunConfig(

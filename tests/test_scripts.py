@@ -51,15 +51,25 @@ def test_step_ab(tmp_path):
     header, *rows = _run(tmp_path, "step_ab.py", str(ROOT), str(ROOT), *args).splitlines()
     assert header.split()[0] == "config" and len(rows) == 6
     assert all(row.endswith("identical") for row in rows), rows
-    # a tree whose stock gain differs ends its streams elsewhere: exit 1
+    # a tree whose stock gain differs ends its streams elsewhere, and one that writes estimates
+    # at 16 digits differs in its run's bytes: exit 1
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src" / "uwbnav", other / "src" / "uwbnav", ignore=shutil.ignore_patterns("__pycache__"))
     harness = other / "src" / "uwbnav" / "harness.py"
     text = harness.read_text()
-    assert "    k1: float = 3.0\n" in text
-    harness.write_text(text.replace("    k1: float = 3.0\n", "    k1: float = 3.5\n"))
+    for old, new in (("    k1: float = 3.0\n", "    k1: float = 3.5\n"), ('",%.17g" * 13', '",%.16g" * 13')):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    harness.write_text(text)
     _, *rows = _run(tmp_path, "step_ab.py", str(ROOT), str(other), *args, code=1).splitlines()
     assert len(rows) == 6 and all("DIFFER at step 0" in row for row in rows), rows
+    # whole runs at the smallest size: one pair, its artifacts compared before any timing is reported
+    args = ("--runs", "1", "--duration", "0.1")
+    header, row = _run(tmp_path, "step_ab.py", str(ROOT), str(ROOT), *args).splitlines()
+    assert header.split()[0] == "runs" and re.search(r" [01]/1 +identical$", row), row
+    assert _run(tmp_path, "step_ab.py", str(ROOT), str(other), *args, code=1).splitlines() == [
+        "seed 1: estimates.csv DIFFERS between the trees"
+    ]
 
 
 def test_step_convergence(tmp_path):

@@ -117,8 +117,10 @@ def test_ingested_samples_are_slotted_floats(tmp_path, topology):
     blocks = measurement_blocks(traj, anchors, topology, cfg.noise(), env)
     out = write_dataset(tmp_path, traj, anchors, topology, *blocks)
     _, _, imu, ranges = ingest_dataset(out, cfg.filter_rate, topology)
-    built = [*imu, *ranges, *imu[::-2], *ranges[1:3], imu[-1], ranges[-1]]
+    built = [*imu, *ranges, *imu[::-2], *ranges[1:3], imu[-1], ranges[-1], imu[::-2][1], ranges[1:3][-1]]
     assert {type(obj).__name__ for obj in built} == {"ImuSample", "Ranges"}
+    for seq in (imu, ranges, imu[::-2], ranges[1:3], imu[5:2]):  # a stream reads the same iterated and indexed
+        assert list(seq) == [seq[i] for i in range(len(seq))]
     for obj in built:
         _check_storage(obj)
 
