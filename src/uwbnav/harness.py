@@ -64,7 +64,7 @@ class SchemaError(ValueError):
 
 
 class ClockError(ValueError):
-    """Dataset timestamps are not strictly increasing."""
+    """Dataset timestamps are out of order, gapped, or disagree between files."""
 
 
 class NumericalFailure(RuntimeError):
@@ -86,6 +86,7 @@ _ROOM_CORNERS = np.array([[x, y, z] for x in (-3.0, 3.0) for y in (-3.0, 3.0) fo
 _TRAJECTORY_KEYS = frozenset().union(*_KIND_KEYS.values())  # every flight kind's parameters
 
 VARIANTS = ("matrix", "quaternion")  # the filter's attitude parametrizations
+MAX_GAP = 1.5  # longest truth or IMU interval, in median spacings, that a replay steps as one
 
 
 def _check_out(path: Path) -> None:
@@ -234,7 +235,10 @@ class RunConfig:
             self._initial_state = _gate(FilterState(
                 att, tuple(self.p_hat0.tolist()), tuple(self.v_hat0.tolist()), tuple(self.sigma_hat0.tolist()),
             ))
-        except ValueError as err:
+        except ValueError as err:  # each value is finite: a finite-state refusal is their sum passing the float range
+            if str(err) == "state must be finite":
+                why = "their nine values sum past the float range"
+                raise ConfigError(f"p_hat0, v_hat0, sigma_hat0: {err}: {why}") from err
             raise ConfigError(f"r_hat0: {err}") from err
 
     @property
@@ -500,7 +504,8 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
 
     ``nan_columns`` may also hold NaN.  Columns ``qw``..``qz``, where the
     header has them (``truth.csv``, ``estimates.csv``), must hold a unit
-    quaternion to ``ATTITUDE_GATE``.  A cell that is not a number, a row of
+    quaternion to ``ATTITUDE_GATE``.  The schema has no comments, so a
+    ``#`` is read as part of its cell.  A cell that is not a number, a row of
     the wrong length, a non-finite value or a non-unit quaternion is a
     SchemaError naming the file, the column and the data row.  A table with
     no data rows comes back as an empty ``(0, len(columns))`` array.
@@ -521,7 +526,7 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
     if empty:
         return np.empty((0, len(columns)))
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, encoding="utf-8", comments=None)
     except ValueError as err:  # a UnicodeDecodeError among them
         raise SchemaError(f"{path.name}: {_bad_cell(path, columns) or err}") from err
     if data.shape[1] != len(columns):
@@ -547,13 +552,21 @@ def _read_csv(path: Path, columns: list[str], nan_columns: tuple[str, ...] = ())
 def _read_truth(path: Path) -> np.ndarray:
     """A truth file as a table (see :func:`_read_csv`); fewer than two samples is a SchemaError.
 
-    Timestamps that do not strictly increase are a ClockError.
+    Timestamps that do not strictly increase are a ClockError, and so is a
+    gap (an interval over ``MAX_GAP`` median spacings, which a run would step
+    and score as one), named by the first timestamp after it.
     """
     truth = _read_csv(path, _TRUTH_HEADER)
     if len(truth) < 2:
         raise SchemaError(f"{path.name} needs at least two samples")
-    if np.any(np.diff(truth[:, 0]) <= 0):
+    steps = np.diff(truth[:, 0])
+    if np.any(steps <= 0):
         raise ClockError(f"{path.name}: timestamps must be strictly increasing")
+    spacing = float(np.median(steps))
+    k = int(np.argmax(steps > MAX_GAP * spacing))  # the first gap, if there is one
+    if steps[k] > MAX_GAP * spacing:
+        raise ClockError(f"{path.name}: {steps[k]:.6g} s gap before t={truth[k + 1, 0]:.6g}, "
+                         f"over {MAX_GAP:g} times the median spacing {spacing:.6g} s")
     return truth
 
 
@@ -614,16 +627,16 @@ def ingest_dataset(
 ) -> tuple[TruthTrajectory, AnchorSet, Sequence[ImuSample], Sequence[Ranges]]:
     """Load a four-file dataset and align it to the filter clock.
 
-    The IMU/truth clock is decimated by an integer stride down to ``filter_rate`` (500 Hz data at a
-    100 Hz filter keeps every 5th sample, copied out of the full-rate tables); ranging rows are
-    grouped per timestamp and held to the nearest decimated tick (a tie goes to the earlier group).
-    A tick whose nearest group lies farther than one filter interval plus the median spacing of the
-    group timestamps is a ClockError.  Truth velocity is reconstructed from the full-rate positions
-    before decimation.  The truth carries no body rates or specific forces (``omega`` and ``a`` are
-    None): the run scores states only.  The streams hold the decimated IMU block and the ticks' range
-    block, a sample built from its row's field groups when it is read (:class:`_Rows`).  Anchors
-    that give no fix under ``topology`` are a SchemaError with the anchor set's reason
-    (``AnchorSet.unfixable``).
+    The IMU/truth clock, which must hold no gap (:func:`_read_truth`), is decimated by an integer
+    stride down to ``filter_rate`` (500 Hz data at a 100 Hz filter keeps every 5th sample, copied out
+    of the full-rate tables); ranging rows are grouped per timestamp and held to the nearest
+    decimated tick (a tie goes to the earlier group).  A tick whose nearest group lies farther than
+    one filter interval plus the median spacing of the group timestamps is a ClockError.  Truth
+    velocity is reconstructed from the full-rate positions before decimation.  The truth carries no
+    body rates or specific forces (``omega`` and ``a`` are None): the run scores states only.  The
+    streams hold the decimated IMU block and the ticks' range block, a sample built from its row's
+    field groups when it is read (:class:`_Rows`).  Anchors that give no fix under ``topology`` are a
+    SchemaError with the anchor set's reason (``AnchorSet.unfixable``).
     """
     src = Path(dataset_dir)
     truth = _read_truth(src / "truth.csv")

@@ -127,11 +127,12 @@ def se23_exp(omega, v, a, eps: float, dt: float):
     With ``v`` zero, ``dt > 0`` and ``1 - C theta^2 >= 0`` (predict's calls)
     the ``J1 v dt`` series is skipped: it is ``+0.0`` for ``+0.0``
     components, so ``t_p = 0.0 + eps dt^2 J2 a`` keeps its bits, signed
-    zeros too.  Raises ValueError on a non-finite input component.
+    zeros too.  Raises ValueError on a non-finite input component, or on
+    finite ones whose sum passes the float range (~1.8e308).
     """
     (ox, oy, oz), (vx, vy, vz), (ax, ay, az) = omega, v, a
     wx, wy, wz = ox * dt, oy * dt, oz * dt
-    if not all(map(math.isfinite, (wx, wy, wz, vx, vy, vz, ax, ay, az))):
+    if not math.isfinite(wx + wy + wz + vx + vy + vz + ax + ay + az):
         raise ValueError("tangent input must be finite")
     theta = math.hypot(wx, wy, wz)
     t2 = theta * theta

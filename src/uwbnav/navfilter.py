@@ -42,10 +42,12 @@ packs each returned state and its diagnostics into one row of a float
 block and keeps neither.  A step converts and re-checks
 nothing already held as checked floats: samples, fixes and the weights in
 ``FilterGains.s`` are read as they are.  A product used once is written
-out in place, in ``_product``'s operation order, and a solve walks its rows
-in fused passes (see ``uwb``): a helper call, temporary tuple or extra pass
-costs as much as the arithmetic it carries.  The step builds only acyclic
-float containers, which reference counting frees, so offline runs pause the
+out in place, in ``_product``'s operation order, a solve is straight-line
+code (see ``uwb``) and a finiteness guard one ``math.isfinite`` of its
+group's sum (which also refuses a sum past ~1.8e308): a helper call,
+temporary tuple, loop or extra pass costs as much as the arithmetic it
+carries.  The step builds only acyclic float containers, which reference
+counting frees, so offline runs pause the
 cyclic collector (``harness.run_experiment``) for any caller that wraps the
 step and keeps its states; an online caller that keeps its states can do
 the same around its own loop.
@@ -149,7 +151,7 @@ def _rows(state: FilterState):
 
 
 def _gate(state: FilterState) -> FilterState:
-    """Reject a state whose attitude left the group or whose values are not finite."""
+    """Reject a state whose attitude left the group or whose nine vector values are not finite or sum past ~1.8e308."""
     att = state.attitude
     if len(att) == 3:
         (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = att
@@ -165,7 +167,8 @@ def _gate(state: FilterState) -> FilterState:
         w, x, y, z = att
         if not abs(math.sqrt(w * w + x * x + y * y + z * z) - 1.0) <= ATTITUDE_GATE:
             raise ValueError("quaternion attitude is not unit norm")
-    if not all(map(math.isfinite, state.p_hat + state.v_hat + state.sigma_hat)):
+    (p0, p1, p2), (v0, v1, v2), (s0, s1, s2) = state.p_hat, state.v_hat, state.sigma_hat
+    if not math.isfinite(p0 + p1 + p2 + v0 + v1 + v2 + s0 + s1 + s2):
         raise ValueError("state must be finite")
     return state
 

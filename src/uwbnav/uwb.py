@@ -40,19 +40,23 @@ block's.  On k columns ``kappa_2 <= kappa_F <= k kappa_2``, so
 ``COND_CEILING`` on it is at most k times stricter than on ``kappa_2``.
 
 A solve runs once per filter step on a handful of rows, where a numpy call
-costs more in dispatch than its arithmetic, so solves compute on Python
-floats from the float copies of each factor the anchor set keeps, read the
-range sets' float tuples and return the fix as a float 3-tuple, the
-position alone (see ``navfilter``'s "Cost" note).  A solve walks its rows
-in fused passes (one for TOA, two for TDOA), each dot product an
-accumulator that starts at ``0.0`` and adds its terms in row order.  That
-order is the rule that fixes the bits, on every Python version: an oracle
-must add in it explicitly, since the builtin float ``sum`` compensates from
-Python 3.12 on.
+costs more in dispatch than its arithmetic and a loop's per-row overhead a
+third of the solve.  So the module writes one straight-line solver per
+topology and row count (:func:`_source`), compiled once per process, and an
+anchor set binds the float copies of its factor entries into it on its
+first solve under a topology.  A solver reads the range set's float tuple
+and returns the fix as a float 3-tuple, the position alone (see
+``navfilter``'s "Cost" note).  Each dot product adds its terms from ``0.0``
+in row order, the rule that fixes the bits on every Python version: the
+loop oracles of ``tests/reference.py`` add in it explicitly (the builtin
+float ``sum`` compensates from Python 3.12 on).  A finiteness test is one
+``math.isfinite`` of a group's sum, so it also refuses finite values whose
+sum passes the float range (~1.8e308).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, starmap
@@ -140,7 +144,8 @@ class AnchorSet:
     negated).  Construction raises ValueError only on the anchors
     themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``, closer than
     ``MIN_ANCHOR_SEPARATION``).  The checks and the squared norms run on
-    Python floats; numpy only factors the two system matrices.
+    Python floats; numpy only factors the two system matrices.  ``solvers``
+    holds the solver bound on the set's first solve under each topology.
     """
 
     anchors: np.ndarray
@@ -148,6 +153,7 @@ class AnchorSet:
     toa_factor: Factor | None = field(init=False, repr=False, compare=False)
     tdoa: dict[str, PairList] = field(init=False, repr=False, compare=False)
     unfixable: dict[str, str] = field(init=False, repr=False, compare=False)
+    solvers: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a = np.asarray(self.anchors, dtype=float)
@@ -191,6 +197,7 @@ class AnchorSet:
         object.__setattr__(self, "toa_factor", factors.get("toa"))
         object.__setattr__(self, "tdoa", tdoa)
         object.__setattr__(self, "unfixable", {t: f"anchors give no {t} fix: {w}" for t, w in why.items()})
+        object.__setattr__(self, "solvers", {})
 
     def __len__(self) -> int:
         return len(self.sq_norms)
@@ -250,20 +257,6 @@ def _factor(a: np.ndarray) -> Factor:
     return Factor(u.T.tolist(), s, vt.T.tolist(), fro2, inv2)
 
 
-def _finite(values, last: float = 0.0):
-    """``values``, when every one and ``last`` are finite: the squared ranges and the solution must not overflow.
-
-    Raises
-    ------
-    ValueError
-        If a value is NaN or infinite (ranges so large that their squares
-        overflow).
-    """
-    if not (math.isfinite(last) and all(map(math.isfinite, values))):
-        raise ValueError("position solve overflowed: ranges too large")
-    return values
-
-
 def _check_condition(cond: float) -> None:
     """Raise unless ``cond`` is at or below ``COND_CEILING``; ``not cond <= COND_CEILING`` also rejects NaN.
 
@@ -282,10 +275,89 @@ def _check_geometry(anchors: AnchorSet, topology: str) -> None:
         raise GeometryDegenerate(anchors.unfixable[topology])
 
 
-def _position(v: list, y0: float, y1: float, y2: float) -> tuple[float, float, float]:
-    """``V y`` from the rows of ``V``, checked finite."""
-    (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = v
-    return _finite((v00 * y0 + v01 * y1 + v02 * y2, v10 * y0 + v11 * y1 + v12 * y2, v20 * y0 + v21 * y1 + v22 * y2))
+def _source(topology: str, rows: int) -> str:
+    """Source of the straight-line solver factory for ``rows`` system rows under ``topology``.
+
+    The factory binds a set's factor entries (squared anchor norms: ``h``,
+    or each pair's ``f`` and ``g``; ``U^T``, ``s``, ``V``, ``fro2``, ``inv2``)
+    into the solver: the passes of :func:`toa_solve` or :func:`tdoa_solve`,
+    rows written out.  The ring's first row adds no ``2 d_1 c_1`` (``c_1 =
+    0.0``) and its partial sum starts at ``d_1``, not ``0.0 + d_1``: each
+    could only flip the sign of a zero added to a value that is never -0.0.
+    """
+    toa, ring, k = topology == "toa", topology == "tdoa-ring", range(rows)
+    norms = [f"h{i}" for i in range(rows + 1)] if toa else [f"f{i}" for i in k] + [f"g{i}" for i in k]
+    params = [*norms, *(f"u{j}_{i}" for j in range(3) for i in k), "s0", "s1", "s2",
+              *(f"v{j}{i}" for j in range(3) for i in range(3)), "fro2", "inv2"]
+    d, b = [f"d{i}" for i in range(rows + toa)], [f"b{i}" for i in k]
+
+    def dot(j, xs):  # row j of U^T times the column xs
+        return " + ".join(["0.0", *(f"u{j}_{i} * {x}" for i, x in zip(k, xs))])
+
+    if toa:  # row i: (d_1^2 - d_i^2 + |h_i|^2 - |h_1|^2) / 2 over the anchors after the first
+        body = ["e0 = d0 * d0", *(f"b{i} = 0.5 * (e0 - d{i + 1} * d{i + 1} + h{i + 1} - h0)" for i in k)]
+        body += [f"q{j} = ({dot(j, b)}) / s{j}" for j in range(3)]
+    else:  # row i: (d_i^2 + |h_first|^2 - |h_second|^2 + 2 d_i c_i) / 2, the partial sum c_i on the ring only
+        body = []
+        for i in k:
+            body.append(f"b{i} = 0.5 * (d{i} * d{i} + f{i} - g{i}" + (f" + 2.0 * d{i} * c{i})" if ring and i else ")"))
+            if ring and i + 1 < rows:
+                body.append(f"c{i + 1} = " + (f"c{i} + d{i}" if i else "d0"))
+        body += [f"z{j} = {dot(j, d)}" for j in range(3)] + [f"y{j} = {dot(j, b)}" for j in range(3)]
+        body += [f"r{i} = d{i} - (u0_{i} * z0 + u1_{i} * z1 + u2_{i} * z2)" for i in k]
+        body += ["beta2 = " + " + ".join(f"r{i} * r{i}" for i in k),  # r_i^2 is never -0.0: no 0.0 start needed
+                 "rb = " + " + ".join(["0.0", *(f"r{i} * b{i}" for i in k)]),
+                 f"if not math.isfinite({' + '.join(b)} + beta2):",
+                 "    raise ValueError('position solve overflowed: ranges too large')",
+                 "total = fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2",
+                 "if not beta2 > total * tol * tol:  # the block has rank 3: the measured column must add the fourth",
+                 "    raise GeometryDegenerate('system rank 3 below 4 unknowns')",
+                 "w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2",
+                 "cond = math.sqrt(total * (inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2))",
+                 "if not cond <= COND_CEILING:",
+                 "    _check_condition(cond)",
+                 "aux = -rb / beta2",
+                 *(f"q{j} = (y{j} + aux * z{j}) / s{j}" for j in range(3))]
+    body += [*(f"x{j} = v{j}0 * q0 + v{j}1 * q1 + v{j}2 * q2" for j in range(3)),
+             "if not math.isfinite(x0 + x1 + x2):",
+             "    raise ValueError('position solve overflowed: ranges too large')",
+             "return x0, x1, x2"]
+    return "\n".join([
+        f"def factory({', '.join(params)}):",
+        *([] if toa else [f"    tol = {rows} * _EPS"]),
+        "    def solve(d):",
+        "        try:",
+        f"            {', '.join(d)}, = d",
+        "        except ValueError:",
+        f"            raise ValueError('{'range' if toa else 'difference'} count does not match anchor count')"
+        " from None",
+        *(f"        {line}" for line in body),
+        "    return solve",
+    ]) + "\n"
+
+
+@functools.cache
+def _factory(topology: str, rows: int):
+    """The factory :func:`_source` writes, compiled once per process in this module's globals, which a solver reads."""
+    namespace: dict = {}
+    exec(compile(_source(topology, rows), f"<uwb {topology} solver, {rows} rows>", "exec"), globals(), namespace)
+    return namespace["factory"]
+
+
+def _solver(anchors: AnchorSet, topology: str):
+    """The anchor set's solver under ``topology``, bound on its first solve; GeometryDegenerate if ``unfixable``."""
+    solvers = anchors.solvers
+    if topology not in solvers:
+        if topology in anchors.unfixable:
+            raise GeometryDegenerate(anchors.unfixable[topology])
+        if topology == "toa":
+            f, norms = anchors.toa_factor, anchors.sq_norms
+        else:
+            *_, sq_first, sq_second, f = anchors.tdoa[topology]
+            norms = sq_first + sq_second
+        (u0, u1, u2), (v0, v1, v2) = f.ut, f.v
+        solvers[topology] = _factory(topology, len(u0))(*norms, *u0, *u1, *u2, *f.s, *v0, *v1, *v2, f.fro2, f.inv2)
+    return solvers[topology]
 
 
 def toa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
@@ -304,21 +376,10 @@ def toa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
     GeometryDegenerate
         With the anchor set's ``unfixable`` reason.
     ValueError
-        If the range count is not the anchor count, or the solve overflows.
+        If the range count is not the anchor count, or the fix is not finite
+        or its coordinates sum past the float range (an overflowed ``b``).
     """
-    f, d, hn2 = anchors.toa_factor, ranges.values, anchors.sq_norms
-    if f is None:
-        raise GeometryDegenerate(anchors.unfixable["toa"])
-    if len(d) != len(hn2):
-        raise ValueError("range count does not match anchor count")
-    (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
-    e0, h0 = d[0] * d[0], hn2[0]
-    # an overflowed entry of b makes the solution non-finite, which _position rejects
-    y0 = y1 = y2 = 0.0
-    for di, hi, a0, a1, a2 in zip(d[1:], hn2[1:], u0, u1, u2):
-        bi = 0.5 * (e0 - di * di + hi - h0)
-        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
-    return _position(f.v, y0 / s0, y1 / s1, y2 / s2)
+    return _solver(anchors, "toa")(ranges.values)
 
 
 def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
@@ -344,40 +405,10 @@ def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]
         ring system rank is at most ``N - 1`` too.
     ValueError
         If the difference count does not match the anchor count, or the
-        solve overflows.
+        solve overflows: ``b`` and ``beta^2``, or the fix, hold a value that
+        is not finite or sum past the float range (~1.8e308).
     """
-    topology, d = ranges.topology, ranges.values
-    _, second, sq_first, sq_second, f = anchors.tdoa[topology]
-    if f is None:
-        raise GeometryDegenerate(anchors.unfixable[topology])
-    if len(d) != len(second):
-        raise ValueError("difference count does not match anchor count")
-    # b, y = U0^T b, and z, r as projections of d = -c: they hold -z and -r, and the same beta^2
-    ring, (u0, u1, u2), (s0, s1, s2) = topology == "tdoa-ring", f.ut, f.s
-    b, partial = [], 0.0
-    z0 = z1 = z2 = y0 = y1 = y2 = 0.0
-    for di, hi, hj, a0, a1, a2 in zip(d, sq_first, sq_second, u0, u1, u2):
-        bi = di * di + hi - hj
-        if ring:
-            bi += 2.0 * di * partial
-            partial += di
-        bi *= 0.5
-        b.append(bi)
-        z0, z1, z2 = z0 + a0 * di, z1 + a1 * di, z2 + a2 * di
-        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
-    beta2 = rb = 0.0
-    for di, bi, a0, a1, a2 in zip(d, b, u0, u1, u2):
-        ri = di - (a0 * z0 + a1 * z1 + a2 * z2)
-        beta2, rb = beta2 + ri * ri, rb + ri * bi
-    _finite(b, beta2)
-    fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
-    tol = len(d) * _EPS
-    if not beta2 > fro2 * tol * tol:  # the block has rank 3: the measured column must add the fourth
-        raise GeometryDegenerate("system rank 3 below 4 unknowns")
-    w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
-    _check_condition(math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2)))
-    aux = -rb / beta2
-    return _position(f.v, (y0 + aux * z0) / s0, (y1 + aux * z1) / s1, (y2 + aux * z2) / s2)
+    return _solver(anchors, ranges.topology)(ranges.values)
 
 
 def solve_fix(anchors: AnchorSet, obs: Ranges) -> tuple[float, float, float]:

@@ -44,8 +44,13 @@ anchor set's one-time factorization must reproduce bit for bit.
 ``tdoa_solve_main_bs`` / ``tdoa_solve_ring`` are one dedicated solver per
 TDOA topology that factors the whole 4-column system on every call; the
 package's rank-one solve over the topology's anchor-pair list must match
-them outcome for outcome, and to round-off in value.  Like the package's
-solvers, each returns the fix position as a float 3-tuple.
+them outcome for outcome, and to round-off in value.  ``toa_solve_loop``
+and ``tdoa_solve_loop`` are the package's solver passes as loops over the
+rows of the anchor set's own factors, each dot product an accumulator
+added in row order and each finiteness test one sum: the straight-line
+solvers the package generates per row count must match them bit for bit,
+refusals with their type and message.  Like the package's solvers, each
+returns the fix position as a float 3-tuple.
 
 The numpy step at the end (``build_triads_numpy`` through ``step_numpy``)
 is the filter step written with array products: the form the package
@@ -60,6 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
+from uwbnav import uwb
 from uwbnav.attitude import EPS_DEGENERATE, DegenerateTriads, ImuSample, TriadSet, measure_imu
 from uwbnav.liegroup import SMALL_ANGLE, _rodrigues_coefficients, quat_to_rot, rot_to_quat, se23_exp, so3_exp
 from uwbnav.navfilter import CorrectionTerms, FilterState
@@ -563,6 +569,86 @@ def toa_solve_per_call(anchors, ranges):
         y.append(acc / sk)
     y0, y1, y2 = y
     return tuple(v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in vt.T.tolist())
+
+
+def _finite_sum(values):
+    """Whether ``values`` added in order give a finite sum: the package's finiteness test of a value group."""
+    total = 0.0
+    for x in values:
+        total += x
+    return math.isfinite(total)
+
+
+def _fix_of(v, y0, y1, y2):
+    """``V y`` from the rows of ``V``, refused as an overflow unless its coordinates have a finite sum."""
+    fix = tuple(v0 * y0 + v1 * y1 + v2 * y2 for v0, v1, v2 in v)
+    if not _finite_sum(fix):
+        raise ValueError("position solve overflowed: ranges too large")
+    return fix
+
+
+def toa_solve_loop(anchors, ranges):
+    """TOA fix from the anchor set's factor in one loop over the rows: the passes ``uwb.toa_solve`` writes out.
+
+    Same refusals, messages and float operations, each dot product an
+    accumulator that starts at ``0.0`` and adds its terms in row order.
+    """
+    f, d, hn2 = anchors.toa_factor, ranges.values, anchors.sq_norms
+    if f is None:
+        raise GeometryDegenerate(anchors.unfixable["toa"])
+    if len(d) != len(hn2):
+        raise ValueError("range count does not match anchor count")
+    (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
+    e0, h0 = d[0] * d[0], hn2[0]
+    y0 = y1 = y2 = 0.0
+    for di, hi, a0, a1, a2 in zip(d[1:], hn2[1:], u0, u1, u2):
+        bi = 0.5 * (e0 - di * di + hi - h0)
+        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
+    return _fix_of(f.v, y0 / s0, y1 / s1, y2 / s2)
+
+
+def tdoa_solve_loop(anchors, ranges):
+    """TDOA fix from the anchor set's factor in two loops over the pairs: the passes ``uwb.tdoa_solve`` writes out.
+
+    Same refusals, messages and float operations: ``b``, ``y = U0^T b``
+    and ``z = U0^T d`` in one pass, the ring's partial sum from ``0.0``,
+    then ``r = d - U0 z`` with ``beta^2`` and ``r^T b``; every dot product
+    starts at ``0.0`` and adds in row order.
+    """
+    topology, d = ranges.topology, ranges.values
+    _, second, sq_first, sq_second, f = anchors.tdoa[topology]
+    if f is None:
+        raise GeometryDegenerate(anchors.unfixable[topology])
+    if len(d) != len(second):
+        raise ValueError("difference count does not match anchor count")
+    ring, (u0, u1, u2), (s0, s1, s2) = topology == "tdoa-ring", f.ut, f.s
+    b, partial = [], 0.0
+    z0 = z1 = z2 = y0 = y1 = y2 = 0.0
+    for di, hi, hj, a0, a1, a2 in zip(d, sq_first, sq_second, u0, u1, u2):
+        bi = di * di + hi - hj
+        if ring:
+            bi += 2.0 * di * partial
+            partial += di
+        bi *= 0.5
+        b.append(bi)
+        z0, z1, z2 = z0 + a0 * di, z1 + a1 * di, z2 + a2 * di
+        y0, y1, y2 = y0 + a0 * bi, y1 + a1 * bi, y2 + a2 * bi
+    beta2 = rb = 0.0
+    for di, bi, a0, a1, a2 in zip(d, b, u0, u1, u2):
+        ri = di - (a0 * z0 + a1 * z1 + a2 * z2)
+        beta2, rb = beta2 + ri * ri, rb + ri * bi
+    if not _finite_sum(b + [beta2]):
+        raise ValueError("position solve overflowed: ranges too large")
+    fro2 = f.fro2 + (z0 * z0 + z1 * z1 + z2 * z2) + beta2
+    tol = len(d) * float(np.finfo(float).eps)
+    if not beta2 > fro2 * tol * tol:
+        raise GeometryDegenerate("system rank 3 below 4 unknowns")
+    w0, w1, w2 = z0 / s0, z1 / s1, z2 / s2
+    cond = math.sqrt(fro2 * (f.inv2 + (w0 * w0 + w1 * w1 + w2 * w2 + 1.0) / beta2))
+    if not cond <= uwb.COND_CEILING:
+        raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {uwb.COND_CEILING:.3g}")
+    aux = -rb / beta2
+    return _fix_of(f.v, (y0 + aux * z0) / s0, (y1 + aux * z1) / s1, (y2 + aux * z2) / s2)
 
 
 def _tdoa_fix(x):

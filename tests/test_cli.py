@@ -561,6 +561,40 @@ class TestRunVerb:
         assert "data error: tdoa.csv: no ranging group near t=1.0" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_gapped_clock_is_data_error(self, tmp_path, capsys):
+        # rows with t in [10, 10.2) cut from truth.csv and imu.csv: once 1,980 steps and exit 0, the gap stepped as
+        # one 0.01 s interval and the truth velocity differentiated across it (a 32.7 m/s scored error)
+        ds = tmp_path / "ds"
+        (tmp_path / "sim.yaml").write_text("duration: 20.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(tmp_path / "sim.yaml"), "--out", str(ds)) == EXIT_OK
+        for name in ("truth.csv", "imu.csv"):
+            header, *rows = (ds / name).read_text().splitlines()
+            kept = [r for r in rows if not 10.0 <= float(r.split(",", 1)[0]) < 10.2]
+            assert len(rows) - len(kept) == 100
+            (ds / name).write_text("\n".join([header] + kept) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nrate: 500.0\nfilter_rate: 100.0\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error: truth.csv: 0.202 s gap before t=10.2, over 1.5 times the median spacing 0.002 s" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_jittered_clock_replays(self, tmp_path, capsys):
+        # a sensor clock whose every stamp is off by up to 10% of its spacing is no gap
+        ds = tmp_path / "ds"
+        (tmp_path / "sim.yaml").write_text("duration: 3.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(tmp_path / "sim.yaml"), "--out", str(ds)) == EXIT_OK
+        jitter = np.random.default_rng(18).uniform(-0.1, 0.1, 1501) * 0.002
+        for name in ("truth.csv", "imu.csv"):
+            header, *rows = (ds / name).read_text().splitlines()
+            stamps = (float(r.split(",", 1)[0]) + e for r, e in zip(rows, jitter.tolist()))
+            rows = [f"{t!r},{r.split(',', 1)[1]}" for t, r in zip(stamps, rows)]
+            (ds / name).write_text("\n".join([header] + rows) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nrate: 500.0\nfilter_rate: 100.0\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_OK
+        assert json.loads((tmp_path / "r" / "summary.json").read_text())["steps"] == 300
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")

@@ -182,6 +182,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="r_hat0: (attitude is not orthonormal|cannot normalize)"):
             RunConfig(r_hat0=[1.0e300, 0.0, 0.0], variant=variant)
 
+    @pytest.mark.parametrize("overrides", [{"p_hat0": [1e308, 1e308, 0.0]}, {"v_hat0": [0.0, -1e308, -1e308]},
+                                           {"p_hat0": [1e308, 0.0, 0.0], "sigma_hat0": [1e308, 0.0, 0.0]}])
+    def test_initial_state_summing_past_the_float_range_rejected(self, overrides):
+        # each value is finite; the state gate tests their sum, which overflows: the refusal names the keys, not r_hat0
+        with pytest.raises(ConfigError, match=r"^p_hat0, v_hat0, sigma_hat0: state must be finite: their nine values "
+                                              r"sum past the float range$"):
+            RunConfig(**overrides)
+
     @pytest.mark.parametrize("sigma_hat0", [[-20.0, 0.0, 0.0], [0.0, 0.0, -1.0e-300]])
     def test_sigma_hat0_must_be_nonnegative(self, sigma_hat0):
         # sigma_hat bounds a covariance; a component below about -6 flips the attitude correction
@@ -995,7 +1003,10 @@ class TestDatasetRoundTrip:
         ("0.0,1,2,0.5\n\n   \n1.0,1,2,0.5\n", "non-numeric value '   ' in column 't' (data row 2)"),
         ("0.0,1,2,0.5\n1.0,1,2,0.5\n \t\n", "non-numeric value ' \\t' in column 't' (data row 3)"),
         (" \n", "non-numeric value ' ' in column 't' (data row 1)"),
-    ], ids=["underscore", "full-width", "blank-between", "blank-after", "blank-only"])
+        # the schema defines no comments: a '#' line or cell tail is a bad cell, not skipped or cut off
+        ("0.0,1,2,0.5\n# note\n1.0,1,2,0.5\n", "non-numeric value '# note' in column 't' (data row 2)"),
+        ("0.0,1,2,0.5#junk\n1.0,1,2,0.5\n", "non-numeric value '0.5#junk' in column 'd' (data row 1)"),
+    ], ids=["underscore", "full-width", "blank-between", "blank-after", "blank-only", "comment-line", "comment-tail"])
     def test_cell_numpy_refuses_is_named(self, tmp_path, body, message):
         # numpy's own message, with 0-based rows, once reached the user
         path = tmp_path / "tdoa.csv"

@@ -173,6 +173,13 @@ class TestSe23Exp:
         with pytest.raises(ValueError, match="tangent input must be finite"):
             lg.se23_exp((0.0, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, 0.0), 1.0, 0.01)
 
+    @pytest.mark.parametrize("a", [(1e308, 1e308, 0.0), (-1e308, 0.0, -1e308)])
+    def test_rejects_finite_inputs_summing_past_the_float_range(self, a):
+        # the nine inputs are tested as one sum: finite values whose sum overflows are refused with them
+        with pytest.raises(ValueError, match="tangent input must be finite"):
+            lg.se23_exp((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), a, 1.0, 1.0)
+        lg.se23_exp((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1e308, -1e308, 1e308), 1.0, 1.0)  # a finite sum passes
+
 
 def test_tangent_matrix_layout():
     m = tangent_matrix([1, 2, 3], [4, 5, 6], [7, 8, 9], 0.5)

@@ -21,6 +21,11 @@ line:
 - a ``.tolist()`` or ``.reshape()`` call, which would mean an array crossed
   a layer boundary.
 
+The straight-line solvers ``uwb`` generates run each step too, from no
+module-level definition; the test parses their sources (``uwb._source``)
+by the same rules, for every topology at each row count of 4 to 12
+anchors.
+
 Code that multiplies whole ``(n, 3, 3)`` stacks keeps numpy, because
 scalar expressions do not broadcast over leading axes.
 """
@@ -32,6 +37,7 @@ from collections import Counter
 from pathlib import Path
 
 import uwbnav
+from uwbnav import uwb
 from uwbnav.harness import RunConfig, synthesize_measurements
 from uwbnav.sim import generate_trajectory
 from uwbnav.uwb import TOPOLOGIES
@@ -44,11 +50,11 @@ PER_STEP = {
     ),
     "attitude": ("_unit", "build_triads"),
     "liegroup": ("cross3", "_rodrigues_coefficients", "se23_exp", "_quat_rot_rows", "quat_turn"),
-    "uwb": (
-        "_finite", "_check_condition", "_position",
-        "toa_solve", "tdoa_solve", "solve_fix",
-    ),
+    "uwb": ("_solver", "toa_solve", "tdoa_solve", "solve_fix"),
 }
+# the straight-line solvers uwb generates, bound to an anchor set on its first solve: one per topology and row
+# count, so their sources are parsed for every topology at the row counts of 4 to 12 anchors
+GENERATED = [(topology, rows) for topology in TOPOLOGIES for rows in range(3, 13)]
 
 ARRAY_NAMES = ("np", "numpy")
 ARRAY_METHODS = ("dot", "vdot", "tolist", "reshape")
@@ -81,6 +87,10 @@ def test_per_step_functions_use_no_matmul():
                 missing.append(f"{module}.{name}")
                 continue
             found += [f"{module}.{name} line {line}: {what}" for line, what in _array_uses(defs[name])]
+    for topology, rows in GENERATED:
+        tree = ast.parse(uwb._source(topology, rows))
+        for fn in tree.body:  # the factory, whose body holds the solver
+            found += [f"{topology} {rows}-row {fn.name} line {line}: {what}" for line, what in _array_uses(fn)]
     assert not missing, f"listed per-step functions not found: {missing}"
     assert not found, f"array operations on the per-step path (use float expressions): {found}"
 

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,9 +12,11 @@ from reference import (
     near_coplanar_anchors,
     ranges_of,
     tdoa_ranges,
+    tdoa_solve_loop,
     tdoa_solve_main_bs,
     tdoa_solve_ring,
     toa_ranges,
+    toa_solve_loop,
     toa_solve_per_call,
 )
 from uwbnav import uwb
@@ -450,3 +456,81 @@ class TestOverflowingRanges:
         except (ValueError, uwb.GeometryDegenerate):
             return
         assert np.all(np.isfinite(fix))
+
+
+def _bits(solve, anchors, obs):
+    """A solve's fix as the hex of each coordinate, or the type and message of its refusal."""
+    try:
+        fix = solve(anchors, obs)
+    except (ValueError, uwb.GeometryDegenerate) as err:
+        return type(err).__name__, str(err)
+    assert type(fix) is tuple and all(type(x) is float for x in fix), fix
+    return "fix", tuple(x.hex() for x in fix)
+
+
+LOOP = {"toa": toa_solve_loop, "tdoa-main": tdoa_solve_loop, "tdoa-ring": tdoa_solve_loop}
+
+
+class TestStraightLineSolvers:
+    # the generated solvers write out the loop passes of tests/reference.py
+    # row by row: every fix must carry the loop's bits, signed zeros
+    # included, and every refusal its exception type and message
+
+    def test_match_the_loop_oracle_bit_for_bit(self, rng):
+        seen = Counter()
+        for k in range(300):
+            n = int(rng.integers(4, 13))
+            points = rng.uniform(-6.0, 6.0, size=(n, 3))
+            if k % 3 == 2:  # near-coplanar: unfixable below some spread, conditioned near the ceiling above it
+                points[:, 2] = 1.5 + 10.0 ** rng.uniform(-9.0, -1.0) * rng.standard_normal(n)
+            anchors = uwb.AnchorSet(anchors=points)
+            tag = rng.uniform(-4.0, 4.0, 3)
+            for topology in uwb.TOPOLOGIES:
+                clean = np.array((toa_ranges(tag, anchors) if topology == "toa" else
+                                  tdoa_ranges(tag, anchors, topology)).values)
+                signed = clean.copy()
+                signed[:: 2] = np.copysign(0.0, rng.standard_normal(len(clean[:: 2])))
+                cases = [clean, np.abs(clean + rng.normal(0.0, 0.05, clean.shape)), np.zeros_like(clean), signed,
+                         clean * 10.0 ** rng.uniform(150.0, 156.0), clean[1:]]
+                for values in cases:
+                    obs = ranges_of(topology, values)
+                    # a ceiling patched after the set was built reaches its bound solver through uwb's globals
+                    with mock.patch.object(uwb, "COND_CEILING", 1e3 if k % 2 else uwb.COND_CEILING):
+                        got = _bits(uwb.solve_fix, anchors, obs)
+                        assert got == _bits(LOOP[topology], anchors, obs), (k, topology, values)
+                    seen[got[1].split(" ")[0] if got[0] != "fix" else "fix"] += 1
+        # a fix, the unfixable verdict, rank 3, the ceiling, an overflow and a count mismatch
+        assert set(seen) == {"fix", "anchors", "system", "condition", "position", "range", "difference"}, seen
+
+    def test_one_compile_per_topology_and_row_count(self):
+        before = uwb._factory.cache_info()
+        sets = [box_anchors(jitter=np.full((8, 3), 0.01 * k)) for k in range(3)]
+        assert all(anchors.solvers == {} for anchors in sets)  # nothing is bound when a set is built
+        for anchors in sets:
+            for topology in uwb.TOPOLOGIES:
+                uwb.solve_fix(anchors, tdoa_ranges(np.array([0.3, 0.2, 1.0]), anchors, topology))
+            assert set(anchors.solvers) == set(uwb.TOPOLOGIES)
+        after = uwb._factory.cache_info()
+        assert after.misses - before.misses <= 3 and after.hits - before.hits >= 6
+
+    def test_nothing_compiled_on_import_or_load_config(self):
+        config = Path(__file__).resolve().parent.parent / "configs" / "circle.yaml"
+        code = (
+            "import uwbnav.cli\n"
+            "from uwbnav import uwb\n"
+            "from uwbnav.harness import load_config\n"
+            f"cfg = load_config({str(config)!r})\n"
+            "print(uwb._factory.cache_info().currsize, cfg.anchor_set().solvers)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "{}"]
+
+    def test_finite_rows_summing_past_the_float_range_are_an_overflow(self):
+        # the one refusal the sum test adds: differences in the block's column space, each row's b finite, whose
+        # b sum passes ~1.8e308 (the loop of finite checks let them through to a rank-3 refusal)
+        anchors = box_anchors()
+        f = anchors.tdoa["tdoa-main"].factor
+        d = tuple((np.array(f.ut).T @ np.array([1.0, 0.5, 0.25]) * 10.0 ** 154.22).tolist())
+        assert all(np.isfinite(0.5 * x * x) for x in d)
+        with pytest.raises(ValueError, match="^position solve overflowed: ranges too large$"):
+            uwb.solve_fix(anchors, ranges_of("tdoa-main", d))
