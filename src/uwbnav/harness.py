@@ -34,8 +34,8 @@ from .liegroup import attitude_distance, quat_to_rot, rot_to_quat, so3_exp
 from .navfilter import ATTITUDE_GATE, FilterGains, FilterState, _gate, step
 from .sim import _KIND_KEYS, MAX_SAMPLES, NoiseSpec, TruthTrajectory, _chunked, _chunks, _numbers
 from .sim import generate_trajectory, reconstruct_velocity
-from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, GeometryDegenerate, Ranges
-from .uwb import _check_geometry, _check_ranges, _range_block
+from .uwb import ANCHOR_LIMIT, TOPOLOGIES, AnchorSet, Ranges
+from .uwb import _check_ranges, _range_block
 
 __all__ = [
     "VARIANTS",
@@ -224,9 +224,10 @@ class RunConfig:
             )
             self._env = ReferenceEnvironment(g_vec=self.g_vec, m_r=self.m_r)
             self._anchor_set = AnchorSet(anchors=self.anchors)
-            _check_geometry(self._anchor_set, self.topology)
-        except (ValueError, GeometryDegenerate) as err:  # each message names its field, which is the config key
+        except ValueError as err:  # each message names its field, which is the config key
             raise ConfigError(str(err)) from err
+        if self.topology in self._anchor_set.unfixable:
+            raise ConfigError(self._anchor_set.unfixable[self.topology])
         # the initial state passes the same gate as every state a step returns
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # a rotation vector that overflows fails the gate
@@ -636,7 +637,8 @@ def ingest_dataset(
     body rates or specific forces (``omega`` and ``a`` are None): the run scores states only.  The
     streams hold the decimated IMU block and the ticks' range block, a sample built from its row's
     field groups when it is read (:class:`_Rows`).  Anchors that give no fix under ``topology`` are a
-    SchemaError with the anchor set's reason (``AnchorSet.unfixable``).
+    SchemaError with the anchor set's reason (``AnchorSet.unfixable``), and so is any row's ``d``
+    beyond twice the largest anchor separation.
     """
     src = Path(dataset_dir)
     truth = _read_truth(src / "truth.csv")
@@ -658,9 +660,10 @@ def ingest_dataset(
         raise SchemaError(f"anchors.csv: ids must be 1 to {len(order)}, each once")
     try:
         anchor_set = AnchorSet(anchors=anchors_raw[order, 1:4])
-        _check_geometry(anchor_set, topology)
-    except (ValueError, GeometryDegenerate) as err:
+    except ValueError as err:
         raise SchemaError(f"anchors.csv: {err}") from err
+    if topology in anchor_set.unfixable:
+        raise SchemaError(f"anchors.csv: {anchor_set.unfixable[topology]}")
 
     dt_full = float(np.median(np.diff(t_full)))
     stride = _stride(1.0 / dt_full, filter_rate)
@@ -687,6 +690,13 @@ def ingest_dataset(
         raise SchemaError(
             f"tdoa.csv: anchor pairs at t={times[np.argmax(bad)]:.6g} do not match the {topology} topology"
         )
+    # no true difference exceeds its pair's separation: twice the widest leaves one more for noise and NLOS bias
+    reach = 2.0 * float(np.linalg.norm(anchor_set.anchors[:, None] - anchor_set.anchors, axis=-1).max())
+    beyond = np.abs(tdoa[:, 3]) > reach
+    if beyond.any():
+        row = int(np.argmax(beyond))
+        raise SchemaError(f"tdoa.csv: value {tdoa[row, 3]:g} in column 'd' (data row {row + 1}) exceeds twice "
+                          f"the largest anchor separation ({reach:.6g} m)")
     nearest = _nearest(times, traj.t)
     # a group further off than one filter interval plus the ranging clock's
     # own spacing is a gap in the ranging stream, not a late group

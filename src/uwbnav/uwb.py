@@ -9,15 +9,17 @@ vocabulary of the package: the run configuration, the command line and
 the harness read them from here.  Each TDOA topology is
 defined once, by the anchor-pair list :class:`AnchorSet` builds for it
 (``AnchorSet.tdoa``): difference k is the distance to the second anchor of
-pair k minus the distance to the first.  Range synthesis, the one TDOA
-solver and the dataset's ``i,j`` columns all read that list.
+pair k minus the distance to the first.  Range synthesis, the TDOA
+solves and the dataset's ``i,j`` columns all read that list.
 
-Each solver rewrites the squared-range identities as an overdetermined
-linear system ``A x = b`` and solves it in the least-squares sense from a
-thin singular value decomposition; forming the normal equations would
-square the condition number, so it is avoided.  Every decomposition is
-taken once, by ``numpy.linalg.svd`` when an :class:`AnchorSet` is built,
-because the system matrices are constant but for one column:
+:func:`solve_fix` is the one solve: under each topology it rewrites the
+squared-range identities as an overdetermined linear system ``A x = b``
+and solves it in the least-squares sense from a thin singular value
+decomposition; forming the normal equations would square the condition
+number, so it is avoided.  Every decomposition is taken once, by
+``numpy.linalg.svd`` when an :class:`AnchorSet` is built, and kept in its
+one table keyed by topology, ``AnchorSet.factors``, because the system
+matrices are constant but for one column:
 
 - TOA: ``A`` depends on the anchors alone, so a solve is ``V ((U^T b) /
   s)``.
@@ -43,13 +45,14 @@ A solve runs once per filter step on a handful of rows, where a numpy call
 costs more in dispatch than its arithmetic and a loop's per-row overhead a
 third of the solve.  So the module writes one straight-line solver per
 topology and row count (:func:`_source`), compiled once per process, and an
-anchor set binds the float copies of its factor entries into it on its
-first solve under a topology.  A solver reads the range set's float tuple
-and returns the fix as a float 3-tuple, the position alone (see
-``navfilter``'s "Cost" note).  Each dot product adds its terms from ``0.0``
-in row order, the rule that fixes the bits on every Python version: the
-loop oracles of ``tests/reference.py`` add in it explicitly (the builtin
-float ``sum`` compensates from Python 3.12 on).  A finiteness test is one
+anchor set binds the float copies of its ``factors`` entry and of the
+squared norms its rows read into it on its first solve under a topology.
+A solver reads the range set's float tuple and returns the fix as a float
+3-tuple, the position alone (see ``navfilter``'s "Cost" note).  Each dot
+product adds its terms from ``0.0`` in row order, the rule that fixes the
+bits on every Python version: the loop oracles of ``tests/reference.py``
+add in it explicitly (the builtin float ``sum`` compensates from Python
+3.12 on).  A finiteness test is one
 ``math.isfinite`` of a group's sum, so it also refuses finite values whose
 sum passes the float range (~1.8e308).
 """
@@ -69,8 +72,6 @@ __all__ = [
     "GeometryDegenerate",
     "AnchorSet",
     "Ranges",
-    "toa_solve",
-    "tdoa_solve",
     "solve_fix",
 ]
 
@@ -109,21 +110,13 @@ class Factor(NamedTuple):
 
 
 class PairList(NamedTuple):
-    """One TDOA topology over an anchor set, and the constant parts of its solve.
+    """One TDOA topology over an anchor set: the 0-based anchor indices of each pair, in topology order.
 
-    ``first`` and ``second`` are the 0-based anchor indices of each pair,
-    in topology order: difference k is dist(anchor ``second[k]``) -
-    dist(anchor ``first[k]``).  ``sq_first`` and ``sq_second`` are the
-    squared norms of each pair's anchors, and ``factor`` the :class:`Factor`
-    of the solver's position block, rows ``h[first] - h[second]`` (None
-    when the anchor set can give no fix under the topology).
+    Difference k is dist(anchor ``second[k]``) - dist(anchor ``first[k]``).
     """
 
     first: np.ndarray
     second: np.ndarray
-    sq_first: list
-    sq_second: list
-    factor: Factor | None
 
 
 @dataclass(frozen=True)
@@ -131,27 +124,30 @@ class AnchorSet:
     """Fixed anchor positions in the inertial frame.
 
     Derived once here for the solvers: ``sq_norms`` (squared anchor norms),
-    ``toa_factor`` (the :class:`Factor` of the TOA system ``h[1:] - h[0]``),
     ``tdoa``, the :class:`PairList` of each TDOA topology (``tdoa-main``
     pairs ``(0, j)`` for j = 1..N-1, ``tdoa-ring`` pairs ``(j, j + 1)`` for
-    j = 0..N-2 and the wraparound ``(N - 1, 0)``), and ``unfixable``, the
-    reason for each topology under which the set gives no fix: fewer anchors
-    than its floor (4 for TOA, 5 for TDOA), or a position block of rank
-    below 3 or condition number above ``COND_CEILING``.  Such a topology's
-    factor is None; its solver, the run configuration and dataset ingest
-    all refuse with that one reason.  The ``tdoa-main`` position block is
-    the TOA system negated, so it shares TOA's verdict and factor (``V``
-    negated).  Construction raises ValueError only on the anchors
-    themselves (shape, non-finite or beyond ``ANCHOR_LIMIT``, closer than
-    ``MIN_ANCHOR_SEPARATION``).  The checks and the squared norms run on
-    Python floats; numpy only factors the two system matrices.  ``solvers``
-    holds the solver bound on the set's first solve under each topology.
+    j = 0..N-2 and the wraparound ``(N - 1, 0)``), ``factors``, the
+    :class:`Factor` of each topology's position block (TOA's system ``h[1:]
+    - h[0]``, a TDOA topology's rows ``h[first] - h[second]``), and
+    ``unfixable``, the reason for each topology under which the set gives
+    no fix: fewer anchors than its floor (4 for TOA, 5 for TDOA), or a
+    position block of rank below 3 or condition number above
+    ``COND_CEILING``.  ``factors`` holds a key for exactly the topologies
+    ``unfixable`` does not; :func:`solve_fix`, the run configuration and
+    dataset ingest all refuse the others with that one reason.  The
+    ``tdoa-main`` position block is the TOA system negated, so it shares
+    TOA's verdict and factor (``V`` negated).  Construction raises
+    ValueError only on the anchors themselves (shape, non-finite or beyond
+    ``ANCHOR_LIMIT``, closer than ``MIN_ANCHOR_SEPARATION``).  The checks
+    and the squared norms run on Python floats; numpy only factors the two
+    system matrices.  ``solvers`` holds the solver bound on the set's first
+    solve under each topology.
     """
 
     anchors: np.ndarray
     sq_norms: list = field(init=False, repr=False, compare=False)
-    toa_factor: Factor | None = field(init=False, repr=False, compare=False)
     tdoa: dict[str, PairList] = field(init=False, repr=False, compare=False)
+    factors: dict[str, Factor] = field(init=False, repr=False, compare=False)
     unfixable: dict[str, str] = field(init=False, repr=False, compare=False)
     solvers: dict = field(init=False, repr=False, compare=False)
 
@@ -169,7 +165,6 @@ class AnchorSet:
             raise ValueError("anchors closer than the minimum separation")
         n = len(rows)
         ids = np.arange(n)
-        sq_norms = [x * x + y * y + z * z for x, y, z in rows]
         ring_second = np.concatenate((ids[1:], ids[:1]))
         factors, why = {}, {}
         for topology in TOPOLOGIES:
@@ -184,18 +179,12 @@ class AnchorSet:
                     factors[topology] = _factor(a[1:] - a[0] if topology == "toa" else a - a[ring_second])
                 except GeometryDegenerate as err:
                     why[topology] = str(err)
-        tdoa = {
-            "tdoa-main": PairList(
-                np.zeros(n - 1, dtype=int), ids[1:], sq_norms[:1] * (n - 1), sq_norms[1:], factors.get("tdoa-main"),
-            ),
-            "tdoa-ring": PairList(
-                ids, ring_second, sq_norms, sq_norms[1:] + sq_norms[:1], factors.get("tdoa-ring"),
-            ),
-        }
         object.__setattr__(self, "anchors", a)
-        object.__setattr__(self, "sq_norms", sq_norms)
-        object.__setattr__(self, "toa_factor", factors.get("toa"))
-        object.__setattr__(self, "tdoa", tdoa)
+        object.__setattr__(self, "sq_norms", [x * x + y * y + z * z for x, y, z in rows])
+        object.__setattr__(self, "tdoa", {
+            "tdoa-main": PairList(np.zeros(n - 1, dtype=int), ids[1:]), "tdoa-ring": PairList(ids, ring_second),
+        })
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "unfixable", {t: f"anchors give no {t} fix: {w}" for t, w in why.items()})
         object.__setattr__(self, "solvers", {})
 
@@ -269,19 +258,13 @@ def _check_condition(cond: float) -> None:
         raise GeometryDegenerate(f"condition number {cond:.3g} above ceiling {COND_CEILING:.3g}")
 
 
-def _check_geometry(anchors: AnchorSet, topology: str) -> None:
-    """Raise GeometryDegenerate with the anchor set's reason when no ranges give a fix on it under ``topology``."""
-    if topology in anchors.unfixable:
-        raise GeometryDegenerate(anchors.unfixable[topology])
-
-
 def _source(topology: str, rows: int) -> str:
     """Source of the straight-line solver factory for ``rows`` system rows under ``topology``.
 
     The factory binds a set's factor entries (squared anchor norms: ``h``,
     or each pair's ``f`` and ``g``; ``U^T``, ``s``, ``V``, ``fro2``, ``inv2``)
-    into the solver: the passes of :func:`toa_solve` or :func:`tdoa_solve`,
-    rows written out.  The ring's first row adds no ``2 d_1 c_1`` (``c_1 =
+    into the solver: the TOA or TDOA passes of :func:`solve_fix`, rows
+    written out.  The ring's first row adds no ``2 d_1 c_1`` (``c_1 =
     0.0``) and its partial sum starts at ``d_1``, not ``0.0 + d_1``: each
     could only flip the sign of a zero added to a value that is never -0.0.
     """
@@ -350,69 +333,43 @@ def _solver(anchors: AnchorSet, topology: str):
     if topology not in solvers:
         if topology in anchors.unfixable:
             raise GeometryDegenerate(anchors.unfixable[topology])
-        if topology == "toa":
-            f, norms = anchors.toa_factor, anchors.sq_norms
-        else:
-            *_, sq_first, sq_second, f = anchors.tdoa[topology]
-            norms = sq_first + sq_second
+        f, h = anchors.factors[topology], anchors.sq_norms
+        norms = h if topology == "toa" else [h[i] for side in anchors.tdoa[topology] for i in side]
         (u0, u1, u2), (v0, v1, v2) = f.ut, f.v
         solvers[topology] = _factory(topology, len(u0))(*norms, *u0, *u1, *u2, *f.s, *v0, *v1, *v2, f.fro2, f.inv2)
     return solvers[topology]
 
 
-def toa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
-    """Position from absolute ranges, as a float 3-tuple.
+def solve_fix(anchors: AnchorSet, obs: Ranges) -> tuple[float, float, float]:
+    """The fix position from one ranging epoch under its own topology, as a float 3-tuple.
 
-    Differencing the squared-range identity ``d_i^2 = ||h_i||^2 + ||p||^2 -
-    2 h_i . p`` against anchor 1 cancels ``||p||^2`` and leaves the linear
-    system with rows ``(h_i - h_1) . p = (d_1^2 - d_i^2 + ||h_i||^2 -
-    ||h_1||^2) / 2``.  The matrix of that system is the anchor set's, so
-    its factorization (``anchors.toa_factor``) is reused and a solve only
-    forms the right-hand side; the anchor set has checked its rank and
-    condition number once.
+    TOA: differencing the squared-range identity ``d_i^2 = ||h_i||^2 +
+    ||p||^2 - 2 h_i . p`` against anchor 1 cancels ``||p||^2`` and leaves
+    the rows ``(h_i - h_1) . p = (d_1^2 - d_i^2 + ||h_i||^2 - ||h_1||^2) /
+    2``, whose matrix is the anchor set's: a solve reuses its factor
+    (``anchors.factors["toa"]``), checked once, and only forms ``b``.
 
-    Raises
-    ------
-    GeometryDegenerate
-        With the anchor set's ``unfixable`` reason.
-    ValueError
-        If the range count is not the anchor count, or the fix is not finite
-        or its coordinates sum past the float range (an overflowed ``b``).
-    """
-    return _solver(anchors, "toa")(ranges.values)
-
-
-def tdoa_solve(anchors: AnchorSet, ranges: Ranges) -> tuple[float, float, float]:
-    """Position from range differences, over the topology's anchor-pair list, as a float 3-tuple.
-
-    For pair (i, j) with difference ``d = dist_j - dist_i``, squaring
+    TDOA: for pair (i, j) with difference ``d = dist_j - dist_i``, squaring
     ``dist_j = d + dist_i`` gives the row ``(h_i - h_j) . p - d * dist_i =
     (d^2 + ||h_i||^2 - ||h_j||^2) / 2``.  The unknowns are stacked as ``[p,
     dist_1]``.  Under ``tdoa-main`` every pair starts at anchor 1, so
-    ``dist_i`` is ``dist_1``.  Ring differences telescope: ``dist_i`` is ``dist_1``
-    plus the partial sum ``c_i`` of the differences before pair i, which
-    adds ``d c_i`` to the row's right-hand side (zero for the first pair;
-    the wraparound pair closes the ring with ``c_N``).  The solve is the
-    rank-one update of the module notes on the factored position block.
+    ``dist_i`` is ``dist_1``.  Ring differences telescope: ``dist_i`` is
+    ``dist_1`` plus the partial sum ``c_i`` of the differences before pair
+    i, which adds ``d c_i`` to the row's right-hand side (zero for the first
+    pair; the wraparound pair closes the ring with ``c_N``).  The solve is
+    the rank-one update of the module notes on the factored position block.
 
     Raises
     ------
     GeometryDegenerate
-        With the anchor set's ``unfixable`` reason, or if the system with
-        the measured column has rank below 4 or conditioning above
-        ``COND_CEILING``.  The system has 4 unknowns; ``tdoa-main`` has ``N
-        - 1`` rows, and the ring rows sum to zero by telescoping, so the
-        ring system rank is at most ``N - 1`` too.
+        With the anchor set's ``unfixable`` reason, or, under TDOA, if the
+        system with the measured column has rank below 4 or conditioning
+        above ``COND_CEILING``.  It has 4 unknowns; ``tdoa-main`` has ``N -
+        1`` rows, and the ring rows sum to zero by telescoping, so the ring
+        system rank is at most ``N - 1`` too.
     ValueError
-        If the difference count does not match the anchor count, or the
-        solve overflows: ``b`` and ``beta^2``, or the fix, hold a value that
-        is not finite or sum past the float range (~1.8e308).
+        If the range or difference count does not match the anchor count,
+        or the solve overflows: the fix, or under TDOA ``b`` and ``beta^2``,
+        hold a value that is not finite or sum past the float range.
     """
-    return _solver(anchors, ranges.topology)(ranges.values)
-
-
-def solve_fix(anchors: AnchorSet, obs: Ranges) -> tuple[float, float, float]:
-    """The fix position: an observation dispatched to the TOA solver or, on its own topology, to the TDOA solver."""
-    if obs.topology == "toa":
-        return toa_solve(anchors, obs)
-    return tdoa_solve(anchors, obs)
+    return _solver(anchors, obs.topology)(obs.values)

@@ -551,7 +551,7 @@ def _block_gate(topology, floor, n, block):
 def toa_solve_per_call(anchors, ranges):
     """TOA fix position from a fresh thin SVD of the differenced system on every call.
 
-    Same rows, floor, rank and condition messages as ``uwb.toa_solve``, and
+    Same rows, floor, rank and condition messages as ``uwb.solve_fix``, and
     its float arithmetic: ``y = (U^T b) / s`` by rows of ``U^T``, each dot
     product added term by term in row order from ``0.0`` (not by ``sum``,
     which compensates from Python 3.12 on), then ``V y``.
@@ -588,14 +588,14 @@ def _fix_of(v, y0, y1, y2):
 
 
 def toa_solve_loop(anchors, ranges):
-    """TOA fix from the anchor set's factor in one loop over the rows: the passes ``uwb.toa_solve`` writes out.
+    """TOA fix from the anchor set's factor in one loop over the rows: the TOA passes ``uwb.solve_fix`` writes out.
 
     Same refusals, messages and float operations, each dot product an
     accumulator that starts at ``0.0`` and adds its terms in row order.
     """
-    f, d, hn2 = anchors.toa_factor, ranges.values, anchors.sq_norms
-    if f is None:
+    if "toa" in anchors.unfixable:
         raise GeometryDegenerate(anchors.unfixable["toa"])
+    f, d, hn2 = anchors.factors["toa"], ranges.values, anchors.sq_norms
     if len(d) != len(hn2):
         raise ValueError("range count does not match anchor count")
     (u0, u1, u2), (s0, s1, s2) = f.ut, f.s
@@ -608,7 +608,7 @@ def toa_solve_loop(anchors, ranges):
 
 
 def tdoa_solve_loop(anchors, ranges):
-    """TDOA fix from the anchor set's factor in two loops over the pairs: the passes ``uwb.tdoa_solve`` writes out.
+    """TDOA fix from the anchor set's factor in two loops over the pairs: the TDOA passes ``uwb.solve_fix`` writes out.
 
     Same refusals, messages and float operations: ``b``, ``y = U0^T b``
     and ``z = U0^T d`` in one pass, the ring's partial sum from ``0.0``,
@@ -616,9 +616,10 @@ def tdoa_solve_loop(anchors, ranges):
     starts at ``0.0`` and adds in row order.
     """
     topology, d = ranges.topology, ranges.values
-    _, second, sq_first, sq_second, f = anchors.tdoa[topology]
-    if f is None:
+    if topology in anchors.unfixable:
         raise GeometryDegenerate(anchors.unfixable[topology])
+    f, (first, second), hn2 = anchors.factors[topology], anchors.tdoa[topology], anchors.sq_norms
+    sq_first, sq_second = [hn2[i] for i in first], [hn2[j] for j in second]
     if len(d) != len(second):
         raise ValueError("difference count does not match anchor count")
     ring, (u0, u1, u2), (s0, s1, s2) = topology == "tdoa-ring", f.ut, f.s
@@ -659,7 +660,7 @@ def _tdoa_fix(x):
 def tdoa_solve_main_bs(anchors, ranges):
     """Main-base-station TDOA fix: rows ``(h_1 - h_i) . p - d_i1 dist_1 = (d_i1^2 + ||h_1||^2 - ||h_i||^2) / 2``.
 
-    Floor, count check and messages as ``uwb.tdoa_solve``: the position
+    Floor, count check and messages as ``uwb.solve_fix``: the position
     block's gates first, then a fresh SVD of the 4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)
@@ -680,7 +681,7 @@ def tdoa_solve_ring(anchors, ranges):
 
     ``c_j`` is the partial sum of the differences before pair j; the
     wraparound pair (N, 1) closes the ring.  Floor, count check and
-    messages as ``uwb.tdoa_solve``: the position block's gates first, then a
+    messages as ``uwb.solve_fix``: the position block's gates first, then a
     fresh SVD of the 4-column system per call.
     """
     h, n = anchors.anchors, len(anchors)

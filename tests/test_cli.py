@@ -546,6 +546,27 @@ class TestRunVerb:
         assert "numerical failure: metrics: sigma_norm must be finite (data row 1)" in err
         assert not (tmp_path / "o").exists()
 
+    # row 4's tick is replayed, row 11's (t = 0.002) is one the 100 Hz filter clock skips
+    @pytest.mark.parametrize("row", [4, 11])
+    @pytest.mark.parametrize("value", ["1e6", "1e200"])
+    def test_difference_beyond_the_anchor_reach_is_data_error(self, tmp_path, capsys, value, row):
+        # a finite d no anchor pair can give: once exit 0 with a 90 m steady-state error (1e6), or exit 4
+        # from an overflowed position solve (1e200)
+        ds = tmp_path / "ds"
+        sim_cfg = tmp_path / "sim.yaml"
+        sim_cfg.write_text("duration: 2.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(sim_cfg), "--out", str(ds)) == EXIT_OK
+        lines = (ds / "tdoa.csv").read_text().splitlines()
+        lines[row] = ",".join(lines[row].split(",")[:3] + [value])
+        (ds / "tdoa.csv").write_text("\n".join(lines) + "\n")
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nrate: 500.0\nfilter_rate: 100.0\ntopology: tdoa-main\n")
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: tdoa.csv: value {float(value):g} in column 'd' (data row {row})" in err
+        assert "twice the largest anchor separation" in err
+        assert not (tmp_path / "r").exists()
+
     def test_stale_ranging_group_is_data_error(self, tmp_path, capsys):
         # tdoa.csv stops after one second of a three-second flight: once exit 0,
         # every later tick holding the last group

@@ -50,7 +50,7 @@ PER_STEP = {
     ),
     "attitude": ("_unit", "build_triads"),
     "liegroup": ("cross3", "_rodrigues_coefficients", "se23_exp", "_quat_rot_rows", "quat_turn"),
-    "uwb": ("_solver", "toa_solve", "tdoa_solve", "solve_fix"),
+    "uwb": ("_solver", "solve_fix"),
 }
 # the straight-line solvers uwb generates, bound to an anchor set on its first solve: one per topology and row
 # count, so their sources are parsed for every topology at the row counts of 4 to 12 anchors

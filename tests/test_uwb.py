@@ -20,6 +20,7 @@ from reference import (
     toa_solve_per_call,
 )
 from uwbnav import uwb
+from uwbnav.harness import default_anchors
 
 
 def box_anchors(scale=4.0, jitter=None):
@@ -60,6 +61,25 @@ class TestAnchorSet:
         with pytest.raises(ValueError):
             uwb.AnchorSet(anchors=np.zeros((4, 2)))
 
+    @pytest.mark.parametrize(
+        "anchors",
+        [
+            default_anchors(),
+            box_anchors(),
+            uwb.AnchorSet(anchors=box_anchors().anchors[:3]),
+            uwb.AnchorSet(anchors=box_anchors().anchors[:4]),
+            uwb.AnchorSet(anchors=np.array([[float(i), 0.0, 0.0] for i in range(5)])),
+            near_coplanar_anchors(),
+        ],
+        ids=["room", "box", "toa-floor", "tdoa-floor", "rank", "ceiling"],
+    )
+    def test_factor_table_keys_the_fixable_topologies(self, anchors):
+        # one factor per topology that can give a fix; tdoa-main's block is the TOA system negated
+        assert set(anchors.factors) == set(uwb.TOPOLOGIES) - set(anchors.unfixable)
+        if "tdoa-main" in anchors.factors:  # the same ut, s, fro2 and inv2
+            toa = anchors.factors["toa"]
+            assert anchors.factors["tdoa-main"] == toa._replace(v=[[-x for x in row] for row in toa.v])
+
 
 @pytest.mark.filterwarnings("error")
 class TestOverflowingAnchors:
@@ -75,8 +95,7 @@ class TestOverflowingAnchors:
     def test_largest_accepted_anchors_build_finite_factors(self):
         a = box_anchors().anchors / 4.0 * uwb.ANCHOR_LIMIT
         anchors = uwb.AnchorSet(anchors=a)
-        factors = [anchors.toa_factor] + [pairs.factor for pairs in anchors.tdoa.values()]
-        values = anchors.sq_norms + [x for f in factors for x in (*f.s, f.fro2, f.inv2)]
+        values = anchors.sq_norms + [x for f in anchors.factors.values() for x in (*f.s, f.fro2, f.inv2)]
         assert np.all(np.isfinite(values))
         assert anchors.unfixable == {}  # every stored factor has full rank
 
@@ -124,7 +143,7 @@ class TestToaSolve:
     def test_recovers_position(self, anchors, rng):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
-            fix = uwb.toa_solve(anchors, toa_ranges(p, anchors))
+            fix = uwb.solve_fix(anchors, toa_ranges(p, anchors))
             assert np.linalg.norm(np.subtract(fix, p)) < 1e-9
 
     def test_matches_lstsq_oracle(self, anchors, rng):
@@ -136,7 +155,7 @@ class TestToaSolve:
             a_rows.append(h[i] - h[0])
             b_rows.append(0.5 * (d[0] ** 2 - d[i] ** 2 + h[i] @ h[i] - h[0] @ h[0]))
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
-        fix = uwb.toa_solve(anchors, ranges_of("toa", d))
+        fix = uwb.solve_fix(anchors, ranges_of("toa", d))
         assert np.allclose(fix, ref, atol=1e-10)
 
     def test_translation_equivariance(self, rng):
@@ -144,38 +163,37 @@ class TestToaSolve:
         base = box_anchors()
         moved = uwb.AnchorSet(anchors=base.anchors + shift)
         p = rng.uniform(-2, 2, size=3)
-        fix = uwb.toa_solve(moved, toa_ranges(p + shift, moved))
+        fix = uwb.solve_fix(moved, toa_ranges(p + shift, moved))
         assert np.allclose(fix, p + shift, atol=1e-9)
 
     def test_too_few_anchors(self):
         three = uwb.AnchorSet(anchors=np.array([[0, 0, 0], [4, 0, 0], [0, 4, 0.0]]))
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.toa_solve(three, ranges_of("toa", np.ones(3)))
+            uwb.solve_fix(three, ranges_of("toa", np.ones(3)))
 
     def test_collinear_anchors_degenerate(self):
         line = uwb.AnchorSet(anchors=np.array([[float(i), 0, 0] for i in range(5)]))
         d = toa_ranges(np.array([1.0, 1.0, 1.0]), line)
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.toa_solve(line, d)
+            uwb.solve_fix(line, d)
 
     @pytest.mark.parametrize("topology", uwb.TOPOLOGIES)
     def test_geometry_check_rejects_what_no_solve_accepts(self, rng, topology):
         # a TDOA solve's condition number is at least its position block's, so
         # a block above the ceiling fails every solve, as TOA's constant system does
         flat = near_coplanar_anchors()
-        with pytest.raises(uwb.GeometryDegenerate, match="above ceiling"):
-            uwb._check_geometry(flat, topology)
+        assert "above ceiling" in flat.unfixable[topology]
         for p in rng.uniform(-3, 3, size=(20, 3)):
             obs = toa_ranges(p, flat) if topology == "toa" else tdoa_ranges(p, flat, topology)
             with pytest.raises(uwb.GeometryDegenerate):
                 uwb.solve_fix(flat, obs)
-        uwb._check_geometry(box_anchors(), topology)
+        assert topology not in box_anchors().unfixable
 
     def test_condition_ceiling_enforced(self, rng):
         flat = near_coplanar_anchors()
         d = toa_ranges(rng.uniform(-2, 2, size=3), flat)
         with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
-            uwb.toa_solve(flat, d)
+            uwb.solve_fix(flat, d)
 
 
 def _outcome(solve, *args):
@@ -215,7 +233,7 @@ class TestFactoredToaSolve:
             anchors = uwb.AnchorSet(anchors=rng.uniform(-6.0, 6.0, size=(n, 3)))
             p = rng.uniform(-4.0, 4.0, size=3)
             obs = ranges_of("toa", np.abs(np.array(toa_ranges(p, anchors).values) + rng.normal(0.0, 0.05, n)))
-            _assert_same_outcome(_outcome(uwb.toa_solve, anchors, obs), _outcome(toa_solve_per_call, anchors, obs))
+            _assert_same_outcome(_outcome(uwb.solve_fix, anchors, obs), _outcome(toa_solve_per_call, anchors, obs))
 
     @pytest.mark.parametrize(
         "points, message",
@@ -230,7 +248,7 @@ class TestFactoredToaSolve:
         anchors = uwb.AnchorSet(anchors=np.array(points, dtype=float))
         obs = ranges_of("toa", np.ones(len(anchors)))
         assert _outcome(toa_solve_per_call, anchors, obs) == message
-        assert _outcome(uwb.toa_solve, anchors, obs) == message
+        assert _outcome(uwb.solve_fix, anchors, obs) == message
 
 
 class TestPairListSolve:
@@ -259,7 +277,7 @@ class TestPairListSolve:
             clean = np.array(tdoa_ranges(tag, anchors, topology).values)
             obs = ranges_of(topology, clean + rng.normal(0.0, 0.05, clean.shape))
             ref = _outcome(oracle, anchors, obs)
-            _assert_close_outcome(_outcome(uwb.tdoa_solve, anchors, obs), ref, anchors, obs)
+            _assert_close_outcome(_outcome(uwb.solve_fix, anchors, obs), ref, anchors, obs)
             seen.add(ref.split(": ")[-1].split(" ")[0] if isinstance(ref, str) else "fix")
         assert seen == {"fix", "need", "system", "condition"}
 
@@ -329,7 +347,7 @@ class TestTdoaSolvers:
     def test_recovers_position(self, anchors, rng, topology):
         for _ in range(50):
             p = rng.uniform(-3, 3, size=3)
-            fix = uwb.tdoa_solve(anchors, tdoa_ranges(p, anchors, topology))
+            fix = uwb.solve_fix(anchors, tdoa_ranges(p, anchors, topology))
             assert np.linalg.norm(np.subtract(fix, p)) < 1e-8
 
     def test_topologies_agree_after_conversion(self, anchors, rng):
@@ -341,8 +359,8 @@ class TestTdoaSolvers:
         ring[0] = main[0]
         ring[1:-1] = main[1:] - main[:-1]
         ring[-1] = -main[-1]
-        fix_m = uwb.tdoa_solve(anchors, ranges_of("tdoa-main", main))
-        fix_r = uwb.tdoa_solve(anchors, ranges_of("tdoa-ring", ring))
+        fix_m = uwb.solve_fix(anchors, ranges_of("tdoa-main", main))
+        fix_r = uwb.solve_fix(anchors, ranges_of("tdoa-ring", ring))
         assert np.linalg.norm(np.subtract(fix_m, fix_r)) < 1e-6
 
     def test_ring_matches_lstsq_oracle(self, anchors, rng):
@@ -358,7 +376,7 @@ class TestTdoaSolvers:
             b_rows.append(0.5 * (d * d + h[k] @ h[k] - h[j] @ h[j] + 2.0 * d * partial))
             partial += d
         ref, *_ = np.linalg.lstsq(np.array(a_rows), np.array(b_rows), rcond=None)
-        fix = uwb.tdoa_solve(anchors, obs)
+        fix = uwb.solve_fix(anchors, obs)
         assert np.allclose(fix, ref[:3], atol=1e-9)
 
     def test_main_bs_needs_five_anchors(self):
@@ -367,7 +385,7 @@ class TestTdoaSolvers:
         )
         obs = tdoa_ranges(np.ones(3), four, "tdoa-main")
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.tdoa_solve(four, obs)
+            uwb.solve_fix(four, obs)
 
     def test_ring_rows_sum_to_zero(self, anchors, rng):
         # telescoping makes the ring rows linearly dependent, which is why
@@ -385,7 +403,7 @@ class TestTdoaSolvers:
         )
         obs = tdoa_ranges(np.array([0.8, 1.1, 0.9]), four, "tdoa-ring")
         with pytest.raises(uwb.GeometryDegenerate):
-            uwb.tdoa_solve(four, obs)
+            uwb.solve_fix(four, obs)
 
     def test_ring_works_with_five_anchors(self, rng):
         five = uwb.AnchorSet(
@@ -394,7 +412,7 @@ class TestTdoaSolvers:
             )
         )
         p = np.array([0.8, 1.1, 0.9])
-        fix = uwb.tdoa_solve(five, tdoa_ranges(p, five, "tdoa-ring"))
+        fix = uwb.solve_fix(five, tdoa_ranges(p, five, "tdoa-ring"))
         assert np.linalg.norm(np.subtract(fix, p)) < 1e-7
 
     @pytest.mark.parametrize("topology", ["tdoa-main", "tdoa-ring"])
@@ -402,7 +420,7 @@ class TestTdoaSolvers:
         flat = near_coplanar_anchors()
         obs = tdoa_ranges(rng.uniform(-2, 2, size=3), flat, topology)
         with pytest.raises(uwb.GeometryDegenerate, match=r"condition number .* above ceiling 1e\+08"):
-            uwb.tdoa_solve(flat, obs)
+            uwb.solve_fix(flat, obs)
 
     def test_solve_fix_dispatch(self, anchors, rng):
         p = rng.uniform(-2, 2, size=3)
@@ -529,7 +547,7 @@ class TestStraightLineSolvers:
         # the one refusal the sum test adds: differences in the block's column space, each row's b finite, whose
         # b sum passes ~1.8e308 (the loop of finite checks let them through to a rank-3 refusal)
         anchors = box_anchors()
-        f = anchors.tdoa["tdoa-main"].factor
+        f = anchors.factors["tdoa-main"]
         d = tuple((np.array(f.ut).T @ np.array([1.0, 0.5, 0.25]) * 10.0 ** 154.22).tolist())
         assert all(np.isfinite(0.5 * x * x) for x in d)
         with pytest.raises(ValueError, match="^position solve overflowed: ranges too large$"):
