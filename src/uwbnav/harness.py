@@ -8,11 +8,13 @@ and writes per-step estimates and error metrics plus a run summary.  A
 block's samples are built from its rows' field groups as they are read:
 a run streams each block in one pass, an online caller indexes it.
 
-All numeric output is formatted with repr-round-trip precision and a
-fixed column order, so runs with identical seeds produce byte-identical
-files.  The CSV files of one artifact set (a dataset's time series, a
-run's truth, estimates and metrics) are written in one chunked pass, a
-value they share formatted once per row (:func:`_write_set`).
+All numeric output is formatted with repr-round-trip precision (each
+value the text ``b"%.17g" % x`` gives, made with numpy: :func:`_texts`)
+and a fixed column order, so runs with identical seeds produce
+byte-identical files.  The CSV files of one artifact set (a dataset's
+time series, a run's truth, estimates and metrics) are written in one
+chunked pass, a value they share formatted once per row
+(:func:`_write_set`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import struct
 from collections.abc import Mapping, Sequence
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -410,24 +412,107 @@ def synthesize_measurements(
 
 _TRUTH_HEADER = ["t", "px", "py", "pz", "qw", "qx", "qy", "qz"]
 _IMU_HEADER = ["t", "wx", "wy", "wz", "ax", "ay", "az", "mx", "my", "mz"]
-# line templates of a set's files: %s takes a value's text formatted once for every file that shares it
-_TRUTH_LINE = "%s" + ",%.17g" * 7 + "\n"
 
 
-def _lines(line: str, block: np.ndarray, texts: dict[int, list[bytes]]) -> bytes:
-    """The ``%`` template ``line`` over each row of the ``(m, c)`` array ``block``, column ``j`` as ``texts[j]``.
+@cache
+def _formats() -> tuple[np.ndarray, ...]:
+    """The tables of :func:`_texts`, built from exact integers on first use, none on import.
 
-    The template is applied as bytes, which format a number as text does, a little faster and with no encoding copy.
+    ``10**k`` (``k`` in -266..298) as its double, that double's high Dekker half and the remainder's double;
+    each 4-digit group's word, a point byte after each digit, and the significant digits up to its last nonzero
+    one as group 1..4 of a value; masks keeping ``n`` digits and the point after digit ``p``; heads (a sign, a
+    fraction's ``0.000``, the first digit and a point); exponent, inf and nan tails.
     """
-    values = block.ravel().tolist()
-    for j, text in texts.items():
-        values[j :: block.shape[1]] = text
-    return line.encode() * len(block) % tuple(values)
+    exact = (((10**k, 1) if k >= 0 else (1, 10**-k)) for k in range(-266, 299))
+    split = ((p, q, *(p / q).as_integer_ratio()) for p, q in exact)  # int / int rounds correctly
+    high, low = np.array([(num / den, (p * den - num * q) / (q * den)) for p, q, num, den in split]).T
+    x = np.arange(10000, dtype=np.uint64)
+    quads = sum((48 + x // 10 ** (3 - j) % 10 | 0x2E00) << 16 * j for j in range(4))
+    place = 4 - (x % 10 == 0) - (x % 100 == 0) - (x % 1000 == 0)  # of the last nonzero digit
+    # the head's 6 bytes, then each digit's byte and its point's
+    keep = b"".join(b"\xff" * 6 + bytes(255 * kept for j in range(17) for kept in (j < n, j == p))
+                    for n in range(18) for p in range(-1, 17))
+    heads = [sign + b"0.000"[:k] for sign in (b"", b"-") for k in range(6)]
+    firsts = b"".join(head.ljust(6, b"\0") + b"%d." % k for head in heads for k in range(10))
+    tails = b"".join(t.ljust(8, b"\0") for t in [b"", b"inf", b"nan"] + [b"e%+03d" % e for e in range(-347, 350)])
+    lasts = np.where(x == 0, 0, 4 * np.arange(4)[:, None] + 1 + place).astype(np.int8)
+    keep, firsts, tails = (np.frombuffer(table, np.uint64) for table in (keep, firsts, tails))
+    cut = 134217729.0 * high - (134217729.0 * high - high)
+    return high, cut, low, quads, lasts, keep.reshape(-1, 5).T.copy(), firsts, tails
 
 
-def _texts(block: np.ndarray) -> list[bytes]:
-    """Each row of the ``(m, c)`` array ``block`` as its comma-separated ``%.17g`` text, formatted once."""
-    return _lines(",".join(["%.17g"] * block.shape[1]) + "\n", block, {}).split()
+def _scaled(a: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a * 10**(16 - e)``'s integer part (int64) and fraction to ~1e-14: Dekker's TwoProduct with a double-double
+    power of :func:`_formats`, exact on its high double, the remainder's product added to the error term."""
+    b, b1, low = (np.take(table, 282 - e) for table in _formats()[:3])
+    c = 134217729.0 * a
+    a1 = c - (c - a)
+    a2, b2, p = a - a1, b - b1, a * b
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2 + a * low
+    whole = np.floor(err)
+    return p.astype(np.int64) + whole.astype(np.int64), err - whole
+
+
+def _texts(block: np.ndarray) -> np.ndarray:
+    """Each value of the ``(m, c)`` float block as its ``b"%.17g" % x`` bytes, NUL-padded, as ``(6, m, c)`` words.
+
+    The 17 significant digits are integers from an exact scaling (:func:`_scaled`), rounded to nearest.  Only a
+    value within 1e-6 of a tie (Python rounds half to even) or outside [1e-280, 1e280] (past the powers) is
+    formatted by Python, and spliced in.  A field's six words: sign, a fraction's ``0.000`` and the first digit;
+    four 4-digit groups, each digit with a point byte; the exponent (or inf, nan).  A byte not printed is NUL.
+    """
+    v = block.ravel()
+    out = np.empty((6, len(v)), np.uint64)
+    for lo in range(0, len(v), 4096):  # a piece's temporaries stay in cache
+        _fields(v[lo : lo + 4096], out[:, lo : lo + 4096])
+    return out.reshape(6, *block.shape)
+
+
+def _fields(v: np.ndarray, out: np.ndarray) -> None:
+    """The six words of :func:`_texts` for each of the flat values ``v``, into the ``(6, len(v))`` array ``out``."""
+    quads, lasts, keep, firsts, tails = _formats()[3:]
+    fine = (np.abs(v) >= 1e-280) & (np.abs(v) <= 1e280)  # zeros, NaN and infinities are not: their fields are set below
+    a = np.where(fine, np.abs(v), 1.0)
+    e = np.floor(np.log10(a)).astype(np.int32)
+    d, frac = _scaled(a, e)
+    off = (d >= 10**17).astype(np.int32) - (d < 10**16)  # log10 rounded across a power of ten
+    if off.any():
+        e += off
+        d, frac = _scaled(a, e)
+        fine &= (d >= 10**16) & (d < 10**17)
+    fine &= np.abs(frac - 0.5) > 1e-6
+    d += frac > 0.5
+    carry = d == 10**17
+    d[carry], e[carry] = 10**16, e[carry] + 1
+    hi, lo = (x.astype(np.int32) for x in np.divmod(d, 10**8))  # the first nine digits, then the last eight
+    h4, l4 = hi // 10**4, lo // 10**4
+    q = np.stack([hi // 10**8, h4 - hi // 10**8 * 10**4, hi - h4 * 10**4, l4, lo - l4 * 10**4])  # d0, 4-digit groups
+    s = np.maximum(np.take_along_axis(lasts, q[1:], 1).max(0), 1)  # digits left without the trailing zeros
+    fixed = (e >= -4) & (e < 17)  # %g's positional form
+    n = np.where(fixed, np.maximum(s, e + 1), s)  # digits printed: an integer part keeps its zeros
+    dot = np.where(fixed, e, 0)  # the point follows digit e, or the first in the exponent form
+    dot[(dot < 0) | (s <= dot + 1)] = -1  # none, or a fraction's, which its head holds
+    nan, special = np.isnan(v), ~np.isfinite(v) | (v == 0)
+    n[special], dot[special] = 0, -1
+    head = np.where(fixed & (e < 0), 1 - e, v == 0) + 6 * (np.signbit(v) & ~nan)
+    out[0] = np.take(firsts, 10 * head + q[0])
+    out[1:5] = np.take(quads, q[1:])
+    out[:5] &= np.take(keep, 18 * n + dot + 1, axis=1)
+    out[5] = np.take(tails, np.where(nan, 2, np.where(np.isinf(v), 1, np.where(fixed, 0, e + 350))))
+    for i in np.flatnonzero(~(fine | special)):
+        out[:, i] = np.frombuffer((b"%.17g" % v[i]).ljust(48, b"\0"), np.uint64)
+
+
+def _csv(fields: list[np.ndarray], ends: list[str] | None = None) -> bytes:
+    """CSV bytes of rows of :func:`_texts` fields: per row, the columns of ``fields`` in turn, each followed by its
+    end (by default a comma, and a newline after the last).  One pass deletes the NULs."""
+    m, c = fields[0].shape[1], sum(f.shape[2] for f in fields)
+    ends = ends or [","] * (c - 1) + ["\n"]
+    width = max(map(len, ends))
+    out = np.empty((m, c, 48 + width), np.uint8)
+    np.concatenate(fields, axis=2, out=out[..., :48].view(np.uint64).transpose(2, 0, 1))
+    out[..., 48:] = np.frombuffer("".join(end.ljust(width, "\0") for end in ends).encode(), np.uint8).reshape(c, width)
+    return out.tobytes().translate(None, b"\0")
 
 
 def _write_set(heads: dict[Path, str], n: int, texts) -> None:
@@ -435,10 +520,10 @@ def _write_set(heads: dict[Path, str], n: int, texts) -> None:
 
     ``heads`` maps each path to its head (header line, and any row ahead of
     the chunks); ``texts(chunk)`` yields each file's bytes for the chunk's
-    rows in turn (:func:`_lines`), so one file's values are held at a time.
-    ``%.17g`` formats as ``format(x, ".17g")``, repr-round-trip precision;
-    a value the files share is formatted once (:func:`_texts`) and filled
-    in as text.  The writer holds one chunk's values and text, not a file's.
+    rows in turn.  A set's writer formats each of the chunk's blocks of
+    values once (:func:`_texts`) and builds each file from the fields it
+    needs (:func:`_csv`), so a value the files share is formatted once.
+    The writer holds one chunk's values and text, not a file's.
     """
     with ExitStack() as stack:
         handles = [stack.enter_context(path.open("wb")) for path in heads]
@@ -449,15 +534,9 @@ def _write_set(heads: dict[Path, str], n: int, texts) -> None:
                 fh.write(text)
 
 
-def _write_csv(path: Path, header: list[str], block: np.ndarray, row: str | None = None) -> None:
-    """Header line, then a line per row of ``block`` by the template ``row`` (``%.17g`` per column by default)."""
-    line = (row or ",".join(["%.17g"] * len(header))) + "\n"
-    _write_set({path: ",".join(header) + "\n"}, len(block), lambda chunk: [_lines(line, block[chunk], {})])
-
-
-def _truth_rows(traj: TruthTrajectory, chunk: slice) -> np.ndarray:
-    """Rows ``chunk`` of ``traj``'s ``truth.csv`` as an ``(m, 8)`` array, its quaternions converted per chunk."""
-    return np.column_stack([traj.t[chunk], traj.p[chunk], rot_to_quat(traj.rot[chunk])])
+def _write_csv(path: Path, header: list[str], block: np.ndarray) -> None:
+    """Header line, then a line per row of ``block``, its values' ``%.17g`` texts (:func:`_texts`) comma-separated."""
+    _write_set({path: ",".join(header) + "\n"}, len(block), lambda chunk: [_csv([_texts(block[chunk])])])
 
 
 def write_dataset(
@@ -472,7 +551,7 @@ def write_dataset(
     row per entry of the ``(n, k)`` block ``diffs``, ``(i, j)`` the 1-based
     pairs of the ``topology``'s anchor-pair list (``AnchorSet.tdoa``).
     The three time-series files are one set (:func:`_write_set`): each
-    sample's timestamp is formatted once for all three.
+    sample's timestamp is formatted once, with the truth, for all three.
     """
     if topology not in anchors.tdoa:
         raise SchemaError(f"dataset export requires a tdoa topology, got {topology!r}")
@@ -483,17 +562,16 @@ def write_dataset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "anchors.csv", ["id", "x", "y", "z"],
-               np.column_stack([np.arange(1, len(anchors) + 1), anchors.anchors]), "%d,%.17g,%.17g,%.17g")
-    # tdoa.csv's template is one tick's k lines, the pair ids literal text
-    tick = "".join(f"%s,{i},{j},%.17g\n" for i, j in zip(pair_list.first + 1, pair_list.second + 1))
+               np.column_stack([np.arange(1, len(anchors) + 1), anchors.anchors]))
+    # tdoa.csv's row is one tick's k lines, each the tick's t and one difference, the pair ids literal text
+    ends = [end for i, j in zip(pair_list.first + 1, pair_list.second + 1) for end in (f",{i},{j},", "\n")]
 
     def texts(chunk: slice):
-        t_text = _texts(traj.t[chunk, None])
-        yield _lines(_TRUTH_LINE, _truth_rows(traj, chunk), {0: t_text})
-        yield _lines("%s" + ",%.17g" * 9 + "\n", np.column_stack([traj.t[chunk], imu[chunk]]), {0: t_text})
-        ticks = np.zeros((len(t_text), 2 * k))
-        ticks[:, 1::2] = diffs[chunk]
-        yield _lines(tick, ticks, dict.fromkeys(range(0, 2 * k, 2), t_text))
+        truth = _texts(np.column_stack([traj.t[chunk], traj.p[chunk], rot_to_quat(traj.rot[chunk])]))
+        t, d = truth[..., :1], _texts(diffs[chunk])
+        yield _csv([truth])
+        yield _csv([t, _texts(imu[chunk])])
+        yield _csv([field for j in range(k) for field in (t, d[..., j : j + 1])], ends)
 
     _write_set({out / "truth.csv": ",".join(_TRUTH_HEADER) + "\n", out / "imu.csv": ",".join(_IMU_HEADER) + "\n",
                 out / "tdoa.csv": "t,i,j,d\n"}, n, texts)
@@ -604,9 +682,9 @@ def _bad_cell(path: Path, columns: list[str]) -> str | None:
 
 
 def _stride(rate: float, filter_rate: float) -> int:
-    """Integer decimation from a ``rate`` Hz sample clock down to ``filter_rate``; ConfigError unless within 1%."""
+    """Integer decimation from a ``rate`` Hz sample clock down to ``filter_rate``; ConfigError unless within 0.2%."""
     stride = max(1, int(round(rate / filter_rate)))
-    if abs(rate / stride - filter_rate) > 0.01 * filter_rate:
+    if abs(rate / stride - filter_rate) > 0.002 * filter_rate:
         raise ConfigError(
             f"filter rate {filter_rate} Hz is not an integer decimation of the "
             f"{rate:.6g} Hz sample clock"
@@ -742,24 +820,23 @@ _METRICS_HEADER = ["t", "att_err", "pos_err", "vel_err", "sigma_norm", "e_r", "p
 def _write_run(out: Path, traj: TruthTrajectory, history: np.ndarray, errors: np.ndarray) -> None:
     """A run's ``truth.csv``, ``estimates.csv`` and ``metrics.csv`` from its step block and :func:`_error_columns`.
 
-    Truth row ``i + 1`` is step ``i``'s: a step's time is formatted once for the three files (truth row 0
-    goes in with the header), and its ``e_r`` and ``py_residual`` once for the last two.
+    Truth row ``i + 1`` is step ``i``'s: a step's time is formatted once, with the truth, for the three files
+    (truth row 0 goes in with the header), and its ``e_r`` and ``py_residual`` once, with the estimates, for
+    the last two.
     """
     n, k = len(history), history.shape[1] - 12
-    t = traj.t[1:]
 
     def texts(chunk: slice):
-        t_text, e_text = _texts(t[chunk, None]), _texts(history[chunk, -3:-1])
-        yield _lines(_TRUTH_LINE, _truth_rows(traj, slice(chunk.start + 1, chunk.stop + 1)), {0: t_text})
-        block = history[chunk]
-        # p_hat, v_hat, quaternion, sigma_hat, then e_r in the place of e_r's and py_residual's text, dropout
-        estimates = np.column_stack([t[chunk], block[:, k : k + 6], rot_to_quat(_estimated_rot(block[:, :k])),
-                                     block[:, k + 6 : k + 10], block[:, -1]])
-        yield _lines("%s" + ",%.17g" * 13 + ",%s,%d\n", estimates, {0: t_text, 14: e_text})
-        metrics = np.column_stack([t[chunk], errors[:, chunk].T, block[:, -3]])
-        yield _lines("%s" + ",%.17g" * 4 + ",%s\n", metrics, {0: t_text, 5: e_text})
+        block, row = history[chunk], slice(chunk.start + 1, chunk.stop + 1)
+        truth = _texts(np.column_stack([traj.t[row], traj.p[row], rot_to_quat(traj.rot[row])]))
+        # p_hat, v_hat, quaternion, sigma_hat, e_r, py_residual, dropout
+        quat = rot_to_quat(_estimated_rot(block[:, :k]))
+        est = _texts(np.column_stack([block[:, k : k + 6], quat, block[:, k + 6 :]]))
+        yield _csv([truth])
+        yield _csv([truth[..., :1], est])
+        yield _csv([truth[..., :1], _texts(errors[:, chunk].T), est[..., 13:15]])
 
-    first = _lines(_TRUTH_LINE, _truth_rows(traj, slice(0, 1)), {0: _texts(traj.t[:1, None])})
+    first = _csv([_texts(np.column_stack([traj.t[:1], traj.p[:1], rot_to_quat(traj.rot[:1])]))])
     _write_set({out / "truth.csv": ",".join(_TRUTH_HEADER) + "\n" + first.decode(),
                 out / "estimates.csv": ",".join(_ESTIMATE_HEADER) + "\n",
                 out / "metrics.csv": ",".join(_METRICS_HEADER) + "\n"}, n, texts)

@@ -616,6 +616,19 @@ class TestRunVerb:
         assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_OK
         assert json.loads((tmp_path / "r" / "summary.json").read_text())["steps"] == 300
 
+    def test_filter_rate_off_the_decimated_clock_is_config_error(self, tmp_path, capsys):
+        # 500 Hz decimated by 5 steps at 100 Hz: a 99.5 Hz filter would integrate each 0.01 s row over 1/99.5 s
+        ds = tmp_path / "ds"
+        (tmp_path / "sim.yaml").write_text("duration: 2.0\nrate: 500.0\ntopology: tdoa-main\n")
+        assert run_cli("simulate", "--config", str(tmp_path / "sim.yaml"), "--out", str(ds)) == EXIT_OK
+        run_cfg = tmp_path / "replay.yaml"
+        run_cfg.write_text(f"mode: dataset\ndataset_dir: {ds}\nrate: 500.0\nfilter_rate: 99.5\ntopology: tdoa-main\n")
+        capsys.readouterr()
+        assert run_cli("run", "--config", str(run_cfg), "--out", str(tmp_path / "r")) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: filter rate 99.5 Hz is not an integer decimation of the 500 Hz sample clock" in err
+        assert not (tmp_path / "r").exists()
+
     def test_runaway_gain_is_numeric_error(self, tmp_path, capsys):
         cfg = tmp_path / "run.yaml"
         cfg.write_text("duration: 2.0\ntopology: toa\nka: 1.0e12\n")

@@ -610,7 +610,7 @@ class TestWriteCsv:
             block[:, 16] = rng.integers(0, 2, n)
         else:
             header, row = [f"c{k}" for k in range(17)], None
-        harness._write_csv(tmp_path / "chunks.csv", header, block, row)
+        harness._write_csv(tmp_path / "chunks.csv", header, block)  # a 0 or 1 reads as %d writes it
         write_csv_whole(tmp_path / "whole.csv", header, block, row)
         written = (tmp_path / "chunks.csv").read_bytes()
         assert written == (tmp_path / "whole.csv").read_bytes()

@@ -51,13 +51,15 @@ def test_step_ab(tmp_path):
     header, *rows = _run(tmp_path, "step_ab.py", str(ROOT), str(ROOT), *args).splitlines()
     assert header.split()[0] == "config" and len(rows) == 6
     assert all(row.endswith("identical") for row in rows), rows
-    # a tree whose stock gain differs ends its streams elsewhere, and one that writes estimates
-    # at 16 digits differs in its run's bytes: exit 1
+    # a tree whose stock gain differs ends its streams elsewhere, and one that leaves the dropout
+    # column out of its estimates differs in its run's bytes: exit 1
     other = tmp_path / "other"
     shutil.copytree(ROOT / "src" / "uwbnav", other / "src" / "uwbnav", ignore=shutil.ignore_patterns("__pycache__"))
     harness = other / "src" / "uwbnav" / "harness.py"
     text = harness.read_text()
-    for old, new in (("    k1: float = 3.0\n", "    k1: float = 3.5\n"), ('",%.17g" * 13', '",%.16g" * 13')):
+    mutations = (("    k1: float = 3.0\n", "    k1: float = 3.5\n"),
+                 ("yield _csv([truth[..., :1], est])", "yield _csv([truth[..., :1], est[..., :-1]])"))
+    for old, new in mutations:
         assert text.count(old) == 1
         text = text.replace(old, new)
     harness.write_text(text)
@@ -69,6 +71,25 @@ def test_step_ab(tmp_path):
     assert header.split()[0] == "runs" and re.search(r" [01]/1 +identical$", row), row
     assert _run(tmp_path, "step_ab.py", str(ROOT), str(other), *args, code=1).splitlines() == [
         "seed 1: estimates.csv DIFFERS between the trees"
+    ]
+
+
+def test_format_check(tmp_path):
+    assert _run(tmp_path, "format_check.py", "--values", "1").splitlines() == ["all 1 values match %.17g (seed 1)"]
+    # a tree that lets plain rounding decide a tie fails at the first that Python rounds to an even digit
+    # above it: 1000000000000000.75, the ninth value checked
+    other = tmp_path / "other"
+    for part in ("src/uwbnav", "scripts"):
+        shutil.copytree(ROOT / part, other / part, ignore=shutil.ignore_patterns("__pycache__"))
+    harness = other / "src" / "uwbnav" / "harness.py"
+    text = harness.read_text()
+    assert text.count("np.abs(frac - 0.5) > 1e-6") == 1
+    harness.write_text(text.replace("np.abs(frac - 0.5) > 1e-6", "np.abs(frac - 0.5) > -1.0"))
+    done = subprocess.run([sys.executable, str(other / "scripts" / "format_check.py"), "--values", "9"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300, check=False)
+    assert done.returncode == 1, done.stderr
+    assert done.stdout.splitlines() == [
+        "MISMATCH 1000000000000000.8 (bits 0x430c6bf526340006): b'1000000000000000.7' != b'1000000000000000.8'"
     ]
 
 
